@@ -9,6 +9,7 @@ save(load(path)) round-trips byte-identically.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import struct
@@ -42,8 +43,12 @@ class MajorCategory(str, Enum):
     MISC = "MISC"
 
 
+@functools.cache
 def taxonomy() -> dict[str, list[str]]:
-    """Subcategory vocabulary per major category (shipped data file)."""
+    """Subcategory vocabulary per major category (shipped data file).
+
+    Read once per process; every caller shares the result, so do not mutate it.
+    """
     data = resources.files("flakidock").joinpath("data/taxonomy.json")
     return json.loads(data.read_text(encoding="utf-8"))
 
@@ -64,10 +69,6 @@ class FlakinessCategory:
                 self.sub,
                 self.major.value,
             )
-
-    @property
-    def known_sub(self) -> bool:
-        return self.sub is not None and self.sub in taxonomy()[self.major.value]
 
     def as_string(self) -> str:
         return f"{self.major.value}/{self.sub}" if self.sub else self.major.value
@@ -158,21 +159,21 @@ class DemonstrationIndex:
     Reads are lock-free; inserts serialize through a writer lock.
     """
 
-    def __init__(self, records: list[DemonstrationRecord]):
+    def __init__(self, records: list[DemonstrationRecord], matrix: np.ndarray | None = None):
+        """`matrix`, when given, holds the records' embeddings as its rows, in order."""
         self._writer_lock = threading.Lock()
         self.records = records
         self.by_id = {r.id: r for r in records}
-        if records:
-            if any(r.embedding is None for r in records):
-                raise StoreError("every indexed record needs an embedding")
-            dims = {r.embedding.dim for r in records}
-            if len(dims) > 1:
-                raise StoreError(f"mixed embedding dims in store: {sorted(dims)}")
-            self.matrix = np.asarray(
-                [r.embedding.values for r in records], dtype=np.float32
-            )
-        else:
-            self.matrix = np.zeros((0, 0), dtype=np.float32)
+        if any(r.embedding is None for r in records):
+            raise StoreError("every indexed record needs an embedding")
+        dims = {r.embedding.dim for r in records}
+        if len(dims) > 1:
+            raise StoreError(f"mixed embedding dims in store: {sorted(dims)}")
+        if matrix is None:
+            rows = [r.embedding.values for r in records]
+            matrix = np.asarray(rows, dtype=np.float32) if rows else np.zeros((0, 0), np.float32)
+        self.matrix = matrix
+        self.norms = np.linalg.norm(self.matrix.astype(np.float64), axis=1)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -186,8 +187,9 @@ class DemonstrationIndex:
                 raise SchemaViolation(record.id, "id", "duplicate record id")
             self.records.append(record)
             self.by_id[record.id] = record
-            row = np.asarray([record.embedding.values], dtype=np.float32)
+            row = record.embedding.values.astype(np.float32)[None, :]
             self.matrix = row if self.matrix.size == 0 else np.vstack([self.matrix, row])
+            self.norms = np.append(self.norms, np.linalg.norm(row.astype(np.float64), axis=1))
 
 
 def _resolve_paths(path) -> tuple[Path, Path]:
@@ -238,12 +240,13 @@ def load_store(path, embedding_provider: EmbeddingProvider | None = None) -> Dem
         records.append(record)
 
     if vectors_path.exists():
-        vectors = _read_vectors(vectors_path, len(records))
+        rows = _read_vectors(vectors_path, len(records))
         records = [
-            replace(rec, embedding=EmbeddingVector(tuple(row), len(row), "stored"))
-            for rec, row in zip(records, vectors)
+            replace(rec, embedding=EmbeddingVector(row, row.size, "stored"))
+            for rec, row in zip(records, rows)
         ]
-    elif records:
+        return DemonstrationIndex(records, rows)
+    if records:
         if embedding_provider is None:
             raise StoreError(
                 f"{vectors_path} is missing and no embedding provider was supplied"
@@ -276,17 +279,18 @@ def save_store(index: DemonstrationIndex, path) -> None:
     if len(index):
         with open(vectors_path, "wb") as fh:
             fh.write(struct.pack("<I", index.matrix.shape[1]))
-            fh.write(index.matrix.astype("<f4").tobytes(order="C"))
+            fh.write(np.ascontiguousarray(index.matrix, dtype="<f4"))
     elif vectors_path.exists():
         vectors_path.unlink()
 
 
-def _read_vectors(path: Path, expected_rows: int) -> list[list[float]]:
+def _read_vectors(path: Path, expected_rows: int) -> np.ndarray:
+    """The stored float32 rows, read-only and without a copy of the file's bytes."""
     blob = path.read_bytes()
     if len(blob) < 4:
         raise StoreError(f"{path}: truncated vector file")
     (dim,) = struct.unpack("<I", blob[:4])
-    data = np.frombuffer(blob[4:], dtype="<f4")
+    data = np.frombuffer(blob, dtype="<f4", offset=4)
     if dim == 0 or data.size % dim != 0:
         raise StoreError(f"{path}: vector payload is not a multiple of dim {dim}")
     rows = data.reshape(-1, dim)
@@ -294,7 +298,7 @@ def _read_vectors(path: Path, expected_rows: int) -> list[list[float]]:
         raise StoreError(
             f"{path}: {rows.shape[0]} vectors for {expected_rows} records"
         )
-    return [[float(v) for v in row] for row in rows]
+    return rows
 
 
 def builtin_store_path() -> Path:
@@ -321,6 +325,10 @@ def category_stats(index: DemonstrationIndex) -> dict[MajorCategory, CategorySha
 
 
 # --- provider-assisted labeling ---
+
+# Section labels shared with the repair prompt.
+STATIC_LABEL = "--- DOCKERFILE ---"
+DYNAMIC_LABEL = "--- BUILD OUTPUT ---"
 
 _LABEL_PROMPT = """You are triaging an intermittently failing container image build.
 Given the build definition and the error excerpt from its build output, list the
@@ -403,10 +411,6 @@ def _parse_category(raw: str) -> FlakinessCategory | None:
     cat = FlakinessCategory(major, sub)
     cat.validate()
     return cat
-
-
-STATIC_LABEL = "--- DOCKERFILE ---"
-DYNAMIC_LABEL = "--- BUILD OUTPUT ---"
 
 
 # --- failure-cause exclusion filters ---

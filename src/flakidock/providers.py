@@ -33,11 +33,32 @@ class EmbeddingProvider(ABC):
         """Return the raw embedding values for text already within limits."""
 
 
+class _GramCodes(dict):
+    """Memo of n-gram -> hash bucket, plus dim when the gram's sign is positive."""
+
+    LIMIT = 1 << 16
+
+    def __init__(self, dim: int):
+        super().__init__()
+        self.dim = dim
+
+    def __missing__(self, gram: str) -> int:
+        digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest()
+        h = int.from_bytes(digest, "big")
+        code = h % self.dim + (self.dim if h & (1 << 63) else 0)
+        if len(self) >= self.LIMIT:
+            self.clear()
+        self[gram] = code
+        return code
+
+
 class HashingEmbeddingProvider(EmbeddingProvider):
     """Deterministic offline embedding: hashed character n-grams, L2-normalized.
 
     Every call with the same text yields the same vector, on any host,
     which makes downstream behavior fully replayable without a network.
+    Both memos (text -> vector, n-gram -> signed bucket) are per instance and
+    are cleared when full.
     """
 
     _CACHE_LIMIT = 4096
@@ -46,37 +67,37 @@ class HashingEmbeddingProvider(EmbeddingProvider):
         self.dim = dim
         self.provider_id = f"offline-hash-{dim}"
         self.token_limit = None
-        self._cache: dict[str, tuple[float, ...]] = {}
+        self._cache: dict[str, np.ndarray] = {}
+        self._grams = _GramCodes(dim)
 
     def embed_values(self, text: str) -> list[float]:
         cached = self._cache.get(text)
-        if cached is not None:
-            return list(cached)
-        values = self._compute(text)
-        if len(self._cache) >= self._CACHE_LIMIT:
-            self._cache.clear()
-        self._cache[text] = tuple(values)
-        return values
+        if cached is None:
+            cached = self._compute(text)
+            if len(self._cache) >= self._CACHE_LIMIT:
+                self._cache.clear()
+            self._cache[text] = cached
+        return cached.tolist()
 
-    def _compute(self, text: str) -> list[float]:
+    def _compute(self, text: str) -> np.ndarray:
         lowered = text.lower()
         grams = (
             [lowered[i : i + _NGRAM] for i in range(len(lowered) - _NGRAM + 1)]
             if len(lowered) >= _NGRAM
             else [lowered]
         )
-        acc = np.zeros(self.dim, dtype=np.float64)
-        for gram in grams:
-            digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest()
-            h = int.from_bytes(digest, "big")
-            sign = 1.0 if h & (1 << 63) else -1.0
-            acc[h % self.dim] += sign
+        codes = np.fromiter(map(self._grams.__getitem__, grams), dtype=np.intp, count=len(grams))
+        counts = np.bincount(codes, minlength=2 * self.dim)
+        # Each bucket sums +-1 terms, so integer counts give the exact sum.
+        acc = (counts[self.dim :] - counts[: self.dim]).astype(np.float64)
         norm = float(np.linalg.norm(acc))
         if norm > 0.0:
             acc /= norm
         # Quantize to the on-disk float32 grid so in-memory and persisted
         # vectors rank identically.
-        return [float(v) for v in acc.astype(np.float32)]
+        vec = acc.astype(np.float32)
+        vec.flags.writeable = False
+        return vec
 
 
 class HttpEmbeddingProvider(EmbeddingProvider):
@@ -128,7 +149,7 @@ class HttpEmbeddingProvider(EmbeddingProvider):
             raise ProviderUnavailable(
                 f"provider returned dim {len(values)}, declared {self.dim}"
             )
-        return [float(v) for v in np.asarray(values, dtype=np.float32)]
+        return np.asarray(values, dtype=np.float32).tolist()
 
 
 class TextGenerationProvider(ABC):

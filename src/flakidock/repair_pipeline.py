@@ -18,7 +18,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .build_engine import BuildEngine, BuildRecord
-from .demo_store import DemonstrationIndex, DemonstrationRecord, MajorCategory
+from .demo_store import (
+    DYNAMIC_LABEL,
+    STATIC_LABEL,
+    DemonstrationIndex,
+    DemonstrationRecord,
+    MajorCategory,
+)
 from .dockerfile_model import DockerfileDoc, parse_dockerfile
 from .errors import BudgetExhausted, EngineError, FlakiDockError, UnparseableResponse
 from .log_preprocess import RuleSet, preprocess_log
@@ -131,8 +137,6 @@ Reason step by step before writing the file:
 EXAMPLE_HEADER = "### Example {idx} (similarity {sim:.2f})"
 QUERY_HEADER = "### Flaky Dockerfile (repair this one)"
 FEEDBACK_HEADER = "### Failed attempt {idx} (false demonstration - do not repeat it)"
-STATIC_LABEL = "--- DOCKERFILE ---"
-DYNAMIC_LABEL = "--- BUILD OUTPUT ---"
 REPAIR_LABEL = "--- REPAIR ---"
 REJECTED_LABEL = "--- REJECTED DOCKERFILE ---"
 FEEDBACK_OUTPUT_LABEL = "--- ITS BUILD OUTPUT ---"

@@ -2,14 +2,14 @@
 
 Clustering is incremental and per project: each new failing build output
 joins the existing cluster with the highest mean member similarity when
-that mean clears the threshold, otherwise it starts a new cluster. The
-retrieval index is an exact full scan; at the store sizes this tool works
+that mean clears the threshold, otherwise it starts a new cluster. A cluster
+keeps the sum of its members' unit vectors, so that mean is one dot product.
+The retrieval index is an exact full scan; at the store sizes this tool works
 with (<= 10k records) approximate indexes buy nothing.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,17 +21,32 @@ STATIC_DELIMITER = "=== DOCKERFILE ==="
 DYNAMIC_DELIMITER = "=== BUILD OUTPUT ==="
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmbeddingVector:
-    values: tuple[float, ...]
+    """A read-only embedding array, compared by content: float32 as providers and
+    stores give it, float64 for values of any other dtype (e.g. Python floats)."""
+
+    values: np.ndarray
     dim: int
     provider_id: str
 
     def __post_init__(self):
-        if len(self.values) != self.dim:
-            raise DimensionMismatch(
-                f"vector has {len(self.values)} values, declared dim {self.dim}"
-            )
+        values = np.asarray(self.values)
+        if values.flags.writeable or values.dtype != np.float32:  # a read-only float32 is shared
+            values = values.astype(np.float32 if values.dtype == np.float32 else np.float64)
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+        if values.shape != (self.dim,):
+            raise DimensionMismatch(f"vector has {values.size} values, declared dim {self.dim}")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, EmbeddingVector):
+            return NotImplemented
+        same = (self.dim, self.provider_id) == (other.dim, other.provider_id)
+        return same and np.array_equal(self.values, other.values)
+
+    def __hash__(self) -> int:
+        return hash((self.dim, self.provider_id))
 
 
 def embed(text: str, provider: EmbeddingProvider, truncate: bool = True) -> EmbeddingVector:
@@ -48,21 +63,24 @@ def embed(text: str, provider: EmbeddingProvider, truncate: bool = True) -> Embe
                 f"text is ~{estimate_tokens(text)} tokens, limit {provider.token_limit}"
             )
         text = truncate_to_tokens(text, provider.token_limit)
-    values = provider.embed_values(text)
-    if not any(values):
+    values = np.asarray(provider.embed_values(text), dtype=np.float32)
+    if not values.any():
         raise ZeroVector(f"provider {provider.provider_id} returned the zero vector")
-    return EmbeddingVector(tuple(values), provider.dim, provider.provider_id)
+    return EmbeddingVector(values, provider.dim, provider.provider_id)
+
+
+def _unit(vec: EmbeddingVector) -> np.ndarray:
+    values = vec.values.astype(np.float64)
+    norm = np.linalg.norm(values)
+    if norm == 0.0:
+        raise ZeroVector("cosine similarity is undefined for the zero vector")
+    return values / norm
 
 
 def cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
     if a.dim != b.dim:
         raise DimensionMismatch(f"dims differ: {a.dim} vs {b.dim}")
-    norm_a = math.sqrt(sum(x * x for x in a.values))
-    norm_b = math.sqrt(sum(y * y for y in b.values))
-    if norm_a == 0.0 or norm_b == 0.0:
-        raise ZeroVector("cosine similarity is undefined for the zero vector")
-    dot = sum(x * y for x, y in zip(a.values, b.values))
-    return dot / (norm_a * norm_b)
+    return float(_unit(a) @ _unit(b))
 
 
 def combine_static_dynamic(static_text: str, dynamic_text: str) -> str:
@@ -87,20 +105,18 @@ class RepairQuery:
 
 @dataclass
 class Cluster:
+    """Build outputs and the float64 sum of their unit vectors: for a unit vector u,
+    the mean cosine similarity to the members is u . member_sum / len(member_ids)."""
+
     id: int
     member_ids: list[str]
-    member_vectors: list[EmbeddingVector] = field(repr=False, default_factory=list)
-    centroid: EmbeddingVector | None = None
+    member_sum: np.ndarray = field(repr=False)
 
-
-def _renormalized_mean(vectors: list[EmbeddingVector]) -> EmbeddingVector:
-    matrix = np.asarray([v.values for v in vectors], dtype=np.float64)
-    mean = matrix.mean(axis=0)
-    norm = np.linalg.norm(mean)
-    if norm > 0.0:
-        mean = mean / norm
-    first = vectors[0]
-    return EmbeddingVector(tuple(float(x) for x in mean), first.dim, first.provider_id)
+    @property
+    def centroid(self) -> EmbeddingVector:
+        """The renormalised mean of the member vectors."""
+        mean = self.member_sum / np.linalg.norm(self.member_sum)
+        return EmbeddingVector(mean, mean.size, "centroid")
 
 
 def cluster_add(
@@ -113,28 +129,21 @@ def cluster_add(
 
     The candidate joins the cluster whose members are on average most similar
     to it, provided that mean similarity reaches the threshold; otherwise a
-    new singleton cluster is created. The centroid is only a cached summary;
-    assignment always compares against the members themselves.
+    new singleton cluster is created. Each cluster costs one dot product.
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-    best_id = None
-    best_mean = -2.0
-    for cluster in state:
-        mean = sum(cosine(vec, m) for m in cluster.member_vectors) / len(
-            cluster.member_vectors
-        )
-        if mean > best_mean:
-            best_mean = mean
-            best_id = cluster.id
-    if best_id is not None and best_mean >= threshold:
-        cluster = next(c for c in state if c.id == best_id)
-        cluster.member_ids.append(output_id)
-        cluster.member_vectors.append(vec)
-        cluster.centroid = _renormalized_mean(cluster.member_vectors)
-        return state, best_id
+    u = _unit(vec)
+    if state and state[0].member_sum.size != u.size:
+        raise DimensionMismatch(f"dims differ: {u.size} vs {state[0].member_sum.size}")
+    means = [float(u @ c.member_sum) / len(c.member_ids) for c in state]
+    if means and max(means) >= threshold:
+        best = state[means.index(max(means))]  # the first of equal means, in state order
+        best.member_ids.append(output_id)
+        best.member_sum += u
+        return state, best.id
     new_id = max((c.id for c in state), default=-1) + 1
-    state.append(Cluster(new_id, [output_id], [vec], vec))
+    state.append(Cluster(new_id, [output_id], u))
     return state, new_id
 
 
@@ -153,18 +162,13 @@ def retrieve_top_k(
         raise ValueError(f"k must be >= 1, got {k}")
     if len(store) == 0:
         return []
-    query_vec = embed(query.combined_text, provider)
-    matrix = store.matrix.astype(np.float64)
-    q = np.asarray(query_vec.values, dtype=np.float64)
-    if matrix.shape[1] != q.shape[0]:
-        raise DimensionMismatch(
-            f"store dim {matrix.shape[1]} vs query dim {q.shape[0]}"
-        )
-    norms = np.linalg.norm(matrix, axis=1)
-    qnorm = np.linalg.norm(q)
-    sims = (matrix @ q) / (norms * qnorm)
-    ranked = sorted(
-        zip(store.records, sims.tolist()),
-        key=lambda pair: (-pair[1], pair[0].id),
-    )
-    return [(record, float(sim)) for record, sim in ranked[:k]]
+    q = embed(query.combined_text, provider).values.astype(np.float64)
+    if store.matrix.shape[1] != q.shape[0]:
+        raise DimensionMismatch(f"store dim {store.matrix.shape[1]} vs query dim {q.shape[0]}")
+    # einsum gives identical rows identical scores wherever they sit; a BLAS
+    # matrix-vector product may not, which would break the id tie rule.
+    sims = np.einsum("ij,j->i", store.matrix, q) / (store.norms * np.linalg.norm(q))
+    kth = max(len(sims) - k, 0)
+    rows = np.flatnonzero(sims >= np.partition(sims, kth)[kth])  # the k best, ties included
+    ranked = sorted(rows, key=lambda i: (-sims[i], store.records[i].id))[:k]
+    return [(store.records[i], float(sims[i])) for i in ranked]

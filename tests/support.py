@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
+import math
 import random
 from pathlib import Path
+
+import numpy as np
 
 from flakidock.build_engine import BuildScript, ScriptedOutcome, SimulatedDriver
 
@@ -124,3 +128,53 @@ def driver_with_scripts(scripts: dict[str | None, list[ScriptedOutcome]]) -> Sim
 
 def fenced(dockerfile_text: str) -> str:
     return f"Here is the corrected file:\n```dockerfile\n{dockerfile_text}```\n"
+
+
+# --- reference implementations for differential tests ---
+
+
+def reference_hash_embedding(text: str, dim: int = 256) -> np.ndarray:
+    """The offline embedder without memos: one blake2b per character 3-gram."""
+    lowered = text.lower()
+    grams = [lowered[i : i + 3] for i in range(len(lowered) - 2)] if len(lowered) >= 3 else [lowered]
+    acc = np.zeros(dim, dtype=np.float64)
+    for gram in grams:
+        h = int.from_bytes(hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest(), "big")
+        acc[h % dim] += 1.0 if h & (1 << 63) else -1.0
+    norm = float(np.linalg.norm(acc))
+    if norm > 0.0:
+        acc /= norm
+    return acc.astype(np.float32)
+
+
+def reference_clustering(
+    vectors: list[list[float]], threshold: float
+) -> list[tuple[int, dict[int, float]]]:
+    """Member-mean clustering that compares each vector with every member.
+
+    A vector joins the first cluster with the highest mean cosine similarity
+    to its members when that mean reaches the threshold, otherwise it starts
+    a new cluster. Returns, for each vector in input order, its cluster id and
+    the mean similarity to each cluster that existed before it joined.
+    """
+    norms = [math.sqrt(sum(x * x for x in v)) for v in vectors]
+
+    def cosine(i: int, j: int) -> float:
+        return sum(x * y for x, y in zip(vectors[i], vectors[j])) / (norms[i] * norms[j])
+
+    clusters: list[list[int]] = []  # member positions per cluster
+    steps = []
+    for i in range(len(vectors)):
+        best_id, best_mean = None, -2.0
+        means = {}
+        for cid, members in enumerate(clusters):
+            mean = means[cid] = sum(cosine(i, m) for m in members) / len(members)
+            if mean > best_mean:
+                best_id, best_mean = cid, mean
+        if best_id is not None and best_mean >= threshold:
+            clusters[best_id].append(i)
+        else:
+            best_id = len(clusters)
+            clusters.append([i])
+        steps.append((best_id, means))
+    return steps

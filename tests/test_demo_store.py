@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
 
+from flakidock import demo_store
 from flakidock.demo_store import (
     DemonstrationIndex,
     DemonstrationRecord,
@@ -186,6 +188,22 @@ class TestStoreIO:
         assert (tmp_path / "a" / "vectors.bin").read_bytes() == (
             tmp_path / "b" / "vectors.bin"
         ).read_bytes()
+
+    def test_loading_a_store_reads_the_taxonomy_at_most_once(
+        self, tmp_path, offline_provider, monkeypatch
+    ):
+        index = DemonstrationIndex([])
+        for i in range(4):
+            index.add(_record(f"tx-{i}", "DEP", "Versioning Issues"), offline_provider)
+        save_store(index, tmp_path / "records.jsonl")
+        reads = []
+        files = demo_store.resources.files
+        monkeypatch.setattr(
+            demo_store, "resources", SimpleNamespace(files=lambda pkg: reads.append(pkg) or files(pkg))
+        )
+        taxonomy.cache_clear()
+        load_store(tmp_path / "records.jsonl")
+        assert len(reads) <= 1
 
     def test_vectors_recomputed_when_missing(self, tmp_path, offline_provider):
         index = DemonstrationIndex([])

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import math
+import random
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,8 @@ from flakidock.demo_store import (
     MajorCategory,
 )
 from flakidock.errors import DimensionMismatch, TokenLimit, ZeroVector
+from flakidock import providers
+from flakidock.demo_store import load_store, save_store
 from flakidock.providers import HashingEmbeddingProvider
 from flakidock.similarity import (
     EmbeddingVector,
@@ -24,7 +28,7 @@ from flakidock.similarity import (
     retrieve_top_k,
 )
 
-from support import template_outputs
+from support import reference_clustering, reference_hash_embedding, template_outputs
 
 
 def _vec(*values):
@@ -270,3 +274,70 @@ class TestOrderDependence:
 
         assert 10 <= len(baseline) <= 13
         assert 10 <= len(permuted) <= 13
+
+
+class TestDifferential:
+    """The vector layer against the reference implementations in support.py."""
+
+    # 0.8 is the default threshold. 0.97 lies inside the within-template
+    # similarity range (0.947-1.0), where some clusters have equal means.
+    @pytest.mark.parametrize("threshold", [0.8, 0.97])
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2, 3, 4])
+    def test_running_sums_assign_like_member_means(self, offline_provider, seed, threshold):
+        vecs = [embed(t, offline_provider) for t in template_outputs(200)]
+        order = list(range(len(vecs)))
+        if seed is not None:
+            random.Random(seed).shuffle(order)
+        state, got = [], []
+        for i in order:
+            state, cid = cluster_add(state, f"out-{i}", vecs[i], threshold)
+            got.append(cid)
+        steps = reference_clustering([[float(x) for x in vecs[i].values] for i in order], threshold)
+        if threshold == 0.8:
+            assert got == [cid for cid, _ in steps]
+            return
+        assert len(state) > 20
+        for got_id, (ref_id, means) in zip(got, steps):
+            if got_id != ref_id:
+                # Only clusters whose means tie up to rounding may be told apart
+                # differently; starting a new cluster scores the threshold.
+                assert means.get(got_id, threshold) == pytest.approx(
+                    means.get(ref_id, threshold), abs=1e-12
+                )
+                break
+
+    @pytest.mark.parametrize("gram_limit", [None, 50])
+    def test_memoised_embedder_is_bit_identical(self, monkeypatch, gram_limit):
+        if gram_limit is not None:  # the n-gram memo is cleared many times over
+            monkeypatch.setattr(providers._GramCodes, "LIMIT", gram_limit)
+        provider = HashingEmbeddingProvider()
+        texts = template_outputs(200)
+        for text in texts + texts:  # the second round hits the text cache
+            expected = reference_hash_embedding(text).tobytes()
+            assert np.asarray(embed(text, provider).values, dtype=np.float32).tobytes() == expected
+            assert np.asarray(provider.embed_values(text), dtype=np.float32).tobytes() == expected
+
+
+class TestRetrievalTies:
+    @pytest.mark.parametrize("reload", [False, True])
+    def test_tie_across_kth_place_returns_ascending_ids(self, offline_provider, tmp_path, reload):
+        index = _store_of(["unrelated failure one", "unrelated failure two"], offline_provider)
+        for i in reversed(range(5)):  # k + 2 identical records, inserted in descending id
+            index.add(
+                DemonstrationRecord(
+                    id=f"tie-{i}",
+                    static_part="FROM busybox\nRUN tied\n",
+                    dynamic_part="tied failure",
+                    category=FlakinessCategory(MajorCategory.MISC),
+                    repairs=("FROM busybox\nRUN fixed\n",),
+                    iterations=(2,),
+                ),
+                offline_provider,
+            )
+        if reload:
+            save_store(index, tmp_path / "records.jsonl")
+            index = load_store(tmp_path / "records.jsonl")
+        query = RepairQuery.build("FROM busybox\nRUN tied\n", "tied failure")
+        results = retrieve_top_k(query, index, 3, offline_provider)
+        assert [r.id for r, _ in results] == ["tie-0", "tie-1", "tie-2"]
+        assert len({sim for _, sim in results}) == 1
