@@ -173,10 +173,15 @@ class DemonstrationIndex:
             rows = [r.embedding.values for r in records]
             matrix = np.asarray(rows, dtype=np.float32) if rows else np.zeros((0, 0), np.float32)
         self.matrix = matrix
-        self.norms = np.linalg.norm(self.matrix.astype(np.float64), axis=1)
+        self._norms = np.linalg.norm(matrix.astype(np.float64), axis=1)
 
     def __len__(self) -> int:
         return len(self.records)
+
+    def scan(self) -> tuple[np.ndarray, np.ndarray]:
+        """Matching (embedding matrix, float64 row norms), safe during an add()."""
+        norms = self._norms  # add() replaces the matrix first, then the norms
+        return self.matrix[: len(norms)], norms
 
     def add(self, record: DemonstrationRecord, provider: EmbeddingProvider) -> None:
         validate_record(record)
@@ -189,7 +194,7 @@ class DemonstrationIndex:
             self.by_id[record.id] = record
             row = record.embedding.values.astype(np.float32)[None, :]
             self.matrix = row if self.matrix.size == 0 else np.vstack([self.matrix, row])
-            self.norms = np.append(self.norms, np.linalg.norm(row.astype(np.float64), axis=1))
+            self._norms = np.append(self._norms, np.linalg.norm(row.astype(np.float64), axis=1))
 
 
 def _resolve_paths(path) -> tuple[Path, Path]:

@@ -2,9 +2,8 @@
 
 Clustering is incremental and per project: each new failing build output
 joins the existing cluster with the highest mean member similarity when
-that mean clears the threshold, otherwise it starts a new cluster. A cluster
-keeps the sum of its members' unit vectors, so that mean is one dot product.
-The retrieval index is an exact full scan; at the store sizes this tool works
+that mean clears the threshold, otherwise it starts a new cluster. The
+retrieval index is an exact full scan; at the store sizes this tool works
 with (<= 10k records) approximate indexes buy nothing.
 """
 
@@ -44,9 +43,6 @@ class EmbeddingVector:
             return NotImplemented
         same = (self.dim, self.provider_id) == (other.dim, other.provider_id)
         return same and np.array_equal(self.values, other.values)
-
-    def __hash__(self) -> int:
-        return hash((self.dim, self.provider_id))
 
 
 def embed(text: str, provider: EmbeddingProvider, truncate: bool = True) -> EmbeddingVector:
@@ -148,10 +144,7 @@ def cluster_add(
 
 
 def retrieve_top_k(
-    query: RepairQuery,
-    store,
-    k: int,
-    provider: EmbeddingProvider,
+    query: RepairQuery, store, k: int, provider: EmbeddingProvider
 ) -> list[tuple[object, float]]:
     """Exact top-k scan of the demonstration index for a repair query.
 
@@ -163,11 +156,12 @@ def retrieve_top_k(
     if len(store) == 0:
         return []
     q = embed(query.combined_text, provider).values.astype(np.float64)
-    if store.matrix.shape[1] != q.shape[0]:
-        raise DimensionMismatch(f"store dim {store.matrix.shape[1]} vs query dim {q.shape[0]}")
+    matrix, norms = store.scan()
+    if matrix.shape[1] != q.shape[0]:
+        raise DimensionMismatch(f"store dim {matrix.shape[1]} vs query dim {q.shape[0]}")
     # einsum gives identical rows identical scores wherever they sit; a BLAS
     # matrix-vector product may not, which would break the id tie rule.
-    sims = np.einsum("ij,j->i", store.matrix, q) / (store.norms * np.linalg.norm(q))
+    sims = np.einsum("ij,j->i", matrix, q) / (norms * np.linalg.norm(q))
     kth = max(len(sims) - k, 0)
     rows = np.flatnonzero(sims >= np.partition(sims, kth)[kth])  # the k best, ties included
     ranked = sorted(rows, key=lambda i: (-sims[i], store.records[i].id))[:k]

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import math
 import random
+import sys
+import threading
 import time
 
 import numpy as np
@@ -341,3 +343,45 @@ class TestRetrievalTies:
         results = retrieve_top_k(query, index, 3, offline_provider)
         assert [r.id for r, _ in results] == ["tie-0", "tie-1", "tie-2"]
         assert len({sim for _, sim in results}) == 1
+
+
+def test_retrieval_stays_consistent_during_concurrent_adds(offline_provider):
+    index = _store_of([f"seed failure {i}" for i in range(20)], offline_provider)
+    query = RepairQuery.build("FROM busybox\nRUN step-1\n", "seed failure 1")
+    stop = threading.Event()
+    errors = []
+
+    def reader():
+        while not stop.is_set():
+            try:
+                assert len(retrieve_top_k(query, index, 3, offline_provider)) == 3
+            except Exception as exc:  # reported below, in the main thread
+                errors.append(exc)
+                return
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        readers = [threading.Thread(target=reader) for _ in range(4)]
+        for thread in readers:
+            thread.start()
+        for i in range(800):
+            index.add(
+                DemonstrationRecord(
+                    id=f"late-{i:04d}",
+                    static_part="FROM busybox\nRUN late\n",
+                    dynamic_part=f"late failure {i}",
+                    category=FlakinessCategory(MajorCategory.MISC),
+                    repairs=("FROM busybox\nRUN fixed\n",),
+                    iterations=(2,),
+                ),
+                offline_provider,
+            )
+        stop.set()
+        for thread in readers:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+    finally:
+        stop.set()
+        sys.setswitchinterval(interval)
+    assert errors == []
