@@ -303,6 +303,10 @@ def _read_vectors(path: Path, expected_rows: int) -> np.ndarray:
         raise StoreError(
             f"{path}: {rows.shape[0]} vectors for {expected_rows} records"
         )
+    # Retrieval divides by row norms: a zero or non-finite row has no cosine.
+    unusable = np.flatnonzero(~rows.any(axis=1) | ~np.isfinite(rows).all(axis=1))
+    if unusable.size:
+        raise StoreError(f"{path}: vector {unusable[0]} is zero or not finite")
     return rows
 
 

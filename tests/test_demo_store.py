@@ -4,6 +4,7 @@ import json
 import random
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from flakidock import demo_store
@@ -204,6 +205,21 @@ class TestStoreIO:
         taxonomy.cache_clear()
         load_store(tmp_path / "records.jsonl")
         assert len(reads) <= 1
+
+    @pytest.mark.parametrize("bad", [0.0, float("nan")])
+    def test_unusable_stored_vector_rejected(self, tmp_path, offline_provider, bad):
+        index = DemonstrationIndex([])
+        for i in range(3):
+            index.add(_record(f"zv-{i}"), offline_provider)
+        save_store(index, tmp_path / "records.jsonl")
+        vectors = tmp_path / "vectors.bin"
+        blob = bytearray(vectors.read_bytes())
+        dim = offline_provider.dim
+        row = np.zeros(dim, dtype="<f4") if bad == 0.0 else np.full(dim, bad, dtype="<f4")
+        blob[4 + 4 * dim : 4 + 8 * dim] = row.tobytes()  # the second record's row
+        vectors.write_bytes(bytes(blob))
+        with pytest.raises(StoreError, match="vector 1"):
+            load_store(tmp_path / "records.jsonl")
 
     def test_vectors_recomputed_when_missing(self, tmp_path, offline_provider):
         index = DemonstrationIndex([])
