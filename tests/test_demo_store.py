@@ -215,8 +215,7 @@ class TestStoreIO:
         vectors = tmp_path / "vectors.bin"
         blob = bytearray(vectors.read_bytes())
         dim = offline_provider.dim
-        row = np.zeros(dim, dtype="<f4") if bad == 0.0 else np.full(dim, bad, dtype="<f4")
-        blob[4 + 4 * dim : 4 + 8 * dim] = row.tobytes()  # the second record's row
+        blob[4 + 4 * dim : 4 + 8 * dim] = np.full(dim, bad, dtype="<f4").tobytes()  # record 1
         vectors.write_bytes(bytes(blob))
         with pytest.raises(StoreError, match="vector 1"):
             load_store(tmp_path / "records.jsonl")
