@@ -28,7 +28,7 @@ from .demo_store import (
 )
 from .dockerfile_model import diff_docs, parse_dockerfile, render_diff
 from .errors import FlakiDockError
-from .log_preprocess import preprocess_log, segment_stages
+from .log_preprocess import excerpt_or_tail, preprocess_log, segment_stages
 from .repair_pipeline import (
     VERDICT_NON_FLAKY,
     VERDICT_REPAIRED,
@@ -220,9 +220,8 @@ def repair(ctx, dockerfile, context_dir, store_path, dry_run):
             if not detection.flaky:
                 _emit(ctx, {"verdict": VERDICT_NON_FLAKY, "note": "non-flaky"}, "non-flaky; nothing to repair")
                 ctx.exit(EXIT_OK)
-            rules = config.ruleset()
-            dynamic = preprocess_log(detection.failing_record.log, rules).as_text()
-            query = RepairQuery.build(doc.raw_text, dynamic or detection.failing_record.log[-2000:])
+            log = detection.failing_record.log
+            query = RepairQuery.build(doc.raw_text, excerpt_or_tail(log, preprocess_log(log, config.ruleset())))
             session = RepairSession(query=query)
             session.retrieved = retrieve_top_k(query, store, config.retrieval_k, providers.query_embedder)
             prompt = assemble_prompt(session, config.prompt_budget)
@@ -295,7 +294,7 @@ def cluster(ctx, log_dir):
                 text = log_file.read_text(encoding="utf-8", errors="replace")
             except OSError as exc:
                 _fail(ctx, f"unreadable file {log_file}: {exc}")
-            excerpt = preprocess_log(text, rules).as_text() or text[-2000:] or log_file.name
+            excerpt = excerpt_or_tail(text, preprocess_log(text, rules)) or log_file.name
             vec = embed(excerpt, providers.sentence_embedder)
             state, cid = cluster_add(state, log_file.name, vec, config.cluster_threshold)
             assignments[log_file.name] = cid
@@ -360,12 +359,10 @@ def monitor(ctx, manifest, rounds):
         history_file = history_dir / f"{name}.jsonl"
         with open(history_file, "a", encoding="utf-8") as fh:
             for record in records:
-                excerpt = preprocess_log(record.log, rules).as_text()
-                exclusion = (
-                    classify_failure_exclusion(excerpt or record.log, filters)
-                    if not record.succeeded
-                    else None
-                )
+                exclusion = None
+                if not record.succeeded:
+                    excerpt = preprocess_log(record.log, rules).as_text()
+                    exclusion = classify_failure_exclusion(excerpt or record.log, filters)
                 fh.write(
                     json.dumps(
                         {
@@ -497,7 +494,7 @@ def dataset_add(ctx, store_path, record_id, dockerfile_path, log_path, category,
         else:
             index = DemonstrationIndex([])
         raw_log = Path(log_path).read_text(encoding="utf-8", errors="replace")
-        dynamic = preprocess_log(raw_log, config.ruleset()).as_text() or raw_log[-2000:]
+        dynamic = excerpt_or_tail(raw_log, preprocess_log(raw_log, config.ruleset()))
         if iterations:
             counts = tuple(int(v) for v in iterations.split(","))
         else:

@@ -46,9 +46,10 @@ class Rule:
     exclude: bool
     compiled: re.Pattern | None
 
-    def matches(self, line: str) -> bool:
+    def matches(self, line: str, lowered: str) -> bool:
+        """Whether the rule hits `line`; `lowered` is `line.lower()`, made once per line."""
         if self.kind == "substr":
-            return self.pattern.lower() in line.lower()
+            return self.pattern.lower() in lowered
         return self.compiled.search(line) is not None
 
 
@@ -80,6 +81,12 @@ class RuleSet:
         if not any(not r.exclude for r in rules):
             raise InvalidRule("rule set contains no include rules")
         self.rules = rules
+        includes = [r for r in rules if not r.exclude]
+        literals = [re.escape(r.pattern.lower()) for r in includes if r.kind == "substr"]
+        # Searched over `line.lower()`, this is `pattern.lower() in line.lower()`
+        # for every include substring at once; `(?!)` never matches.
+        self._include_literals = re.compile("|".join(literals) or "(?!)")
+        self._include_regexes = [r.compiled for r in includes if r.kind == "regex"]
 
     @classmethod
     def from_lines(cls, lines: list[str]) -> "RuleSet":
@@ -107,9 +114,16 @@ class RuleSet:
 
     def match_names(self, line: str) -> list[str]:
         """Names of include rules hit by this line; empty if vetoed."""
-        if any(r.matches(line) for r in self.rules if r.exclude):
+        lowered = line.lower()
+        # A line that hits no include rule has no names whatever the vetoes
+        # say, so most lines are settled by this one scan.
+        if not self._include_literals.search(lowered) and not any(
+            rx.search(line) for rx in self._include_regexes
+        ):
             return []
-        return [r.source for r in self.rules if not r.exclude and r.matches(line)]
+        if any(r.matches(line, lowered) for r in self.rules if r.exclude):
+            return []
+        return [r.source for r in self.rules if not r.exclude and r.matches(line, lowered)]
 
 
 @dataclass(frozen=True)
@@ -202,17 +216,14 @@ def extract_error_context(sections: list[StageSection], rules: RuleSet) -> Prepr
         if not section.is_preamble:
             # Blank neighbors carry no error context and would not survive a
             # text round trip, so expansion only pulls in non-blank lines.
+            buckets: dict[int, list[int]] | None = None
             for mi in match_idx:
                 ts = section.lines[mi].timestamp
                 if ts is not None:
-                    bucket = int(ts)
-                    keep.update(
-                        i
-                        for i, ll in enumerate(section.lines)
-                        if ll.timestamp is not None
-                        and int(ll.timestamp) == bucket
-                        and ll.text.strip()
-                    )
+                    if buckets is None:
+                        buckets = _timestamp_buckets(section.lines)
+                    # A bucket is added whole the first time, so pop it.
+                    keep.update(buckets.pop(int(ts), ()))
                 else:
                     lo = max(0, mi - ADJACENCY_RADIUS)
                     hi = min(len(section.lines), mi + ADJACENCY_RADIUS + 1)
@@ -236,10 +247,25 @@ def extract_error_context(sections: list[StageSection], rules: RuleSet) -> Prepr
     )
     # Kept lines are a subsequence of the input by construction; cheap to verify.
     assert all(
-        list(ex.kept_lines) == [ll.text for i, ll in enumerate(sec.lines) if i in set(kept)]
-        for ex, (sec, kept) in zip(excerpts, raw_excerpts)
+        _kept_in_order(ex, sec, kept) for ex, (sec, kept) in zip(excerpts, raw_excerpts)
     )
     return PreprocessedLog(excerpts, total_in, total_kept, rule_hits)
+
+
+def _timestamp_buckets(lines: list[LogLine]) -> dict[int, list[int]]:
+    """Indices of the non-blank timed lines, by integer second."""
+    buckets: dict[int, list[int]] = {}
+    for i, ll in enumerate(lines):
+        if ll.timestamp is not None and ll.text.strip():
+            buckets.setdefault(int(ll.timestamp), []).append(i)
+    return buckets
+
+
+def _kept_in_order(excerpt: Excerpt, section: StageSection, kept: list[int]) -> bool:
+    kept_set = set(kept)
+    return list(excerpt.kept_lines) == [
+        ll.text for i, ll in enumerate(section.lines) if i in kept_set
+    ]
 
 
 def _cap_excerpts(
@@ -265,3 +291,8 @@ def _cap_excerpts(
 def preprocess_log(log: str, rules: RuleSet | None = None) -> PreprocessedLog:
     """Segment and extract in one step with the default rules."""
     return extract_error_context(segment_stages(log), rules or RuleSet.default())
+
+
+def excerpt_or_tail(log: str, preprocessed: PreprocessedLog) -> str:
+    """The excerpt text of `log`, or its last 2000 characters when no rule matched."""
+    return preprocessed.as_text() or log[-2000:]

@@ -27,7 +27,7 @@ from .demo_store import (
 )
 from .dockerfile_model import DockerfileDoc, parse_dockerfile
 from .errors import BudgetExhausted, EngineError, FlakiDockError, UnparseableResponse
-from .log_preprocess import RuleSet, preprocess_log
+from .log_preprocess import RuleSet, excerpt_or_tail, preprocess_log
 from .providers import (
     EmbeddingProvider,
     TextGenerationProvider,
@@ -255,12 +255,8 @@ class ValidationOutcome:
 
 
 def _failure_text(record: BuildRecord, rules: RuleSet) -> str:
-    text = preprocess_log(record.log, rules).as_text()
-    if text:
-        return text
-    # No rule matched; fall back to the log tail so feedback is never empty.
-    tail = record.log[-2000:]
-    return tail if tail.strip() else "(empty build output)"
+    text = excerpt_or_tail(record.log, preprocess_log(record.log, rules))
+    return text if text.strip() else "(empty build output)"  # feedback is never empty
 
 
 def count_similar_failures(

@@ -10,6 +10,15 @@ from pathlib import Path
 import numpy as np
 
 from flakidock.build_engine import BuildScript, ScriptedOutcome, SimulatedDriver
+from flakidock.log_preprocess import (
+    ADJACENCY_RADIUS,
+    EXCERPT_LINE_CAP,
+    Excerpt,
+    PreprocessedLog,
+    RuleSet,
+    StageSection,
+    strip_ansi,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -112,6 +121,99 @@ def template_raw_logs(count: int = 100, seed: int = 42) -> list[str]:
     return logs
 
 
+# Line texts for preprocessing corpora: progress output, rule hits, veto
+# bait, and case edges where `str.lower` changes length or script.
+_PROGRESS_TEXTS = [
+    "Reading package lists...",
+    "compiling unit {i} with -O2",
+    "Get:{i} http://deb.debian.org/debian bookworm InRelease [151 kB]",
+    "Collecting requests==2.{i}.0",
+    "step output line {i}",
+    "Istanbul mirror selected",
+    "strasse {i} resolved",
+    "kelvin scale {i}",
+]
+_HIT_TEXTS = [
+    "error: externally-managed-environment",
+    'ERROR: process "/bin/sh -c make" did not complete successfully: exit code: {i}',
+    "E: Unable to locate package libfoo{i}",
+    "npm ERR! 404 Not Found - GET https://registry.npmjs.org/pkg-{i}",
+    "fatal: unable to access 'https://github.com/acme/w{i}.git/'",
+    "open /etc/app.conf: permission DENIED",
+    "Cannot find module 'left-pad'",
+    "warning: error-shaped but excluded",
+    "WARNING: harmless deprecation, retry failed once",
+    "İSTANBUL mirror unreachable",
+    "STRAẞE {i} not found",
+    "\u212aELVIN probe failed",
+    "boooom in unit {i}",
+    "matched a.b and (x) and [1/2] and * literally",
+]
+
+
+def _decorate(text: str, rng: random.Random) -> str:
+    roll = rng.random()
+    if roll < 0.1:
+        return f"\x1b[31m{text}\x1b[0m"
+    if roll < 0.15:
+        return f"progress 10%\x1b[2K\r{text}"
+    return text
+
+
+def _corpus_line(rng: random.Random, i: int, error_rate: float) -> str:
+    roll = rng.random()
+    if roll < 0.06:
+        return rng.choice(["", "   "])
+    pool = _HIT_TEXTS if roll < 0.06 + error_rate else _PROGRESS_TEXTS
+    return _decorate(rng.choice(pool).format(i=i), rng)
+
+
+def _banner(shape: str, stage: int, rng: random.Random) -> str:
+    if shape == "timed":
+        return f"#{stage + 3} [{stage}/4] RUN step {stage}"
+    if shape == "classic":
+        return f"> [{stage}/4] RUN step {stage}:"
+    k = stage % 2 + 1  # multi-stage builds restart the [i/k] numbering
+    return rng.choice(
+        [f"> [build-env {k}/2] RUN go build", f"=> CACHED [stage-1 {k}/2] COPY . /src", f"> [{k}/2] RUN make:"]
+    )
+
+
+def preprocess_corpus(count: int = 60, seed: int = 7) -> list[str]:
+    """Seeded raw logs in three shapes, for differential preprocessing tests.
+
+    Timed logs carry BuildKit `#N t.ttt` or bare `t.ttt` timings, several
+    lines per second; multi-stage logs restart their `[i/k]` numbering under
+    named and CACHED banners; classic logs are untimed. Lines before the
+    first banner form a preamble, and every fifth log has no banner at all.
+    Every eighth log has enough rule hits to pass EXCERPT_LINE_CAP.
+    """
+    rng = random.Random(seed)
+    logs = []
+    for n in range(count):
+        shape = ("timed", "multi-stage", "classic")[n % 3]
+        over_cap = n % 8 == 7
+        error_rate = 0.5 if over_cap else rng.choice([0.02, 0.1, 0.25])
+        size = rng.randint(300, 900) if over_cap else rng.randint(0, 160)
+        stages = 0 if n % 5 == 0 else rng.randint(1, 4)
+        banners = set(rng.sample(range(size), min(stages, size)))
+        out = [_corpus_line(rng, i, error_rate) for i in range(rng.randint(0, 4))]
+        t = 0.0
+        stage = 0
+        for i in range(size):
+            if i in banners:
+                stage += 1
+                out.append(_decorate(_banner(shape, stage, rng), rng))
+                continue
+            text = _corpus_line(rng, i, error_rate)
+            if shape == "timed" and text.strip():
+                t += rng.choice([0.01, 0.05, 0.2, 0.7])
+                text = f"#5 {t:.3f} {text}" if rng.random() < 0.8 else f"  {t:.3f} {text}"
+            out.append(text)
+        logs.append("\n".join(out) + rng.choice(["", "\n"]))
+    return logs
+
+
 def outcome(status: str, log: str = "", duration: float = 1.0, exit_code=None) -> ScriptedOutcome:
     return ScriptedOutcome(status=status, log=log, exit_code=exit_code, duration=duration)
 
@@ -178,3 +280,80 @@ def reference_clustering(
             clusters.append([i])
         steps.append((best_id, means))
     return steps
+
+
+def reference_match_names(rules: RuleSet, line: str) -> list[str]:
+    """`RuleSet.match_names` as first written: each rule lowercases the line."""
+
+    def matches(rule) -> bool:
+        if rule.kind == "substr":
+            return rule.pattern.lower() in line.lower()
+        return rule.compiled.search(line) is not None
+
+    if any(matches(r) for r in rules.rules if r.exclude):
+        return []
+    return [r.source for r in rules.rules if not r.exclude and matches(r)]
+
+
+def reference_extract_error_context(
+    sections: list[StageSection], rules: RuleSet
+) -> PreprocessedLog:
+    """`extract_error_context` as first written: every timed match rescans its stage."""
+    total_in = sum(len(s.lines) for s in sections)
+    total_in += sum(1 for s in sections if s.header is not None)
+
+    rule_hits: dict[str, int] = {}
+    raw_excerpts: list[tuple[StageSection, list[int]]] = []
+    for section in sections:
+        match_idx: list[int] = []
+        for idx, logline in enumerate(section.lines):
+            names = reference_match_names(rules, strip_ansi(logline.text))
+            if names:
+                match_idx.append(idx)
+                for name in names:
+                    rule_hits[name] = rule_hits.get(name, 0) + 1
+        if not match_idx:
+            continue
+        keep = set(match_idx)
+        if not section.is_preamble:
+            for mi in match_idx:
+                ts = section.lines[mi].timestamp
+                if ts is not None:
+                    bucket = int(ts)
+                    keep.update(
+                        i
+                        for i, ll in enumerate(section.lines)
+                        if ll.timestamp is not None
+                        and int(ll.timestamp) == bucket
+                        and ll.text.strip()
+                    )
+                else:
+                    lo = max(0, mi - ADJACENCY_RADIUS)
+                    hi = min(len(section.lines), mi + ADJACENCY_RADIUS + 1)
+                    keep.update(
+                        i for i in range(lo, hi) if section.lines[i].text.strip()
+                    )
+        raw_excerpts.append((section, sorted(keep)))
+
+    total_kept = sum(len(idx) for _, idx in raw_excerpts)
+    if total_kept > EXCERPT_LINE_CAP:
+        flat = [(pos, idx) for pos, (_, kept) in enumerate(raw_excerpts) for idx in kept]
+        head = flat[: EXCERPT_LINE_CAP // 2]
+        tail = flat[len(flat) - EXCERPT_LINE_CAP // 2:]
+        selected: dict[int, list[int]] = {}
+        for pos, idx in head + tail:
+            selected.setdefault(pos, []).append(idx)
+        raw_excerpts = [
+            (raw_excerpts[pos][0], sorted(set(idxs))) for pos, idxs in sorted(selected.items())
+        ]
+        total_kept = sum(len(idx) for _, idx in raw_excerpts)
+
+    excerpts = tuple(
+        Excerpt(section.stage_index, section.header, tuple(section.lines[i].text for i in kept))
+        for section, kept in raw_excerpts
+    )
+    assert all(
+        list(ex.kept_lines) == [ll.text for i, ll in enumerate(sec.lines) if i in set(kept)]
+        for ex, (sec, kept) in zip(excerpts, raw_excerpts)
+    )
+    return PreprocessedLog(excerpts, total_in, total_kept, rule_hits)

@@ -312,6 +312,28 @@ class TestMonitor:
         assert report["flaky_candidates"] == []
         assert report["projects"]["hostsick"]["excluded"] == 1
 
+    def test_successful_builds_are_not_preprocessed(self, runner, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            "flakidock.cli.preprocess_log", lambda *args, **kwargs: calls.append(args)
+        )
+        manifest = self._manifest(tmp_path, [("steady", "FROM busybox\n")])
+        scenario = _write_scenario(
+            tmp_path / "s.json", [{"match": None, "outcomes": [{"status": "success", "log": "error: noise"}]}]
+        )
+        result = runner.invoke(
+            main, _base_args(tmp_path, scenario) + ["monitor", str(manifest), "--rounds", "3"]
+        )
+        assert result.exit_code == 0, result.output
+        assert calls == []
+        lines = (tmp_path / "state" / "history" / "steady.jsonl").read_text().splitlines()
+        assert len(lines) == 3
+        for line in lines:
+            entry = json.loads(line)
+            assert set(entry) == {"status", "started_at", "duration", "exclusion"}
+            assert entry["status"] == "success" and entry["exclusion"] is None
+            assert line == json.dumps(entry, sort_keys=True)
+
     def test_project_errors_recorded_and_run_continues(self, runner, tmp_path):
         ctx = tmp_path / "broken"
         ctx.mkdir()  # no Dockerfile inside

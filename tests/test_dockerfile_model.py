@@ -83,6 +83,23 @@ class TestParse:
         for (a_first, a_last), (b_first, _) in zip(spans, spans[1:]):
             assert a_first <= a_last < b_first
 
+    @given(
+        st.lists(
+            st.text(alphabet="ab $-\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029\r", max_size=12),
+            min_size=1,
+            max_size=8,
+        ),
+        st.sampled_from(["\n", "\r\n"]),
+    )
+    @settings(max_examples=200)
+    def test_only_newline_ends_an_instruction(self, args, eol):
+        # The engine splits on `\n` alone (dropping a `\r` before it), so
+        # other Unicode line breaks stay inside their instruction.
+        text = "".join(f"RUN {arg}{eol}" for arg in args)
+        doc = parse_dockerfile(text)
+        assert [ins.keyword for ins in doc.instructions] == [Keyword.RUN] * len(args)
+        assert serialize(doc) == text
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize(

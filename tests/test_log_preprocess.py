@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +16,12 @@ from flakidock.log_preprocess import (
     segment_stages,
 )
 
-from support import ALPINE_PIP_LOG
+from support import (
+    ALPINE_PIP_LOG,
+    preprocess_corpus,
+    reference_extract_error_context,
+    reference_match_names,
+)
 
 
 class TestSegmentation:
@@ -209,3 +216,102 @@ class TestProperties:
         result = preprocess_log(ALPINE_PIP_LOG)
         assert isinstance(result, PreprocessedLog)
         assert result.total_lines_in == len(ALPINE_PIP_LOG.splitlines())
+
+
+# Rule sets for the differential tests: the shipped rules; substrings whose
+# lowercase differs in length or script (U+0130, U+1E9E, the Kelvin sign) or
+# holds regex syntax, beside regexes and `!` vetoes of both kinds; and a set
+# with regex includes only.
+_DIFF_RULESETS = {
+    "default": RuleSet.default(),
+    "unicode-veto-regex": RuleSet.from_lines(
+        [
+            "substr:İstanbul",
+            "substr:straẞe",
+            "substr:\u212aelvin",
+            "substr:a.b",
+            "substr:(x)",
+            "substr:[1/2]",
+            "substr:*",
+            "substr:error",
+            "regex:bo+m",
+            "regex:^E: ",
+            "!substr:IGNORE",
+            "!regex:harmless",
+        ]
+    ),
+    "regex-only": RuleSet.from_lines(
+        ["regex:fail(ed|ure)?", "regex:exit code: \\d+", "!substr:WARNING"]
+    ),
+}
+
+
+class TestDifferential:
+    """The linear-time extraction against a transcription of the first version."""
+
+    @pytest.mark.parametrize("name", sorted(_DIFF_RULESETS))
+    def test_matches_reference_on_seeded_corpus(self, name):
+        rules = _DIFF_RULESETS[name]
+        for log in preprocess_corpus():
+            got = preprocess_log(log, rules)
+            want = reference_extract_error_context(segment_stages(log), rules)
+            assert got.as_text() == want.as_text()
+            assert got.total_lines_in == want.total_lines_in
+            assert got.total_lines_out == want.total_lines_out
+            assert got.rule_hits == want.rule_hits
+
+    def test_corpus_has_every_shape(self):
+        logs = preprocess_corpus()
+        results = [preprocess_log(log) for log in logs]
+        sections = [segment_stages(log) for log in logs]
+        assert any(r.total_lines_out == EXCERPT_LINE_CAP for r in results)
+        assert any(len(s) == 1 and s[0].is_preamble and r.excerpts for s, r in zip(sections, results))
+        assert any(s.header and s.header.startswith("#") for secs in sections for s in secs)
+        assert any(s.header and "CACHED" in s.header for secs in sections for s in secs)
+        assert any(
+            ll.timestamp is not None for secs in sections for s in secs for ll in s.lines
+        )
+        assert any("\x1b[" in log for log in logs)
+        assert any(r.rule_hits.get("substr:E:") for r in results)
+        custom = _DIFF_RULESETS["unicode-veto-regex"]
+        hits = [preprocess_log(log, custom).rule_hits for log in logs]
+        for source in ("substr:İstanbul", "substr:straẞe", "substr:\u212aelvin", "regex:bo+m"):
+            assert any(h.get(source) for h in hits), source
+
+    @given(
+        st.one_of(
+            st.text(max_size=40),
+            st.text(alphabet="errofailkelvinstaßẞİıiIK\u212a .()*[]/:E!0123456789-", max_size=30),
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_match_names_matches_reference(self, line):
+        for rules in _DIFF_RULESETS.values():
+            assert rules.match_names(line) == reference_match_names(rules, line)
+
+
+def _one_stage_timed_log(lines: int) -> str:
+    """One BuildKit stage, 100 lines per second, every tenth line an error."""
+    body = [
+        f"#8 {i * 0.01:.3f} error: unit {i} failed"
+        if i % 10 == 0
+        else f"#8 {i * 0.01:.3f} compiling unit {i}"
+        for i in range(lines)
+    ]
+    return "#8 [3/5] RUN make\n" + "\n".join(body)
+
+
+class TestScaling:
+    def test_time_grows_linearly_with_log_length(self):
+        def best_of_three(log: str) -> float:
+            timings = []
+            for _ in range(3):
+                start = time.perf_counter()
+                preprocess_log(log)
+                timings.append(time.perf_counter() - start)
+            return min(timings)
+
+        small = best_of_three(_one_stage_timed_log(5_000))
+        large = best_of_three(_one_stage_timed_log(40_000))
+        # 8x the lines: linear code takes about 8x the time, quadratic about 44x.
+        assert large / small < 16
