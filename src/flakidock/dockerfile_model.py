@@ -17,6 +17,9 @@ from enum import Enum
 from .errors import EmptyDocument, MalformedEncoding
 
 _BOM = "﻿"
+# One line with its ending. As in the engine's parser, only `\n` ends a line
+# (`_strip_eol` drops a `\r` before it): a form feed, `\x1c`-`\x1e`, `\x85`,
+# U+2028/2029 or a lone `\r` stays inside its line, unlike `str.splitlines`.
 _LINE_RE = re.compile(r"[^\n]*\n|[^\n]+")
 
 
@@ -82,15 +85,6 @@ class DockerfileDoc:
         return serialize(self).encode("utf-8")
 
 
-def _split_lines(text: str) -> list[str]:
-    r"""Lines with their endings kept, split after `\n` only, as the engine does.
-
-    Unlike `str.splitlines`, a form feed, `\x1c`-`\x1e`, `\x85`, U+2028/2029
-    or a lone `\r` stays inside its line; `\r\n` is removed by `_strip_eol`.
-    """
-    return _LINE_RE.findall(text)
-
-
 def _strip_eol(line: str) -> str:
     if line.endswith("\n"):
         line = line[:-1]
@@ -125,7 +119,7 @@ def parse_dockerfile(text: bytes | str) -> DockerfileDoc:
             had_bom = True
             body = body[len(_BOM):]
 
-    lines = _split_lines(body)
+    lines = _LINE_RE.findall(body)
     instructions: list[Instruction] = []
     blanks: list[tuple[int, str]] = []
 
@@ -185,7 +179,7 @@ def serialize(doc: DockerfileDoc) -> str:
     for lineno, raw in doc.blank_lines:
         parts[lineno] = raw
     for ins in doc.instructions:
-        for offset, line in enumerate(_split_lines(ins.raw)):
+        for offset, line in enumerate(_LINE_RE.findall(ins.raw)):
             parts[ins.source_span[0] + offset] = line
     body = "".join(parts[n] for n in sorted(parts))
     return (_BOM if doc.had_bom else "") + body
@@ -206,8 +200,8 @@ def diff_docs(before: DockerfileDoc, after: DockerfileDoc) -> list[LineEdit]:
     common subsequence of the two line lists, so no smaller add/remove set
     exists. Applying the result to `before` reproduces `after` byte-exactly.
     """
-    a = _split_lines(before.raw_text)
-    b = _split_lines(after.raw_text)
+    a = _LINE_RE.findall(before.raw_text)
+    b = _LINE_RE.findall(after.raw_text)
     n, m = len(a), len(b)
 
     # dp[i][j] = LCS length of a[i:], b[j:]
@@ -240,7 +234,7 @@ def diff_docs(before: DockerfileDoc, after: DockerfileDoc) -> list[LineEdit]:
 
 def apply_edits(base_text: str, edits: list[LineEdit]) -> str:
     """Apply an edit script produced by diff_docs to the original text."""
-    src = _split_lines(base_text)
+    src = _LINE_RE.findall(base_text)
     out: list[str] = []
     i = 0
     for edit in edits:

@@ -247,7 +247,8 @@ def extract_error_context(sections: list[StageSection], rules: RuleSet) -> Prepr
     )
     # Kept lines are a subsequence of the input by construction; cheap to verify.
     assert all(
-        _kept_in_order(ex, sec, kept) for ex, (sec, kept) in zip(excerpts, raw_excerpts)
+        list(ex.kept_lines) == [ll.text for i, ll in enumerate(sec.lines) if i in kept]
+        for ex, (sec, _), kept in zip(excerpts, raw_excerpts, (set(k) for _, k in raw_excerpts))
     )
     return PreprocessedLog(excerpts, total_in, total_kept, rule_hits)
 
@@ -259,13 +260,6 @@ def _timestamp_buckets(lines: list[LogLine]) -> dict[int, list[int]]:
         if ll.timestamp is not None and ll.text.strip():
             buckets.setdefault(int(ll.timestamp), []).append(i)
     return buckets
-
-
-def _kept_in_order(excerpt: Excerpt, section: StageSection, kept: list[int]) -> bool:
-    kept_set = set(kept)
-    return list(excerpt.kept_lines) == [
-        ll.text for i, ll in enumerate(section.lines) if i in kept_set
-    ]
 
 
 def _cap_excerpts(
