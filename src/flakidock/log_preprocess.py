@@ -32,7 +32,8 @@ EXCERPT_LINE_CAP = 120
 
 def strip_ansi(line: str) -> str:
     """Drop ANSI escapes and carriage-return overdraw for matching purposes."""
-    line = _ANSI_RE.sub("", line)
+    if "\x1b" in line:
+        line = _ANSI_RE.sub("", line)
     if "\r" in line:
         line = line.rsplit("\r", 1)[-1]
     return line
