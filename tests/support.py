@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import re
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,6 @@ from flakidock.log_preprocess import (
     PreprocessedLog,
     RuleSet,
     StageSection,
-    strip_ansi,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -282,6 +282,16 @@ def reference_clustering(
     return steps
 
 
+_REFERENCE_ANSI_RE = re.compile(r"\x1b\[[0-9;?]*[ -/]*[@-~]")
+
+
+def _reference_strip_ansi(line: str) -> str:
+    line = _REFERENCE_ANSI_RE.sub("", line)
+    if "\r" in line:
+        line = line.rsplit("\r", 1)[-1]
+    return line
+
+
 def reference_match_names(rules: RuleSet, line: str) -> list[str]:
     """`RuleSet.match_names` as first written: each rule lowercases the line."""
 
@@ -307,7 +317,7 @@ def reference_extract_error_context(
     for section in sections:
         match_idx: list[int] = []
         for idx, logline in enumerate(section.lines):
-            names = reference_match_names(rules, strip_ansi(logline.text))
+            names = reference_match_names(rules, _reference_strip_ansi(logline.text))
             if names:
                 match_idx.append(idx)
                 for name in names:
