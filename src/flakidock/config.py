@@ -79,6 +79,11 @@ class RunConfig:
             raise ConfigError(f"retrieval_k must be >= 1, got {self.retrieval_k}")
         if not 0.0 < self.cluster_threshold < 1.0:
             raise ConfigError("cluster_threshold must be in (0, 1)")
+        try:  # the policies own their range rules: building them applies those rules
+            self.hygiene_policy()
+            self.validation_policy()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.rules is not None and not Path(self.rules).exists():
             raise ConfigError(f"rules file does not exist: {self.rules}")
         if self.driver.startswith("simulated:"):

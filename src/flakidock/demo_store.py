@@ -21,8 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .dockerfile_model import parse_dockerfile
-from .errors import FlakiDockError, SchemaViolation, StoreError, VersionMismatch
+# `parse_dockerfile` stays importable from here: bench/tracing.py wraps it by this name.
+from .dockerfile_model import has_instructions, parse_dockerfile  # noqa: F401
+from .errors import DimensionMismatch, SchemaViolation, StoreError, VersionMismatch
 from .log_preprocess import RuleSet
 from .providers import EmbeddingProvider, TextGenerationProvider
 from .similarity import EmbeddingVector, combine_static_dynamic, embed
@@ -118,10 +119,8 @@ def validate_record(record: DemonstrationRecord) -> None:
     if any(i < 1 for i in record.iterations):
         raise SchemaViolation(rid, "iterations", "iteration counts must be >= 1")
     for pos, repair in enumerate(record.repairs):
-        try:
-            parse_dockerfile(repair)
-        except FlakiDockError as exc:
-            raise SchemaViolation(rid, f"repairs[{pos}]", f"does not parse: {exc}") from exc
+        if not has_instructions(repair):
+            raise SchemaViolation(rid, f"repairs[{pos}]", "does not parse: no instructions found")
     record.category.validate()
 
 
@@ -136,7 +135,7 @@ def _record_to_dict(record: DemonstrationRecord) -> dict:
     }
 
 
-def _record_from_dict(payload: dict) -> DemonstrationRecord:
+def _record_from_dict(payload: dict, embedding: EmbeddingVector | None) -> DemonstrationRecord:
     rid = str(payload.get("id", ""))
     try:
         return DemonstrationRecord(
@@ -146,6 +145,7 @@ def _record_from_dict(payload: dict) -> DemonstrationRecord:
             category=FlakinessCategory.from_string(str(payload["category"])),
             repairs=tuple(str(r) for r in payload["repairs"]),
             iterations=tuple(int(i) for i in payload["iterations"]),
+            embedding=embedding,
         )
     except (KeyError, TypeError) as exc:
         raise SchemaViolation(rid or "<unknown>", str(exc), "missing or mistyped field") from exc
@@ -156,7 +156,10 @@ def _record_from_dict(payload: dict) -> DemonstrationRecord:
 class DemonstrationIndex:
     """Loaded store: records in file order plus their embedding matrix.
 
-    Reads are lock-free; inserts serialize through a writer lock.
+    Reads are lock-free; inserts serialize through a writer lock. Inserts
+    write into spare rows of a buffer that doubles when full, so an insert
+    costs amortised O(1) row copies; `matrix` and the norms are views of the
+    first len(self) buffer rows.
     """
 
     def __init__(self, records: list[DemonstrationRecord], matrix: np.ndarray | None = None):
@@ -172,15 +175,15 @@ class DemonstrationIndex:
         if matrix is None:
             rows = [r.embedding.values for r in records]
             matrix = np.asarray(rows, dtype=np.float32) if rows else np.zeros((0, 0), np.float32)
-        self.matrix = matrix
-        self._norms = np.linalg.norm(matrix.astype(np.float64), axis=1)
+        self.matrix = self._row_buffer = matrix
+        self._norms = self._norm_buffer = np.linalg.norm(matrix.astype(np.float64), axis=1)
 
     def __len__(self) -> int:
         return len(self.records)
 
     def scan(self) -> tuple[np.ndarray, np.ndarray]:
         """Matching (embedding matrix, float64 row norms), safe during an add()."""
-        norms = self._norms  # add() replaces the matrix first, then the norms
+        norms = self._norms  # add() publishes the matrix first, then the norms
         return self.matrix[: len(norms)], norms
 
     def add(self, record: DemonstrationRecord, provider: EmbeddingProvider) -> None:
@@ -190,11 +193,23 @@ class DemonstrationIndex:
         with self._writer_lock:
             if record.id in self.by_id:
                 raise SchemaViolation(record.id, "id", "duplicate record id")
+            n, dim = len(self._norms), record.embedding.dim
+            if n and dim != self.matrix.shape[1]:
+                raise DimensionMismatch(f"store dim {self.matrix.shape[1]} vs record dim {dim}")
+            if n == len(self._norm_buffer):  # full, or still the read-only loaded rows
+                rows, norms = np.empty((2 * n or 1, dim), np.float32), np.empty(2 * n or 1)
+                if n:
+                    rows[:n], norms[:n] = self.matrix, self._norms
+                self._row_buffer, self._norm_buffer = rows, norms
+            # Rows past the published views are invisible to readers until published.
+            self._row_buffer[n] = record.embedding.values
+            self._norm_buffer[n] = np.linalg.norm(
+                self._row_buffer[n : n + 1].astype(np.float64), axis=1
+            )[0]
             self.records.append(record)
             self.by_id[record.id] = record
-            row = record.embedding.values.astype(np.float32)[None, :]
-            self.matrix = row if self.matrix.size == 0 else np.vstack([self.matrix, row])
-            self._norms = np.append(self._norms, np.linalg.norm(row.astype(np.float64), axis=1))
+            self.matrix = self._row_buffer[: n + 1]
+            self._norms = self._norm_buffer[: n + 1]
 
 
 def _resolve_paths(path) -> tuple[Path, Path]:
@@ -214,8 +229,10 @@ def load_store(path, embedding_provider: EmbeddingProvider | None = None) -> Dem
     if not records_path.exists():
         raise StoreError(f"store not found: {records_path}")
 
+    # One record per `\n`: save_store writes U+0085, U+2028 and U+2029 raw inside
+    # strings, and `str.splitlines` would cut a record at them.
     with open(records_path, encoding="utf-8") as fh:
-        lines = [line for line in fh.read().splitlines() if line.strip()]
+        lines = [line for line in fh.read().split("\n") if line.strip()]
     if not lines:
         raise VersionMismatch(f"{records_path}: missing schema version header")
     try:
@@ -230,26 +247,33 @@ def load_store(path, embedding_provider: EmbeddingProvider | None = None) -> Dem
             f"supported {SCHEMA_VERSION}"
         )
 
+    # The vectors are read first so that each record is built once, with its
+    # row; a bad vector file is reported only after every record has passed.
+    rows = vector_error = None
+    if vectors_path.exists():
+        try:
+            rows = _read_vectors(vectors_path, len(lines) - 1)
+        except (OSError, StoreError) as exc:
+            vector_error = exc
+
     records: list[DemonstrationRecord] = []
     seen: set[str] = set()
-    for line in lines[1:]:
+    for pos, line in enumerate(lines[1:]):
         try:
             payload = json.loads(line)
         except json.JSONDecodeError as exc:
             raise SchemaViolation("<unknown>", "json", f"unreadable record line: {exc}") from exc
-        record = _record_from_dict(payload)
+        embedding = None if rows is None else EmbeddingVector(rows[pos], rows.shape[1], "stored")
+        record = _record_from_dict(payload, embedding)
         validate_record(record)
         if record.id in seen:
             raise SchemaViolation(record.id, "id", "duplicate record id")
         seen.add(record.id)
         records.append(record)
 
-    if vectors_path.exists():
-        rows = _read_vectors(vectors_path, len(records))
-        records = [
-            replace(rec, embedding=EmbeddingVector(row, row.size, "stored"))
-            for rec, row in zip(records, rows)
-        ]
+    if vector_error is not None:
+        raise vector_error
+    if rows is not None:
         return DemonstrationIndex(records, rows)
     if records:
         if embedding_provider is None:

@@ -21,6 +21,7 @@ _BOM = "﻿"
 # (`_strip_eol` drops a `\r` before it): a form feed, `\x1c`-`\x1e`, `\x85`,
 # U+2028/2029 or a lone `\r` stays inside its line, unlike `str.splitlines`.
 _LINE_RE = re.compile(r"[^\n]*\n|[^\n]+")
+_KEYWORD_RE = re.compile(r"\s*(\S+)\s?")
 
 
 class Keyword(str, Enum):
@@ -93,6 +94,17 @@ def _strip_eol(line: str) -> str:
     return line
 
 
+def has_instructions(text: str) -> bool:
+    """Whether `parse_dockerfile(text)` finds an instruction (comments count).
+
+    It does exactly when, after one leading BOM, some character is not
+    whitespace by `str.isspace`: a line of whitespace only is blank, and
+    every other line becomes an instruction or part of one.
+    """
+    body = text.removeprefix(_BOM)
+    return bool(body) and not body.isspace()
+
+
 def parse_dockerfile(text: bytes | str) -> DockerfileDoc:
     """Parse a build definition from bytes or text.
 
@@ -102,7 +114,7 @@ def parse_dockerfile(text: bytes | str) -> DockerfileDoc:
 
     Raises:
         MalformedEncoding: input bytes are not UTF-8.
-        EmptyDocument: no instructions at all (comments count as instructions).
+        EmptyDocument: no instructions at all, by `has_instructions`.
     """
     had_bom = False
     if isinstance(text, bytes):
@@ -118,6 +130,9 @@ def parse_dockerfile(text: bytes | str) -> DockerfileDoc:
         if body.startswith(_BOM):
             had_bom = True
             body = body[len(_BOM):]
+    raw_text = (_BOM if had_bom else "") + body
+    if not has_instructions(raw_text):
+        raise EmptyDocument("no instructions found")
 
     lines = _LINE_RE.findall(body)
     instructions: list[Instruction] = []
@@ -152,23 +167,19 @@ def parse_dockerfile(text: bytes | str) -> DockerfileDoc:
                 break
         raw = "".join(lines[start:i])
         logical = "".join(logical_parts)
-        match = re.match(r"\s*(\S+)\s?", logical)
-        token = match.group(1)
-        if token.upper() in _RECOGNIZED:
-            keyword = Keyword(token.upper())
+        match = _KEYWORD_RE.match(logical)
+        if match is None:  # a lone `\` joined to a blank line: no keyword at all
+            keyword, arguments = Keyword.UNKNOWN, ""
         else:
-            keyword = Keyword.UNKNOWN
-        instructions.append(
-            Instruction(keyword, logical[match.end():], (start + 1, i), raw)
-        )
-
-    if not instructions:
-        raise EmptyDocument("no instructions found")
+            token = match.group(1).upper()
+            keyword = Keyword(token) if token in _RECOGNIZED else Keyword.UNKNOWN
+            arguments = logical[match.end():]
+        instructions.append(Instruction(keyword, arguments, (start + 1, i), raw))
 
     return DockerfileDoc(
         instructions=tuple(instructions),
         blank_lines=tuple(blanks),
-        raw_text=(_BOM if had_bom else "") + body,
+        raw_text=raw_text,
         had_bom=had_bom,
     )
 

@@ -11,6 +11,7 @@ a rule themselves.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from importlib import resources
@@ -146,9 +147,10 @@ def _parse_timestamp(plain: str) -> float | None:
     if not m:
         return None
     try:
-        return float(m.group(1))
+        value = float(m.group(1))
     except ValueError:
         return None
+    return value if math.isfinite(value) else None  # over ~308 digits it is inf: untimed
 
 
 def segment_stages(log: str) -> list[StageSection]:

@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import json
 import math
 import random
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
 
+from flakidock import demo_store
 from flakidock.build_engine import BuildScript, ScriptedOutcome, SimulatedDriver
+from flakidock.dockerfile_model import parse_dockerfile
+from flakidock.errors import FlakiDockError, SchemaViolation, StoreError, VersionMismatch
 from flakidock.log_preprocess import (
     ADJACENCY_RADIUS,
     EXCERPT_LINE_CAP,
@@ -367,3 +373,125 @@ def reference_extract_error_context(
         for ex, (sec, kept) in zip(excerpts, raw_excerpts)
     )
     return PreprocessedLog(excerpts, total_in, total_kept, rule_hits)
+
+
+def _reference_validate_record(record: demo_store.DemonstrationRecord) -> None:
+    rid = record.id
+    if not rid:
+        raise SchemaViolation("<unknown>", "id", "record id is empty")
+    if not record.static_part.strip():
+        raise SchemaViolation(rid, "static_part", "empty build definition")
+    if not record.dynamic_part.strip():
+        raise SchemaViolation(rid, "dynamic_part", "empty build output excerpt")
+    if len(record.repairs) < 1:
+        raise SchemaViolation(rid, "repairs", "at least one repair is required")
+    if len(record.repairs) != len(record.iterations):
+        raise SchemaViolation(
+            rid,
+            "iterations",
+            f"{len(record.iterations)} iteration counts for {len(record.repairs)} repairs",
+        )
+    if any(i < 1 for i in record.iterations):
+        raise SchemaViolation(rid, "iterations", "iteration counts must be >= 1")
+    for pos, repair in enumerate(record.repairs):
+        try:
+            parse_dockerfile(repair)
+        except FlakiDockError as exc:
+            raise SchemaViolation(rid, f"repairs[{pos}]", f"does not parse: {exc}") from exc
+    record.category.validate()
+
+
+def _reference_record_from_dict(payload: dict) -> demo_store.DemonstrationRecord:
+    rid = str(payload.get("id", ""))
+    try:
+        return demo_store.DemonstrationRecord(
+            id=rid,
+            static_part=str(payload["static_part"]),
+            dynamic_part=str(payload["dynamic_part"]),
+            category=demo_store.FlakinessCategory.from_string(str(payload["category"])),
+            repairs=tuple(str(r) for r in payload["repairs"]),
+            iterations=tuple(int(i) for i in payload["iterations"]),
+        )
+    except (KeyError, TypeError) as exc:
+        raise SchemaViolation(rid or "<unknown>", str(exc), "missing or mistyped field") from exc
+    except ValueError as exc:
+        raise SchemaViolation(rid or "<unknown>", "category", str(exc)) from exc
+
+
+def _reference_read_vectors(path: Path, expected_rows: int) -> np.ndarray:
+    blob = path.read_bytes()
+    if len(blob) < 4:
+        raise StoreError(f"{path}: truncated vector file")
+    (dim,) = struct.unpack("<I", blob[:4])
+    data = np.frombuffer(blob, dtype="<f4", offset=4)
+    if dim == 0 or data.size % dim != 0:
+        raise StoreError(f"{path}: vector payload is not a multiple of dim {dim}")
+    rows = data.reshape(-1, dim)
+    if rows.shape[0] != expected_rows:
+        raise StoreError(
+            f"{path}: {rows.shape[0]} vectors for {expected_rows} records"
+        )
+    unusable = np.flatnonzero(~rows.any(axis=1) | ~np.isfinite(rows).all(axis=1))
+    if unusable.size:
+        raise StoreError(f"{path}: vector {unusable[0]} is zero or not finite")
+    return rows
+
+
+def reference_load_store(path, embedding_provider=None) -> demo_store.DemonstrationIndex:
+    """`load_store` as it was when every repair was parsed into a document and
+    each record was rebuilt with `dataclasses.replace` to attach its vector."""
+    path = Path(path)
+    if path.is_dir():
+        records_path, vectors_path = path / "records.jsonl", path / "vectors.bin"
+    else:
+        records_path, vectors_path = path, path.with_name("vectors.bin")
+    if not records_path.exists():
+        raise StoreError(f"store not found: {records_path}")
+
+    with open(records_path, encoding="utf-8") as fh:
+        lines = [line for line in fh.read().splitlines() if line.strip()]
+    if not lines:
+        raise VersionMismatch(f"{records_path}: missing schema version header")
+    try:
+        header = json.loads(lines[0])
+    except json.JSONDecodeError as exc:
+        raise VersionMismatch(f"{records_path}: unreadable header: {exc}") from exc
+    if not isinstance(header, dict) or header.get("schema") != demo_store.SCHEMA_NAME:
+        raise VersionMismatch(f"{records_path}: not a {demo_store.SCHEMA_NAME} file")
+    if header.get("version") != demo_store.SCHEMA_VERSION:
+        raise VersionMismatch(
+            f"{records_path}: schema version {header.get('version')!r}, "
+            f"supported {demo_store.SCHEMA_VERSION}"
+        )
+
+    records = []
+    seen: set[str] = set()
+    for line in lines[1:]:
+        try:
+            payload = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise SchemaViolation("<unknown>", "json", f"unreadable record line: {exc}") from exc
+        record = _reference_record_from_dict(payload)
+        _reference_validate_record(record)
+        if record.id in seen:
+            raise SchemaViolation(record.id, "id", "duplicate record id")
+        seen.add(record.id)
+        records.append(record)
+
+    if vectors_path.exists():
+        rows = _reference_read_vectors(vectors_path, len(records))
+        records = [
+            dataclasses.replace(rec, embedding=demo_store.EmbeddingVector(row, row.size, "stored"))
+            for rec, row in zip(records, rows)
+        ]
+        return demo_store.DemonstrationIndex(records, rows)
+    if records:
+        if embedding_provider is None:
+            raise StoreError(
+                f"{vectors_path} is missing and no embedding provider was supplied"
+            )
+        records = [
+            dataclasses.replace(rec, embedding=demo_store.embed(rec.combined_text(), embedding_provider))
+            for rec in records
+        ]
+    return demo_store.DemonstrationIndex(records)

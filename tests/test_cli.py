@@ -414,6 +414,24 @@ class TestDataset:
         assert result.exit_code == 1
         assert "bad-one" in json.loads(result.output)["error"]
 
+    def test_lone_backslash_repair_validates(self, runner, tmp_path):
+        store = tmp_path / "records.jsonl"
+        header = json.dumps({"schema": "flakidock-demo-store", "version": 1})
+        record = json.dumps(
+            {
+                "id": "trailing-backslash",
+                "static_part": "FROM a\n",
+                "dynamic_part": "error: x",
+                "category": "DEP",
+                "repairs": ["RUN x\n\\\n\n"],
+                "iterations": [1],
+            }
+        )
+        store.write_text(header + "\n" + record + "\n")
+        result = runner.invoke(main, _base_args(tmp_path) + ["dataset", "validate", str(store)])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output) == {"records": 1, "valid": True}
+
 
 class TestPreprocessCommand:
     def test_prints_excerpt(self, runner, tmp_path):
@@ -431,6 +449,13 @@ class TestPreprocessCommand:
         payload = json.loads(result.output)
         assert payload["total_lines_out"] <= payload["total_lines_in"]
         assert payload["rule_hits"]
+
+    def test_timestamp_too_large_for_a_float_is_untimed(self, runner, tmp_path):
+        log = tmp_path / "build.log"
+        log.write_text("#5 [1/1] RUN x\n#5 " + "9" * 400 + ".0 error: boom\n")
+        result = runner.invoke(main, _base_args(tmp_path) + ["preprocess", str(log)])
+        assert result.exit_code == 0, result.output
+        assert "error: boom" in json.loads(result.output)["excerpt"]
 
 
 class TestLocking:
@@ -500,6 +525,25 @@ class TestGlobalFlags:
         )
         assert result.exit_code == 1
         assert "tpyo_key" in json.loads(result.output)["error"]
+
+    @pytest.mark.parametrize(
+        "setting",
+        ["clean_every = 0", "timeout = 0", "timeout = -5", "build_iterations = 0",
+         "failure_threshold = 0", "max_total_attempts = 0", "feedback_similarity = 1.0",
+         "feedback_similarity = 0"],
+    )
+    def test_policy_value_out_of_range_rejected(self, runner, tmp_path, setting):
+        config = tmp_path / "bad.conf"
+        config.write_text(setting + "\n")
+        log = tmp_path / "x.log"
+        log.write_text("error: y\n")
+        result = runner.invoke(
+            main,
+            ["--config", str(config), "--state-dir", str(tmp_path / "state"), "--json",
+             "preprocess", str(log)],
+        )
+        assert result.exit_code == 1
+        assert setting.split()[0] in json.loads(result.output)["error"]
 
     def test_config_file_values_applied(self, runner, tmp_path):
         config = tmp_path / "flakidock.conf"

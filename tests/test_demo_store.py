@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
+import struct
+import time
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from flakidock import demo_store
+from flakidock import demo_store, dockerfile_model
 from flakidock.demo_store import (
     DemonstrationIndex,
     DemonstrationRecord,
@@ -23,10 +26,10 @@ from flakidock.demo_store import (
     taxonomy,
     validate_record,
 )
-from flakidock.errors import SchemaViolation, StoreError, VersionMismatch
+from flakidock.errors import DimensionMismatch, SchemaViolation, StoreError, VersionMismatch
 from flakidock.providers import ScriptedTextProvider
 
-from support import ALPINE_PIP, ALPINE_PIP_LOG, ALPINE_PIP_REPAIRED
+from support import ALPINE_PIP, ALPINE_PIP_LOG, ALPINE_PIP_REPAIRED, reference_load_store
 
 
 def _record(rid: str, major: str = "MISC", sub: str | None = None, repairs=1) -> DemonstrationRecord:
@@ -396,3 +399,193 @@ class TestShippedSchema:
         }
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(record, schema)
+
+
+# --- loading at scale ---
+
+_CATEGORIES = ["DEP", "DEP/Versioning Issues", "CON/Timeout Issues", "SEC", "PMG", "ENV", "FS", "MISC"]
+# Repair tails, each joined after a FROM line: continuations, comments, blank
+# and whitespace-only lines, a BOM, CRLF and a lone backslash before a blank line.
+_REPAIR_TAILS = [
+    "RUN a \\\n  b\n", "# note\n", "\n", " \t\n", "RUN x\r\n", "\\\n\n", "\u3000\x85\n", "RUN y",
+]
+
+
+def _store_payloads(count: int, seed: int) -> list[dict]:
+    rng = random.Random(seed)
+    payloads = []
+    for i in range(count):
+        repairs = [
+            rng.choice(["", "\ufeff"]) + "FROM busybox\n" + "".join(rng.choices(_REPAIR_TAILS, k=rng.randint(0, 4)))
+            for _ in range(rng.randint(1, 3))
+        ]
+        payloads.append({
+            "id": f"rec-{i:05d}",
+            "static_part": f"FROM busybox\nRUN job-{i}\n",
+            "dynamic_part": f"error: job {i} failed with code {rng.randint(1, 255)}",
+            "category": rng.choice(_CATEGORIES),
+            "repairs": repairs,
+            "iterations": [rng.randint(1, 4) for _ in repairs],
+        })
+    return payloads
+
+
+def _store_vectors(count: int, seed: int, dim: int = 16) -> np.ndarray:
+    return np.random.default_rng(seed).normal(size=(count, dim)).astype(np.float32)
+
+
+def _write_store(directory, payloads: list[dict], vectors: np.ndarray | None):
+    directory.mkdir(parents=True, exist_ok=True)
+    lines = [json.dumps({"schema": "flakidock-demo-store", "version": 1})]
+    lines += [json.dumps(p) for p in payloads]
+    (directory / "records.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    if vectors is not None:
+        (directory / "vectors.bin").write_bytes(
+            struct.pack("<I", vectors.shape[1]) + vectors.astype("<f4").tobytes()
+        )
+    return directory / "records.jsonl"
+
+
+def _outcome(loader, path, provider):
+    """What a loader makes of a store: its records and vectors, or its error."""
+    try:
+        index = loader(path, provider)
+    except Exception as exc:  # compared below, type and message
+        return ("error", type(exc), str(exc), getattr(exc, "record_id", None), getattr(exc, "field", None))
+    matrix, norms = index.scan()
+    return ("ok", index.records, matrix.tobytes(), norms.tobytes())
+
+
+_CASES = [
+    "valid", "empty repair", "whitespace-only repair", "second BOM is content",
+    "lone backslash before a blank line", "zero vector", "duplicate id", "row-count mismatch",
+    "bad category", "bad record and bad vectors", "bad iteration count", "missing field",
+    "missing vectors",
+]
+_LOADABLE = {"valid", "second BOM is content", "lone backslash before a blank line", "missing vectors"}
+
+
+def _make_case(name: str, payloads: list[dict], vectors: np.ndarray) -> np.ndarray | None:
+    """Edit a seeded store into the named case; returns the vectors to write (None: no file)."""
+    if name == "empty repair":  # two bad records: the first in file order must win
+        payloads[20]["repairs"][-1] = ""
+        payloads[50]["repairs"][-1] = ""
+    elif name == "whitespace-only repair":
+        payloads[7]["repairs"][-1] = "\ufeff \r\n\u3000\x0b\x1c\x85\n"
+    elif name == "second BOM is content":
+        payloads[7]["repairs"][-1] = "\ufeff\ufeff\n"
+    elif name == "lone backslash before a blank line":
+        payloads[3]["repairs"][-1] = "RUN x\n\\\n\n"
+    elif name == "zero vector":
+        vectors = vectors.copy()
+        vectors[30] = 0.0
+    elif name == "duplicate id":
+        payloads[80]["id"] = payloads[10]["id"]
+    elif name == "row-count mismatch":
+        vectors = vectors[:-1]
+    elif name == "bad category":
+        payloads[60]["category"] = "NOPE"
+    elif name == "bad record and bad vectors":  # the record error is reported
+        payloads[70]["category"] = "NOPE"
+        vectors = vectors[:5]
+    elif name == "bad iteration count":
+        payloads[12]["iterations"][0] = 0
+    elif name == "missing field":
+        del payloads[9]["dynamic_part"]
+    elif name == "missing vectors":
+        vectors = None
+    return vectors
+
+
+class TestLoaderDifferential:
+    @pytest.mark.parametrize("case", _CASES)
+    def test_load_matches_reference_loader(self, case, tmp_path, offline_provider):
+        payloads = _store_payloads(200, 11)
+        vectors = _make_case(case, payloads, _store_vectors(200, 11))
+        path = _write_store(tmp_path, payloads, vectors)
+        provider = offline_provider if vectors is None else None
+        ours = _outcome(load_store, path, provider)
+        assert ours == _outcome(reference_load_store, path, provider)
+        assert (ours[0] == "ok") == (case in _LOADABLE)
+        if vectors is None:  # and without a provider to recompute them
+            assert _outcome(load_store, path, None) == _outcome(reference_load_store, path, None)
+
+    def test_first_bad_record_wins(self, tmp_path):
+        payloads = _store_payloads(200, 11)
+        vectors = _make_case("empty repair", payloads, _store_vectors(200, 11))
+        field = f"repairs[{len(payloads[20]['repairs']) - 1}]"
+        with pytest.raises(SchemaViolation) as excinfo:
+            load_store(_write_store(tmp_path, payloads, vectors[:3]))
+        assert (excinfo.value.record_id, excinfo.value.field) == ("rec-00020", field)
+        assert str(excinfo.value).endswith("does not parse: no instructions found")
+
+    def test_save_of_load_is_byte_identical(self, tmp_path):
+        first = _write_store(tmp_path / "a", _store_payloads(200, 5), _store_vectors(200, 5))
+        save_store(load_store(first), tmp_path / "b" / "records.jsonl")
+        save_store(load_store(tmp_path / "b" / "records.jsonl"), tmp_path / "c" / "records.jsonl")
+        for name in ("records.jsonl", "vectors.bin"):
+            assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "c" / name).read_bytes()
+        assert (tmp_path / "a" / "vectors.bin").read_bytes() == (tmp_path / "b" / "vectors.bin").read_bytes()
+
+    def test_line_breaks_other_than_newline_survive_a_round_trip(self, tmp_path, offline_provider):
+        record = dataclasses.replace(_record("nel"), repairs=("FROM a\nRUN x \x85\u2028\u2029 y\n",))
+        index = DemonstrationIndex([])
+        index.add(record, offline_provider)
+        save_store(index, tmp_path / "records.jsonl")  # writes the three characters raw
+        assert load_store(tmp_path / "records.jsonl").records[0].repairs == record.repairs
+
+    def test_loading_builds_no_parse_trees(self, tmp_path, monkeypatch):
+        path = _write_store(tmp_path, _store_payloads(50, 3), _store_vectors(50, 3))
+        calls = []
+        monkeypatch.setattr(demo_store, "parse_dockerfile", lambda *a: calls.append(a))
+        monkeypatch.setattr(dockerfile_model, "parse_dockerfile", lambda *a: calls.append(a))
+        assert len(load_store(path)) == 50
+        assert calls == []
+
+
+class TestIndexGrowth:
+    def test_adds_write_in_place_between_growths(self, tmp_path, offline_provider):
+        index = DemonstrationIndex([])
+        for i in range(3):
+            index.add(_record(f"g-{i}"), offline_provider)
+        save_store(index, tmp_path / "records.jsonl")
+        index = load_store(tmp_path / "records.jsonl")
+        index.add(_record("g-3"), offline_provider)  # outgrows the loaded, read-only rows
+        before = index.matrix
+        index.add(_record("g-4"), offline_provider)
+        assert np.shares_memory(before, index.matrix)  # no copy of the earlier rows
+        assert before.shape[0] == 4 and index.matrix.shape[0] == 5
+
+    def test_matrix_and_norms_track_records(self, offline_provider):
+        index = DemonstrationIndex([])
+        for i in range(70):
+            index.add(_record(f"t-{i}"), offline_provider)
+            matrix, norms = index.scan()
+            assert matrix.shape == (i + 1, offline_provider.dim) and norms.shape == (i + 1,)
+        expected = np.stack([r.embedding.values for r in index.records]).astype(np.float32)
+        assert np.array_equal(index.matrix, expected)
+        assert np.array_equal(norms, np.linalg.norm(expected.astype(np.float64), axis=1))
+
+    def test_dimension_mismatch_leaves_index_unchanged(self, offline_provider):
+        index = DemonstrationIndex([])
+        index.add(_record("d-0"), offline_provider)
+        short = demo_store.EmbeddingVector(np.ones(3, np.float32), 3, "other")
+        with pytest.raises(DimensionMismatch):
+            index.add(dataclasses.replace(_record("d-1"), embedding=short), offline_provider)
+        assert len(index) == 1 and "d-1" not in index.by_id and index.matrix.shape[0] == 1
+
+
+class TestLoadScaling:
+    def test_load_time_grows_linearly_with_record_count(self, tmp_path):
+        def best_of_three(path) -> float:
+            timings = []
+            for _ in range(3):
+                start = time.perf_counter()
+                load_store(path)
+                timings.append(time.perf_counter() - start)
+            return min(timings)
+
+        small = _write_store(tmp_path / "small", _store_payloads(1_000, 1), _store_vectors(1_000, 1))
+        large = _write_store(tmp_path / "large", _store_payloads(8_000, 2), _store_vectors(8_000, 2))
+        # 8x the records: linear code takes about 8x the time, quadratic about 64x.
+        assert best_of_three(large) / best_of_three(small) < 16

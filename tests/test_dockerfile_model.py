@@ -10,6 +10,7 @@ from flakidock.dockerfile_model import (
     Keyword,
     apply_edits,
     diff_docs,
+    has_instructions,
     parse_dockerfile,
     render_diff,
     serialize,
@@ -99,6 +100,36 @@ class TestParse:
         doc = parse_dockerfile(text)
         assert [ins.keyword for ins in doc.instructions] == [Keyword.RUN] * len(args)
         assert serialize(doc) == text
+
+
+class TestEmptinessRule:
+    @pytest.mark.parametrize(
+        "text", ["RUN x\n\\\n\n", "\\\n  \n", "\\\n\\\n\n", "RUN x\n  \\  \r\n\t\n"]
+    )
+    def test_lone_backslash_before_blank_line_is_unknown(self, text):
+        doc = parse_dockerfile(text)
+        last = doc.instructions[-1]
+        assert (last.keyword, last.arguments) == (Keyword.UNKNOWN, "")
+        assert serialize(doc) == text
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [("", False), ("\ufeff", False), ("\ufeff \r\n\u3000\x0b\x1c\x85\t", False),
+         ("\ufeff\ufeff", True), ("#", True), ("\\", True), ("\n\nx", True)],
+    )
+    def test_has_instructions_examples(self, text, expected):
+        assert has_instructions(text) is expected
+
+    @given(st.text(alphabet="\ufeff\r\n\\# \t\x0b\x0c\x1c\x85\u2028\u3000\xa0aZ", max_size=16))
+    @settings(max_examples=500)
+    def test_empty_document_exactly_when_predicate_is_false(self, text):
+        for source in (text, text.encode("utf-8")):
+            try:
+                parse_dockerfile(source)  # any other exception fails the test
+            except EmptyDocument:
+                assert not has_instructions(text)
+            else:
+                assert has_instructions(text)
 
 
 class TestRoundTrip:
