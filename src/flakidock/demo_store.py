@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import json
 import logging
+import os
 import struct
 import threading
 from dataclasses import dataclass, replace
@@ -101,6 +102,12 @@ class DemonstrationRecord:
 
 
 def validate_record(record: DemonstrationRecord) -> None:
+    _validate_fields(record)
+    record.category.validate()
+
+
+def _validate_fields(record: DemonstrationRecord) -> None:
+    """Every check of `validate_record` but the category's."""
     rid = record.id
     if not rid:
         raise SchemaViolation("<unknown>", "id", "record id is empty")
@@ -116,23 +123,31 @@ def validate_record(record: DemonstrationRecord) -> None:
             "iterations",
             f"{len(record.iterations)} iteration counts for {len(record.repairs)} repairs",
         )
+    # `_record_line` writes counts with int.__repr__, which writes a bool as 1, not true.
+    if any(type(i) is not int for i in record.iterations):
+        raise SchemaViolation(rid, "iterations", "iteration counts must be integers")
     if any(i < 1 for i in record.iterations):
         raise SchemaViolation(rid, "iterations", "iteration counts must be >= 1")
     for pos, repair in enumerate(record.repairs):
         if not has_instructions(repair):
             raise SchemaViolation(rid, f"repairs[{pos}]", "does not parse: no instructions found")
-    record.category.validate()
 
 
-def _record_to_dict(record: DemonstrationRecord) -> dict:
-    return {
-        "id": record.id,
-        "static_part": record.static_part,
-        "dynamic_part": record.dynamic_part,
-        "category": record.category.as_string(),
-        "repairs": list(record.repairs),
-        "iterations": list(record.iterations),
-    }
+# The escape json.dumps(..., ensure_ascii=False) applies to a str: quotes,
+# backslashes and control characters; other characters stay raw.
+_quote = json.encoder.encode_basestring
+
+
+def _record_line(record: DemonstrationRecord) -> str:
+    """The record's canonical JSON line: keys sorted, no spaces, non-ASCII raw."""
+    return (
+        f'{{"category":{_quote(record.category.as_string())}'
+        f',"dynamic_part":{_quote(record.dynamic_part)}'
+        f',"id":{_quote(record.id)}'
+        f',"iterations":[{",".join(map(int.__repr__, record.iterations))}]'
+        f',"repairs":[{",".join(map(_quote, record.repairs))}]'
+        f',"static_part":{_quote(record.static_part)}}}\n'
+    )
 
 
 def _record_from_dict(payload: dict, embedding: EmbeddingVector | None) -> DemonstrationRecord:
@@ -144,13 +159,20 @@ def _record_from_dict(payload: dict, embedding: EmbeddingVector | None) -> Demon
             dynamic_part=str(payload["dynamic_part"]),
             category=FlakinessCategory.from_string(str(payload["category"])),
             repairs=tuple(str(r) for r in payload["repairs"]),
-            iterations=tuple(int(i) for i in payload["iterations"]),
+            iterations=_counts(rid, payload["iterations"]),
             embedding=embedding,
         )
     except (KeyError, TypeError) as exc:
         raise SchemaViolation(rid or "<unknown>", str(exc), "missing or mistyped field") from exc
     except ValueError as exc:
         raise SchemaViolation(rid or "<unknown>", "category", str(exc)) from exc
+
+
+def _counts(rid: str, values) -> tuple[int, ...]:
+    try:
+        return tuple(int(i) for i in values)
+    except ValueError as exc:
+        raise SchemaViolation(rid or "<unknown>", "iterations", str(exc)) from exc
 
 
 class DemonstrationIndex:
@@ -176,7 +198,7 @@ class DemonstrationIndex:
             rows = [r.embedding.values for r in records]
             matrix = np.asarray(rows, dtype=np.float32) if rows else np.zeros((0, 0), np.float32)
         self.matrix = self._row_buffer = matrix
-        self._norms = self._norm_buffer = np.linalg.norm(matrix.astype(np.float64), axis=1)
+        self._norms = self._norm_buffer = _row_norms(matrix)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -203,13 +225,24 @@ class DemonstrationIndex:
                 self._row_buffer, self._norm_buffer = rows, norms
             # Rows past the published views are invisible to readers until published.
             self._row_buffer[n] = record.embedding.values
-            self._norm_buffer[n] = np.linalg.norm(
-                self._row_buffer[n : n + 1].astype(np.float64), axis=1
-            )[0]
+            self._norm_buffer[n : n + 1] = _row_norms(self._row_buffer[n : n + 1])
             self.records.append(record)
             self.by_id[record.id] = record
             self.matrix = self._row_buffer[: n + 1]
             self._norms = self._norm_buffer[: n + 1]
+
+
+_NORM_BLOCK = 4096  # rows per float64 copy when taking row norms
+
+
+def _row_norms(matrix: np.ndarray) -> np.ndarray:
+    """float64 Euclidean norm of each row, converting a block of rows at a time
+    so that no float64 copy of the whole matrix is made."""
+    norms = np.empty(len(matrix))
+    for start in range(0, len(matrix), _NORM_BLOCK):
+        block = matrix[start : start + _NORM_BLOCK].astype(np.float64)
+        norms[start : start + _NORM_BLOCK] = np.linalg.norm(block, axis=1)
+    return norms
 
 
 def _resolve_paths(path) -> tuple[Path, Path]:
@@ -264,8 +297,8 @@ def load_store(path, embedding_provider: EmbeddingProvider | None = None) -> Dem
         except json.JSONDecodeError as exc:
             raise SchemaViolation("<unknown>", "json", f"unreadable record line: {exc}") from exc
         embedding = None if rows is None else EmbeddingVector(rows[pos], rows.shape[1], "stored")
-        record = _record_from_dict(payload, embedding)
-        validate_record(record)
+        record = _record_from_dict(payload, embedding)  # validates the category
+        _validate_fields(record)
         if record.id in seen:
             raise SchemaViolation(record.id, "id", "duplicate record id")
         seen.add(record.id)
@@ -288,29 +321,39 @@ def load_store(path, embedding_provider: EmbeddingProvider | None = None) -> Dem
     return DemonstrationIndex(records)
 
 
+_SAVE_BLOCK = 1024  # records joined into one write
+
+
 def save_store(index: DemonstrationIndex, path) -> None:
-    """Write records.jsonl (canonical JSON) and vectors.bin."""
+    """Write records.jsonl (canonical JSON) and vectors.bin.
+
+    Both files are written to temporary siblings first and then moved over
+    their targets, so a save that fails part-way leaves the old store intact.
+    """
     records_path, vectors_path = _resolve_paths(path)
     records_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(records_path, "w", encoding="utf-8") as fh:
-        header = {"schema": SCHEMA_NAME, "version": SCHEMA_VERSION}
-        fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
-        for record in index.records:
-            fh.write(
-                json.dumps(
-                    _record_to_dict(record),
-                    sort_keys=True,
-                    separators=(",", ":"),
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
-    if len(index):
-        with open(vectors_path, "wb") as fh:
-            fh.write(struct.pack("<I", index.matrix.shape[1]))
-            fh.write(np.ascontiguousarray(index.matrix, dtype="<f4"))
-    elif vectors_path.exists():
-        vectors_path.unlink()
+    suffix = f".{os.getpid()}.{threading.get_ident()}.tmp"
+    records_tmp = records_path.with_name(f".{records_path.name}{suffix}")
+    vectors_tmp = vectors_path.with_name(f".{vectors_path.name}{suffix}")
+    records = index.records
+    try:
+        with open(records_tmp, "w", encoding="utf-8") as fh:
+            header = {"schema": SCHEMA_NAME, "version": SCHEMA_VERSION}
+            fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
+            for start in range(0, len(records), _SAVE_BLOCK):
+                fh.write("".join(map(_record_line, records[start : start + _SAVE_BLOCK])))
+        if len(index):
+            with open(vectors_tmp, "wb") as fh:
+                fh.write(struct.pack("<I", index.matrix.shape[1]))
+                fh.write(np.ascontiguousarray(index.matrix, dtype="<f4"))
+            os.replace(vectors_tmp, vectors_path)
+        os.replace(records_tmp, records_path)
+    except BaseException:  # interrupts too: no temporary file outlives a failed save
+        records_tmp.unlink(missing_ok=True)
+        vectors_tmp.unlink(missing_ok=True)
+        raise
+    if not len(index):
+        vectors_path.unlink(missing_ok=True)
 
 
 def _read_vectors(path: Path, expected_rows: int) -> np.ndarray:

@@ -495,3 +495,36 @@ def reference_load_store(path, embedding_provider=None) -> demo_store.Demonstrat
             for rec in records
         ]
     return demo_store.DemonstrationIndex(records)
+
+
+def reference_save_store(index: demo_store.DemonstrationIndex, path) -> None:
+    """`save_store` as it was when each record went through its own `json.dumps`
+    and both files were truncated and rewritten in place."""
+    path = Path(path)
+    if path.is_dir():
+        records_path, vectors_path = path / "records.jsonl", path / "vectors.bin"
+    else:
+        records_path, vectors_path = path, path.with_name("vectors.bin")
+    records_path.parent.mkdir(parents=True, exist_ok=True)
+    with open(records_path, "w", encoding="utf-8") as fh:
+        header = {"schema": demo_store.SCHEMA_NAME, "version": demo_store.SCHEMA_VERSION}
+        fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
+        for record in index.records:
+            payload = {
+                "id": record.id,
+                "static_part": record.static_part,
+                "dynamic_part": record.dynamic_part,
+                "category": record.category.as_string(),
+                "repairs": list(record.repairs),
+                "iterations": list(record.iterations),
+            }
+            fh.write(
+                json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+                + "\n"
+            )
+    if len(index):
+        with open(vectors_path, "wb") as fh:
+            fh.write(struct.pack("<I", index.matrix.shape[1]))
+            fh.write(np.ascontiguousarray(index.matrix, dtype="<f4"))
+    elif vectors_path.exists():
+        vectors_path.unlink()

@@ -2,13 +2,19 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import logging
 import random
+import string
 import struct
+import tempfile
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flakidock import demo_store, dockerfile_model
 from flakidock.demo_store import (
@@ -29,7 +35,13 @@ from flakidock.demo_store import (
 from flakidock.errors import DimensionMismatch, SchemaViolation, StoreError, VersionMismatch
 from flakidock.providers import ScriptedTextProvider
 
-from support import ALPINE_PIP, ALPINE_PIP_LOG, ALPINE_PIP_REPAIRED, reference_load_store
+from support import (
+    ALPINE_PIP,
+    ALPINE_PIP_LOG,
+    ALPINE_PIP_REPAIRED,
+    reference_load_store,
+    reference_save_store,
+)
 
 
 def _record(rid: str, major: str = "MISC", sub: str | None = None, repairs=1) -> DemonstrationRecord:
@@ -112,6 +124,13 @@ class TestValidation:
         with pytest.raises(SchemaViolation):
             validate_record(record)
 
+    @pytest.mark.parametrize("count", [True, 2.0])
+    def test_count_that_is_not_an_int_rejected(self, count):
+        record = dataclasses.replace(_record("not-int"), iterations=(count,))
+        with pytest.raises(SchemaViolation) as excinfo:
+            validate_record(record)
+        assert excinfo.value.field == "iterations"
+
     def test_misc_with_sub_rejected(self):
         with pytest.raises(ValueError):
             FlakinessCategory.from_string("MISC/Anything")
@@ -178,6 +197,21 @@ class TestStoreIO:
             load_store(path, offline_provider)
         assert excinfo.value.record_id == "broken-record"
         assert excinfo.value.field == "iterations"
+
+    def test_unparseable_count_names_iterations(self, tmp_path):
+        payloads = _store_payloads(3, 1)
+        payloads[1]["iterations"] = ["x"]
+        with pytest.raises(SchemaViolation) as excinfo:
+            load_store(_write_store(tmp_path, payloads, _store_vectors(3, 1)))
+        assert (excinfo.value.record_id, excinfo.value.field) == ("rec-00001", "iterations")
+
+    def test_unknown_subcategory_warned_once_per_record(self, tmp_path, caplog):
+        payloads = _store_payloads(3, 1)
+        payloads[2]["category"] = "DEP/Made Up"
+        path = _write_store(tmp_path, payloads, _store_vectors(3, 1))
+        with caplog.at_level(logging.WARNING, logger="flakidock.demo_store"):
+            load_store(path)
+        assert sum("unknown subcategory" in r.getMessage() for r in caplog.records) == 1
 
     def test_canonical_round_trip(self, tmp_path, offline_provider):
         index = DemonstrationIndex([])
@@ -460,7 +494,7 @@ _CASES = [
     "valid", "empty repair", "whitespace-only repair", "second BOM is content",
     "lone backslash before a blank line", "zero vector", "duplicate id", "row-count mismatch",
     "bad category", "bad record and bad vectors", "bad iteration count", "missing field",
-    "missing vectors",
+    "missing vectors", "MISC with a subcategory",
 ]
 _LOADABLE = {"valid", "second BOM is content", "lone backslash before a blank line", "missing vectors"}
 
@@ -494,6 +528,8 @@ def _make_case(name: str, payloads: list[dict], vectors: np.ndarray) -> np.ndarr
         del payloads[9]["dynamic_part"]
     elif name == "missing vectors":
         vectors = None
+    elif name == "MISC with a subcategory":
+        payloads[40]["category"] = "MISC/x"
     return vectors
 
 
@@ -566,6 +602,16 @@ class TestIndexGrowth:
         assert np.array_equal(index.matrix, expected)
         assert np.array_equal(norms, np.linalg.norm(expected.astype(np.float64), axis=1))
 
+    def test_row_norms_match_the_unblocked_expression(self):
+        rows = 2 * demo_store._NORM_BLOCK + 7
+        matrix = np.random.default_rng(3).normal(size=(rows, 8)).astype(np.float32)
+        records = [
+            dataclasses.replace(_record(f"n-{i}"), embedding=demo_store.EmbeddingVector(matrix[i], 8, "stored"))
+            for i in range(rows)
+        ]
+        _, norms = DemonstrationIndex(records, matrix).scan()
+        assert norms.tobytes() == np.linalg.norm(matrix.astype(np.float64), axis=1).tobytes()
+
     def test_dimension_mismatch_leaves_index_unchanged(self, offline_provider):
         index = DemonstrationIndex([])
         index.add(_record("d-0"), offline_provider)
@@ -589,3 +635,83 @@ class TestLoadScaling:
         large = _write_store(tmp_path / "large", _store_payloads(8_000, 2), _store_vectors(8_000, 2))
         # 8x the records: linear code takes about 8x the time, quadratic about 64x.
         assert best_of_three(large) / best_of_three(small) < 16
+
+
+# --- saving ---
+
+# Characters the JSON writer escapes or must leave raw, and letters.
+_TRICKY = ['"', "\\", *map(chr, range(0x20)), "\x7f", "\x85", "\u2028", "\u2029", "\xe9", "\U0001f600"]
+_texts = st.text(alphabet=st.sampled_from(_TRICKY + list(string.ascii_letters)), max_size=30)
+
+
+@st.composite
+def _any_records(draw) -> list[DemonstrationRecord]:
+    records = []
+    for i in range(draw(st.integers(0, 4))):
+        repairs = draw(st.lists(_texts, min_size=1, max_size=3))
+        records.append(DemonstrationRecord(
+            id=draw(_texts),
+            static_part=draw(_texts),
+            dynamic_part=draw(_texts),
+            category=FlakinessCategory(draw(st.sampled_from(MajorCategory)), draw(st.none() | _texts.filter(bool))),
+            repairs=tuple(repairs),
+            iterations=tuple(draw(st.integers(1, 10**30)) for _ in repairs),
+            embedding=demo_store.EmbeddingVector(np.full(4, i + 1, np.float32), 4, "stored"),
+        ))
+    return records
+
+
+def _saved_bytes(saver, index, directory) -> dict[str, bytes]:
+    saver(index, directory / "records.jsonl")
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+class TestSaveDifferential:
+    @settings(max_examples=150, deadline=None)
+    @given(_any_records())
+    def test_save_matches_reference_writer(self, records):
+        index = DemonstrationIndex(records)
+        with tempfile.TemporaryDirectory() as tmp:
+            ours = _saved_bytes(save_store, index, Path(tmp) / "ours")
+            theirs = _saved_bytes(reference_save_store, index, Path(tmp) / "reference")
+        assert ours == theirs
+
+    def test_seeded_store_matches_reference_writer(self, tmp_path):
+        index = load_store(_write_store(tmp_path / "src", _store_payloads(2_000, 23), _store_vectors(2_000, 23)))
+        ours = _saved_bytes(save_store, index, tmp_path / "ours")
+        assert ours == _saved_bytes(reference_save_store, index, tmp_path / "reference")
+        assert set(ours) == {"records.jsonl", "vectors.bin"}
+
+    def test_failed_save_leaves_previous_store(self, tmp_path):
+        path = _write_store(tmp_path, _store_payloads(50, 4), _store_vectors(50, 4))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        index = load_store(path)
+        # A lone surrogate cannot be encoded as UTF-8: the write fails part-way.
+        index.add(dataclasses.replace(index.records[0], id="bad", static_part="FROM a\n\udc80"), None)
+        with pytest.raises(UnicodeEncodeError):
+            save_store(index, path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        assert len(load_store(path)) == 50
+
+    def test_saving_an_empty_index_removes_the_vectors(self, tmp_path, offline_provider):
+        index = DemonstrationIndex([])
+        index.add(_record("only"), offline_provider)
+        save_store(index, tmp_path)
+        save_store(DemonstrationIndex([]), tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == ["records.jsonl"]
+        assert len(load_store(tmp_path)) == 0
+
+
+class TestSaveScaling:
+    def test_save_time_grows_linearly_with_record_count(self, tmp_path):
+        def best_of_three(count: int, seed: int) -> float:
+            index = load_store(_write_store(tmp_path / str(count), _store_payloads(count, seed), _store_vectors(count, seed)))
+            timings = []
+            for _ in range(3):
+                start = time.perf_counter()
+                save_store(index, tmp_path / f"saved-{count}")
+                timings.append(time.perf_counter() - start)
+            return min(timings)
+
+        # 8x the records: linear code takes about 8x the time, quadratic about 64x.
+        assert best_of_three(8_000, 2) / best_of_three(1_000, 1) < 16
