@@ -9,8 +9,10 @@ stale engine state is itself a source of spurious failures.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
+import os
 import shlex
 import subprocess
 import tempfile
@@ -276,7 +278,8 @@ class BuildEngine:
 
     A series for one document is strictly sequential; the cleanup action
     holds an exclusive lock because it destroys engine state shared by any
-    concurrently building documents.
+    concurrently building documents. The cleanup cadence counts every series
+    build of the engine, whichever document it built.
     """
 
     driver: BuildDriver
@@ -286,6 +289,8 @@ class BuildEngine:
     def __post_init__(self):
         self._cleanup_lock = threading.Lock()
         self.cleanups_performed = 0
+        self._series_builds = itertools.count(1)
+        self._next_record: dict[Path, int] = {}  # directory -> number to try next
 
     def build_once(
         self, doc: DockerfileDoc, context_dir, persist_dir: Path | None = None
@@ -340,19 +345,20 @@ class BuildEngine:
     ) -> list[BuildRecord]:
         """Build a document `count` times with the hygiene cadence.
 
-        Cleanup runs after every `policy.clean_every` executed builds. On a
+        Cleanup runs after every `policy.clean_every` builds that this
+        engine's series have executed, counted across series. On a
         driver-level failure the records gathered so far travel with the
         EngineError.
         """
         records: list[BuildRecord] = []
-        for i in range(count):
+        for _ in range(count):
             try:
                 record = self.build_once(doc, context_dir, persist_dir=persist_dir)
             except EngineError as exc:
                 exc.records = records + ([exc.record] if exc.record else [])
                 raise
             records.append(record)
-            if (i + 1) % self.policy.clean_every == 0:
+            if next(self._series_builds) % self.policy.clean_every == 0:
                 try:
                     self.clean_environment()
                 except EngineError as exc:
@@ -377,10 +383,22 @@ class BuildEngine:
         if base is None:
             return
         base.mkdir(parents=True, exist_ok=True)
-        seq = len(list(base.glob("*.json"))) + 1
+        seq = self._next_record.get(base) or _next_record_number(base)
+        while True:  # another writer may hold a number; O_EXCL moves on past it
+            try:
+                fd = os.open(base / f"{seq:04d}.json", os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                break
+            except FileExistsError:
+                seq += 1
+        self._next_record[base] = seq + 1
         log_name = f"{seq:04d}.log"
-        (base / log_name).write_text(record.log, encoding="utf-8")
-        (base / f"{seq:04d}.json").write_text(
-            json.dumps(record.to_dict(log_file=log_name), indent=2, sort_keys=True),
-            encoding="utf-8",
-        )
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            (base / log_name).write_text(record.log, encoding="utf-8")
+            fh.write(json.dumps(record.to_dict(log_file=log_name), indent=2, sort_keys=True))
+
+
+def _next_record_number(directory: Path) -> int:
+    """One past the highest `NNNN.json` record number in `directory`."""
+    with os.scandir(directory) as entries:
+        stems = [e.name[:-5] for e in entries if e.name.endswith(".json")]
+    return max((int(s) for s in stems if s.isascii() and s.isdigit()), default=0) + 1

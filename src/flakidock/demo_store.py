@@ -60,11 +60,13 @@ class FlakinessCategory:
     major: MajorCategory
     sub: str | None = None
 
-    def validate(self) -> None:
-        vocab = taxonomy()[self.major.value]
+    def _check_shape(self) -> None:
         if self.major is MajorCategory.MISC and self.sub is not None:
             raise ValueError("MISC carries no subcategory")
-        if self.sub is not None and self.sub not in vocab:
+
+    def validate(self) -> None:
+        self._check_shape()
+        if self.sub is not None and self.sub not in taxonomy()[self.major.value]:
             # Taxonomies evolve; accept but flag so stats can skip it.
             log.warning(
                 "unknown subcategory %r for %s (not in shipped vocabulary)",
@@ -77,11 +79,10 @@ class FlakinessCategory:
 
     @classmethod
     def from_string(cls, text: str) -> "FlakinessCategory":
+        """Parse `MAJOR[/sub]`; the vocabulary is checked by `validate`, once."""
         major_part, _, sub_part = text.partition("/")
-        major = MajorCategory(major_part.strip())
-        sub = sub_part.strip() or None
-        cat = cls(major, sub)
-        cat.validate()
+        cat = cls(MajorCategory(major_part.strip()), sub_part.strip() or None)
+        cat._check_shape()
         return cat
 
 
@@ -102,12 +103,6 @@ class DemonstrationRecord:
 
 
 def validate_record(record: DemonstrationRecord) -> None:
-    _validate_fields(record)
-    record.category.validate()
-
-
-def _validate_fields(record: DemonstrationRecord) -> None:
-    """Every check of `validate_record` but the category's."""
     rid = record.id
     if not rid:
         raise SchemaViolation("<unknown>", "id", "record id is empty")
@@ -131,6 +126,7 @@ def _validate_fields(record: DemonstrationRecord) -> None:
     for pos, repair in enumerate(record.repairs):
         if not has_instructions(repair):
             raise SchemaViolation(rid, f"repairs[{pos}]", "does not parse: no instructions found")
+    record.category.validate()
 
 
 # The escape json.dumps(..., ensure_ascii=False) applies to a str: quotes,
@@ -297,8 +293,8 @@ def load_store(path, embedding_provider: EmbeddingProvider | None = None) -> Dem
         except json.JSONDecodeError as exc:
             raise SchemaViolation("<unknown>", "json", f"unreadable record line: {exc}") from exc
         embedding = None if rows is None else EmbeddingVector(rows[pos], rows.shape[1], "stored")
-        record = _record_from_dict(payload, embedding)  # validates the category
-        _validate_fields(record)
+        record = _record_from_dict(payload, embedding)
+        validate_record(record)
         if record.id in seen:
             raise SchemaViolation(record.id, "id", "duplicate record id")
         seen.add(record.id)
@@ -508,16 +504,15 @@ def classify_failure_exclusion(
 ) -> str | None:
     """Name of the first exclusion filter matching the failure, if any.
 
-    A non-None result means the failure should not count toward flakiness:
-    its cause lies in the infrastructure, the engine backend, or the project
-    source rather than the build definition.
+    The text is split once, on "\\n" only, and the filters are tried in
+    `_FILTER_NAMES` order. A non-None result means the failure should not
+    count toward flakiness: its cause lies in the infrastructure, the engine
+    backend, or the project source rather than the build definition.
     """
     filters = filters if filters is not None else load_exclusion_filters()
+    lines = preprocessed_text.split("\n")
     for name in _FILTER_NAMES:
         ruleset = filters.get(name)
-        if ruleset is None:
-            continue
-        for line in preprocessed_text.splitlines():
-            if ruleset.match_names(line):
-                return name
+        if ruleset is not None and ruleset.matching_lines(lines):
+            return name
     return None

@@ -15,6 +15,8 @@ import math
 import re
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import compress, count, repeat
+from typing import NamedTuple
 
 from .errors import InvalidRule
 
@@ -22,22 +24,13 @@ from .errors import InvalidRule
 _BANNER_RE = re.compile(
     r"^\s*(?:#\d+\s+)?(?:=>\s+|>\s+)?(?:CACHED\s+)?\[(?:[\w.-]+\s+)?\d+/\d+\]"
 )
-# BuildKit per-line timing: `#8 0.412 Reading package lists...`
-_TIMED_RE = re.compile(r"^#\d+\s+(\d+\.\d+)\s")
-_BARE_TIMED_RE = re.compile(r"^\s*(\d+\.\d+)\s+\S")
+# Per-line timing: BuildKit's `#8 0.412 Reading package lists...` (group 1)
+# or a bare `0.412 Reading ...` (group 2).
+_TIMESTAMP_RE = re.compile(r"^(?:#\d+\s+(\d+\.\d+)\s|\s*(\d+\.\d+)\s+\S)")
 _ANSI_RE = re.compile(r"\x1b\[[0-9;?]*[ -/]*[@-~]")
 
 ADJACENCY_RADIUS = 2
 EXCERPT_LINE_CAP = 120
-
-
-def strip_ansi(line: str) -> str:
-    """Drop ANSI escapes and carriage-return overdraw for matching purposes."""
-    if "\x1b" in line:
-        line = _ANSI_RE.sub("", line)
-    if "\r" in line:
-        line = line.rsplit("\r", 1)[-1]
-    return line
 
 
 @dataclass(frozen=True)
@@ -114,6 +107,14 @@ class RuleSet:
             cls._default = cls.from_lines(data.read_text(encoding="utf-8").splitlines())
         return cls._default
 
+    def matching_lines(self, lines: list[str]) -> list[tuple[int, list[str]]]:
+        """`(i, self.match_names(lines[i]))` for each line with a name, in order."""
+        # Most lines hit no include rule; they are settled by C-level scans.
+        hits = set(compress(count(), map(self._include_literals.search, map(str.lower, lines))))
+        for rx in self._include_regexes:
+            hits.update(compress(count(), map(rx.search, lines)))
+        return [(i, names) for i in sorted(hits) if (names := self.match_names(lines[i]))]
+
     def match_names(self, line: str) -> list[str]:
         """Names of include rules hit by this line; empty if vetoed."""
         lowered = line.lower()
@@ -128,10 +129,10 @@ class RuleSet:
         return [r.source for r in self.rules if not r.exclude and r.matches(line, lowered)]
 
 
-@dataclass(frozen=True)
-class LogLine:
+class LogLine(NamedTuple):
     timestamp: float | None
-    text: str
+    text: str  # as logged
+    plain: str  # `text` without ANSI escapes: what the rules match
 
 
 @dataclass
@@ -142,12 +143,11 @@ class StageSection:
     is_preamble: bool = False
 
 
-def _parse_timestamp(plain: str) -> float | None:
-    m = _TIMED_RE.match(plain) or _BARE_TIMED_RE.match(plain)
-    if not m:
+def _timestamp(match: re.Match | None) -> float | None:
+    if not match:
         return None
     try:
-        value = float(m.group(1))
+        value = float(match[1] or match[2])
     except ValueError:
         return None
     return value if math.isfinite(value) else None  # over ~308 digits it is inf: untimed
@@ -158,19 +158,22 @@ def segment_stages(log: str) -> list[StageSection]:
 
     Stage indices follow encounter order, which is execution order, so they
     stay unique even when multi-stage builds restart the [i/k] numbering.
+    Each line is de-escaped once, here; `splitlines` also breaks at "\\r", so
+    no line keeps carriage-return overdraw.
     """
+    texts = log.splitlines()
+    plains = [_ANSI_RE.sub("", t) if "\x1b" in t else t for t in texts]
+    banners = list(compress(count(), map(_BANNER_RE.match, plains)))
     preamble = StageSection(-1, None, is_preamble=True)
-    sections: list[StageSection] = []
-    current = preamble
-    counter = 0
-    for line in log.splitlines():
-        plain = strip_ansi(line)
-        if _BANNER_RE.match(plain):
-            current = StageSection(counter, line)
-            sections.append(current)
-            counter += 1
-        else:
-            current.lines.append(LogLine(_parse_timestamp(plain), line))
+    sections = [StageSection(k, texts[b]) for k, b in enumerate(banners)]
+    for section, lo, hi in zip(
+        [preamble, *sections], [0, *(b + 1 for b in banners)], [*banners, len(texts)]
+    ):
+        stamps = map(_timestamp, map(_TIMESTAMP_RE.match, plains[lo:hi]))
+        # tuple.__new__ builds each LogLine without a Python-level __new__ call.
+        section.lines = list(
+            map(tuple.__new__, repeat(LogLine), zip(stamps, texts[lo:hi], plains[lo:hi]))
+        )
     if preamble.lines or not sections:
         sections.insert(0, preamble)
     return sections
@@ -207,12 +210,10 @@ def extract_error_context(sections: list[StageSection], rules: RuleSet) -> Prepr
     raw_excerpts: list[tuple[StageSection, list[int]]] = []
     for section in sections:
         match_idx: list[int] = []
-        for idx, logline in enumerate(section.lines):
-            names = rules.match_names(strip_ansi(logline.text))
-            if names:
-                match_idx.append(idx)
-                for name in names:
-                    rule_hits[name] = rule_hits.get(name, 0) + 1
+        for idx, names in rules.matching_lines([ll.plain for ll in section.lines]):
+            match_idx.append(idx)
+            for name in names:
+                rule_hits[name] = rule_hits.get(name, 0) + 1
         if not match_idx:
             continue
         keep = set(match_idx)

@@ -12,6 +12,7 @@ import hashlib
 import json
 import os
 from abc import ABC, abstractmethod
+from itertools import repeat
 
 import numpy as np
 
@@ -33,8 +34,35 @@ class EmbeddingProvider(ABC):
         """Return the raw embedding values for text already within limits."""
 
 
+_CODE_POINT_BITS = 21  # every code point is below 0x110000 = 17 << 16
+_CODE_POINT_MASK = (1 << _CODE_POINT_BITS) - 1
+# Shift counts are uint64 scalars: a Python int beside a uint64 array
+# promotes differently before numpy 2.0.
+_SHIFT_1, _SHIFT_2 = np.uint64(_CODE_POINT_BITS), np.uint64(2 * _CODE_POINT_BITS)
+
+
+def _bucket_codes(grams: list[str], dim: int) -> np.ndarray:
+    """Each gram's blake2b-64 (of its UTF-8 bytes) mod dim, plus dim when its top bit is set."""
+    digests = b"".join([hashlib.blake2b(g.encode("utf-8"), digest_size=8).digest() for g in grams])
+    h = np.frombuffer(digests, dtype=">u8").astype(np.uint64)
+    return (h % np.uint64(dim) + (h >> np.uint64(63)) * np.uint64(dim)).astype(np.intp)
+
+
+def _packed_trigrams(lowered: str) -> np.ndarray:
+    """The 3-grams of `lowered`, sorted, each as its three code points packed
+    into one uint64 at 21 bits apiece, first code point highest."""
+    # UTF-32 raises UnicodeEncodeError on a lone surrogate, as UTF-8 does.
+    points = np.frombuffer(lowered.encode("utf-32-le"), dtype="<u4").astype(np.uint64)
+    keys = points[:-2] << _SHIFT_2 | points[1:-1] << _SHIFT_1 | points[2:]
+    keys.sort()
+    return keys
+
+
 class _GramCodes(dict):
-    """Memo of n-gram -> hash bucket, plus dim when the gram's sign is positive."""
+    """Memo of packed 3-gram (see `_packed_trigrams`) -> bucket code (see `_bucket_codes`).
+
+    Holds at most LIMIT grams, or one text's distinct grams where those are more.
+    """
 
     LIMIT = 1 << 16
 
@@ -42,14 +70,26 @@ class _GramCodes(dict):
         super().__init__()
         self.dim = dim
 
-    def __missing__(self, gram: str) -> int:
-        digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=8).digest()
-        h = int.from_bytes(digest, "big")
-        code = h % self.dim + (self.dim if h & (1 << 63) else 0)
-        if len(self) >= self.LIMIT:
-            self.clear()
-        self[gram] = code
-        return code
+    def lookup(self, keys: np.ndarray) -> np.ndarray:
+        """The codes of distinct packed 3-grams; blake2b runs only for grams not memoized."""
+        codes = np.fromiter(map(self.get, keys.tolist(), repeat(-1)), dtype=np.intp, count=len(keys))
+        missing = np.flatnonzero(codes < 0)
+        if missing.size:
+            fresh = keys[missing].tolist()
+            fresh_codes = _bucket_codes(
+                [
+                    chr(k >> 2 * _CODE_POINT_BITS)
+                    + chr(k >> _CODE_POINT_BITS & _CODE_POINT_MASK)
+                    + chr(k & _CODE_POINT_MASK)
+                    for k in fresh
+                ],
+                self.dim,
+            )
+            if len(self) + len(fresh) > self.LIMIT:
+                self.clear()
+            self.update(zip(fresh, fresh_codes.tolist()))
+            codes[missing] = fresh_codes
+        return codes
 
 
 class HashingEmbeddingProvider(EmbeddingProvider):
@@ -81,14 +121,19 @@ class HashingEmbeddingProvider(EmbeddingProvider):
 
     def _compute(self, text: str) -> np.ndarray:
         lowered = text.lower()
-        grams = (
-            [lowered[i : i + _NGRAM] for i in range(len(lowered) - _NGRAM + 1)]
-            if len(lowered) >= _NGRAM
-            else [lowered]
-        )
-        codes = np.fromiter(map(self._grams.__getitem__, grams), dtype=np.intp, count=len(grams))
-        counts = np.bincount(codes, minlength=2 * self.dim)
-        # Each bucket sums +-1 terms, so integer counts give the exact sum.
+        if len(lowered) < _NGRAM:
+            counts = np.bincount(_bucket_codes([lowered], self.dim), minlength=2 * self.dim)
+        else:
+            keys = _packed_trigrams(lowered)
+            # Each distinct gram is looked up once and weighted by its run length.
+            first = np.empty(len(keys), dtype=bool)
+            first[0] = True
+            np.not_equal(keys[1:], keys[:-1], out=first[1:])
+            starts = np.flatnonzero(first)
+            codes = self._grams.lookup(keys[starts])
+            # float64 sums of integer weights are exact below 2**53.
+            counts = np.bincount(codes, weights=np.diff(starts, append=len(keys)), minlength=2 * self.dim)
+        # Each bucket sums +-1 terms, so the counts give the exact sum.
         acc = (counts[self.dim :] - counts[: self.dim]).astype(np.float64)
         norm = float(np.linalg.norm(acc))
         if norm > 0.0:

@@ -291,11 +291,45 @@ def reference_clustering(
 _REFERENCE_ANSI_RE = re.compile(r"\x1b\[[0-9;?]*[ -/]*[@-~]")
 
 
-def _reference_strip_ansi(line: str) -> str:
+def reference_strip_ansi(line: str) -> str:
     line = _REFERENCE_ANSI_RE.sub("", line)
     if "\r" in line:
         line = line.rsplit("\r", 1)[-1]
     return line
+
+
+_REFERENCE_BANNER_RE = re.compile(
+    r"^\s*(?:#\d+\s+)?(?:=>\s+|>\s+)?(?:CACHED\s+)?\[(?:[\w.-]+\s+)?\d+/\d+\]"
+)
+_REFERENCE_TIMED_RE = re.compile(r"^#\d+\s+(\d+\.\d+)\s")
+_REFERENCE_BARE_TIMED_RE = re.compile(r"^\s*(\d+\.\d+)\s+\S")
+
+
+def reference_segment_stages(log: str) -> list[tuple]:
+    """`segment_stages` as it was when each line was de-escaped for the banner
+    and timestamp checks and again for matching; one
+    `(stage_index, header, is_preamble, [(timestamp, text), ...])` per section."""
+    preamble = (-1, None, True, [])
+    sections = []
+    current = preamble
+    for line in log.splitlines():
+        plain = reference_strip_ansi(line)
+        if _REFERENCE_BANNER_RE.match(plain):
+            current = (len(sections), line, False, [])
+            sections.append(current)
+            continue
+        m = _REFERENCE_TIMED_RE.match(plain) or _REFERENCE_BARE_TIMED_RE.match(plain)
+        timestamp = None
+        if m:
+            try:
+                value = float(m.group(1))
+            except ValueError:
+                value = math.inf
+            timestamp = value if math.isfinite(value) else None
+        current[3].append((timestamp, line))
+    if preamble[3] or not sections:
+        sections.insert(0, preamble)
+    return sections
 
 
 def reference_match_names(rules: RuleSet, line: str) -> list[str]:
@@ -323,7 +357,7 @@ def reference_extract_error_context(
     for section in sections:
         match_idx: list[int] = []
         for idx, logline in enumerate(section.lines):
-            names = reference_match_names(rules, _reference_strip_ansi(logline.text))
+            names = reference_match_names(rules, reference_strip_ansi(logline.text))
             if names:
                 match_idx.append(idx)
                 for name in names:

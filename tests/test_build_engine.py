@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
+import time
 
 import pytest
 
@@ -214,6 +217,60 @@ class TestPersistence:
         engine.build_once(doc, tmp_path, persist_dir=target)
         assert (target / "0001.json").exists()
         assert not (tmp_path / "state" / "builds").exists()
+
+
+    def test_engines_sharing_a_directory_get_distinct_numbers(self, doc, tmp_path):
+        target = tmp_path / "builds"
+        builds, workers = 40, 4  # more threads than a small CI host has cores
+        engines = [
+            _engine(driver_for([outcome(STATUS_SUCCESS, f"w{w}-b{i}") for i in range(builds)]))
+            for w in range(workers)
+        ]
+        errors = []
+
+        def work(engine):
+            try:
+                for _ in range(builds):
+                    engine.build_once(doc, tmp_path, persist_dir=target)
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(e,)) for e in engines]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        records = sorted(target.glob("*.json"))
+        assert [p.stem for p in records] == [f"{n:04d}" for n in range(1, builds * workers + 1)]
+        logs = [(target / json.loads(p.read_text())["log_file"]).read_text() for p in records]
+        assert sorted(logs) == sorted(f"w{w}-b{i}" for w in range(workers) for i in range(builds))
+
+    def test_persist_time_per_record_flat_in_directory_size(self, doc, tmp_path):
+        targets = {}
+        for existing in (100, 4_000):
+            target = targets[existing] = tmp_path / f"existing-{existing}"
+            target.mkdir()
+            for n in range(1, existing + 1):
+                (target / f"{n:04d}.json").write_text("{}")
+                (target / f"{n:04d}.log").write_text("")
+        timings = {existing: [] for existing in targets}
+        for _ in range(3):  # sizes alternate, so that host noise reaches both
+            for existing, target in targets.items():
+                engine = _engine(driver_for([outcome(STATUS_SUCCESS, "ok")]))  # lists anew
+                start = time.perf_counter()
+                for _ in range(200):
+                    engine.build_once(doc, tmp_path, persist_dir=target)
+                timings[existing].append((time.perf_counter() - start) / 200)
+        small, large = min(timings[100]), min(timings[4_000])
+        # A directory listing per record costs ~15x more at 4,000 records than at 100.
+        assert large / small < 2, (small, large)
 
 
 class TestHygienePolicy:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import logging
 import os
 from pathlib import Path
 
@@ -297,6 +298,21 @@ class TestMonitor:
         assert result.exit_code == 0, result.output
         report = json.loads(result.output)
         assert report["cleanups_performed"] == 3
+
+    def test_cleanup_cadence_counts_across_series(self, runner, tmp_path):
+        manifest = self._manifest(
+            tmp_path,
+            [("p1", "FROM busybox\n#1\n"), ("p2", "FROM busybox\n#2\n"), ("p3", "FROM busybox\n#3\n")],
+        )
+        scenario = _write_scenario(
+            tmp_path / "s.json", [{"match": None, "outcomes": [{"status": "success"}]}]
+        )
+        result = runner.invoke(
+            main, _base_args(tmp_path, scenario) + ["monitor", str(manifest), "--rounds", "3"]
+        )
+        assert result.exit_code == 0, result.output
+        # Nine builds of one engine: cleanups after the 4th and the 8th.
+        assert json.loads(result.output)["cleanups_performed"] == 2
 
     def test_excluded_failures_not_flagged(self, runner, tmp_path):
         manifest = self._manifest(tmp_path, [("hostsick", "FROM busybox\n")])
@@ -612,3 +628,22 @@ class TestDatasetEdgeCases:
         second = runner.invoke(main, args)
         assert second.exit_code == 1
         assert "duplicate" in json.loads(second.output)["error"]
+
+    def test_unknown_subcategory_warned_once(self, runner, tmp_path, caplog):
+        dockerfile = tmp_path / "Dockerfile"
+        dockerfile.write_text(ALPINE_PIP)
+        log = tmp_path / "build.log"
+        log.write_text(ALPINE_PIP_LOG)
+        repair = tmp_path / "Dockerfile.fixed"
+        repair.write_text(ALPINE_PIP_REPAIRED)
+        with caplog.at_level(logging.WARNING, logger="flakidock.demo_store"):
+            result = runner.invoke(
+                main,
+                _base_args(tmp_path) + [
+                    "dataset", "add", str(tmp_path / "records.jsonl"),
+                    "--id", "made-up", "--dockerfile", str(dockerfile),
+                    "--log", str(log), "--category", "DEP/Made Up", "--repair", str(repair),
+                ],
+            )
+        assert result.exit_code == 0, result.output
+        assert sum("unknown subcategory" in r.getMessage() for r in caplog.records) == 1

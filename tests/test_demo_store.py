@@ -378,6 +378,16 @@ class TestExclusionFilters:
             == "project-source"
         )
 
+    def test_raw_log_fallback_splits_on_newline_only(self):
+        # A raw log keeps progress-bar overdraw; "\r" does not end a line, so
+        # the docker-server regex `Service Unavailable.*registry` spans it.
+        raw = "#9 12.40 pulling\r503 Service Unavailable\rretrying registry mirror\nexit 1"
+        assert classify_failure_exclusion(raw) == "docker-server"
+
+    def test_first_filter_in_order_wins_over_earlier_lines(self):
+        text = "toomanyrequests: pull limit\nSyntaxError: invalid syntax\nno space left on device"
+        assert classify_failure_exclusion(text) == "infrastructure"
+
     def test_ordinary_flaky_failure_not_excluded(self):
         assert classify_failure_exclusion("error: externally-managed-environment") is None
 

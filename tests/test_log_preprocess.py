@@ -21,6 +21,8 @@ from support import (
     preprocess_corpus,
     reference_extract_error_context,
     reference_match_names,
+    reference_segment_stages,
+    reference_strip_ansi,
 )
 
 
@@ -246,8 +248,41 @@ _DIFF_RULESETS = {
 }
 
 
+def _sections(log: str) -> list[tuple]:
+    """`segment_stages(log)` in the shape `reference_segment_stages` returns."""
+    return [
+        (s.stage_index, s.header, s.is_preamble, [(ll.timestamp, ll.text) for ll in s.lines])
+        for s in segment_stages(log)
+    ]
+
+
+# Banners, BuildKit and bare timings (Unicode digits and overlong ones too),
+# ANSI escapes, and every line break `str.splitlines` knows.
+_SEGMENT_PIECES = st.sampled_from(
+    [
+        "> [1/2] RUN a", "#5 [2/4] RUN b", "=> CACHED [build-env 3/3] COPY", "#5 0.412 ",
+        "  1.900 done", "#7 \u0663.\u0664 x", "1" * 320 + ".5 long", "\x1b[31m", "\x1b[0m",
+        "\x1b[2K", "error: boom", "  ", "\t", "[", "]", "/", "#", ".", "7", "x",
+        "\n", "\r", "\r\n", "\x0b", "\x1c", "\x85", "\u2028",
+    ]
+)
+
+
 class TestDifferential:
     """The linear-time extraction against a transcription of the first version."""
+
+    def test_segmentation_matches_reference_on_seeded_corpus(self):
+        for log in preprocess_corpus():
+            assert _sections(log) == reference_segment_stages(log)
+            for section in segment_stages(log):
+                assert all(ll.plain == reference_strip_ansi(ll.text) for ll in section.lines)
+
+    @given(st.lists(_SEGMENT_PIECES, max_size=30).map("".join))
+    @settings(max_examples=300, deadline=None)
+    def test_segmentation_matches_reference(self, log):
+        assert _sections(log) == reference_segment_stages(log)
+        for section in segment_stages(log):
+            assert all(ll.plain == reference_strip_ansi(ll.text) for ll in section.lines)
 
     @pytest.mark.parametrize("name", sorted(_DIFF_RULESETS))
     def test_matches_reference_on_seeded_corpus(self, name):

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import json
+import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flakidock.errors import ProviderUnavailable
 from flakidock.providers import (
@@ -13,7 +17,10 @@ from flakidock.providers import (
     estimate_tokens,
     truncate_to_tokens,
 )
+from flakidock.providers import _GramCodes
 from flakidock.similarity import embed
+
+from support import reference_hash_embedding
 
 
 class TestHashingProvider:
@@ -35,6 +42,50 @@ class TestHashingProvider:
         first = provider.embed_values("text")
         first[0] = 12345.0
         assert provider.embed_values("text")[0] != 12345.0
+
+
+# Case mappings that change length (U+0130 lowers to two code points) or
+# depend on context (a final capital sigma lowers to U+03C2), astral
+# characters, NUL, and line breaks other than "\n".
+_EMBED_ALPHABET = "aAbZ \x00\x85\u2028\u0130\u1e9e\u212a\u03a3\u03c3\U0001f600\U00010400"
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float32).tobytes()
+
+
+class TestHashingDifferential:
+    """The code-point-array embedder against one blake2b per 3-gram string."""
+
+    @given(
+        st.one_of(
+            st.text(alphabet=_EMBED_ALPHABET, max_size=5),
+            st.text(alphabet=_EMBED_ALPHABET, max_size=60),
+            st.text(st.characters(blacklist_categories=("Cs",)), max_size=40),
+        )
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_matches_reference(self, text):
+        provider = HashingEmbeddingProvider()
+        assert _bits(provider.embed_values(text)) == reference_hash_embedding(text).tobytes()
+
+    def test_memo_cleared_past_its_limit(self):
+        rng = random.Random(5)
+        alphabet = [chr(c) for c in range(0x4E00, 0x4E00 + 64)]  # caseless; 64**3 3-grams
+        provider = HashingEmbeddingProvider()
+        texts = ["".join(rng.choices(alphabet, k=20_000)) for _ in range(6)]
+        assert len({t[i : i + 3] for t in texts for i in range(len(t) - 2)}) > _GramCodes.LIMIT
+        for text in texts + texts[:1]:
+            assert _bits(provider.embed_values(text)) == reference_hash_embedding(text).tobytes()
+            provider._cache.clear()  # every text goes through the gram memo
+        assert 0 < len(provider._grams) <= _GramCodes.LIMIT
+
+    @pytest.mark.parametrize("text", ["\ud800", "ab\udfff", "abc\ud800def"])
+    def test_lone_surrogate_raises_like_the_reference(self, text):
+        with pytest.raises(UnicodeEncodeError):
+            reference_hash_embedding(text)
+        with pytest.raises(UnicodeEncodeError):
+            HashingEmbeddingProvider().embed_values(text)
 
 
 class TestHttpProviderDeclarations:
