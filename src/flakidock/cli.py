@@ -30,16 +30,17 @@ from .dockerfile_model import diff_docs, parse_dockerfile, render_diff
 from .errors import FlakiDockError
 from .log_preprocess import excerpt_or_tail, preprocess_log, segment_stages
 from .repair_pipeline import (
+    VERDICT_IN_PROGRESS,
     VERDICT_NON_FLAKY,
     VERDICT_REPAIRED,
     VERDICT_UNRESOLVED,
-    RepairSession,
     assemble_prompt,
     detect_flakiness,
     guess_category,
     repair_flaky_dockerfile,
+    start_session,
 )
-from .similarity import RepairQuery, cluster_add, embed, retrieve_top_k
+from .similarity import cluster_add, embed
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -151,22 +152,14 @@ def main(ctx, config_path, state_dir, driver, as_json, rules):
     try:
         config = load_config(config_path, overrides)
     except FlakiDockError as exc:
-        if as_json:
-            click.echo(json.dumps({"error": str(exc)}))
-        else:
-            click.echo(f"error: {exc}", err=True)
-        ctx.exit(EXIT_ERROR)
+        _fail(ctx, str(exc))
     ctx.obj["config"] = config
     ctx.obj["providers"] = config.make_providers()
     lock = _StateLock(config.state_dir)
     try:
         lock.acquire()
     except FlakiDockError as exc:
-        if as_json:
-            click.echo(json.dumps({"error": str(exc)}))
-        else:
-            click.echo(f"error: {exc}", err=True)
-        ctx.exit(EXIT_ERROR)
+        _fail(ctx, str(exc))
     ctx.call_on_close(lock.release)
 
 
@@ -215,37 +208,36 @@ def repair(ctx, dockerfile, context_dir, store_path, dry_run):
         store = _resolve_store(ctx, config)
         engine = config.make_engine()
         policy = config.validation_policy()
-        if dry_run:
-            detection = detect_flakiness(doc, context, engine, policy)
-            if not detection.flaky:
-                _emit(ctx, {"verdict": VERDICT_NON_FLAKY, "note": "non-flaky"}, "non-flaky; nothing to repair")
+        if dry_run:  # attempt 1's prompt: a full run opens its session the same way
+            session = start_session(
+                doc, context, store, providers, policy, engine,
+                retrieval_k=config.retrieval_k,
+                rules=config.ruleset(),
+            )
+            if session.verdict == VERDICT_IN_PROGRESS:
+                prompt = assemble_prompt(session, config.prompt_budget)
+                if ctx.obj["json"]:
+                    _emit(ctx, {"verdict": "dry-run", "prompt": prompt,
+                                "retrieved": [r.id for r, _ in session.retrieved]}, "")
+                else:
+                    click.echo(prompt)
                 ctx.exit(EXIT_OK)
-            log = detection.failing_record.log
-            query = RepairQuery.build(doc.raw_text, excerpt_or_tail(log, preprocess_log(log, config.ruleset())))
-            session = RepairSession(query=query)
-            session.retrieved = retrieve_top_k(query, store, config.retrieval_k, providers.query_embedder)
-            prompt = assemble_prompt(session, config.prompt_budget)
-            if ctx.obj["json"]:
-                _emit(ctx, {"verdict": "dry-run", "prompt": prompt,
-                            "retrieved": [r.id for r, _ in session.retrieved]}, "")
-            else:
-                click.echo(prompt)
-            ctx.exit(EXIT_OK)
-        if providers.generator is None:
-            _fail(ctx, "no generation provider configured (set generation_provider)")
-        session_id = f"{path.stem}-{doc.content_hash[:12]}"
-        session_dir = Path(config.state_dir) / "sessions" / session_id
-        suffix = 2
-        while session_dir.exists():  # keep earlier audit trails intact
-            session_dir = session_dir.with_name(f"{session_id}-{suffix}")
-            suffix += 1
-        session = repair_flaky_dockerfile(
-            doc, context, store, providers, policy, engine,
-            retrieval_k=config.retrieval_k,
-            rules=config.ruleset(),
-            session_dir=session_dir,
-            prompt_budget=config.prompt_budget,
-        )
+        else:
+            if providers.generator is None:
+                _fail(ctx, "no generation provider configured (set generation_provider)")
+            session_id = f"{path.stem}-{doc.content_hash[:12]}"
+            session_dir = Path(config.state_dir) / "sessions" / session_id
+            suffix = 2
+            while session_dir.exists():  # keep earlier audit trails intact
+                session_dir = session_dir.with_name(f"{session_id}-{suffix}")
+                suffix += 1
+            session = repair_flaky_dockerfile(
+                doc, context, store, providers, policy, engine,
+                retrieval_k=config.retrieval_k,
+                rules=config.ruleset(),
+                session_dir=session_dir,
+                prompt_budget=config.prompt_budget,
+            )
     except FlakiDockError as exc:
         _fail(ctx, str(exc))
     summary = {

@@ -7,7 +7,8 @@ that holds the token.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+import typing
+from dataclasses import Field, dataclass, fields
 from pathlib import Path
 
 from .build_engine import (
@@ -71,8 +72,6 @@ class RunConfig:
     generation_auth_env: str = "FLAKIDOCK_GENERATION_TOKEN"
     prompt_budget: int = 8000
     max_response_tokens: int = 2000
-
-    extra: dict = field(default_factory=dict, repr=False)
 
     def validate(self) -> None:
         if self.retrieval_k < 1:
@@ -160,19 +159,24 @@ class RunConfig:
 _BOOL_VALUES = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
-def _coerce(name: str, kind, raw: str):
-    if kind is bool or name == "no_cache":
+def _coerce(field: Field, raw: str):
+    """`raw` as the type of the field's default; a `None` default takes the
+    other member of its `X | None` annotation."""
+    kind = type(field.default)
+    if field.default is None:
+        (kind,) = set(typing.get_args(typing.get_type_hints(RunConfig)[field.name])) - {type(None)}
+    if issubclass(kind, bool):
         value = _BOOL_VALUES.get(raw.strip().lower())
         if value is None:
-            raise ConfigError(f"{name}: expected true/false, got {raw!r}")
+            raise ConfigError(f"{field.name}: expected true/false, got {raw!r}")
         return value
-    if kind is int:
+    if issubclass(kind, int):
         return int(raw)
-    if kind is float:
+    if issubclass(kind, float):
         return float(raw)
-    if name == "clean_commands":
+    if issubclass(kind, tuple):
         return tuple(part.strip() for part in raw.split(";") if part.strip())
-    if name in ("state_dir", "rules"):
+    if issubclass(kind, Path):
         return Path(raw)
     return raw
 
@@ -180,15 +184,7 @@ def _coerce(name: str, kind, raw: str):
 def load_config(path=None, overrides: dict | None = None) -> RunConfig:
     """Build a RunConfig from defaults, an optional file, and CLI overrides."""
     config = RunConfig()
-    typed = {f.name: f.type for f in fields(RunConfig) if f.name != "extra"}
-    hints = {
-        "clean_every": int, "timeout": float, "no_cache": bool,
-        "build_iterations": int, "failure_threshold": int,
-        "max_total_attempts": int, "feedback_similarity": float,
-        "cluster_threshold": float, "retrieval_k": int,
-        "embedding_dim": int, "embedding_token_limit": int, "sentence_dim": int,
-        "prompt_budget": int, "max_response_tokens": int,
-    }
+    by_name = {f.name: f for f in fields(RunConfig)}
     if path is not None:
         path = Path(path)
         if not path.exists():
@@ -202,10 +198,10 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
             key, _, value = line.partition("=")
             key = key.strip()
             value = value.strip()
-            if key not in typed:
+            if key not in by_name:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             try:
-                setattr(config, key, _coerce(key, hints.get(key, str), value))
+                setattr(config, key, _coerce(by_name[key], value))
             except (ValueError, ConfigError) as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from exc
     for key, value in (overrides or {}).items():

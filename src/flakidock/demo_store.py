@@ -1,4 +1,4 @@
-"""Demonstration dataset: record schema, flakiness taxonomy, labeling.
+"""Demonstration dataset: record schema, flakiness taxonomy, store files.
 
 A store is a JSONL file with a version header line followed by one record
 per line, plus a sibling `vectors.bin` holding the record embeddings
@@ -26,7 +26,7 @@ import numpy as np
 from .dockerfile_model import has_instructions, parse_dockerfile  # noqa: F401
 from .errors import DimensionMismatch, SchemaViolation, StoreError, VersionMismatch
 from .log_preprocess import RuleSet
-from .providers import EmbeddingProvider, TextGenerationProvider
+from .providers import EmbeddingProvider
 from .similarity import EmbeddingVector, combine_static_dynamic, embed
 
 log = logging.getLogger(__name__)
@@ -396,93 +396,9 @@ def category_stats(index: DemonstrationIndex) -> dict[MajorCategory, CategorySha
     }
 
 
-# --- provider-assisted labeling ---
-
-# Section labels shared with the repair prompt.
+# Section labels of a Dockerfile and its build output in the repair prompt.
 STATIC_LABEL = "--- DOCKERFILE ---"
 DYNAMIC_LABEL = "--- BUILD OUTPUT ---"
-
-_LABEL_PROMPT = """You are triaging an intermittently failing container image build.
-Given the build definition and the error excerpt from its build output, list the
-factors contributing to the failure, then assign one category code.
-
-Category codes:
-  DEP  - dependency retrieval, installation, or post-installation errors
-  CON  - external server connectivity errors
-  SEC  - security, authentication, or key verification errors
-  PMG  - package manager internal errors
-  ENV  - virtual environment management or configuration errors
-  FS   - filesystem operation errors
-  MISC - anything that fits none of the above
-
-{dockerfile_label}
-{static_part}
-
-{output_label}
-{dynamic_part}
-
-Respond with one factor per line prefixed by "- ", followed by a final line:
-CATEGORY: <code> / <optional subcategory>
-"""
-
-
-@dataclass(frozen=True)
-class LabelSuggestion:
-    category: FlakinessCategory
-    contributing_factors: tuple[str, ...]
-    raw_response: str
-
-
-_MAJOR_TOKENS = {m.value for m in MajorCategory}
-
-
-def suggest_label(
-    static_part: str,
-    dynamic_part: str,
-    provider: TextGenerationProvider,
-) -> LabelSuggestion:
-    """Ask the generation provider for contributing factors and a category.
-
-    Anything unparseable maps to MISC with the raw response attached for
-    human review rather than raising.
-    """
-    if not dynamic_part.strip():
-        raise ValueError("dynamic part must be non-empty for labeling")
-    prompt = _LABEL_PROMPT.format(
-        dockerfile_label=STATIC_LABEL,
-        static_part=static_part,
-        output_label=DYNAMIC_LABEL,
-        dynamic_part=dynamic_part,
-    )
-    raw = provider.generate(prompt)
-
-    factors = tuple(
-        line.lstrip("-* ").strip()
-        for line in raw.splitlines()
-        if line.strip().startswith(("-", "*")) and line.lstrip("-* ").strip()
-    )
-    category = _parse_category(raw)
-    if category is None:
-        return LabelSuggestion(FlakinessCategory(MajorCategory.MISC), factors, raw)
-    return LabelSuggestion(category, factors, raw)
-
-
-def _parse_category(raw: str) -> FlakinessCategory | None:
-    import re
-
-    match = re.search(r"\b(DEP|CON|SEC|PMG|ENV|FS|MISC)\b", raw)
-    if not match:
-        return None
-    major = MajorCategory(match.group(1))
-    rest = raw[match.end():].splitlines()[0] if raw[match.end():] else ""
-    sub = None
-    if "/" in rest:
-        candidate = rest.split("/", 1)[1].strip().rstrip(".")
-        if candidate and major is not MajorCategory.MISC:
-            sub = candidate
-    cat = FlakinessCategory(major, sub)
-    cat.validate()
-    return cat
 
 
 # --- failure-cause exclusion filters ---

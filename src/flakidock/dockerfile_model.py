@@ -243,30 +243,6 @@ def diff_docs(before: DockerfileDoc, after: DockerfileDoc) -> list[LineEdit]:
     return edits
 
 
-def apply_edits(base_text: str, edits: list[LineEdit]) -> str:
-    """Apply an edit script produced by diff_docs to the original text."""
-    src = _LINE_RE.findall(base_text)
-    out: list[str] = []
-    i = 0
-    for edit in edits:
-        if edit.op == "keep":
-            if i >= len(src) or src[i] != edit.text:
-                raise ValueError(f"edit script does not match base text at line {i + 1}")
-            out.append(src[i])
-            i += 1
-        elif edit.op == "remove":
-            if i >= len(src) or src[i] != edit.text:
-                raise ValueError(f"edit script does not match base text at line {i + 1}")
-            i += 1
-        elif edit.op == "add":
-            out.append(edit.text)
-        else:
-            raise ValueError(f"unknown edit op {edit.op!r}")
-    if i != len(src):
-        raise ValueError("edit script ended before the base text was consumed")
-    return "".join(out)
-
-
 def render_diff(edits: list[LineEdit]) -> str:
     """Human-readable +/- rendering of an edit script."""
     prefix = {"keep": "  ", "remove": "- ", "add": "+ "}

@@ -145,6 +145,15 @@ class HashingEmbeddingProvider(EmbeddingProvider):
         return vec
 
 
+def _json_headers(auth_env: str) -> dict:
+    """JSON request headers, with a bearer token when `auth_env` names a set variable."""
+    headers = {"Content-Type": "application/json"}
+    token = os.environ.get(auth_env, "")
+    if token:
+        headers["Authorization"] = f"Bearer {token}"
+    return headers
+
+
 class HttpEmbeddingProvider(EmbeddingProvider):
     """OpenAI-style /embeddings endpoint driver."""
 
@@ -165,13 +174,6 @@ class HttpEmbeddingProvider(EmbeddingProvider):
         self.timeout = timeout
         self.provider_id = f"http:{model}"
 
-    def _headers(self) -> dict:
-        headers = {"Content-Type": "application/json"}
-        token = os.environ.get(self.auth_env, "")
-        if token:
-            headers["Authorization"] = f"Bearer {token}"
-        return headers
-
     def embed_values(self, text: str) -> list[float]:
         import requests
 
@@ -179,7 +181,7 @@ class HttpEmbeddingProvider(EmbeddingProvider):
             resp = requests.post(
                 f"{self.base_url}/embeddings",
                 json={"model": self.model, "input": text},
-                headers=self._headers(),
+                headers=_json_headers(self.auth_env),
                 timeout=self.timeout,
             )
             resp.raise_for_status()
@@ -198,7 +200,7 @@ class HttpEmbeddingProvider(EmbeddingProvider):
 
 
 class TextGenerationProvider(ABC):
-    """Handle for repair-candidate (and label) generation."""
+    """Handle for repair-candidate generation."""
 
     provider_id: str
 
@@ -243,6 +245,8 @@ class HttpChatProvider(TextGenerationProvider):
     produce stable candidates.
     """
 
+    temperature = 0.0
+
     def __init__(
         self,
         base_url: str,
@@ -250,23 +254,17 @@ class HttpChatProvider(TextGenerationProvider):
         auth_env: str,
         max_tokens: int = 2000,
         timeout: float = 120.0,
-        temperature: float = 0.0,
     ):
         self.base_url = base_url.rstrip("/")
         self.model = model
         self.auth_env = auth_env
         self.max_tokens = max_tokens
         self.timeout = timeout
-        self.temperature = temperature
         self.provider_id = f"http:{model}"
 
     def generate(self, prompt: str) -> str:
         import requests
 
-        headers = {"Content-Type": "application/json"}
-        token = os.environ.get(self.auth_env, "")
-        if token:
-            headers["Authorization"] = f"Bearer {token}"
         try:
             resp = requests.post(
                 f"{self.base_url}/chat/completions",
@@ -276,7 +274,7 @@ class HttpChatProvider(TextGenerationProvider):
                     "temperature": self.temperature,
                     "max_tokens": self.max_tokens,
                 },
-                headers=headers,
+                headers=_json_headers(self.auth_env),
                 timeout=self.timeout,
             )
             resp.raise_for_status()
@@ -295,8 +293,8 @@ def estimate_tokens(text: str) -> int:
 
 
 def truncate_to_tokens(text: str, limit: int) -> str:
-    """Tail-truncate text to roughly `limit` tokens (keeps the head)."""
+    """Cut text to roughly its last `limit` tokens: a build log ends in its error."""
     max_chars = limit * 4
     if len(text) <= max_chars:
         return text
-    return text[:max_chars]
+    return text[len(text) - max_chars:]

@@ -197,8 +197,9 @@ def assemble_prompt(session: RepairSession, budget_tokens: int = 8000) -> str:
     """Build the generation prompt within the provider context budget.
 
     Over budget, the lowest-similarity examples are dropped first, then all
-    build-output texts are tail-truncated in halving steps. If the bare
-    query still does not fit, BudgetExhausted is raised.
+    build-output texts are cut to their last part in halving steps, which
+    keeps the final error lines. If the bare query still does not fit,
+    BudgetExhausted is raised.
     """
     examples = list(session.retrieved)
     prompt = _render_prompt(session, examples, None)
@@ -225,13 +226,8 @@ def assemble_prompt(session: RepairSession, budget_tokens: int = 8000) -> str:
 _FENCE_RE = re.compile(r"```[^\n]*\n(.*?)```", re.DOTALL)
 
 
-def generate_repair(prompt: str, provider: TextGenerationProvider) -> DockerfileDoc:
-    """One generator call; the first fenced code block must be a buildable file."""
-    response = provider.generate(prompt)
-    return parse_candidate(response)
-
-
 def parse_candidate(response: str) -> DockerfileDoc:
+    """The first fenced code block of a response, which must be a buildable file."""
     match = _FENCE_RE.search(response)
     if not match:
         raise UnparseableResponse("response contains no fenced code block")
@@ -334,6 +330,64 @@ class ProviderSet:
     generator: TextGenerationProvider | None
 
 
+def start_session(
+    doc: DockerfileDoc,
+    context_dir,
+    store: DemonstrationIndex,
+    providers: ProviderSet,
+    policy: ValidationPolicy,
+    engine: BuildEngine,
+    *,
+    retrieval_k: int = 3,
+    rules: RuleSet | None = None,
+    session_dir: Path | None = None,
+) -> RepairSession:
+    """Open a session: detect flakiness, build the query, retrieve examples.
+
+    A non-flaky document or an engine failure gives a terminal session, with
+    verdict.json written under session_dir when given. Otherwise the session
+    is in progress, its query and retrieved examples are set and query.json
+    is written; `assemble_prompt` of it is the first attempt's prompt.
+    """
+    if session_dir is not None:
+        session_dir = Path(session_dir)
+        session_dir.mkdir(parents=True, exist_ok=True)
+    builds_dir = None if session_dir is None else session_dir / "builds" / "detect"
+    try:
+        detection = detect_flakiness(doc, context_dir, engine, policy, persist_dir=builds_dir)
+    except EngineError:
+        detection = None
+    if detection is None or not detection.flaky:
+        session = RepairSession(
+            query=RepairQuery.build(doc.raw_text, ""),
+            verdict=VERDICT_ENGINE_ABORTED if detection is None else VERDICT_NON_FLAKY,
+            session_dir=session_dir,
+        )
+        _persist_session(session)
+        return session
+
+    dynamic_part = _failure_text(detection.failing_record, rules or RuleSet.default())
+    query = RepairQuery.build(doc.raw_text, dynamic_part)
+    session = RepairSession(query=query, session_dir=session_dir)
+    session.retrieved = retrieve_top_k(query, store, retrieval_k, providers.query_embedder)
+    _persist(
+        session,
+        "query.json",
+        json.dumps(
+            {
+                "static_part": query.static_part,
+                "dynamic_part": query.dynamic_part,
+                "retrieved": [
+                    {"id": rec.id, "similarity": sim} for rec, sim in session.retrieved
+                ],
+            },
+            indent=2,
+            sort_keys=True,
+        ),
+    )
+    return session
+
+
 def repair_flaky_dockerfile(
     doc: DockerfileDoc,
     context_dir,
@@ -353,63 +407,29 @@ def repair_flaky_dockerfile(
     response, and build log is persisted under session_dir when given, so
     a session can be audited or replayed offline.
     """
-    rules = rules or RuleSet.default()
-    if session_dir is not None:
-        session_dir = Path(session_dir)
-        session_dir.mkdir(parents=True, exist_ok=True)
-
-    def persist(name: str, text: str) -> None:
-        if session_dir is not None:
-            (session_dir / name).write_text(text, encoding="utf-8")
-
-    builds_dir = None if session_dir is None else session_dir / "builds" / "detect"
-    try:
-        detection = detect_flakiness(doc, context_dir, engine, policy, persist_dir=builds_dir)
-    except EngineError:
-        session = RepairSession(
-            query=RepairQuery.build(doc.raw_text, ""),
-            verdict=VERDICT_ENGINE_ABORTED,
-            session_dir=session_dir,
-        )
-        _persist_session(session)
-        return session
-    if not detection.flaky:
-        session = RepairSession(
-            query=RepairQuery.build(doc.raw_text, ""),
-            verdict=VERDICT_NON_FLAKY,
-            session_dir=session_dir,
-        )
-        _persist_session(session)
-        return session
-
-    dynamic_part = _failure_text(detection.failing_record, rules)
-    query = RepairQuery.build(doc.raw_text, dynamic_part)
-    session = RepairSession(query=query, session_dir=session_dir)
-    session.retrieved = retrieve_top_k(query, store, retrieval_k, providers.query_embedder)
-    persist(
-        "query.json",
-        json.dumps(
-            {
-                "static_part": query.static_part,
-                "dynamic_part": query.dynamic_part,
-                "retrieved": [
-                    {"id": rec.id, "similarity": sim} for rec, sim in session.retrieved
-                ],
-            },
-            indent=2,
-            sort_keys=True,
-        ),
+    session = start_session(
+        doc,
+        context_dir,
+        store,
+        providers,
+        policy,
+        engine,
+        retrieval_k=retrieval_k,
+        rules=rules,
+        session_dir=session_dir,
     )
-
+    if session.verdict != VERDICT_IN_PROGRESS:
+        return session
+    session_dir = session.session_dir
     if providers.generator is None:
         raise FlakiDockError("no generation provider configured")
 
     while session.attempts_used < policy.max_total_attempts:
         attempt = session.attempts_used + 1
         prompt = assemble_prompt(session, prompt_budget)
-        persist(f"prompt-{attempt}.txt", prompt)
+        _persist(session, f"prompt-{attempt}.txt", prompt)
         response = providers.generator.generate(prompt)
-        persist(f"response-{attempt}.txt", response)
+        _persist(session, f"response-{attempt}.txt", response)
         session.attempts_used = attempt
 
         try:
@@ -443,6 +463,11 @@ def repair_flaky_dockerfile(
         session.verdict = VERDICT_UNRESOLVED  # attempt cap reached
     _persist_session(session)
     return session
+
+
+def _persist(session: RepairSession, name: str, text: str) -> None:
+    if session.session_dir is not None:
+        (session.session_dir / name).write_text(text, encoding="utf-8")
 
 
 def _persist_session(session: RepairSession) -> None:

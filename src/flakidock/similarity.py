@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, TokenLimit, ZeroVector
-from .providers import EmbeddingProvider, estimate_tokens, truncate_to_tokens
+from .providers import EmbeddingProvider, estimate_tokens
 
 STATIC_DELIMITER = "=== DOCKERFILE ==="
 DYNAMIC_DELIMITER = "=== BUILD OUTPUT ==="
@@ -58,7 +58,7 @@ def embed(text: str, provider: EmbeddingProvider, truncate: bool = True) -> Embe
             raise TokenLimit(
                 f"text is ~{estimate_tokens(text)} tokens, limit {provider.token_limit}"
             )
-        text = truncate_to_tokens(text, provider.token_limit)
+        text = text[: provider.token_limit * 4]  # the build definition leads a combined text
     values = np.asarray(provider.embed_values(text), dtype=np.float32)
     if not values.any():
         raise ZeroVector(f"provider {provider.provider_id} returned the zero vector")

@@ -3,12 +3,14 @@ from __future__ import annotations
 import json
 import logging
 import os
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from flakidock.cli import main
+from flakidock.config import RunConfig, load_config
 from flakidock.demo_store import builtin_store_path
 
 from support import (
@@ -175,6 +177,34 @@ class TestRepair:
         assert result.exit_code == 0, result.output
         assert "### Flaky Dockerfile" in result.output
         assert "error: externally-managed-environment" in result.output
+
+    @pytest.mark.parametrize("log", ["", " \n\t\n", ALPINE_PIP_LOG], ids=["empty", "blank", "error"])
+    def test_dry_run_prompt_is_attempt_one_prompt(self, runner, tmp_path, log):
+        project = tmp_path / "project"
+        project.mkdir()
+        dockerfile = project / "Dockerfile"
+        dockerfile.write_text(ALPINE_PIP)
+        scenario = _write_scenario(
+            tmp_path / "scenario.json",
+            builds=[
+                {"match": "venv", "outcomes": [{"status": "success", "log": "ok"}]},
+                {"match": None, "outcomes": [{"status": "failure", "log": log, "exit_code": 1}]},
+            ],
+            responses=[fenced(ALPINE_PIP_REPAIRED)],
+        )
+        args = _base_args(tmp_path, scenario) + [
+            "--config", str(_config_with_generator(tmp_path, scenario)), "repair", str(dockerfile),
+        ]
+        dry = runner.invoke(main, args + ["--dry-run"])
+        assert dry.exit_code == 0, dry.output
+        assert not (tmp_path / "state" / "sessions").exists()
+        full = runner.invoke(main, args)
+        assert full.exit_code == 0, full.output
+        (session_dir,) = (tmp_path / "state" / "sessions").iterdir()
+        dry_run = json.loads(dry.output)
+        assert dry_run["prompt"] == (session_dir / "prompt-1.txt").read_text(encoding="utf-8")
+        query = json.loads((session_dir / "query.json").read_text(encoding="utf-8"))
+        assert dry_run["retrieved"] == [r["id"] for r in query["retrieved"]]
 
     def test_session_artifacts_persisted(self, runner, tmp_path, flaky_setup):
         dockerfile, scenario = flaky_setup
@@ -573,6 +603,36 @@ class TestGlobalFlags:
              "cluster", str(logs)],
         )
         assert result.exit_code == 0, result.output
+
+    def test_every_key_takes_the_type_of_its_default(self, tmp_path):
+        rules = tmp_path / "custom.rules"
+        rules.write_text("substr:boom\n")
+        values = {
+            "state_dir": tmp_path / "st", "driver": "real", "build_command": "podman build {context}",
+            "clean_commands": "a; b", "clean_every": "5", "timeout": "30", "no_cache": "no",
+            "build_iterations": "3", "failure_threshold": "4", "max_total_attempts": "6",
+            "feedback_similarity": "0.5", "cluster_threshold": "0.6", "retrieval_k": "2",
+            "store": tmp_path / "records.jsonl", "rules": rules,
+            "embedding_provider": "http", "embedding_url": "http://localhost:1",
+            "embedding_model": "e", "embedding_auth_env": "E_TOKEN", "embedding_dim": "8",
+            "embedding_token_limit": "100", "sentence_provider": "http",
+            "sentence_url": "http://localhost:2", "sentence_model": "s",
+            "sentence_auth_env": "S_TOKEN", "sentence_dim": "4", "generation_provider": "http",
+            "generation_url": "http://localhost:3", "generation_model": "g",
+            "generation_auth_env": "G_TOKEN", "prompt_budget": "900", "max_response_tokens": "50",
+        }
+        assert set(values) == {f.name for f in fields(RunConfig)}
+        path = tmp_path / "all.conf"
+        path.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+        config = load_config(path)
+        for f in fields(RunConfig):
+            value = getattr(config, f.name)
+            if f.name == "rules":
+                assert isinstance(value, Path)
+            else:
+                assert type(value) is type(f.default), f.name
+        assert (config.clean_commands, config.timeout, config.no_cache) == (("a", "b"), 30.0, False)
+        assert (config.rules, config.state_dir, config.retrieval_k) == (rules, tmp_path / "st", 2)
 
     def test_repair_without_generator_exits_one(self, runner, tmp_path):
         project = tmp_path / "p"

@@ -28,12 +28,10 @@ from flakidock.demo_store import (
     load_exclusion_filters,
     load_store,
     save_store,
-    suggest_label,
     taxonomy,
     validate_record,
 )
 from flakidock.errors import DimensionMismatch, SchemaViolation, StoreError, VersionMismatch
-from flakidock.providers import ScriptedTextProvider
 
 from support import (
     ALPINE_PIP,
@@ -323,40 +321,6 @@ class TestStats:
                 weights[major.value] / total_weight, abs=0.05
             )
         assert stats[MajorCategory.DEP].fraction == pytest.approx(0.6129, abs=0.05)
-
-
-class TestSuggestLabel:
-    def test_scripted_category_with_sub(self):
-        provider = ScriptedTextProvider(["- pinned version vanished\nCATEGORY: DEP / Versioning Issues"])
-        suggestion = suggest_label("FROM a\n", "error: no candidate version", provider)
-        assert suggestion.category.major is MajorCategory.DEP
-        assert suggestion.category.sub == "Versioning Issues"
-        assert suggestion.contributing_factors == ("pinned version vanished",)
-
-    def test_alpine_case_labeled_env(self):
-        provider = ScriptedTextProvider(["CATEGORY: ENV"])
-        suggestion = suggest_label(ALPINE_PIP, "error: externally-managed-environment", provider)
-        assert suggestion.category.major is MajorCategory.ENV
-        assert suggestion.category.sub is None
-
-    def test_free_prose_falls_back_to_misc(self):
-        provider = ScriptedTextProvider(["I am not sure what went wrong here at all."])
-        suggestion = suggest_label("FROM a\n", "error: mystery", provider)
-        assert suggestion.category.major is MajorCategory.MISC
-        assert suggestion.category.sub is None
-        assert "not sure" in suggestion.raw_response
-
-    def test_empty_dynamic_part_rejected(self):
-        provider = ScriptedTextProvider(["CATEGORY: DEP"])
-        with pytest.raises(ValueError):
-            suggest_label("FROM a\n", "   ", provider)
-
-    def test_prompt_carries_both_parts(self):
-        provider = ScriptedTextProvider(["CATEGORY: FS"])
-        suggest_label(ALPINE_PIP, "error: io busted", provider)
-        prompt = provider.prompts[0]
-        assert ALPINE_PIP in prompt
-        assert "error: io busted" in prompt
 
 
 class TestExclusionFilters:

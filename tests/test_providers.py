@@ -144,7 +144,7 @@ class TestTokenHelpers:
     def test_truncate_noop_under_limit(self):
         assert truncate_to_tokens("short", 100) == "short"
 
-    def test_truncate_keeps_head(self):
-        text = "HEAD" + "y" * 1000
-        assert truncate_to_tokens(text, 2).startswith("HEAD")
+    def test_truncate_keeps_tail(self):
+        text = "y" * 1000 + "TAIL"
+        assert truncate_to_tokens(text, 2).endswith("TAIL")
         assert len(truncate_to_tokens(text, 2)) == 8

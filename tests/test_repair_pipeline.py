@@ -32,8 +32,8 @@ from flakidock.repair_pipeline import (
     ValidationPolicy,
     assemble_prompt,
     detect_flakiness,
-    generate_repair,
     guess_category,
+    parse_candidate,
     repair_flaky_dockerfile,
     validate_repair,
 )
@@ -177,6 +177,16 @@ class TestAssemblePrompt:
         prompt = assemble_prompt(session, budget_tokens=1200)
         assert len(prompt) // 4 <= 1200
 
+    def test_clipping_keeps_the_final_error_line(self):
+        final = 'ERROR: process "/bin/sh -c pip install -r requirements.txt" exit code: 1'
+        lines = [f"#8 {i:.1f} Collecting package-{i} (from requirements)" for i in range(899)]
+        session = RepairSession(
+            query=RepairQuery.build("FROM alpine\n", "\n".join(lines + [final]))
+        )
+        prompt = assemble_prompt(session, budget_tokens=4000)
+        assert lines[0] not in prompt  # the output was clipped
+        assert prompt.endswith(final)
+
     def test_budget_exhausted_when_query_cannot_fit(self):
         session = RepairSession(
             query=RepairQuery.build("FROM alpine\n" + "RUN x\n" * 2000, "error: y")
@@ -186,27 +196,23 @@ class TestAssemblePrompt:
 
 
 class TestGenerateRepair:
+    """A generator response becomes a candidate through `parse_candidate`."""
+
     def test_fenced_repair_parses(self):
-        provider = ScriptedTextProvider([fenced(ALPINE_PIP_REPAIRED)])
-        doc = generate_repair("prompt", provider)
+        doc = parse_candidate(fenced(ALPINE_PIP_REPAIRED))
         assert "RUN python3 -m venv venv" in doc.raw_text
         assert doc.stage_count == 1
 
     def test_prose_only_rejected(self):
-        provider = ScriptedTextProvider(["Just pin the base image and retry."])
         with pytest.raises(UnparseableResponse):
-            generate_repair("prompt", provider)
+            parse_candidate("Just pin the base image and retry.")
 
     def test_fenced_without_from_rejected(self):
-        provider = ScriptedTextProvider(["```\nRUN echo hi\n```"])
         with pytest.raises(UnparseableResponse):
-            generate_repair("prompt", provider)
+            parse_candidate("```\nRUN echo hi\n```")
 
     def test_first_fence_wins(self):
-        provider = ScriptedTextProvider(
-            ["```dockerfile\nFROM first\n```\n```\nFROM second\n```"]
-        )
-        doc = generate_repair("prompt", provider)
+        doc = parse_candidate("```dockerfile\nFROM first\n```\n```\nFROM second\n```")
         assert doc.instructions[0].arguments == "first"
 
 
