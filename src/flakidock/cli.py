@@ -261,7 +261,7 @@ def repair(ctx, dockerfile, context_dir, store_path, dry_run):
     if session.verdict == VERDICT_UNRESOLVED:
         _emit(ctx, summary, f"unable to resolve after {session.attempts_used} attempt(s)")
         ctx.exit(EXIT_UNRESOLVED)
-    _fail(ctx, f"session aborted: {session.verdict}")
+    _fail(ctx, f"session aborted: {session.verdict}: {session.abort_reason}")
 
 
 @main.command()

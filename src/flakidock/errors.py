@@ -42,10 +42,6 @@ class ProviderUnavailable(FlakiDockError):
     """The remote embedding/generation service could not be reached or errored."""
 
 
-class TokenLimit(FlakiDockError):
-    """Input exceeds the provider token limit and truncation was disabled."""
-
-
 # --- vector math ---
 
 class DimensionMismatch(FlakiDockError):

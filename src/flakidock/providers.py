@@ -30,8 +30,8 @@ class EmbeddingProvider(ABC):
     token_limit: int | None = None
 
     @abstractmethod
-    def embed_values(self, text: str) -> list[float]:
-        """Return the raw embedding values for text already within limits."""
+    def embed_values(self, text: str) -> np.ndarray:
+        """Return the read-only float32 embedding, shape (dim,), of text already within limits."""
 
 
 _CODE_POINT_BITS = 21  # every code point is below 0x110000 = 17 << 16
@@ -97,29 +97,17 @@ class HashingEmbeddingProvider(EmbeddingProvider):
 
     Every call with the same text yields the same vector, on any host,
     which makes downstream behavior fully replayable without a network.
-    Both memos (text -> vector, n-gram -> signed bucket) are per instance and
-    are cleared when full.
+    The one memo (n-gram -> signed bucket) is per instance and is cleared
+    when full.
     """
-
-    _CACHE_LIMIT = 4096
 
     def __init__(self, dim: int = OFFLINE_DIM):
         self.dim = dim
         self.provider_id = f"offline-hash-{dim}"
         self.token_limit = None
-        self._cache: dict[str, np.ndarray] = {}
         self._grams = _GramCodes(dim)
 
-    def embed_values(self, text: str) -> list[float]:
-        cached = self._cache.get(text)
-        if cached is None:
-            cached = self._compute(text)
-            if len(self._cache) >= self._CACHE_LIMIT:
-                self._cache.clear()
-            self._cache[text] = cached
-        return cached.tolist()
-
-    def _compute(self, text: str) -> np.ndarray:
+    def embed_values(self, text: str) -> np.ndarray:
         lowered = text.lower()
         if len(lowered) < _NGRAM:
             counts = np.bincount(_bucket_codes([lowered], self.dim), minlength=2 * self.dim)
@@ -174,7 +162,7 @@ class HttpEmbeddingProvider(EmbeddingProvider):
         self.timeout = timeout
         self.provider_id = f"http:{model}"
 
-    def embed_values(self, text: str) -> list[float]:
+    def embed_values(self, text: str) -> np.ndarray:
         import requests
 
         try:
@@ -196,7 +184,9 @@ class HttpEmbeddingProvider(EmbeddingProvider):
             raise ProviderUnavailable(
                 f"provider returned dim {len(values)}, declared {self.dim}"
             )
-        return np.asarray(values, dtype=np.float32).tolist()
+        vec = np.asarray(values, dtype=np.float32)
+        vec.flags.writeable = False
+        return vec
 
 
 class TextGenerationProvider(ABC):

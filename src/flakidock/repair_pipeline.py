@@ -34,7 +34,7 @@ from .providers import (
     estimate_tokens,
     truncate_to_tokens,
 )
-from .similarity import RepairQuery, cosine, embed, retrieve_top_k
+from .similarity import EmbeddingVector, RepairQuery, cosine, embed, retrieve_top_k
 
 log = logging.getLogger(__name__)
 
@@ -70,6 +70,7 @@ class FeedbackEntry:
     false_repair: str  # candidate that failed validation
     failure_output: str  # its preprocessed failing build output
     attempt_index: int
+    vector: EmbeddingVector = field(repr=False)  # failure_output's sentence embedding
 
 
 @dataclass
@@ -81,12 +82,13 @@ class RepairSession:
     final_dockerfile: str | None = None
     attempts_used: int = 0
     session_dir: Path | None = None
+    abort_reason: str | None = None  # the engine's message, for an engine-aborted session
 
-    def add_feedback(self, false_repair: str, failure_output: str) -> None:
+    def add_feedback(self, false_repair: str, failure_output: str, vector: EmbeddingVector) -> None:
         if self.feedback and self.attempts_used <= self.feedback[-1].attempt_index:
             raise ValueError("feedback attempt indices must strictly increase")
         self.feedback.append(
-            FeedbackEntry(false_repair, failure_output, self.attempts_used)
+            FeedbackEntry(false_repair, failure_output, self.attempts_used, vector)
         )
 
 
@@ -256,18 +258,12 @@ def _failure_text(record: BuildRecord, rules: RuleSet) -> str:
 
 
 def count_similar_failures(
-    new_output: str,
+    new_vec: EmbeddingVector,
     feedback: list[FeedbackEntry],
-    sentence_provider: EmbeddingProvider,
     threshold: float,
 ) -> int:
-    """Similar prior failures plus one for the new failure itself."""
-    new_vec = embed(new_output, sentence_provider)
-    similar = sum(
-        1
-        for entry in feedback
-        if cosine(embed(entry.failure_output, sentence_provider), new_vec) >= threshold
-    )
+    """Similar prior failures, by their stored vectors, plus one for the new failure itself."""
+    similar = sum(1 for entry in feedback if cosine(entry.vector, new_vec) >= threshold)
     return similar + 1
 
 
@@ -284,10 +280,10 @@ def validate_repair(
     """Decide repair / feedback / unresolved for one candidate.
 
     The candidate is built n times. All successes confirm the repair.
-    Otherwise the failing output is preprocessed and compared against the
-    accumulated feedback: once the same failure has been seen T times in
-    total the session is abandoned, else the candidate joins the feedback
-    list for the next prompt.
+    Otherwise the failing output is preprocessed, embedded once and compared
+    against the vectors stored with the accumulated feedback: once the same
+    failure has been seen T times in total the session is abandoned, else the
+    candidate joins the feedback list, with its vector, for the next prompt.
     """
     if session.verdict != VERDICT_IN_PROGRESS:
         raise ValueError(f"session already terminal: {session.verdict}")
@@ -302,6 +298,7 @@ def validate_repair(
         )
     except EngineError as exc:
         session.verdict = VERDICT_ENGINE_ABORTED
+        session.abort_reason = str(exc)
         return ValidationOutcome(VERDICT_ENGINE_ABORTED, exc.records)
 
     failing = next((r for r in records if not r.succeeded), None)
@@ -309,15 +306,15 @@ def validate_repair(
         return ValidationOutcome("repair", records)
 
     failure_output = _failure_text(failing, rules)
+    vector = embed(failure_output, sentence_provider)
     failures = count_similar_failures(
-        failure_output,
+        vector,
         session.feedback,
-        sentence_provider,
         policy.feedback_similarity_threshold,
     )
     if failures >= policy.failure_threshold:
         return ValidationOutcome(VERDICT_UNRESOLVED, records, failure_output)
-    session.add_feedback(candidate.raw_text, failure_output)
+    session.add_feedback(candidate.raw_text, failure_output, vector)
     return ValidationOutcome("feedback", records, failure_output)
 
 
@@ -353,15 +350,17 @@ def start_session(
         session_dir = Path(session_dir)
         session_dir.mkdir(parents=True, exist_ok=True)
     builds_dir = None if session_dir is None else session_dir / "builds" / "detect"
+    abort_reason = None
     try:
         detection = detect_flakiness(doc, context_dir, engine, policy, persist_dir=builds_dir)
-    except EngineError:
-        detection = None
+    except EngineError as exc:
+        detection, abort_reason = None, str(exc)
     if detection is None or not detection.flaky:
         session = RepairSession(
             query=RepairQuery.build(doc.raw_text, ""),
             verdict=VERDICT_ENGINE_ABORTED if detection is None else VERDICT_NON_FLAKY,
             session_dir=session_dir,
+            abort_reason=abort_reason,
         )
         _persist_session(session)
         return session
@@ -435,7 +434,8 @@ def repair_flaky_dockerfile(
         try:
             candidate = parse_candidate(response)
         except UnparseableResponse:
-            session.add_feedback(response, UNPARSEABLE_FEEDBACK)
+            vector = embed(UNPARSEABLE_FEEDBACK, providers.sentence_embedder)
+            session.add_feedback(response, UNPARSEABLE_FEEDBACK, vector)
             continue
 
         builds_dir = (
@@ -475,6 +475,7 @@ def _persist_session(session: RepairSession) -> None:
         return
     payload = {
         "verdict": session.verdict,
+        "abort_reason": session.abort_reason,
         "attempts_used": session.attempts_used,
         "final_dockerfile": session.final_dockerfile,
         "retrieved": [

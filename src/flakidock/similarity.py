@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, TokenLimit, ZeroVector
+from .errors import DimensionMismatch, ZeroVector
 from .providers import EmbeddingProvider, estimate_tokens
 
 STATIC_DELIMITER = "=== DOCKERFILE ==="
@@ -45,19 +45,14 @@ class EmbeddingVector:
         return same and np.array_equal(self.values, other.values)
 
 
-def embed(text: str, provider: EmbeddingProvider, truncate: bool = True) -> EmbeddingVector:
-    """Embed text through a provider, enforcing its token limit.
+def embed(text: str, provider: EmbeddingProvider) -> EmbeddingVector:
+    """Embed text through a provider, cutting it to its head at the token limit.
 
-    Raises TokenLimit when the text is over the limit and truncation is
-    disabled, and ZeroVector if the provider ever returns all zeros.
+    Raises ZeroVector if the provider ever returns all zeros.
     """
     if not text:
         raise ValueError("cannot embed empty text")
     if provider.token_limit is not None and estimate_tokens(text) > provider.token_limit:
-        if not truncate:
-            raise TokenLimit(
-                f"text is ~{estimate_tokens(text)} tokens, limit {provider.token_limit}"
-            )
         text = text[: provider.token_limit * 4]  # the build definition leads a combined text
     values = np.asarray(provider.embed_values(text), dtype=np.float32)
     if not values.any():
@@ -107,12 +102,6 @@ class Cluster:
     id: int
     member_ids: list[str]
     member_sum: np.ndarray = field(repr=False)
-
-    @property
-    def centroid(self) -> EmbeddingVector:
-        """The renormalised mean of the member vectors."""
-        mean = self.member_sum / np.linalg.norm(self.member_sum)
-        return EmbeddingVector(mean, mean.size, "centroid")
 
 
 def cluster_add(

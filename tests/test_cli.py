@@ -206,6 +206,30 @@ class TestRepair:
         query = json.loads((session_dir / "query.json").read_text(encoding="utf-8"))
         assert dry_run["retrieved"] == [r["id"] for r in query["retrieved"]]
 
+    @pytest.mark.parametrize("failing", [None, "venv"], ids=["detection", "validation"])
+    def test_engine_abort_reports_the_engine_message(self, runner, tmp_path, failing):
+        project = tmp_path / "project"
+        project.mkdir()
+        dockerfile = project / "Dockerfile"
+        dockerfile.write_text(ALPINE_PIP)
+        builds = [{"match": failing, "outcomes": [{"status": "engine-error", "log": "daemon gone"}]}]
+        if failing is not None:  # the original fails; the engine breaks under the candidate
+            builds.append({"match": None, "outcomes": [{"status": "failure", "log": ALPINE_PIP_LOG, "exit_code": 1}]})
+        scenario = _write_scenario(tmp_path / "scenario.json", builds, responses=[fenced(ALPINE_PIP_REPAIRED)])
+        args = _base_args(tmp_path, scenario) + [
+            "--config", str(_config_with_generator(tmp_path, scenario)), "repair", str(dockerfile),
+        ]
+        if failing is None:
+            dry = runner.invoke(main, args + ["--dry-run"])
+            assert dry.exit_code == 1
+            assert json.loads(dry.output)["error"] == "session aborted: engine-aborted: daemon gone"
+        full = runner.invoke(main, args)
+        assert full.exit_code == 1
+        assert json.loads(full.output)["error"] == "session aborted: engine-aborted: daemon gone"
+        (session_dir,) = (tmp_path / "state" / "sessions").iterdir()
+        verdict = json.loads((session_dir / "verdict.json").read_text(encoding="utf-8"))
+        assert (verdict["verdict"], verdict["abort_reason"]) == ("engine-aborted", "daemon gone")
+
     def test_session_artifacts_persisted(self, runner, tmp_path, flaky_setup):
         dockerfile, scenario = flaky_setup
         state = tmp_path / "state"

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 
 import pytest
 
@@ -15,7 +16,7 @@ from flakidock.demo_store import DemonstrationIndex, builtin_store_path, load_st
 from flakidock.dockerfile_model import parse_dockerfile
 from flakidock.errors import BudgetExhausted, UnparseableResponse
 from flakidock.log_preprocess import preprocess_log
-from flakidock.providers import HashingEmbeddingProvider, ScriptedTextProvider
+from flakidock.providers import EmbeddingProvider, HashingEmbeddingProvider, ScriptedTextProvider
 from flakidock.repair_pipeline import (
     COT_GUIDANCE,
     EXAMPLE_HEADER,
@@ -43,11 +44,13 @@ from support import (
     ALPINE_PIP,
     ALPINE_PIP_LOG,
     ALPINE_PIP_REPAIRED,
+    CLUSTER_TEMPLATES,
     ERROR_TYPE_LOGS,
     driver_for,
     driver_with_scripts,
     fenced,
     outcome,
+    template_outputs,
 )
 
 
@@ -114,7 +117,7 @@ def _session_with(retrieved=None, feedback=None):
     session.retrieved = retrieved or []
     for i, (repair, output) in enumerate(feedback or [], 1):
         session.attempts_used = i
-        session.add_feedback(repair, output)
+        session.add_feedback(repair, output, embed(output, HashingEmbeddingProvider()))
     return session
 
 
@@ -552,3 +555,65 @@ class TestFullPipeline:
         )
         assert session.verdict == VERDICT_ENGINE_ABORTED
         assert json.loads((tmp_path / "s" / "verdict.json").read_text())["verdict"] == "engine-aborted"
+
+
+class CountingEmbedder(EmbeddingProvider):
+    """The offline embedder, counting its calls per text."""
+
+    def __init__(self):
+        self.inner = HashingEmbeddingProvider()
+        self.provider_id, self.dim = self.inner.provider_id, self.inner.dim
+        self.calls: Counter[str] = Counter()
+
+    def embed_values(self, text):
+        self.calls[text] += 1
+        return self.inner.embed_values(text)
+
+
+def _similar_failures(count: int) -> list[str]:
+    """Distinct failure logs from one template: each pair scores above the 0.90 threshold."""
+    return [CLUSTER_TEMPLATES[0].format(a=k, b=k + 1, c=k + 2) for k in range(1, count + 1)]
+
+
+class TestEmbeddingCalls:
+    """A session embeds its query once and each failure output once, when it is seen."""
+
+    @pytest.mark.parametrize(
+        "failure_logs, verdict, sentence_calls",
+        [
+            (template_outputs(10), VERDICT_UNRESOLVED, 10),  # mutually dissimilar, to the cap
+            (_similar_failures(3), VERDICT_UNRESOLVED, 3),  # the third reaches T = 3
+            ([None], VERDICT_REPAIRED, 1),  # an unparseable response, then a pass
+        ],
+        ids=["ten-dissimilar", "three-similar", "unparseable-then-pass"],
+    )
+    def test_each_text_embedded_once(self, base_doc, tmp_path, failure_logs, verdict, sentence_calls):
+        scripts = {
+            None: [outcome(STATUS_FAILURE, ALPINE_PIP_LOG, exit_code=1)],
+            "venv": [outcome(STATUS_SUCCESS)] * 2,
+        }
+        responses = []
+        for k, log in enumerate(failure_logs):
+            if log is None:
+                responses.append("no fence here, sorry")
+                continue
+            marker = f"candidate-{chr(ord('a') + k)}"
+            scripts[marker] = [outcome(STATUS_FAILURE, log, exit_code=1)]
+            responses.append(fenced(f"FROM busybox\n# {marker}\nRUN step {k}\n"))
+        responses.append(fenced(ALPINE_PIP_REPAIRED))
+        store = load_store(builtin_store_path(), HashingEmbeddingProvider())
+        query, sentence = CountingEmbedder(), CountingEmbedder()
+        session = repair_flaky_dockerfile(
+            base_doc, tmp_path, store, ProviderSet(query, sentence, ScriptedTextProvider(responses)),
+            ValidationPolicy(), _engine(driver_with_scripts(scripts)),
+        )
+        assert session.verdict == verdict
+        assert session.attempts_used == len(failure_logs) + (verdict == VERDICT_REPAIRED)
+        assert sum(query.calls.values()) == 1
+        assert sum(sentence.calls.values()) == sentence_calls
+        assert max(sentence.calls.values()) == 1
+        reference = HashingEmbeddingProvider()
+        for entry in session.feedback:
+            expected = embed(entry.failure_output, reference)
+            assert entry.vector == expected
+            assert entry.vector.values.tobytes() == expected.values.tobytes()

@@ -17,7 +17,7 @@ from flakidock.demo_store import (
     FlakinessCategory,
     MajorCategory,
 )
-from flakidock.errors import DimensionMismatch, TokenLimit, ZeroVector
+from flakidock.errors import DimensionMismatch, ZeroVector
 from flakidock import providers
 from flakidock.demo_store import load_store, save_store
 from flakidock.providers import HashingEmbeddingProvider
@@ -53,12 +53,6 @@ class TestEmbed:
     def test_empty_text_rejected(self, offline_provider):
         with pytest.raises(ValueError):
             embed("", offline_provider)
-
-    def test_token_limit_enforced_when_truncation_disabled(self):
-        provider = HashingEmbeddingProvider(dim=32)
-        provider.token_limit = 4
-        with pytest.raises(TokenLimit):
-            embed("one two three four five six seven eight nine", provider, truncate=False)
 
     def test_truncation_is_tail_truncation(self):
         provider = HashingEmbeddingProvider(dim=32)
@@ -140,14 +134,6 @@ class TestClusterAdd:
         all_members = [m for c in state for m in c.member_ids]
         assert sorted(all_members) == sorted(ids)
         assert len(all_members) == len(set(all_members))
-
-    def test_centroid_is_renormalized_mean(self, offline_provider):
-        a = embed("alpha output", offline_provider)
-        state, _ = cluster_add([], "a", a, 0.8)
-        state, _ = cluster_add(state, "a2", a, 0.8)
-        centroid = state[0].centroid
-        norm = math.sqrt(sum(v * v for v in centroid.values))
-        assert norm == pytest.approx(1.0, abs=1e-9)
 
     def test_threshold_validated(self, offline_provider):
         vec = embed("x", offline_provider)
