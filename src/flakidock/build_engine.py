@@ -143,20 +143,19 @@ class SimulatedDriver(BuildDriver):
 
     @classmethod
     def from_file(cls, path) -> "SimulatedDriver":
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        scripts = []
-        for entry in payload.get("builds", []):
-            outcomes = [
-                ScriptedOutcome(
-                    status=o["status"],
-                    log=o.get("log", ""),
-                    exit_code=o.get("exit_code"),
-                    duration=float(o.get("duration", 1.0)),
-                )
-                for o in entry.get("outcomes", [])
+        try:
+            with open(path, encoding="utf-8") as fh:
+                payload = json.load(fh)
+            scripts = [
+                BuildScript(entry.get("match"), [
+                    ScriptedOutcome(o["status"], o.get("log", ""), o.get("exit_code"),
+                                    float(o.get("duration", 1.0)))
+                    for o in entry.get("outcomes", [])
+                ])
+                for entry in payload.get("builds", [])
             ]
-            scripts.append(BuildScript(entry.get("match"), outcomes))
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"{path}: malformed scenario file: {exc!r}") from exc
         if not scripts:
             raise ValueError(f"{path}: scenario file has no 'builds' scripts")
         return cls(scripts)
@@ -276,10 +275,11 @@ class RealCliDriver(BuildDriver):
 class BuildEngine:
     """Sequential build series with hygiene cadence and persistence.
 
-    A series for one document is strictly sequential; the cleanup action
-    holds an exclusive lock because it destroys engine state shared by any
-    concurrently building documents. The cleanup cadence counts every series
-    build of the engine, whichever document it built.
+    A series for one document is strictly sequential. A lock keeps two
+    cleanups of one engine from overlapping; it does not wait for builds in
+    flight, so a build running beside a cleanup may lose its engine state.
+    The cleanup cadence counts every series build of the engine, whichever
+    document it built.
     """
 
     driver: BuildDriver

@@ -7,6 +7,7 @@ on stdout; diagnostics go to stderr either way.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 from pathlib import Path
@@ -48,49 +49,6 @@ EXIT_FLAKY = 2
 EXIT_UNRESOLVED = 3
 
 
-class _StateLock:
-    """One CLI process per state directory; stale pid locks are reclaimed."""
-
-    def __init__(self, state_dir: Path):
-        self.path = Path(state_dir) / ".lock"
-
-    def acquire(self) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        while True:
-            try:
-                fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                pid = self._holder()
-                if pid is not None and _pid_alive(pid):
-                    raise FlakiDockError(
-                        f"state directory locked by running process {pid} ({self.path})"
-                    )
-                self.path.unlink(missing_ok=True)
-                continue
-            os.write(fd, str(os.getpid()).encode())
-            os.close(fd)
-            return
-
-    def release(self) -> None:
-        self.path.unlink(missing_ok=True)
-
-    def _holder(self) -> int | None:
-        try:
-            return int(self.path.read_text())
-        except (OSError, ValueError):
-            return None
-
-
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:
-        return True
-    return True
-
-
 def _emit(ctx: click.Context, payload: dict, human: str) -> None:
     if ctx.obj["json"]:
         click.echo(json.dumps(payload, indent=2, sort_keys=True, default=str))
@@ -104,6 +62,28 @@ def _fail(ctx: click.Context, message: str) -> None:
     else:
         click.echo(f"error: {message}", err=True)
     ctx.exit(EXIT_ERROR)
+
+
+def _lock_state(ctx: click.Context) -> None:
+    """Hold an exclusive lock on the state directory until the command ends.
+
+    The kernel drops a `flock` when its holder exits, crash included, so a
+    dead run never blocks the next one. The lock file is never unlinked: a
+    newcomer would lock a fresh inode beside a held one.
+    """
+    path = Path(ctx.obj["config"].state_dir) / ".lock"
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o666)  # non-inheritable: builds never hold it
+    except OSError as exc:
+        _fail(ctx, f"cannot open state lock {path}: {exc}")
+    ctx.call_on_close(lambda: os.close(fd))
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError:
+        _fail(ctx, f"state directory locked by another flakidock process ({path})")
+    except OSError as exc:
+        _fail(ctx, f"cannot lock {path}: {exc}")
 
 
 def _build_summary(record: BuildRecord) -> dict:
@@ -151,16 +131,11 @@ def main(ctx, config_path, state_dir, driver, as_json, rules):
         overrides["rules"] = Path(rules)
     try:
         config = load_config(config_path, overrides)
-    except FlakiDockError as exc:
+        providers = config.make_providers()
+        engine = config.make_engine()
+    except (FlakiDockError, ValueError, OSError) as exc:
         _fail(ctx, str(exc))
-    ctx.obj["config"] = config
-    ctx.obj["providers"] = config.make_providers()
-    lock = _StateLock(config.state_dir)
-    try:
-        lock.acquire()
-    except FlakiDockError as exc:
-        _fail(ctx, str(exc))
-    ctx.call_on_close(lock.release)
+    ctx.obj.update(config=config, providers=providers, engine=engine)
 
 
 @main.command()
@@ -169,13 +144,13 @@ def main(ctx, config_path, state_dir, driver, as_json, rules):
 @click.pass_context
 def detect(ctx, dockerfile, context_dir):
     """Classify DOCKERFILE as flaky or non-flaky by repeated building."""
+    _lock_state(ctx)
     config: RunConfig = ctx.obj["config"]
     path = Path(dockerfile)
     doc = _load_doc(ctx, path)
     context = Path(context_dir) if context_dir else path.parent
     try:
-        engine = config.make_engine()
-        detection = detect_flakiness(doc, context, engine, config.validation_policy())
+        detection = detect_flakiness(doc, context, ctx.obj["engine"], config.validation_policy())
     except FlakiDockError as exc:
         _fail(ctx, str(exc))
     report = {
@@ -183,8 +158,8 @@ def detect(ctx, dockerfile, context_dir):
         "builds": [_build_summary(r) for r in detection.records],
     }
     if detection.flaky:
-        excerpt = preprocess_log(detection.failing_record.log, config.ruleset())
-        report["excerpt"] = excerpt.as_text()
+        log = detection.failing_record.log
+        report["excerpt"] = excerpt_or_tail(log, preprocess_log(log, config.ruleset()))
     _emit(ctx, report, f"verdict: {report['verdict']} ({len(detection.records)} builds)")
     ctx.exit(EXIT_FLAKY if detection.flaky else EXIT_OK)
 
@@ -197,6 +172,7 @@ def detect(ctx, dockerfile, context_dir):
 @click.pass_context
 def repair(ctx, dockerfile, context_dir, store_path, dry_run):
     """Run the full repair loop on DOCKERFILE; writes <name>.repaired on success."""
+    _lock_state(ctx)  # a dry run persists its detection builds too
     config: RunConfig = ctx.obj["config"]
     if store_path is not None:
         config.store = store_path
@@ -204,9 +180,9 @@ def repair(ctx, dockerfile, context_dir, store_path, dry_run):
     doc = _load_doc(ctx, path)
     context = Path(context_dir) if context_dir else path.parent
     providers = ctx.obj["providers"]
+    engine = ctx.obj["engine"]
     try:
         store = _resolve_store(ctx, config)
-        engine = config.make_engine()
         policy = config.validation_policy()
         if dry_run:  # attempt 1's prompt: a full run opens its session the same way
             session = start_session(
@@ -315,6 +291,7 @@ def monitor(ctx, manifest, rounds):
 
     MANIFEST lists one `name context_dir` pair per line (# comments allowed).
     """
+    _lock_state(ctx)
     config: RunConfig = ctx.obj["config"]
     manifest_path = Path(manifest)
     if not manifest_path.exists():
@@ -335,7 +312,7 @@ def monitor(ctx, manifest, rounds):
     history_dir.mkdir(parents=True, exist_ok=True)
     filters = load_exclusion_filters()
     rules = config.ruleset()
-    engine = config.make_engine()  # one engine: series run one after another
+    engine = ctx.obj["engine"]  # one engine: series run one after another
     summary = {}
     for name, context in projects:
         entry = {"builds": 0, "failures": 0, "excluded": 0, "errors": []}
@@ -476,6 +453,7 @@ def dataset_stats(ctx, store_path):
 @click.pass_context
 def dataset_add(ctx, store_path, record_id, dockerfile_path, log_path, category, repair_paths, iterations):
     """Append one demonstration record to a store (created if missing)."""
+    _lock_state(ctx)  # adds through one state directory run one at a time
     config: RunConfig = ctx.obj["config"]
     providers = ctx.obj["providers"]
     store_file = Path(store_path)

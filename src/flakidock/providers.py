@@ -215,9 +215,11 @@ class ScriptedTextProvider(TextGenerationProvider):
 
     @classmethod
     def from_file(cls, path) -> "ScriptedTextProvider":
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        responses = payload.get("responses")
+        try:
+            with open(path, encoding="utf-8") as fh:
+                responses = json.load(fh).get("responses")
+        except (ValueError, AttributeError) as exc:
+            raise ValueError(f"{path}: malformed scenario file: {exc!r}") from exc
         if not isinstance(responses, list) or not responses:
             raise ValueError(f"{path}: scenario file has no 'responses' list")
         return cls([str(r) for r in responses])

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import contextlib
+import fcntl
 import json
 import logging
 import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -43,6 +47,21 @@ def _base_args(tmp_path: Path, scenario: Path | None = None, as_json=True):
     if as_json:
         args.append("--json")
     return args
+
+
+def _detect_args(tmp_path: Path, scenario: Path | None = None, state_dir: Path | None = None):
+    """`detect` on ALPINE_PIP, a command that writes state; builds succeed
+    unless `scenario` says otherwise."""
+    project = tmp_path / "p"
+    project.mkdir(exist_ok=True)
+    (project / "Dockerfile").write_text(ALPINE_PIP)
+    if scenario is None:
+        scenario = _write_scenario(
+            tmp_path / "s.json", [{"match": None, "outcomes": [{"status": "success"}]}]
+        )
+    state = state_dir if state_dir is not None else tmp_path / "state"
+    return ["--state-dir", str(state), "--driver", f"simulated:{scenario}", "--json",
+            "detect", str(project / "Dockerfile")]
 
 
 @pytest.fixture
@@ -102,6 +121,45 @@ class TestDetect:
         )
         assert result.exit_code == 1
         assert "no such file" in json.loads(result.output)["error"]
+
+    def test_unmatched_failure_reports_log_tail(self, runner, tmp_path):
+        log = "#5 [1/1] RUN make\n#5 0.4 the mirror went away\n"
+        scenario = _write_scenario(
+            tmp_path / "s.json",
+            [{"match": None, "outcomes": [{"status": "failure", "log": log, "exit_code": 1}]}],
+        )
+        result = runner.invoke(main, _detect_args(tmp_path, scenario))
+        assert result.exit_code == 2, result.output
+        assert json.loads(result.output)["excerpt"] == log
+
+
+class TestMalformedScenarios:
+    def test_outcome_without_status(self, runner, tmp_path):
+        scenario = _write_scenario(tmp_path / "s.json", [{"match": None, "outcomes": [{"log": "x"}]}])
+        result = runner.invoke(main, _detect_args(tmp_path, scenario))
+        assert result.exit_code == 1
+        error = json.loads(result.output)["error"]
+        assert str(scenario) in error and "status" in error
+
+    def test_scenario_not_json(self, runner, tmp_path):
+        scenario = tmp_path / "s.json"
+        scenario.write_text("builds: [")
+        result = runner.invoke(main, _detect_args(tmp_path, scenario))
+        assert result.exit_code == 1
+        assert str(scenario) in json.loads(result.output)["error"]
+
+    def test_generation_scenario_without_responses(self, runner, tmp_path):
+        responses = tmp_path / "responses.json"
+        responses.write_text(json.dumps({"responses": []}))
+        log = tmp_path / "x.log"
+        log.write_text("> [1/1] RUN x\nerror: y\n")
+        result = runner.invoke(
+            main,
+            ["--config", str(_config_with_generator(tmp_path, responses)),
+             "--state-dir", str(tmp_path / "state"), "--json", "preprocess", str(log)],
+        )
+        assert result.exit_code == 1
+        assert "responses" in json.loads(result.output)["error"]
 
 
 class TestRepair:
@@ -528,31 +586,97 @@ class TestPreprocessCommand:
         assert "error: boom" in json.loads(result.output)["excerpt"]
 
 
+@contextlib.contextmanager
+def _held_lock(path: Path):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd = os.open(path, os.O_RDWR | os.O_CREAT)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        yield
+    finally:
+        os.close(fd)
+
+
 class TestLocking:
     def test_live_lock_blocks(self, runner, tmp_path):
-        state = tmp_path / "state"
-        state.mkdir(parents=True)
-        (state / ".lock").write_text(str(os.getpid()))  # this test process is alive
-        log = tmp_path / "x.log"
-        log.write_text("error: y\n")
-        result = runner.invoke(main, _base_args(tmp_path) + ["preprocess", str(log)])
+        with _held_lock(tmp_path / "state" / ".lock"):
+            result = runner.invoke(main, _detect_args(tmp_path))
         assert result.exit_code == 1
         assert "locked" in json.loads(result.output)["error"]
 
-    def test_stale_lock_reclaimed(self, runner, tmp_path):
+    def test_live_lock_blocks_monitor(self, runner, tmp_path):
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("")
+        scenario = _write_scenario(
+            tmp_path / "s.json", [{"match": None, "outcomes": [{"status": "success"}]}]
+        )
+        with _held_lock(tmp_path / "state" / ".lock"):
+            result = runner.invoke(
+                main, _base_args(tmp_path, scenario) + ["monitor", str(manifest), "--rounds", "1"]
+            )
+        assert result.exit_code == 1
+        assert "locked" in json.loads(result.output)["error"]
+
+    def test_leftover_pid_file_does_not_block(self, runner, tmp_path):
         state = tmp_path / "state"
         state.mkdir(parents=True)
         (state / ".lock").write_text("999999999")
-        log = tmp_path / "x.log"
-        log.write_text("error: y\n")
-        result = runner.invoke(main, _base_args(tmp_path) + ["preprocess", str(log)])
+        result = runner.invoke(main, _detect_args(tmp_path))
+        assert result.exit_code == 0, result.output
+
+    def test_killed_holder_does_not_block(self, runner, tmp_path):
+        lock = tmp_path / "state" / ".lock"
+        lock.parent.mkdir(parents=True)
+        holder = subprocess.Popen(
+            [sys.executable, "-c",
+             "import fcntl, os, sys, time\n"
+             "fd = os.open(sys.argv[1], os.O_RDWR | os.O_CREAT)\n"
+             "fcntl.flock(fd, fcntl.LOCK_EX)\n"
+             "print('locked', flush=True)\n"
+             "time.sleep(60)\n",
+             str(lock)],
+            stdout=subprocess.PIPE, text=True,
+        )
+        try:
+            assert holder.stdout.readline().strip() == "locked"
+            assert runner.invoke(main, _detect_args(tmp_path)).exit_code == 1
+        finally:
+            holder.kill()  # SIGKILL: no cleanup code runs in the holder
+            holder.wait(timeout=10)
+            holder.stdout.close()
+        result = runner.invoke(main, _detect_args(tmp_path))
         assert result.exit_code == 0, result.output
 
     def test_lock_released_after_run(self, runner, tmp_path):
-        log = tmp_path / "x.log"
+        result = runner.invoke(main, _detect_args(tmp_path))
+        assert result.exit_code == 0, result.output
+        with _held_lock(tmp_path / "state" / ".lock"):  # raises if still held
+            pass
+
+    @pytest.mark.parametrize("command", ["preprocess", "cluster", "validate", "stats"])
+    def test_read_only_commands_take_no_lock(self, runner, tmp_path, command):
+        (tmp_path / "logs").mkdir()
+        log = tmp_path / "logs" / "x.log"
         log.write_text("error: y\n")
-        runner.invoke(main, _base_args(tmp_path) + ["preprocess", str(log)])
-        assert not (tmp_path / "state" / ".lock").exists()
+        (tmp_path / "plain").write_text("a regular file")
+        before = sorted(tmp_path.rglob("*"))
+        args = {
+            "preprocess": ["preprocess", str(log)],
+            "cluster": ["cluster", str(tmp_path / "logs")],
+            "validate": ["dataset", "validate", str(builtin_store_path())],
+            "stats": ["dataset", "stats", str(builtin_store_path())],
+        }[command]
+        result = runner.invoke(
+            main, ["--state-dir", str(tmp_path / "plain" / "state"), "--json"] + args
+        )
+        assert result.exit_code == 0, result.output
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_writing_command_reports_unusable_state_dir(self, runner, tmp_path):
+        (tmp_path / "plain").write_text("a regular file")
+        result = runner.invoke(main, _detect_args(tmp_path, state_dir=tmp_path / "plain" / "state"))
+        assert result.exit_code == 1
+        assert "plain" in json.loads(result.output)["error"]
 
 
 class TestGlobalFlags:
