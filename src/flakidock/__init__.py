@@ -6,49 +6,38 @@ detect that behavior, reduces failing logs to error-focused excerpts,
 retrieves similar repaired examples by embedding similarity, and drives an
 iterative generate-validate-feedback repair loop against a pluggable
 text-generation provider.
+
+The names below are imported from their modules on first use (PEP 562), so
+`import flakidock` stays cheap and commands that never compute with vectors
+start without numpy.
 """
 
-from .build_engine import BuildEngine, BuildRecord, HygienePolicy
-from .demo_store import DemonstrationRecord, FlakinessCategory, load_store, save_store
-from .dockerfile_model import DockerfileDoc, diff_docs, parse_dockerfile, serialize
-from .log_preprocess import PreprocessedLog, RuleSet, preprocess_log, segment_stages
-from .repair_pipeline import (
-    ProviderSet,
-    RepairSession,
-    ValidationPolicy,
-    detect_flakiness,
-    repair_flaky_dockerfile,
-)
-from .similarity import EmbeddingVector, RepairQuery, cluster_add, cosine, embed, retrieve_top_k
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BuildEngine",
-    "BuildRecord",
-    "DemonstrationRecord",
-    "DockerfileDoc",
-    "EmbeddingVector",
-    "FlakinessCategory",
-    "HygienePolicy",
-    "PreprocessedLog",
-    "ProviderSet",
-    "RepairQuery",
-    "RepairSession",
-    "RuleSet",
-    "ValidationPolicy",
-    "cluster_add",
-    "cosine",
-    "detect_flakiness",
-    "diff_docs",
-    "embed",
-    "load_store",
-    "parse_dockerfile",
-    "preprocess_log",
-    "repair_flaky_dockerfile",
-    "retrieve_top_k",
-    "save_store",
-    "segment_stages",
-    "serialize",
-    "__version__",
-]
+# Public name -> the module that defines it.
+_EXPORTS = {
+    **dict.fromkeys(("BuildEngine", "BuildRecord", "HygienePolicy"), "build_engine"),
+    **dict.fromkeys(("ValidationPolicy",), "config"),
+    **dict.fromkeys(("DemonstrationRecord", "FlakinessCategory", "load_store", "save_store"), "demo_store"),
+    **dict.fromkeys(("DockerfileDoc", "diff_docs", "parse_dockerfile", "serialize"), "dockerfile_model"),
+    **dict.fromkeys(("PreprocessedLog", "RuleSet", "preprocess_log", "segment_stages"), "log_preprocess"),
+    **dict.fromkeys(("ProviderSet",), "providers"),
+    **dict.fromkeys(("RepairSession", "detect_flakiness", "repair_flaky_dockerfile"), "repair_pipeline"),
+    **dict.fromkeys(
+        ("EmbeddingVector", "RepairQuery", "cluster_add", "cosine", "embed", "retrieve_top_k"),
+        "similarity",
+    ),
+}
+
+__all__ = [*sorted(_EXPORTS), "__version__"]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value

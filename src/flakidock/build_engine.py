@@ -32,6 +32,7 @@ STATUS_SUCCESS = "success"
 STATUS_FAILURE = "failure"
 STATUS_TIMEOUT = "timeout"
 STATUS_ENGINE_ERROR = "engine-error"
+_SCRIPTED_STATUSES = (STATUS_SUCCESS, STATUS_FAILURE, STATUS_TIMEOUT, STATUS_ENGINE_ERROR)
 
 DEFAULT_BUILD_TEMPLATE = "docker build {no_cache} -f {dockerfile} {context}"
 DEFAULT_CLEAN_COMMANDS = (
@@ -158,6 +159,14 @@ class SimulatedDriver(BuildDriver):
             raise ValueError(f"{path}: malformed scenario file: {exc!r}") from exc
         if not scripts:
             raise ValueError(f"{path}: scenario file has no 'builds' scripts")
+        unknown = next(
+            (o.status for s in scripts for o in s.outcomes if o.status not in _SCRIPTED_STATUSES), None
+        )
+        if unknown is not None:  # a typo would otherwise replay as a plain failure
+            raise ValueError(
+                f"{path}: malformed scenario file: unknown status {unknown!r}, "
+                f"expected one of {', '.join(_SCRIPTED_STATUSES)}"
+            )
         return cls(scripts)
 
     def _select(self, dockerfile_text: str) -> tuple[int, BuildScript]:

@@ -16,32 +16,20 @@ import click
 
 from .build_engine import BuildRecord
 from .config import RunConfig, load_config
-from .demo_store import (
-    DemonstrationIndex,
-    DemonstrationRecord,
-    FlakinessCategory,
-    builtin_store_path,
-    category_stats,
-    classify_failure_exclusion,
-    load_exclusion_filters,
-    load_store,
-    save_store,
-)
 from .dockerfile_model import diff_docs, parse_dockerfile, render_diff
 from .errors import FlakiDockError
-from .log_preprocess import excerpt_or_tail, preprocess_log, segment_stages
-from .repair_pipeline import (
-    VERDICT_IN_PROGRESS,
-    VERDICT_NON_FLAKY,
-    VERDICT_REPAIRED,
-    VERDICT_UNRESOLVED,
-    assemble_prompt,
-    detect_flakiness,
-    guess_category,
-    repair_flaky_dockerfile,
-    start_session,
+from .log_preprocess import (
+    classify_failure_exclusion,
+    excerpt_or_tail,
+    load_exclusion_filters,
+    preprocess_log,
+    segment_stages,
 )
 from .similarity import cluster_add, embed
+
+# `demo_store` and `repair_pipeline` import numpy; the commands that need
+# them import them, so that `monitor`, `preprocess` and `--help` start
+# without it.
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -100,11 +88,15 @@ def _load_doc(ctx: click.Context, path: Path):
         _fail(ctx, f"no such file: {path}")
     try:
         return parse_dockerfile(path.read_bytes())
+    except OSError as exc:
+        _fail(ctx, f"cannot read {path}: {exc}")
     except FlakiDockError as exc:
         _fail(ctx, f"cannot parse {path}: {exc}")
 
 
-def _resolve_store(ctx: click.Context, config: RunConfig) -> DemonstrationIndex:
+def _resolve_store(ctx: click.Context, config: RunConfig):
+    from .demo_store import builtin_store_path, load_store
+
     providers = ctx.obj["providers"]
     if config.store == "builtin":
         return load_store(builtin_store_path(), providers.query_embedder)
@@ -144,6 +136,8 @@ def main(ctx, config_path, state_dir, driver, as_json, rules):
 @click.pass_context
 def detect(ctx, dockerfile, context_dir):
     """Classify DOCKERFILE as flaky or non-flaky by repeated building."""
+    from .repair_pipeline import detect_flakiness
+
     _lock_state(ctx)
     config: RunConfig = ctx.obj["config"]
     path = Path(dockerfile)
@@ -172,6 +166,17 @@ def detect(ctx, dockerfile, context_dir):
 @click.pass_context
 def repair(ctx, dockerfile, context_dir, store_path, dry_run):
     """Run the full repair loop on DOCKERFILE; writes <name>.repaired on success."""
+    from .repair_pipeline import (
+        VERDICT_IN_PROGRESS,
+        VERDICT_NON_FLAKY,
+        VERDICT_REPAIRED,
+        VERDICT_UNRESOLVED,
+        assemble_prompt,
+        guess_category,
+        repair_flaky_dockerfile,
+        start_session,
+    )
+
     _lock_state(ctx)  # a dry run persists its detection builds too
     config: RunConfig = ctx.obj["config"]
     if store_path is not None:
@@ -298,8 +303,12 @@ def monitor(ctx, manifest, rounds):
         _fail(ctx, f"no such file: {manifest_path}")
     if rounds < 0:
         _fail(ctx, "rounds must be >= 0")
+    try:
+        manifest_text = manifest_path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        _fail(ctx, f"cannot read {manifest_path}: {exc}")
     projects = []
-    for lineno, raw in enumerate(manifest_path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(manifest_text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -381,6 +390,9 @@ def preprocess(ctx, logfile):
         _fail(ctx, f"no such file: {path}")
     try:
         text = path.read_text(encoding="utf-8", errors="replace")
+    except OSError as exc:
+        _fail(ctx, f"cannot read {path}: {exc}")
+    try:
         sections = segment_stages(text)
         result = preprocess_log(text, config.ruleset())
     except FlakiDockError as exc:
@@ -405,6 +417,8 @@ def dataset():
 @click.pass_context
 def dataset_validate(ctx, store_path):
     """Validate every record in a store against the schema."""
+    from .demo_store import load_store
+
     providers = ctx.obj["providers"]
     try:
         index = load_store(store_path, providers.query_embedder)
@@ -422,6 +436,8 @@ def dataset_validate(ctx, store_path):
 @click.pass_context
 def dataset_stats(ctx, store_path):
     """Per-category record counts and fractions."""
+    from .demo_store import category_stats, load_store
+
     providers = ctx.obj["providers"]
     try:
         index = load_store(store_path, providers.query_embedder)
@@ -453,6 +469,14 @@ def dataset_stats(ctx, store_path):
 @click.pass_context
 def dataset_add(ctx, store_path, record_id, dockerfile_path, log_path, category, repair_paths, iterations):
     """Append one demonstration record to a store (created if missing)."""
+    from .demo_store import (
+        DemonstrationIndex,
+        DemonstrationRecord,
+        FlakinessCategory,
+        load_store,
+        save_store,
+    )
+
     _lock_state(ctx)  # adds through one state directory run one at a time
     config: RunConfig = ctx.obj["config"]
     providers = ctx.obj["providers"]

@@ -25,9 +25,29 @@ from .providers import (
     HashingEmbeddingProvider,
     HttpChatProvider,
     HttpEmbeddingProvider,
+    ProviderSet,
     ScriptedTextProvider,
 )
-from .repair_pipeline import ProviderSet, ValidationPolicy
+
+
+@dataclass(frozen=True)
+class ValidationPolicy:
+    """When a repair session accepts a candidate and when it gives up."""
+
+    build_iterations: int = 2  # n: consecutive successes required
+    failure_threshold: int = 3  # T: similar failures before giving up
+    max_total_attempts: int = 10  # hard cap on generator calls per session
+    feedback_similarity_threshold: float = 0.90
+
+    def __post_init__(self):
+        if self.build_iterations < 1:
+            raise ValueError("build_iterations must be >= 1")
+        if self.failure_threshold < 1:
+            raise ValueError("failure_threshold must be >= 1")
+        if self.max_total_attempts < 1:
+            raise ValueError("max_total_attempts must be >= 1")
+        if not 0.0 < self.feedback_similarity_threshold < 1.0:
+            raise ValueError("feedback_similarity_threshold must be in (0, 1)")
 
 
 @dataclass

@@ -25,7 +25,6 @@ import numpy as np
 # `parse_dockerfile` stays importable from here: bench/tracing.py wraps it by this name.
 from .dockerfile_model import has_instructions, parse_dockerfile  # noqa: F401
 from .errors import DimensionMismatch, SchemaViolation, StoreError, VersionMismatch
-from .log_preprocess import RuleSet
 from .providers import EmbeddingProvider
 from .similarity import EmbeddingVector, combine_static_dynamic, embed
 
@@ -399,36 +398,3 @@ def category_stats(index: DemonstrationIndex) -> dict[MajorCategory, CategorySha
 # Section labels of a Dockerfile and its build output in the repair prompt.
 STATIC_LABEL = "--- DOCKERFILE ---"
 DYNAMIC_LABEL = "--- BUILD OUTPUT ---"
-
-
-# --- failure-cause exclusion filters ---
-
-_FILTER_NAMES = ("infrastructure", "docker-server", "project-source")
-
-
-def load_exclusion_filters() -> dict[str, RuleSet]:
-    """The shipped pre-label predicates that remove non-flaky failure causes."""
-    filters = {}
-    for name in _FILTER_NAMES:
-        data = resources.files("flakidock").joinpath(f"data/filters/{name}.rules")
-        filters[name] = RuleSet.from_lines(data.read_text(encoding="utf-8").splitlines())
-    return filters
-
-
-def classify_failure_exclusion(
-    preprocessed_text: str, filters: dict[str, RuleSet] | None = None
-) -> str | None:
-    """Name of the first exclusion filter matching the failure, if any.
-
-    The text is split once, on "\\n" only, and the filters are tried in
-    `_FILTER_NAMES` order. A non-None result means the failure should not
-    count toward flakiness: its cause lies in the infrastructure, the engine
-    backend, or the project source rather than the build definition.
-    """
-    filters = filters if filters is not None else load_exclusion_filters()
-    lines = preprocessed_text.split("\n")
-    for name in _FILTER_NAMES:
-        ruleset = filters.get(name)
-        if ruleset is not None and ruleset.matching_lines(lines):
-            return name
-    return None

@@ -7,6 +7,10 @@ neighbors: lines sharing the same integer second offset when the engine
 prints per-line timings, otherwise a +/-2 line window. Lines before the
 first banner form a synthetic preamble and are kept only when they match
 a rule themselves.
+
+The shipped exclusion filters are rule sets too: `classify_failure_exclusion`
+names the non-flaky cause (infrastructure, engine backend, project source)
+that a failure's excerpt matches, if any.
 """
 
 from __future__ import annotations
@@ -249,10 +253,15 @@ def extract_error_context(sections: list[StageSection], rules: RuleSet) -> Prepr
         )
         for section, kept in raw_excerpts
     )
-    # Kept lines are a subsequence of the input by construction; cheap to verify.
+    # Kept lines are a subsequence of the input by construction. The check
+    # reads the kept indices only: they rise strictly and stay in range.
     assert all(
-        list(ex.kept_lines) == [ll.text for i, ll in enumerate(sec.lines) if i in kept]
-        for ex, (sec, _), kept in zip(excerpts, raw_excerpts, (set(k) for _, k in raw_excerpts))
+        kept
+        and 0 <= kept[0]
+        and kept[-1] < len(sec.lines)
+        and all(a < b for a, b in zip(kept, kept[1:]))
+        and ex.kept_lines == tuple(sec.lines[i].text for i in kept)
+        for ex, (sec, kept) in zip(excerpts, raw_excerpts)
     )
     return PreprocessedLog(excerpts, total_in, total_kept, rule_hits)
 
@@ -294,3 +303,36 @@ def preprocess_log(log: str, rules: RuleSet | None = None) -> PreprocessedLog:
 def excerpt_or_tail(log: str, preprocessed: PreprocessedLog) -> str:
     """The excerpt text of `log`, or its last 2000 characters when no rule matched."""
     return preprocessed.as_text() or log[-2000:]
+
+
+# --- failure-cause exclusion filters ---
+
+_FILTER_NAMES = ("infrastructure", "docker-server", "project-source")
+
+
+def load_exclusion_filters() -> dict[str, RuleSet]:
+    """The shipped pre-label predicates that remove non-flaky failure causes."""
+    filters = {}
+    for name in _FILTER_NAMES:
+        data = resources.files("flakidock").joinpath(f"data/filters/{name}.rules")
+        filters[name] = RuleSet.from_lines(data.read_text(encoding="utf-8").splitlines())
+    return filters
+
+
+def classify_failure_exclusion(
+    preprocessed_text: str, filters: dict[str, RuleSet] | None = None
+) -> str | None:
+    """Name of the first exclusion filter matching the failure, if any.
+
+    The text is split once, on "\\n" only, and the filters are tried in
+    `_FILTER_NAMES` order. A non-None result means the failure should not
+    count toward flakiness: its cause lies in the infrastructure, the engine
+    backend, or the project source rather than the build definition.
+    """
+    filters = filters if filters is not None else load_exclusion_filters()
+    lines = preprocessed_text.split("\n")
+    for name in _FILTER_NAMES:
+        ruleset = filters.get(name)
+        if ruleset is not None and ruleset.matching_lines(lines):
+            return name
+    return None

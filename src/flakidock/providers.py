@@ -3,7 +3,9 @@
 Two embedding roles exist: a sentence-similarity provider (failure matching
 and clustering) and a query-embedding provider (demonstration retrieval).
 Both share one interface. The deterministic offline provider backs every
-test; the HTTP providers talk to OpenAI-compatible endpoints.
+test; the HTTP providers talk to OpenAI-compatible endpoints. numpy is
+imported by the functions that build vectors, so that commands which never
+embed start without it.
 """
 
 from __future__ import annotations
@@ -12,11 +14,14 @@ import hashlib
 import json
 import os
 from abc import ABC, abstractmethod
+from dataclasses import dataclass
 from itertools import repeat
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ProviderUnavailable
+
+if TYPE_CHECKING:
+    import numpy as np
 
 OFFLINE_DIM = 256
 _NGRAM = 3
@@ -36,13 +41,12 @@ class EmbeddingProvider(ABC):
 
 _CODE_POINT_BITS = 21  # every code point is below 0x110000 = 17 << 16
 _CODE_POINT_MASK = (1 << _CODE_POINT_BITS) - 1
-# Shift counts are uint64 scalars: a Python int beside a uint64 array
-# promotes differently before numpy 2.0.
-_SHIFT_1, _SHIFT_2 = np.uint64(_CODE_POINT_BITS), np.uint64(2 * _CODE_POINT_BITS)
 
 
 def _bucket_codes(grams: list[str], dim: int) -> np.ndarray:
     """Each gram's blake2b-64 (of its UTF-8 bytes) mod dim, plus dim when its top bit is set."""
+    import numpy as np
+
     digests = b"".join([hashlib.blake2b(g.encode("utf-8"), digest_size=8).digest() for g in grams])
     h = np.frombuffer(digests, dtype=">u8").astype(np.uint64)
     return (h % np.uint64(dim) + (h >> np.uint64(63)) * np.uint64(dim)).astype(np.intp)
@@ -51,9 +55,14 @@ def _bucket_codes(grams: list[str], dim: int) -> np.ndarray:
 def _packed_trigrams(lowered: str) -> np.ndarray:
     """The 3-grams of `lowered`, sorted, each as its three code points packed
     into one uint64 at 21 bits apiece, first code point highest."""
+    import numpy as np
+
+    # Shift counts are uint64 scalars: a Python int beside a uint64 array
+    # promotes differently before numpy 2.0.
+    shift_1, shift_2 = np.uint64(_CODE_POINT_BITS), np.uint64(2 * _CODE_POINT_BITS)
     # UTF-32 raises UnicodeEncodeError on a lone surrogate, as UTF-8 does.
     points = np.frombuffer(lowered.encode("utf-32-le"), dtype="<u4").astype(np.uint64)
-    keys = points[:-2] << _SHIFT_2 | points[1:-1] << _SHIFT_1 | points[2:]
+    keys = points[:-2] << shift_2 | points[1:-1] << shift_1 | points[2:]
     keys.sort()
     return keys
 
@@ -72,6 +81,8 @@ class _GramCodes(dict):
 
     def lookup(self, keys: np.ndarray) -> np.ndarray:
         """The codes of distinct packed 3-grams; blake2b runs only for grams not memoized."""
+        import numpy as np
+
         codes = np.fromiter(map(self.get, keys.tolist(), repeat(-1)), dtype=np.intp, count=len(keys))
         missing = np.flatnonzero(codes < 0)
         if missing.size:
@@ -108,6 +119,8 @@ class HashingEmbeddingProvider(EmbeddingProvider):
         self._grams = _GramCodes(dim)
 
     def embed_values(self, text: str) -> np.ndarray:
+        import numpy as np
+
         lowered = text.lower()
         if len(lowered) < _NGRAM:
             counts = np.bincount(_bucket_codes([lowered], self.dim), minlength=2 * self.dim)
@@ -163,6 +176,7 @@ class HttpEmbeddingProvider(EmbeddingProvider):
         self.provider_id = f"http:{model}"
 
     def embed_values(self, text: str) -> np.ndarray:
+        import numpy as np
         import requests
 
         try:
@@ -277,6 +291,13 @@ class HttpChatProvider(TextGenerationProvider):
             return payload["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
             raise ProviderUnavailable(f"unexpected chat response shape: {exc}") from exc
+
+
+@dataclass
+class ProviderSet:
+    query_embedder: EmbeddingProvider
+    sentence_embedder: EmbeddingProvider
+    generator: TextGenerationProvider | None
 
 
 def estimate_tokens(text: str) -> int:

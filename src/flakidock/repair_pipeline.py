@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .build_engine import BuildEngine, BuildRecord
+from .config import ValidationPolicy  # re-exported: callers import it from here too
 from .demo_store import (
     DYNAMIC_LABEL,
     STATIC_LABEL,
@@ -28,9 +29,9 @@ from .demo_store import (
 from .dockerfile_model import DockerfileDoc, parse_dockerfile
 from .errors import BudgetExhausted, EngineError, FlakiDockError, UnparseableResponse
 from .log_preprocess import RuleSet, excerpt_or_tail, preprocess_log
-from .providers import (
+from .providers import (  # ProviderSet is re-exported: callers import it from here too
     EmbeddingProvider,
-    TextGenerationProvider,
+    ProviderSet,
     estimate_tokens,
     truncate_to_tokens,
 )
@@ -45,24 +46,6 @@ VERDICT_NON_FLAKY = "non-flaky"
 VERDICT_ENGINE_ABORTED = "engine-aborted"
 
 UNPARSEABLE_FEEDBACK = "provider returned unparseable repair"
-
-
-@dataclass(frozen=True)
-class ValidationPolicy:
-    build_iterations: int = 2  # n: consecutive successes required
-    failure_threshold: int = 3  # T: similar failures before giving up
-    max_total_attempts: int = 10  # hard cap on generator calls per session
-    feedback_similarity_threshold: float = 0.90
-
-    def __post_init__(self):
-        if self.build_iterations < 1:
-            raise ValueError("build_iterations must be >= 1")
-        if self.failure_threshold < 1:
-            raise ValueError("failure_threshold must be >= 1")
-        if self.max_total_attempts < 1:
-            raise ValueError("max_total_attempts must be >= 1")
-        if not 0.0 < self.feedback_similarity_threshold < 1.0:
-            raise ValueError("feedback_similarity_threshold must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -319,13 +302,6 @@ def validate_repair(
 
 
 # --- full pipeline ---
-
-@dataclass
-class ProviderSet:
-    query_embedder: EmbeddingProvider
-    sentence_embedder: EmbeddingProvider
-    generator: TextGenerationProvider | None
-
 
 def start_session(
     doc: DockerfileDoc,

@@ -4,17 +4,20 @@ Clustering is incremental and per project: each new failing build output
 joins the existing cluster with the highest mean member similarity when
 that mean clears the threshold, otherwise it starts a new cluster. The
 retrieval index is an exact full scan; at the store sizes this tool works
-with (<= 10k records) approximate indexes buy nothing.
+with (<= 10k records) approximate indexes buy nothing. numpy is imported by
+the functions that compute with vectors, so importing this module is cheap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DimensionMismatch, ZeroVector
 from .providers import EmbeddingProvider, estimate_tokens
+
+if TYPE_CHECKING:
+    import numpy as np
 
 STATIC_DELIMITER = "=== DOCKERFILE ==="
 DYNAMIC_DELIMITER = "=== BUILD OUTPUT ==="
@@ -30,6 +33,8 @@ class EmbeddingVector:
     provider_id: str
 
     def __post_init__(self):
+        import numpy as np
+
         values = np.asarray(self.values)
         if values.flags.writeable or values.dtype != np.float32:  # a read-only float32 is shared
             values = values.astype(np.float32 if values.dtype == np.float32 else np.float64)
@@ -41,6 +46,8 @@ class EmbeddingVector:
     def __eq__(self, other) -> bool:
         if not isinstance(other, EmbeddingVector):
             return NotImplemented
+        import numpy as np
+
         same = (self.dim, self.provider_id) == (other.dim, other.provider_id)
         return same and np.array_equal(self.values, other.values)
 
@@ -50,6 +57,8 @@ def embed(text: str, provider: EmbeddingProvider) -> EmbeddingVector:
 
     Raises ZeroVector if the provider ever returns all zeros.
     """
+    import numpy as np
+
     if not text:
         raise ValueError("cannot embed empty text")
     if provider.token_limit is not None and estimate_tokens(text) > provider.token_limit:
@@ -61,6 +70,8 @@ def embed(text: str, provider: EmbeddingProvider) -> EmbeddingVector:
 
 
 def _unit(vec: EmbeddingVector) -> np.ndarray:
+    import numpy as np
+
     values = vec.values.astype(np.float64)
     norm = np.linalg.norm(values)
     if norm == 0.0:
@@ -140,6 +151,8 @@ def retrieve_top_k(
     Results come back in strictly non-increasing similarity order with ties
     broken by ascending record id. An empty store yields an empty list.
     """
+    import numpy as np
+
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if len(store) == 0:

@@ -122,6 +122,13 @@ class TestDetect:
         assert result.exit_code == 1
         assert "no such file" in json.loads(result.output)["error"]
 
+    def test_directory_as_dockerfile_exit_one(self, runner, tmp_path):
+        args = _detect_args(tmp_path)
+        (tmp_path / "adir").mkdir()
+        result = runner.invoke(main, args[:-1] + [str(tmp_path / "adir")])
+        assert result.exit_code == 1, result.output
+        assert f"cannot read {tmp_path / 'adir'}" in json.loads(result.output)["error"]
+
     def test_unmatched_failure_reports_log_tail(self, runner, tmp_path):
         log = "#5 [1/1] RUN make\n#5 0.4 the mirror went away\n"
         scenario = _write_scenario(
@@ -140,6 +147,15 @@ class TestMalformedScenarios:
         assert result.exit_code == 1
         error = json.loads(result.output)["error"]
         assert str(scenario) in error and "status" in error
+
+    def test_unknown_status_rejected(self, runner, tmp_path):
+        scenario = _write_scenario(
+            tmp_path / "s.json", [{"match": None, "outcomes": [{"status": "sucess"}]}]
+        )
+        result = runner.invoke(main, _detect_args(tmp_path, scenario))
+        assert result.exit_code == 1, result.output
+        error = json.loads(result.output)["error"]
+        assert f"{scenario}: malformed scenario file" in error and "'sucess'" in error
 
     def test_scenario_not_json(self, runner, tmp_path):
         scenario = tmp_path / "s.json"
@@ -381,6 +397,29 @@ class TestMonitor:
         report = json.loads(result.output)
         assert report["flaky_candidates"] == ["shaky"]
 
+    def test_directory_as_manifest_exit_one(self, runner, tmp_path):
+        scenario = _write_scenario(
+            tmp_path / "s.json", [{"match": None, "outcomes": [{"status": "success"}]}]
+        )
+        (tmp_path / "adir").mkdir()
+        result = runner.invoke(
+            main, _base_args(tmp_path, scenario) + ["monitor", str(tmp_path / "adir"), "--rounds", "1"]
+        )
+        assert result.exit_code == 1, result.output
+        assert f"cannot read {tmp_path / 'adir'}" in json.loads(result.output)["error"]
+
+    def test_non_utf8_manifest_exit_one(self, runner, tmp_path):
+        scenario = _write_scenario(
+            tmp_path / "s.json", [{"match": None, "outcomes": [{"status": "success"}]}]
+        )
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_bytes(b"caf\xe9 " + str(tmp_path).encode() + b"\n")
+        result = runner.invoke(
+            main, _base_args(tmp_path, scenario) + ["monitor", str(manifest), "--rounds", "1"]
+        )
+        assert result.exit_code == 1, result.output
+        assert f"cannot read {manifest}" in json.loads(result.output)["error"]
+
     def test_zero_rounds_no_builds(self, runner, tmp_path):
         manifest = self._manifest(tmp_path, [("only", "FROM busybox\n")])
         scenario = _write_scenario(
@@ -577,6 +616,12 @@ class TestPreprocessCommand:
         payload = json.loads(result.output)
         assert payload["total_lines_out"] <= payload["total_lines_in"]
         assert payload["rule_hits"]
+
+    def test_directory_as_log_exit_one(self, runner, tmp_path):
+        (tmp_path / "adir").mkdir()
+        result = runner.invoke(main, _base_args(tmp_path) + ["preprocess", str(tmp_path / "adir")])
+        assert result.exit_code == 1, result.output
+        assert f"cannot read {tmp_path / 'adir'}" in json.loads(result.output)["error"]
 
     def test_timestamp_too_large_for_a_float_is_untimed(self, runner, tmp_path):
         log = tmp_path / "build.log"

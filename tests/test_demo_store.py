@@ -24,14 +24,13 @@ from flakidock.demo_store import (
     MajorCategory,
     builtin_store_path,
     category_stats,
-    classify_failure_exclusion,
-    load_exclusion_filters,
     load_store,
     save_store,
     taxonomy,
     validate_record,
 )
 from flakidock.errors import DimensionMismatch, SchemaViolation, StoreError, VersionMismatch
+from flakidock.log_preprocess import classify_failure_exclusion, load_exclusion_filters
 
 from support import (
     ALPINE_PIP,

@@ -1,0 +1,105 @@
+"""Commands that compute no vectors start without numpy.
+
+`monitor` runs once per round of builds, each run a fresh interpreter, and
+importing numpy used to be most of the CLI's start-up. numpy is imported by
+the code that computes vectors, so `import flakidock`, `import flakidock.cli`,
+`preprocess` and `monitor` must leave it unloaded. The checks run in a fresh
+interpreter: this test session has numpy loaded already.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+import flakidock
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _fresh_python(code: str, cwd: Path) -> dict:
+    """Run `code` in a new interpreter importing from src/; its last stdout line is JSON."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_importing_the_package_and_the_cli_skips_numpy(tmp_path):
+    seen = _fresh_python(
+        """
+        import json, sys
+        import flakidock
+        package = "numpy" in sys.modules
+        import flakidock.cli
+        print(json.dumps({"package": package, "cli": "numpy" in sys.modules}))
+        """,
+        tmp_path,
+    )
+    assert seen == {"package": False, "cli": False}
+
+
+def test_preprocess_and_monitor_skip_numpy(tmp_path):
+    log = "#5 [1/1] RUN pip install x\n#5 0.4 error: externally-managed-environment\n"
+    (tmp_path / "build.log").write_text(log)
+    project = tmp_path / "proj"
+    project.mkdir()
+    (project / "Dockerfile").write_text("FROM busybox\nRUN pip install x\n")
+    (tmp_path / "manifest.txt").write_text(f"proj {project}\n")
+    (tmp_path / "scenario.json").write_text(json.dumps(
+        {"builds": [{"match": None, "outcomes": [{"status": "failure", "log": log, "exit_code": 1}]}]}
+    ))
+    seen = _fresh_python(
+        """
+        import json, sys
+        from click.testing import CliRunner
+        from flakidock.cli import main
+        runner = CliRunner()
+        pre = runner.invoke(main, ["--json", "preprocess", "build.log"])
+        mon = runner.invoke(main, ["--state-dir", "state", "--driver", "simulated:scenario.json",
+                                   "--json", "monitor", "manifest.txt", "--rounds", "1"])
+        print(json.dumps({"codes": [pre.exit_code, mon.exit_code],
+                          "excerpt": json.loads(pre.stdout)["excerpt"],
+                          "monitor": json.loads(mon.stdout)["projects"]["proj"],
+                          "numpy": "numpy" in sys.modules}))
+        """,
+        tmp_path,
+    )
+    assert seen["codes"] == [0, 0]
+    assert "externally-managed-environment" in seen["excerpt"]
+    # The failing build went through preprocessing and the exclusion filters.
+    assert seen["monitor"]["failures"] == 1 and seen["monitor"]["flaky_candidate"]
+    assert seen["numpy"] is False
+
+
+def test_reexports_resolve_lazily(tmp_path):
+    seen = _fresh_python(
+        """
+        import json, sys
+        from flakidock import embed, ProviderSet, ValidationPolicy
+        from flakidock import config, providers, similarity
+        same = [embed is similarity.embed, ProviderSet is providers.ProviderSet,
+                ValidationPolicy is config.ValidationPolicy]
+        before = "numpy" in sys.modules
+        embed("pip install failed", providers.HashingEmbeddingProvider())
+        print(json.dumps({"same": same, "before": before, "after": "numpy" in sys.modules}))
+        """,
+        tmp_path,
+    )
+    assert seen == {"same": [True, True, True], "before": False, "after": True}
+
+
+def test_every_exported_name_resolves():
+    for name in flakidock.__all__:
+        assert getattr(flakidock, name) is not None
+    with pytest.raises(AttributeError):
+        flakidock.no_such_name
