@@ -19,7 +19,7 @@ import tempfile
 import threading
 import time
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -68,19 +68,6 @@ class BuildRecord:
     @property
     def succeeded(self) -> bool:
         return self.status == STATUS_SUCCESS
-
-    def to_dict(self, log_file: str | None = None) -> dict:
-        payload = {
-            "dockerfile_hash": self.dockerfile_hash,
-            "status": self.status,
-            "exit_code": self.exit_code,
-            "duration": self.duration,
-            "started_at": self.started_at,
-            "driver_id": self.driver_id,
-        }
-        if log_file is not None:
-            payload["log_file"] = log_file
-        return payload
 
 
 @dataclass(frozen=True)
@@ -289,6 +276,11 @@ class BuildEngine:
     flight, so a build running beside a cleanup may lose its engine state.
     The cleanup cadence counts every series build of the engine, whichever
     document it built.
+
+    Each build appends one JSON line, its log inline, to `builds.jsonl` in
+    the build's directory: `persist_dir` when given, else
+    `<state_dir>/builds/<dockerfile hash>`. A record's number is its line
+    number.
     """
 
     driver: BuildDriver
@@ -299,7 +291,6 @@ class BuildEngine:
         self._cleanup_lock = threading.Lock()
         self.cleanups_performed = 0
         self._series_builds = itertools.count(1)
-        self._next_record: dict[Path, int] = {}  # directory -> number to try next
 
     def build_once(
         self, doc: DockerfileDoc, context_dir, persist_dir: Path | None = None
@@ -392,22 +383,14 @@ class BuildEngine:
         if base is None:
             return
         base.mkdir(parents=True, exist_ok=True)
-        seq = self._next_record.get(base) or _next_record_number(base)
-        while True:  # another writer may hold a number; O_EXCL moves on past it
-            try:
-                fd = os.open(base / f"{seq:04d}.json", os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-                break
-            except FileExistsError:
-                seq += 1
-        self._next_record[base] = seq + 1
-        log_name = f"{seq:04d}.log"
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            (base / log_name).write_text(record.log, encoding="utf-8")
-            fh.write(json.dumps(record.to_dict(log_file=log_name), indent=2, sort_keys=True))
-
-
-def _next_record_number(directory: Path) -> int:
-    """One past the highest `NNNN.json` record number in `directory`."""
-    with os.scandir(directory) as entries:
-        stems = [e.name[:-5] for e in entries if e.name.endswith(".json")]
-    return max((int(s) for s in stems if s.isascii() and s.isdigit()), default=0) + 1
+        # ASCII JSON (a lone surrogate becomes an escape), one write at the end
+        # of the file: writers sharing the journal never split each other's lines.
+        line = (json.dumps(asdict(record), sort_keys=True) + "\n").encode("ascii")
+        path = base / "builds.jsonl"
+        fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+        try:
+            written = os.write(fd, line)
+        finally:
+            os.close(fd)
+        if written != len(line):
+            raise OSError(f"short write to {path}: {written} of {len(line)} bytes")

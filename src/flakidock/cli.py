@@ -315,7 +315,10 @@ def monitor(ctx, manifest, rounds):
         parts = line.split(None, 1)
         if len(parts) != 2:
             _fail(ctx, f"{manifest_path}:{lineno}: expected 'name context_dir'")
-        projects.append((parts[0], Path(parts[1])))
+        name = parts[0]
+        if name in (".", "..") or "/" in name or "\0" in name:  # names history/<name>.jsonl
+            _fail(ctx, f"{manifest_path}:{lineno}: project name {name!r} is not one plain path component")
+        projects.append((name, Path(parts[1])))
 
     history_dir = Path(config.state_dir) / "history"
     history_dir.mkdir(parents=True, exist_ok=True)
@@ -326,14 +329,13 @@ def monitor(ctx, manifest, rounds):
     for name, context in projects:
         entry = {"builds": 0, "failures": 0, "excluded": 0, "errors": []}
         summary[name] = entry
-        dockerfile = context / "Dockerfile"
+        doc = None
         records: list[BuildRecord] = []
-        if rounds > 0:
-            try:
-                doc = parse_dockerfile(dockerfile.read_bytes())
-                records = engine.run_build_series(doc, context, rounds)
-            except (OSError, FlakiDockError) as exc:
-                entry["errors"].append(str(exc))  # record and keep going
+        try:
+            doc = parse_dockerfile((context / "Dockerfile").read_bytes())
+            records = engine.run_build_series(doc, context, rounds)
+        except (OSError, FlakiDockError) as exc:
+            entry["errors"].append(str(exc))  # record and keep going
         history_file = history_dir / f"{name}.jsonl"
         with open(history_file, "a", encoding="utf-8") as fh:
             for record in records:
@@ -348,17 +350,23 @@ def monitor(ctx, manifest, rounds):
                             "started_at": record.started_at,
                             "duration": record.duration,
                             "exclusion": exclusion,
+                            "dockerfile_hash": record.dockerfile_hash,
                         },
                         sort_keys=True,
                     )
                     + "\n"
                 )
         entry["builds"] = len(records)
-        history = [
-            json.loads(line)
-            for line in history_file.read_text(encoding="utf-8").splitlines()
-            if line.strip()
-        ]
+        # Flakiness is judged on an unchanged Dockerfile: only the builds of
+        # the file read now count, and lines without a hash count for nothing.
+        history = []
+        if doc is not None:
+            lines = history_file.read_text(encoding="utf-8").splitlines()
+            history = [
+                h
+                for h in (json.loads(line) for line in lines if line.strip())
+                if h.get("dockerfile_hash") == doc.content_hash
+            ]
         failures = [h for h in history if h["status"] != "success"]
         excluded = [h for h in failures if h.get("exclusion")]
         entry["failures"] = len(failures)

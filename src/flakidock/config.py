@@ -111,10 +111,18 @@ class RunConfig:
                 raise ConfigError(f"scenario file does not exist: {scenario}")
         elif self.driver != "real":
             raise ConfigError(f"driver must be 'real' or 'simulated:<path>', got {self.driver!r}")
-        if self.generation_provider.startswith("scripted:"):
-            scenario = self.generation_provider.split(":", 1)[1]
+        for key in ("embedding_provider", "sentence_provider"):
+            if getattr(self, key) not in ("offline", "http"):
+                raise ConfigError(f"{key} must be 'offline' or 'http', got {getattr(self, key)!r}")
+        kind, _, scenario = self.generation_provider.partition(":")
+        if kind == "scripted" and scenario:
             if not Path(scenario).exists():
                 raise ConfigError(f"scenario file does not exist: {scenario}")
+        elif self.generation_provider not in ("none", "http"):
+            raise ConfigError(
+                "generation_provider must be 'none', 'http' or 'scripted:<path>', "
+                f"got {self.generation_provider!r}"
+            )
 
     # -- component wiring --
 

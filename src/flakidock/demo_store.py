@@ -19,14 +19,16 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 # `parse_dockerfile` stays importable from here: bench/tracing.py wraps it by this name.
 from .dockerfile_model import has_instructions, parse_dockerfile  # noqa: F401
 from .errors import DimensionMismatch, SchemaViolation, StoreError, VersionMismatch
 from .providers import EmbeddingProvider
 from .similarity import EmbeddingVector, combine_static_dynamic, embed
+
+if TYPE_CHECKING:
+    import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -181,6 +183,8 @@ class DemonstrationIndex:
 
     def __init__(self, records: list[DemonstrationRecord], matrix: np.ndarray | None = None):
         """`matrix`, when given, holds the records' embeddings as its rows, in order."""
+        import numpy as np
+
         self._writer_lock = threading.Lock()
         self.records = records
         self.by_id = {r.id: r for r in records}
@@ -204,6 +208,8 @@ class DemonstrationIndex:
         return self.matrix[: len(norms)], norms
 
     def add(self, record: DemonstrationRecord, provider: EmbeddingProvider) -> None:
+        import numpy as np
+
         validate_record(record)
         if record.embedding is None:
             record = replace(record, embedding=embed(record.combined_text(), provider))
@@ -233,6 +239,8 @@ _NORM_BLOCK = 4096  # rows per float64 copy when taking row norms
 def _row_norms(matrix: np.ndarray) -> np.ndarray:
     """float64 Euclidean norm of each row, converting a block of rows at a time
     so that no float64 copy of the whole matrix is made."""
+    import numpy as np
+
     norms = np.empty(len(matrix))
     for start in range(0, len(matrix), _NORM_BLOCK):
         block = matrix[start : start + _NORM_BLOCK].astype(np.float64)
@@ -338,6 +346,8 @@ def save_store(index: DemonstrationIndex, path) -> None:
             for start in range(0, len(records), _SAVE_BLOCK):
                 fh.write("".join(map(_record_line, records[start : start + _SAVE_BLOCK])))
         if len(index):
+            import numpy as np
+
             with open(vectors_tmp, "wb") as fh:
                 fh.write(struct.pack("<I", index.matrix.shape[1]))
                 fh.write(np.ascontiguousarray(index.matrix, dtype="<f4"))
@@ -353,6 +363,8 @@ def save_store(index: DemonstrationIndex, path) -> None:
 
 def _read_vectors(path: Path, expected_rows: int) -> np.ndarray:
     """The stored float32 rows, read-only and without a copy of the file's bytes."""
+    import numpy as np
+
     blob = path.read_bytes()
     if len(blob) < 4:
         raise StoreError(f"{path}: truncated vector file")

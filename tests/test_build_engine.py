@@ -4,6 +4,7 @@ import json
 import sys
 import threading
 import time
+from dataclasses import asdict
 
 import pytest
 
@@ -12,6 +13,7 @@ from flakidock.build_engine import (
     STATUS_SUCCESS,
     STATUS_TIMEOUT,
     BuildEngine,
+    BuildRecord,
     BuildScript,
     HygienePolicy,
     SimulatedDriver,
@@ -193,37 +195,51 @@ class TestScenarioScripts:
         assert driver.build(doc.raw_text, tmp_path, no_cache=True, timeout=60).status == "success"
 
 
+def _journal(directory) -> list[dict]:
+    """The records of `directory`'s build journal, in line order."""
+    return [json.loads(line) for line in (directory / "builds.jsonl").read_text().split("\n")[:-1]]
+
+
 class TestPersistence:
     def test_records_and_logs_persisted_by_hash(self, doc, tmp_path):
         driver = driver_for([outcome(STATUS_FAILURE, "boom log", exit_code=1)])
         engine = _engine(driver, state_dir=tmp_path / "state")
-        engine.run_build_series(doc, tmp_path, 2)
+        records = engine.run_build_series(doc, tmp_path, 2)
         build_dir = tmp_path / "state" / "builds" / doc.content_hash
-        assert sorted(p.name for p in build_dir.iterdir()) == [
-            "0001.json",
-            "0001.log",
-            "0002.json",
-            "0002.log",
-        ]
-        payload = json.loads((build_dir / "0001.json").read_text())
-        assert payload["status"] == STATUS_FAILURE
-        assert payload["log_file"] == "0001.log"
-        assert (build_dir / "0001.log").read_text() == "boom log"
+        assert [p.name for p in build_dir.iterdir()] == ["builds.jsonl"]
+        lines = _journal(build_dir)
+        assert len(lines) == 2
+        assert lines[0]["status"] == STATUS_FAILURE
+        assert lines[0]["log"] == "boom log"
+        assert [BuildRecord(**line) for line in lines] == records
 
     def test_explicit_persist_dir_wins(self, doc, tmp_path):
         driver = driver_for([outcome(STATUS_SUCCESS)])
         engine = _engine(driver, state_dir=tmp_path / "state")
         target = tmp_path / "session" / "builds"
         engine.build_once(doc, tmp_path, persist_dir=target)
-        assert (target / "0001.json").exists()
+        assert [p.name for p in target.iterdir()] == ["builds.jsonl"]
+        assert len(_journal(target)) == 1
         assert not (tmp_path / "state" / "builds").exists()
 
+    def test_lone_surrogate_log_persists_as_one_line(self, doc, tmp_path):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"builds": [
+            {"match": None, "outcomes": [{"status": "failure", "log": "boom \ud800 here"}]},
+        ]}))
+        engine = _engine(SimulatedDriver.from_file(scenario))
+        record = engine.build_once(doc, tmp_path, persist_dir=tmp_path / "builds")
+        raw = (tmp_path / "builds" / "builds.jsonl").read_bytes()
+        assert raw.isascii() and raw.count(b"\n") == 1
+        assert _journal(tmp_path / "builds") == [asdict(record)]
+        assert record.log == "boom \ud800 here"
 
     def test_engines_sharing_a_directory_get_distinct_numbers(self, doc, tmp_path):
         target = tmp_path / "builds"
         builds, workers = 40, 4  # more threads than a small CI host has cores
+        pad = "x" * 65_536  # one write per line: a split write would interleave
         engines = [
-            _engine(driver_for([outcome(STATUS_SUCCESS, f"w{w}-b{i}") for i in range(builds)]))
+            _engine(driver_for([outcome(STATUS_SUCCESS, f"w{w}-b{i}{pad}") for i in range(builds)]))
             for w in range(workers)
         ]
         errors = []
@@ -247,29 +263,31 @@ class TestPersistence:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
-        records = sorted(target.glob("*.json"))
-        assert [p.stem for p in records] == [f"{n:04d}" for n in range(1, builds * workers + 1)]
-        logs = [(target / json.loads(p.read_text())["log_file"]).read_text() for p in records]
-        assert sorted(logs) == sorted(f"w{w}-b{i}" for w in range(workers) for i in range(builds))
+        lines = _journal(target)
+        assert len(lines) == builds * workers
+        assert sorted(line["log"] for line in lines) == sorted(
+            f"w{w}-b{i}{pad}" for w in range(workers) for i in range(builds)
+        )
 
     def test_persist_time_per_record_flat_in_directory_size(self, doc, tmp_path):
+        record = _engine(driver_for([outcome(STATUS_SUCCESS, "ok")])).build_once(doc, tmp_path)
+        line = json.dumps(asdict(record), sort_keys=True) + "\n"
         targets = {}
         for existing in (100, 4_000):
             target = targets[existing] = tmp_path / f"existing-{existing}"
             target.mkdir()
-            for n in range(1, existing + 1):
-                (target / f"{n:04d}.json").write_text("{}")
-                (target / f"{n:04d}.log").write_text("")
+            (target / "builds.jsonl").write_text(line * existing)
         timings = {existing: [] for existing in targets}
         for _ in range(3):  # sizes alternate, so that host noise reaches both
             for existing, target in targets.items():
-                engine = _engine(driver_for([outcome(STATUS_SUCCESS, "ok")]))  # lists anew
+                engine = _engine(driver_for([outcome(STATUS_SUCCESS, "ok")]))
                 start = time.perf_counter()
                 for _ in range(200):
                     engine.build_once(doc, tmp_path, persist_dir=target)
                 timings[existing].append((time.perf_counter() - start) / 200)
+        assert [len(_journal(t)) for t in targets.values()] == [100 + 600, 4_000 + 600]
         small, large = min(timings[100]), min(timings[4_000])
-        # A directory listing per record costs ~15x more at 4,000 records than at 100.
+        # An append costs the same at any journal length; a per-record read or scan would not.
         assert large / small < 2, (small, large)
 
 

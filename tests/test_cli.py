@@ -497,9 +497,81 @@ class TestMonitor:
         assert len(lines) == 3
         for line in lines:
             entry = json.loads(line)
-            assert set(entry) == {"status", "started_at", "duration", "exclusion"}
+            assert set(entry) == {"status", "started_at", "duration", "exclusion", "dockerfile_hash"}
             assert entry["status"] == "success" and entry["exclusion"] is None
             assert line == json.dumps(entry, sort_keys=True)
+
+    def test_only_the_current_dockerfile_counts(self, runner, tmp_path):
+        manifest = self._manifest(tmp_path, [("proj", "FROM busybox\n# v1\n")])
+        scenario = _write_scenario(
+            tmp_path / "s.json",
+            [
+                {"match": "v1", "outcomes": [{"status": "failure", "log": ERROR_TYPE_LOGS["X"], "exit_code": 1}]},
+                {"match": "v2", "outcomes": [{"status": "success"}]},
+            ],
+        )
+
+        def run(rounds):
+            result = runner.invoke(
+                main, _base_args(tmp_path, scenario) + ["monitor", str(manifest), "--rounds", str(rounds)]
+            )
+            assert result.exit_code == 0, result.output
+            return json.loads(result.output)
+
+        assert run(1)["flaky_candidates"] == ["proj"]
+        # --rounds 0 still reads the Dockerfile and counts its history.
+        assert run(0)["projects"]["proj"]["failures"] == 1
+        (tmp_path / "proj" / "Dockerfile").write_text("FROM busybox\n# v2\n")
+        report = run(1)
+        assert report["projects"]["proj"]["failures"] == 0
+        assert report["flaky_candidates"] == []
+
+    def test_history_lines_without_a_hash_count_for_nothing(self, runner, tmp_path):
+        manifest = self._manifest(tmp_path, [("proj", "FROM busybox\n")])
+        history = tmp_path / "state" / "history"
+        history.mkdir(parents=True)
+        old = {"status": "failure", "started_at": "2024-01-01T00:00:00+00:00", "duration": 1.0, "exclusion": None}
+        (history / "proj.jsonl").write_text(json.dumps(old, sort_keys=True) + "\n")
+        scenario = _write_scenario(
+            tmp_path / "s.json", [{"match": None, "outcomes": [{"status": "success"}]}]
+        )
+        result = runner.invoke(
+            main, _base_args(tmp_path, scenario) + ["monitor", str(manifest), "--rounds", "1"]
+        )
+        assert result.exit_code == 0, result.output
+        entry = json.loads(result.output)["projects"]["proj"]
+        assert (entry["failures"], entry["flaky_candidate"]) == (0, False)
+
+    def test_unreadable_dockerfile_counts_nothing_even_at_zero_rounds(self, runner, tmp_path):
+        manifest = self._manifest(tmp_path, [("proj", "FROM busybox\n")])
+        scenario = _write_scenario(
+            tmp_path / "s.json", [{"match": None, "outcomes": [{"status": "failure", "log": "error: x"}]}]
+        )
+        args = _base_args(tmp_path, scenario) + ["monitor", str(manifest), "--rounds"]
+        assert runner.invoke(main, args + ["1"]).exit_code == 0
+        (tmp_path / "proj" / "Dockerfile").unlink()
+        result = runner.invoke(main, args + ["0"])
+        assert result.exit_code == 0, result.output
+        entry = json.loads(result.output)["projects"]["proj"]
+        assert entry["errors"] and (entry["failures"], entry["excluded"]) == (0, 0)
+        assert not entry["flaky_candidate"]
+
+    @pytest.mark.parametrize("name", ["a/b", "../x", "..", ".", "a\0b"])
+    def test_project_name_must_be_one_path_component(self, runner, tmp_path, name):
+        ctx = tmp_path / "ctx"
+        ctx.mkdir()
+        (ctx / "Dockerfile").write_text("FROM busybox\n")
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(f"# projects\n{name} {ctx}\n")
+        scenario = _write_scenario(
+            tmp_path / "s.json", [{"match": None, "outcomes": [{"status": "success"}]}]
+        )
+        result = runner.invoke(
+            main, _base_args(tmp_path, scenario) + ["monitor", str(manifest), "--rounds", "1"]
+        )
+        assert result.exit_code == 1, result.output
+        assert json.loads(result.output)["error"].startswith(f"{manifest}:2: ")
+        assert not (tmp_path / "state" / "x.jsonl").exists()
 
     def test_project_errors_recorded_and_run_continues(self, runner, tmp_path):
         ctx = tmp_path / "broken"
@@ -783,6 +855,26 @@ class TestGlobalFlags:
         )
         assert result.exit_code == 1
         assert setting.split()[0] in json.loads(result.output)["error"]
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("embedding_provider", "htttp"), ("sentence_provider", "HTTP"),
+         ("generation_provider", "scripted"), ("generation_provider", "scripted:"),
+         ("generation_provider", "openai")],
+    )
+    def test_unknown_provider_kind_rejected(self, runner, tmp_path, key, value):
+        config = tmp_path / "bad.conf"
+        config.write_text(f"{key} = {value}\n")
+        log = tmp_path / "x.log"
+        log.write_text("error: y\n")
+        result = runner.invoke(
+            main,
+            ["--config", str(config), "--state-dir", str(tmp_path / "state"), "--json",
+             "preprocess", str(log)],
+        )
+        assert result.exit_code == 1, result.output
+        error = json.loads(result.output)["error"]
+        assert key in error and repr(value) in error
 
     def test_config_file_values_applied(self, runner, tmp_path):
         config = tmp_path / "flakidock.conf"

@@ -491,14 +491,20 @@ class TestFullPipeline:
         assert (session_dir / "query.json").exists()
         assert (session_dir / "prompt-1.txt").exists()
         assert (session_dir / "response-1.txt").exists()
-        assert list((session_dir / "builds" / "detect").glob("*.json"))
+        def journal(name):
+            directory = session_dir / "builds" / name
+            assert [p.name for p in directory.iterdir()] == ["builds.jsonl"]
+            return [json.loads(line) for line in (directory / "builds.jsonl").read_text().splitlines()]
+
+        detect_records = journal("detect")
+        assert [r["status"] for r in detect_records] == ["failure"]
+        assert detect_records[0]["log"] == ALPINE_PIP_LOG
         verdict = json.loads((session_dir / "verdict.json").read_text())
         assert verdict["verdict"] == VERDICT_REPAIRED
         assert verdict["attempts_used"] == 1
         # Verdict soundness: the persisted records of the final attempt show
         # n consecutive successes.
-        final_builds = sorted((session_dir / "builds" / "attempt-1").glob("*.json"))
-        payloads = [json.loads(p.read_text()) for p in final_builds]
+        payloads = journal("attempt-1")
         assert len(payloads) == ValidationPolicy().build_iterations
         assert all(p["status"] == "success" for p in payloads)
 

@@ -3,8 +3,8 @@
 `monitor` runs once per round of builds, each run a fresh interpreter, and
 importing numpy used to be most of the CLI's start-up. numpy is imported by
 the code that computes vectors, so `import flakidock`, `import flakidock.cli`,
-`preprocess` and `monitor` must leave it unloaded. The checks run in a fresh
-interpreter: this test session has numpy loaded already.
+`preprocess`, `monitor` and `detect` must leave it unloaded. The checks run in
+a fresh interpreter: this test session has numpy loaded already.
 """
 
 from __future__ import annotations
@@ -79,6 +79,26 @@ def test_preprocess_and_monitor_skip_numpy(tmp_path):
     # The failing build went through preprocessing and the exclusion filters.
     assert seen["monitor"]["failures"] == 1 and seen["monitor"]["flaky_candidate"]
     assert seen["numpy"] is False
+
+
+def test_detect_skips_numpy(tmp_path):
+    (tmp_path / "Dockerfile").write_text("FROM busybox\nRUN pip install x\n")
+    (tmp_path / "scenario.json").write_text(json.dumps(
+        {"builds": [{"match": None, "outcomes": [{"status": "success"}]}]}
+    ))
+    seen = _fresh_python(
+        """
+        import json, sys
+        from click.testing import CliRunner
+        from flakidock.cli import main
+        result = CliRunner().invoke(main, ["--json", "--driver", "simulated:scenario.json",
+                                           "--state-dir", "state", "detect", "Dockerfile"])
+        print(json.dumps({"code": result.exit_code, "verdict": json.loads(result.stdout)["verdict"],
+                          "numpy": "numpy" in sys.modules}))
+        """,
+        tmp_path,
+    )
+    assert seen == {"code": 0, "verdict": "non-flaky", "numpy": False}
 
 
 def test_reexports_resolve_lazily(tmp_path):
