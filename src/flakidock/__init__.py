@@ -25,10 +25,7 @@ _EXPORTS = {
     **dict.fromkeys(("PreprocessedLog", "RuleSet", "preprocess_log", "segment_stages"), "log_preprocess"),
     **dict.fromkeys(("ProviderSet",), "providers"),
     **dict.fromkeys(("RepairSession", "detect_flakiness", "repair_flaky_dockerfile"), "repair_pipeline"),
-    **dict.fromkeys(
-        ("EmbeddingVector", "RepairQuery", "cluster_add", "cosine", "embed", "retrieve_top_k"),
-        "similarity",
-    ),
+    **dict.fromkeys(("RepairQuery", "cluster_add", "cosine", "embed", "retrieve_top_k"), "similarity"),
 }
 
 __all__ = [*sorted(_EXPORTS), "__version__"]

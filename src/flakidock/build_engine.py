@@ -146,6 +146,8 @@ class SimulatedDriver(BuildDriver):
             raise ValueError(f"{path}: malformed scenario file: {exc!r}") from exc
         if not scripts:
             raise ValueError(f"{path}: scenario file has no 'builds' scripts")
+        if any(not s.outcomes for s in scripts):  # a build would have no outcome to replay
+            raise ValueError(f"{path}: malformed scenario file: a build script has no outcomes")
         unknown = next(
             (o.status for s in scripts for o in s.outcomes if o.status not in _SCRIPTED_STATUSES), None
         )

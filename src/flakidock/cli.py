@@ -14,10 +14,10 @@ from pathlib import Path
 
 import click
 
-from .build_engine import BuildRecord
+from .build_engine import STATUS_ENGINE_ERROR, STATUS_SUCCESS, BuildRecord
 from .config import RunConfig, load_config
 from .dockerfile_model import diff_docs, parse_dockerfile, render_diff
-from .errors import FlakiDockError
+from .errors import EngineError, FlakiDockError
 from .log_preprocess import (
     classify_failure_exclusion,
     excerpt_or_tail,
@@ -336,6 +336,8 @@ def monitor(ctx, manifest, rounds):
             records = engine.run_build_series(doc, context, rounds)
         except (OSError, FlakiDockError) as exc:
             entry["errors"].append(str(exc))  # record and keep going
+            if isinstance(exc, EngineError):
+                records = exc.records  # every build the engine ran, the failed one last
         history_file = history_dir / f"{name}.jsonl"
         with open(history_file, "a", encoding="utf-8") as fh:
             for record in records:
@@ -367,7 +369,8 @@ def monitor(ctx, manifest, rounds):
                 for h in (json.loads(line) for line in lines if line.strip())
                 if h.get("dockerfile_hash") == doc.content_hash
             ]
-        failures = [h for h in history if h["status"] != "success"]
+        # An engine error is the engine's fault, not the build's; its message is in `errors`.
+        failures = [h for h in history if h["status"] not in (STATUS_SUCCESS, STATUS_ENGINE_ERROR)]
         excluded = [h for h in failures if h.get("exclusion")]
         entry["failures"] = len(failures)
         entry["excluded"] = len(excluded)

@@ -106,18 +106,14 @@ class RunConfig:
         if self.rules is not None and not Path(self.rules).exists():
             raise ConfigError(f"rules file does not exist: {self.rules}")
         if self.driver.startswith("simulated:"):
-            scenario = self.driver.split(":", 1)[1]
-            if not Path(scenario).exists():
-                raise ConfigError(f"scenario file does not exist: {scenario}")
+            _require_file("driver", self.driver)
         elif self.driver != "real":
             raise ConfigError(f"driver must be 'real' or 'simulated:<path>', got {self.driver!r}")
         for key in ("embedding_provider", "sentence_provider"):
             if getattr(self, key) not in ("offline", "http"):
                 raise ConfigError(f"{key} must be 'offline' or 'http', got {getattr(self, key)!r}")
-        kind, _, scenario = self.generation_provider.partition(":")
-        if kind == "scripted" and scenario:
-            if not Path(scenario).exists():
-                raise ConfigError(f"scenario file does not exist: {scenario}")
+        if self.generation_provider.startswith("scripted:"):
+            _require_file("generation_provider", self.generation_provider)
         elif self.generation_provider not in ("none", "http"):
             raise ConfigError(
                 "generation_provider must be 'none', 'http' or 'scripted:<path>', "
@@ -185,6 +181,12 @@ class RunConfig:
 
 
 _BOOL_VALUES = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+def _require_file(key: str, value: str) -> None:
+    """Reject a `kind:<path>` setting whose path is not a regular file."""
+    if not Path(value.partition(":")[2]).is_file():
+        raise ConfigError(f"{key} must name a scenario file, got {value!r}")
 
 
 def _coerce(field: Field, raw: str):

@@ -15,7 +15,7 @@ import logging
 import os
 import struct
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 from .dockerfile_model import has_instructions, parse_dockerfile  # noqa: F401
 from .errors import DimensionMismatch, SchemaViolation, StoreError, VersionMismatch
 from .providers import EmbeddingProvider
-from .similarity import EmbeddingVector, combine_static_dynamic, embed
+from .similarity import combine_static_dynamic, embed
 
 if TYPE_CHECKING:
     import numpy as np
@@ -97,7 +97,6 @@ class DemonstrationRecord:
     category: FlakinessCategory
     repairs: tuple[str, ...]
     iterations: tuple[int, ...]  # validation builds each repair survived
-    embedding: EmbeddingVector | None = None
 
     def combined_text(self) -> str:
         return combine_static_dynamic(self.static_part, self.dynamic_part)
@@ -147,7 +146,7 @@ def _record_line(record: DemonstrationRecord) -> str:
     )
 
 
-def _record_from_dict(payload: dict, embedding: EmbeddingVector | None) -> DemonstrationRecord:
+def _record_from_dict(payload: dict) -> DemonstrationRecord:
     rid = str(payload.get("id", ""))
     try:
         return DemonstrationRecord(
@@ -157,7 +156,6 @@ def _record_from_dict(payload: dict, embedding: EmbeddingVector | None) -> Demon
             category=FlakinessCategory.from_string(str(payload["category"])),
             repairs=tuple(str(r) for r in payload["repairs"]),
             iterations=_counts(rid, payload["iterations"]),
-            embedding=embedding,
         )
     except (KeyError, TypeError) as exc:
         raise SchemaViolation(rid or "<unknown>", str(exc), "missing or mistyped field") from exc
@@ -182,20 +180,17 @@ class DemonstrationIndex:
     """
 
     def __init__(self, records: list[DemonstrationRecord], matrix: np.ndarray | None = None):
-        """`matrix`, when given, holds the records' embeddings as its rows, in order."""
+        """`matrix` holds the records' float32 embeddings as its rows, in order;
+        it may be left out only for an empty index."""
         import numpy as np
 
+        if matrix is None:
+            matrix = np.zeros((0, 0), np.float32)
+        if len(matrix) != len(records):
+            raise StoreError(f"{len(matrix)} embedding rows for {len(records)} records")
         self._writer_lock = threading.Lock()
         self.records = records
         self.by_id = {r.id: r for r in records}
-        if any(r.embedding is None for r in records):
-            raise StoreError("every indexed record needs an embedding")
-        dims = {r.embedding.dim for r in records}
-        if len(dims) > 1:
-            raise StoreError(f"mixed embedding dims in store: {sorted(dims)}")
-        if matrix is None:
-            rows = [r.embedding.values for r in records]
-            matrix = np.asarray(rows, dtype=np.float32) if rows else np.zeros((0, 0), np.float32)
         self.matrix = self._row_buffer = matrix
         self._norms = self._norm_buffer = _row_norms(matrix)
 
@@ -211,12 +206,11 @@ class DemonstrationIndex:
         import numpy as np
 
         validate_record(record)
-        if record.embedding is None:
-            record = replace(record, embedding=embed(record.combined_text(), provider))
+        vec = embed(record.combined_text(), provider)
         with self._writer_lock:
             if record.id in self.by_id:
                 raise SchemaViolation(record.id, "id", "duplicate record id")
-            n, dim = len(self._norms), record.embedding.dim
+            n, dim = len(self._norms), vec.size
             if n and dim != self.matrix.shape[1]:
                 raise DimensionMismatch(f"store dim {self.matrix.shape[1]} vs record dim {dim}")
             if n == len(self._norm_buffer):  # full, or still the read-only loaded rows
@@ -225,7 +219,7 @@ class DemonstrationIndex:
                     rows[:n], norms[:n] = self.matrix, self._norms
                 self._row_buffer, self._norm_buffer = rows, norms
             # Rows past the published views are invisible to readers until published.
-            self._row_buffer[n] = record.embedding.values
+            self._row_buffer[n] = vec
             self._norm_buffer[n : n + 1] = _row_norms(self._row_buffer[n : n + 1])
             self.records.append(record)
             self.by_id[record.id] = record
@@ -283,45 +277,32 @@ def load_store(path, embedding_provider: EmbeddingProvider | None = None) -> Dem
             f"supported {SCHEMA_VERSION}"
         )
 
-    # The vectors are read first so that each record is built once, with its
-    # row; a bad vector file is reported only after every record has passed.
-    rows = vector_error = None
-    if vectors_path.exists():
-        try:
-            rows = _read_vectors(vectors_path, len(lines) - 1)
-        except (OSError, StoreError) as exc:
-            vector_error = exc
-
     records: list[DemonstrationRecord] = []
     seen: set[str] = set()
-    for pos, line in enumerate(lines[1:]):
+    for line in lines[1:]:
         try:
             payload = json.loads(line)
         except json.JSONDecodeError as exc:
             raise SchemaViolation("<unknown>", "json", f"unreadable record line: {exc}") from exc
-        embedding = None if rows is None else EmbeddingVector(rows[pos], rows.shape[1], "stored")
-        record = _record_from_dict(payload, embedding)
+        record = _record_from_dict(payload)
         validate_record(record)
         if record.id in seen:
             raise SchemaViolation(record.id, "id", "duplicate record id")
         seen.add(record.id)
         records.append(record)
 
-    if vector_error is not None:
-        raise vector_error
-    if rows is not None:
-        return DemonstrationIndex(records, rows)
-    if records:
-        if embedding_provider is None:
-            raise StoreError(
-                f"{vectors_path} is missing and no embedding provider was supplied"
-            )
-        log.warning("vectors missing for %s; recomputing %d embeddings", records_path, len(records))
-        records = [
-            replace(rec, embedding=embed(rec.combined_text(), embedding_provider))
-            for rec in records
-        ]
-    return DemonstrationIndex(records)
+    # A bad vector file is reported only after every record has passed.
+    if vectors_path.exists():
+        return DemonstrationIndex(records, _read_vectors(vectors_path, len(records)))
+    if not records:
+        return DemonstrationIndex(records)
+    if embedding_provider is None:
+        raise StoreError(f"{vectors_path} is missing and no embedding provider was supplied")
+    log.warning("vectors missing for %s; recomputing %d embeddings", records_path, len(records))
+    import numpy as np
+
+    rows = np.stack([embed(rec.combined_text(), embedding_provider) for rec in records])
+    return DemonstrationIndex(records, rows)
 
 
 _SAVE_BLOCK = 1024  # records joined into one write

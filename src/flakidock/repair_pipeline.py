@@ -16,6 +16,7 @@ import logging
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .build_engine import BuildEngine, BuildRecord
 from .config import ValidationPolicy  # re-exported: callers import it from here too
@@ -35,7 +36,10 @@ from .providers import (  # ProviderSet is re-exported: callers import it from h
     estimate_tokens,
     truncate_to_tokens,
 )
-from .similarity import EmbeddingVector, RepairQuery, cosine, embed, retrieve_top_k
+from .similarity import RepairQuery, cosine, embed, retrieve_top_k
+
+if TYPE_CHECKING:
+    import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -53,7 +57,7 @@ class FeedbackEntry:
     false_repair: str  # candidate that failed validation
     failure_output: str  # its preprocessed failing build output
     attempt_index: int
-    vector: EmbeddingVector = field(repr=False)  # failure_output's sentence embedding
+    vector: np.ndarray = field(repr=False, compare=False)  # failure_output's sentence embedding
 
 
 @dataclass
@@ -67,7 +71,7 @@ class RepairSession:
     session_dir: Path | None = None
     abort_reason: str | None = None  # the engine's message, for an engine-aborted session
 
-    def add_feedback(self, false_repair: str, failure_output: str, vector: EmbeddingVector) -> None:
+    def add_feedback(self, false_repair: str, failure_output: str, vector: np.ndarray) -> None:
         if self.feedback and self.attempts_used <= self.feedback[-1].attempt_index:
             raise ValueError("feedback attempt indices must strictly increase")
         self.feedback.append(
@@ -241,7 +245,7 @@ def _failure_text(record: BuildRecord, rules: RuleSet) -> str:
 
 
 def count_similar_failures(
-    new_vec: EmbeddingVector,
+    new_vec: np.ndarray,
     feedback: list[FeedbackEntry],
     threshold: float,
 ) -> int:

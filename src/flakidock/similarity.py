@@ -23,39 +23,11 @@ STATIC_DELIMITER = "=== DOCKERFILE ==="
 DYNAMIC_DELIMITER = "=== BUILD OUTPUT ==="
 
 
-@dataclass(frozen=True, eq=False)
-class EmbeddingVector:
-    """A read-only embedding array, compared by content: float32 as providers and
-    stores give it, float64 for values of any other dtype (e.g. Python floats)."""
-
-    values: np.ndarray
-    dim: int
-    provider_id: str
-
-    def __post_init__(self):
-        import numpy as np
-
-        values = np.asarray(self.values)
-        if values.flags.writeable or values.dtype != np.float32:  # a read-only float32 is shared
-            values = values.astype(np.float32 if values.dtype == np.float32 else np.float64)
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-        if values.shape != (self.dim,):
-            raise DimensionMismatch(f"vector has {values.size} values, declared dim {self.dim}")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, EmbeddingVector):
-            return NotImplemented
-        import numpy as np
-
-        same = (self.dim, self.provider_id) == (other.dim, other.provider_id)
-        return same and np.array_equal(self.values, other.values)
-
-
-def embed(text: str, provider: EmbeddingProvider) -> EmbeddingVector:
+def embed(text: str, provider: EmbeddingProvider) -> np.ndarray:
     """Embed text through a provider, cutting it to its head at the token limit.
 
-    Raises ZeroVector if the provider ever returns all zeros.
+    Returns the read-only float32 vector of shape (provider.dim,). Raises
+    DimensionMismatch for a vector of another size and ZeroVector for all zeros.
     """
     import numpy as np
 
@@ -64,24 +36,31 @@ def embed(text: str, provider: EmbeddingProvider) -> EmbeddingVector:
     if provider.token_limit is not None and estimate_tokens(text) > provider.token_limit:
         text = text[: provider.token_limit * 4]  # the build definition leads a combined text
     values = np.asarray(provider.embed_values(text), dtype=np.float32)
+    if values.shape != (provider.dim,):
+        raise DimensionMismatch(
+            f"provider {provider.provider_id} returned {values.size} values, declared dim {provider.dim}"
+        )
     if not values.any():
         raise ZeroVector(f"provider {provider.provider_id} returned the zero vector")
-    return EmbeddingVector(values, provider.dim, provider.provider_id)
+    if values.flags.writeable:  # a read-only array is shared; a writable one is copied
+        values = values.copy()
+        values.flags.writeable = False
+    return values
 
 
-def _unit(vec: EmbeddingVector) -> np.ndarray:
+def _unit(vec: np.ndarray) -> np.ndarray:
     import numpy as np
 
-    values = vec.values.astype(np.float64)
+    values = vec.astype(np.float64)
     norm = np.linalg.norm(values)
     if norm == 0.0:
         raise ZeroVector("cosine similarity is undefined for the zero vector")
     return values / norm
 
 
-def cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dims differ: {a.dim} vs {b.dim}")
+def cosine(a: np.ndarray, b: np.ndarray) -> float:
+    if a.shape != b.shape:
+        raise DimensionMismatch(f"dims differ: {a.size} vs {b.size}")
     return float(_unit(a) @ _unit(b))
 
 
@@ -118,7 +97,7 @@ class Cluster:
 def cluster_add(
     state: list[Cluster],
     output_id: str,
-    vec: EmbeddingVector,
+    vec: np.ndarray,
     threshold: float,
 ) -> tuple[list[Cluster], int]:
     """Assign one build output to the cluster state; returns (state, cluster id).
@@ -157,7 +136,7 @@ def retrieve_top_k(
         raise ValueError(f"k must be >= 1, got {k}")
     if len(store) == 0:
         return []
-    q = embed(query.combined_text, provider).values.astype(np.float64)
+    q = embed(query.combined_text, provider).astype(np.float64)
     matrix, norms = store.scan()
     if matrix.shape[1] != q.shape[0]:
         raise DimensionMismatch(f"store dim {matrix.shape[1]} vs query dim {q.shape[0]}")

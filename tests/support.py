@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -473,7 +472,7 @@ def _reference_read_vectors(path: Path, expected_rows: int) -> np.ndarray:
 
 def reference_load_store(path, embedding_provider=None) -> demo_store.DemonstrationIndex:
     """`load_store` as it was when every repair was parsed into a document and
-    each record was rebuilt with `dataclasses.replace` to attach its vector."""
+    records were read before their vectors."""
     path = Path(path)
     if path.is_dir():
         records_path, vectors_path = path / "records.jsonl", path / "vectors.bin"
@@ -514,21 +513,15 @@ def reference_load_store(path, embedding_provider=None) -> demo_store.Demonstrat
 
     if vectors_path.exists():
         rows = _reference_read_vectors(vectors_path, len(records))
-        records = [
-            dataclasses.replace(rec, embedding=demo_store.EmbeddingVector(row, row.size, "stored"))
-            for rec, row in zip(records, rows)
-        ]
         return demo_store.DemonstrationIndex(records, rows)
-    if records:
-        if embedding_provider is None:
-            raise StoreError(
-                f"{vectors_path} is missing and no embedding provider was supplied"
-            )
-        records = [
-            dataclasses.replace(rec, embedding=demo_store.embed(rec.combined_text(), embedding_provider))
-            for rec in records
-        ]
-    return demo_store.DemonstrationIndex(records)
+    if not records:
+        return demo_store.DemonstrationIndex(records)
+    if embedding_provider is None:
+        raise StoreError(
+            f"{vectors_path} is missing and no embedding provider was supplied"
+        )
+    rows = [demo_store.embed(rec.combined_text(), embedding_provider) for rec in records]
+    return demo_store.DemonstrationIndex(records, np.array(rows, dtype=np.float32))
 
 
 def reference_save_store(index: demo_store.DemonstrationIndex, path) -> None:

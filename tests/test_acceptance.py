@@ -153,7 +153,7 @@ def test_criterion_05_retrieval_equals_brute_force_at_scale(offline_provider):
 
     query_vec = embed(query.combined_text, offline_provider)
     brute = sorted(
-        ((rec, cosine(rec.embedding, query_vec)) for rec in index.records),
+        ((rec, cosine(row, query_vec)) for rec, row in zip(index.records, index.matrix)),
         key=lambda pair: (-pair[1], pair[0].id),
     )[:3]
     assert [r.id for r, _ in results] == [r.id for r, _ in brute]

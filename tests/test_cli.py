@@ -157,12 +157,42 @@ class TestMalformedScenarios:
         error = json.loads(result.output)["error"]
         assert f"{scenario}: malformed scenario file" in error and "'sucess'" in error
 
+    def test_script_without_outcomes_rejected(self, runner, tmp_path):
+        scenario = _write_scenario(tmp_path / "s.json", [{"match": None, "outcomes": []}])
+        result = runner.invoke(main, _detect_args(tmp_path, scenario))
+        assert result.exit_code == 1, result.output
+        error = json.loads(result.output)["error"]
+        assert error.startswith(f"{scenario}: malformed scenario file: ") and "outcomes" in error
+
     def test_scenario_not_json(self, runner, tmp_path):
         scenario = tmp_path / "s.json"
         scenario.write_text("builds: [")
         result = runner.invoke(main, _detect_args(tmp_path, scenario))
         assert result.exit_code == 1
         assert str(scenario) in json.loads(result.output)["error"]
+
+    @pytest.mark.parametrize("path", ["", "adir"])
+    def test_driver_scenario_must_be_a_file(self, runner, tmp_path, path):
+        (tmp_path / "adir").mkdir()
+        value = f"simulated:{tmp_path / path if path else ''}"
+        args = _detect_args(tmp_path)
+        args[args.index("--driver") + 1] = value
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1, result.output
+        assert json.loads(result.output)["error"] == f"driver must name a scenario file, got {value!r}"
+
+    def test_generation_scenario_must_be_a_file(self, runner, tmp_path):
+        log = tmp_path / "x.log"
+        log.write_text("> [1/1] RUN x\nerror: y\n")
+        result = runner.invoke(
+            main,
+            ["--config", str(_config_with_generator(tmp_path, tmp_path)),
+             "--state-dir", str(tmp_path / "state"), "--json", "preprocess", str(log)],
+        )
+        assert result.exit_code == 1, result.output
+        assert json.loads(result.output)["error"] == (
+            f"generation_provider must name a scenario file, got 'scripted:{tmp_path}'"
+        )
 
     def test_generation_scenario_without_responses(self, runner, tmp_path):
         responses = tmp_path / "responses.json"
@@ -591,6 +621,23 @@ class TestMonitor:
         report = json.loads(result.output)
         assert report["projects"]["broken"]["errors"]
         assert report["projects"]["good"]["builds"] == 1
+
+    def test_builds_before_an_engine_error_are_kept(self, runner, tmp_path):
+        manifest = self._manifest(tmp_path, [("proj", "FROM busybox\n")])
+        scenario = _write_scenario(
+            tmp_path / "s.json",
+            [{"match": None, "outcomes": [{"status": "success"}, {"status": "engine-error", "log": "daemon gone"}]}],
+        )
+        result = runner.invoke(
+            main, _base_args(tmp_path, scenario) + ["monitor", str(manifest), "--rounds", "2"]
+        )
+        assert result.exit_code == 0, result.output
+        entry = json.loads(result.output)["projects"]["proj"]
+        assert entry["builds"] == 2 and entry["errors"] == ["daemon gone"]
+        # The engine error is written to the history but counts as no failure.
+        assert (entry["failures"], entry["flaky_candidate"]) == (0, False)
+        lines = (tmp_path / "state" / "history" / "proj.jsonl").read_text().splitlines()
+        assert [json.loads(line)["status"] for line in lines] == ["success", "engine-error"]
 
 
 class TestDataset:

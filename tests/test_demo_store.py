@@ -31,6 +31,8 @@ from flakidock.demo_store import (
 )
 from flakidock.errors import DimensionMismatch, SchemaViolation, StoreError, VersionMismatch
 from flakidock.log_preprocess import classify_failure_exclusion, load_exclusion_filters
+from flakidock.providers import HashingEmbeddingProvider
+from flakidock.similarity import embed
 
 from support import (
     ALPINE_PIP,
@@ -260,7 +262,8 @@ class TestStoreIO:
         save_store(index, tmp_path / "records.jsonl")
         (tmp_path / "vectors.bin").unlink()
         loaded = load_store(tmp_path / "records.jsonl", offline_provider)
-        assert loaded.records[0].embedding is not None
+        assert loaded.matrix.dtype == np.float32 and loaded.matrix.shape == (1, offline_provider.dim)
+        assert loaded.matrix.tobytes() == index.matrix.tobytes()
         with pytest.raises(StoreError):
             load_store(tmp_path / "records.jsonl")  # no provider to recompute
 
@@ -571,27 +574,30 @@ class TestIndexGrowth:
             index.add(_record(f"t-{i}"), offline_provider)
             matrix, norms = index.scan()
             assert matrix.shape == (i + 1, offline_provider.dim) and norms.shape == (i + 1,)
-        expected = np.stack([r.embedding.values for r in index.records]).astype(np.float32)
+        expected = np.stack([embed(r.combined_text(), offline_provider) for r in index.records])
         assert np.array_equal(index.matrix, expected)
         assert np.array_equal(norms, np.linalg.norm(expected.astype(np.float64), axis=1))
 
     def test_row_norms_match_the_unblocked_expression(self):
         rows = 2 * demo_store._NORM_BLOCK + 7
         matrix = np.random.default_rng(3).normal(size=(rows, 8)).astype(np.float32)
-        records = [
-            dataclasses.replace(_record(f"n-{i}"), embedding=demo_store.EmbeddingVector(matrix[i], 8, "stored"))
-            for i in range(rows)
-        ]
-        _, norms = DemonstrationIndex(records, matrix).scan()
+        _, norms = DemonstrationIndex([_record(f"n-{i}") for i in range(rows)], matrix).scan()
         assert norms.tobytes() == np.linalg.norm(matrix.astype(np.float64), axis=1).tobytes()
 
     def test_dimension_mismatch_leaves_index_unchanged(self, offline_provider):
         index = DemonstrationIndex([])
         index.add(_record("d-0"), offline_provider)
-        short = demo_store.EmbeddingVector(np.ones(3, np.float32), 3, "other")
         with pytest.raises(DimensionMismatch):
-            index.add(dataclasses.replace(_record("d-1"), embedding=short), offline_provider)
+            index.add(_record("d-1"), HashingEmbeddingProvider(dim=3))
         assert len(index) == 1 and "d-1" not in index.by_id and index.matrix.shape[0] == 1
+
+    @pytest.mark.parametrize("rows", [0, 2, 4])
+    def test_matrix_needs_one_row_per_record(self, rows):
+        records = [_record("m-0"), _record("m-1"), _record("m-2")]
+        with pytest.raises(StoreError, match=f"{rows} embedding rows for 3 records"):
+            DemonstrationIndex(records, np.ones((rows, 4), np.float32))
+        with pytest.raises(StoreError, match="0 embedding rows for 3 records"):
+            DemonstrationIndex(records)
 
 
 class TestLoadScaling:
@@ -620,7 +626,7 @@ _texts = st.text(alphabet=st.sampled_from(_TRICKY + list(string.ascii_letters)),
 @st.composite
 def _any_records(draw) -> list[DemonstrationRecord]:
     records = []
-    for i in range(draw(st.integers(0, 4))):
+    for _ in range(draw(st.integers(0, 4))):
         repairs = draw(st.lists(_texts, min_size=1, max_size=3))
         records.append(DemonstrationRecord(
             id=draw(_texts),
@@ -629,7 +635,6 @@ def _any_records(draw) -> list[DemonstrationRecord]:
             category=FlakinessCategory(draw(st.sampled_from(MajorCategory)), draw(st.none() | _texts.filter(bool))),
             repairs=tuple(repairs),
             iterations=tuple(draw(st.integers(1, 10**30)) for _ in repairs),
-            embedding=demo_store.EmbeddingVector(np.full(4, i + 1, np.float32), 4, "stored"),
         ))
     return records
 
@@ -643,7 +648,8 @@ class TestSaveDifferential:
     @settings(max_examples=150, deadline=None)
     @given(_any_records())
     def test_save_matches_reference_writer(self, records):
-        index = DemonstrationIndex(records)
+        matrix = np.repeat(np.arange(1, len(records) + 1, dtype=np.float32)[:, None], 4, axis=1)
+        index = DemonstrationIndex(records, matrix)
         with tempfile.TemporaryDirectory() as tmp:
             ours = _saved_bytes(save_store, index, Path(tmp) / "ours")
             theirs = _saved_bytes(reference_save_store, index, Path(tmp) / "reference")
@@ -660,7 +666,10 @@ class TestSaveDifferential:
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         index = load_store(path)
         # A lone surrogate cannot be encoded as UTF-8: the write fails part-way.
-        index.add(dataclasses.replace(index.records[0], id="bad", static_part="FROM a\n\udc80"), None)
+        # The provider hands back a stored row, since the hashing embedder rejects the surrogate too.
+        provider = SimpleNamespace(dim=16, token_limit=None, provider_id="row-0",
+                                   embed_values=lambda text: index.matrix[0])
+        index.add(dataclasses.replace(index.records[0], id="bad", static_part="FROM a\n\udc80"), provider)
         with pytest.raises(UnicodeEncodeError):
             save_store(index, path)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before

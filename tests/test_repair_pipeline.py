@@ -4,6 +4,7 @@ import itertools
 import json
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from flakidock.build_engine import (
@@ -621,5 +622,5 @@ class TestEmbeddingCalls:
         reference = HashingEmbeddingProvider()
         for entry in session.feedback:
             expected = embed(entry.failure_output, reference)
-            assert entry.vector == expected
-            assert entry.vector.values.tobytes() == expected.values.tobytes()
+            assert entry.vector.dtype == expected.dtype == np.float32
+            assert entry.vector.tobytes() == expected.tobytes()

@@ -22,7 +22,6 @@ from flakidock import providers
 from flakidock.demo_store import load_store, save_store
 from flakidock.providers import HashingEmbeddingProvider
 from flakidock.similarity import (
-    EmbeddingVector,
     RepairQuery,
     cluster_add,
     cosine,
@@ -34,21 +33,51 @@ from support import reference_clustering, reference_hash_embedding, template_out
 
 
 def _vec(*values):
-    return EmbeddingVector(tuple(float(v) for v in values), len(values), "test")
+    """A vector in the form `embed` returns: read-only float32."""
+    vec = np.array(values, dtype=np.float32)
+    vec.flags.writeable = False
+    return vec
+
+
+class _FixedProvider(providers.EmbeddingProvider):
+    """Returns the same values for every text, whatever its declared dim."""
+
+    def __init__(self, dim, values):
+        self.dim, self.token_limit, self.provider_id = dim, None, "fixed"
+        self.values = values
+
+    def embed_values(self, text):
+        return self.values
 
 
 class TestEmbed:
     def test_deterministic(self, offline_provider):
-        assert embed("abc", offline_provider) == embed("abc", offline_provider)
+        assert embed("abc", offline_provider).tobytes() == embed("abc", offline_provider).tobytes()
 
     def test_declared_dim_respected(self):
         provider = HashingEmbeddingProvider(dim=64)
-        assert embed("abc", provider).dim == 64
-        assert len(embed("abc", provider).values) == 64
+        assert embed("abc", provider).shape == (64,)
+
+    def test_returns_read_only_float32_of_declared_shape(self):
+        provider = _FixedProvider(4, np.array([1.0, 2.0, 0.0, 3.0]))  # writable float64
+        vec = embed("abc", provider)
+        assert vec.dtype == np.float32 and vec.shape == (4,)
+        assert not vec.flags.writeable
+        assert provider.values.flags.writeable  # the provider's own array is untouched
+        with pytest.raises(ValueError):
+            vec[0] = 5.0
+
+    def test_wrong_value_count_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            embed("abc", _FixedProvider(4, np.ones(3, np.float32)))
+
+    def test_zero_vector_rejected(self):
+        with pytest.raises(ZeroVector):
+            embed("abc", _FixedProvider(4, np.zeros(4, np.float32)))
 
     def test_unit_norm(self, offline_provider):
         vec = embed("some build failure text", offline_provider)
-        assert math.sqrt(sum(v * v for v in vec.values)) == pytest.approx(1.0, abs=1e-6)
+        assert math.sqrt(sum(float(v) ** 2 for v in vec)) == pytest.approx(1.0, abs=1e-6)
 
     def test_empty_text_rejected(self, offline_provider):
         with pytest.raises(ValueError):
@@ -60,7 +89,7 @@ class TestEmbed:
         long_text = "head marker " + "x" * 500
         truncated = embed(long_text, provider)
         head_only = embed(long_text[: 8 * 4], provider)
-        assert truncated == head_only
+        assert truncated.tobytes() == head_only.tobytes()
 
 
 class TestCosine:
@@ -92,11 +121,11 @@ class TestCosine:
     )
     @settings(max_examples=200)
     def test_symmetry_and_bound(self, a, b):
-        # Values tiny enough that their squared norm underflows to zero are
-        # legitimately rejected by cosine(), so skip them here.
-        if math.sqrt(sum(x * x for x in a)) == 0 or math.sqrt(sum(y * y for y in b)) == 0:
-            return
+        # Values too small for float32 round to zero, and cosine() legitimately
+        # rejects the zero vector, so skip them here.
         va, vb = _vec(*a), _vec(*b)
+        if not va.any() or not vb.any():
+            return
         assert cosine(va, vb) == pytest.approx(cosine(vb, va))
         assert abs(cosine(va, vb)) <= 1.0 + 1e-12
 
@@ -219,8 +248,8 @@ def _brute_force_ranking(index, query, provider):
     """Oracle: plain python cosine over every record, same tie rule."""
     qv = embed(query.combined_text, provider)
     scored = []
-    for record in index.records:
-        scored.append((record, cosine(record.embedding, qv)))
+    for record, row in zip(index.records, index.matrix):
+        scored.append((record, cosine(row, qv)))
     return sorted(scored, key=lambda pair: (-pair[1], pair[0].id))
 
 
@@ -239,7 +268,8 @@ class TestIndexPersistenceFormat:
         assert dim == offline_provider.dim
         rows = np.frombuffer(blob[4:], dtype="<f4").reshape(-1, dim)
         assert rows.shape == (2, dim)
-        assert rows[0] == pytest.approx(list(index.records[0].embedding.values))
+        assert rows.tobytes() == index.matrix.tobytes()
+        assert rows[0].tobytes() == embed(index.records[0].combined_text(), offline_provider).tobytes()
 
 
 class TestOrderDependence:
@@ -280,7 +310,7 @@ class TestDifferential:
         for i in order:
             state, cid = cluster_add(state, f"out-{i}", vecs[i], threshold)
             got.append(cid)
-        steps = reference_clustering([[float(x) for x in vecs[i].values] for i in order], threshold)
+        steps = reference_clustering([[float(x) for x in vecs[i]] for i in order], threshold)
         if threshold == 0.8:
             assert got == [cid for cid, _ in steps]
             return
@@ -302,7 +332,7 @@ class TestDifferential:
         texts = template_outputs(200)
         for text in texts + texts:  # the second round hits the text cache
             expected = reference_hash_embedding(text).tobytes()
-            assert np.asarray(embed(text, provider).values, dtype=np.float32).tobytes() == expected
+            assert embed(text, provider).tobytes() == expected
             assert np.asarray(provider.embed_values(text), dtype=np.float32).tobytes() == expected
 
 
