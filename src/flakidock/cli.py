@@ -8,6 +8,7 @@ on stdout; diagnostics go to stderr either way.
 from __future__ import annotations
 
 import fcntl
+import functools
 import json
 import os
 from pathlib import Path
@@ -21,6 +22,7 @@ from .errors import EngineError, FlakiDockError
 from .log_preprocess import (
     classify_failure_exclusion,
     excerpt_or_tail,
+    extract_error_context,
     load_exclusion_filters,
     preprocess_log,
     segment_stages,
@@ -52,6 +54,20 @@ def _fail(ctx: click.Context, message: str) -> None:
     ctx.exit(EXIT_ERROR)
 
 
+def _operational(callback):
+    """The CLI's one error boundary: an operational error the callback raises
+    exits 1 with the error message, as the `--json` error object under --json."""
+
+    @functools.wraps(callback)
+    def wrapper(*args, **kwargs):
+        try:
+            return callback(*args, **kwargs)
+        except (FlakiDockError, OSError, ValueError) as exc:  # ValueError covers decode errors
+            _fail(click.get_current_context(), str(exc))
+
+    return wrapper
+
+
 def _lock_state(ctx: click.Context) -> None:
     """Hold an exclusive lock on the state directory until the command ends.
 
@@ -63,15 +79,12 @@ def _lock_state(ctx: click.Context) -> None:
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o666)  # non-inheritable: builds never hold it
-    except OSError as exc:
-        _fail(ctx, f"cannot open state lock {path}: {exc}")
-    ctx.call_on_close(lambda: os.close(fd))
-    try:
+        ctx.call_on_close(lambda: os.close(fd))
         fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
     except BlockingIOError:
-        _fail(ctx, f"state directory locked by another flakidock process ({path})")
+        raise FlakiDockError(f"state directory locked by another flakidock process ({path})") from None
     except OSError as exc:
-        _fail(ctx, f"cannot lock {path}: {exc}")
+        raise FlakiDockError(f"cannot lock {path}: {exc}") from exc
 
 
 def _build_summary(record: BuildRecord) -> dict:
@@ -83,24 +96,31 @@ def _build_summary(record: BuildRecord) -> dict:
     }
 
 
-def _load_doc(ctx: click.Context, path: Path):
-    if not path.exists():
-        _fail(ctx, f"no such file: {path}")
+def _read(path: Path, errors: str | None = "strict"):
+    """The file's UTF-8 text, decoded with `errors`, or its bytes when `errors` is None."""
     try:
-        return parse_dockerfile(path.read_bytes())
-    except OSError as exc:
-        _fail(ctx, f"cannot read {path}: {exc}")
+        return path.read_bytes() if errors is None else path.read_text(encoding="utf-8", errors=errors)
+    except FileNotFoundError:
+        raise FlakiDockError(f"no such file: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FlakiDockError(f"cannot read {path}: {exc}") from exc
+
+
+def _load_doc(path: Path):
+    data = _read(path, errors=None)
+    try:
+        return parse_dockerfile(data)
     except FlakiDockError as exc:
-        _fail(ctx, f"cannot parse {path}: {exc}")
+        raise FlakiDockError(f"cannot parse {path}: {exc}") from exc
 
 
-def _resolve_store(ctx: click.Context, config: RunConfig):
-    from .demo_store import builtin_store_path, load_store
-
-    providers = ctx.obj["providers"]
-    if config.store == "builtin":
-        return load_store(builtin_store_path(), providers.query_embedder)
-    return load_store(config.store, providers.query_embedder)
+def _history_entry(line: str) -> dict | None:
+    """A `monitor` history line, or None for one that is not a JSON object with a status."""
+    try:
+        entry = json.loads(line)
+    except ValueError:
+        return None
+    return entry if isinstance(entry, dict) and "status" in entry else None
 
 
 @click.group()
@@ -110,6 +130,7 @@ def _resolve_store(ctx: click.Context, config: RunConfig):
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable output.")
 @click.option("--rules", type=click.Path(), default=None, help="Error-expression rules file.")
 @click.pass_context
+@_operational
 def main(ctx, config_path, state_dir, driver, as_json, rules):
     """Detect, analyze, and repair flaky container-image build definitions."""
     ctx.ensure_object(dict)
@@ -121,19 +142,15 @@ def main(ctx, config_path, state_dir, driver, as_json, rules):
         overrides["driver"] = driver
     if rules is not None:
         overrides["rules"] = Path(rules)
-    try:
-        config = load_config(config_path, overrides)
-        providers = config.make_providers()
-        engine = config.make_engine()
-    except (FlakiDockError, ValueError, OSError) as exc:
-        _fail(ctx, str(exc))
-    ctx.obj.update(config=config, providers=providers, engine=engine)
+    config = load_config(config_path, overrides)
+    ctx.obj.update(config=config, providers=config.make_providers(), engine=config.make_engine())
 
 
 @main.command()
 @click.argument("dockerfile", type=click.Path())
 @click.option("--context", "context_dir", type=click.Path(), default=None, help="Build context (defaults to the Dockerfile's directory).")
 @click.pass_context
+@_operational
 def detect(ctx, dockerfile, context_dir):
     """Classify DOCKERFILE as flaky or non-flaky by repeated building."""
     from .repair_pipeline import detect_flakiness
@@ -141,12 +158,9 @@ def detect(ctx, dockerfile, context_dir):
     _lock_state(ctx)
     config: RunConfig = ctx.obj["config"]
     path = Path(dockerfile)
-    doc = _load_doc(ctx, path)
+    doc = _load_doc(path)
     context = Path(context_dir) if context_dir else path.parent
-    try:
-        detection = detect_flakiness(doc, context, ctx.obj["engine"], config.validation_policy())
-    except FlakiDockError as exc:
-        _fail(ctx, str(exc))
+    detection = detect_flakiness(doc, context, ctx.obj["engine"], config.validation_policy())
     report = {
         "verdict": "flaky" if detection.flaky else "non-flaky",
         "builds": [_build_summary(r) for r in detection.records],
@@ -164,8 +178,10 @@ def detect(ctx, dockerfile, context_dir):
 @click.option("--store", "store_path", type=click.Path(), default=None, help="Demonstration store (records.jsonl). Defaults to the configured store.")
 @click.option("--dry-run", is_flag=True, help="Detect, retrieve, and print the prompt without calling the generator.")
 @click.pass_context
+@_operational
 def repair(ctx, dockerfile, context_dir, store_path, dry_run):
     """Run the full repair loop on DOCKERFILE; writes <name>.repaired on success."""
+    from .demo_store import builtin_store_path, load_store
     from .repair_pipeline import (
         VERDICT_IN_PROGRESS,
         VERDICT_NON_FLAKY,
@@ -182,45 +198,43 @@ def repair(ctx, dockerfile, context_dir, store_path, dry_run):
     if store_path is not None:
         config.store = store_path
     path = Path(dockerfile)
-    doc = _load_doc(ctx, path)
+    doc = _load_doc(path)
     context = Path(context_dir) if context_dir else path.parent
     providers = ctx.obj["providers"]
     engine = ctx.obj["engine"]
-    try:
-        store = _resolve_store(ctx, config)
-        policy = config.validation_policy()
-        if dry_run:  # attempt 1's prompt: a full run opens its session the same way
-            session = start_session(
-                doc, context, store, providers, policy, engine,
-                retrieval_k=config.retrieval_k,
-                rules=config.ruleset(),
-            )
-            if session.verdict == VERDICT_IN_PROGRESS:
-                prompt = assemble_prompt(session, config.prompt_budget)
-                if ctx.obj["json"]:
-                    _emit(ctx, {"verdict": "dry-run", "prompt": prompt,
-                                "retrieved": [r.id for r, _ in session.retrieved]}, "")
-                else:
-                    click.echo(prompt)
-                ctx.exit(EXIT_OK)
-        else:
-            if providers.generator is None:
-                _fail(ctx, "no generation provider configured (set generation_provider)")
-            session_id = f"{path.stem}-{doc.content_hash[:12]}"
-            session_dir = Path(config.state_dir) / "sessions" / session_id
-            suffix = 2
-            while session_dir.exists():  # keep earlier audit trails intact
-                session_dir = session_dir.with_name(f"{session_id}-{suffix}")
-                suffix += 1
-            session = repair_flaky_dockerfile(
-                doc, context, store, providers, policy, engine,
-                retrieval_k=config.retrieval_k,
-                rules=config.ruleset(),
-                session_dir=session_dir,
-                prompt_budget=config.prompt_budget,
-            )
-    except FlakiDockError as exc:
-        _fail(ctx, str(exc))
+    store_file = builtin_store_path() if config.store == "builtin" else config.store
+    store = load_store(store_file, providers.query_embedder)
+    policy = config.validation_policy()
+    if dry_run:  # attempt 1's prompt: a full run opens its session the same way
+        session = start_session(
+            doc, context, store, providers, policy, engine,
+            retrieval_k=config.retrieval_k,
+            rules=config.ruleset(),
+        )
+        if session.verdict == VERDICT_IN_PROGRESS:
+            prompt = assemble_prompt(session, config.prompt_budget)
+            if ctx.obj["json"]:
+                _emit(ctx, {"verdict": "dry-run", "prompt": prompt,
+                            "retrieved": [r.id for r, _ in session.retrieved]}, "")
+            else:
+                click.echo(prompt)
+            ctx.exit(EXIT_OK)
+    else:
+        if providers.generator is None:
+            raise FlakiDockError("no generation provider configured (set generation_provider)")
+        session_id = f"{path.stem}-{doc.content_hash[:12]}"
+        session_dir = Path(config.state_dir) / "sessions" / session_id
+        suffix = 2
+        while session_dir.exists():  # keep earlier audit trails intact
+            session_dir = session_dir.with_name(f"{session_id}-{suffix}")
+            suffix += 1
+        session = repair_flaky_dockerfile(
+            doc, context, store, providers, policy, engine,
+            retrieval_k=config.retrieval_k,
+            rules=config.ruleset(),
+            session_dir=session_dir,
+            prompt_budget=config.prompt_budget,
+        )
     summary = {
         "verdict": session.verdict,
         "attempts_used": session.attempts_used,
@@ -242,37 +256,30 @@ def repair(ctx, dockerfile, context_dir, store_path, dry_run):
     if session.verdict == VERDICT_UNRESOLVED:
         _emit(ctx, summary, f"unable to resolve after {session.attempts_used} attempt(s)")
         ctx.exit(EXIT_UNRESOLVED)
-    _fail(ctx, f"session aborted: {session.verdict}: {session.abort_reason}")
+    raise FlakiDockError(f"session aborted: {session.verdict}: {session.abort_reason}")
 
 
 @main.command()
 @click.argument("log_dir", type=click.Path())
 @click.pass_context
+@_operational
 def cluster(ctx, log_dir):
     """Cluster the failing build logs in LOG_DIR by error similarity."""
     config: RunConfig = ctx.obj["config"]
     providers = ctx.obj["providers"]
     directory = Path(log_dir)
     if not directory.is_dir():
-        _fail(ctx, f"no such directory: {directory}")
+        raise FlakiDockError(f"no such directory: {directory}")
     files = sorted(p for p in directory.iterdir() if p.is_file())
     if not files:
-        _fail(ctx, f"no log files in {directory}")
+        raise FlakiDockError(f"no log files in {directory}")
     rules = config.ruleset()
     state = []
-    assignments = {}
-    try:
-        for log_file in files:
-            try:
-                text = log_file.read_text(encoding="utf-8", errors="replace")
-            except OSError as exc:
-                _fail(ctx, f"unreadable file {log_file}: {exc}")
-            excerpt = excerpt_or_tail(text, preprocess_log(text, rules)) or log_file.name
-            vec = embed(excerpt, providers.sentence_embedder)
-            state, cid = cluster_add(state, log_file.name, vec, config.cluster_threshold)
-            assignments[log_file.name] = cid
-    except FlakiDockError as exc:
-        _fail(ctx, str(exc))
+    for log_file in files:
+        text = _read(log_file, errors="replace")
+        excerpt = excerpt_or_tail(text, preprocess_log(text, rules)) or log_file.name
+        vec = embed(excerpt, providers.sentence_embedder)
+        state, _ = cluster_add(state, log_file.name, vec, config.cluster_threshold)
     report = {
         "inputs": len(files),
         "clusters": [
@@ -291,6 +298,7 @@ def cluster(ctx, log_dir):
 @click.argument("manifest", type=click.Path())
 @click.option("--rounds", type=int, required=True, help="Builds per project in this invocation.")
 @click.pass_context
+@_operational
 def monitor(ctx, manifest, rounds):
     """Build every project in MANIFEST repeatedly and track failure history.
 
@@ -299,14 +307,9 @@ def monitor(ctx, manifest, rounds):
     _lock_state(ctx)
     config: RunConfig = ctx.obj["config"]
     manifest_path = Path(manifest)
-    if not manifest_path.exists():
-        _fail(ctx, f"no such file: {manifest_path}")
+    manifest_text = _read(manifest_path)
     if rounds < 0:
-        _fail(ctx, "rounds must be >= 0")
-    try:
-        manifest_text = manifest_path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        _fail(ctx, f"cannot read {manifest_path}: {exc}")
+        raise FlakiDockError("rounds must be >= 0")
     projects = []
     for lineno, raw in enumerate(manifest_text.splitlines(), 1):
         line = raw.strip()
@@ -314,10 +317,10 @@ def monitor(ctx, manifest, rounds):
             continue
         parts = line.split(None, 1)
         if len(parts) != 2:
-            _fail(ctx, f"{manifest_path}:{lineno}: expected 'name context_dir'")
+            raise FlakiDockError(f"{manifest_path}:{lineno}: expected 'name context_dir'")
         name = parts[0]
         if name in (".", "..") or "/" in name or "\0" in name:  # names history/<name>.jsonl
-            _fail(ctx, f"{manifest_path}:{lineno}: project name {name!r} is not one plain path component")
+            raise FlakiDockError(f"{manifest_path}:{lineno}: project name {name!r} is not one plain path component")
         projects.append((name, Path(parts[1])))
 
     history_dir = Path(config.state_dir) / "history"
@@ -360,15 +363,12 @@ def monitor(ctx, manifest, rounds):
                 )
         entry["builds"] = len(records)
         # Flakiness is judged on an unchanged Dockerfile: only the builds of
-        # the file read now count, and lines without a hash count for nothing.
+        # the file read now count. A line without a hash or a status, or one
+        # that is not a JSON object (torn by a crash, say), counts for nothing.
         history = []
         if doc is not None:
-            lines = history_file.read_text(encoding="utf-8").splitlines()
-            history = [
-                h
-                for h in (json.loads(line) for line in lines if line.strip())
-                if h.get("dockerfile_hash") == doc.content_hash
-            ]
+            lines = history_file.read_text(encoding="utf-8", errors="replace").splitlines()
+            history = [h for h in map(_history_entry, lines) if h and h.get("dockerfile_hash") == doc.content_hash]
         # An engine error is the engine's fault, not the build's; its message is in `errors`.
         failures = [h for h in history if h["status"] not in (STATUS_SUCCESS, STATUS_ENGINE_ERROR)]
         excluded = [h for h in failures if h.get("exclusion")]
@@ -393,21 +393,12 @@ def monitor(ctx, manifest, rounds):
 @main.command()
 @click.argument("logfile", type=click.Path())
 @click.pass_context
+@_operational
 def preprocess(ctx, logfile):
     """Print the error-focused excerpt of a raw build log (debugging aid)."""
     config: RunConfig = ctx.obj["config"]
-    path = Path(logfile)
-    if not path.exists():
-        _fail(ctx, f"no such file: {path}")
-    try:
-        text = path.read_text(encoding="utf-8", errors="replace")
-    except OSError as exc:
-        _fail(ctx, f"cannot read {path}: {exc}")
-    try:
-        sections = segment_stages(text)
-        result = preprocess_log(text, config.ruleset())
-    except FlakiDockError as exc:
-        _fail(ctx, str(exc))
+    sections = segment_stages(_read(Path(logfile), errors="replace"))
+    result = extract_error_context(sections, config.ruleset())
     payload = {
         "stages": len([s for s in sections if not s.is_preamble]),
         "total_lines_in": result.total_lines_in,
@@ -426,15 +417,12 @@ def dataset():
 @dataset.command("validate")
 @click.argument("store_path", type=click.Path())
 @click.pass_context
+@_operational
 def dataset_validate(ctx, store_path):
     """Validate every record in a store against the schema."""
     from .demo_store import load_store
 
-    providers = ctx.obj["providers"]
-    try:
-        index = load_store(store_path, providers.query_embedder)
-    except FlakiDockError as exc:
-        _fail(ctx, str(exc))
+    index = load_store(store_path, ctx.obj["providers"].query_embedder)
     _emit(
         ctx,
         {"valid": True, "records": len(index)},
@@ -445,15 +433,12 @@ def dataset_validate(ctx, store_path):
 @dataset.command("stats")
 @click.argument("store_path", type=click.Path())
 @click.pass_context
+@_operational
 def dataset_stats(ctx, store_path):
     """Per-category record counts and fractions."""
     from .demo_store import category_stats, load_store
 
-    providers = ctx.obj["providers"]
-    try:
-        index = load_store(store_path, providers.query_embedder)
-    except FlakiDockError as exc:
-        _fail(ctx, str(exc))
+    index = load_store(store_path, ctx.obj["providers"].query_embedder)
     stats = category_stats(index)
     payload = {
         "records": len(index),
@@ -478,6 +463,7 @@ def dataset_stats(ctx, store_path):
 @click.option("--repair", "repair_paths", type=click.Path(exists=True), multiple=True, required=True)
 @click.option("--iterations", default=None, help="Comma-separated validation build counts, one per repair (default 2 each).")
 @click.pass_context
+@_operational
 def dataset_add(ctx, store_path, record_id, dockerfile_path, log_path, category, repair_paths, iterations):
     """Append one demonstration record to a store (created if missing)."""
     from .demo_store import (
@@ -493,29 +479,26 @@ def dataset_add(ctx, store_path, record_id, dockerfile_path, log_path, category,
     providers = ctx.obj["providers"]
     store_file = Path(store_path)
     records_path = store_file / "records.jsonl" if store_file.is_dir() else store_file
-    try:
-        if records_path.exists():
-            index = load_store(store_file, providers.query_embedder)
-        else:
-            index = DemonstrationIndex([])
-        raw_log = Path(log_path).read_text(encoding="utf-8", errors="replace")
-        dynamic = excerpt_or_tail(raw_log, preprocess_log(raw_log, config.ruleset()))
-        if iterations:
-            counts = tuple(int(v) for v in iterations.split(","))
-        else:
-            counts = tuple(config.build_iterations for _ in repair_paths)
-        record = DemonstrationRecord(
-            id=record_id,
-            static_part=Path(dockerfile_path).read_text(encoding="utf-8"),
-            dynamic_part=dynamic,
-            category=FlakinessCategory.from_string(category),
-            repairs=tuple(Path(p).read_text(encoding="utf-8") for p in repair_paths),
-            iterations=counts,
-        )
-        index.add(record, providers.query_embedder)
-        save_store(index, store_file)
-    except (OSError, ValueError, FlakiDockError) as exc:
-        _fail(ctx, str(exc))
+    if records_path.exists():
+        index = load_store(store_file, providers.query_embedder)
+    else:
+        index = DemonstrationIndex([])
+    raw_log = _read(Path(log_path), errors="replace")
+    dynamic = excerpt_or_tail(raw_log, preprocess_log(raw_log, config.ruleset()))
+    if iterations:
+        counts = tuple(int(v) for v in iterations.split(","))
+    else:
+        counts = tuple(config.build_iterations for _ in repair_paths)
+    record = DemonstrationRecord(
+        id=record_id,
+        static_part=_read(Path(dockerfile_path)),
+        dynamic_part=dynamic,
+        category=FlakinessCategory.from_string(category),
+        repairs=tuple(_read(Path(p)) for p in repair_paths),
+        iterations=counts,
+    )
+    index.add(record, providers.query_embedder)
+    save_store(index, store_file)
     _emit(
         ctx,
         {"added": record_id, "records": len(index)},

@@ -94,8 +94,10 @@ class RunConfig:
     max_response_tokens: int = 2000
 
     def validate(self) -> None:
-        if self.retrieval_k < 1:
-            raise ConfigError(f"retrieval_k must be >= 1, got {self.retrieval_k}")
+        for key in ("retrieval_k", "prompt_budget", "max_response_tokens", "embedding_dim",
+                    "sentence_dim", "embedding_token_limit"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
         if not 0.0 < self.cluster_threshold < 1.0:
             raise ConfigError("cluster_threshold must be in (0, 1)")
         try:  # the policies own their range rules: building them applies those rules

@@ -262,7 +262,10 @@ def load_store(path, embedding_provider: EmbeddingProvider | None = None) -> Dem
     # One record per `\n`: save_store writes U+0085, U+2028 and U+2029 raw inside
     # strings, and `str.splitlines` would cut a record at them.
     with open(records_path, encoding="utf-8") as fh:
-        lines = [line for line in fh.read().split("\n") if line.strip()]
+        try:
+            lines = [line for line in fh.read().split("\n") if line.strip()]
+        except UnicodeDecodeError as exc:
+            raise StoreError(f"{records_path}: not UTF-8: {exc}") from exc
     if not lines:
         raise VersionMismatch(f"{records_path}: missing schema version header")
     try:

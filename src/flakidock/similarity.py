@@ -27,7 +27,8 @@ def embed(text: str, provider: EmbeddingProvider) -> np.ndarray:
     """Embed text through a provider, cutting it to its head at the token limit.
 
     Returns the read-only float32 vector of shape (provider.dim,). Raises
-    DimensionMismatch for a vector of another size and ZeroVector for all zeros.
+    DimensionMismatch for a vector of another size, and ZeroVector for all
+    zeros or for a value that is not finite as a float32.
     """
     import numpy as np
 
@@ -35,13 +36,15 @@ def embed(text: str, provider: EmbeddingProvider) -> np.ndarray:
         raise ValueError("cannot embed empty text")
     if provider.token_limit is not None and estimate_tokens(text) > provider.token_limit:
         text = text[: provider.token_limit * 4]  # the build definition leads a combined text
-    values = np.asarray(provider.embed_values(text), dtype=np.float32)
+    raw = provider.embed_values(text)
+    with np.errstate(over="ignore"):  # a value past the float32 range becomes inf, rejected below
+        values = np.asarray(raw, dtype=np.float32)
     if values.shape != (provider.dim,):
         raise DimensionMismatch(
             f"provider {provider.provider_id} returned {values.size} values, declared dim {provider.dim}"
         )
-    if not values.any():
-        raise ZeroVector(f"provider {provider.provider_id} returned the zero vector")
+    if not values.any() or not np.isfinite(values).all():
+        raise ZeroVector(f"provider {provider.provider_id} returned a vector that is zero or not finite")
     if values.flags.writeable:  # a read-only array is shared; a writable one is copied
         values = values.copy()
         values.flags.writeable = False

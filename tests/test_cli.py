@@ -16,6 +16,7 @@ from click.testing import CliRunner
 from flakidock.cli import main
 from flakidock.config import RunConfig, load_config
 from flakidock.demo_store import builtin_store_path
+from flakidock.dockerfile_model import parse_dockerfile
 
 from support import (
     ALPINE_PIP,
@@ -572,6 +573,25 @@ class TestMonitor:
         entry = json.loads(result.output)["projects"]["proj"]
         assert (entry["failures"], entry["flaky_candidate"]) == (0, False)
 
+    def test_history_lines_that_are_not_build_records_count_for_nothing(self, runner, tmp_path):
+        manifest = self._manifest(tmp_path, [("proj", "FROM busybox\n")])
+        content_hash = parse_dockerfile(b"FROM busybox\n").content_hash
+        history = tmp_path / "state" / "history"
+        history.mkdir(parents=True)
+        torn = json.dumps({"dockerfile_hash": content_hash, "status": "failure"}, sort_keys=True)[:-5]
+        no_status = json.dumps({"dockerfile_hash": content_hash})
+        (history / "proj.jsonl").write_text(f"{torn}\n[1]\n{no_status}\n")
+        scenario = _write_scenario(
+            tmp_path / "s.json",
+            [{"match": None, "outcomes": [{"status": "failure", "log": ERROR_TYPE_LOGS["X"], "exit_code": 1}]}],
+        )
+        result = runner.invoke(
+            main, _base_args(tmp_path, scenario) + ["monitor", str(manifest), "--rounds", "1"]
+        )
+        assert result.exit_code == 0, result.output
+        entry = json.loads(result.output)["projects"]["proj"]
+        assert (entry["builds"], entry["failures"], entry["flaky_candidate"]) == (1, 1, True)
+
     def test_unreadable_dockerfile_counts_nothing_even_at_zero_rounds(self, runner, tmp_path):
         manifest = self._manifest(tmp_path, [("proj", "FROM busybox\n")])
         scenario = _write_scenario(
@@ -904,6 +924,18 @@ class TestGlobalFlags:
         assert setting.split()[0] in json.loads(result.output)["error"]
 
     @pytest.mark.parametrize(
+        "key",
+        ["prompt_budget", "max_response_tokens", "embedding_dim", "sentence_dim", "embedding_token_limit"],
+    )
+    def test_size_key_below_one_rejected(self, runner, tmp_path, key):
+        config = tmp_path / "bad.conf"
+        config.write_text(f"{key} = 0\n")
+        result = runner.invoke(main, ["--config", str(config)] + _detect_args(tmp_path))
+        assert result.exit_code == 1, result.output
+        assert json.loads(result.output)["error"] == f"{key} must be >= 1, got 0"
+        assert not (tmp_path / "state" / "builds").exists()
+
+    @pytest.mark.parametrize(
         "key, value",
         [("embedding_provider", "htttp"), ("sentence_provider", "HTTP"),
          ("generation_provider", "scripted"), ("generation_provider", "scripted:"),
@@ -1039,3 +1071,81 @@ class TestDatasetEdgeCases:
             )
         assert result.exit_code == 0, result.output
         assert sum("unknown subcategory" in r.getMessage() for r in caplog.records) == 1
+
+
+def _repair_args(tmp_path: Path, flaky_setup) -> list[str]:
+    """`repair` of the flaky_setup Dockerfile, which the scripted generator repairs."""
+    dockerfile, scenario = flaky_setup
+    return _base_args(tmp_path, scenario) + [
+        "--config", str(_config_with_generator(tmp_path, scenario)), "repair", str(dockerfile),
+    ]
+
+
+def _monitor_args(tmp_path: Path) -> list[str]:
+    project = tmp_path / "proj"
+    project.mkdir()
+    (project / "Dockerfile").write_text("FROM busybox\n")
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(f"proj {project}\n")
+    scenario = _write_scenario(tmp_path / "s.json", [{"match": None, "outcomes": [{"status": "success"}]}])
+    return _base_args(tmp_path, scenario) + ["monitor", str(manifest), "--rounds", "1"]
+
+
+def _builds_is_a_file(tmp_path, _):
+    (tmp_path / "state").mkdir()
+    (tmp_path / "state" / "builds").write_text("")
+    return _detect_args(tmp_path), "builds"
+
+
+def _history_is_a_file(tmp_path, _):
+    (tmp_path / "state").mkdir()
+    (tmp_path / "state" / "history").write_text("")
+    return _monitor_args(tmp_path), "history"
+
+
+def _history_file_is_a_directory(tmp_path, _):
+    (tmp_path / "state" / "history" / "proj.jsonl").mkdir(parents=True)
+    return _monitor_args(tmp_path), "proj.jsonl"
+
+
+def _repaired_is_a_directory(tmp_path, flaky_setup):
+    (tmp_path / "project" / "Dockerfile.repaired").mkdir()
+    return _repair_args(tmp_path, flaky_setup), "Dockerfile.repaired"
+
+
+def _sessions_is_a_file(tmp_path, flaky_setup):
+    (tmp_path / "state").mkdir()
+    (tmp_path / "state" / "sessions").write_text("")
+    return _repair_args(tmp_path, flaky_setup), "sessions"
+
+
+def _records_is_a_directory(tmp_path, _):
+    (tmp_path / "store" / "records.jsonl").mkdir(parents=True)
+    return _base_args(tmp_path) + ["dataset", "stats", str(tmp_path / "store")], "records.jsonl"
+
+
+def _records_not_utf8(tmp_path, _):
+    store = tmp_path / "records.jsonl"
+    header = json.dumps({"schema": "flakidock-demo-store", "version": 1})
+    store.write_bytes(header.encode() + b'\n{"id": "caf\xe9"}\n')  # latin-1
+    return _base_args(tmp_path) + ["dataset", "validate", str(store)], f"{store}: not UTF-8"
+
+
+class TestErrorBoundary:
+    """An operational error in any command exits 1 with exactly one `--json`
+    error object on stdout and no traceback."""
+
+    @pytest.mark.parametrize(
+        "case",
+        [_builds_is_a_file, _history_is_a_file, _history_file_is_a_directory, _repaired_is_a_directory,
+         _sessions_is_a_file, _records_is_a_directory, _records_not_utf8],
+        ids=lambda case: case.__name__.lstrip("_"),
+    )
+    def test_operational_error_is_the_error_object(self, runner, tmp_path, flaky_setup, case):
+        args, named = case(tmp_path, flaky_setup)
+        result = runner.invoke(main, args)
+        assert isinstance(result.exception, SystemExit), result.exc_info  # not an uncaught error
+        assert result.exit_code == 1, result.output
+        assert "Traceback" not in result.output
+        payload = json.loads(result.stdout)
+        assert list(payload) == ["error"] and named in payload["error"]

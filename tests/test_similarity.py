@@ -75,6 +75,22 @@ class TestEmbed:
         with pytest.raises(ZeroVector):
             embed("abc", _FixedProvider(4, np.zeros(4, np.float32)))
 
+    @pytest.mark.parametrize("bad", [1e39, math.nan], ids=["inf-after-cast", "nan"])
+    def test_non_finite_vector_rejected_and_not_added(self, offline_provider, bad):
+        provider = _FixedProvider(offline_provider.dim, [bad] + [1.0] * (offline_provider.dim - 1))
+        with pytest.raises(ZeroVector, match="provider fixed returned a vector that is zero or not finite"):
+            embed("abc", provider)
+        index = _store_of(["boom alpha"], offline_provider)
+        record = DemonstrationRecord(
+            id="non-finite", static_part="FROM busybox\n", dynamic_part="boom",
+            category=FlakinessCategory(MajorCategory.MISC), repairs=("FROM alpine\n",),
+            iterations=(2,),
+        )
+        with pytest.raises(ZeroVector):
+            index.add(record, provider)
+        assert len(index) == 1 and "non-finite" not in index.by_id and index.matrix.shape[0] == 1
+        assert np.isfinite(index.matrix).all()
+
     def test_unit_norm(self, offline_provider):
         vec = embed("some build failure text", offline_provider)
         assert math.sqrt(sum(float(v) ** 2 for v in vec)) == pytest.approx(1.0, abs=1e-6)
