@@ -486,7 +486,10 @@ def dataset_add(ctx, store_path, record_id, dockerfile_path, log_path, category,
     raw_log = _read(Path(log_path), errors="replace")
     dynamic = excerpt_or_tail(raw_log, preprocess_log(raw_log, config.ruleset()))
     if iterations:
-        counts = tuple(int(v) for v in iterations.split(","))
+        try:
+            counts = tuple(int(v) for v in iterations.split(","))
+        except ValueError:
+            raise FlakiDockError(f"--iterations must be comma-separated integers, got {iterations!r}") from None
     else:
         counts = tuple(config.build_iterations for _ in repair_paths)
     record = DemonstrationRecord(

@@ -13,6 +13,7 @@ import hashlib
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .errors import EmptyDocument, MalformedEncoding
 
@@ -78,7 +79,7 @@ class DockerfileDoc:
     def stage_count(self) -> int:
         return sum(1 for ins in self.instructions if ins.keyword is Keyword.FROM)
 
-    @property
+    @cached_property  # computed on first read; the document is immutable
     def content_hash(self) -> str:
         return hashlib.sha256(self.to_bytes()).hexdigest()
 

@@ -146,59 +146,62 @@ class HashingEmbeddingProvider(EmbeddingProvider):
         return vec
 
 
-def _json_headers(auth_env: str) -> dict:
-    """JSON request headers, with a bearer token when `auth_env` names a set variable."""
-    headers = {"Content-Type": "application/json"}
-    token = os.environ.get(auth_env, "")
-    if token:
-        headers["Authorization"] = f"Bearer {token}"
-    return headers
+@dataclass(eq=False)
+class _HttpProvider:
+    """An OpenAI-style endpoint, reached through one POST, reply check and error."""
 
+    base_url: str
+    model: str
+    auth_env: str  # subclasses add `timeout` and the message prefixes `_failed`, `_unexpected`
 
-class HttpEmbeddingProvider(EmbeddingProvider):
-    """OpenAI-style /embeddings endpoint driver."""
+    def __post_init__(self):
+        self.base_url = self.base_url.rstrip("/")
+        self.provider_id = f"http:{self.model}"
 
-    def __init__(
-        self,
-        base_url: str,
-        model: str,
-        auth_env: str,
-        dim: int = 1536,
-        token_limit: int | None = 8191,
-        timeout: float = 30.0,
-    ):
-        self.base_url = base_url.rstrip("/")
-        self.model = model
-        self.auth_env = auth_env
-        self.dim = dim
-        self.token_limit = token_limit
-        self.timeout = timeout
-        self.provider_id = f"http:{model}"
+    def _post(self, path: str, body: dict, pick):
+        """POST `body` and the model to `path`; return `pick` of the JSON reply.
 
-    def embed_values(self, text: str) -> np.ndarray:
-        import numpy as np
+        Raises ProviderUnavailable on any failure: connection, HTTP status, a
+        body that is not JSON, or a reply that `pick` rejects.
+        """
         import requests
 
+        token = os.environ.get(self.auth_env, "")
+        headers = {"Authorization": f"Bearer {token}"} if token else {}
         try:
-            resp = requests.post(
-                f"{self.base_url}/embeddings",
-                json={"model": self.model, "input": text},
-                headers=_json_headers(self.auth_env),
-                timeout=self.timeout,
-            )
+            resp = requests.post(f"{self.base_url}/{path}", json={"model": self.model, **body},
+                                 headers=headers, timeout=self.timeout)
             resp.raise_for_status()
-            payload = resp.json()
+            reply = resp.json()  # a non-JSON body raises a RequestException (requests >= 2.27)
         except requests.RequestException as exc:
-            raise ProviderUnavailable(f"embedding request failed: {exc}") from exc
+            raise ProviderUnavailable(f"{self._failed}: {exc}") from exc
         try:
-            values = payload["data"][0]["embedding"]
-        except (KeyError, IndexError, TypeError) as exc:
-            raise ProviderUnavailable(f"unexpected embedding response shape: {exc}") from exc
-        if len(values) != self.dim:
-            raise ProviderUnavailable(
-                f"provider returned dim {len(values)}, declared {self.dim}"
-            )
-        vec = np.asarray(values, dtype=np.float32)
+            return pick(reply)
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise ProviderUnavailable(f"{self._unexpected}: {exc!r}") from exc
+
+
+@dataclass(eq=False)
+class HttpEmbeddingProvider(_HttpProvider, EmbeddingProvider):
+    """OpenAI-style /embeddings endpoint driver."""
+
+    dim: int = 1536
+    token_limit: int | None = 8191
+    timeout: float = 30.0
+    _failed = "embedding request failed"
+    _unexpected = "unexpected embedding response shape"
+
+    def embed_values(self, text: str) -> np.ndarray:
+        return self._post("embeddings", {"input": text}, self._vector)
+
+    def _vector(self, reply) -> np.ndarray:
+        import numpy as np
+
+        values = np.asarray(reply["data"][0]["embedding"])
+        if values.dtype.kind not in "iuf" or values.shape != (self.dim,):
+            raise ValueError(f"embedding is not {self.dim} numbers")
+        with np.errstate(over="ignore"):  # a value past the float32 range is inf, which embed rejects
+            vec = values.astype(np.float32)
         vec.flags.writeable = False
         return vec
 
@@ -244,53 +247,31 @@ class ScriptedTextProvider(TextGenerationProvider):
         return self.responses[index]
 
 
-class HttpChatProvider(TextGenerationProvider):
+@dataclass(eq=False)
+class HttpChatProvider(_HttpProvider, TextGenerationProvider):
     """OpenAI-style /chat/completions endpoint driver.
 
     Temperature is pinned to 0 so repeated runs against the same model
     produce stable candidates.
     """
 
+    max_tokens: int = 2000
+    timeout: float = 120.0
+    _failed = "generation request failed"
+    _unexpected = "unexpected chat response shape"
     temperature = 0.0
 
-    def __init__(
-        self,
-        base_url: str,
-        model: str,
-        auth_env: str,
-        max_tokens: int = 2000,
-        timeout: float = 120.0,
-    ):
-        self.base_url = base_url.rstrip("/")
-        self.model = model
-        self.auth_env = auth_env
-        self.max_tokens = max_tokens
-        self.timeout = timeout
-        self.provider_id = f"http:{model}"
-
     def generate(self, prompt: str) -> str:
-        import requests
+        messages = [{"role": "user", "content": prompt}]
+        body = {"messages": messages, "temperature": self.temperature, "max_tokens": self.max_tokens}
+        return self._post("chat/completions", body, self._content)
 
-        try:
-            resp = requests.post(
-                f"{self.base_url}/chat/completions",
-                json={
-                    "model": self.model,
-                    "messages": [{"role": "user", "content": prompt}],
-                    "temperature": self.temperature,
-                    "max_tokens": self.max_tokens,
-                },
-                headers=_json_headers(self.auth_env),
-                timeout=self.timeout,
-            )
-            resp.raise_for_status()
-            payload = resp.json()
-        except requests.RequestException as exc:
-            raise ProviderUnavailable(f"generation request failed: {exc}") from exc
-        try:
-            return payload["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError) as exc:
-            raise ProviderUnavailable(f"unexpected chat response shape: {exc}") from exc
+    @staticmethod
+    def _content(reply) -> str:
+        content = reply["choices"][0]["message"]["content"]
+        if not isinstance(content, str):
+            raise TypeError(f"message content is {type(content).__name__}, not str")
+        return content
 
 
 @dataclass

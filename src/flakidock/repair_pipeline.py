@@ -28,7 +28,7 @@ from .demo_store import (
     MajorCategory,
 )
 from .dockerfile_model import DockerfileDoc, parse_dockerfile
-from .errors import BudgetExhausted, EngineError, FlakiDockError, UnparseableResponse
+from .errors import BudgetExhausted, EngineError, FlakiDockError, ProviderUnavailable, UnparseableResponse
 from .log_preprocess import RuleSet, excerpt_or_tail, preprocess_log
 from .providers import (  # ProviderSet is re-exported: callers import it from here too
     EmbeddingProvider,
@@ -48,6 +48,7 @@ VERDICT_REPAIRED = "repaired"
 VERDICT_UNRESOLVED = "unresolved"
 VERDICT_NON_FLAKY = "non-flaky"
 VERDICT_ENGINE_ABORTED = "engine-aborted"
+VERDICT_PROVIDER_ABORTED = "aborted-provider"
 
 UNPARSEABLE_FEEDBACK = "provider returned unparseable repair"
 
@@ -69,7 +70,7 @@ class RepairSession:
     final_dockerfile: str | None = None
     attempts_used: int = 0
     session_dir: Path | None = None
-    abort_reason: str | None = None  # the engine's message, for an engine-aborted session
+    abort_reason: str | None = None  # the engine's or provider's message, for an aborted session
 
     def add_feedback(self, false_repair: str, failure_output: str, vector: np.ndarray) -> None:
         if self.feedback and self.attempts_used <= self.feedback[-1].attempt_index:
@@ -321,10 +322,11 @@ def start_session(
 ) -> RepairSession:
     """Open a session: detect flakiness, build the query, retrieve examples.
 
-    A non-flaky document or an engine failure gives a terminal session, with
-    verdict.json written under session_dir when given. Otherwise the session
-    is in progress, its query and retrieved examples are set and query.json
-    is written; `assemble_prompt` of it is the first attempt's prompt.
+    A non-flaky document, an engine failure or a provider failure in
+    retrieval gives a terminal session, with verdict.json written under
+    session_dir when given. Otherwise the session is in progress, its query
+    and retrieved examples are set and query.json is written;
+    `assemble_prompt` of it is the first attempt's prompt.
     """
     if session_dir is not None:
         session_dir = Path(session_dir)
@@ -348,7 +350,12 @@ def start_session(
     dynamic_part = _failure_text(detection.failing_record, rules or RuleSet.default())
     query = RepairQuery.build(doc.raw_text, dynamic_part)
     session = RepairSession(query=query, session_dir=session_dir)
-    session.retrieved = retrieve_top_k(query, store, retrieval_k, providers.query_embedder)
+    try:
+        session.retrieved = retrieve_top_k(query, store, retrieval_k, providers.query_embedder)
+    except ProviderUnavailable as exc:
+        session.verdict, session.abort_reason = VERDICT_PROVIDER_ABORTED, str(exc)
+        _persist_session(session)
+        return session
     _persist(
         session,
         "query.json",
@@ -382,9 +389,10 @@ def repair_flaky_dockerfile(
 ) -> RepairSession:
     """Run detection, retrieval, and the generate-validate-feedback loop.
 
-    Always returns a session with a terminal verdict. Every prompt,
-    response, and build log is persisted under session_dir when given, so
-    a session can be audited or replayed offline.
+    Always returns a session with a terminal verdict; a provider that fails
+    after detection ends it as aborted-provider, keeping the feedback so far.
+    Every prompt, response, and build log is persisted under session_dir when
+    given, so a session can be audited or replayed offline.
     """
     session = start_session(
         doc,
@@ -403,41 +411,44 @@ def repair_flaky_dockerfile(
     if providers.generator is None:
         raise FlakiDockError("no generation provider configured")
 
-    while session.attempts_used < policy.max_total_attempts:
-        attempt = session.attempts_used + 1
-        prompt = assemble_prompt(session, prompt_budget)
-        _persist(session, f"prompt-{attempt}.txt", prompt)
-        response = providers.generator.generate(prompt)
-        _persist(session, f"response-{attempt}.txt", response)
-        session.attempts_used = attempt
+    try:
+        while session.attempts_used < policy.max_total_attempts:
+            attempt = session.attempts_used + 1
+            prompt = assemble_prompt(session, prompt_budget)
+            _persist(session, f"prompt-{attempt}.txt", prompt)
+            response = providers.generator.generate(prompt)
+            _persist(session, f"response-{attempt}.txt", response)
+            session.attempts_used = attempt
 
-        try:
-            candidate = parse_candidate(response)
-        except UnparseableResponse:
-            vector = embed(UNPARSEABLE_FEEDBACK, providers.sentence_embedder)
-            session.add_feedback(response, UNPARSEABLE_FEEDBACK, vector)
-            continue
+            try:
+                candidate = parse_candidate(response)
+            except UnparseableResponse:
+                vector = embed(UNPARSEABLE_FEEDBACK, providers.sentence_embedder)
+                session.add_feedback(response, UNPARSEABLE_FEEDBACK, vector)
+                continue
 
-        builds_dir = (
-            None if session_dir is None else session_dir / "builds" / f"attempt-{attempt}"
-        )
-        outcome = validate_repair(
-            candidate,
-            session,
-            policy,
-            context_dir,
-            engine,
-            providers.sentence_embedder,
-            rules,
-            persist_dir=builds_dir,
-        )
-        if outcome.kind == "repair":
-            session.verdict = VERDICT_REPAIRED
-            session.final_dockerfile = candidate.raw_text
-            break
-        if outcome.kind in (VERDICT_UNRESOLVED, VERDICT_ENGINE_ABORTED):
-            session.verdict = outcome.kind
-            break
+            builds_dir = (
+                None if session_dir is None else session_dir / "builds" / f"attempt-{attempt}"
+            )
+            outcome = validate_repair(
+                candidate,
+                session,
+                policy,
+                context_dir,
+                engine,
+                providers.sentence_embedder,
+                rules,
+                persist_dir=builds_dir,
+            )
+            if outcome.kind == "repair":
+                session.verdict = VERDICT_REPAIRED
+                session.final_dockerfile = candidate.raw_text
+                break
+            if outcome.kind in (VERDICT_UNRESOLVED, VERDICT_ENGINE_ABORTED):
+                session.verdict = outcome.kind
+                break
+    except ProviderUnavailable as exc:
+        session.verdict, session.abort_reason = VERDICT_PROVIDER_ABORTED, str(exc)
 
     if session.verdict == VERDICT_IN_PROGRESS:
         session.verdict = VERDICT_UNRESOLVED  # attempt cap reached

@@ -18,6 +18,7 @@ from flakidock.config import RunConfig, load_config
 from flakidock.demo_store import builtin_store_path
 from flakidock.dockerfile_model import parse_dockerfile
 
+from loopback import Loopback
 from support import (
     ALPINE_PIP,
     ALPINE_PIP_LOG,
@@ -334,6 +335,25 @@ class TestRepair:
         (session_dir,) = (tmp_path / "state" / "sessions").iterdir()
         verdict = json.loads((session_dir / "verdict.json").read_text(encoding="utf-8"))
         assert (verdict["verdict"], verdict["abort_reason"]) == ("engine-aborted", "daemon gone")
+
+    def test_provider_failure_aborts_with_the_provider_message(self, runner, tmp_path, flaky_setup):
+        dockerfile, scenario = flaky_setup
+        reply = {"choices": [{"message": {"role": "assistant", "content": None}}]}
+        with Loopback(body=reply) as server:
+            config = tmp_path / "flakidock.conf"
+            config.write_text(f"generation_provider = http\ngeneration_url = {server.url}/v1\ngeneration_model = m\n")
+            result = runner.invoke(
+                main, _base_args(tmp_path, scenario) + ["--config", str(config), "repair", str(dockerfile)]
+            )
+        assert [path for path, _, _ in server.requests] == ["/v1/chat/completions"]
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.output
+        (error,) = json.loads(result.output).values()
+        assert error.startswith("session aborted: aborted-provider: unexpected chat response shape")
+        (session_dir,) = (tmp_path / "state" / "sessions").iterdir()
+        verdict = json.loads((session_dir / "verdict.json").read_text(encoding="utf-8"))
+        assert verdict["verdict"] == "aborted-provider" and verdict["attempts_used"] == 0
+        assert error == f"session aborted: aborted-provider: {verdict['abort_reason']}"
+        assert (session_dir / "prompt-1.txt").exists()
 
     def test_session_artifacts_persisted(self, runner, tmp_path, flaky_setup):
         dockerfile, scenario = flaky_setup
@@ -719,6 +739,25 @@ class TestDataset:
         result = runner.invoke(main, _base_args(tmp_path) + ["dataset", "validate", str(store)])
         assert result.exit_code == 1
         assert "bad-one" in json.loads(result.output)["error"]
+
+    @pytest.mark.parametrize("iterations", ["x", "2,", "2,1.5"])
+    def test_add_non_integer_iterations_names_the_option(self, runner, tmp_path, iterations):
+        for name, text in [("Dockerfile", ALPINE_PIP), ("build.log", ALPINE_PIP_LOG), ("fixed", ALPINE_PIP_REPAIRED)]:
+            (tmp_path / name).write_text(text)
+        store = tmp_path / "store" / "records.jsonl"
+        result = runner.invoke(
+            main,
+            _base_args(tmp_path) + [
+                "dataset", "add", str(store), "--id", "a", "--category", "MISC",
+                "--dockerfile", str(tmp_path / "Dockerfile"), "--log", str(tmp_path / "build.log"),
+                "--repair", str(tmp_path / "fixed"), "--iterations", iterations,
+            ],
+        )
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.output
+        assert json.loads(result.output) == {
+            "error": f"--iterations must be comma-separated integers, got {iterations!r}"
+        }
+        assert not store.exists()
 
     def test_lone_backslash_repair_validates(self, runner, tmp_path):
         store = tmp_path / "records.jsonl"

@@ -20,6 +20,7 @@ from flakidock.providers import (
 from flakidock.providers import _GramCodes
 from flakidock.similarity import embed
 
+from loopback import Loopback
 from support import reference_hash_embedding
 
 
@@ -108,6 +109,89 @@ class TestHttpProviderDeclarations:
         provider = HttpChatProvider("http://127.0.0.1:1", "m", "TOKEN_ENV", timeout=0.2)
         with pytest.raises(ProviderUnavailable):
             provider.generate("prompt")
+
+
+_EMBEDDING = {"data": [{"embedding": [0.5, 1, -2, 1e39]}]}
+_CHAT = {"choices": [{"message": {"role": "assistant", "content": "FROM busybox"}}]}
+
+
+def _call(kind: str, url: str):
+    if kind == "embedding":
+        return HttpEmbeddingProvider(url, "m", "FLAKIDOCK_TEST_TOKEN", dim=4, timeout=10).embed_values("text")
+    return HttpChatProvider(url, "m", "FLAKIDOCK_TEST_TOKEN", max_tokens=50, timeout=10).generate("prompt")
+
+
+@pytest.fixture(params=[None, "s3cret"], ids=["no-token", "token"])
+def token(request, monkeypatch):
+    """The value of the providers' auth variable, None when it is unset."""
+    if request.param is None:
+        monkeypatch.delenv("FLAKIDOCK_TEST_TOKEN", raising=False)
+    else:
+        monkeypatch.setenv("FLAKIDOCK_TEST_TOKEN", request.param)
+    return request.param
+
+
+class TestHttpLoopback:
+    """Both HTTP providers against a stdlib server on 127.0.0.1."""
+
+    def test_embedding_request_and_reply(self, token):
+        with Loopback(body=_EMBEDDING) as server:
+            values = _call("embedding", server.url + "/v1/")
+        ((path, headers, body),) = server.requests
+        assert path == "/v1/embeddings"
+        assert body == {"model": "m", "input": "text"}
+        assert headers.get("Authorization") == (None if token is None else f"Bearer {token}")
+        assert headers["Content-Type"] == "application/json"
+        assert values.dtype == np.float32 and values.shape == (4,)
+        assert values[:3].tolist() == [0.5, 1.0, -2.0] and values[3] == np.inf
+        with pytest.raises(ValueError):
+            values[0] = 0.0
+
+    def test_chat_request_and_reply(self, token):
+        with Loopback(body=_CHAT) as server:
+            content = _call("chat", server.url + "/v1/")
+        ((path, headers, body),) = server.requests
+        assert path == "/v1/chat/completions"
+        assert body == {
+            "model": "m",
+            "messages": [{"role": "user", "content": "prompt"}],
+            "temperature": 0,
+            "max_tokens": 50,
+        }
+        assert headers.get("Authorization") == (None if token is None else f"Bearer {token}")
+        assert headers["Content-Type"] == "application/json"
+        assert content == "FROM busybox"
+
+    @pytest.mark.parametrize(
+        "kind, status, body, message",
+        [
+            ("embedding", 429, _EMBEDDING, "embedding request failed"),
+            ("embedding", 500, _EMBEDDING, "embedding request failed"),
+            ("embedding", 200, b"<html>not json</html>", "embedding request failed"),
+            ("embedding", 200, {"object": "list"}, "unexpected embedding response shape"),
+            ("embedding", 200, {"data": []}, "unexpected embedding response shape"),
+            ("embedding", 200, {"data": [{"embedding": None}]}, "unexpected embedding response shape"),
+            ("embedding", 200, {"data": [{"embedding": ["a", "b", "c", "d"]}]}, "unexpected embedding response shape"),
+            ("embedding", 200, {"data": [{"embedding": [None, 1, 2, 3]}]}, "unexpected embedding response shape"),
+            ("embedding", 200, {"data": [{"embedding": [1, 2, 3]}]}, "unexpected embedding response shape"),
+            ("embedding", 200, {"data": [{"embedding": [[1, 2], [3, 4]]}]}, "unexpected embedding response shape"),
+            ("chat", 429, _CHAT, "generation request failed"),
+            ("chat", 500, _CHAT, "generation request failed"),
+            ("chat", 200, b"not json", "generation request failed"),
+            ("chat", 200, {"choices": [{}]}, "unexpected chat response shape"),
+            ("chat", 200, {"choices": [{"message": {"content": None}}]}, "unexpected chat response shape"),
+        ],
+        ids=[
+            "embed-429", "embed-500", "embed-not-json", "embed-no-data", "embed-empty-data",
+            "embed-null", "embed-strings", "embed-null-value", "embed-wrong-length", "embed-matrix",
+            "chat-429", "chat-500", "chat-not-json", "chat-no-message", "chat-null-content",
+        ],
+    )
+    def test_bad_reply_is_provider_unavailable(self, kind, status, body, message):
+        with Loopback(status, body) as server:
+            with pytest.raises(ProviderUnavailable, match=message):
+                _call(kind, server.url)
+        assert len(server.requests) == 1
 
 
 class TestScriptedProvider:

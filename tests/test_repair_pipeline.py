@@ -15,7 +15,7 @@ from flakidock.build_engine import (
 )
 from flakidock.demo_store import DemonstrationIndex, builtin_store_path, load_store
 from flakidock.dockerfile_model import parse_dockerfile
-from flakidock.errors import BudgetExhausted, UnparseableResponse
+from flakidock.errors import BudgetExhausted, ProviderUnavailable, UnparseableResponse
 from flakidock.log_preprocess import preprocess_log
 from flakidock.providers import EmbeddingProvider, HashingEmbeddingProvider, ScriptedTextProvider
 from flakidock.repair_pipeline import (
@@ -27,6 +27,7 @@ from flakidock.repair_pipeline import (
     UNPARSEABLE_FEEDBACK,
     VERDICT_ENGINE_ABORTED,
     VERDICT_NON_FLAKY,
+    VERDICT_PROVIDER_ABORTED,
     VERDICT_REPAIRED,
     VERDICT_UNRESOLVED,
     ProviderSet,
@@ -562,6 +563,70 @@ class TestFullPipeline:
         )
         assert session.verdict == VERDICT_ENGINE_ABORTED
         assert json.loads((tmp_path / "s" / "verdict.json").read_text())["verdict"] == "engine-aborted"
+
+
+class BrokenEmbedder(EmbeddingProvider):
+    """The offline embedder's dim; every call fails as an unreachable endpoint does."""
+
+    provider_id, dim = "broken", HashingEmbeddingProvider().dim
+
+    def embed_values(self, text):
+        raise ProviderUnavailable("embedding request failed: connection refused")
+
+
+class GeneratorFailingAt(ScriptedTextProvider):
+    """Scripted responses until call `fail_at`, which raises ProviderUnavailable."""
+
+    def __init__(self, responses, fail_at):
+        super().__init__(responses)
+        self.fail_at = fail_at
+
+    def generate(self, prompt):
+        if len(self.prompts) + 1 == self.fail_at:
+            raise ProviderUnavailable("generation request failed: 503 Service Unavailable")
+        return super().generate(prompt)
+
+
+class TestProviderAbort:
+    """A provider failure after detection ends the session as aborted-provider,
+    with verdict.json and the feedback gathered so far."""
+
+    def _run(self, base_doc, tmp_path, providers, store=None):
+        driver = driver_with_scripts({None: [outcome(STATUS_FAILURE, ALPINE_PIP_LOG, exit_code=1)]})
+        session = repair_flaky_dockerfile(
+            base_doc, tmp_path, store or DemonstrationIndex([]), providers,
+            ValidationPolicy(), _engine(driver), session_dir=tmp_path / "s",
+        )
+        verdict = json.loads((tmp_path / "s" / "verdict.json").read_text())
+        assert (verdict["verdict"], verdict["abort_reason"]) == (session.verdict, session.abort_reason)
+        assert session.verdict == VERDICT_PROVIDER_ABORTED == "aborted-provider"
+        return session, verdict
+
+    def test_generator_failing_at_attempt_two(self, base_doc, tmp_path):
+        generator = GeneratorFailingAt([fenced("FROM busybox\n# candidate-a\nRUN a\n")], fail_at=2)
+        session, verdict = self._run(base_doc, tmp_path, _providers(generator))
+        assert session.abort_reason == "generation request failed: 503 Service Unavailable"
+        assert session.attempts_used == verdict["attempts_used"] == 1
+        assert [e["attempt_index"] for e in verdict["feedback"]] == [1]
+        assert "candidate-a" in verdict["feedback"][0]["false_repair"]
+        assert FEEDBACK_HEADER.format(idx=1) in (tmp_path / "s" / "prompt-2.txt").read_text()
+        assert not (tmp_path / "s" / "response-2.txt").exists()
+
+    def test_feedback_embedding_failure(self, base_doc, tmp_path, offline_provider):
+        generator = ScriptedTextProvider([fenced("FROM busybox\n# candidate-a\nRUN a\n")])
+        providers = ProviderSet(offline_provider, BrokenEmbedder(), generator)
+        session, verdict = self._run(base_doc, tmp_path, providers)
+        assert session.abort_reason == "embedding request failed: connection refused"
+        assert (session.attempts_used, verdict["feedback"]) == (1, [])
+
+    def test_retrieval_embedding_failure(self, base_doc, tmp_path, offline_provider):
+        store = load_store(builtin_store_path(), offline_provider)
+        generator = ScriptedTextProvider(["never used"])
+        providers = ProviderSet(BrokenEmbedder(), offline_provider, generator)
+        session, verdict = self._run(base_doc, tmp_path, providers, store)
+        assert session.abort_reason == "embedding request failed: connection refused"
+        assert (session.attempts_used, generator.prompts) == (0, [])
+        assert not (tmp_path / "s" / "query.json").exists()
 
 
 class CountingEmbedder(EmbeddingProvider):

@@ -1,10 +1,12 @@
-"""Commands that compute no vectors start without numpy.
+"""Commands that compute no vectors start without numpy, and none loads requests.
 
 `monitor` runs once per round of builds, each run a fresh interpreter, and
 importing numpy used to be most of the CLI's start-up. numpy is imported by
 the code that computes vectors, so `import flakidock`, `import flakidock.cli`,
-`preprocess`, `monitor` and `detect` must leave it unloaded. The checks run in
-a fresh interpreter: this test session has numpy loaded already.
+`preprocess`, `monitor` and `detect` must leave it unloaded. requests is
+imported by the HTTP providers on their first request, so none of these loads
+it either. The checks run in a fresh interpreter: this test session has numpy
+loaded already.
 """
 
 from __future__ import annotations
@@ -23,11 +25,15 @@ import flakidock
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+# `code` can call `loaded()`: which of the modules start-up must skip are loaded.
+_PRELUDE = 'import sys\nloaded = lambda: sorted({"numpy", "requests"} & set(sys.modules))\n'
+
+
 def _fresh_python(code: str, cwd: Path) -> dict:
     """Run `code` in a new interpreter importing from src/; its last stdout line is JSON."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(code)],
+        [sys.executable, "-c", _PRELUDE + textwrap.dedent(code)],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -39,13 +45,13 @@ def test_importing_the_package_and_the_cli_skips_numpy(tmp_path):
         """
         import json, sys
         import flakidock
-        package = "numpy" in sys.modules
+        package = loaded()
         import flakidock.cli
-        print(json.dumps({"package": package, "cli": "numpy" in sys.modules}))
+        print(json.dumps({"package": package, "cli": loaded()}))
         """,
         tmp_path,
     )
-    assert seen == {"package": False, "cli": False}
+    assert seen == {"package": [], "cli": []}
 
 
 def test_preprocess_and_monitor_skip_numpy(tmp_path):
@@ -70,7 +76,7 @@ def test_preprocess_and_monitor_skip_numpy(tmp_path):
         print(json.dumps({"codes": [pre.exit_code, mon.exit_code],
                           "excerpt": json.loads(pre.stdout)["excerpt"],
                           "monitor": json.loads(mon.stdout)["projects"]["proj"],
-                          "numpy": "numpy" in sys.modules}))
+                          "loaded": loaded()}))
         """,
         tmp_path,
     )
@@ -78,7 +84,7 @@ def test_preprocess_and_monitor_skip_numpy(tmp_path):
     assert "externally-managed-environment" in seen["excerpt"]
     # The failing build went through preprocessing and the exclusion filters.
     assert seen["monitor"]["failures"] == 1 and seen["monitor"]["flaky_candidate"]
-    assert seen["numpy"] is False
+    assert seen["loaded"] == []
 
 
 def test_detect_skips_numpy(tmp_path):
@@ -94,11 +100,11 @@ def test_detect_skips_numpy(tmp_path):
         result = CliRunner().invoke(main, ["--json", "--driver", "simulated:scenario.json",
                                            "--state-dir", "state", "detect", "Dockerfile"])
         print(json.dumps({"code": result.exit_code, "verdict": json.loads(result.stdout)["verdict"],
-                          "numpy": "numpy" in sys.modules}))
+                          "loaded": loaded()}))
         """,
         tmp_path,
     )
-    assert seen == {"code": 0, "verdict": "non-flaky", "numpy": False}
+    assert seen == {"code": 0, "verdict": "non-flaky", "loaded": []}
 
 
 def test_reexports_resolve_lazily(tmp_path):
@@ -109,13 +115,13 @@ def test_reexports_resolve_lazily(tmp_path):
         from flakidock import config, providers, similarity
         same = [embed is similarity.embed, ProviderSet is providers.ProviderSet,
                 ValidationPolicy is config.ValidationPolicy]
-        before = "numpy" in sys.modules
+        before = loaded()
         embed("pip install failed", providers.HashingEmbeddingProvider())
-        print(json.dumps({"same": same, "before": before, "after": "numpy" in sys.modules}))
+        print(json.dumps({"same": same, "before": before, "after": loaded()}))
         """,
         tmp_path,
     )
-    assert seen == {"same": [True, True, True], "before": False, "after": True}
+    assert seen == {"same": [True, True, True], "before": [], "after": ["numpy"]}
 
 
 def test_every_exported_name_resolves():
