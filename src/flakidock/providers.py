@@ -10,11 +10,13 @@ embed start without it.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from importlib import resources
 from itertools import repeat
 from typing import TYPE_CHECKING
 
@@ -42,6 +44,12 @@ class EmbeddingProvider(ABC):
 _CODE_POINT_BITS = 21  # every code point is below 0x110000 = 17 << 16
 _CODE_POINT_MASK = (1 << _CODE_POINT_BITS) - 1
 
+# The shipped 3-gram table covers the grams of these 71 characters: tab,
+# newline and printable ASCII without A-Z, which lowercasing removes.
+_TABLE_ALPHABET = "\t\n" + "".join(chr(c) for c in range(0x20, 0x7F) if not "A" <= chr(c) <= "Z")
+_OUTSIDE = len(_TABLE_ALPHABET)  # the symbol id of every other character
+_TABLE_BITS = 15  # low digest bits per table entry: h mod dim for every dim dividing 2**15
+
 
 def _bucket_codes(grams: list[str], dim: int) -> np.ndarray:
     """Each gram's blake2b-64 (of its UTF-8 bytes) mod dim, plus dim when its top bit is set."""
@@ -52,23 +60,43 @@ def _bucket_codes(grams: list[str], dim: int) -> np.ndarray:
     return (h % np.uint64(dim) + (h >> np.uint64(63)) * np.uint64(dim)).astype(np.intp)
 
 
-def _packed_trigrams(lowered: str) -> np.ndarray:
-    """The 3-grams of `lowered`, sorted, each as its three code points packed
-    into one uint64 at 21 bits apiece, first code point highest."""
+@functools.cache
+def _trigram_table() -> tuple[np.ndarray, np.ndarray]:
+    """The symbol id of each code point below 128, at index 128 that of all
+    others, and the shipped `data/trigram_codes.bin`.
+
+    The file holds, for the gram of symbol ids (a, b, c) at (a*71 + b)*71 + c,
+    a uint16: the low 15 bits of the gram's blake2b-64 and its top bit as bit
+    15. Read once per process, at the first embedding; both arrays are shared
+    and read-only.
+    """
+    import numpy as np
+
+    ids = np.full(129, _OUTSIDE, dtype=np.int32)
+    ids[[ord(ch) for ch in _TABLE_ALPHABET]] = np.arange(_OUTSIDE)
+    ids.flags.writeable = False
+    data = resources.files("flakidock").joinpath("data/trigram_codes.bin").read_bytes()
+    return ids, np.frombuffer(data, dtype="<u2")
+
+
+def _packed_trigrams(points: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The 3-grams of code points `points` that begin at `starts`, sorted, each
+    as its three code points packed into one uint64 at 21 bits apiece, first
+    code point highest."""
     import numpy as np
 
     # Shift counts are uint64 scalars: a Python int beside a uint64 array
     # promotes differently before numpy 2.0.
     shift_1, shift_2 = np.uint64(_CODE_POINT_BITS), np.uint64(2 * _CODE_POINT_BITS)
-    # UTF-32 raises UnicodeEncodeError on a lone surrogate, as UTF-8 does.
-    points = np.frombuffer(lowered.encode("utf-32-le"), dtype="<u4").astype(np.uint64)
-    keys = points[:-2] << shift_2 | points[1:-1] << shift_1 | points[2:]
+    first, second, third = (points[starts + k].astype(np.uint64) for k in range(3))
+    keys = first << shift_2 | second << shift_1 | third
     keys.sort()
     return keys
 
 
 class _GramCodes(dict):
-    """Memo of packed 3-gram (see `_packed_trigrams`) -> bucket code (see `_bucket_codes`).
+    """Memo of packed 3-gram (see `_packed_trigrams`) -> bucket code (see
+    `_bucket_codes`), for the grams outside the shipped table.
 
     Holds at most LIMIT grams, or one text's distinct grams where those are more.
     """
@@ -104,12 +132,19 @@ class _GramCodes(dict):
 
 
 class HashingEmbeddingProvider(EmbeddingProvider):
-    """Deterministic offline embedding: hashed character n-grams, L2-normalized.
+    """Deterministic offline embedding: hashed character 3-grams, L2-normalized.
 
-    Every call with the same text yields the same vector, on any host,
-    which makes downstream behavior fully replayable without a network.
-    The one memo (n-gram -> signed bucket) is per instance and is cleared
-    when full.
+    Each 3-gram of the lowercased text adds -1 or +1 (the top bit of the
+    blake2b-64 of its UTF-8 bytes) to bucket `digest mod dim`. Every call with
+    the same text yields the same vector, on any host, which makes downstream
+    behavior fully replayable without a network.
+
+    Grams of the 71 table characters (tab, newline, printable ASCII without
+    A-Z) read their code from the shipped `data/trigram_codes.bin` when dim
+    divides 2**15. Every other gram, one with a non-ASCII character, `\\r` or
+    another control, or any gram when dim does not divide 2**15, is hashed
+    once per distinct gram through a per-instance memo that is cleared when
+    full. The vectors equal hashing every gram string in turn, bit for bit.
     """
 
     def __init__(self, dim: int = OFFLINE_DIM):
@@ -121,21 +156,40 @@ class HashingEmbeddingProvider(EmbeddingProvider):
     def embed_values(self, text: str) -> np.ndarray:
         import numpy as np
 
+        dim = self.dim
         lowered = text.lower()
         if len(lowered) < _NGRAM:
-            counts = np.bincount(_bucket_codes([lowered], self.dim), minlength=2 * self.dim)
+            counts = np.bincount(_bucket_codes([lowered], dim), minlength=2 * dim)
         else:
-            keys = _packed_trigrams(lowered)
-            # Each distinct gram is looked up once and weighted by its run length.
-            first = np.empty(len(keys), dtype=bool)
-            first[0] = True
-            np.not_equal(keys[1:], keys[:-1], out=first[1:])
-            starts = np.flatnonzero(first)
-            codes = self._grams.lookup(keys[starts])
-            # float64 sums of integer weights are exact below 2**53.
-            counts = np.bincount(codes, weights=np.diff(starts, append=len(keys)), minlength=2 * self.dim)
+            # UTF-32 raises UnicodeEncodeError on a lone surrogate, as UTF-8 does.
+            points = np.frombuffer(lowered.encode("utf-32-le"), dtype="<u4")
+            if (1 << _TABLE_BITS) % dim:  # the table's 15 bits do not give h mod dim
+                counts = np.zeros(2 * dim, dtype=np.intp)
+                hashed = np.arange(len(points) - 2)
+            else:
+                symbol_ids, table = _trigram_table()
+                ids = symbol_ids.take(points, mode="clip")
+                outside = ids == _OUTSIDE
+                outside = outside[:-2] | outside[1:-1] | outside[2:]
+                index = (ids[:-2] * _OUTSIDE + ids[1:-1]) * _OUTSIDE + ids[2:]
+                hashed = np.flatnonzero(outside)
+                entries = table[index[~outside] if hashed.size else index]
+                # uint16 throughout: a code is below 2 * dim <= 2**16.
+                codes = (entries & (dim - 1)) + (entries >> _TABLE_BITS) * dim
+                counts = np.bincount(codes, minlength=2 * dim)
+            if hashed.size:
+                keys = _packed_trigrams(points, hashed)
+                # Each distinct gram is looked up once and weighted by its run length.
+                first = np.empty(len(keys), dtype=bool)
+                first[0] = True
+                np.not_equal(keys[1:], keys[:-1], out=first[1:])
+                starts = np.flatnonzero(first)
+                codes = self._grams.lookup(keys[starts])
+                # float64 sums of integer weights are exact below 2**53.
+                weights = np.diff(starts, append=len(keys))
+                counts = counts + np.bincount(codes, weights=weights, minlength=2 * dim)
         # Each bucket sums +-1 terms, so the counts give the exact sum.
-        acc = (counts[self.dim :] - counts[: self.dim]).astype(np.float64)
+        acc = (counts[dim:] - counts[:dim]).astype(np.float64)
         norm = float(np.linalg.norm(acc))
         if norm > 0.0:
             acc /= norm

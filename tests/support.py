@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -252,6 +253,26 @@ def reference_hash_embedding(text: str, dim: int = 256) -> np.ndarray:
     if norm > 0.0:
         acc /= norm
     return acc.astype(np.float32)
+
+
+# Tab, newline and printable ASCII without A-Z: every character that ASCII
+# text can hold once lowercased, apart from the other control characters.
+_TABLE_ALPHABET = "\t\n" + "".join(chr(c) for c in range(0x20, 0x7F) if not "A" <= chr(c) <= "Z")
+
+
+def reference_trigram_table() -> bytes:
+    """The bytes of `src/flakidock/data/trigram_codes.bin`, one blake2b per gram string.
+
+    Gram (a, b, c) of _TABLE_ALPHABET sits at index (a*71 + b)*71 + c
+    as a little-endian uint16: the low 15 bits of its blake2b-64, and the
+    digest's top (sign) bit as bit 15. This builder is the file's only
+    source; the README gives the command that regenerates it.
+    """
+    codes = np.empty(len(_TABLE_ALPHABET) ** 3, dtype="<u2")
+    for i, (a, b, c) in enumerate(itertools.product(_TABLE_ALPHABET, repeat=3)):
+        h = int.from_bytes(hashlib.blake2b((a + b + c).encode("utf-8"), digest_size=8).digest(), "big")
+        codes[i] = h & 0x7FFF | (h >> 63) << 15
+    return codes.tobytes()
 
 
 def reference_clustering(

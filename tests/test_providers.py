@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from flakidock.providers import _GramCodes
 from flakidock.similarity import embed
 
 from loopback import Loopback
-from support import reference_hash_embedding
+from support import reference_hash_embedding, reference_trigram_table
 
 
 class TestHashingProvider:
@@ -85,6 +86,27 @@ class TestHashingDifferential:
             reference_hash_embedding(text)
         with pytest.raises(UnicodeEncodeError):
             HashingEmbeddingProvider().embed_values(text)
+
+
+# Table characters beside characters outside the shipped 3-gram table: "\r",
+# ESC, an uppercase letter, a non-ASCII letter, one that lowercases to two
+# code points, and an astral character. In-table and hashed grams meet.
+_MIXED_ALPHABET = "ab -/:\t\n\r\x1bA\u00e9\u0130\U0001f600"
+
+
+class TestTrigramTable:
+    def test_shipped_file_equals_the_reference_builder(self):
+        shipped = resources.files("flakidock").joinpath("data/trigram_codes.bin").read_bytes()
+        assert len(shipped) == 2 * 71**3
+        assert shipped == reference_trigram_table()
+
+    # 3 and 300 do not divide 2**15, so every gram is hashed; 64 and 256 use the table.
+    @pytest.mark.parametrize("dim", [3, 64, 256, 300])
+    @given(text=st.text(alphabet=_MIXED_ALPHABET, max_size=80))
+    @settings(max_examples=150, deadline=None)
+    def test_mixed_text_matches_reference(self, dim, text):
+        provider = HashingEmbeddingProvider(dim)
+        assert _bits(provider.embed_values(text)) == reference_hash_embedding(text, dim).tobytes()
 
 
 class TestHttpProviderDeclarations:

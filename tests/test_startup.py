@@ -124,6 +124,21 @@ def test_reexports_resolve_lazily(tmp_path):
     assert seen == {"same": [True, True, True], "before": [], "after": ["numpy"]}
 
 
+def test_trigram_table_is_read_at_the_first_embedding(tmp_path):
+    seen = _fresh_python(
+        """
+        import json
+        from flakidock import providers
+        provider = providers.HashingEmbeddingProvider()
+        before = providers._trigram_table.cache_info().currsize
+        provider.embed_values("pip install failed")
+        print(json.dumps([before, providers._trigram_table.cache_info().currsize]))
+        """,
+        tmp_path,
+    )
+    assert seen == [0, 1]
+
+
 def test_every_exported_name_resolves():
     for name in flakidock.__all__:
         assert getattr(flakidock, name) is not None
