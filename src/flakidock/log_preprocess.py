@@ -8,9 +8,21 @@ prints per-line timings, otherwise a +/-2 line window. Lines before the
 first banner form a synthetic preamble and are kept only when they match
 a rule themselves.
 
+Segmentation splits a log once into two flat lists per section, `texts` as
+logged and `plains` without ANSI escapes, and builds no per-line tuple:
+`StageSection.lines` builds its `LogLine`s, timestamps parsed, on access.
+Every line pays for the split, a "[" test, one lowercase and the include
+scans. The ANSI pass runs only when the log holds an ESC, and the banner
+regex only on lines that contain "[", as every banner does. Timestamps are
+parsed only in a stage with a rule hit: the hit line's own and, on the
+stage's first timed hit, every line's, read through `lines` to bucket the
+stage by second.
+
 The shipped exclusion filters are rule sets too: `classify_failure_exclusion`
 names the non-flaky cause (infrastructure, engine backend, project source)
-that a failure's excerpt matches, if any.
+that a failure's excerpt matches, if any. The filters share one scan for
+all their include literals; a filter's regexes run only when no earlier
+filter matched, and only the lines these scans pass are checked in full.
 """
 
 from __future__ import annotations
@@ -20,6 +32,7 @@ import re
 from dataclasses import dataclass, field
 from importlib import resources
 from itertools import compress, count, repeat
+from operator import contains
 from typing import NamedTuple
 
 from .errors import InvalidRule
@@ -45,12 +58,6 @@ class Rule:
     exclude: bool
     compiled: re.Pattern | None
 
-    def matches(self, line: str, lowered: str) -> bool:
-        """Whether the rule hits `line`; `lowered` is `line.lower()`, made once per line."""
-        if self.kind == "substr":
-            return self.pattern.lower() in lowered
-        return self.compiled.search(line) is not None
-
 
 def _parse_rule(line: str) -> Rule:
     source = line
@@ -73,6 +80,12 @@ def _parse_rule(line: str) -> Rule:
     raise InvalidRule(f"rule {source!r} must start with 'substr:', 'regex:' or '!'")
 
 
+def _alternation(rules: list[Rule]) -> str:
+    """Regex source that, searched over `line.lower()`, is `pattern.lower() in
+    line.lower()` for every `substr:` rule at once; "" when there is none."""
+    return "|".join(re.escape(r.pattern.lower()) for r in rules if r.kind == "substr")
+
+
 class RuleSet:
     """Ordered error-expression rules; `!`-prefixed rules veto a match."""
 
@@ -81,11 +94,19 @@ class RuleSet:
             raise InvalidRule("rule set contains no include rules")
         self.rules = rules
         includes = [r for r in rules if not r.exclude]
-        literals = [re.escape(r.pattern.lower()) for r in includes if r.kind == "substr"]
-        # Searched over `line.lower()`, this is `pattern.lower() in line.lower()`
-        # for every include substring at once; `(?!)` never matches.
-        self._include_literals = re.compile("|".join(literals) or "(?!)")
+        vetoes = [r for r in rules if r.exclude]
+        # (name, needle, regex) per include rule: a `substr:` rule's needle is
+        # its pattern lowercased once, here, and its regex is None.
+        self._includes = [
+            (r.source, r.pattern.lower() if r.kind == "substr" else None, r.compiled)
+            for r in includes
+        ]
+        self._literals = _alternation(includes)
+        # `(?!)` never matches.
+        self._include_literals = re.compile(self._literals or "(?!)")
         self._include_regexes = [r.compiled for r in includes if r.kind == "regex"]
+        self._veto_literals = re.compile(_alternation(vetoes) or "(?!)")
+        self._veto_regexes = [r.compiled for r in vetoes if r.kind == "regex"]
 
     @classmethod
     def from_lines(cls, lines: list[str]) -> "RuleSet":
@@ -122,15 +143,13 @@ class RuleSet:
     def match_names(self, line: str) -> list[str]:
         """Names of include rules hit by this line; empty if vetoed."""
         lowered = line.lower()
-        # A line that hits no include rule has no names whatever the vetoes
-        # say, so most lines are settled by this one scan.
-        if not self._include_literals.search(lowered) and not any(
-            rx.search(line) for rx in self._include_regexes
-        ):
+        if self._veto_literals.search(lowered) or any(rx.search(line) for rx in self._veto_regexes):
             return []
-        if any(r.matches(line, lowered) for r in self.rules if r.exclude):
-            return []
-        return [r.source for r in self.rules if not r.exclude and r.matches(line, lowered)]
+        return [
+            name
+            for name, needle, rx in self._includes
+            if (needle in lowered if rx is None else rx.search(line))
+        ]
 
 
 class LogLine(NamedTuple):
@@ -143,8 +162,16 @@ class LogLine(NamedTuple):
 class StageSection:
     stage_index: int  # execution order, 0-based; -1 for the preamble
     header: str | None
-    lines: list[LogLine] = field(default_factory=list)
+    texts: list[str] = field(default_factory=list)  # the lines as logged
+    plains: list[str] = field(default_factory=list)  # `texts` without ANSI escapes
     is_preamble: bool = False
+
+    @property
+    def lines(self) -> list[LogLine]:
+        """The section's lines with their timestamps, built on each access."""
+        # tuple.__new__ builds each LogLine without a Python-level __new__ call.
+        stamps = map(_timestamp, map(_TIMESTAMP_RE.match, self.plains))
+        return list(map(tuple.__new__, repeat(LogLine), zip(stamps, self.texts, self.plains)))
 
 
 def _timestamp(match: re.Match | None) -> float | None:
@@ -166,19 +193,20 @@ def segment_stages(log: str) -> list[StageSection]:
     no line keeps carriage-return overdraw.
     """
     texts = log.splitlines()
-    plains = [_ANSI_RE.sub("", t) if "\x1b" in t else t for t in texts]
-    banners = list(compress(count(), map(_BANNER_RE.match, plains)))
+    plains = texts
+    if "\x1b" in log:
+        plains = [_ANSI_RE.sub("", t) if "\x1b" in t else t for t in texts]
+    # Every banner holds a "[", which most lines lack: only those lines meet the regex.
+    bracketed = compress(count(), map(contains, plains, repeat("[")))
+    banners = [i for i in bracketed if _BANNER_RE.match(plains[i])]
     preamble = StageSection(-1, None, is_preamble=True)
     sections = [StageSection(k, texts[b]) for k, b in enumerate(banners)]
     for section, lo, hi in zip(
         [preamble, *sections], [0, *(b + 1 for b in banners)], [*banners, len(texts)]
     ):
-        stamps = map(_timestamp, map(_TIMESTAMP_RE.match, plains[lo:hi]))
-        # tuple.__new__ builds each LogLine without a Python-level __new__ call.
-        section.lines = list(
-            map(tuple.__new__, repeat(LogLine), zip(stamps, texts[lo:hi], plains[lo:hi]))
-        )
-    if preamble.lines or not sections:
+        section.texts = texts[lo:hi]
+        section.plains = plains[lo:hi]
+    if preamble.texts or not sections:
         sections.insert(0, preamble)
     return sections
 
@@ -207,14 +235,14 @@ class PreprocessedLog:
 
 
 def extract_error_context(sections: list[StageSection], rules: RuleSet) -> PreprocessedLog:
-    total_in = sum(len(s.lines) for s in sections)
+    total_in = sum(len(s.texts) for s in sections)
     total_in += sum(1 for s in sections if s.header is not None)
 
     rule_hits: dict[str, int] = {}
     raw_excerpts: list[tuple[StageSection, list[int]]] = []
     for section in sections:
         match_idx: list[int] = []
-        for idx, names in rules.matching_lines([ll.plain for ll in section.lines]):
+        for idx, names in rules.matching_lines(section.plains):
             match_idx.append(idx)
             for name in names:
                 rule_hits[name] = rule_hits.get(name, 0) + 1
@@ -224,9 +252,10 @@ def extract_error_context(sections: list[StageSection], rules: RuleSet) -> Prepr
         if not section.is_preamble:
             # Blank neighbors carry no error context and would not survive a
             # text round trip, so expansion only pulls in non-blank lines.
+            texts = section.texts
             buckets: dict[int, list[int]] | None = None
             for mi in match_idx:
-                ts = section.lines[mi].timestamp
+                ts = _timestamp(_TIMESTAMP_RE.match(section.plains[mi]))
                 if ts is not None:
                     if buckets is None:
                         buckets = _timestamp_buckets(section.lines)
@@ -234,10 +263,8 @@ def extract_error_context(sections: list[StageSection], rules: RuleSet) -> Prepr
                     keep.update(buckets.pop(int(ts), ()))
                 else:
                     lo = max(0, mi - ADJACENCY_RADIUS)
-                    hi = min(len(section.lines), mi + ADJACENCY_RADIUS + 1)
-                    keep.update(
-                        i for i in range(lo, hi) if section.lines[i].text.strip()
-                    )
+                    hi = min(len(texts), mi + ADJACENCY_RADIUS + 1)
+                    keep.update(i for i in range(lo, hi) if texts[i].strip())
         raw_excerpts.append((section, sorted(keep)))
 
     total_kept = sum(len(idx) for _, idx in raw_excerpts)
@@ -246,11 +273,7 @@ def extract_error_context(sections: list[StageSection], rules: RuleSet) -> Prepr
         total_kept = sum(len(idx) for _, idx in raw_excerpts)
 
     excerpts = tuple(
-        Excerpt(
-            section.stage_index,
-            section.header,
-            tuple(section.lines[i].text for i in kept),
-        )
+        Excerpt(section.stage_index, section.header, tuple(section.texts[i] for i in kept))
         for section, kept in raw_excerpts
     )
     # Kept lines are a subsequence of the input by construction. The check
@@ -258,20 +281,20 @@ def extract_error_context(sections: list[StageSection], rules: RuleSet) -> Prepr
     assert all(
         kept
         and 0 <= kept[0]
-        and kept[-1] < len(sec.lines)
+        and kept[-1] < len(sec.texts)
         and all(a < b for a, b in zip(kept, kept[1:]))
-        and ex.kept_lines == tuple(sec.lines[i].text for i in kept)
+        and ex.kept_lines == tuple(sec.texts[i] for i in kept)
         for ex, (sec, kept) in zip(excerpts, raw_excerpts)
     )
     return PreprocessedLog(excerpts, total_in, total_kept, rule_hits)
 
 
 def _timestamp_buckets(lines: list[LogLine]) -> dict[int, list[int]]:
-    """Indices of the non-blank timed lines, by integer second."""
+    """Indices of the timed lines, by integer second. A timed line is never blank."""
     buckets: dict[int, list[int]] = {}
-    for i, ll in enumerate(lines):
-        if ll.timestamp is not None and ll.text.strip():
-            buckets.setdefault(int(ll.timestamp), []).append(i)
+    for i, (ts, _, _) in enumerate(lines):
+        if ts is not None:
+            buckets.setdefault(int(ts), []).append(i)
     return buckets
 
 
@@ -324,15 +347,26 @@ def classify_failure_exclusion(
 ) -> str | None:
     """Name of the first exclusion filter matching the failure, if any.
 
-    The text is split once, on "\\n" only, and the filters are tried in
+    The text is split on "\\n" only, and the filters are tried in
     `_FILTER_NAMES` order. A non-None result means the failure should not
     count toward flakiness: its cause lies in the infrastructure, the engine
     backend, or the project source rather than the build definition.
     """
     filters = filters if filters is not None else load_exclusion_filters()
+    named = [(name, rs) for name in _FILTER_NAMES if (rs := filters.get(name)) is not None]
     lines = preprocessed_text.split("\n")
-    for name in _FILTER_NAMES:
-        ruleset = filters.get(name)
-        if ruleset is not None and ruleset.matching_lines(lines):
+    # One alternation of every filter's include literals scans the lowered
+    # lines once. The lowered text splits into the lowered lines: `str.lower`
+    # neither makes nor removes a "\n", and a final sigma sees "\n" as it sees
+    # a line's end.
+    lowered = preprocessed_text.lower().split("\n")
+    literals = re.compile("|".join(rs._literals for _, rs in named if rs._literals) or "(?!)")
+    candidates = set(compress(count(), map(literals.search, lowered)))
+    for name, ruleset in named:
+        # A filter's regexes scan the lines only when no earlier filter matched.
+        # A candidate may hit another filter or be vetoed, so each is checked.
+        for rx in ruleset._include_regexes:
+            candidates.update(compress(count(), map(rx.search, lines)))
+        if any(ruleset.match_names(lines[i]) for i in candidates):
             return name
     return None

@@ -24,6 +24,7 @@ from flakidock.log_preprocess import (
     PreprocessedLog,
     RuleSet,
     StageSection,
+    load_exclusion_filters,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -369,15 +370,34 @@ def reference_extract_error_context(
     sections: list[StageSection], rules: RuleSet
 ) -> PreprocessedLog:
     """`extract_error_context` as first written: every timed match rescans its stage."""
-    total_in = sum(len(s.lines) for s in sections)
-    total_in += sum(1 for s in sections if s.header is not None)
+    return _reference_extract(
+        [
+            (s.stage_index, s.header, s.is_preamble, [(ll.timestamp, ll.text) for ll in s.lines])
+            for s in sections
+        ],
+        rules,
+    )
+
+
+def reference_preprocess_log(log: str, rules: RuleSet) -> PreprocessedLog:
+    """`preprocess_log` with none of the program's segmentation, matching or
+    extraction: `reference_segment_stages`, then the first extractor."""
+    return _reference_extract(reference_segment_stages(log), rules)
+
+
+def _reference_extract(sections: list[tuple], rules: RuleSet) -> PreprocessedLog:
+    """The first extractor over sections shaped as `reference_segment_stages`
+    returns them: `(stage_index, header, is_preamble, [(timestamp, text), ...])`."""
+    total_in = sum(len(lines) for _, _, _, lines in sections)
+    total_in += sum(1 for _, header, _, _ in sections if header is not None)
 
     rule_hits: dict[str, int] = {}
-    raw_excerpts: list[tuple[StageSection, list[int]]] = []
+    raw_excerpts: list[tuple[tuple, list[int]]] = []
     for section in sections:
+        _, _, is_preamble, lines = section
         match_idx: list[int] = []
-        for idx, logline in enumerate(section.lines):
-            names = reference_match_names(rules, reference_strip_ansi(logline.text))
+        for idx, (_, text) in enumerate(lines):
+            names = reference_match_names(rules, reference_strip_ansi(text))
             if names:
                 match_idx.append(idx)
                 for name in names:
@@ -385,24 +405,20 @@ def reference_extract_error_context(
         if not match_idx:
             continue
         keep = set(match_idx)
-        if not section.is_preamble:
+        if not is_preamble:
             for mi in match_idx:
-                ts = section.lines[mi].timestamp
+                ts = lines[mi][0]
                 if ts is not None:
                     bucket = int(ts)
                     keep.update(
                         i
-                        for i, ll in enumerate(section.lines)
-                        if ll.timestamp is not None
-                        and int(ll.timestamp) == bucket
-                        and ll.text.strip()
+                        for i, (t, text) in enumerate(lines)
+                        if t is not None and int(t) == bucket and text.strip()
                     )
                 else:
                     lo = max(0, mi - ADJACENCY_RADIUS)
-                    hi = min(len(section.lines), mi + ADJACENCY_RADIUS + 1)
-                    keep.update(
-                        i for i in range(lo, hi) if section.lines[i].text.strip()
-                    )
+                    hi = min(len(lines), mi + ADJACENCY_RADIUS + 1)
+                    keep.update(i for i in range(lo, hi) if lines[i][1].strip())
         raw_excerpts.append((section, sorted(keep)))
 
     total_kept = sum(len(idx) for _, idx in raw_excerpts)
@@ -419,14 +435,29 @@ def reference_extract_error_context(
         total_kept = sum(len(idx) for _, idx in raw_excerpts)
 
     excerpts = tuple(
-        Excerpt(section.stage_index, section.header, tuple(section.lines[i].text for i in kept))
-        for section, kept in raw_excerpts
+        Excerpt(stage_index, header, tuple(lines[i][1] for i in kept))
+        for (stage_index, header, _, lines), kept in raw_excerpts
     )
     assert all(
-        list(ex.kept_lines) == [ll.text for i, ll in enumerate(sec.lines) if i in set(kept)]
+        list(ex.kept_lines) == [text for i, (_, text) in enumerate(sec[3]) if i in set(kept)]
         for ex, (sec, kept) in zip(excerpts, raw_excerpts)
     )
     return PreprocessedLog(excerpts, total_in, total_kept, rule_hits)
+
+
+def reference_classify_failure_exclusion(
+    text: str, filters: dict[str, RuleSet] | None = None
+) -> str | None:
+    """`classify_failure_exclusion` as it was before the filters shared one
+    literal scan: each filter in turn checks every "\\n"-split line, in the
+    shipped order, and the first filter with a matching line wins."""
+    filters = filters if filters is not None else load_exclusion_filters()
+    lines = text.split("\n")
+    for name in ("infrastructure", "docker-server", "project-source"):
+        ruleset = filters.get(name)
+        if ruleset is not None and any(reference_match_names(ruleset, line) for line in lines):
+            return name
+    return None
 
 
 def _reference_validate_record(record: demo_store.DemonstrationRecord) -> None:
