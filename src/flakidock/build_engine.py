@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import logging
+import math
 import os
 import shlex
 import subprocess
@@ -51,8 +52,8 @@ class HygienePolicy:
     def __post_init__(self):
         if self.clean_every < 1:
             raise ValueError(f"clean_every must be >= 1, got {self.clean_every}")
-        if self.timeout <= 0:
-            raise ValueError(f"timeout must be > 0, got {self.timeout}")
+        if not 0 < self.timeout < math.inf:  # also false for NaN
+            raise ValueError(f"timeout must be a finite number > 0, got {self.timeout}")
 
 
 @dataclass(frozen=True)
@@ -156,6 +157,9 @@ class SimulatedDriver(BuildDriver):
                 f"{path}: malformed scenario file: unknown status {unknown!r}, "
                 f"expected one of {', '.join(_SCRIPTED_STATUSES)}"
             )
+        if not all(math.isfinite(o.duration) for s in scripts for o in s.outcomes):
+            # The build journal is JSON, which has no NaN or infinity.
+            raise ValueError(f"{path}: malformed scenario file: a duration is not a finite number")
         return cls(scripts)
 
     def _select(self, dockerfile_text: str) -> tuple[int, BuildScript]:

@@ -9,14 +9,15 @@ first banner form a synthetic preamble and are kept only when they match
 a rule themselves.
 
 Segmentation splits a log once into two flat lists per section, `texts` as
-logged and `plains` without ANSI escapes, and builds no per-line tuple:
-`StageSection.lines` builds its `LogLine`s, timestamps parsed, on access.
-Every line pays for the split, a "[" test, one lowercase and the include
-scans. The ANSI pass runs only when the log holds an ESC, and the banner
-regex only on lines that contain "[", as every banner does. Timestamps are
-parsed only in a stage with a rule hit: the hit line's own and, on the
-stage's first timed hit, every line's, read through `lines` to bucket the
-stage by second.
+logged and `plains` without ANSI escapes, and builds no per-line tuple.
+Rules match the `plains`, and excerpts are built from them, so an excerpt
+holds no escape sequence. `StageSection.lines` builds its `LogLine`s,
+timestamps parsed, on access. Every line pays for the split, a "[" test,
+one lowercase and the include scans. The ANSI pass runs only when the log
+holds an ESC, and the banner regex only on lines that contain "[", as every
+banner does. Timestamps are parsed only in a stage with a rule hit: the hit
+line's own and, on the stage's first timed hit, every line's, read through
+`lines` to bucket the stage by second.
 
 The shipped exclusion filters are rule sets too: `classify_failure_exclusion`
 names the non-flaky cause (infrastructure, engine backend, project source)
@@ -184,6 +185,10 @@ def _timestamp(match: re.Match | None) -> float | None:
     return value if math.isfinite(value) else None  # over ~308 digits it is inf: untimed
 
 
+def _plain(text: str) -> str:
+    return _ANSI_RE.sub("", text) if "\x1b" in text else text
+
+
 def segment_stages(log: str) -> list[StageSection]:
     """Split a raw log into per-instruction sections.
 
@@ -195,7 +200,7 @@ def segment_stages(log: str) -> list[StageSection]:
     texts = log.splitlines()
     plains = texts
     if "\x1b" in log:
-        plains = [_ANSI_RE.sub("", t) if "\x1b" in t else t for t in texts]
+        plains = list(map(_plain, texts))
     # Every banner holds a "[", which most lines lack: only those lines meet the regex.
     bracketed = compress(count(), map(contains, plains, repeat("[")))
     banners = [i for i in bracketed if _BANNER_RE.match(plains[i])]
@@ -252,10 +257,10 @@ def extract_error_context(sections: list[StageSection], rules: RuleSet) -> Prepr
         if not section.is_preamble:
             # Blank neighbors carry no error context and would not survive a
             # text round trip, so expansion only pulls in non-blank lines.
-            texts = section.texts
+            plains = section.plains
             buckets: dict[int, list[int]] | None = None
             for mi in match_idx:
-                ts = _timestamp(_TIMESTAMP_RE.match(section.plains[mi]))
+                ts = _timestamp(_TIMESTAMP_RE.match(plains[mi]))
                 if ts is not None:
                     if buckets is None:
                         buckets = _timestamp_buckets(section.lines)
@@ -263,8 +268,8 @@ def extract_error_context(sections: list[StageSection], rules: RuleSet) -> Prepr
                     keep.update(buckets.pop(int(ts), ()))
                 else:
                     lo = max(0, mi - ADJACENCY_RADIUS)
-                    hi = min(len(texts), mi + ADJACENCY_RADIUS + 1)
-                    keep.update(i for i in range(lo, hi) if texts[i].strip())
+                    hi = min(len(plains), mi + ADJACENCY_RADIUS + 1)
+                    keep.update(i for i in range(lo, hi) if plains[i].strip())
         raw_excerpts.append((section, sorted(keep)))
 
     total_kept = sum(len(idx) for _, idx in raw_excerpts)
@@ -272,8 +277,14 @@ def extract_error_context(sections: list[StageSection], rules: RuleSet) -> Prepr
         raw_excerpts = _cap_excerpts(raw_excerpts, EXCERPT_LINE_CAP)
         total_kept = sum(len(idx) for _, idx in raw_excerpts)
 
+    # Excerpts hold the lines without ANSI escapes: a coloured and a plain
+    # copy of one log give the same excerpt.
     excerpts = tuple(
-        Excerpt(section.stage_index, section.header, tuple(section.texts[i] for i in kept))
+        Excerpt(
+            section.stage_index,
+            section.header and _plain(section.header),
+            tuple(section.plains[i] for i in kept),
+        )
         for section, kept in raw_excerpts
     )
     # Kept lines are a subsequence of the input by construction. The check
@@ -281,9 +292,9 @@ def extract_error_context(sections: list[StageSection], rules: RuleSet) -> Prepr
     assert all(
         kept
         and 0 <= kept[0]
-        and kept[-1] < len(sec.texts)
+        and kept[-1] < len(sec.plains)
         and all(a < b for a, b in zip(kept, kept[1:]))
-        and ex.kept_lines == tuple(sec.texts[i] for i in kept)
+        and ex.kept_lines == tuple(sec.plains[i] for i in kept)
         for ex, (sec, kept) in zip(excerpts, raw_excerpts)
     )
     return PreprocessedLog(excerpts, total_in, total_kept, rule_hits)

@@ -17,7 +17,6 @@ import os
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from importlib import resources
-from itertools import repeat
 from typing import TYPE_CHECKING
 
 from .errors import ProviderUnavailable
@@ -40,9 +39,6 @@ class EmbeddingProvider(ABC):
     def embed_values(self, text: str) -> np.ndarray:
         """Return the read-only float32 embedding, shape (dim,), of text already within limits."""
 
-
-_CODE_POINT_BITS = 21  # every code point is below 0x110000 = 17 << 16
-_CODE_POINT_MASK = (1 << _CODE_POINT_BITS) - 1
 
 # The shipped 3-gram table covers the grams of these 71 characters: tab,
 # newline and printable ASCII without A-Z, which lowercasing removes.
@@ -79,58 +75,6 @@ def _trigram_table() -> tuple[np.ndarray, np.ndarray]:
     return ids, np.frombuffer(data, dtype="<u2")
 
 
-def _packed_trigrams(points: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """The 3-grams of code points `points` that begin at `starts`, sorted, each
-    as its three code points packed into one uint64 at 21 bits apiece, first
-    code point highest."""
-    import numpy as np
-
-    # Shift counts are uint64 scalars: a Python int beside a uint64 array
-    # promotes differently before numpy 2.0.
-    shift_1, shift_2 = np.uint64(_CODE_POINT_BITS), np.uint64(2 * _CODE_POINT_BITS)
-    first, second, third = (points[starts + k].astype(np.uint64) for k in range(3))
-    keys = first << shift_2 | second << shift_1 | third
-    keys.sort()
-    return keys
-
-
-class _GramCodes(dict):
-    """Memo of packed 3-gram (see `_packed_trigrams`) -> bucket code (see
-    `_bucket_codes`), for the grams outside the shipped table.
-
-    Holds at most LIMIT grams, or one text's distinct grams where those are more.
-    """
-
-    LIMIT = 1 << 16
-
-    def __init__(self, dim: int):
-        super().__init__()
-        self.dim = dim
-
-    def lookup(self, keys: np.ndarray) -> np.ndarray:
-        """The codes of distinct packed 3-grams; blake2b runs only for grams not memoized."""
-        import numpy as np
-
-        codes = np.fromiter(map(self.get, keys.tolist(), repeat(-1)), dtype=np.intp, count=len(keys))
-        missing = np.flatnonzero(codes < 0)
-        if missing.size:
-            fresh = keys[missing].tolist()
-            fresh_codes = _bucket_codes(
-                [
-                    chr(k >> 2 * _CODE_POINT_BITS)
-                    + chr(k >> _CODE_POINT_BITS & _CODE_POINT_MASK)
-                    + chr(k & _CODE_POINT_MASK)
-                    for k in fresh
-                ],
-                self.dim,
-            )
-            if len(self) + len(fresh) > self.LIMIT:
-                self.clear()
-            self.update(zip(fresh, fresh_codes.tolist()))
-            codes[missing] = fresh_codes
-        return codes
-
-
 class HashingEmbeddingProvider(EmbeddingProvider):
     """Deterministic offline embedding: hashed character 3-grams, L2-normalized.
 
@@ -142,16 +86,15 @@ class HashingEmbeddingProvider(EmbeddingProvider):
     Grams of the 71 table characters (tab, newline, printable ASCII without
     A-Z) read their code from the shipped `data/trigram_codes.bin` when dim
     divides 2**15. Every other gram, one with a non-ASCII character, `\\r` or
-    another control, or any gram when dim does not divide 2**15, is hashed
-    once per distinct gram through a per-instance memo that is cleared when
-    full. The vectors equal hashing every gram string in turn, bit for bit.
+    another control, or any gram when dim does not divide 2**15, costs one
+    blake2b of its string per occurrence. The provider holds no state, and
+    the vectors equal hashing every gram string in turn, bit for bit.
     """
 
     def __init__(self, dim: int = OFFLINE_DIM):
         self.dim = dim
         self.provider_id = f"offline-hash-{dim}"
         self.token_limit = None
-        self._grams = _GramCodes(dim)
 
     def embed_values(self, text: str) -> np.ndarray:
         import numpy as np
@@ -159,35 +102,27 @@ class HashingEmbeddingProvider(EmbeddingProvider):
         dim = self.dim
         lowered = text.lower()
         if len(lowered) < _NGRAM:
-            counts = np.bincount(_bucket_codes([lowered], dim), minlength=2 * dim)
+            codes = _bucket_codes([lowered], dim)
         else:
             # UTF-32 raises UnicodeEncodeError on a lone surrogate, as UTF-8 does.
             points = np.frombuffer(lowered.encode("utf-32-le"), dtype="<u4")
+            symbol_ids, table = _trigram_table()
+            ids = symbol_ids.take(points, mode="clip")
+            outside = ids == _OUTSIDE
+            outside = outside[:-2] | outside[1:-1] | outside[2:]
             if (1 << _TABLE_BITS) % dim:  # the table's 15 bits do not give h mod dim
-                counts = np.zeros(2 * dim, dtype=np.intp)
-                hashed = np.arange(len(points) - 2)
-            else:
-                symbol_ids, table = _trigram_table()
-                ids = symbol_ids.take(points, mode="clip")
-                outside = ids == _OUTSIDE
-                outside = outside[:-2] | outside[1:-1] | outside[2:]
+                outside[:] = True
+            hashed = np.flatnonzero(outside)
+            parts = []
+            if hashed.size < len(outside):  # some grams are in the table
                 index = (ids[:-2] * _OUTSIDE + ids[1:-1]) * _OUTSIDE + ids[2:]
-                hashed = np.flatnonzero(outside)
                 entries = table[index[~outside] if hashed.size else index]
                 # uint16 throughout: a code is below 2 * dim <= 2**16.
-                codes = (entries & (dim - 1)) + (entries >> _TABLE_BITS) * dim
-                counts = np.bincount(codes, minlength=2 * dim)
-            if hashed.size:
-                keys = _packed_trigrams(points, hashed)
-                # Each distinct gram is looked up once and weighted by its run length.
-                first = np.empty(len(keys), dtype=bool)
-                first[0] = True
-                np.not_equal(keys[1:], keys[:-1], out=first[1:])
-                starts = np.flatnonzero(first)
-                codes = self._grams.lookup(keys[starts])
-                # float64 sums of integer weights are exact below 2**53.
-                weights = np.diff(starts, append=len(keys))
-                counts = counts + np.bincount(codes, weights=weights, minlength=2 * dim)
+                parts.append((entries & (dim - 1)) + (entries >> _TABLE_BITS) * dim)
+            if hashed.size:  # one blake2b per occurrence of a gram outside the table
+                parts.append(_bucket_codes([lowered[i : i + 3] for i in hashed.tolist()], dim))
+            codes = np.concatenate(parts)
+        counts = np.bincount(codes, minlength=2 * dim)
         # Each bucket sums +-1 terms, so the counts give the exact sum.
         acc = (counts[dim:] - counts[:dim]).astype(np.float64)
         norm = float(np.linalg.norm(acc))

@@ -413,12 +413,12 @@ def _reference_extract(sections: list[tuple], rules: RuleSet) -> PreprocessedLog
                     keep.update(
                         i
                         for i, (t, text) in enumerate(lines)
-                        if t is not None and int(t) == bucket and text.strip()
+                        if t is not None and int(t) == bucket and reference_strip_ansi(text).strip()
                     )
                 else:
                     lo = max(0, mi - ADJACENCY_RADIUS)
                     hi = min(len(lines), mi + ADJACENCY_RADIUS + 1)
-                    keep.update(i for i in range(lo, hi) if lines[i][1].strip())
+                    keep.update(i for i in range(lo, hi) if reference_strip_ansi(lines[i][1]).strip())
         raw_excerpts.append((section, sorted(keep)))
 
     total_kept = sum(len(idx) for _, idx in raw_excerpts)
@@ -434,12 +434,18 @@ def _reference_extract(sections: list[tuple], rules: RuleSet) -> PreprocessedLog
         ]
         total_kept = sum(len(idx) for _, idx in raw_excerpts)
 
+    # Excerpts are ANSI-free: header and kept lines are de-escaped.
     excerpts = tuple(
-        Excerpt(stage_index, header, tuple(lines[i][1] for i in kept))
+        Excerpt(
+            stage_index,
+            header if header is None else reference_strip_ansi(header),
+            tuple(reference_strip_ansi(lines[i][1]) for i in kept),
+        )
         for (stage_index, header, _, lines), kept in raw_excerpts
     )
     assert all(
-        list(ex.kept_lines) == [text for i, (_, text) in enumerate(sec[3]) if i in set(kept)]
+        list(ex.kept_lines)
+        == [reference_strip_ansi(text) for i, (_, text) in enumerate(sec[3]) if i in set(kept)]
         for ex, (sec, kept) in zip(excerpts, raw_excerpts)
     )
     return PreprocessedLog(excerpts, total_in, total_kept, rule_hits)

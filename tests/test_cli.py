@@ -166,6 +166,17 @@ class TestMalformedScenarios:
         error = json.loads(result.output)["error"]
         assert error.startswith(f"{scenario}: malformed scenario file: ") and "outcomes" in error
 
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf")])
+    def test_non_finite_duration_rejected(self, runner, tmp_path, duration):
+        scenario = _write_scenario(
+            tmp_path / "s.json", [{"match": None, "outcomes": [{"status": "failure", "duration": duration}]}]
+        )
+        result = runner.invoke(main, _detect_args(tmp_path, scenario))
+        assert result.exit_code == 1, result.output
+        error = json.loads(result.output)["error"]
+        assert error.startswith(f"{scenario}: malformed scenario file: ") and "duration" in error
+        assert not (tmp_path / "state" / "builds").exists()
+
     def test_scenario_not_json(self, runner, tmp_path):
         scenario = tmp_path / "s.json"
         scenario.write_text("builds: [")
@@ -961,6 +972,21 @@ class TestGlobalFlags:
         )
         assert result.exit_code == 1
         assert setting.split()[0] in json.loads(result.output)["error"]
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_timeout_rejected(self, runner, tmp_path, value):
+        config = tmp_path / "bad.conf"
+        config.write_text(f"build_command = echo {{context}}\nclean_commands = true\ntimeout = {value}\n")
+        dockerfile = tmp_path / "Dockerfile"
+        dockerfile.write_text(ALPINE_PIP)
+        result = runner.invoke(
+            main,
+            ["--config", str(config), "--state-dir", str(tmp_path / "state"), "--json",
+             "detect", str(dockerfile)],
+        )
+        assert result.exit_code == 1, result.output
+        assert json.loads(result.output)["error"] == f"timeout must be a finite number > 0, got {value}"
+        assert not (tmp_path / "state" / "builds").exists()
 
     @pytest.mark.parametrize(
         "key",

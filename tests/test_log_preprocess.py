@@ -15,6 +15,8 @@ from flakidock.log_preprocess import (
     preprocess_log,
     segment_stages,
 )
+from flakidock.providers import HashingEmbeddingProvider
+from flakidock.similarity import embed
 
 from support import (
     ALPINE_PIP_LOG,
@@ -161,8 +163,27 @@ class TestExtraction:
         log = "> [1/1] RUN x\n\x1b[31merror: tinted failure\x1b[0m\n"
         result = preprocess_log(log)
         kept = [line for ex in result.excerpts for line in ex.kept_lines]
-        # Output preserves the original bytes, matching ignores the escapes.
-        assert kept == ["\x1b[31merror: tinted failure\x1b[0m"]
+        # Matching ignores the escapes, and the excerpt holds the plain line.
+        assert kept == ["error: tinted failure"]
+
+    def test_coloured_and_plain_copies_give_one_excerpt_and_vector(self):
+        plain = (
+            "#5 [2/2] RUN make\n#5 0.100 compiling\n#5 0.400 ERROR: boom\n"
+            "#5 0.700 warning: deprecated failed flag\n#5 1.200 done\n"
+        )
+        coloured = (
+            "#5 \x1b[1m[2/2] RUN make\x1b[0m\n#5 0.100 compiling\x1b[2K\n"
+            "#5 0.400 \x1b[31mERROR: boom\x1b[0m\n\x1b[0m\n"
+            "#5 0.700 \x1b[33mwarning: deprecated failed flag\x1b[0m\n#5 1.200 done\n"
+        )
+        want, got = preprocess_log(plain), preprocess_log(coloured)
+        assert got.excerpts == want.excerpts
+        assert got.as_text() == (
+            "#5 [2/2] RUN make\n#5 0.100 compiling\n#5 0.400 ERROR: boom\n"
+            "#5 0.700 warning: deprecated failed flag"
+        )
+        provider = HashingEmbeddingProvider()
+        assert embed(got.as_text(), provider).tobytes() == embed(want.as_text(), provider).tobytes()
 
 
 _LOG_LINES = st.lists(
