@@ -340,12 +340,19 @@ class TestDifferential:
                 )
                 break
 
-    def test_offline_embedder_is_bit_identical(self):
+    # The shipped 3-gram table is memoised per process; a token limit makes
+    # embed() cut each text to its head before the provider sees it.
+    @pytest.mark.parametrize("token_limit", [None, 50])
+    def test_memoised_embedder_is_bit_identical(self, token_limit):
         provider = HashingEmbeddingProvider()
+        provider.token_limit = token_limit
         texts = template_outputs(200)
-        for text in texts + texts:
+        if token_limit is not None:
+            assert any(len(text) > token_limit * 4 for text in texts)
+        for text in texts + texts:  # the second round reads the memoised table
+            head = text if token_limit is None else text[: token_limit * 4]
+            assert embed(text, provider).tobytes() == reference_hash_embedding(head).tobytes()
             expected = reference_hash_embedding(text).tobytes()
-            assert embed(text, provider).tobytes() == expected
             assert np.asarray(provider.embed_values(text), dtype=np.float32).tobytes() == expected
 
 
