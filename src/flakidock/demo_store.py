@@ -206,6 +206,8 @@ class DemonstrationIndex:
         import numpy as np
 
         validate_record(record)
+        if record.id in self.by_id:  # checked again under the lock; here it saves a provider call
+            raise SchemaViolation(record.id, "id", "duplicate record id")
         vec = embed(record.combined_text(), provider)
         with self._writer_lock:
             if record.id in self.by_id:

@@ -28,7 +28,9 @@ from .demo_store import (
     MajorCategory,
 )
 from .dockerfile_model import DockerfileDoc, parse_dockerfile
-from .errors import BudgetExhausted, EngineError, FlakiDockError, ProviderUnavailable, UnparseableResponse
+from .errors import (
+    BudgetExhausted, DimensionMismatch, EngineError, FlakiDockError, ProviderUnavailable, UnparseableResponse
+)
 from .log_preprocess import RuleSet, excerpt_or_tail, preprocess_log
 from .providers import (  # ProviderSet is re-exported: callers import it from here too
     EmbeddingProvider,
@@ -326,8 +328,13 @@ def start_session(
     retrieval gives a terminal session, with verdict.json written under
     session_dir when given. Otherwise the session is in progress, its query
     and retrieved examples are set and query.json is written;
-    `assemble_prompt` of it is the first attempt's prompt.
+    `assemble_prompt` of it is the first attempt's prompt. A store of
+    another dim than the query embedder raises DimensionMismatch before any
+    build or file.
     """
+    dim = providers.query_embedder.dim
+    if len(store) and store.matrix.shape[1] != dim:
+        raise DimensionMismatch(f"store dim {store.matrix.shape[1]} vs query dim {dim}")
     if session_dir is not None:
         session_dir = Path(session_dir)
         session_dir.mkdir(parents=True, exist_ok=True)

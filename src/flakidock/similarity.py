@@ -2,10 +2,12 @@
 
 Clustering is incremental and per project: each new failing build output
 joins the existing cluster with the highest mean member similarity when
-that mean clears the threshold, otherwise it starts a new cluster. The
-retrieval index is an exact full scan; at the store sizes this tool works
-with (<= 10k records) approximate indexes buy nothing. numpy is imported by
-the functions that compute with vectors, so importing this module is cheap.
+that mean clears the threshold, otherwise it starts a new cluster.
+Retrieval is exact: a float32 pass over the whole index bounds each
+record's score, and only the few records that can place are scored in
+float64. At the store sizes this tool works with (<= 10k records)
+approximate indexes buy nothing. numpy is imported by the functions that
+compute with vectors, so importing this module is cheap.
 """
 
 from __future__ import annotations
@@ -128,10 +130,13 @@ def cluster_add(
 def retrieve_top_k(
     query: RepairQuery, store, k: int, provider: EmbeddingProvider
 ) -> list[tuple[object, float]]:
-    """Exact top-k scan of the demonstration index for a repair query.
+    """Exact top-k of the demonstration index for a repair query.
 
-    Results come back in strictly non-increasing similarity order with ties
-    broken by ascending record id. An empty store yields an empty list.
+    A float32 pass bounds every row's score; only the rows whose upper bound
+    reaches the k-th best lower bound are scored exactly, so the results are
+    those of scoring every row. They come back in strictly non-increasing
+    similarity order with ties broken by ascending record id. An empty store
+    yields an empty list.
     """
     import numpy as np
 
@@ -143,10 +148,46 @@ def retrieve_top_k(
     matrix, norms = store.scan()
     if matrix.shape[1] != q.shape[0]:
         raise DimensionMismatch(f"store dim {matrix.shape[1]} vs query dim {q.shape[0]}")
+    scale = norms * np.linalg.norm(q)
+    records = store.records
+    cand = _candidates(matrix, q, scale, k)
+    if cand is not None:
+        matrix, scale, records = matrix[cand], scale[cand], [records[i] for i in cand]
     # einsum gives identical rows identical scores wherever they sit; a BLAS
     # matrix-vector product may not, which would break the id tie rule.
-    sims = np.einsum("ij,j->i", matrix, q) / (norms * np.linalg.norm(q))
+    sims = np.einsum("ij,j->i", matrix, q) / scale
     kth = max(len(sims) - k, 0)
     rows = np.flatnonzero(sims >= np.partition(sims, kth)[kth])  # the k best, ties included
-    ranked = sorted(rows, key=lambda i: (-sims[i], store.records[i].id))[:k]
-    return [(store.records[i], float(sims[i])) for i in ranked]
+    ranked = sorted(rows, key=lambda i: (-sims[i], records[i].id))[:k]
+    return [(records[i], float(sims[i])) for i in ranked]
+
+
+_F32_UNIT = 2.0**-24  # float32 unit roundoff
+_F32_TINY = 2.0**-149  # smallest float32 subnormal
+
+
+def _candidates(matrix: np.ndarray, q: np.ndarray, scale: np.ndarray, k: int) -> np.ndarray | None:
+    """Indices of the rows that may rank in the top k, or None for every row.
+
+    A float32 product c approximates each row's cosine. Its error is at most
+    gamma_n * |row| * |q| plus n underflows of a product, for any summation
+    order (threaded, FMA); doubled, that also covers the float64 rounding of
+    the exact score. Every row scoring at least the k-th best has an upper
+    bound c + slack no lower than the k-th best lower bound c - slack, rows
+    tied across k-th place included. A product past the float32 range has
+    no bound: then every row is a candidate.
+    """
+    import numpy as np
+
+    n, dim = matrix.shape
+    if k >= n:
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        approx = matrix @ q.astype(np.float32)
+    if not np.isfinite(approx).all():
+        return None
+    cos = approx / scale
+    slack = 2 * (dim + 2) * _F32_UNIT + (2 * dim * _F32_TINY) / scale
+    lower = cos - slack
+    tau = np.partition(lower, n - k)[n - k]
+    return np.flatnonzero(cos + slack >= tau)

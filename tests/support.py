@@ -16,7 +16,13 @@ import numpy as np
 from flakidock import demo_store
 from flakidock.build_engine import BuildScript, ScriptedOutcome, SimulatedDriver
 from flakidock.dockerfile_model import parse_dockerfile
-from flakidock.errors import FlakiDockError, SchemaViolation, StoreError, VersionMismatch
+from flakidock.errors import (
+    DimensionMismatch,
+    FlakiDockError,
+    SchemaViolation,
+    StoreError,
+    VersionMismatch,
+)
 from flakidock.log_preprocess import (
     ADJACENCY_RADIUS,
     EXCERPT_LINE_CAP,
@@ -26,6 +32,7 @@ from flakidock.log_preprocess import (
     StageSection,
     load_exclusion_filters,
 )
+from flakidock.similarity import embed
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -274,6 +281,25 @@ def reference_trigram_table() -> bytes:
         h = int.from_bytes(hashlib.blake2b((a + b + c).encode("utf-8"), digest_size=8).digest(), "big")
         codes[i] = h & 0x7FFF | (h >> 63) << 15
     return codes.tobytes()
+
+
+def reference_retrieve_top_k(query, store, k: int, provider) -> list[tuple[object, float]]:
+    """`retrieve_top_k` as it was when it scored every row of the store."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if len(store) == 0:
+        return []
+    q = embed(query.combined_text, provider).astype(np.float64)
+    matrix, norms = store.scan()
+    if matrix.shape[1] != q.shape[0]:
+        raise DimensionMismatch(f"store dim {matrix.shape[1]} vs query dim {q.shape[0]}")
+    # einsum gives identical rows identical scores wherever they sit; a BLAS
+    # matrix-vector product may not, which would break the id tie rule.
+    sims = np.einsum("ij,j->i", matrix, q) / (norms * np.linalg.norm(q))
+    kth = max(len(sims) - k, 0)
+    rows = np.flatnonzero(sims >= np.partition(sims, kth)[kth])  # the k best, ties included
+    ranked = sorted(rows, key=lambda i: (-sims[i], store.records[i].id))[:k]
+    return [(store.records[i], float(sims[i])) for i in ranked]
 
 
 def reference_clustering(

@@ -13,10 +13,12 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from flakidock.build_engine import SimulatedDriver
 from flakidock.cli import main
 from flakidock.config import RunConfig, load_config
-from flakidock.demo_store import builtin_store_path
+from flakidock.demo_store import builtin_store_path, load_store, save_store
 from flakidock.dockerfile_model import parse_dockerfile
+from flakidock.providers import HashingEmbeddingProvider
 
 from loopback import Loopback
 from support import (
@@ -381,6 +383,26 @@ class TestRepair:
         assert len(sessions) == 1
         assert (sessions[0] / "prompt-1.txt").exists()
         assert (sessions[0] / "verdict.json").exists()
+
+    @pytest.mark.parametrize("dry_run", [False, True])
+    def test_store_of_another_dim_fails_before_any_build(self, runner, tmp_path, flaky_setup, monkeypatch, dry_run):
+        dockerfile, scenario = flaky_setup
+        store = load_store(builtin_store_path(), HashingEmbeddingProvider(dim=64))
+        save_store(store, tmp_path / "store64" / "records.jsonl")
+        builds = []
+        build = SimulatedDriver.build
+        monkeypatch.setattr(SimulatedDriver, "build", lambda *a, **k: builds.append(a) or build(*a, **k))
+        result = runner.invoke(
+            main,
+            _base_args(tmp_path, scenario) + [
+                "--config", str(_config_with_generator(tmp_path, scenario)),
+                "repair", str(dockerfile), "--store", str(tmp_path / "store64" / "records.jsonl"),
+            ] + (["--dry-run"] if dry_run else []),
+        )
+        assert result.exit_code == 1, result.output
+        assert json.loads(result.output) == {"error": "store dim 64 vs query dim 256"}
+        assert builds == []
+        assert not (tmp_path / "state" / "sessions").exists()
 
 
 def _config_with_generator(tmp_path: Path, scenario: Path) -> Path:

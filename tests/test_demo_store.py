@@ -556,6 +556,21 @@ class TestLoaderDifferential:
 
 
 class TestIndexGrowth:
+    def test_duplicate_id_rejected_before_the_provider_call(self, offline_provider):
+        index = DemonstrationIndex([])
+        index.add(_record("dup"), offline_provider)
+        calls = []
+
+        class Counting(HashingEmbeddingProvider):
+            def embed_values(self, text):
+                calls.append(text)
+                return super().embed_values(text)
+
+        with pytest.raises(SchemaViolation) as excinfo:
+            index.add(_record("dup"), Counting())
+        assert excinfo.value.record_id == "dup" and calls == []
+        assert len(index) == 1
+
     def test_adds_write_in_place_between_growths(self, tmp_path, offline_provider):
         index = DemonstrationIndex([])
         for i in range(3):

@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flakidock.demo_store import (
@@ -29,7 +29,12 @@ from flakidock.similarity import (
     retrieve_top_k,
 )
 
-from support import reference_clustering, reference_hash_embedding, template_outputs
+from support import (
+    reference_clustering,
+    reference_hash_embedding,
+    reference_retrieve_top_k,
+    template_outputs,
+)
 
 
 def _vec(*values):
@@ -421,3 +426,95 @@ def test_retrieval_stays_consistent_during_concurrent_adds(offline_provider):
         stop.set()
         sys.setswitchinterval(interval)
     assert errors == []
+
+
+# Row scales the bound pass must survive: far above and below 1, subnormal
+# (the slack's absolute term), and near the float32 limit, where a product
+# overflows and every row is scored exactly.
+_ROW_SCALES = (1e30, 1e-30, 1e-42, 1e37)
+
+
+def _index_of(rows: np.ndarray, ids: list[int]) -> DemonstrationIndex:
+    records = [
+        DemonstrationRecord(
+            id=f"r{i:02d}",
+            static_part="FROM busybox\n",
+            dynamic_part="boom",
+            category=FlakinessCategory(MajorCategory.MISC),
+            repairs=("FROM busybox\n",),
+            iterations=(1,),
+        )
+        for i in ids
+    ]
+    return DemonstrationIndex(records, rows)
+
+
+def _nonzero(rows: np.ndarray) -> np.ndarray:
+    rows[~rows.any(axis=1), 0] = 1e-42  # a subnormal row may round to all zeros
+    return rows
+
+
+@st.composite
+def _retrieval_cases(draw):
+    """(float32 rows, record ids in row order, query vector, k)."""
+    dim = draw(st.sampled_from([3, 16, 64, 256]))
+    n = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.standard_normal((n, dim))
+    row = st.integers(0, n - 1)
+    scales = np.ones(n)
+    for i, scale in draw(st.lists(st.tuples(row, st.sampled_from(_ROW_SCALES)), max_size=4)):
+        scales[i] = scale
+    rows *= scales[:, None]
+    for i, j in draw(st.lists(st.tuples(row, row), max_size=4)):  # duplicate rows
+        rows[i] = rows[j]
+    near = st.tuples(row, row, st.floats(-1e-7, 1e-7))
+    for i, j, d in draw(st.lists(near, max_size=4)):  # scores within about 1e-7
+        rows[i] = rows[j] * (1 + d * rng.standard_normal(dim))
+    rows = _nonzero(rows.astype(np.float32))
+    like = draw(st.one_of(st.none(), row))
+    if like is None:
+        query = rng.standard_normal(dim) * draw(st.sampled_from([1.0, 1e3, 1e-30]))
+    else:  # a stored row: its duplicates tie at the top
+        query = rows[like]
+    ids = draw(st.permutations(range(n)))  # id order is not row order
+    return rows, ids, query.astype(np.float32), draw(st.integers(1, n + 3))
+
+
+def _fixed_case(scale: float, query_scale: float = 1.0, k: int = 3):
+    """20 rows, every other one scaled, two of them equal, ids in reverse row order."""
+    n, rng = 20, np.random.default_rng(0)
+    rows = rng.standard_normal((n, 64))
+    rows[::2] *= scale
+    rows[5] = rows[3]
+    rows = _nonzero(rows.astype(np.float32))
+    query = (rng.standard_normal(64) * query_scale).astype(np.float32)
+    return rows, list(range(n))[::-1], query, k
+
+
+class TestRetrievalDifferential:
+    """Two-stage retrieval against the full scan it replaced, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_retrieval_cases())
+    @example(_fixed_case(1e37, 1e3))  # float32 overflows: every row is rescored
+    @example(_fixed_case(1e-42))
+    @example(_fixed_case(1e30, k=25))
+    def test_matches_full_scan(self, case):
+        rows, ids, query, k = case
+        index = _index_of(rows, ids)
+        provider = _FixedProvider(rows.shape[1], query)
+        repair_query = RepairQuery.build("FROM busybox\n", "boom")
+        got = retrieve_top_k(repair_query, index, k, provider)
+        want = reference_retrieve_top_k(repair_query, index, k, provider)
+        assert [(r.id, s.hex()) for r, s in got] == [(r.id, s.hex()) for r, s in want]
+
+    @pytest.mark.parametrize("dim", [3, 64, 256, 300, 1536])
+    def test_einsum_of_gathered_rows_matches_full_matrix(self, dim):
+        rng = np.random.default_rng(dim)
+        matrix = rng.standard_normal((1000, dim)).astype(np.float32)
+        q = rng.standard_normal(dim).astype(np.float32).astype(np.float64)
+        full = np.einsum("ij,j->i", matrix, q)
+        picks = [[0], [999], [3, 500, 998], sorted(rng.choice(1000, 7, replace=False)), list(range(0, 1000, 37))]
+        for rows in picks:
+            assert np.einsum("ij,j->i", matrix[rows], q).tobytes() == full[rows].tobytes()
