@@ -13,18 +13,18 @@ import itertools
 import json
 import logging
 import math
-import os
 import shlex
 import subprocess
 import tempfile
 import threading
 import time
 from abc import ABC, abstractmethod
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
 from .dockerfile_model import DockerfileDoc
+from .durable import append_line
 from .errors import EngineError
 
 log = logging.getLogger(__name__)
@@ -286,7 +286,7 @@ class BuildEngine:
     Each build appends one JSON line, its log inline, to `builds.jsonl` in
     the build's directory: `persist_dir` when given, else
     `<state_dir>/builds/<dockerfile hash>`. A record's number is its line
-    number.
+    number; a line torn by a crash keeps its number and holds no record.
     """
 
     driver: BuildDriver
@@ -389,14 +389,6 @@ class BuildEngine:
         if base is None:
             return
         base.mkdir(parents=True, exist_ok=True)
-        # ASCII JSON (a lone surrogate becomes an escape), one write at the end
-        # of the file: writers sharing the journal never split each other's lines.
-        line = (json.dumps(asdict(record), sort_keys=True) + "\n").encode("ascii")
-        path = base / "builds.jsonl"
-        fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
-        try:
-            written = os.write(fd, line)
-        finally:
-            os.close(fd)
-        if written != len(line):
-            raise OSError(f"short write to {path}: {written} of {len(line)} bytes")
+        # ASCII JSON: a lone surrogate in a log becomes an escape.
+        line = json.dumps(vars(record), sort_keys=True) + "\n"
+        append_line(base / "builds.jsonl", line.encode("ascii"))

@@ -18,6 +18,7 @@ import click
 from .build_engine import STATUS_ENGINE_ERROR, STATUS_SUCCESS, BuildRecord
 from .config import RunConfig, load_config
 from .dockerfile_model import diff_docs, parse_dockerfile, render_diff
+from .durable import append_line, replacing
 from .errors import EngineError, FlakiDockError
 from .log_preprocess import (
     classify_failure_exclusion,
@@ -248,7 +249,8 @@ def repair(ctx, dockerfile, context_dir, store_path, dry_run):
         ctx.exit(EXIT_OK)
     if session.verdict == VERDICT_REPAIRED:
         repaired_path = path.with_name(path.name + ".repaired")
-        repaired_path.write_text(session.final_dockerfile, encoding="utf-8")
+        with replacing(repaired_path) as fh:
+            fh.write(session.final_dockerfile.encode("utf-8"))
         summary["repaired_file"] = str(repaired_path)
         diff = render_diff(diff_docs(doc, parse_dockerfile(session.final_dockerfile)))
         _emit(ctx, summary, f"repaired after {session.attempts_used} attempt(s):\n{diff}")
@@ -341,32 +343,23 @@ def monitor(ctx, manifest, rounds):
             entry["errors"].append(str(exc))  # record and keep going
             if isinstance(exc, EngineError):
                 records = exc.records  # every build the engine ran, the failed one last
+        appended = []
+        for record in records:
+            exclusion = None
+            if not record.succeeded:
+                excerpt = preprocess_log(record.log, rules).as_text()
+                exclusion = classify_failure_exclusion(excerpt or record.log, filters)
+            fields = {"status": record.status, "started_at": record.started_at, "duration": record.duration,
+                      "exclusion": exclusion, "dockerfile_hash": record.dockerfile_hash}
+            appended.append(json.dumps(fields, sort_keys=True) + "\n")
         history_file = history_dir / f"{name}.jsonl"
-        with open(history_file, "a", encoding="utf-8") as fh:
-            for record in records:
-                exclusion = None
-                if not record.succeeded:
-                    excerpt = preprocess_log(record.log, rules).as_text()
-                    exclusion = classify_failure_exclusion(excerpt or record.log, filters)
-                fh.write(
-                    json.dumps(
-                        {
-                            "status": record.status,
-                            "started_at": record.started_at,
-                            "duration": record.duration,
-                            "exclusion": exclusion,
-                            "dockerfile_hash": record.dockerfile_hash,
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
+        append_line(history_file, "".join(appended).encode("ascii"))  # one write per project
         entry["builds"] = len(records)
         # Flakiness is judged on an unchanged Dockerfile: only the builds of
         # the file read now count. A line without a hash or a status, or one
         # that is not a JSON object (torn by a crash, say), counts for nothing.
         history = []
-        if doc is not None:
+        if doc is not None and history_file.exists():
             lines = history_file.read_text(encoding="utf-8", errors="replace").splitlines()
             history = [h for h in map(_history_entry, lines) if h and h.get("dockerfile_hash") == doc.content_hash]
         # An engine error is the engine's fault, not the build's; its message is in `errors`.

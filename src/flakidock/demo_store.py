@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import json
 import logging
-import os
 import struct
 import threading
 from dataclasses import dataclass
@@ -23,6 +22,7 @@ from typing import TYPE_CHECKING
 
 # `parse_dockerfile` stays importable from here: bench/tracing.py wraps it by this name.
 from .dockerfile_model import has_instructions, parse_dockerfile  # noqa: F401
+from .durable import replacing
 from .errors import DimensionMismatch, SchemaViolation, StoreError, VersionMismatch
 from .providers import EmbeddingProvider
 from .similarity import combine_static_dynamic, embed
@@ -206,8 +206,11 @@ class DemonstrationIndex:
         import numpy as np
 
         validate_record(record)
-        if record.id in self.by_id:  # checked again under the lock; here it saves a provider call
+        # Both checked again under the lock; here they save a provider call.
+        if record.id in self.by_id:
             raise SchemaViolation(record.id, "id", "duplicate record id")
+        if len(self) and provider.dim != self.matrix.shape[1]:
+            raise DimensionMismatch(f"store dim {self.matrix.shape[1]} vs record dim {provider.dim}")
         vec = embed(record.combined_text(), provider)
         with self._writer_lock:
             if record.id in self.by_id:
@@ -314,35 +317,24 @@ _SAVE_BLOCK = 1024  # records joined into one write
 
 
 def save_store(index: DemonstrationIndex, path) -> None:
-    """Write records.jsonl (canonical JSON) and vectors.bin.
-
-    Both files are written to temporary siblings first and then moved over
-    their targets, so a save that fails part-way leaves the old store intact.
-    """
+    """Write records.jsonl (canonical JSON) and vectors.bin, each whole and then
+    over its target, vectors first. A save that fails before the first replace
+    leaves the old store; one killed between the two leaves a store that does
+    not load (new vectors beside old records)."""
     records_path, vectors_path = _resolve_paths(path)
     records_path.parent.mkdir(parents=True, exist_ok=True)
-    suffix = f".{os.getpid()}.{threading.get_ident()}.tmp"
-    records_tmp = records_path.with_name(f".{records_path.name}{suffix}")
-    vectors_tmp = vectors_path.with_name(f".{vectors_path.name}{suffix}")
     records = index.records
-    try:
-        with open(records_tmp, "w", encoding="utf-8") as fh:
-            header = {"schema": SCHEMA_NAME, "version": SCHEMA_VERSION}
-            fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
-            for start in range(0, len(records), _SAVE_BLOCK):
-                fh.write("".join(map(_record_line, records[start : start + _SAVE_BLOCK])))
+    with replacing(records_path) as records_fh:
+        header = {"schema": SCHEMA_NAME, "version": SCHEMA_VERSION}
+        records_fh.write((json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n").encode())
+        for start in range(0, len(records), _SAVE_BLOCK):
+            records_fh.write("".join(map(_record_line, records[start : start + _SAVE_BLOCK])).encode())
         if len(index):
             import numpy as np
 
-            with open(vectors_tmp, "wb") as fh:
+            with replacing(vectors_path) as fh:
                 fh.write(struct.pack("<I", index.matrix.shape[1]))
                 fh.write(np.ascontiguousarray(index.matrix, dtype="<f4"))
-            os.replace(vectors_tmp, vectors_path)
-        os.replace(records_tmp, records_path)
-    except BaseException:  # interrupts too: no temporary file outlives a failed save
-        records_tmp.unlink(missing_ok=True)
-        vectors_tmp.unlink(missing_ok=True)
-        raise
     if not len(index):
         vectors_path.unlink(missing_ok=True)
 

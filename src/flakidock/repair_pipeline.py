@@ -28,6 +28,7 @@ from .demo_store import (
     MajorCategory,
 )
 from .dockerfile_model import DockerfileDoc, parse_dockerfile
+from .durable import replacing
 from .errors import (
     BudgetExhausted, DimensionMismatch, EngineError, FlakiDockError, ProviderUnavailable, UnparseableResponse
 )
@@ -465,12 +466,11 @@ def repair_flaky_dockerfile(
 
 def _persist(session: RepairSession, name: str, text: str) -> None:
     if session.session_dir is not None:
-        (session.session_dir / name).write_text(text, encoding="utf-8")
+        with replacing(session.session_dir / name) as fh:
+            fh.write(text.encode("utf-8"))
 
 
 def _persist_session(session: RepairSession) -> None:
-    if session.session_dir is None:
-        return
     payload = {
         "verdict": session.verdict,
         "abort_reason": session.abort_reason,
@@ -488,9 +488,7 @@ def _persist_session(session: RepairSession) -> None:
             for entry in session.feedback
         ],
     }
-    (session.session_dir / "verdict.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8"
-    )
+    _persist(session, "verdict.json", json.dumps(payload, indent=2, sort_keys=True))
 
 
 def guess_category(session: RepairSession) -> MajorCategory:

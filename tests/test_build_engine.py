@@ -234,6 +234,21 @@ class TestPersistence:
         assert _journal(tmp_path / "builds") == [asdict(record)]
         assert record.log == "boom \ud800 here"
 
+    def test_a_record_after_a_torn_line_starts_its_own_line(self, doc, tmp_path):
+        engine = _engine(driver_for([outcome(STATUS_FAILURE, "boom log", exit_code=1)]))
+        target = tmp_path / "builds"
+        engine.run_build_series(doc, tmp_path, 2, persist_dir=target)
+        journal = target / "builds.jsonl"
+        journal.write_bytes(journal.read_bytes()[:-5])  # the second line torn, as by a crash mid-write
+        record = engine.build_once(doc, tmp_path, persist_dir=target)
+        lines = journal.read_text().split("\n")
+        # Build 3's number is its line number: the fragment keeps line 2.
+        assert len(lines) == 4 and lines[-1] == ""
+        assert json.loads(lines[0])["log"] == "boom log"
+        with pytest.raises(ValueError):
+            json.loads(lines[1])
+        assert json.loads(lines[2]) == asdict(record)
+
     def test_engines_sharing_a_directory_get_distinct_numbers(self, doc, tmp_path):
         target = tmp_path / "builds"
         builds, workers = 40, 4  # more threads than a small CI host has cores

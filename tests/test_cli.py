@@ -645,6 +645,22 @@ class TestMonitor:
         entry = json.loads(result.output)["projects"]["proj"]
         assert (entry["builds"], entry["failures"], entry["flaky_candidate"]) == (1, 1, True)
 
+    def test_a_torn_history_line_does_not_take_the_next_record(self, runner, tmp_path):
+        manifest = self._manifest(tmp_path, [("proj", "FROM busybox\n")])
+        scenario = _write_scenario(
+            tmp_path / "s.json",
+            [{"match": None, "outcomes": [{"status": "failure", "log": ERROR_TYPE_LOGS["X"], "exit_code": 1}]}],
+        )
+        args = _base_args(tmp_path, scenario) + ["monitor", str(manifest), "--rounds", "2"]
+        assert runner.invoke(main, args).exit_code == 0
+        history = tmp_path / "state" / "history" / "proj.jsonl"
+        history.write_bytes(history.read_bytes()[:-20])  # the second line torn, as by a crash mid-write
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["projects"]["proj"]["failures"] == 3
+        lines = history.read_text().split("\n")
+        assert len(lines) == 5 and lines[-1] == ""  # the fragment keeps a line of its own
+
     def test_unreadable_dockerfile_counts_nothing_even_at_zero_rounds(self, runner, tmp_path):
         manifest = self._manifest(tmp_path, [("proj", "FROM busybox\n")])
         scenario = _write_scenario(

@@ -571,6 +571,20 @@ class TestIndexGrowth:
         assert excinfo.value.record_id == "dup" and calls == []
         assert len(index) == 1
 
+    def test_store_of_another_dim_rejected_before_the_provider_call(self, offline_provider):
+        index = DemonstrationIndex([])
+        index.add(_record("d-0"), offline_provider)
+        calls = []
+
+        class Counting(HashingEmbeddingProvider):
+            def embed_values(self, text):
+                calls.append(text)
+                return super().embed_values(text)
+
+        with pytest.raises(DimensionMismatch, match="store dim 256 vs record dim 64"):
+            index.add(_record("d-1"), Counting(dim=64))
+        assert calls == [] and len(index) == 1
+
     def test_adds_write_in_place_between_growths(self, tmp_path, offline_provider):
         index = DemonstrationIndex([])
         for i in range(3):

@@ -23,6 +23,7 @@ from flakidock.demo_store import load_store, save_store
 from flakidock.providers import HashingEmbeddingProvider
 from flakidock.similarity import (
     RepairQuery,
+    _candidates,
     cluster_add,
     cosine,
     embed,
@@ -508,6 +509,17 @@ class TestRetrievalDifferential:
         got = retrieve_top_k(repair_query, index, k, provider)
         want = reference_retrieve_top_k(repair_query, index, k, provider)
         assert [(r.id, s.hex()) for r, s in got] == [(r.id, s.hex()) for r, s in want]
+
+    def test_a_row_whose_upper_bound_equals_tau_is_a_candidate(self):
+        # Every value here is exact: float32 products of dyadic values, a scale of
+        # 1, and a slack of 2 * (dim + 2) * 2**-24 = 2**-21 at dim 2 (the
+        # underflow term is below half an ulp of it).
+        matrix = np.array([[0.5, 0.0], [0.5 - 2.0**-20, 0.0], [0.0, 1.0]], dtype=np.float32)
+        q, scale = np.array([1.0, 0.0]), np.ones(3)
+        slack = 2.0**-21
+        tau = 0.5 - slack  # row 0's lower bound, the best of them: k = 1
+        assert float(matrix[1, 0]) + slack == tau  # row 1's upper bound
+        assert _candidates(matrix, q, scale, 1).tolist() == [0, 1]
 
     @pytest.mark.parametrize("dim", [3, 64, 256, 300, 1536])
     def test_einsum_of_gathered_rows_matches_full_matrix(self, dim):
