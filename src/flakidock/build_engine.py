@@ -79,10 +79,6 @@ class DriverOutcome:
     duration: float
 
 
-class DriverFailure(Exception):
-    """Raised by drivers for failures of the engine itself."""
-
-
 class BuildDriver(ABC):
     driver_id: str
 
@@ -90,11 +86,17 @@ class BuildDriver(ABC):
     def build(
         self, dockerfile_text: str, context_dir: Path, *, no_cache: bool, timeout: float
     ) -> DriverOutcome:
-        """Run one build; never raises for ordinary build failures."""
+        """Run one build; never raises for ordinary build failures.
+
+        Raises EngineError for a failure of the engine itself.
+        """
 
     @abstractmethod
     def clean(self) -> None:
-        """Prune build cache, dangling images, and stopped containers."""
+        """Prune build cache, dangling images, and stopped containers.
+
+        Raises EngineError when the engine cannot.
+        """
 
 
 @dataclass
@@ -169,7 +171,7 @@ class SimulatedDriver(BuildDriver):
         for idx, script in enumerate(self.scripts):
             if script.match is None:
                 return idx, script
-        raise DriverFailure("no build script matches the document and no default exists")
+        raise EngineError("no build script matches the document and no default exists")
 
     def build(
         self, dockerfile_text: str, context_dir: Path, *, no_cache: bool, timeout: float
@@ -180,7 +182,7 @@ class SimulatedDriver(BuildDriver):
         self._positions[idx] = pos + 1
         self.builds_run += 1
         if outcome.status == STATUS_ENGINE_ERROR:
-            raise DriverFailure(outcome.log or "scripted engine error")
+            raise EngineError(outcome.log or "scripted engine error")
         if outcome.status == STATUS_TIMEOUT or outcome.duration >= timeout:
             return DriverOutcome(
                 STATUS_TIMEOUT, outcome.log, None, max(outcome.duration, timeout)
@@ -251,7 +253,7 @@ class RealCliDriver(BuildDriver):
                 partial = partial.decode("utf-8", errors="replace")
             return DriverOutcome(STATUS_TIMEOUT, partial, None, duration)
         except OSError as exc:
-            raise DriverFailure(f"cannot invoke build command: {exc}") from exc
+            raise EngineError(f"cannot invoke build command: {exc}") from exc
         finally:
             dockerfile_path.unlink(missing_ok=True)
 
@@ -266,9 +268,9 @@ class RealCliDriver(BuildDriver):
                     text=True,
                 )
             except (OSError, subprocess.TimeoutExpired) as exc:
-                raise DriverFailure(f"cleanup command failed: {command}: {exc}") from exc
+                raise EngineError(f"cleanup command failed: {command}: {exc}") from exc
             if proc.returncode != 0:
-                raise DriverFailure(
+                raise EngineError(
                     f"cleanup command exited {proc.returncode}: {command}"
                 )
 
@@ -303,9 +305,9 @@ class BuildEngine:
     ) -> BuildRecord:
         """Run a single build and persist its record.
 
-        Driver-level failures are recorded with engine-error status and then
-        re-raised as EngineError so callers can distinguish them from plain
-        build failures.
+        A driver's EngineError is recorded with engine-error status, and
+        re-raised with that record attached, so callers can tell it from a
+        plain build failure.
         """
         started_at = datetime.now(timezone.utc).isoformat()
         doc_hash = doc.content_hash
@@ -317,8 +319,8 @@ class BuildEngine:
                 no_cache=self.policy.no_cache,
                 timeout=self.policy.timeout,
             )
-        except DriverFailure as exc:
-            record = BuildRecord(
+        except EngineError as exc:
+            exc.record = BuildRecord(
                 dockerfile_hash=doc_hash,
                 log=str(exc),
                 status=STATUS_ENGINE_ERROR,
@@ -327,8 +329,8 @@ class BuildEngine:
                 started_at=started_at,
                 driver_id=self.driver.driver_id,
             )
-            self._persist(record, persist_dir)
-            raise EngineError(str(exc), record=record) from exc
+            self._persist(exc.record, persist_dir)
+            raise
         record = BuildRecord(
             dockerfile_hash=doc_hash,
             log=outcome.log,
@@ -376,10 +378,7 @@ class BuildEngine:
     def clean_environment(self) -> None:
         """Request a driver-level prune of caches, images, and containers."""
         with self._cleanup_lock:
-            try:
-                self.driver.clean()
-            except DriverFailure as exc:
-                raise EngineError(f"cleanup failed: {exc}") from exc
+            self.driver.clean()
             self.cleanups_performed += 1
 
     def _persist(self, record: BuildRecord, persist_dir: Path | None) -> None:

@@ -1,10 +1,9 @@
-"""Line-oriented build-definition model: parse, serialize, diff.
+"""Build definitions as text: parse, diff.
 
-The parser is deliberately shallow. It only needs to recover instruction
-boundaries (so build stages can be aligned with log sections) and to
-re-emit documents byte-faithfully (so candidate repairs are never mangled).
-Heredocs and JSON exec forms stay opaque argument text; unrecognized
-instructions are preserved verbatim as UNKNOWN rather than rejected.
+A Dockerfile reaches the model as text and a repair is a whole new file, so
+a parsed document is the exact text plus its stage count and content hash.
+The parser only counts FROM instructions, by the engine's line rules, and
+rejects input that has no UTF-8 form or no instruction at all.
 """
 
 from __future__ import annotations
@@ -12,75 +11,27 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 
 from .errors import EmptyDocument, MalformedEncoding
 
-_BOM = "﻿"
+_BOM = "\ufeff"
 # One line with its ending. As in the engine's parser, only `\n` ends a line
 # (`_strip_eol` drops a `\r` before it): a form feed, `\x1c`-`\x1e`, `\x85`,
 # U+2028/2029 or a lone `\r` stays inside its line, unlike `str.splitlines`.
 _LINE_RE = re.compile(r"[^\n]*\n|[^\n]+")
-_KEYWORD_RE = re.compile(r"\s*(\S+)\s?")
-
-
-class Keyword(str, Enum):
-    FROM = "FROM"
-    RUN = "RUN"
-    COPY = "COPY"
-    ADD = "ADD"
-    WORKDIR = "WORKDIR"
-    ENV = "ENV"
-    ARG = "ARG"
-    ENTRYPOINT = "ENTRYPOINT"
-    CMD = "CMD"
-    EXPOSE = "EXPOSE"
-    LABEL = "LABEL"
-    USER = "USER"
-    VOLUME = "VOLUME"
-    SHELL = "SHELL"
-    HEALTHCHECK = "HEALTHCHECK"
-    ONBUILD = "ONBUILD"
-    STOPSIGNAL = "STOPSIGNAL"
-    MAINTAINER = "MAINTAINER"
-    COMMENT = "COMMENT"
-    UNKNOWN = "UNKNOWN"
-
-
-_RECOGNIZED = {k.value for k in Keyword} - {"COMMENT", "UNKNOWN"}
-
-
-@dataclass(frozen=True)
-class Instruction:
-    """One instruction, possibly spanning several physical lines."""
-
-    keyword: Keyword
-    arguments: str
-    source_span: tuple[int, int]  # 1-based, inclusive
-    raw: str  # exact original text of the span, line endings preserved
-
-    def __post_init__(self):
-        first, last = self.source_span
-        if first > last:
-            raise ValueError(f"inverted source span {self.source_span}")
 
 
 @dataclass(frozen=True)
 class DockerfileDoc:
-    """A parsed build definition plus everything needed to re-emit it."""
+    """A build definition: its exact text and the number of its build stages."""
 
-    instructions: tuple[Instruction, ...]
-    blank_lines: tuple[tuple[int, str], ...]  # (line number, raw line)
     raw_text: str  # exact original text (BOM included when present)
-    had_bom: bool = False
-
-    @property
-    def stage_count(self) -> int:
-        return sum(1 for ins in self.instructions if ins.keyword is Keyword.FROM)
+    stage_count: int  # FROM instructions
 
     @cached_property  # computed on first read; the document is immutable
     def content_hash(self) -> str:
+        """sha256 of the file's UTF-8 bytes; it names the build directory."""
         return hashlib.sha256(self.to_bytes()).hexdigest()
 
     def to_bytes(self) -> bytes:
@@ -109,92 +60,48 @@ def has_instructions(text: str) -> bool:
 def parse_dockerfile(text: bytes | str) -> DockerfileDoc:
     """Parse a build definition from bytes or text.
 
-    Every input line ends up either inside exactly one instruction span or
-    recorded as a blank line, which is what makes serialization lossless.
-    A trailing backslash merges the following line into the instruction.
+    An instruction starts at each line that is not a `#` comment, and a
+    trailing backslash joins the following line to it, whatever that line
+    holds, before its first word is read. An instruction whose first word is
+    FROM, in any case, starts a build stage; a blank line has no first word.
 
     Raises:
-        MalformedEncoding: input bytes are not UTF-8.
+        MalformedEncoding: bytes that are not UTF-8, or text with no UTF-8
+            form (a lone surrogate): no file can hold it.
         EmptyDocument: no instructions at all, by `has_instructions`.
     """
-    had_bom = False
-    if isinstance(text, bytes):
-        if text.startswith(b"\xef\xbb\xbf"):
-            had_bom = True
-            text = text[3:]
-        try:
-            body = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MalformedEncoding(f"input is not valid UTF-8: {exc}") from exc
-    else:
-        body = text
-        if body.startswith(_BOM):
-            had_bom = True
-            body = body[len(_BOM):]
-    raw_text = (_BOM if had_bom else "") + body
+    try:
+        if isinstance(text, bytes):
+            raw_text = text.decode("utf-8")
+        else:
+            text.encode("utf-8")  # a lone surrogate has no UTF-8 form
+            raw_text = text
+    except UnicodeError as exc:
+        raise MalformedEncoding(f"input is not valid UTF-8: {exc}") from exc
     if not has_instructions(raw_text):
         raise EmptyDocument("no instructions found")
 
-    lines = _LINE_RE.findall(body)
-    instructions: list[Instruction] = []
-    blanks: list[tuple[int, str]] = []
-
-    i = 0
+    lines = _LINE_RE.findall(raw_text.removeprefix(_BOM))
+    stages = i = 0
     while i < len(lines):
-        stripped = _strip_eol(lines[i])
-        if not stripped.strip():
-            blanks.append((i + 1, lines[i]))
-            i += 1
+        part = _strip_eol(lines[i])
+        i += 1
+        if part.lstrip().startswith("#"):
             continue
-        if stripped.lstrip().startswith("#"):
-            comment_text = stripped.lstrip()[1:].strip()
-            instructions.append(
-                Instruction(Keyword.COMMENT, comment_text, (i + 1, i + 1), lines[i])
-            )
-            i += 1
-            continue
-
-        start = i
-        logical_parts: list[str] = []
-        while True:
+        parts = []
+        while part.rstrip().endswith("\\") and i < len(lines):
+            parts.append(part.rstrip()[:-1])
             part = _strip_eol(lines[i])
-            continued = part.rstrip().endswith("\\") and i + 1 < len(lines)
-            if continued:
-                logical_parts.append(part.rstrip()[:-1])
-            else:
-                logical_parts.append(part)
             i += 1
-            if not continued:
-                break
-        raw = "".join(lines[start:i])
-        logical = "".join(logical_parts)
-        match = _KEYWORD_RE.match(logical)
-        if match is None:  # a lone `\` joined to a blank line: no keyword at all
-            keyword, arguments = Keyword.UNKNOWN, ""
-        else:
-            token = match.group(1).upper()
-            keyword = Keyword(token) if token in _RECOGNIZED else Keyword.UNKNOWN
-            arguments = logical[match.end():]
-        instructions.append(Instruction(keyword, arguments, (start + 1, i), raw))
-
-    return DockerfileDoc(
-        instructions=tuple(instructions),
-        blank_lines=tuple(blanks),
-        raw_text=raw_text,
-        had_bom=had_bom,
-    )
+        words = "".join(parts + [part]).split(None, 1)
+        if words and words[0].upper() == "FROM":
+            stages += 1
+    return DockerfileDoc(raw_text, stages)
 
 
 def serialize(doc: DockerfileDoc) -> str:
-    """Reassemble the original text from the parsed structure."""
-    parts: dict[int, str] = {}
-    for lineno, raw in doc.blank_lines:
-        parts[lineno] = raw
-    for ins in doc.instructions:
-        for offset, line in enumerate(_LINE_RE.findall(ins.raw)):
-            parts[ins.source_span[0] + offset] = line
-    body = "".join(parts[n] for n in sorted(parts))
-    return (_BOM if doc.had_bom else "") + body
+    """The document's text, exactly as it was parsed."""
+    return doc.raw_text
 
 
 # --- line-level diffing ---

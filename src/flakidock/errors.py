@@ -8,7 +8,7 @@ class FlakiDockError(Exception):
 # --- build-definition parsing ---
 
 class MalformedEncoding(FlakiDockError):
-    """Input bytes are not valid UTF-8 (after an optional BOM)."""
+    """Input bytes are not valid UTF-8, or input text has no UTF-8 form."""
 
 
 class EmptyDocument(FlakiDockError):
@@ -21,13 +21,14 @@ class EngineError(FlakiDockError):
     """Driver-level failure (daemon unreachable, disk full, ...).
 
     Distinct from an ordinary build failure, which is reported through a
-    BuildRecord status. Carries the partial record/records when available.
+    BuildRecord status. Drivers raise it; `BuildEngine` attaches the failed
+    build's engine-error record, and a series the records gathered so far.
     """
 
-    def __init__(self, message: str, record=None, records=None):
+    def __init__(self, message: str):
         super().__init__(message)
-        self.record = record
-        self.records = records or []
+        self.record = None
+        self.records = []
 
 
 # --- log preprocessing ---

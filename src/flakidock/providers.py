@@ -195,6 +195,15 @@ class HttpEmbeddingProvider(_HttpProvider, EmbeddingProvider):
         return vec
 
 
+def _check_utf8(response: str) -> None:
+    """Reject a response with no UTF-8 form (a lone surrogate, which a JSON
+    `\\ud800` escape gives): the session could not write it to its trail."""
+    try:
+        response.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ValueError(f"response has no UTF-8 form: {exc}") from exc
+
+
 class TextGenerationProvider(ABC):
     """Handle for repair-candidate generation."""
 
@@ -215,6 +224,8 @@ class ScriptedTextProvider(TextGenerationProvider):
     def __init__(self, responses: list[str]):
         if not responses:
             raise ValueError("scripted provider needs at least one response")
+        for response in responses:
+            _check_utf8(response)
         self.responses = list(responses)
         self.prompts: list[str] = []
         self.provider_id = "scripted"
@@ -228,7 +239,10 @@ class ScriptedTextProvider(TextGenerationProvider):
             raise ValueError(f"{path}: malformed scenario file: {exc!r}") from exc
         if not isinstance(responses, list) or not responses:
             raise ValueError(f"{path}: scenario file has no 'responses' list")
-        return cls([str(r) for r in responses])
+        try:
+            return cls([str(r) for r in responses])
+        except ValueError as exc:
+            raise ValueError(f"{path}: malformed scenario file: {exc}") from exc
 
     def generate(self, prompt: str) -> str:
         self.prompts.append(prompt)
@@ -260,6 +274,7 @@ class HttpChatProvider(_HttpProvider, TextGenerationProvider):
         content = reply["choices"][0]["message"]["content"]
         if not isinstance(content, str):
             raise TypeError(f"message content is {type(content).__name__}, not str")
+        _check_utf8(content)
         return content
 
 

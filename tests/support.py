@@ -18,7 +18,9 @@ from flakidock.build_engine import BuildScript, ScriptedOutcome, SimulatedDriver
 from flakidock.dockerfile_model import parse_dockerfile
 from flakidock.errors import (
     DimensionMismatch,
+    EmptyDocument,
     FlakiDockError,
+    MalformedEncoding,
     SchemaViolation,
     StoreError,
     VersionMismatch,
@@ -247,6 +249,68 @@ def fenced(dockerfile_text: str) -> str:
 
 
 # --- reference implementations for differential tests ---
+
+
+def reference_parse_dockerfile(text: bytes | str) -> tuple[str, int, str]:
+    """(raw_text, stage_count, content_hash) by the instruction-tree parser the
+    package had before a document became its text: every line goes to one
+    blank line or one instruction, an instruction's first word is its keyword,
+    the stage count is the number of FROM keywords, and the hash is sha256 of
+    the text reassembled from those parts. It keeps that parser's one gap: a
+    str holding a lone surrogate parses, and its hash raises
+    UnicodeEncodeError."""
+    bom = "\ufeff"
+    had_bom = False
+    if isinstance(text, bytes):
+        if text.startswith(b"\xef\xbb\xbf"):
+            had_bom, text = True, text[3:]
+        try:
+            body = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MalformedEncoding(f"input is not valid UTF-8: {exc}") from exc
+    else:
+        body = text
+        if body.startswith(bom):
+            had_bom, body = True, body[len(bom):]
+    raw_text = (bom if had_bom else "") + body
+    if not body or body.isspace():
+        raise EmptyDocument("no instructions found")
+
+    def strip_eol(line: str) -> str:
+        line = line[:-1] if line.endswith("\n") else line
+        return line[:-1] if line.endswith("\r") else line
+
+    lines = re.findall(r"[^\n]*\n|[^\n]+", body)
+    parts: dict[int, str] = {}  # line number -> raw line, from blanks and instructions
+    keywords: list[str] = []
+    i = 0
+    while i < len(lines):
+        stripped = strip_eol(lines[i])
+        if not stripped.strip():
+            parts[i + 1] = lines[i]
+            i += 1
+            continue
+        if stripped.lstrip().startswith("#"):
+            keywords.append("COMMENT")
+            parts[i + 1] = lines[i]
+            i += 1
+            continue
+        start, logical = i, []
+        while True:
+            part = strip_eol(lines[i])
+            continued = part.rstrip().endswith("\\") and i + 1 < len(lines)
+            logical.append(part.rstrip()[:-1] if continued else part)
+            i += 1
+            if not continued:
+                break
+        match = re.match(r"\s*(\S+)\s?", "".join(logical))
+        keywords.append("UNKNOWN" if match is None else match.group(1).upper())
+        for offset, line in enumerate(re.findall(r"[^\n]*\n|[^\n]+", "".join(lines[start:i]))):
+            parts[start + 1 + offset] = line
+    serialized = (bom if had_bom else "") + "".join(parts[n] for n in sorted(parts))
+    content_hash = hashlib.sha256(serialized.encode("utf-8")).hexdigest()
+    return raw_text, keywords.count("FROM"), content_hash
+
 
 
 def reference_hash_embedding(text: str, dim: int = 256) -> np.ndarray:

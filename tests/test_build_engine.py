@@ -139,8 +139,7 @@ class TestSeries:
         class FlakyCleanDriver(SimulatedDriver):
             def clean(self):
                 super().clean()
-                from flakidock.build_engine import DriverFailure
-                raise DriverFailure("prune exploded")
+                raise EngineError("prune exploded")
 
         driver = FlakyCleanDriver([BuildScript(None, [outcome(STATUS_SUCCESS)])])
         records = _engine(driver, clean_every=2).run_build_series(doc, tmp_path, 4)

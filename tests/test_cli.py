@@ -349,9 +349,12 @@ class TestRepair:
         verdict = json.loads((session_dir / "verdict.json").read_text(encoding="utf-8"))
         assert (verdict["verdict"], verdict["abort_reason"]) == ("engine-aborted", "daemon gone")
 
-    def test_provider_failure_aborts_with_the_provider_message(self, runner, tmp_path, flaky_setup):
+    @staticmethod
+    def _repair_against_chat_reply(runner, tmp_path, flaky_setup, content):
+        """`repair` with an HTTP generator that answers `content`; it must
+        abort as aborted-provider with its verdict.json. Returns the session dir."""
         dockerfile, scenario = flaky_setup
-        reply = {"choices": [{"message": {"role": "assistant", "content": None}}]}
+        reply = {"choices": [{"message": {"role": "assistant", "content": content}}]}
         with Loopback(body=reply) as server:
             config = tmp_path / "flakidock.conf"
             config.write_text(f"generation_provider = http\ngeneration_url = {server.url}/v1\ngeneration_model = m\n")
@@ -367,6 +370,30 @@ class TestRepair:
         assert verdict["verdict"] == "aborted-provider" and verdict["attempts_used"] == 0
         assert error == f"session aborted: aborted-provider: {verdict['abort_reason']}"
         assert (session_dir / "prompt-1.txt").exists()
+        return session_dir
+
+    def test_provider_failure_aborts_with_the_provider_message(self, runner, tmp_path, flaky_setup):
+        self._repair_against_chat_reply(runner, tmp_path, flaky_setup, None)
+
+    def test_reply_without_utf8_form_aborts_with_a_verdict(self, runner, tmp_path, flaky_setup):
+        # A lone surrogate, a legal JSON escape, has no UTF-8 form to persist.
+        session_dir = self._repair_against_chat_reply(runner, tmp_path, flaky_setup, fenced("FROM \ud800\n"))
+        assert not (session_dir / "response-1.txt").exists()
+
+    def test_scripted_response_without_utf8_form_fails_before_any_build(self, runner, tmp_path, flaky_setup):
+        dockerfile, scenario = flaky_setup
+        payload = json.loads(scenario.read_text())
+        payload["responses"] = [fenced("FROM \ud800\n")]
+        scenario.write_text(json.dumps(payload))  # the surrogate is written as an escape
+        result = runner.invoke(
+            main,
+            _base_args(tmp_path, scenario)
+            + ["--config", str(_config_with_generator(tmp_path, scenario)), "repair", str(dockerfile)],
+        )
+        assert result.exit_code == 1, result.output
+        assert json.loads(result.output)["error"].startswith(f"{scenario}: malformed scenario file:")
+        assert not (tmp_path / "state" / "builds").exists()
+        assert not (tmp_path / "state" / "sessions").exists()
 
     def test_session_artifacts_persisted(self, runner, tmp_path, flaky_setup):
         dockerfile, scenario = flaky_setup

@@ -1,32 +1,29 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flakidock.dockerfile_model import (
-    Keyword,
     diff_docs,
     has_instructions,
     parse_dockerfile,
     render_diff,
     serialize,
 )
-from flakidock.errors import EmptyDocument, MalformedEncoding
+from flakidock.errors import EmptyDocument, FlakiDockError, MalformedEncoding
 
-from support import ALPINE_PIP, ALPINE_PIP_REPAIRED, GOLANG_TWO_STAGE
+from support import ALPINE_PIP, ALPINE_PIP_REPAIRED, GOLANG_TWO_STAGE, reference_parse_dockerfile
 
 
 class TestParse:
     def test_two_instruction_snippet(self):
-        doc = parse_dockerfile(
-            "FROM alpine:latest\nRUN apk add --update python3 py3-pip git tcpdump"
-        )
-        assert [ins.keyword for ins in doc.instructions] == [Keyword.FROM, Keyword.RUN]
-        assert doc.stage_count == 1
-        assert doc.instructions[0].arguments == "alpine:latest"
+        text = "FROM alpine:latest\nRUN apk add --update python3 py3-pip git tcpdump"
+        doc = parse_dockerfile(text)
+        assert (doc.raw_text, doc.stage_count) == (text, 1)
 
     def test_empty_input_rejected(self):
         with pytest.raises(EmptyDocument):
@@ -46,42 +43,34 @@ class TestParse:
         with pytest.raises(MalformedEncoding):
             parse_dockerfile(b"FROM alpine\xff\xfe\n")
 
+    def test_text_without_utf8_form_rejected(self):
+        # A lone surrogate is a legal JSON escape but no file can hold it.
+        with pytest.raises(MalformedEncoding):
+            parse_dockerfile("FROM alpine\nRUN echo \ud800\n")
+
     def test_continuation_lines_merged(self):
-        doc = parse_dockerfile("RUN apk add \\\n    python3 \\\n    py3-pip\nCMD [\"sh\"]\n")
-        assert len(doc.instructions) == 2
-        run = doc.instructions[0]
-        assert run.keyword is Keyword.RUN
-        assert run.source_span == (1, 3)
-        assert "python3" in run.arguments and "py3-pip" in run.arguments
+        # A FROM inside a continuation is an argument; one split by a
+        # continuation is joined before the first word is read.
+        assert parse_dockerfile("RUN apk add \\\n    FROM \\\n    py3-pip\nCMD [\"sh\"]\n").stage_count == 0
+        assert parse_dockerfile("FR\\\nOM alpine\n").stage_count == 1
+        assert parse_dockerfile("\\\nFROM alpine\n").stage_count == 1
+        assert parse_dockerfile("FROM a\nRUN x \\\n# FROM b\n").stage_count == 1
 
     def test_comment_and_unknown_classification(self):
-        doc = parse_dockerfile("# build stage\nFROM alpine\nFROOM typo here\n")
-        keywords = [ins.keyword for ins in doc.instructions]
-        assert keywords == [Keyword.COMMENT, Keyword.FROM, Keyword.UNKNOWN]
-        # UNKNOWN lines survive verbatim so generated repairs are never destroyed
-        assert serialize(doc) == "# build stage\nFROM alpine\nFROOM typo here\n"
+        text = "# FROM build stage\nFROM alpine\nFROOM typo here\n"
+        doc = parse_dockerfile(text)
+        assert doc.stage_count == 1
+        # Unknown lines survive verbatim so generated repairs are never destroyed
+        assert serialize(doc) == text
 
     def test_lowercase_keywords_recognized(self):
-        doc = parse_dockerfile("from alpine\nrun echo hi\n")
-        assert [i.keyword for i in doc.instructions] == [Keyword.FROM, Keyword.RUN]
+        assert parse_dockerfile("from alpine\nrun echo hi\nFrOm scratch\n").stage_count == 2
 
     def test_every_line_covered_once(self):
-        text = "FROM alpine\n\nRUN a \\\n  b\n# note\n   \nCMD [\"x\"]\n"
-        doc = parse_dockerfile(text)
-        covered = set()
-        for ins in doc.instructions:
-            span = range(ins.source_span[0], ins.source_span[1] + 1)
-            assert not covered.intersection(span)
-            covered.update(span)
-        blanks = {n for n, _ in doc.blank_lines}
-        assert not covered.intersection(blanks)
-        assert covered | blanks == set(range(1, len(text.splitlines()) + 1))
-
-    def test_spans_strictly_increasing(self):
-        doc = parse_dockerfile(GOLANG_TWO_STAGE)
-        spans = [ins.source_span for ins in doc.instructions]
-        for (a_first, a_last), (b_first, _) in zip(spans, spans[1:]):
-            assert a_first <= a_last < b_first
+        # Each line is read once: as a blank, a comment, an instruction's first
+        # line or a continuation, so only the FROMs that start one count.
+        text = "FROM a\n\nRUN x \\\n  FROM b\n# FROM c\n \t\nFROM d \\\n  FROM e\n"
+        assert parse_dockerfile(text).stage_count == 2
 
     @given(
         st.lists(
@@ -95,9 +84,9 @@ class TestParse:
     def test_only_newline_ends_an_instruction(self, args, eol):
         # The engine splits on `\n` alone (dropping a `\r` before it), so
         # other Unicode line breaks stay inside their instruction.
-        text = "".join(f"RUN {arg}{eol}" for arg in args)
+        text = "".join(f"FROM {arg}{eol}" for arg in args)
         doc = parse_dockerfile(text)
-        assert [ins.keyword for ins in doc.instructions] == [Keyword.RUN] * len(args)
+        assert doc.stage_count == len(args)
         assert serialize(doc) == text
 
 
@@ -106,9 +95,9 @@ class TestEmptinessRule:
         "text", ["RUN x\n\\\n\n", "\\\n  \n", "\\\n\\\n\n", "RUN x\n  \\  \r\n\t\n"]
     )
     def test_lone_backslash_before_blank_line_is_unknown(self, text):
+        # The `\` joins the blank line into an instruction with no words.
         doc = parse_dockerfile(text)
-        last = doc.instructions[-1]
-        assert (last.keyword, last.arguments) == (Keyword.UNKNOWN, "")
+        assert doc.stage_count == 0
         assert serialize(doc) == text
 
     @pytest.mark.parametrize(
@@ -151,7 +140,7 @@ class TestRoundTrip:
     def test_bytes_round_trip_with_bom(self):
         raw = b"\xef\xbb\xbfFROM alpine\nRUN echo hi\n"
         doc = parse_dockerfile(raw)
-        assert doc.had_bom
+        assert (doc.raw_text, doc.stage_count) == ("\ufeffFROM alpine\nRUN echo hi\n", 1)
         assert doc.to_bytes() == raw
 
     @given(
@@ -189,6 +178,53 @@ class TestRoundTrip:
         except EmptyDocument:
             return
         assert serialize(doc) == text
+
+
+_BOM = "\ufeff"
+# Fragments that meet the parser's rules: keywords in any case, continuations
+# into FROM, `#` lines inside continuations, a comment ending in `\` (it
+# continues nothing), a `\` before trailing whitespace, a lone `\` before a
+# blank line, `\r\n`, and whitespace and line breaks other than `\n` that
+# `str.isspace` or `str.splitlines` knows.
+_PIECES = [
+    "FROM", "from", "FrOm", "RUN", "x", "a b", " ", "\t", "\\", "#", "\n", "\r\n", "\r",
+    "\\\n", "\\\n\n", "\\\n# c\n", "\\\nFROM x\n", "FR\\\nOM", "\\ \t\r\n", "\t# c \\\n", _BOM,
+    "\u3000", "\xa0", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029", "\u017f",
+]
+_TEXTS = st.tuples(
+    st.sampled_from(["", _BOM, _BOM * 2]),
+    st.lists(st.one_of(st.sampled_from(_PIECES), st.text(max_size=3)), max_size=16),
+).map(lambda parts: parts[0] + "".join(parts[1]))
+_SOURCES = st.one_of(
+    _TEXTS,
+    _TEXTS.map(lambda text: text.encode("utf-8")),
+    st.tuples(_TEXTS, st.binary(min_size=1, max_size=2)).map(lambda p: p[0].encode("utf-8") + p[1]),
+)
+
+
+class TestDifferential:
+    """The text-only parser against the instruction-tree parser it replaced."""
+
+    @given(_SOURCES)
+    @example(_BOM + "FROM a\r\nRUN b\r\n")
+    @example(b"\xef\xbb\xbfFROM a\n")
+    @example("RUN x\n\\\n\nFROM y\n")
+    @example("RUN \\\nFROM x\nFROM y \\\n# c\n  z\n")
+    @example("  # a comment does not continue \\\nFROM x\n")
+    @example("FR\\ \t\r\nOM x\n")
+    @example("\u2028FROM x\x85FROM y\n\u3000from\x0bz\n")
+    @settings(max_examples=2000, deadline=None)
+    def test_matches_the_instruction_tree_parser(self, source):
+        try:
+            want = reference_parse_dockerfile(source)
+        except FlakiDockError as exc:
+            with pytest.raises(type(exc)):
+                parse_dockerfile(source)
+            return
+        doc = parse_dockerfile(source)
+        assert (doc.raw_text, doc.stage_count, doc.content_hash) == want
+        if isinstance(source, bytes):  # the hash names the file's bytes
+            assert doc.content_hash == hashlib.sha256(source).hexdigest()
 
 
 class TestDiff:

@@ -199,11 +199,14 @@ class TestHttpLoopback:
             ("chat", 200, b"not json", "generation request failed"),
             ("chat", 200, {"choices": [{}]}, "unexpected chat response shape"),
             ("chat", 200, {"choices": [{"message": {"content": None}}]}, "unexpected chat response shape"),
+            # A lone surrogate is a legal JSON escape with no UTF-8 form.
+            ("chat", 200, {"choices": [{"message": {"content": "FROM \ud800"}}]}, "unexpected chat response shape"),
         ],
         ids=[
             "embed-429", "embed-500", "embed-not-json", "embed-no-data", "embed-empty-data",
             "embed-null", "embed-strings", "embed-null-value", "embed-wrong-length", "embed-matrix",
             "chat-429", "chat-500", "chat-not-json", "chat-no-message", "chat-null-content",
+            "chat-lone-surrogate",
         ],
     )
     def test_bad_reply_is_provider_unavailable(self, kind, status, body, message):
@@ -234,6 +237,14 @@ class TestScriptedProvider:
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps({"responses": []}))
         with pytest.raises(ValueError):
+            ScriptedTextProvider.from_file(path)
+
+    def test_response_without_utf8_form_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="no UTF-8 form"):
+            ScriptedTextProvider(["FROM busybox\n", "FROM \ud800\n"])
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"responses": ["FROM \ud800\n"]}))  # written as an escape
+        with pytest.raises(ValueError, match="malformed scenario file"):
             ScriptedTextProvider.from_file(path)
 
 

@@ -218,7 +218,7 @@ class TestGenerateRepair:
 
     def test_first_fence_wins(self):
         doc = parse_candidate("```dockerfile\nFROM first\n```\n```\nFROM second\n```")
-        assert doc.instructions[0].arguments == "first"
+        assert doc.raw_text == "FROM first\n"
 
 
 class TestValidateRepair:

@@ -510,13 +510,17 @@ class TestRetrievalDifferential:
         want = reference_retrieve_top_k(repair_query, index, k, provider)
         assert [(r.id, s.hex()) for r, s in got] == [(r.id, s.hex()) for r, s in want]
 
-    def test_a_row_whose_upper_bound_equals_tau_is_a_candidate(self):
+    @pytest.mark.parametrize("dim", [2, 6])
+    def test_a_row_whose_upper_bound_equals_tau_is_a_candidate(self, dim):
         # Every value here is exact: float32 products of dyadic values, a scale of
-        # 1, and a slack of 2 * (dim + 2) * 2**-24 = 2**-21 at dim 2 (the
-        # underflow term is below half an ulp of it).
-        matrix = np.array([[0.5, 0.0], [0.5 - 2.0**-20, 0.0], [0.0, 1.0]], dtype=np.float32)
-        q, scale = np.array([1.0, 0.0]), np.ones(3)
-        slack = 2.0**-21
+        # 1, and a slack of 2 * (dim + 2) * 2**-24, 2**-21 at dim 2 and 2**-20 at
+        # dim 6 (the underflow term is below half an ulp of it). The zero columns
+        # that pad a row to dim change no product, only the slack, so a slack
+        # that does not grow with dim fails one of the two.
+        slack = 2 * (dim + 2) * 2.0**-24
+        matrix = np.zeros((3, dim), dtype=np.float32)
+        matrix[:, :2] = [[0.5, 0.0], [0.5 - 2 * slack, 0.0], [0.0, 1.0]]
+        q, scale = np.eye(dim)[0], np.ones(3)
         tau = 0.5 - slack  # row 0's lower bound, the best of them: k = 1
         assert float(matrix[1, 0]) + slack == tau  # row 1's upper bound
         assert _candidates(matrix, q, scale, 1).tolist() == [0, 1]
