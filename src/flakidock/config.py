@@ -58,15 +58,15 @@ class RunConfig:
     clean_commands: tuple[str, ...] = DEFAULT_CLEAN_COMMANDS
 
     # hygiene
-    clean_every: int = 4
-    timeout: float = 1800.0
-    no_cache: bool = True
+    clean_every: int = HygienePolicy.clean_every
+    timeout: float = HygienePolicy.timeout
+    no_cache: bool = HygienePolicy.no_cache
 
     # validation policy
-    build_iterations: int = 2
-    failure_threshold: int = 3
-    max_total_attempts: int = 10
-    feedback_similarity: float = 0.90
+    build_iterations: int = ValidationPolicy.build_iterations
+    failure_threshold: int = ValidationPolicy.failure_threshold
+    max_total_attempts: int = ValidationPolicy.max_total_attempts
+    feedback_similarity: float = ValidationPolicy.feedback_similarity_threshold
 
     # retrieval / clustering
     cluster_threshold: float = 0.80
@@ -79,8 +79,8 @@ class RunConfig:
     embedding_url: str = ""
     embedding_model: str = "text-embedding-ada-002"
     embedding_auth_env: str = "FLAKIDOCK_EMBEDDING_TOKEN"
-    embedding_dim: int = 1536
-    embedding_token_limit: int = 8191
+    embedding_dim: int = HttpEmbeddingProvider.dim
+    embedding_token_limit: int = HttpEmbeddingProvider.token_limit
     sentence_provider: str = "offline"
     sentence_url: str = ""
     sentence_model: str = "all-mpnet-base-v2"
@@ -91,7 +91,7 @@ class RunConfig:
     generation_model: str = ""
     generation_auth_env: str = "FLAKIDOCK_GENERATION_TOKEN"
     prompt_budget: int = 8000
-    max_response_tokens: int = 2000
+    max_response_tokens: int = HttpChatProvider.max_tokens
 
     def validate(self) -> None:
         for key in ("retrieval_k", "prompt_budget", "max_response_tokens", "embedding_dim",

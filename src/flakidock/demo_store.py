@@ -146,28 +146,31 @@ def _record_line(record: DemonstrationRecord) -> str:
     )
 
 
-def _record_from_dict(payload: dict) -> DemonstrationRecord:
-    rid = str(payload.get("id", ""))
-    try:
-        return DemonstrationRecord(
-            id=rid,
-            static_part=str(payload["static_part"]),
-            dynamic_part=str(payload["dynamic_part"]),
-            category=FlakinessCategory.from_string(str(payload["category"])),
-            repairs=tuple(str(r) for r in payload["repairs"]),
-            iterations=_counts(rid, payload["iterations"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise SchemaViolation(rid or "<unknown>", str(exc), "missing or mistyped field") from exc
-    except ValueError as exc:
-        raise SchemaViolation(rid or "<unknown>", "category", str(exc)) from exc
+# Each record field with the Python type its JSON value must have, as loaded.
+_FIELD_TYPES = {"id": str, "static_part": str, "dynamic_part": str, "category": str,
+                "repairs": list, "iterations": list}
 
 
-def _counts(rid: str, values) -> tuple[int, ...]:
+def _record_from_dict(payload) -> DemonstrationRecord:
+    """The record a JSON line holds; each field is taken as its JSON type, unconverted."""
+    if type(payload) is not dict:
+        raise SchemaViolation("<unknown>", "json", "record line is not a JSON object")
+    rid = payload.get("id")
+    rid = rid if type(rid) is str and rid else "<unknown>"
+    unknown = payload.keys() - _FIELD_TYPES.keys()
+    if unknown:
+        raise SchemaViolation(rid, min(unknown), "unknown field")
+    for key, kind in _FIELD_TYPES.items():
+        if type(payload.get(key)) is not kind:
+            raise SchemaViolation(rid, key, "missing or mistyped field")
+    if any(type(r) is not str for r in payload["repairs"]):
+        raise SchemaViolation(rid, "repairs", "repairs must be strings")
     try:
-        return tuple(int(i) for i in values)
+        category = FlakinessCategory.from_string(payload["category"])
     except ValueError as exc:
-        raise SchemaViolation(rid or "<unknown>", "iterations", str(exc)) from exc
+        raise SchemaViolation(rid, "category", str(exc)) from exc
+    return DemonstrationRecord(payload["id"], payload["static_part"], payload["dynamic_part"],
+                               category, tuple(payload["repairs"]), tuple(payload["iterations"]))
 
 
 class DemonstrationIndex:

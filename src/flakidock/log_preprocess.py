@@ -8,16 +8,14 @@ prints per-line timings, otherwise a +/-2 line window. Lines before the
 first banner form a synthetic preamble and are kept only when they match
 a rule themselves.
 
-Segmentation splits a log once into two flat lists per section, `texts` as
-logged and `plains` without ANSI escapes, and builds no per-line tuple.
-Rules match the `plains`, and excerpts are built from them, so an excerpt
-holds no escape sequence. `StageSection.lines` builds its `LogLine`s,
-timestamps parsed, on access. Every line pays for the split, a "[" test,
-one lowercase and the include scans. The ANSI pass runs only when the log
-holds an ESC, and the banner regex only on lines that contain "[", as every
-banner does. Timestamps are parsed only in a stage with a rule hit: the hit
-line's own and, on the stage's first timed hit, every line's, read through
-`lines` to bucket the stage by second.
+Segmentation splits a log once into its lines, removes their ANSI escapes,
+and keeps each stage's lines once, in that form: rules match them, and
+excerpts are built from them, so an excerpt holds no escape sequence. Every
+line pays for the split, a "[" test, one lowercase and the include scans.
+The ANSI pass runs only when the log holds an ESC, and the banner regex only
+on lines that contain "[", as every banner does. Timestamps are parsed only
+in a stage with a rule hit: the hit line's own and, on the stage's first
+timed hit, every line's, to bucket the stage by second.
 
 The shipped exclusion filters are rule sets too: `classify_failure_exclusion`
 names the non-flaky cause (infrastructure, engine backend, project source)
@@ -30,11 +28,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from itertools import compress, count, repeat
 from operator import contains
-from typing import NamedTuple
 
 from .errors import InvalidRule
 
@@ -153,29 +150,17 @@ class RuleSet:
         ]
 
 
-class LogLine(NamedTuple):
-    timestamp: float | None
-    text: str  # as logged
-    plain: str  # `text` without ANSI escapes: what the rules match
-
-
 @dataclass
 class StageSection:
     stage_index: int  # execution order, 0-based; -1 for the preamble
-    header: str | None
-    texts: list[str] = field(default_factory=list)  # the lines as logged
-    plains: list[str] = field(default_factory=list)  # `texts` without ANSI escapes
+    header: str | None  # the banner line, without ANSI escapes
+    lines: list[str]  # the stage's lines, without ANSI escapes
     is_preamble: bool = False
 
-    @property
-    def lines(self) -> list[LogLine]:
-        """The section's lines with their timestamps, built on each access."""
-        # tuple.__new__ builds each LogLine without a Python-level __new__ call.
-        stamps = map(_timestamp, map(_TIMESTAMP_RE.match, self.plains))
-        return list(map(tuple.__new__, repeat(LogLine), zip(stamps, self.texts, self.plains)))
 
-
-def _timestamp(match: re.Match | None) -> float | None:
+def _timestamp(line: str) -> float | None:
+    """The line's per-line timing in seconds, or None when it has none."""
+    match = _TIMESTAMP_RE.match(line)
     if not match:
         return None
     try:
@@ -183,10 +168,6 @@ def _timestamp(match: re.Match | None) -> float | None:
     except ValueError:
         return None
     return value if math.isfinite(value) else None  # over ~308 digits it is inf: untimed
-
-
-def _plain(text: str) -> str:
-    return _ANSI_RE.sub("", text) if "\x1b" in text else text
 
 
 def segment_stages(log: str) -> list[StageSection]:
@@ -197,22 +178,19 @@ def segment_stages(log: str) -> list[StageSection]:
     Each line is de-escaped once, here; `splitlines` also breaks at "\\r", so
     no line keeps carriage-return overdraw.
     """
-    texts = log.splitlines()
-    plains = texts
+    lines = log.splitlines()
     if "\x1b" in log:
-        plains = list(map(_plain, texts))
+        lines = list(map(_ANSI_RE.sub, repeat(""), lines))
     # Every banner holds a "[", which most lines lack: only those lines meet the regex.
-    bracketed = compress(count(), map(contains, plains, repeat("[")))
-    banners = [i for i in bracketed if _BANNER_RE.match(plains[i])]
-    preamble = StageSection(-1, None, is_preamble=True)
-    sections = [StageSection(k, texts[b]) for k, b in enumerate(banners)]
-    for section, lo, hi in zip(
-        [preamble, *sections], [0, *(b + 1 for b in banners)], [*banners, len(texts)]
-    ):
-        section.texts = texts[lo:hi]
-        section.plains = plains[lo:hi]
-    if preamble.texts or not sections:
-        sections.insert(0, preamble)
+    bracketed = compress(count(), map(contains, lines, repeat("[")))
+    banners = [i for i in bracketed if _BANNER_RE.match(lines[i])]
+    ends = [*banners[1:], len(lines)]
+    sections = [
+        StageSection(k, lines[b], lines[b + 1 : e]) for k, (b, e) in enumerate(zip(banners, ends))
+    ]
+    preamble = lines[: banners[0]] if banners else lines
+    if preamble or not sections:
+        sections.insert(0, StageSection(-1, None, preamble, is_preamble=True))
     return sections
 
 
@@ -240,14 +218,14 @@ class PreprocessedLog:
 
 
 def extract_error_context(sections: list[StageSection], rules: RuleSet) -> PreprocessedLog:
-    total_in = sum(len(s.texts) for s in sections)
+    total_in = sum(len(s.lines) for s in sections)
     total_in += sum(1 for s in sections if s.header is not None)
 
     rule_hits: dict[str, int] = {}
     raw_excerpts: list[tuple[StageSection, list[int]]] = []
     for section in sections:
         match_idx: list[int] = []
-        for idx, names in rules.matching_lines(section.plains):
+        for idx, names in rules.matching_lines(section.lines):
             match_idx.append(idx)
             for name in names:
                 rule_hits[name] = rule_hits.get(name, 0) + 1
@@ -257,19 +235,19 @@ def extract_error_context(sections: list[StageSection], rules: RuleSet) -> Prepr
         if not section.is_preamble:
             # Blank neighbors carry no error context and would not survive a
             # text round trip, so expansion only pulls in non-blank lines.
-            plains = section.plains
+            lines = section.lines
             buckets: dict[int, list[int]] | None = None
             for mi in match_idx:
-                ts = _timestamp(_TIMESTAMP_RE.match(plains[mi]))
+                ts = _timestamp(lines[mi])
                 if ts is not None:
                     if buckets is None:
-                        buckets = _timestamp_buckets(section.lines)
+                        buckets = _timestamp_buckets(lines)
                     # A bucket is added whole the first time, so pop it.
                     keep.update(buckets.pop(int(ts), ()))
                 else:
                     lo = max(0, mi - ADJACENCY_RADIUS)
-                    hi = min(len(plains), mi + ADJACENCY_RADIUS + 1)
-                    keep.update(i for i in range(lo, hi) if plains[i].strip())
+                    hi = min(len(lines), mi + ADJACENCY_RADIUS + 1)
+                    keep.update(i for i in range(lo, hi) if lines[i].strip())
         raw_excerpts.append((section, sorted(keep)))
 
     total_kept = sum(len(idx) for _, idx in raw_excerpts)
@@ -277,14 +255,9 @@ def extract_error_context(sections: list[StageSection], rules: RuleSet) -> Prepr
         raw_excerpts = _cap_excerpts(raw_excerpts, EXCERPT_LINE_CAP)
         total_kept = sum(len(idx) for _, idx in raw_excerpts)
 
-    # Excerpts hold the lines without ANSI escapes: a coloured and a plain
-    # copy of one log give the same excerpt.
+    # A coloured and a plain copy of one log give the same excerpt.
     excerpts = tuple(
-        Excerpt(
-            section.stage_index,
-            section.header and _plain(section.header),
-            tuple(section.plains[i] for i in kept),
-        )
+        Excerpt(section.stage_index, section.header, tuple(section.lines[i] for i in kept))
         for section, kept in raw_excerpts
     )
     # Kept lines are a subsequence of the input by construction. The check
@@ -292,18 +265,17 @@ def extract_error_context(sections: list[StageSection], rules: RuleSet) -> Prepr
     assert all(
         kept
         and 0 <= kept[0]
-        and kept[-1] < len(sec.plains)
+        and kept[-1] < len(sec.lines)
         and all(a < b for a, b in zip(kept, kept[1:]))
-        and ex.kept_lines == tuple(sec.plains[i] for i in kept)
-        for ex, (sec, kept) in zip(excerpts, raw_excerpts)
+        for sec, kept in raw_excerpts
     )
     return PreprocessedLog(excerpts, total_in, total_kept, rule_hits)
 
 
-def _timestamp_buckets(lines: list[LogLine]) -> dict[int, list[int]]:
+def _timestamp_buckets(lines: list[str]) -> dict[int, list[int]]:
     """Indices of the timed lines, by integer second. A timed line is never blank."""
     buckets: dict[int, list[int]] = {}
-    for i, (ts, _, _) in enumerate(lines):
+    for i, ts in enumerate(map(_timestamp, lines)):
         if ts is not None:
             buckets.setdefault(int(ts), []).append(i)
     return buckets

@@ -195,9 +195,12 @@ class HttpEmbeddingProvider(_HttpProvider, EmbeddingProvider):
         return vec
 
 
-def _check_utf8(response: str) -> None:
-    """Reject a response with no UTF-8 form (a lone surrogate, which a JSON
-    `\\ud800` escape gives): the session could not write it to its trail."""
+def check_reply(response) -> None:
+    """Reject, with ValueError, a response that is not a str or has no UTF-8
+    form (a lone surrogate, which a JSON `\\ud800` escape gives): the session
+    could not write it to its trail."""
+    if not isinstance(response, str):
+        raise ValueError(f"response is {type(response).__name__}, not str")
     try:
         response.encode("utf-8")
     except UnicodeEncodeError as exc:
@@ -225,7 +228,7 @@ class ScriptedTextProvider(TextGenerationProvider):
         if not responses:
             raise ValueError("scripted provider needs at least one response")
         for response in responses:
-            _check_utf8(response)
+            check_reply(response)
         self.responses = list(responses)
         self.prompts: list[str] = []
         self.provider_id = "scripted"
@@ -272,9 +275,7 @@ class HttpChatProvider(_HttpProvider, TextGenerationProvider):
     @staticmethod
     def _content(reply) -> str:
         content = reply["choices"][0]["message"]["content"]
-        if not isinstance(content, str):
-            raise TypeError(f"message content is {type(content).__name__}, not str")
-        _check_utf8(content)
+        check_reply(content)
         return content
 
 

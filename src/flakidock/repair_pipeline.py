@@ -36,6 +36,7 @@ from .log_preprocess import RuleSet, excerpt_or_tail, preprocess_log
 from .providers import (  # ProviderSet is re-exported: callers import it from here too
     EmbeddingProvider,
     ProviderSet,
+    check_reply,
     estimate_tokens,
     truncate_to_tokens,
 )
@@ -425,6 +426,10 @@ def repair_flaky_dockerfile(
             prompt = assemble_prompt(session, prompt_budget)
             _persist(session, f"prompt-{attempt}.txt", prompt)
             response = providers.generator.generate(prompt)
+            try:  # a caller's own generator may return what no trail can hold
+                check_reply(response)
+            except ValueError as exc:
+                raise ProviderUnavailable(f"unusable generator response: {exc}") from exc
             _persist(session, f"response-{attempt}.txt", response)
             session.attempts_used = attempt
 

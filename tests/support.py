@@ -31,7 +31,6 @@ from flakidock.log_preprocess import (
     Excerpt,
     PreprocessedLog,
     RuleSet,
-    StageSection,
     load_exclusion_filters,
 )
 from flakidock.similarity import embed
@@ -456,19 +455,6 @@ def reference_match_names(rules: RuleSet, line: str) -> list[str]:
     return [r.source for r in rules.rules if not r.exclude and matches(r)]
 
 
-def reference_extract_error_context(
-    sections: list[StageSection], rules: RuleSet
-) -> PreprocessedLog:
-    """`extract_error_context` as first written: every timed match rescans its stage."""
-    return _reference_extract(
-        [
-            (s.stage_index, s.header, s.is_preamble, [(ll.timestamp, ll.text) for ll in s.lines])
-            for s in sections
-        ],
-        rules,
-    )
-
-
 def reference_preprocess_log(log: str, rules: RuleSet) -> PreprocessedLog:
     """`preprocess_log` with none of the program's segmentation, matching or
     extraction: `reference_segment_stages`, then the first extractor."""
@@ -572,6 +558,8 @@ def _reference_validate_record(record: demo_store.DemonstrationRecord) -> None:
             "iterations",
             f"{len(record.iterations)} iteration counts for {len(record.repairs)} repairs",
         )
+    if not all(isinstance(i, int) and not isinstance(i, bool) for i in record.iterations):
+        raise SchemaViolation(rid, "iterations", "iteration counts must be integers")
     if any(i < 1 for i in record.iterations):
         raise SchemaViolation(rid, "iterations", "iteration counts must be >= 1")
     for pos, repair in enumerate(record.repairs):
@@ -583,20 +571,34 @@ def _reference_validate_record(record: demo_store.DemonstrationRecord) -> None:
 
 
 def _reference_record_from_dict(payload: dict) -> demo_store.DemonstrationRecord:
-    rid = str(payload.get("id", ""))
+    """A record as the shipped schema types it: six fields, no conversion."""
+    if not isinstance(payload, dict):
+        raise SchemaViolation("<unknown>", "json", "record line is not a JSON object")
+    rid = payload.get("id") if isinstance(payload.get("id"), str) else ""
+    rid = rid or "<unknown>"
+    extra = set(payload) - {"id", "static_part", "dynamic_part", "category", "repairs", "iterations"}
+    if extra:
+        raise SchemaViolation(rid, min(extra), "unknown field")
+    for key in ("id", "static_part", "dynamic_part", "category"):
+        if not isinstance(payload.get(key), str):
+            raise SchemaViolation(rid, key, "missing or mistyped field")
+    for key in ("repairs", "iterations"):
+        if not isinstance(payload.get(key), list):
+            raise SchemaViolation(rid, key, "missing or mistyped field")
+    if not all(isinstance(r, str) for r in payload["repairs"]):
+        raise SchemaViolation(rid, "repairs", "repairs must be strings")
     try:
-        return demo_store.DemonstrationRecord(
-            id=rid,
-            static_part=str(payload["static_part"]),
-            dynamic_part=str(payload["dynamic_part"]),
-            category=demo_store.FlakinessCategory.from_string(str(payload["category"])),
-            repairs=tuple(str(r) for r in payload["repairs"]),
-            iterations=tuple(int(i) for i in payload["iterations"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise SchemaViolation(rid or "<unknown>", str(exc), "missing or mistyped field") from exc
+        category = demo_store.FlakinessCategory.from_string(payload["category"])
     except ValueError as exc:
-        raise SchemaViolation(rid or "<unknown>", "category", str(exc)) from exc
+        raise SchemaViolation(rid, "category", str(exc)) from exc
+    return demo_store.DemonstrationRecord(
+        id=payload["id"],
+        static_part=payload["static_part"],
+        dynamic_part=payload["dynamic_part"],
+        category=category,
+        repairs=tuple(payload["repairs"]),
+        iterations=tuple(payload["iterations"]),
+    )
 
 
 def _reference_read_vectors(path: Path, expected_rows: int) -> np.ndarray:

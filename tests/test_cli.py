@@ -13,12 +13,12 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from flakidock.build_engine import SimulatedDriver
+from flakidock.build_engine import HygienePolicy, SimulatedDriver
 from flakidock.cli import main
-from flakidock.config import RunConfig, load_config
+from flakidock.config import RunConfig, ValidationPolicy, load_config
 from flakidock.demo_store import builtin_store_path, load_store, save_store
 from flakidock.dockerfile_model import parse_dockerfile
-from flakidock.providers import HashingEmbeddingProvider
+from flakidock.providers import HashingEmbeddingProvider, HttpChatProvider, HttpEmbeddingProvider
 
 from loopback import Loopback
 from support import (
@@ -1127,6 +1127,15 @@ class TestGlobalFlags:
                 assert type(value) is type(f.default), f.name
         assert (config.clean_commands, config.timeout, config.no_cache) == (("a", "b"), 30.0, False)
         assert (config.rules, config.state_dir, config.retrieval_k) == (rules, tmp_path / "st", 2)
+
+    def test_defaults_are_those_of_the_classes_they_build(self):
+        config = RunConfig()
+        assert config.hygiene_policy() == HygienePolicy()
+        assert config.validation_policy() == ValidationPolicy()
+        built = RunConfig(embedding_provider="http", generation_provider="http").make_providers()
+        embedder, generator = HttpEmbeddingProvider("", "", ""), HttpChatProvider("", "", "")
+        assert (built.query_embedder.dim, built.query_embedder.token_limit) == (embedder.dim, embedder.token_limit)
+        assert built.generator.max_tokens == generator.max_tokens
 
     def test_repair_without_generator_exits_one(self, runner, tmp_path):
         project = tmp_path / "p"

@@ -378,16 +378,18 @@ class TestExclusionFilters:
         )
 
 
+def _shipped_schema() -> dict:
+    from importlib import resources
+
+    data = resources.files("flakidock").joinpath("data/demonstration_record.schema.json")
+    return json.loads(data.read_text(encoding="utf-8"))
+
+
 class TestShippedSchema:
     def test_starter_store_validates_against_json_schema(self):
         import jsonschema
-        from importlib import resources
 
-        schema = json.loads(
-            resources.files("flakidock")
-            .joinpath("data/demonstration_record.schema.json")
-            .read_text()
-        )
+        schema = _shipped_schema()
         lines = builtin_store_path().read_text().splitlines()
         header = json.loads(lines[0])
         assert header == {"schema": "flakidock-demo-store", "version": 1}
@@ -396,19 +398,34 @@ class TestShippedSchema:
 
     def test_schema_rejects_bad_category(self):
         import jsonschema
-        from importlib import resources
 
-        schema = json.loads(
-            resources.files("flakidock")
-            .joinpath("data/demonstration_record.schema.json")
-            .read_text()
-        )
         record = {
             "id": "x", "static_part": "FROM a\n", "dynamic_part": "error: y",
             "category": "BOGUS", "repairs": ["FROM b\n"], "iterations": [1],
         }
         with pytest.raises(jsonschema.ValidationError):
-            jsonschema.validate(record, schema)
+            jsonschema.validate(record, _shipped_schema())
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"static_part": 123}, {"dynamic_part": ["error"]}, {"id": 7}, {"category": 5},
+            {"repairs": "FROM b\n"}, {"repairs": [1]}, {"iterations": ["3"]}, {"iterations": 3},
+            {"extra": "x"},
+        ],
+        ids=repr,
+    )
+    def test_loader_rejects_each_record_the_schema_rejects(self, edit, tmp_path):
+        import jsonschema
+
+        payloads = _store_payloads(2, 1)
+        payloads[1].update(edit)
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(payloads[1], _shipped_schema())
+        with pytest.raises(SchemaViolation) as excinfo:
+            load_store(_write_store(tmp_path, payloads, _store_vectors(2, 1)))
+        assert excinfo.value.field == next(iter(edit))
+        assert excinfo.value.record_id == ("<unknown>" if "id" in edit else "rec-00001")
 
 
 # --- loading at scale ---

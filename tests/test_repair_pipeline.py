@@ -17,7 +17,12 @@ from flakidock.demo_store import DemonstrationIndex, builtin_store_path, load_st
 from flakidock.dockerfile_model import parse_dockerfile
 from flakidock.errors import BudgetExhausted, ProviderUnavailable, UnparseableResponse
 from flakidock.log_preprocess import preprocess_log
-from flakidock.providers import EmbeddingProvider, HashingEmbeddingProvider, ScriptedTextProvider
+from flakidock.providers import (
+    EmbeddingProvider,
+    HashingEmbeddingProvider,
+    ScriptedTextProvider,
+    TextGenerationProvider,
+)
 from flakidock.repair_pipeline import (
     COT_GUIDANCE,
     EXAMPLE_HEADER,
@@ -587,16 +592,31 @@ class GeneratorFailingAt(ScriptedTextProvider):
         return super().generate(prompt)
 
 
+class OwnGenerator(TextGenerationProvider):
+    """A library caller's own generator: it returns one reply, unchecked."""
+
+    provider_id = "own"
+
+    def __init__(self, reply):
+        self.reply = reply
+
+    def generate(self, prompt):
+        return self.reply
+
+
 class TestProviderAbort:
     """A provider failure after detection ends the session as aborted-provider,
     with verdict.json and the feedback gathered so far."""
 
-    def _run(self, base_doc, tmp_path, providers, store=None):
+    def _run(self, base_doc, tmp_path, providers, store=None, session_dir="s"):
         driver = driver_with_scripts({None: [outcome(STATUS_FAILURE, ALPINE_PIP_LOG, exit_code=1)]})
         session = repair_flaky_dockerfile(
             base_doc, tmp_path, store or DemonstrationIndex([]), providers,
-            ValidationPolicy(), _engine(driver), session_dir=tmp_path / "s",
+            ValidationPolicy(), _engine(driver), session_dir=session_dir and tmp_path / session_dir,
         )
+        if session_dir is None:
+            assert session.verdict == VERDICT_PROVIDER_ABORTED
+            return session, None
         verdict = json.loads((tmp_path / "s" / "verdict.json").read_text())
         assert (verdict["verdict"], verdict["abort_reason"]) == (session.verdict, session.abort_reason)
         assert session.verdict == VERDICT_PROVIDER_ABORTED == "aborted-provider"
@@ -611,6 +631,20 @@ class TestProviderAbort:
         assert "candidate-a" in verdict["feedback"][0]["false_repair"]
         assert FEEDBACK_HEADER.format(idx=1) in (tmp_path / "s" / "prompt-2.txt").read_text()
         assert not (tmp_path / "s" / "response-2.txt").exists()
+
+    @pytest.mark.parametrize(
+        "reply", [fenced("FROM \ud800\n"), None, fenced("FROM busybox\n").encode()],
+        ids=["lone-surrogate", "none", "bytes"],
+    )
+    def test_reply_no_trail_can_hold(self, base_doc, tmp_path, reply):
+        session, verdict = self._run(base_doc, tmp_path, _providers(OwnGenerator(reply)))
+        assert session.abort_reason.startswith("unusable generator response: ")
+        assert session.attempts_used == verdict["attempts_used"] == 0
+        written = sorted(path.name for path in (tmp_path / "s").iterdir())
+        assert written == ["builds", "prompt-1.txt", "query.json", "verdict.json"]
+        # Without a session directory the session ends the same way.
+        unsaved, _ = self._run(base_doc, tmp_path, _providers(OwnGenerator(reply)), session_dir=None)
+        assert (unsaved.abort_reason, unsaved.attempts_used) == (session.abort_reason, 0)
 
     def test_feedback_embedding_failure(self, base_doc, tmp_path, offline_provider):
         generator = ScriptedTextProvider([fenced("FROM busybox\n# candidate-a\nRUN a\n")])
