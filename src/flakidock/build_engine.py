@@ -219,13 +219,10 @@ class RealCliDriver(BuildDriver):
     ) -> DriverOutcome:
         context_dir = Path(context_dir)
         start = time.monotonic()
+        # In the temporary directory, not the context: the engine would upload
+        # the file with the context, and a context may be read-only.
         with tempfile.NamedTemporaryFile(
-            "w",
-            dir=context_dir,
-            prefix=".flakidock-",
-            suffix=".Dockerfile",
-            delete=False,
-            encoding="utf-8",
+            "w", prefix="flakidock-", suffix=".Dockerfile", delete=False, encoding="utf-8"
         ) as tmp:
             tmp.write(dockerfile_text)
             dockerfile_path = Path(tmp.name)

@@ -279,7 +279,7 @@ def cluster(ctx, log_dir):
     state = []
     for log_file in files:
         text = _read(log_file, errors="replace")
-        excerpt = excerpt_or_tail(text, preprocess_log(text, rules)) or log_file.name
+        excerpt = excerpt_or_tail(text, preprocess_log(text, rules))
         vec = embed(excerpt, providers.sentence_embedder)
         state, _ = cluster_add(state, log_file.name, vec, config.cluster_threshold)
     report = {
@@ -393,7 +393,7 @@ def preprocess(ctx, logfile):
     sections = segment_stages(_read(Path(logfile), errors="replace"))
     result = extract_error_context(sections, config.ruleset())
     payload = {
-        "stages": len([s for s in sections if not s.is_preamble]),
+        "stages": sum(s.header is not None for s in sections),
         "total_lines_in": result.total_lines_in,
         "total_lines_out": result.total_lines_out,
         "rule_hits": result.rule_hits,
@@ -477,6 +477,8 @@ def dataset_add(ctx, store_path, record_id, dockerfile_path, log_path, category,
     else:
         index = DemonstrationIndex([])
     raw_log = _read(Path(log_path), errors="replace")
+    if not raw_log.strip():
+        raise FlakiDockError(f"{log_path}: empty build log")
     dynamic = excerpt_or_tail(raw_log, preprocess_log(raw_log, config.ruleset()))
     if iterations:
         try:

@@ -1,16 +1,18 @@
 """Reduce raw build logs to error-focused excerpts.
 
-A log is first segmented into stages, one per executed instruction, by
-recognizing stage banner lines. Within each stage, lines matching the
-configured error expressions are kept together with their temporal
-neighbors: lines sharing the same integer second offset when the engine
-prints per-line timings, otherwise a +/-2 line window. Lines before the
-first banner form a synthetic preamble and are kept only when they match
-a rule themselves.
+A log is first segmented into `(header, lines)` sections, one per executed
+instruction, by recognizing stage banner lines. Within each stage, lines
+matching the configured error expressions are kept together with their
+temporal neighbors: lines sharing the same integer second offset when the
+engine prints per-line timings, otherwise a +/-2 line window. Lines before
+the first banner form the preamble, the section whose header is None, and
+are kept only when they match a rule themselves. The result is one list of
+lines: each kept stage's header, then that stage's kept lines. Over 120 kept
+lines, the first 60 and the last 60 stay.
 
 Segmentation splits a log once into its lines, removes their ANSI escapes,
 and keeps each stage's lines once, in that form: rules match them, and
-excerpts are built from them, so an excerpt holds no escape sequence. Every
+the excerpt is built from them, so it holds no escape sequence. Every
 line pays for the split, a "[" test, one lowercase and the include scans.
 The ANSI pass runs only when the log holds an ESC, and the banner regex only
 on lines that contain "[", as every banner does. Timestamps are parsed only
@@ -30,8 +32,8 @@ import math
 import re
 from dataclasses import dataclass
 from importlib import resources
-from itertools import compress, count, repeat
-from operator import contains
+from itertools import compress, count, groupby, repeat
+from operator import contains, itemgetter
 
 from .errors import InvalidRule
 
@@ -152,10 +154,8 @@ class RuleSet:
 
 @dataclass
 class StageSection:
-    stage_index: int  # execution order, 0-based; -1 for the preamble
-    header: str | None  # the banner line, without ANSI escapes
+    header: str | None  # the banner line, without ANSI escapes; None for the preamble
     lines: list[str]  # the stage's lines, without ANSI escapes
-    is_preamble: bool = False
 
 
 def _timestamp(line: str) -> float | None:
@@ -171,12 +171,13 @@ def _timestamp(line: str) -> float | None:
 
 
 def segment_stages(log: str) -> list[StageSection]:
-    """Split a raw log into per-instruction sections.
+    """Split a raw log into per-instruction sections, in execution order.
 
-    Stage indices follow encounter order, which is execution order, so they
-    stay unique even when multi-stage builds restart the [i/k] numbering.
-    Each line is de-escaped once, here; `splitlines` also breaks at "\\r", so
-    no line keeps carriage-return overdraw.
+    Every banner opens a section, also when a multi-stage build restarts the
+    [i/k] numbering. Lines before the first banner form the preamble, the
+    section whose header is None; it is present when it has lines or when the
+    log has no banner. Each line is de-escaped once, here; `splitlines` also
+    breaks at "\\r", so no line keeps carriage-return overdraw.
     """
     lines = log.splitlines()
     if "\x1b" in log:
@@ -185,45 +186,29 @@ def segment_stages(log: str) -> list[StageSection]:
     bracketed = compress(count(), map(contains, lines, repeat("[")))
     banners = [i for i in bracketed if _BANNER_RE.match(lines[i])]
     ends = [*banners[1:], len(lines)]
-    sections = [
-        StageSection(k, lines[b], lines[b + 1 : e]) for k, (b, e) in enumerate(zip(banners, ends))
-    ]
+    sections = [StageSection(lines[b], lines[b + 1 : e]) for b, e in zip(banners, ends)]
     preamble = lines[: banners[0]] if banners else lines
     if preamble or not sections:
-        sections.insert(0, StageSection(-1, None, preamble, is_preamble=True))
+        sections.insert(0, StageSection(None, preamble))
     return sections
 
 
 @dataclass(frozen=True)
-class Excerpt:
-    stage_index: int
-    header: str | None
-    kept_lines: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class PreprocessedLog:
-    excerpts: tuple[Excerpt, ...]
+    lines: list[str]  # each kept stage's header, if any, then its kept lines
     total_lines_in: int
     total_lines_out: int
     rule_hits: dict[str, int]
 
     def as_text(self) -> str:
-        chunks: list[str] = []
-        for ex in self.excerpts:
-            if ex.header is not None:
-                chunks.append(ex.header)
-            chunks.extend(ex.kept_lines)
-        return "\n".join(chunks)
+        return "\n".join(self.lines)
 
 
 def extract_error_context(sections: list[StageSection], rules: RuleSet) -> PreprocessedLog:
-    total_in = sum(len(s.lines) for s in sections)
-    total_in += sum(1 for s in sections if s.header is not None)
-
+    total_in = sum(len(s.lines) + (s.header is not None) for s in sections)
     rule_hits: dict[str, int] = {}
-    raw_excerpts: list[tuple[StageSection, list[int]]] = []
-    for section in sections:
+    kept: list[tuple[int, int]] = []  # (section position, line index), in log order
+    for k, section in enumerate(sections):
         match_idx: list[int] = []
         for idx, names in rules.matching_lines(section.lines):
             match_idx.append(idx)
@@ -232,7 +217,7 @@ def extract_error_context(sections: list[StageSection], rules: RuleSet) -> Prepr
         if not match_idx:
             continue
         keep = set(match_idx)
-        if not section.is_preamble:
+        if section.header is not None:
             # Blank neighbors carry no error context and would not survive a
             # text round trip, so expansion only pulls in non-blank lines.
             lines = section.lines
@@ -248,28 +233,24 @@ def extract_error_context(sections: list[StageSection], rules: RuleSet) -> Prepr
                     lo = max(0, mi - ADJACENCY_RADIUS)
                     hi = min(len(lines), mi + ADJACENCY_RADIUS + 1)
                     keep.update(i for i in range(lo, hi) if lines[i].strip())
-        raw_excerpts.append((section, sorted(keep)))
+        kept.extend(zip(repeat(k), sorted(keep)))
 
-    total_kept = sum(len(idx) for _, idx in raw_excerpts)
-    if total_kept > EXCERPT_LINE_CAP:
-        raw_excerpts = _cap_excerpts(raw_excerpts, EXCERPT_LINE_CAP)
-        total_kept = sum(len(idx) for _, idx in raw_excerpts)
-
-    # A coloured and a plain copy of one log give the same excerpt.
-    excerpts = tuple(
-        Excerpt(section.stage_index, section.header, tuple(section.lines[i] for i in kept))
-        for section, kept in raw_excerpts
-    )
-    # Kept lines are a subsequence of the input by construction. The check
-    # reads the kept indices only: they rise strictly and stay in range.
-    assert all(
-        kept
-        and 0 <= kept[0]
-        and kept[-1] < len(sec.lines)
-        and all(a < b for a, b in zip(kept, kept[1:]))
-        for sec, kept in raw_excerpts
-    )
-    return PreprocessedLog(excerpts, total_in, total_kept, rule_hits)
+    # Over the cap, keep the earliest and latest lines and drop the middle;
+    # past the cap the head and the tail do not overlap.
+    if len(kept) > EXCERPT_LINE_CAP:
+        kept = kept[: EXCERPT_LINE_CAP // 2] + kept[-(EXCERPT_LINE_CAP // 2):]
+    # Kept lines are a subsequence of the input by construction: the pairs
+    # rise strictly and each index lies in its section.
+    assert all(a < b for a, b in zip(kept, kept[1:]))
+    assert all(0 <= i < len(sections[k].lines) for k, i in kept)
+    # A stage's header precedes its first kept line. The lines are ANSI-free,
+    # so a coloured and a plain copy of one log give the same lines.
+    out: list[str] = []
+    for k, pairs in groupby(kept, itemgetter(0)):
+        if sections[k].header is not None:
+            out.append(sections[k].header)
+        out.extend(sections[k].lines[i] for _, i in pairs)
+    return PreprocessedLog(out, total_in, len(kept), rule_hits)
 
 
 def _timestamp_buckets(lines: list[str]) -> dict[int, list[int]]:
@@ -281,34 +262,16 @@ def _timestamp_buckets(lines: list[str]) -> dict[int, list[int]]:
     return buckets
 
 
-def _cap_excerpts(
-    raw_excerpts: list[tuple[StageSection, list[int]]], cap: int
-) -> list[tuple[StageSection, list[int]]]:
-    """Over the cap, keep the earliest and latest regions and drop the middle."""
-    flat = [
-        (pos, idx)
-        for pos, (_, kept) in enumerate(raw_excerpts)
-        for idx in kept
-    ]
-    head = flat[: cap // 2]
-    tail = flat[len(flat) - cap // 2:]
-    selected: dict[int, list[int]] = {}
-    for pos, idx in head + tail:
-        selected.setdefault(pos, []).append(idx)
-    return [
-        (raw_excerpts[pos][0], sorted(set(idxs)))
-        for pos, idxs in sorted(selected.items())
-    ]
-
-
 def preprocess_log(log: str, rules: RuleSet | None = None) -> PreprocessedLog:
     """Segment and extract in one step with the default rules."""
     return extract_error_context(segment_stages(log), rules or RuleSet.default())
 
 
 def excerpt_or_tail(log: str, preprocessed: PreprocessedLog) -> str:
-    """The excerpt text of `log`, or its last 2000 characters when no rule matched."""
-    return preprocessed.as_text() or log[-2000:]
+    """The excerpt text of `log`, else its last 2000 characters, else, when
+    those are blank, "(empty build output)": a failure always has text."""
+    text = preprocessed.as_text() or log[-2000:]
+    return text if text.strip() else "(empty build output)"
 
 
 # --- failure-cause exclusion filters ---

@@ -245,8 +245,7 @@ class ValidationOutcome:
 
 
 def _failure_text(record: BuildRecord, rules: RuleSet) -> str:
-    text = excerpt_or_tail(record.log, preprocess_log(record.log, rules))
-    return text if text.strip() else "(empty build output)"  # feedback is never empty
+    return excerpt_or_tail(record.log, preprocess_log(record.log, rules))
 
 
 def count_similar_failures(

@@ -9,6 +9,7 @@ import math
 import random
 import re
 import struct
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +29,6 @@ from flakidock.errors import (
 from flakidock.log_preprocess import (
     ADJACENCY_RADIUS,
     EXCERPT_LINE_CAP,
-    Excerpt,
-    PreprocessedLog,
     RuleSet,
     load_exclusion_filters,
 )
@@ -455,13 +454,26 @@ def reference_match_names(rules: RuleSet, line: str) -> list[str]:
     return [r.source for r in rules.rules if not r.exclude and matches(r)]
 
 
-def reference_preprocess_log(log: str, rules: RuleSet) -> PreprocessedLog:
+@dataclass(frozen=True)
+class ReferenceExcerpt:
+    """What `reference_preprocess_log` returns, with the accessors the tests read."""
+
+    lines: tuple[str, ...]
+    total_lines_in: int
+    total_lines_out: int
+    rule_hits: dict[str, int]
+
+    def as_text(self) -> str:
+        return "\n".join(self.lines)
+
+
+def reference_preprocess_log(log: str, rules: RuleSet) -> ReferenceExcerpt:
     """`preprocess_log` with none of the program's segmentation, matching or
     extraction: `reference_segment_stages`, then the first extractor."""
     return _reference_extract(reference_segment_stages(log), rules)
 
 
-def _reference_extract(sections: list[tuple], rules: RuleSet) -> PreprocessedLog:
+def _reference_extract(sections: list[tuple], rules: RuleSet) -> ReferenceExcerpt:
     """The first extractor over sections shaped as `reference_segment_stages`
     returns them: `(stage_index, header, is_preamble, [(timestamp, text), ...])`."""
     total_in = sum(len(lines) for _, _, _, lines in sections)
@@ -510,21 +522,22 @@ def _reference_extract(sections: list[tuple], rules: RuleSet) -> PreprocessedLog
         ]
         total_kept = sum(len(idx) for _, idx in raw_excerpts)
 
-    # Excerpts are ANSI-free: header and kept lines are de-escaped.
-    excerpts = tuple(
-        Excerpt(
-            stage_index,
-            header if header is None else reference_strip_ansi(header),
-            tuple(reference_strip_ansi(lines[i][1]) for i in kept),
+    # Excerpts are ANSI-free: header and kept lines are de-escaped. Each kept
+    # stage gives its header, if any, then its kept lines.
+    excerpts = [
+        (
+            [] if header is None else [reference_strip_ansi(header)],
+            [reference_strip_ansi(lines[i][1]) for i in kept],
         )
-        for (stage_index, header, _, lines), kept in raw_excerpts
-    )
+        for (_, header, _, lines), kept in raw_excerpts
+    ]
     assert all(
-        list(ex.kept_lines)
+        kept_lines
         == [reference_strip_ansi(text) for i, (_, text) in enumerate(sec[3]) if i in set(kept)]
-        for ex, (sec, kept) in zip(excerpts, raw_excerpts)
+        for (_, kept_lines), (sec, kept) in zip(excerpts, raw_excerpts)
     )
-    return PreprocessedLog(excerpts, total_in, total_kept, rule_hits)
+    lines = tuple(line for header, kept_lines in excerpts for line in header + kept_lines)
+    return ReferenceExcerpt(lines, total_in, total_kept, rule_hits)
 
 
 def reference_classify_failure_exclusion(

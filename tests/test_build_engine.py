@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import json
+import shlex
 import sys
+import tempfile
 import threading
 import time
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +19,7 @@ from flakidock.build_engine import (
     BuildRecord,
     BuildScript,
     HygienePolicy,
+    RealCliDriver,
     SimulatedDriver,
 )
 from flakidock.dockerfile_model import parse_dockerfile
@@ -316,3 +320,58 @@ class TestHygienePolicy:
     def test_invalid_policy_rejected(self, kwargs):
         with pytest.raises(ValueError):
             HygienePolicy(**kwargs)
+
+
+def _python(code: str, *args: str) -> str:
+    """A build template that runs `code` under this interpreter with `args`
+    (template fields such as "{context}" among them)."""
+    return " ".join([shlex.quote(sys.executable), "-c", shlex.quote(code), *args])
+
+
+class TestRealCliDriver:
+    """The real driver, with `python3 -c` programs standing in for the engine."""
+
+    @pytest.fixture
+    def context(self, tmp_path, monkeypatch):
+        """A project directory holding a Dockerfile; temporary files go to
+        `tmp_path / "tmp"`, so each test can see that none is left."""
+        (tmp_path / "tmp").mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+        project = tmp_path / "project"
+        project.mkdir()
+        (project / "Dockerfile").write_text(ALPINE_PIP)
+        yield project
+        assert list((tmp_path / "tmp").iterdir()) == []
+
+    def test_context_holds_only_the_project_files(self, context):
+        driver = RealCliDriver(_python("import os, sys; print(sorted(os.listdir(sys.argv[1])))", "{context}"))
+        outcome = driver.build("FROM busybox\n", context, no_cache=True, timeout=60)
+        assert (outcome.status, outcome.exit_code) == (STATUS_SUCCESS, 0)
+        assert outcome.log == "['Dockerfile']\n"
+
+    def test_the_engine_reads_the_candidate_outside_the_context(self, context):
+        code = "import sys; print(sys.argv[1:-1]); print(open(sys.argv[-1]).read(), end='')"
+        driver = RealCliDriver(_python(code, "{no_cache}", "{dockerfile}"))
+        for no_cache, flags in ((True, "['--no-cache']"), (False, "[]")):
+            outcome = driver.build("FROM busybox\nRUN true\n", context, no_cache=no_cache, timeout=60)
+            assert outcome.status == STATUS_SUCCESS, outcome.log
+            assert outcome.log == flags + "\nFROM busybox\nRUN true\n"
+
+    def test_failure_keeps_exit_code_and_merged_output(self, context):
+        code = "import sys; print('out', flush=True); print('err', file=sys.stderr); sys.exit(3)"
+        outcome = RealCliDriver(_python(code)).build("FROM busybox\n", context, no_cache=True, timeout=60)
+        assert (outcome.status, outcome.exit_code, outcome.log) == (STATUS_FAILURE, 3, "out\nerr\n")
+
+    def test_timeout_keeps_partial_output_and_removes_the_file(self, context):
+        code = "import sys, time; print(sys.argv[1], flush=True); time.sleep(30)"
+        driver = RealCliDriver(_python(code, "{dockerfile}"))
+        outcome = driver.build("FROM busybox\n", context, no_cache=True, timeout=0.5)
+        assert (outcome.status, outcome.exit_code) == (STATUS_TIMEOUT, None)
+        assert outcome.duration >= 0.5
+        written = Path(outcome.log.strip())
+        assert written.name.endswith(".Dockerfile") and not written.exists()
+
+    def test_missing_executable_is_engine_error(self, context):
+        driver = RealCliDriver(str(context / "no-such-engine") + " build -f {dockerfile} {context}")
+        with pytest.raises(EngineError, match="cannot invoke build command"):
+            driver.build("FROM busybox\n", context, no_cache=True, timeout=60)

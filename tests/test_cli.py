@@ -143,6 +143,16 @@ class TestDetect:
         assert result.exit_code == 2, result.output
         assert json.loads(result.output)["excerpt"] == log
 
+    @pytest.mark.parametrize("log", ["", " \n\t\n"], ids=["empty", "blank"])
+    def test_failure_without_text_reports_the_placeholder(self, runner, tmp_path, log):
+        scenario = _write_scenario(
+            tmp_path / "s.json",
+            [{"match": None, "outcomes": [{"status": "failure", "log": log, "exit_code": 1}]}],
+        )
+        result = runner.invoke(main, _detect_args(tmp_path, scenario))
+        assert result.exit_code == 2, result.output
+        assert json.loads(result.output)["excerpt"] == "(empty build output)"
+
 
 class TestMalformedScenarios:
     def test_outcome_without_status(self, runner, tmp_path):
@@ -475,6 +485,16 @@ class TestCluster:
     def test_missing_directory_exit_one(self, runner, tmp_path):
         result = runner.invoke(main, _base_args(tmp_path) + ["cluster", str(tmp_path / "nope")])
         assert result.exit_code == 1
+
+    def test_empty_logs_form_one_cluster(self, runner, tmp_path):
+        # Both read "(empty build output)"; neither is told apart by its file name.
+        logs = tmp_path / "logs"
+        logs.mkdir()
+        (logs / "a.log").write_text("")
+        (logs / "b.log").write_text(" \n\n")
+        result = runner.invoke(main, _base_args(tmp_path) + ["cluster", str(logs)])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["clusters"] == [{"id": 0, "members": ["a.log", "b.log"]}]
 
 
 class TestMonitor:
@@ -833,6 +853,23 @@ class TestDataset:
         assert json.loads(result.output) == {
             "error": f"--iterations must be comma-separated integers, got {iterations!r}"
         }
+        assert not store.exists()
+
+    @pytest.mark.parametrize("text", ["", " \n\t\n"], ids=["empty", "blank"])
+    def test_add_blank_log_names_the_file(self, runner, tmp_path, text):
+        for name, body in [("Dockerfile", ALPINE_PIP), ("build.log", text), ("fixed", ALPINE_PIP_REPAIRED)]:
+            (tmp_path / name).write_text(body)
+        store = tmp_path / "store" / "records.jsonl"
+        result = runner.invoke(
+            main,
+            _base_args(tmp_path) + [
+                "dataset", "add", str(store), "--id", "a", "--category", "MISC",
+                "--dockerfile", str(tmp_path / "Dockerfile"), "--log", str(tmp_path / "build.log"),
+                "--repair", str(tmp_path / "fixed"),
+            ],
+        )
+        assert result.exit_code == 1, result.output
+        assert json.loads(result.output) == {"error": f"{tmp_path / 'build.log'}: empty build log"}
         assert not store.exists()
 
     def test_lone_backslash_repair_validates(self, runner, tmp_path):

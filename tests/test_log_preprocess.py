@@ -35,9 +35,7 @@ class TestSegmentation:
 
     def test_empty_log_single_preamble(self):
         sections = segment_stages("")
-        assert len(sections) == 1
-        assert sections[0].is_preamble
-        assert sections[0].lines == []
+        assert [(s.header, s.lines) for s in sections] == [(None, [])]
 
     def test_two_banner_fixture(self):
         log = "\n".join(
@@ -46,7 +44,7 @@ class TestSegmentation:
         sections = segment_stages(log)
         assert len(sections) == 2
         assert all(len(s.lines) == 3 for s in sections)
-        assert [s.stage_index for s in sections] == [0, 1]
+        assert [s.header for s in sections] == ["> [1/2] RUN step one", "> [2/2] RUN step two"]
 
     def test_named_stage_banner(self):
         sections = segment_stages("> [build-env 4/4] RUN go build:\nboom\n")
@@ -60,20 +58,23 @@ class TestSegmentation:
         assert sections[0].lines == ["#5 0.412 Reading package lists...", "#5 1.900 Done"]
         # The timings put the error in second 1 with "Done", and the line of
         # second 0 two lines above it is dropped.
-        (excerpt,) = preprocess_log(log + "#5 1.950 ERROR: fetch failed\n").excerpts
-        assert excerpt.kept_lines == ("#5 1.900 Done", "#5 1.950 ERROR: fetch failed")
+        assert preprocess_log(log + "#5 1.950 ERROR: fetch failed\n").lines == [
+            "#5 [2/4] RUN apt-get update", "#5 1.900 Done", "#5 1.950 ERROR: fetch failed",
+        ]
 
     def test_preamble_kept_when_nonempty(self):
         sections = segment_stages("pulling metadata\n> [1/1] RUN x\nok\n")
-        assert sections[0].is_preamble
-        assert sections[0].stage_index == -1
-        assert len(sections) == 2
+        assert [(s.header, s.lines) for s in sections] == [
+            (None, ["pulling metadata"]), ("> [1/1] RUN x", ["ok"]),
+        ]
 
     def test_stage_indices_unique_across_restarting_banners(self):
-        log = "> [1/2] RUN a\n> [2/2] RUN b\n> [1/3] RUN c\n"
+        # A restarted [i/k] numbering still opens a new section, in log order.
+        log = "> [1/2] RUN a\nx\n> [2/2] RUN b\n> [1/3] RUN c\ny\n"
         sections = segment_stages(log)
-        indices = [s.stage_index for s in sections]
-        assert len(indices) == len(set(indices)) == 3
+        assert [(s.header, s.lines) for s in sections] == [
+            ("> [1/2] RUN a", ["x"]), ("> [2/2] RUN b", []), ("> [1/3] RUN c", ["y"]),
+        ]
 
 
 class TestRules:
@@ -119,7 +120,8 @@ class TestExtraction:
 
     def test_no_matches_empty_excerpts(self):
         result = preprocess_log("> [1/1] RUN echo hi\nhello\nworld\n")
-        assert result.excerpts == ()
+        assert result.lines == []
+        assert result.as_text() == ""
         assert result.total_lines_out == 0
 
     def test_timestamp_bucket_joins_distant_lines(self):
@@ -132,22 +134,22 @@ class TestExtraction:
         lines.append("#4 12.900 ERROR failed to link module core")
         sections = segment_stages("\n".join(lines))
         result = extract_error_context(sections, RuleSet.default())
-        kept = [line for ex in result.excerpts for line in ex.kept_lines]
-        assert "#4 12.001 make: entering directory '/src'" in kept
-        assert "#4 12.900 ERROR failed to link module core" in kept
+        assert result.lines == [
+            "#4 [1/1] RUN make release",
+            "#4 12.001 make: entering directory '/src'",
+            "#4 12.900 ERROR failed to link module core",
+        ]
         assert result.total_lines_out == 2
 
     def test_adjacency_window_without_timestamps(self):
         log = "> [1/1] RUN x\na\nb\nBOOM error happened\nc\nd\ne\n"
         result = preprocess_log(log)
-        kept = [line for ex in result.excerpts for line in ex.kept_lines]
-        assert kept == ["a", "b", "BOOM error happened", "c", "d"]
+        assert result.lines == ["> [1/1] RUN x", "a", "b", "BOOM error happened", "c", "d"]
 
     def test_preamble_lines_kept_only_on_direct_match(self):
         log = "context line\nerror: preamble exploded\nanother context line\n"
         result = preprocess_log(log)
-        kept = [line for ex in result.excerpts for line in ex.kept_lines]
-        assert kept == ["error: preamble exploded"]
+        assert result.lines == ["error: preamble exploded"]
 
     def test_rule_hits_populated(self):
         result = preprocess_log(ALPINE_PIP_LOG)
@@ -158,16 +160,17 @@ class TestExtraction:
         log = "> [1/1] RUN x\n" + body + "\n"
         result = preprocess_log(log)
         assert result.total_lines_out == EXCERPT_LINE_CAP
-        kept = [line for ex in result.excerpts for line in ex.kept_lines]
-        assert kept[0] == "error line 0"
-        assert kept[-1] == "error line 299"
+        # The header once, then the first 60 and the last 60 kept lines.
+        half = EXCERPT_LINE_CAP // 2
+        assert result.lines == ["> [1/1] RUN x"] + [
+            f"error line {i}" for i in [*range(half), *range(300 - half, 300)]
+        ]
 
     def test_ansi_codes_do_not_block_matching(self):
         log = "> [1/1] RUN x\n\x1b[31merror: tinted failure\x1b[0m\n"
         result = preprocess_log(log)
-        kept = [line for ex in result.excerpts for line in ex.kept_lines]
         # Matching ignores the escapes, and the excerpt holds the plain line.
-        assert kept == ["error: tinted failure"]
+        assert result.lines == ["> [1/1] RUN x", "error: tinted failure"]
 
     def test_coloured_and_plain_copies_give_one_excerpt_and_vector(self):
         plain = (
@@ -180,7 +183,7 @@ class TestExtraction:
             "#5 0.700 \x1b[33mwarning: deprecated failed flag\x1b[0m\n#5 1.200 done\n"
         )
         want, got = preprocess_log(plain), preprocess_log(coloured)
-        assert got.excerpts == want.excerpts
+        assert got.lines == want.lines
         assert got.as_text() == (
             "#5 [2/2] RUN make\n#5 0.100 compiling\n#5 0.400 ERROR: boom\n"
             "#5 0.700 warning: deprecated failed flag"
@@ -214,9 +217,9 @@ class TestProperties:
     def test_kept_lines_are_subsequence_of_input(self, lines):
         log = "\n".join(lines)
         result = preprocess_log(log)
-        kept = [line for ex in result.excerpts for line in ex.kept_lines]
+        # Headers included: each is the input line that opens its stage.
         it = iter(log.splitlines())
-        assert all(any(k == raw for raw in it) for k in kept)
+        assert all(any(k == raw for raw in it) for k in result.lines)
         assert result.total_lines_out <= result.total_lines_in
 
     @given(_LOG_LINES)
@@ -224,9 +227,7 @@ class TestProperties:
     def test_extraction_is_idempotent(self, lines):
         first = preprocess_log("\n".join(lines))
         second = preprocess_log(first.as_text())
-        first_kept = [line for ex in first.excerpts for line in ex.kept_lines]
-        second_kept = [line for ex in second.excerpts for line in ex.kept_lines]
-        assert second_kept == first_kept
+        assert second.lines == first.lines
 
     @given(_LOG_LINES)
     @settings(max_examples=100, deadline=None)
@@ -273,21 +274,26 @@ _DIFF_RULESETS = {
 
 
 def _sections(log: str) -> list[tuple]:
-    """`segment_stages(log)` as `(stage_index, header, is_preamble, lines)`."""
-    return [(s.stage_index, s.header, s.is_preamble, s.lines) for s in segment_stages(log)]
+    """`segment_stages(log)` as `(header, lines)`."""
+    return [(s.header, s.lines) for s in segment_stages(log)]
 
 
 def _reference_sections(log: str) -> list[tuple]:
     """`reference_segment_stages(log)` de-escaped, in the shape of `_sections`;
-    `TestPipelineReference` checks the timestamps it pairs with each line."""
+    `TestPipelineReference` checks the timestamps it pairs with each line.
+
+    The reference numbers its stages and flags its preamble; the program's
+    sections carry neither, so both must follow from list position and header:
+    stage indices run 0, 1, ... in list order, and the preamble is the section
+    whose header is None."""
+    reference = reference_segment_stages(log)
+    stages = [index for index, _, preamble, _ in reference if not preamble]
+    assert stages == list(range(len(stages)))
+    assert all((header is None) == preamble for _, header, preamble, _ in reference)
+    assert all(index == -1 for index, _, preamble, _ in reference if preamble)
     return [
-        (
-            index,
-            header and reference_strip_ansi(header),
-            preamble,
-            [reference_strip_ansi(text) for _, text in lines],
-        )
-        for index, header, preamble, lines in reference_segment_stages(log)
+        (header and reference_strip_ansi(header), [reference_strip_ansi(text) for _, text in lines])
+        for _, header, _, lines in reference
     ]
 
 
@@ -320,7 +326,7 @@ class TestDifferential:
         results = [preprocess_log(log) for log in logs]
         sections = [segment_stages(log) for log in logs]
         assert any(r.total_lines_out == EXCERPT_LINE_CAP for r in results)
-        assert any(len(s) == 1 and s[0].is_preamble and r.excerpts for s, r in zip(sections, results))
+        assert any(len(s) == 1 and s[0].header is None and r.lines for s, r in zip(sections, results))
         assert any(s.header and s.header.startswith("#") for secs in sections for s in secs)
         assert any(s.header and "CACHED" in s.header for secs in sections for s in secs)
         reference = [reference_segment_stages(log) for log in logs]
