@@ -21,6 +21,7 @@ from .dockerfile_model import diff_docs, parse_dockerfile, render_diff
 from .durable import append_line, replacing
 from .errors import EngineError, FlakiDockError
 from .log_preprocess import (
+    EMPTY_OUTPUT,
     classify_failure_exclusion,
     excerpt_or_tail,
     extract_error_context,
@@ -480,6 +481,8 @@ def dataset_add(ctx, store_path, record_id, dockerfile_path, log_path, category,
     if not raw_log.strip():
         raise FlakiDockError(f"{log_path}: empty build log")
     dynamic = excerpt_or_tail(raw_log, preprocess_log(raw_log, config.ruleset()))
+    if dynamic == EMPTY_OUTPUT:
+        raise FlakiDockError(f"{log_path}: no failure text: no rule hit and a blank last 2000 characters")
     if iterations:
         try:
             counts = tuple(int(v) for v in iterations.split(","))

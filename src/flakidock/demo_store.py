@@ -4,7 +4,9 @@ A store is a JSONL file with a version header line followed by one record
 per line, plus a sibling `vectors.bin` holding the record embeddings
 (`<uint32 dim>` header, then row-major float32 values in record order).
 Serialization is canonical (sorted keys, fixed separators) so that
-save(load(path)) round-trips byte-identically.
+save(load(path)) round-trips byte-identically. A save back to the files an
+index last loaded or wrote, unchanged since, appends only the records added
+since then; any other save replaces both files.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import functools
 import json
 import logging
+import os
 import struct
 import threading
 from dataclasses import dataclass
@@ -22,7 +25,7 @@ from typing import TYPE_CHECKING
 
 # `parse_dockerfile` stays importable from here: bench/tracing.py wraps it by this name.
 from .dockerfile_model import has_instructions, parse_dockerfile  # noqa: F401
-from .durable import replacing
+from .durable import append_line, appending, replacing
 from .errors import DimensionMismatch, SchemaViolation, StoreError, VersionMismatch
 from .providers import EmbeddingProvider
 from .similarity import combine_static_dynamic, embed
@@ -196,6 +199,7 @@ class DemonstrationIndex:
         self.by_id = {r.id: r for r in records}
         self.matrix = self._row_buffer = matrix
         self._norms = self._norm_buffer = _row_norms(matrix)
+        self._saved = None  # (records file, vectors file, rows, dim) last loaded or written
 
     def __len__(self) -> int:
         return len(self.records)
@@ -270,6 +274,7 @@ def load_store(path, embedding_provider: EmbeddingProvider | None = None) -> Dem
     # One record per `\n`: save_store writes U+0085, U+2028 and U+2029 raw inside
     # strings, and `str.splitlines` would cut a record at them.
     with open(records_path, encoding="utf-8") as fh:
+        records_file = _signature(os.fstat(fh.fileno()))
         try:
             lines = [line for line in fh.read().split("\n") if line.strip()]
         except UnicodeDecodeError as exc:
@@ -304,7 +309,10 @@ def load_store(path, embedding_provider: EmbeddingProvider | None = None) -> Dem
 
     # A bad vector file is reported only after every record has passed.
     if vectors_path.exists():
-        return DemonstrationIndex(records, _read_vectors(vectors_path, len(records)))
+        rows, vectors_file = _read_vectors(vectors_path, len(records))
+        index = DemonstrationIndex(records, rows)
+        index._saved = (records_file, vectors_file, len(records), rows.shape[1])
+        return index
     if not records:
         return DemonstrationIndex(records)
     if embedding_provider is None:
@@ -319,41 +327,69 @@ def load_store(path, embedding_provider: EmbeddingProvider | None = None) -> Dem
 _SAVE_BLOCK = 1024  # records joined into one write
 
 
+def _signature(stat: os.stat_result) -> tuple:
+    return stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns
+
+
+def _files_state(records_path: Path, vectors_path: Path, rows: int, dim: int) -> tuple | None:
+    """Both files' signatures now, with `rows` and `dim`; None when one is missing."""
+    try:
+        return _signature(os.stat(records_path)), _signature(os.stat(vectors_path)), rows, dim
+    except FileNotFoundError:
+        return None
+
+
 def save_store(index: DemonstrationIndex, path) -> None:
-    """Write records.jsonl (canonical JSON) and vectors.bin, each whole and then
-    over its target, vectors first. A save that fails before the first replace
-    leaves the old store; one killed between the two leaves a store that does
-    not load (new vectors beside old records)."""
-    records_path, vectors_path = _resolve_paths(path)
-    records_path.parent.mkdir(parents=True, exist_ok=True)
-    records = index.records
-    with replacing(records_path) as records_fh:
-        header = {"schema": SCHEMA_NAME, "version": SCHEMA_VERSION}
-        records_fh.write((json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n").encode())
-        for start in range(0, len(records), _SAVE_BLOCK):
-            records_fh.write("".join(map(_record_line, records[start : start + _SAVE_BLOCK])).encode())
-        if len(index):
-            import numpy as np
-
-            with replacing(vectors_path) as fh:
-                fh.write(struct.pack("<I", index.matrix.shape[1]))
-                fh.write(np.ascontiguousarray(index.matrix, dtype="<f4"))
-    if not len(index):
-        vectors_path.unlink(missing_ok=True)
-
-
-def _read_vectors(path: Path, expected_rows: int) -> np.ndarray:
-    """The stored float32 rows, read-only and without a copy of the file's bytes."""
+    """Write the index's published rows and their records (canonical JSON).
+    A save back to the files the index last loaded or wrote, unchanged since
+    (device, inode, size, mtime) and of its dim, appends the records added
+    since: rows to vectors.bin, then lines to records.jsonl; an exception
+    before the lines are in undoes the rows. Any other save writes both files
+    whole, then over their targets, vectors first; an exception before the
+    first replace leaves the old store. A kill between the two writes of
+    either kind leaves a store that does not load (N vectors for M records)."""
     import numpy as np
 
-    blob = path.read_bytes()
+    records_path, vectors_path = _resolve_paths(path)
+    matrix, _ = index.scan()
+    rows, dim = matrix.shape
+    records = index.records[:rows]
+    saved = index._saved
+    if saved is not None and _files_state(records_path, vectors_path, saved[2], dim) == saved:
+        lines = "".join(map(_record_line, records[saved[2] :])).encode()  # before any write
+        if lines:
+            with appending(vectors_path, np.ascontiguousarray(matrix[saved[2] :], dtype="<f4").tobytes()):
+                append_line(records_path, lines)
+    else:
+        records_path.parent.mkdir(parents=True, exist_ok=True)
+        with replacing(records_path) as records_fh:
+            header = {"schema": SCHEMA_NAME, "version": SCHEMA_VERSION}
+            records_fh.write((json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n").encode())
+            for start in range(0, rows, _SAVE_BLOCK):
+                records_fh.write("".join(map(_record_line, records[start : start + _SAVE_BLOCK])).encode())
+            if rows:
+                with replacing(vectors_path) as fh:
+                    fh.write(struct.pack("<I", dim))
+                    fh.write(np.ascontiguousarray(matrix, dtype="<f4"))
+        if not rows:
+            vectors_path.unlink(missing_ok=True)
+    index._saved = _files_state(records_path, vectors_path, rows, dim)
+
+
+def _read_vectors(path: Path, expected_rows: int) -> tuple[np.ndarray, tuple]:
+    """The stored float32 rows, read-only and without a copy of the file's bytes,
+    and the file's signature as it was before the read."""
+    import numpy as np
+
+    with open(path, "rb") as fh:
+        signature = _signature(os.fstat(fh.fileno()))
+        blob = fh.read()
     if len(blob) < 4:
         raise StoreError(f"{path}: truncated vector file")
     (dim,) = struct.unpack("<I", blob[:4])
-    data = np.frombuffer(blob, dtype="<f4", offset=4)
-    if dim == 0 or data.size % dim != 0:
+    if dim == 0 or (len(blob) - 4) % (4 * dim):
         raise StoreError(f"{path}: vector payload is not a multiple of dim {dim}")
-    rows = data.reshape(-1, dim)
+    rows = np.frombuffer(blob, dtype="<f4", offset=4).reshape(-1, dim)
     if rows.shape[0] != expected_rows:
         raise StoreError(
             f"{path}: {rows.shape[0]} vectors for {expected_rows} records"
@@ -362,7 +398,7 @@ def _read_vectors(path: Path, expected_rows: int) -> np.ndarray:
     unusable = np.flatnonzero(~rows.any(axis=1) | ~np.isfinite(rows).all(axis=1))
     if unusable.size:
         raise StoreError(f"{path}: vector {unusable[0]} is zero or not finite")
-    return rows
+    return rows, signature
 
 
 def builtin_store_path() -> Path:

@@ -1,10 +1,12 @@
-"""The package's two ways to write a file. Neither fsyncs: both survive the
+"""The package's three ways to write a file. None fsyncs: each survives the
 process dying, not the host losing power.
 
-`append_line` grows a journal (`builds.jsonl`, `history/<name>.jsonl`) by one
-`O_APPEND` write, so writers sharing it never split each other's lines, and a
-line torn by a crash stays a line of its own. Every other file is written
-whole through `replacing`, so a reader finds the old file or the new one.
+`append_line` grows a journal (`builds.jsonl`, `history/<name>.jsonl`, a
+store's `records.jsonl`) by one `O_APPEND` write, so writers sharing it never
+split each other's lines, and a line torn by a crash stays a line of its own.
+`appending` grows a binary file (a store's `vectors.bin`) by one write that an
+exception undoes. Every other file is written whole through `replacing`, so a
+reader finds the old file or the new one.
 """
 
 import contextlib
@@ -31,6 +33,25 @@ def append_line(path, data: bytes) -> None:
         os.close(fd)
     if written != len(data):
         raise OSError(f"short write to {path}: {written} of {len(data)} bytes")
+
+
+@contextlib.contextmanager
+def appending(path, data: bytes):
+    """Append `data` to the existing `path` in one write, then run the block; an
+    exception in either, Ctrl-C included, cuts `path` back to its old length."""
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND)
+    try:
+        size = os.fstat(fd).st_size
+        try:
+            written = os.write(fd, data)
+            if written != len(data):
+                raise OSError(f"short write to {path}: {written} of {len(data)} bytes")
+            yield
+        except BaseException:
+            os.ftruncate(fd, size)
+            raise
+    finally:
+        os.close(fd)
 
 
 @contextlib.contextmanager

@@ -267,11 +267,14 @@ def preprocess_log(log: str, rules: RuleSet | None = None) -> PreprocessedLog:
     return extract_error_context(segment_stages(log), rules or RuleSet.default())
 
 
+EMPTY_OUTPUT = "(empty build output)"
+
+
 def excerpt_or_tail(log: str, preprocessed: PreprocessedLog) -> str:
     """The excerpt text of `log`, else its last 2000 characters, else, when
-    those are blank, "(empty build output)": a failure always has text."""
+    those are blank, EMPTY_OUTPUT: a failure always has text."""
     text = preprocessed.as_text() or log[-2000:]
-    return text if text.strip() else "(empty build output)"
+    return text if text.strip() else EMPTY_OUTPUT
 
 
 # --- failure-cause exclusion filters ---

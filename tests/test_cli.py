@@ -872,6 +872,29 @@ class TestDataset:
         assert json.loads(result.output) == {"error": f"{tmp_path / 'build.log'}: empty build log"}
         assert not store.exists()
 
+    def test_add_log_without_failure_text_leaves_the_store(self, runner, tmp_path):
+        # No rule hit, and the last 2000 characters are blank: the excerpt would be a placeholder.
+        for name, body in [("Dockerfile", ALPINE_PIP), ("build.log", ALPINE_PIP_LOG),
+                           ("blank-tail.log", "x" + " " * 2001), ("fixed", ALPINE_PIP_REPAIRED)]:
+            (tmp_path / name).write_text(body)
+        store = tmp_path / "store" / "records.jsonl"
+
+        def add(record_id, log):
+            return runner.invoke(main, _base_args(tmp_path) + [
+                "dataset", "add", str(store), "--id", record_id, "--category", "MISC",
+                "--dockerfile", str(tmp_path / "Dockerfile"), "--log", str(tmp_path / log),
+                "--repair", str(tmp_path / "fixed"),
+            ])
+
+        assert add("a", "build.log").exit_code == 0
+        before = {p.name: p.read_bytes() for p in store.parent.iterdir()}
+        result = add("b", "blank-tail.log")
+        assert result.exit_code == 1, result.output
+        assert json.loads(result.output) == {
+            "error": f"{tmp_path / 'blank-tail.log'}: no failure text: no rule hit and a blank last 2000 characters"
+        }
+        assert {p.name: p.read_bytes() for p in store.parent.iterdir()} == before
+
     def test_lone_backslash_repair_validates(self, runner, tmp_path):
         store = tmp_path / "records.jsonl"
         header = json.dumps({"schema": "flakidock-demo-store", "version": 1})

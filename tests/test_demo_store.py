@@ -685,9 +685,13 @@ def _any_records(draw) -> list[DemonstrationRecord]:
     return records
 
 
+def _store_files(directory: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
 def _saved_bytes(saver, index, directory) -> dict[str, bytes]:
     saver(index, directory / "records.jsonl")
-    return {p.name: p.read_bytes() for p in directory.iterdir()}
+    return _store_files(directory)
 
 
 class TestSaveDifferential:
@@ -730,14 +734,133 @@ class TestSaveDifferential:
         assert len(load_store(tmp_path)) == 0
 
 
+# A provider for differential tests: cheap, deterministic, never a zero row.
+_LENGTH_PROVIDER = SimpleNamespace(
+    dim=4, token_limit=None, provider_id="length",
+    embed_values=lambda text: np.array([len(text), text.count("\n") + 1, 2, 3], np.float32),
+)
+
+
+def _added_record(serial: int, text: str) -> DemonstrationRecord:
+    """A valid record that carries `text` in each string field."""
+    return DemonstrationRecord(
+        id=f"{serial}-{text}", static_part=f"FROM a\n{text}", dynamic_part=f"error {text}",
+        category=FlakinessCategory(MajorCategory.MISC), repairs=(f"FROM b\n{text}",), iterations=(1,),
+    )
+
+
+_save_ops = st.lists(st.one_of(
+    st.tuples(st.just("add"), _texts),
+    # the path by its number, and as its directory or its records.jsonl
+    st.tuples(st.just("save"), st.integers(0, 1), st.booleans()),
+    # another index, of the first k records in reverse order, saves over the path
+    st.tuples(st.just("rewrite"), st.integers(0, 1), st.integers(0, 6)),
+), max_size=14)
+
+
+class TestAppendingSave:
+    @settings(max_examples=120, deadline=None)
+    @given(_save_ops)
+    def test_interleaved_adds_and_saves_match_reference_writer(self, ops):
+        index = DemonstrationIndex([])
+        with tempfile.TemporaryDirectory() as tmp:
+            dirs = [Path(tmp) / "a", Path(tmp) / "b"]
+            for directory in dirs:
+                directory.mkdir()
+            last_saved = None  # the path whose files this index wrote last, untouched since
+            for serial, op in enumerate(ops):
+                if op[0] == "add":
+                    index.add(_added_record(serial, op[1]), _LENGTH_PROVIDER)
+                elif op[0] == "rewrite":
+                    k = min(op[2], len(index))
+                    other = DemonstrationIndex(index.records[:k][::-1], index.matrix[:k][::-1])
+                    save_store(other, dirs[op[1]])
+                    last_saved = None if last_saved == op[1] else last_saved
+                else:
+                    directory = dirs[op[1]]
+                    inode = (directory / "records.jsonl").stat().st_ino if last_saved == op[1] else None
+                    save_store(index, directory / "records.jsonl" if op[2] else directory)
+                    reference = _saved_bytes(reference_save_store, index, Path(tmp) / f"reference-{serial}")
+                    assert _store_files(directory) == reference, ops
+                    if inode is not None and len(index):  # appended, not replaced
+                        assert (directory / "records.jsonl").stat().st_ino == inode
+                    last_saved = op[1] if len(index) else None
+
+    @pytest.mark.parametrize("final_newline", [True, False])
+    def test_appending_to_a_store_written_elsewhere_keeps_its_bytes(self, tmp_path, final_newline):
+        # The layout of a store written by another program: default separators, ASCII escapes.
+        payloads = _store_payloads(30, 8)
+        payloads[3]["dynamic_part"] += " caf\u00e9 \u2028"
+        lines = [json.dumps({"schema": "flakidock-demo-store", "version": 1})]
+        lines += [json.dumps(p, sort_keys=True) for p in payloads]
+        (tmp_path / "records.jsonl").write_text("\n".join(lines) + "\n" * final_newline, encoding="utf-8")
+        vectors = _store_vectors(30, 8, dim=4)
+        (tmp_path / "vectors.bin").write_bytes(struct.pack("<I", 4) + vectors.astype("<f4").tobytes())
+        before = _store_files(tmp_path)
+        index = load_store(tmp_path)
+        for serial, text in enumerate(["x", "\u00e9\u2028\"", "\x85 y"]):
+            index.add(_added_record(serial, text), _LENGTH_PROVIDER)
+        save_store(index, tmp_path / "records.jsonl")
+        after = _store_files(tmp_path)
+        assert all(after[name].startswith(data) for name, data in before.items())
+        reloaded = load_store(tmp_path)
+        assert reloaded.records == index.records
+        assert reloaded.matrix.tobytes() == index.matrix.tobytes()
+
+    def test_each_save_back_appends(self, tmp_path, offline_provider):
+        index = DemonstrationIndex([])
+        index.add(_record("a-0"), offline_provider)
+        save_store(index, tmp_path / "store" / "records.jsonl")
+        inodes = [(tmp_path / "store" / name).stat().st_ino for name in ("records.jsonl", "vectors.bin")]
+        for i in range(1, 4):
+            index.add(_record(f"a-{i}"), offline_provider)
+            save_store(index, tmp_path / "store")
+            assert [(tmp_path / "store" / name).stat().st_ino for name in ("records.jsonl", "vectors.bin")] == inodes
+            assert _store_files(tmp_path / "store") == _saved_bytes(reference_save_store, index, tmp_path / f"ref-{i}")
+
+    def test_a_save_during_an_add_leaves_its_record_for_the_next_save(self, tmp_path):
+        store = tmp_path / "store" / "records.jsonl"
+
+        class SavingList(list):
+            """Saves the index where add() has appended a record but not yet published its row."""
+
+            def append(self, record):
+                super().append(record)
+                save_store(index, store)
+                assert load_store(store).records == self[:-1]
+
+        index = DemonstrationIndex(SavingList())
+        for serial in range(4):  # saves an empty store, then replaces, then appends twice
+            index.add(_added_record(serial, "x"), _LENGTH_PROVIDER)
+        save_store(index, store)
+        assert _store_files(store.parent) == _saved_bytes(reference_save_store, index, tmp_path / "reference")
+
+    def test_a_save_with_nothing_added_writes_nothing(self, tmp_path, offline_provider):
+        index = DemonstrationIndex([])
+        index.add(_record("once"), offline_provider)
+        save_store(index, tmp_path)
+        stats = [(tmp_path / name).stat() for name in ("records.jsonl", "vectors.bin")]
+        save_store(index, tmp_path)
+        assert [(tmp_path / name).stat() for name in ("records.jsonl", "vectors.bin")] == stats
+
+    def test_a_store_of_another_dim_is_replaced(self, tmp_path, offline_provider):
+        # An empty store keeps the dim of its vectors.bin; the first add may bring another.
+        store = _write_store(tmp_path / "store", [], np.zeros((0, 3), np.float32))
+        index = load_store(store)
+        index.add(_record("wide"), offline_provider)
+        save_store(index, store)
+        assert _store_files(store.parent) == _saved_bytes(reference_save_store, index, tmp_path / "reference")
+
+
 class TestSaveScaling:
     def test_save_time_grows_linearly_with_record_count(self, tmp_path):
         def best_of_three(count: int, seed: int) -> float:
             index = load_store(_write_store(tmp_path / str(count), _store_payloads(count, seed), _store_vectors(count, seed)))
             timings = []
-            for _ in range(3):
+            for attempt in range(3):
                 start = time.perf_counter()
-                save_store(index, tmp_path / f"saved-{count}")
+                # A new directory each time: a save to the files it last wrote appends nothing.
+                save_store(index, tmp_path / f"saved-{count}-{attempt}")
                 timings.append(time.perf_counter() - start)
             return min(timings)
 

@@ -12,10 +12,13 @@ kill left.
 from __future__ import annotations
 
 import ast
+import dataclasses
+import errno
 import fcntl
 import json
 import os
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
@@ -24,9 +27,10 @@ import crashpoint
 from flakidock import durable
 from flakidock.cli import main
 from flakidock.demo_store import DemonstrationIndex, builtin_store_path, load_store, save_store
-from flakidock.errors import StoreError
+from flakidock.errors import SchemaViolation, StoreError
 from flakidock.providers import HashingEmbeddingProvider
-from support import ALPINE_PIP, ALPINE_PIP_LOG, ALPINE_PIP_REPAIRED, fenced
+from flakidock.similarity import embed
+from support import ALPINE_PIP, ALPINE_PIP_LOG, ALPINE_PIP_REPAIRED, fenced, reference_save_store
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "flakidock"
 
@@ -60,6 +64,43 @@ class TestAppendLine:
         monkeypatch.setattr(durable, "os", ShortOs("before", 0))
         with pytest.raises(OSError, match="short write"):
             durable.append_line(tmp_path / "j.jsonl", b"abcdef\n")
+
+
+class TestAppending:
+    def test_appends_and_keeps_what_the_block_leaves(self, tmp_path):
+        path = tmp_path / "v.bin"
+        path.write_bytes(b"old")
+        with durable.appending(path, b"new"):
+            assert path.read_bytes() == b"oldnew"
+        assert path.read_bytes() == b"oldnew"
+
+    @pytest.mark.parametrize("error", [OSError, KeyboardInterrupt])
+    def test_an_interrupted_block_cuts_the_file_back(self, tmp_path, error):
+        path = tmp_path / "v.bin"
+        path.write_bytes(b"old")
+        with pytest.raises(error):
+            with durable.appending(path, b"new"):
+                raise error()
+        assert path.read_bytes() == b"old"
+
+    def test_a_short_write_is_cut_back(self, tmp_path, monkeypatch):
+        class ShortOs(crashpoint.CrashingOs):
+            def write(self, fd, data):
+                return os.write(fd, data[:2])
+
+        path = tmp_path / "v.bin"
+        path.write_bytes(b"old")
+        monkeypatch.setattr(durable, "os", ShortOs("before", 0))
+        with pytest.raises(OSError, match="short write"):
+            with durable.appending(path, b"new"):
+                pass
+        assert path.read_bytes() == b"old"
+
+    def test_a_missing_file_is_not_made(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            with durable.appending(tmp_path / "v.bin", b"new"):
+                pass
+        assert not (tmp_path / "v.bin").exists()
 
 
 class TestReplacing:
@@ -139,11 +180,11 @@ def test_only_durable_writes_files():
     assert found == {"build_engine": [("build", "NamedTemporaryFile")], "cli": [("_lock_state", "os.O_RDWR")]}
 
 
-def test_durable_exposes_two_names():
+def test_durable_exposes_three_names():
     tree = ast.parse((PACKAGE / "durable.py").read_text(encoding="utf-8"))
     names = [node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
     assigned = [t.id for node in tree.body if isinstance(node, ast.Assign) for t in node.targets]
-    assert [n for n in names + assigned if not n.startswith("_")] == ["append_line", "replacing"]
+    assert [n for n in names + assigned if not n.startswith("_")] == ["append_line", "appending", "replacing"]
 
 
 # --- crash points ---
@@ -305,3 +346,159 @@ def test_save_killed_after_the_vectors_replace_leaves_a_loadable_store(tmp_path)
     proc, _ = crashpoint.run(["-c", code], tmp_path, "after", 1)  # the first call replaces vectors.bin
     assert proc.returncode == crashpoint.KILLED, proc.stderr
     assert len(load_store(store)) in (len(full) - 1, len(full))  # the old store or the new one
+
+
+# --- appending store saves ---
+
+
+def _partial_builtin_store(store: Path) -> list[str]:
+    """Save the builtin store but its last two records to `store`; their ids."""
+    full = load_store(builtin_store_path(), HashingEmbeddingProvider())
+    save_store(DemonstrationIndex(full.records[:-2], full.matrix[:-2]), store)
+    return [r.id for r in full.records[:-2]]
+
+
+# Adds two records to the store at STORE and saves it back, which appends them.
+_APPEND_CODE = """
+import dataclasses
+from flakidock.demo_store import load_store, save_store
+from flakidock.providers import HashingEmbeddingProvider
+index = load_store(STORE)
+for i in range(2):
+    index.add(dataclasses.replace(index.records[i], id=f"added-{i}"), HashingEmbeddingProvider())
+save_store(index, STORE)
+"""
+
+
+def _dataset_add_args(root: Path, store: Path, record_id: str) -> list[str]:
+    for name, text in (("Dockerfile", ALPINE_PIP), ("build.log", ALPINE_PIP_LOG), ("fixed", ALPINE_PIP_REPAIRED)):
+        (root / name).write_text(text)
+    return ["--json", "--state-dir", str(root / "state"), "dataset", "add", str(store), "--id", record_id,
+            "--category", "ENV", "--dockerfile", str(root / "Dockerfile"), "--log", str(root / "build.log"),
+            "--repair", str(root / "fixed")]
+
+
+def _killed_store(store: Path) -> list[str] | str:
+    """The ids of the store a kill left, or the error its load raises. A store
+    that loads holds each record's own embedding as its row."""
+    try:
+        index = load_store(store)
+    except (StoreError, SchemaViolation) as exc:
+        return str(exc)
+    provider = HashingEmbeddingProvider()
+    for record, row in zip(index.records, index.matrix):
+        assert row.tobytes() == embed(record.combined_text(), provider).tobytes(), record.id
+    return [r.id for r in index.records]
+
+
+def _store_world(command: str, root: Path) -> tuple[list[str], Path, list[str], list[str]]:
+    """(arguments, store, old ids, new ids) of an appending save over a store save_store wrote."""
+    store = root / "store" / "records.jsonl"
+    if command == "save_store":
+        old = _partial_builtin_store(store)
+        return ["-c", _APPEND_CODE.replace("STORE", repr(str(store)))], store, old, old + ["added-0", "added-1"]
+    first = CliRunner().invoke(main, _dataset_add_args(root, store, "first"))
+    assert first.exit_code == 0, first.output
+    return _dataset_add_args(root, store, "second"), store, ["first"], ["first", "second"]
+
+
+@pytest.mark.parametrize("command", ["save_store", "dataset add"])
+def test_every_crash_point_of_an_appending_save_leaves_the_old_store_the_new_one_or_an_error(tmp_path, command):
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    args, store, old, new = _store_world(command, ref)
+    proc, calls = crashpoint.run(args, ref)
+    assert proc.returncode == 0, proc.stderr
+    assert calls == ["write", "write"]  # the rows, then the lines: nothing is replaced
+    assert _killed_store(store) == new
+    seen = set()
+    for k in (1, 2):
+        for when in ("before", "after", "torn"):
+            root = tmp_path / f"{when}-{k}"
+            root.mkdir()
+            args, store, old, new = _store_world(command, root)
+            proc, _ = crashpoint.run(args, root, when, k)
+            assert proc.returncode == crashpoint.KILLED, (when, k, proc.stderr)
+            left = _killed_store(store)
+            if (when, k) in (("after", 1), ("before", 2)):  # the rows are in, their lines are not
+                assert left.endswith(f"{len(new)} vectors for {len(old)} records"), left
+            assert isinstance(left, str) or left in (old, new), (when, k, left)
+            seen.add("error" if isinstance(left, str) else len(left))
+    assert seen == {"error", len(old), len(new)}
+
+
+class _FailingOs(crashpoint.CrashingOs):
+    """`os` for flakidock.durable whose k-th write or replace fails as on a full disk."""
+
+    def _syscall(self, call, *args):
+        self.calls.append(call.__name__)
+        if len(self.calls) == self.k:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return call(*args)
+
+
+def _files(directory: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+def _reference_files(index: DemonstrationIndex, directory: Path) -> dict[str, bytes]:
+    reference_save_store(index, directory / "records.jsonl")
+    return _files(directory)
+
+
+def _loaded_partial_store(tmp_path: Path) -> tuple[Path, DemonstrationIndex, dict[str, bytes]]:
+    store = tmp_path / "store"
+    _partial_builtin_store(store / "records.jsonl")
+    return store, load_store(store), _files(store)
+
+
+@pytest.mark.parametrize("failure", ["unencodable record", "full disk"])
+def test_a_failed_append_leaves_both_files_as_they_were(tmp_path, monkeypatch, failure):
+    store, index, before = _loaded_partial_store(tmp_path)
+    if failure == "unencodable record":
+        # The provider hands back a stored row, since the hashing embedder rejects the surrogate too.
+        provider = SimpleNamespace(dim=index.matrix.shape[1], token_limit=None, provider_id="row-0",
+                                   embed_values=lambda text: index.matrix[0])
+        record = dataclasses.replace(index.records[0], id="added", static_part="FROM a\n\udc80")
+        error, calls = UnicodeEncodeError, []
+    else:  # the second write, of the lines, fails after the rows were appended
+        provider = HashingEmbeddingProvider()
+        record = dataclasses.replace(index.records[0], id="added")
+        error, calls = OSError, ["write", "write"]
+    index.add(record, provider)
+    monkeypatch.setattr(durable, "os", failing := _FailingOs("before", 2))
+    with pytest.raises(error):
+        save_store(index, store)
+    assert failing.calls == calls
+    assert _files(store) == before
+    if failure == "full disk":
+        monkeypatch.undo()
+        save_store(index, store)  # the files are not as this index left them: a full save
+        assert _files(store) == _reference_files(index, tmp_path / "reference")
+
+
+def test_dataset_add_to_a_large_store_writes_only_the_new_record(tmp_path, monkeypatch):
+    builtin = load_store(builtin_store_path(), HashingEmbeddingProvider())
+    rows = [i % len(builtin) for i in range(2_000)]
+    records = [dataclasses.replace(builtin.records[row], id=f"r-{i:04d}") for i, row in enumerate(rows)]
+    store = tmp_path / "store"
+    save_store(DemonstrationIndex(records, builtin.matrix[rows]), store / "records.jsonl")
+    assert (store / "vectors.bin").stat().st_size > 64 * 1024
+
+    written = []
+
+    class CountingOs(crashpoint.CrashingOs):
+        """Counts the bytes each write makes and each replace publishes."""
+
+        def _syscall(self, call, *args):
+            written.append(len(args[1]) if call is os.write else os.stat(args[0]).st_size)
+            return call(*args)
+
+    monkeypatch.setattr(durable, "os", CountingOs("before", 0))
+    result = CliRunner().invoke(main, _dataset_add_args(tmp_path, store, "added"))
+    assert result.exit_code == 0, result.output
+    assert 0 < sum(written) < 64 * 1024, written
+    monkeypatch.undo()
+    index = load_store(store)
+    assert len(index) == 2_001
+    assert _files(store) == _reference_files(index, tmp_path / "reference")
