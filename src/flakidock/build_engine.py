@@ -218,9 +218,15 @@ class RealCliDriver(BuildDriver):
         self, dockerfile_text: str, context_dir: Path, *, no_cache: bool, timeout: float
     ) -> DriverOutcome:
         context_dir = Path(context_dir)
-        start = time.monotonic()
         # In the temporary directory, not the context: the engine would upload
         # the file with the context, and a context may be read-only.
+        temp_dir, context = Path(tempfile.gettempdir()).resolve(), context_dir.resolve()
+        if temp_dir.is_relative_to(context):
+            raise EngineError(
+                f"temporary directory {temp_dir} is inside the build context {context}: "
+                "set TMPDIR to a directory outside it"
+            )
+        start = time.monotonic()
         with tempfile.NamedTemporaryFile(
             "w", prefix="flakidock-", suffix=".Dockerfile", delete=False, encoding="utf-8"
         ) as tmp:
@@ -302,12 +308,11 @@ class BuildEngine:
     ) -> BuildRecord:
         """Run a single build and persist its record.
 
-        A driver's EngineError is recorded with engine-error status, and
-        re-raised with that record attached, so callers can tell it from a
-        plain build failure.
+        A driver's EngineError is recorded with engine-error status and
+        re-raised carrying that record, so callers can tell it from a plain
+        build failure.
         """
         started_at = datetime.now(timezone.utc).isoformat()
-        doc_hash = doc.content_hash
         start = time.monotonic()
         try:
             outcome = self.driver.build(
@@ -317,28 +322,10 @@ class BuildEngine:
                 timeout=self.policy.timeout,
             )
         except EngineError as exc:
-            exc.record = BuildRecord(
-                dockerfile_hash=doc_hash,
-                log=str(exc),
-                status=STATUS_ENGINE_ERROR,
-                exit_code=None,
-                duration=time.monotonic() - start,
-                started_at=started_at,
-                driver_id=self.driver.driver_id,
-            )
-            self._persist(exc.record, persist_dir)
+            outcome = DriverOutcome(STATUS_ENGINE_ERROR, str(exc), None, time.monotonic() - start)
+            exc.records = [self._persist(doc, outcome, started_at, persist_dir)]
             raise
-        record = BuildRecord(
-            dockerfile_hash=doc_hash,
-            log=outcome.log,
-            status=outcome.status,
-            exit_code=outcome.exit_code,
-            duration=outcome.duration,
-            started_at=started_at,
-            driver_id=self.driver.driver_id,
-        )
-        self._persist(record, persist_dir)
-        return record
+        return self._persist(doc, outcome, started_at, persist_dir)
 
     def run_build_series(
         self,
@@ -360,7 +347,7 @@ class BuildEngine:
             try:
                 record = self.build_once(doc, context_dir, persist_dir=persist_dir)
             except EngineError as exc:
-                exc.records = records + ([exc.record] if exc.record else [])
+                exc.records = records + exc.records
                 raise
             records.append(record)
             if next(self._series_builds) % self.policy.clean_every == 0:
@@ -378,13 +365,26 @@ class BuildEngine:
             self.driver.clean()
             self.cleanups_performed += 1
 
-    def _persist(self, record: BuildRecord, persist_dir: Path | None) -> None:
+    def _persist(
+        self, doc: DockerfileDoc, outcome: DriverOutcome, started_at: str, persist_dir: Path | None
+    ) -> BuildRecord:
+        """The build's record, appended to the build directory's journal."""
+        record = BuildRecord(
+            dockerfile_hash=doc.content_hash,
+            log=outcome.log,
+            status=outcome.status,
+            exit_code=outcome.exit_code,
+            duration=outcome.duration,
+            started_at=started_at,
+            driver_id=self.driver.driver_id,
+        )
         base = persist_dir
         if base is None and self.state_dir is not None:
             base = Path(self.state_dir) / "builds" / record.dockerfile_hash
         if base is None:
-            return
+            return record
         base.mkdir(parents=True, exist_ok=True)
         # ASCII JSON: a lone surrogate in a log becomes an escape.
         line = json.dumps(vars(record), sort_keys=True) + "\n"
         append_line(base / "builds.jsonl", line.encode("ascii"))
+        return record

@@ -32,10 +32,7 @@ class DockerfileDoc:
     @cached_property  # computed on first read; the document is immutable
     def content_hash(self) -> str:
         """sha256 of the file's UTF-8 bytes; it names the build directory."""
-        return hashlib.sha256(self.to_bytes()).hexdigest()
-
-    def to_bytes(self) -> bytes:
-        return serialize(self).encode("utf-8")
+        return hashlib.sha256(self.raw_text.encode("utf-8")).hexdigest()
 
 
 def _strip_eol(line: str) -> str:
@@ -97,11 +94,6 @@ def parse_dockerfile(text: bytes | str) -> DockerfileDoc:
         if words and words[0].upper() == "FROM":
             stages += 1
     return DockerfileDoc(raw_text, stages)
-
-
-def serialize(doc: DockerfileDoc) -> str:
-    """The document's text, exactly as it was parsed."""
-    return doc.raw_text
 
 
 # --- line-level diffing ---

@@ -21,13 +21,12 @@ class EngineError(FlakiDockError):
     """Driver-level failure (daemon unreachable, disk full, ...).
 
     Distinct from an ordinary build failure, which is reported through a
-    BuildRecord status. Drivers raise it; `BuildEngine` attaches the failed
-    build's engine-error record, and a series the records gathered so far.
+    BuildRecord status. Drivers raise it; `BuildEngine` sets `records` to the
+    builds run so far, the failed build's engine-error record last.
     """
 
     def __init__(self, message: str):
         super().__init__(message)
-        self.record = None
         self.records = []
 
 

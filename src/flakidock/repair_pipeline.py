@@ -3,17 +3,17 @@
 Detection builds the document n times and stops at the first failure.
 The failing output is preprocessed and, together with the document text,
 forms the retrieval query. Repair candidates come from the generation
-provider and are validated by rebuilding n times; a failed candidate
-becomes a false demonstration in the next prompt. When the same failure
-keeps recurring (measured by sentence similarity of the preprocessed
+provider and are validated by the same n-build detection as the original;
+a flaky candidate becomes a false demonstration in the next prompt. When the
+same failure keeps recurring (by sentence similarity of the preprocessed
 outputs) the session gives up rather than looping on a dead end.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -44,8 +44,6 @@ from .similarity import RepairQuery, cosine, embed, retrieve_top_k
 
 if TYPE_CHECKING:
     import numpy as np
-
-log = logging.getLogger(__name__)
 
 VERDICT_IN_PROGRESS = "in-progress"
 VERDICT_REPAIRED = "repaired"
@@ -241,7 +239,6 @@ def parse_candidate(response: str) -> DockerfileDoc:
 class ValidationOutcome:
     kind: str  # "repair" | "feedback" | "unresolved" | "engine-aborted"
     records: list[BuildRecord]
-    failure_output: str | None = None
 
 
 def _failure_text(record: BuildRecord, rules: RuleSet) -> str:
@@ -270,33 +267,24 @@ def validate_repair(
 ) -> ValidationOutcome:
     """Decide repair / feedback / unresolved for one candidate.
 
-    The candidate is built n times. All successes confirm the repair.
-    Otherwise the failing output is preprocessed, embedded once and compared
-    against the vectors stored with the accumulated feedback: once the same
-    failure has been seen T times in total the session is abandoned, else the
-    candidate joins the feedback list, with its vector, for the next prompt.
+    The candidate goes through `detect_flakiness`; a non-flaky one ends the
+    session `repaired`, as its final Dockerfile. Otherwise the failing output
+    is embedded once and compared against the feedback vectors: the T-th
+    similar failure ends the session `unresolved`, else the candidate joins
+    the feedback. An engine failure ends it `engine-aborted`.
     """
     if session.verdict != VERDICT_IN_PROGRESS:
         raise ValueError(f"session already terminal: {session.verdict}")
-    rules = rules or RuleSet.default()
-    try:
-        records = engine.run_build_series(
-            candidate,
-            context_dir,
-            policy.build_iterations,
-            stop_on_failure=True,
-            persist_dir=persist_dir,
-        )
-    except EngineError as exc:
-        session.verdict = VERDICT_ENGINE_ABORTED
-        session.abort_reason = str(exc)
-        return ValidationOutcome(VERDICT_ENGINE_ABORTED, exc.records)
+    with _ending(session) as aborted_builds:
+        detection = detect_flakiness(candidate, context_dir, engine, policy, persist_dir)
+    if session.verdict == VERDICT_ENGINE_ABORTED:
+        return ValidationOutcome(VERDICT_ENGINE_ABORTED, aborted_builds)
+    if not detection.flaky:
+        session.final_dockerfile = candidate.raw_text
+        _end_session(session, VERDICT_REPAIRED)
+        return ValidationOutcome("repair", detection.records)
 
-    failing = next((r for r in records if not r.succeeded), None)
-    if failing is None:
-        return ValidationOutcome("repair", records)
-
-    failure_output = _failure_text(failing, rules)
+    failure_output = _failure_text(detection.failing_record, rules or RuleSet.default())
     vector = embed(failure_output, sentence_provider)
     failures = count_similar_failures(
         vector,
@@ -304,9 +292,10 @@ def validate_repair(
         policy.feedback_similarity_threshold,
     )
     if failures >= policy.failure_threshold:
-        return ValidationOutcome(VERDICT_UNRESOLVED, records, failure_output)
+        _end_session(session, VERDICT_UNRESOLVED)
+        return ValidationOutcome(VERDICT_UNRESOLVED, detection.records)
     session.add_feedback(candidate.raw_text, failure_output, vector)
-    return ValidationOutcome("feedback", records, failure_output)
+    return ValidationOutcome("feedback", detection.records)
 
 
 # --- full pipeline ---
@@ -340,45 +329,30 @@ def start_session(
         session_dir = Path(session_dir)
         session_dir.mkdir(parents=True, exist_ok=True)
     builds_dir = None if session_dir is None else session_dir / "builds" / "detect"
-    abort_reason = None
-    try:
+    session = RepairSession(query=RepairQuery.build(doc.raw_text, ""), session_dir=session_dir)
+    with _ending(session):
         detection = detect_flakiness(doc, context_dir, engine, policy, persist_dir=builds_dir)
-    except EngineError as exc:
-        detection, abort_reason = None, str(exc)
-    if detection is None or not detection.flaky:
-        session = RepairSession(
-            query=RepairQuery.build(doc.raw_text, ""),
-            verdict=VERDICT_ENGINE_ABORTED if detection is None else VERDICT_NON_FLAKY,
-            session_dir=session_dir,
-            abort_reason=abort_reason,
-        )
-        _persist_session(session)
-        return session
-
-    dynamic_part = _failure_text(detection.failing_record, rules or RuleSet.default())
-    query = RepairQuery.build(doc.raw_text, dynamic_part)
-    session = RepairSession(query=query, session_dir=session_dir)
-    try:
+        if not detection.flaky:
+            _end_session(session, VERDICT_NON_FLAKY)
+            return session
+        dynamic_part = _failure_text(detection.failing_record, rules or RuleSet.default())
+        query = session.query = RepairQuery.build(doc.raw_text, dynamic_part)
         session.retrieved = retrieve_top_k(query, store, retrieval_k, providers.query_embedder)
-    except ProviderUnavailable as exc:
-        session.verdict, session.abort_reason = VERDICT_PROVIDER_ABORTED, str(exc)
-        _persist_session(session)
-        return session
-    _persist(
-        session,
-        "query.json",
-        json.dumps(
-            {
-                "static_part": query.static_part,
-                "dynamic_part": query.dynamic_part,
-                "retrieved": [
-                    {"id": rec.id, "similarity": sim} for rec, sim in session.retrieved
-                ],
-            },
-            indent=2,
-            sort_keys=True,
-        ),
-    )
+        _persist(
+            session,
+            "query.json",
+            json.dumps(
+                {
+                    "static_part": query.static_part,
+                    "dynamic_part": query.dynamic_part,
+                    "retrieved": [
+                        {"id": rec.id, "similarity": sim} for rec, sim in session.retrieved
+                    ],
+                },
+                indent=2,
+                sort_keys=True,
+            ),
+        )
     return session
 
 
@@ -413,14 +387,12 @@ def repair_flaky_dockerfile(
         rules=rules,
         session_dir=session_dir,
     )
-    if session.verdict != VERDICT_IN_PROGRESS:
-        return session
-    session_dir = session.session_dir
-    if providers.generator is None:
+    if session.verdict == VERDICT_IN_PROGRESS and providers.generator is None:
         raise FlakiDockError("no generation provider configured")
+    session_dir = session.session_dir
 
-    try:
-        while session.attempts_used < policy.max_total_attempts:
+    with _ending(session):
+        while session.verdict == VERDICT_IN_PROGRESS and session.attempts_used < policy.max_total_attempts:
             attempt = session.attempts_used + 1
             prompt = assemble_prompt(session, prompt_budget)
             _persist(session, f"prompt-{attempt}.txt", prompt)
@@ -442,7 +414,7 @@ def repair_flaky_dockerfile(
             builds_dir = (
                 None if session_dir is None else session_dir / "builds" / f"attempt-{attempt}"
             )
-            outcome = validate_repair(
+            validate_repair(
                 candidate,
                 session,
                 policy,
@@ -452,20 +424,29 @@ def repair_flaky_dockerfile(
                 rules,
                 persist_dir=builds_dir,
             )
-            if outcome.kind == "repair":
-                session.verdict = VERDICT_REPAIRED
-                session.final_dockerfile = candidate.raw_text
-                break
-            if outcome.kind in (VERDICT_UNRESOLVED, VERDICT_ENGINE_ABORTED):
-                session.verdict = outcome.kind
-                break
-    except ProviderUnavailable as exc:
-        session.verdict, session.abort_reason = VERDICT_PROVIDER_ABORTED, str(exc)
-
-    if session.verdict == VERDICT_IN_PROGRESS:
-        session.verdict = VERDICT_UNRESOLVED  # attempt cap reached
-    _persist_session(session)
+        if session.verdict == VERDICT_IN_PROGRESS:
+            _end_session(session, VERDICT_UNRESOLVED)  # attempt cap reached
     return session
+
+
+@contextmanager
+def _ending(session: RepairSession):
+    """End the session `engine-aborted` on an EngineError, whose builds join
+    the yielded list, or `aborted-provider` on a ProviderUnavailable."""
+    aborted_builds: list[BuildRecord] = []
+    try:
+        yield aborted_builds
+    except EngineError as exc:
+        aborted_builds.extend(exc.records)
+        _end_session(session, VERDICT_ENGINE_ABORTED, str(exc))
+    except ProviderUnavailable as exc:
+        _end_session(session, VERDICT_PROVIDER_ABORTED, str(exc))
+
+
+def _end_session(session: RepairSession, verdict: str, abort_reason: str | None = None) -> None:
+    """The one place a session ends: set its verdict and write verdict.json."""
+    session.verdict, session.abort_reason = verdict, abort_reason
+    _persist_session(session)
 
 
 def _persist(session: RepairSession, name: str, text: str) -> None:
@@ -496,14 +477,6 @@ def _persist_session(session: RepairSession) -> None:
 
 
 def guess_category(session: RepairSession) -> MajorCategory:
-    """Majority major category among the retrieved demonstrations."""
-    if not session.retrieved:
-        return MajorCategory.MISC
-    counts: dict[MajorCategory, int] = {}
-    for record, _ in session.retrieved:
-        counts[record.category.major] = counts.get(record.category.major, 0) + 1
-    best = max(counts.values())
-    for record, _ in session.retrieved:  # similarity order breaks ties
-        if counts[record.category.major] == best:
-            return record.category.major
-    return MajorCategory.MISC
+    """Majority major category among the retrieved demonstrations; a tie goes to the most similar."""
+    majors = [record.category.major for record, _ in session.retrieved]  # in similarity order
+    return max(majors, key=majors.count) if majors else MajorCategory.MISC

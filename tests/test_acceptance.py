@@ -29,7 +29,7 @@ from flakidock.demo_store import (
     load_store,
     save_store,
 )
-from flakidock.dockerfile_model import parse_dockerfile, serialize
+from flakidock.dockerfile_model import parse_dockerfile
 from flakidock.log_preprocess import preprocess_log
 from flakidock.providers import HashingEmbeddingProvider, ScriptedTextProvider
 from flakidock.repair_pipeline import (
@@ -230,9 +230,9 @@ def test_criterion_09_round_trips_and_schema(tmp_path, offline_provider):
     for i, text in enumerate(corpus):
         if isinstance(text, bytes):
             doc = parse_dockerfile(text)
-            assert doc.to_bytes() == text, f"corpus file {i}"
+            assert doc.raw_text.encode() == text, f"corpus file {i}"
         else:
-            assert serialize(parse_dockerfile(text)) == text, f"corpus file {i}"
+            assert parse_dockerfile(text).raw_text == text, f"corpus file {i}"
 
     index = DemonstrationIndex([])
     counts = {"DEP": 63, "CON": 6, "SEC": 9, "PMG": 8, "ENV": 10, "FS": 4}

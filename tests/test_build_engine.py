@@ -69,8 +69,7 @@ class TestBuildOnce:
         driver = driver_for([outcome("engine-error", "daemon unreachable")])
         with pytest.raises(EngineError) as excinfo:
             _engine(driver).build_once(doc, tmp_path)
-        assert excinfo.value.record is not None
-        assert excinfo.value.record.status == "engine-error"
+        assert [r.status for r in excinfo.value.records] == ["engine-error"]
 
     def test_hash_is_stable_content_digest(self, doc, tmp_path):
         driver = driver_for([outcome(STATUS_SUCCESS)])
@@ -348,6 +347,21 @@ class TestRealCliDriver:
         outcome = driver.build("FROM busybox\n", context, no_cache=True, timeout=60)
         assert (outcome.status, outcome.exit_code) == (STATUS_SUCCESS, 0)
         assert outcome.log == "['Dockerfile']\n"
+
+    @pytest.mark.parametrize("inside", [".", "tmp"], ids=["context-is-tmp", "tmp-in-context"])
+    def test_temporary_directory_in_the_context_is_engine_error(self, context, monkeypatch, inside):
+        temp_dir = context / inside
+        temp_dir.mkdir(exist_ok=True)
+        monkeypatch.setattr(tempfile, "tempdir", str(temp_dir))
+        code = "import os, sys; print(sorted(f for _, _, fs in os.walk(sys.argv[1]) for f in fs))"
+        driver = RealCliDriver(_python(code, "{context}"))
+        try:
+            outcome = driver.build("FROM busybox\n", context, no_cache=True, timeout=60)
+        except EngineError as exc:
+            assert str(temp_dir.resolve()) in str(exc) and str(context.resolve()) in str(exc)
+        else:
+            pytest.fail(f"built with the candidate in the context: {outcome.log}")
+        assert [p.name for p in context.rglob("*") if p.is_file()] == ["Dockerfile"]
 
     def test_the_engine_reads_the_candidate_outside_the_context(self, context):
         code = "import sys; print(sys.argv[1:-1]); print(open(sys.argv[-1]).read(), end='')"

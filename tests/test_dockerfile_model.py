@@ -12,7 +12,6 @@ from flakidock.dockerfile_model import (
     has_instructions,
     parse_dockerfile,
     render_diff,
-    serialize,
 )
 from flakidock.errors import EmptyDocument, FlakiDockError, MalformedEncoding
 
@@ -61,7 +60,7 @@ class TestParse:
         doc = parse_dockerfile(text)
         assert doc.stage_count == 1
         # Unknown lines survive verbatim so generated repairs are never destroyed
-        assert serialize(doc) == text
+        assert doc.raw_text == text
 
     def test_lowercase_keywords_recognized(self):
         assert parse_dockerfile("from alpine\nrun echo hi\nFrOm scratch\n").stage_count == 2
@@ -87,7 +86,7 @@ class TestParse:
         text = "".join(f"FROM {arg}{eol}" for arg in args)
         doc = parse_dockerfile(text)
         assert doc.stage_count == len(args)
-        assert serialize(doc) == text
+        assert doc.raw_text == text
 
 
 class TestEmptinessRule:
@@ -98,7 +97,7 @@ class TestEmptinessRule:
         # The `\` joins the blank line into an instruction with no words.
         doc = parse_dockerfile(text)
         assert doc.stage_count == 0
-        assert serialize(doc) == text
+        assert doc.raw_text == text
 
     @pytest.mark.parametrize(
         "text, expected",
@@ -135,13 +134,17 @@ class TestRoundTrip:
         ],
     )
     def test_serialize_parse_identity(self, text):
-        assert serialize(parse_dockerfile(text)) == text
+        assert parse_dockerfile(text).raw_text == text
 
     def test_bytes_round_trip_with_bom(self):
         raw = b"\xef\xbb\xbfFROM alpine\nRUN echo hi\n"
         doc = parse_dockerfile(raw)
         assert (doc.raw_text, doc.stage_count) == ("\ufeffFROM alpine\nRUN echo hi\n", 1)
-        assert doc.to_bytes() == raw
+        assert doc.raw_text.encode() == raw
+
+    def test_content_hash_is_sha256_of_the_utf8_text(self):
+        doc = parse_dockerfile("FROM busybox\n")
+        assert doc.content_hash == "bd6eb7cda7ad09a623e33e656ea3d9cc9f9d6fca40fb80b26c15b4638d2025b3"
 
     @given(
         st.lists(
@@ -168,7 +171,7 @@ class TestRoundTrip:
             doc = parse_dockerfile(text)
         except EmptyDocument:
             return
-        assert serialize(doc) == text
+        assert doc.raw_text == text
 
     @given(st.text(max_size=200))
     @settings(max_examples=200)
@@ -177,7 +180,7 @@ class TestRoundTrip:
             doc = parse_dockerfile(text)
         except EmptyDocument:
             return
-        assert serialize(doc) == text
+        assert doc.raw_text == text
 
 
 _BOM = "\ufeff"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 from collections import Counter
@@ -14,7 +15,9 @@ from flakidock.build_engine import (
     HygienePolicy,
 )
 from flakidock.demo_store import DemonstrationIndex, builtin_store_path, load_store
+from flakidock import repair_pipeline
 from flakidock.dockerfile_model import parse_dockerfile
+from flakidock.durable import replacing
 from flakidock.errors import BudgetExhausted, ProviderUnavailable, UnparseableResponse
 from flakidock.log_preprocess import preprocess_log
 from flakidock.providers import (
@@ -723,3 +726,101 @@ class TestEmbeddingCalls:
             expected = embed(entry.failure_output, reference)
             assert entry.vector.dtype == expected.dtype == np.float32
             assert entry.vector.tobytes() == expected.tobytes()
+
+
+class TestGuessCategory:
+    """The majority major category of the retrieved records; a tie goes to the most similar."""
+
+    @pytest.fixture
+    def records(self, offline_provider):
+        return load_store(builtin_store_path(), offline_provider).records
+
+    def test_three_way_tie_goes_to_the_most_similar(self, records):
+        session = _session_with(retrieved=[(records[i], 0.9 - i * 0.1) for i in (2, 0, 1)])
+        assert [r.category.major.value for r, _ in session.retrieved] == ["CON", "ENV", "DEP"]
+        assert guess_category(session).value == "CON"
+
+    def test_majority_behind_the_first_record(self, records):
+        dep_again = dataclasses.replace(records[1], id="dep-again")
+        session = _session_with(retrieved=[(records[0], 0.9), (records[1], 0.8), (dep_again, 0.7)])
+        assert guess_category(session).value == "DEP"
+
+    def test_nothing_retrieved_is_misc(self):
+        assert guess_category(_session_with()).value == "MISC"
+
+
+def test_validate_repair_ends_the_session_repaired(tmp_path):
+    candidate = parse_dockerfile("FROM busybox\n# candidate\n")
+    driver = driver_with_scripts({"candidate": [outcome(STATUS_SUCCESS)] * 2})
+    session = _session_with()
+    session.attempts_used = 1
+    validate_repair(
+        candidate, session, ValidationPolicy(), tmp_path, _engine(driver), HashingEmbeddingProvider(),
+    )
+    assert session.verdict == VERDICT_REPAIRED
+    assert session.final_dockerfile == candidate.raw_text
+
+
+_CAND_A = "FROM busybox\n# candidate-a\nRUN a\n"
+_CAND_B = "FROM busybox\n# candidate-b\nRUN b\n"
+_FAIL_DETECT = [outcome(STATUS_FAILURE, ALPINE_PIP_LOG, exit_code=1)]
+_FAIL_X = [outcome(STATUS_FAILURE, ERROR_TYPE_LOGS["X"], exit_code=1)]
+_FAIL_Y = [outcome(STATUS_FAILURE, ERROR_TYPE_LOGS["Y"], exit_code=1)]
+_SESSION_ENDS = {
+    # case: (build scripts, generator responses, generator call that fails,
+    #        broken query embedder, attempt cap, verdict, abort_reason)
+    "non-flaky": (
+        {None: [outcome(STATUS_SUCCESS)] * 2}, ["never used"], None, False, 10, VERDICT_NON_FLAKY, None,
+    ),
+    "engine-error-in-detection": (
+        {None: [outcome("engine-error", "daemon unreachable")]}, ["never used"], None, False, 10,
+        VERDICT_ENGINE_ABORTED, "daemon unreachable",
+    ),
+    "provider-failure-in-retrieval": (
+        {None: _FAIL_DETECT}, ["never used"], None, True, 10,
+        VERDICT_PROVIDER_ABORTED, "embedding request failed: connection refused",
+    ),
+    "repaired": (
+        {None: _FAIL_DETECT, "venv": [outcome(STATUS_SUCCESS)] * 2},
+        [fenced(ALPINE_PIP_REPAIRED)], None, False, 10, VERDICT_REPAIRED, None,
+    ),
+    "unresolved-by-T": (
+        {None: _FAIL_DETECT, "candidate-a": _FAIL_X}, [fenced(_CAND_A)] * 3, None, False, 10,
+        VERDICT_UNRESOLVED, None,
+    ),
+    "unresolved-by-attempt-cap": (
+        {None: _FAIL_DETECT, "candidate-a": _FAIL_X, "candidate-b": _FAIL_Y},
+        [fenced(_CAND_A), fenced(_CAND_B)] * 2, None, False, 4, VERDICT_UNRESOLVED, None,
+    ),
+    "engine-error-in-validation": (
+        {None: _FAIL_DETECT, "candidate-a": [outcome("engine-error", "disk full")]},
+        [fenced(_CAND_A)], None, False, 10, VERDICT_ENGINE_ABORTED, "disk full",
+    ),
+    "generator-failure-at-attempt-2": (
+        {None: _FAIL_DETECT, "candidate-a": _FAIL_X}, [fenced(_CAND_A)], 2, False, 10,
+        VERDICT_PROVIDER_ABORTED, "generation request failed: 503 Service Unavailable",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_SESSION_ENDS))
+def test_every_session_end_writes_verdict_json_once(base_doc, tmp_path, offline_provider, monkeypatch, case):
+    scripts, responses, fail_at, broken_query, cap, verdict, abort_reason = _SESSION_ENDS[case]
+    written = []
+
+    def counting_replacing(path):
+        written.append(path.name)
+        return replacing(path)
+
+    monkeypatch.setattr(repair_pipeline, "replacing", counting_replacing)
+    generator = GeneratorFailingAt(responses, fail_at) if fail_at else ScriptedTextProvider(responses)
+    providers = ProviderSet(BrokenEmbedder() if broken_query else offline_provider, offline_provider, generator)
+    session = repair_flaky_dockerfile(
+        base_doc, tmp_path, load_store(builtin_store_path(), offline_provider), providers,
+        ValidationPolicy(max_total_attempts=cap), _engine(driver_with_scripts(scripts)),
+        session_dir=tmp_path / "s",
+    )
+    assert (session.verdict, session.abort_reason) == (verdict, abort_reason)
+    assert written.count("verdict.json") == 1
+    saved = json.loads((tmp_path / "s" / "verdict.json").read_text())
+    assert (saved["verdict"], saved["abort_reason"]) == (verdict, abort_reason)
