@@ -19,11 +19,17 @@ on lines that contain "[", as every banner does. Timestamps are parsed only
 in a stage with a rule hit: the hit line's own and, on the stage's first
 timed hit, every line's, to bucket the stage by second.
 
+An include `regex:` rule scans the lines only when its required literal,
+the lowercased leading literal run of its pattern, is in the lowered text,
+or when it has no such literal or the text is not ASCII: `re.IGNORECASE`
+folds `ſ`, the Kelvin sign and `İ` onto ASCII letters, and `str.lower` does
+not.
+
 The shipped exclusion filters are rule sets too: `classify_failure_exclusion`
 names the non-flaky cause (infrastructure, engine backend, project source)
-that a failure's excerpt matches, if any. The filters share one scan for
-all their include literals; a filter's regexes run only when no earlier
-filter matched, and only the lines these scans pass are checked in full.
+that a failure's excerpt matches, if any. The filters are tried in order,
+each only when one of its include needles or required literals is in the
+lowered excerpt, as above.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 from itertools import compress, count, groupby, repeat
 from operator import contains, itemgetter
@@ -80,6 +87,36 @@ def _parse_rule(line: str) -> Rule:
     raise InvalidRule(f"rule {source!r} must start with 'substr:', 'regex:' or '!'")
 
 
+def _required_literal(rx: re.Pattern) -> str | None:
+    """Lowercased ASCII text that every match of `rx` holds, or None.
+
+    It is the pattern's leading run of literal characters (an escaped
+    non-alphanumeric counts as one), up to the first metacharacter or
+    alphanumeric escape, and before any character that `?`, `*` or `{` can
+    make optional. A pattern with a `|` anywhere, a verbose one, and one whose
+    run is empty or not ASCII have none.
+    """
+    pattern = rx.pattern
+    if "|" in pattern or rx.flags & re.VERBOSE:
+        return None
+    run = []
+    i = 0
+    while i < len(pattern):
+        char, step = pattern[i], 1
+        if char == "\\":
+            char, step = pattern[i + 1 : i + 2], 2
+            if not char or char.isalnum():
+                break
+        elif char in ".^$*+?{}[]()":
+            break
+        if pattern[i + step : i + step + 1] in ("?", "*", "{"):
+            break
+        run.append(char)
+        i += step
+    literal = "".join(run)
+    return literal.lower() if literal and literal.isascii() else None
+
+
 def _alternation(rules: list[Rule]) -> str:
     """Regex source that, searched over `line.lower()`, is `pattern.lower() in
     line.lower()` for every `substr:` rule at once; "" when there is none."""
@@ -101,10 +138,12 @@ class RuleSet:
             (r.source, r.pattern.lower() if r.kind == "substr" else None, r.compiled)
             for r in includes
         ]
-        self._literals = _alternation(includes)
+        self._needles = [needle for _, needle, rx in self._includes if rx is None]
         # `(?!)` never matches.
-        self._include_literals = re.compile(self._literals or "(?!)")
-        self._include_regexes = [r.compiled for r in includes if r.kind == "regex"]
+        self._include_literals = re.compile(_alternation(includes) or "(?!)")
+        self._include_regexes = [
+            (r.compiled, _required_literal(r.compiled)) for r in includes if r.kind == "regex"
+        ]
         self._veto_literals = re.compile(_alternation(vetoes) or "(?!)")
         self._veto_regexes = [r.compiled for r in vetoes if r.kind == "regex"]
 
@@ -132,12 +171,31 @@ class RuleSet:
             cls._default = cls.from_lines(data.read_text(encoding="utf-8").splitlines())
         return cls._default
 
+    def may_hit(self, lowered: str, is_ascii: bool) -> bool:
+        """False only when no line of a text hits an include rule, given the
+        text lowercased and whether it is ASCII: no include needle is in it,
+        and no include regex can scan it (see `_scanned_regexes`)."""
+        return any(needle in lowered for needle in self._needles) or bool(
+            self._scanned_regexes(lowered, is_ascii)
+        )
+
+    def _scanned_regexes(self, lowered: str, is_ascii: bool) -> list[re.Pattern]:
+        """The include regexes that can hit a line of a text: those without a
+        required literal, all of them when the text is not ASCII, and those
+        whose literal is in the lowered text."""
+        return [
+            rx for rx, literal in self._include_regexes
+            if literal is None or not is_ascii or literal in lowered
+        ]
+
     def matching_lines(self, lines: list[str]) -> list[tuple[int, list[str]]]:
         """`(i, self.match_names(lines[i]))` for each line with a name, in order."""
         # Most lines hit no include rule; they are settled by C-level scans.
         hits = set(compress(count(), map(self._include_literals.search, map(str.lower, lines))))
-        for rx in self._include_regexes:
-            hits.update(compress(count(), map(rx.search, lines)))
+        if self._include_regexes:
+            text = "\n".join(lines)
+            for rx in self._scanned_regexes(text.lower(), text.isascii()):
+                hits.update(compress(count(), map(rx.search, lines)))
         return [(i, names) for i in sorted(hits) if (names := self.match_names(lines[i]))]
 
     def match_names(self, line: str) -> list[str]:
@@ -256,9 +314,15 @@ def extract_error_context(sections: list[StageSection], rules: RuleSet) -> Prepr
 def _timestamp_buckets(lines: list[str]) -> dict[int, list[int]]:
     """Indices of the timed lines, by integer second. A timed line is never blank."""
     buckets: dict[int, list[int]] = {}
-    for i, ts in enumerate(map(_timestamp, lines)):
-        if ts is not None:
-            buckets.setdefault(int(ts), []).append(i)
+    # `_timestamp` inlined: a stage's every line passes here.
+    for i, match in enumerate(map(_TIMESTAMP_RE.match, lines)):
+        if match:
+            try:
+                value = float(match[1] or match[2])
+            except ValueError:
+                continue
+            if math.isfinite(value):
+                buckets.setdefault(int(value), []).append(i)
     return buckets
 
 
@@ -282,13 +346,21 @@ def excerpt_or_tail(log: str, preprocessed: PreprocessedLog) -> str:
 _FILTER_NAMES = ("infrastructure", "docker-server", "project-source")
 
 
+@cache
+def _shipped_filters() -> tuple[tuple[str, RuleSet], ...]:
+    data = resources.files("flakidock").joinpath("data/filters")
+    return tuple(
+        (name, RuleSet.from_lines(data.joinpath(f"{name}.rules").read_text(encoding="utf-8").splitlines()))
+        for name in _FILTER_NAMES
+    )
+
+
 def load_exclusion_filters() -> dict[str, RuleSet]:
-    """The shipped pre-label predicates that remove non-flaky failure causes."""
-    filters = {}
-    for name in _FILTER_NAMES:
-        data = resources.files("flakidock").joinpath(f"data/filters/{name}.rules")
-        filters[name] = RuleSet.from_lines(data.read_text(encoding="utf-8").splitlines())
-    return filters
+    """The shipped pre-label predicates that remove non-flaky failure causes.
+
+    They are parsed once per process; each call returns a new dict over the
+    shared rule sets."""
+    return dict(_shipped_filters())
 
 
 def classify_failure_exclusion(
@@ -302,20 +374,13 @@ def classify_failure_exclusion(
     backend, or the project source rather than the build definition.
     """
     filters = filters if filters is not None else load_exclusion_filters()
-    named = [(name, rs) for name in _FILTER_NAMES if (rs := filters.get(name)) is not None]
+    # The lowered text splits into the lowered lines: `str.lower` neither
+    # makes nor removes a "\n", and a final sigma sees "\n" as it sees a
+    # line's end. So a filter whose gate fails has no matching line.
+    lowered, is_ascii = preprocessed_text.lower(), preprocessed_text.isascii()
     lines = preprocessed_text.split("\n")
-    # One alternation of every filter's include literals scans the lowered
-    # lines once. The lowered text splits into the lowered lines: `str.lower`
-    # neither makes nor removes a "\n", and a final sigma sees "\n" as it sees
-    # a line's end.
-    lowered = preprocessed_text.lower().split("\n")
-    literals = re.compile("|".join(rs._literals for _, rs in named if rs._literals) or "(?!)")
-    candidates = set(compress(count(), map(literals.search, lowered)))
-    for name, ruleset in named:
-        # A filter's regexes scan the lines only when no earlier filter matched.
-        # A candidate may hit another filter or be vetoed, so each is checked.
-        for rx in ruleset._include_regexes:
-            candidates.update(compress(count(), map(rx.search, lines)))
-        if any(ruleset.match_names(lines[i]) for i in candidates):
+    for name in _FILTER_NAMES:
+        ruleset = filters.get(name)
+        if ruleset is not None and ruleset.may_hit(lowered, is_ascii) and ruleset.matching_lines(lines):
             return name
     return None

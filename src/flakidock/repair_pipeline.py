@@ -374,8 +374,12 @@ def repair_flaky_dockerfile(
     Always returns a session with a terminal verdict; a provider that fails
     after detection ends it as aborted-provider, keeping the feedback so far.
     Every prompt, response, and build log is persisted under session_dir when
-    given, so a session can be audited or replayed offline.
+    given, so a session can be audited or replayed offline. Without a
+    generator it raises `FlakiDockError` before any build, and before
+    session_dir is made.
     """
+    if providers.generator is None:
+        raise FlakiDockError("no generation provider configured")
     session = start_session(
         doc,
         context_dir,
@@ -387,8 +391,6 @@ def repair_flaky_dockerfile(
         rules=rules,
         session_dir=session_dir,
     )
-    if session.verdict == VERDICT_IN_PROGRESS and providers.generator is None:
-        raise FlakiDockError("no generation provider configured")
     session_dir = session.session_dir
 
     with _ending(session):

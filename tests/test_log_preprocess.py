@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import re
 import time
+from itertools import compress
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,8 @@ from flakidock.log_preprocess import (
     EXCERPT_LINE_CAP,
     PreprocessedLog,
     RuleSet,
+    _required_literal,
+    classify_failure_exclusion,
     extract_error_context,
     preprocess_log,
     segment_stages,
@@ -21,6 +25,7 @@ from flakidock.similarity import embed
 from support import (
     ALPINE_PIP_LOG,
     preprocess_corpus,
+    reference_classify_failure_exclusion,
     reference_match_names,
     reference_segment_stages,
     reference_strip_ansi,
@@ -348,6 +353,98 @@ class TestDifferential:
     def test_match_names_matches_reference(self, line):
         for rules in _DIFF_RULESETS.values():
             assert rules.match_names(line) == reference_match_names(rules, line)
+
+
+def _compiles(pattern: str) -> bool:
+    try:
+        re.compile(pattern, re.IGNORECASE)
+    except re.error:
+        return False
+    return True
+
+
+# Random `regex:` patterns: literal runs around a quantifier, and patterns of
+# literals (case-folding letters among them), escapes, classes, quantifiers,
+# groups, alternation and anchors.
+_REGEX_ATOMS = st.sampled_from(
+    ["s", "k", "i", "t", "S", "K", "I", "a", "x", " ", ":", "-", "\\.", "\\-", "\\ ", "\\d",
+     "\\w", "\\s", ".", "[sk]", "[^a]"]
+)
+_REGEX_QUANTIFIERS = st.sampled_from(["", "", "", "?", "*", "+", "{0,2}", "{2}", "*?", "+?"])
+# A group is at most optional, never repeated, and the patterns and lines are
+# short: no generated pattern backtracks for long.
+_REGEX_BODIES = st.recursive(
+    st.lists(st.tuples(_REGEX_ATOMS, _REGEX_QUANTIFIERS).map("".join), min_size=1, max_size=3).map("".join),
+    lambda inner: st.one_of(
+        st.tuples(st.sampled_from(["(", "(?:"]), inner, st.sampled_from(["", "?"])).map(
+            lambda t: f"{t[0]}{t[1]}){t[2]}"
+        ),
+        st.lists(inner, min_size=2, max_size=3).map("|".join),
+        st.tuples(inner, inner).map("".join),
+    ),
+    max_leaves=3,
+)
+_LITERAL_RUNS = st.text(alphabet="skiSKI", min_size=1, max_size=2)
+_REGEXES = st.one_of(
+    st.tuples(_LITERAL_RUNS, _REGEX_QUANTIFIERS, _LITERAL_RUNS).map("".join),
+    st.tuples(st.sampled_from(["", "^", "\\b"]), _REGEX_BODIES, st.sampled_from(["", "$"]))
+    .map("".join)
+    .filter(_compiles),
+)
+# Lines of ASCII only, and lines with characters that `re.IGNORECASE` folds
+# onto ASCII letters (long s, the Kelvin sign, U+0130) or that lowercase apart
+# (dotless i, sigma and final sigma).
+_GATE_LINES = st.one_of(
+    st.text(alphabet="skitSKIax :-.0123", max_size=12),
+    st.text(alphabet="skitSKIax :-.0123\u017f\u212a\u0130\u0131\u03a3\u03c3\u03c2", max_size=12),
+)
+# "s", "k" and "i" to characters that `re.IGNORECASE` folds onto them.
+_FOLDS = str.maketrans({"s": "\u017f", "S": "\u017f", "k": "\u212a", "K": "\u212a", "i": "\u0130"})
+
+
+def _pattern_lines(patterns: list[str]):
+    """Subsequences of a pattern's text: lines that hit it through an optional
+    character, or with `_FOLDS` applied, through a fold."""
+    return st.sampled_from(patterns).flatmap(
+        lambda p: st.lists(st.booleans(), min_size=len(p), max_size=len(p)).map(
+            lambda keep: "".join(compress(p, keep))
+        )
+    )
+
+
+class TestRegexGate:
+    """A `regex:` rule scans only when its required literal can be in the text."""
+
+    @pytest.mark.parametrize(
+        "pattern, literal",
+        [("ab*c", "a"), ("ab+", "ab"), ("x|y", None), ("\\.x", ".x"), ("^a", None),
+         ("(?i)a", None), ("\\dx", None)],
+    )
+    def test_required_literal(self, pattern, literal):
+        assert _required_literal(re.compile(pattern, re.IGNORECASE)) == literal
+
+    @given(st.lists(_REGEXES, min_size=1, max_size=2), st.data())
+    @settings(max_examples=600, deadline=None)
+    def test_matching_lines_matches_reference(self, patterns, data):
+        lines = data.draw(st.lists(st.one_of(_GATE_LINES, _pattern_lines(patterns)), max_size=6))
+        if data.draw(st.booleans()):  # no ASCII "s", "k" or "i" is left to find a literal by
+            lines = [line.translate(_FOLDS) for line in lines]
+        rules = RuleSet.from_lines([f"regex:{p}" for p in patterns])
+        want = [(i, names) for i, line in enumerate(lines) if (names := reference_match_names(rules, line))]
+        assert rules.matching_lines(lines) == want
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("SyntaxError: invalid \u017fyntax", "project-source"),
+            ("503 Service Unavailable from regi\u017ftry", "docker-server"),
+            ("received unexpected http \u017ftatus: 502", "docker-server"),
+            ("caf\u00e9\ncompilation terminated. (caf\u00e9)", "project-source"),
+        ],
+    )
+    def test_shipped_regex_hits_non_ascii_text(self, text, expected):
+        # The first three hit only through a fold of `re.IGNORECASE`.
+        assert classify_failure_exclusion(text) == reference_classify_failure_exclusion(text) == expected
 
 
 def _one_stage_timed_log(lines: int) -> str:

@@ -18,7 +18,7 @@ from flakidock.demo_store import DemonstrationIndex, builtin_store_path, load_st
 from flakidock import repair_pipeline
 from flakidock.dockerfile_model import parse_dockerfile
 from flakidock.durable import replacing
-from flakidock.errors import BudgetExhausted, ProviderUnavailable, UnparseableResponse
+from flakidock.errors import BudgetExhausted, FlakiDockError, ProviderUnavailable, UnparseableResponse
 from flakidock.log_preprocess import preprocess_log
 from flakidock.providers import (
     EmbeddingProvider,
@@ -571,6 +571,16 @@ class TestFullPipeline:
         )
         assert session.verdict == VERDICT_ENGINE_ABORTED
         assert json.loads((tmp_path / "s" / "verdict.json").read_text())["verdict"] == "engine-aborted"
+
+    def test_no_generator_raises_before_any_build_or_session_dir(self, base_doc, tmp_path):
+        driver = driver_for([outcome(STATUS_FAILURE, ALPINE_PIP_LOG, exit_code=1)])
+        with pytest.raises(FlakiDockError, match="no generation provider configured"):
+            repair_flaky_dockerfile(
+                base_doc, tmp_path, DemonstrationIndex([]), _providers(),
+                ValidationPolicy(), _engine(driver), session_dir=tmp_path / "s",
+            )
+        assert driver.builds_run == 0
+        assert not (tmp_path / "s").exists()
 
 
 class BrokenEmbedder(EmbeddingProvider):
