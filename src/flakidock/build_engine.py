@@ -106,6 +106,16 @@ class ScriptedOutcome:
     exit_code: int | None = None
     duration: float = 1.0
 
+    def __post_init__(self):
+        if self.status not in _SCRIPTED_STATUSES:  # a typo would otherwise replay as a plain failure
+            raise ValueError(
+                f"unknown status {self.status!r}, expected one of {', '.join(_SCRIPTED_STATUSES)}"
+            )
+        if not math.isfinite(self.duration):  # the build journal is JSON, which has no NaN or infinity
+            raise ValueError(f"duration {self.duration} is not a finite number")
+        if not isinstance(self.log, str):  # a failed build's log is preprocessed as text
+            raise ValueError(f"log is {type(self.log).__name__}, not str")
+
 
 @dataclass
 class BuildScript:
@@ -113,6 +123,12 @@ class BuildScript:
 
     match: str | None
     outcomes: list[ScriptedOutcome]
+
+    def __post_init__(self):
+        if not self.outcomes:  # a build would have no outcome to replay
+            raise ValueError("a build script has no outcomes")
+        if not isinstance(self.match, (str, type(None))):  # it is looked for in Dockerfile text
+            raise ValueError(f"match is {type(self.match).__name__}, not str or null")
 
 
 class SimulatedDriver(BuildDriver):
@@ -145,23 +161,12 @@ class SimulatedDriver(BuildDriver):
                 ])
                 for entry in payload.get("builds", [])
             ]
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        except ValueError as exc:  # bad JSON, or a check of the script types
+            raise ValueError(f"{path}: malformed scenario file: {exc}") from exc
+        except (KeyError, TypeError, AttributeError) as exc:
             raise ValueError(f"{path}: malformed scenario file: {exc!r}") from exc
         if not scripts:
             raise ValueError(f"{path}: scenario file has no 'builds' scripts")
-        if any(not s.outcomes for s in scripts):  # a build would have no outcome to replay
-            raise ValueError(f"{path}: malformed scenario file: a build script has no outcomes")
-        unknown = next(
-            (o.status for s in scripts for o in s.outcomes if o.status not in _SCRIPTED_STATUSES), None
-        )
-        if unknown is not None:  # a typo would otherwise replay as a plain failure
-            raise ValueError(
-                f"{path}: malformed scenario file: unknown status {unknown!r}, "
-                f"expected one of {', '.join(_SCRIPTED_STATUSES)}"
-            )
-        if not all(math.isfinite(o.duration) for s in scripts for o in s.outcomes):
-            # The build journal is JSON, which has no NaN or infinity.
-            raise ValueError(f"{path}: malformed scenario file: a duration is not a finite number")
         return cls(scripts)
 
     def _select(self, dockerfile_text: str) -> tuple[int, BuildScript]:

@@ -31,9 +31,9 @@ from .log_preprocess import (
 )
 from .similarity import cluster_add, embed
 
-# `demo_store` and `repair_pipeline` import numpy; the commands that need
-# them import them, so that `monitor`, `preprocess` and `--help` start
-# without it.
+# Importing `demo_store` or `repair_pipeline` costs about 10 ms each; the
+# commands that need them import them, so that `monitor`, `preprocess` and
+# `--help` start without that cost.
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -162,14 +162,13 @@ def detect(ctx, dockerfile, context_dir):
     path = Path(dockerfile)
     doc = _load_doc(path)
     context = Path(context_dir) if context_dir else path.parent
-    detection = detect_flakiness(doc, context, ctx.obj["engine"], config.validation_policy())
+    detection = detect_flakiness(doc, context, ctx.obj["engine"], config.validation_policy(), config.ruleset)
     report = {
         "verdict": "flaky" if detection.flaky else "non-flaky",
         "builds": [_build_summary(r) for r in detection.records],
     }
     if detection.flaky:
-        log = detection.failing_record.log
-        report["excerpt"] = excerpt_or_tail(log, preprocess_log(log, config.ruleset()))
+        report["excerpt"] = detection.failure_text
     _emit(ctx, report, f"verdict: {report['verdict']} ({len(detection.records)} builds)")
     ctx.exit(EXIT_FLAKY if detection.flaky else EXIT_OK)
 
@@ -211,7 +210,7 @@ def repair(ctx, dockerfile, context_dir, store_path, dry_run):
         session = start_session(
             doc, context, store, providers, policy, engine,
             retrieval_k=config.retrieval_k,
-            rules=config.ruleset(),
+            rules=config.ruleset,
         )
         if session.verdict == VERDICT_IN_PROGRESS:
             prompt = assemble_prompt(session, config.prompt_budget)
@@ -222,8 +221,6 @@ def repair(ctx, dockerfile, context_dir, store_path, dry_run):
                 click.echo(prompt)
             ctx.exit(EXIT_OK)
     else:
-        if providers.generator is None:
-            raise FlakiDockError("no generation provider configured (set generation_provider)")
         session_id = f"{path.stem}-{doc.content_hash[:12]}"
         session_dir = Path(config.state_dir) / "sessions" / session_id
         suffix = 2
@@ -233,7 +230,7 @@ def repair(ctx, dockerfile, context_dir, store_path, dry_run):
         session = repair_flaky_dockerfile(
             doc, context, store, providers, policy, engine,
             retrieval_k=config.retrieval_k,
-            rules=config.ruleset(),
+            rules=config.ruleset,
             session_dir=session_dir,
             prompt_budget=config.prompt_budget,
         )
@@ -276,11 +273,10 @@ def cluster(ctx, log_dir):
     files = sorted(p for p in directory.iterdir() if p.is_file())
     if not files:
         raise FlakiDockError(f"no log files in {directory}")
-    rules = config.ruleset()
     state = []
     for log_file in files:
         text = _read(log_file, errors="replace")
-        excerpt = excerpt_or_tail(text, preprocess_log(text, rules))
+        excerpt = excerpt_or_tail(text, preprocess_log(text, config.ruleset))
         vec = embed(excerpt, providers.sentence_embedder)
         state, _ = cluster_add(state, log_file.name, vec, config.cluster_threshold)
     report = {
@@ -329,7 +325,6 @@ def monitor(ctx, manifest, rounds):
     history_dir = Path(config.state_dir) / "history"
     history_dir.mkdir(parents=True, exist_ok=True)
     filters = load_exclusion_filters()
-    rules = config.ruleset()
     engine = ctx.obj["engine"]  # one engine: series run one after another
     summary = {}
     for name, context in projects:
@@ -348,7 +343,7 @@ def monitor(ctx, manifest, rounds):
         for record in records:
             exclusion = None
             if not record.succeeded:
-                excerpt = preprocess_log(record.log, rules).as_text()
+                excerpt = preprocess_log(record.log, config.ruleset).as_text()
                 exclusion = classify_failure_exclusion(excerpt or record.log, filters)
             fields = {"status": record.status, "started_at": record.started_at, "duration": record.duration,
                       "exclusion": exclusion, "dockerfile_hash": record.dockerfile_hash}
@@ -392,7 +387,7 @@ def preprocess(ctx, logfile):
     """Print the error-focused excerpt of a raw build log (debugging aid)."""
     config: RunConfig = ctx.obj["config"]
     sections = segment_stages(_read(Path(logfile), errors="replace"))
-    result = extract_error_context(sections, config.ruleset())
+    result = extract_error_context(sections, config.ruleset)
     payload = {
         "stages": sum(s.header is not None for s in sections),
         "total_lines_in": result.total_lines_in,
@@ -480,7 +475,7 @@ def dataset_add(ctx, store_path, record_id, dockerfile_path, log_path, category,
     raw_log = _read(Path(log_path), errors="replace")
     if not raw_log.strip():
         raise FlakiDockError(f"{log_path}: empty build log")
-    dynamic = excerpt_or_tail(raw_log, preprocess_log(raw_log, config.ruleset()))
+    dynamic = excerpt_or_tail(raw_log, preprocess_log(raw_log, config.ruleset))
     if dynamic == EMPTY_OUTPUT:
         raise FlakiDockError(f"{log_path}: no failure text: no rule hit and a blank last 2000 characters")
     if iterations:

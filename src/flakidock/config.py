@@ -19,7 +19,7 @@ from .build_engine import (
     RealCliDriver,
     SimulatedDriver,
 )
-from .errors import ConfigError
+from .errors import ConfigError, InvalidRule
 from .log_preprocess import RuleSet
 from .providers import (
     HashingEmbeddingProvider,
@@ -94,19 +94,22 @@ class RunConfig:
     max_response_tokens: int = HttpChatProvider.max_tokens
 
     def validate(self) -> None:
+        """Reject a bad value with a ConfigError, and parse the rules file into
+        `self.ruleset`, the one rule set every command uses."""
         for key in ("retrieval_k", "prompt_budget", "max_response_tokens", "embedding_dim",
                     "sentence_dim", "embedding_token_limit"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
         if not 0.0 < self.cluster_threshold < 1.0:
             raise ConfigError("cluster_threshold must be in (0, 1)")
-        try:  # the policies own their range rules: building them applies those rules
+        try:  # the policies and the rules own their checks: building them applies those checks
             self.hygiene_policy()
             self.validation_policy()
+            self.ruleset = RuleSet.from_file(self.rules) if self.rules is not None else RuleSet.default()
+        except (InvalidRule, OSError, UnicodeDecodeError) as exc:  # a decode error is a ValueError too
+            raise ConfigError(f"rules file {self.rules}: {exc}") from exc
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if self.rules is not None and not Path(self.rules).exists():
-            raise ConfigError(f"rules file does not exist: {self.rules}")
         if self.driver.startswith("simulated:"):
             _require_file("driver", self.driver)
         elif self.driver != "real":
@@ -177,9 +180,6 @@ class RunConfig:
         else:
             generator = None
         return ProviderSet(query, sentence, generator)
-
-    def ruleset(self) -> RuleSet:
-        return RuleSet.from_file(self.rules) if self.rules else RuleSet.default()
 
 
 _BOOL_VALUES = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}

@@ -162,14 +162,11 @@ class RuleSet:
         with open(path, encoding="utf-8") as fh:
             return cls.from_lines(fh.read().splitlines())
 
-    _default: "RuleSet | None" = None
-
     @classmethod
+    @cache
     def default(cls) -> "RuleSet":
-        if cls._default is None:
-            data = resources.files("flakidock").joinpath("data/default.rules")
-            cls._default = cls.from_lines(data.read_text(encoding="utf-8").splitlines())
-        return cls._default
+        data = resources.files("flakidock").joinpath("data/default.rules")
+        return cls.from_lines(data.read_text(encoding="utf-8").splitlines())
 
     def may_hit(self, lowered: str, is_ascii: bool) -> bool:
         """False only when no line of a text hits an include rule, given the

@@ -84,9 +84,12 @@ class RepairSession:
 
 @dataclass(frozen=True)
 class Detection:
-    flaky: bool
-    failing_record: BuildRecord | None
     records: list[BuildRecord]
+    failure_text: str | None  # the failed build's excerpt, else its tail; None when all succeeded
+
+    @property
+    def flaky(self) -> bool:
+        return self.failure_text is not None
 
 
 def detect_flakiness(
@@ -94,9 +97,11 @@ def detect_flakiness(
     context_dir,
     engine: BuildEngine,
     policy: ValidationPolicy,
+    rules: RuleSet | None = None,
     persist_dir: Path | None = None,
 ) -> Detection:
-    """Non-flaky only when all n builds succeed; stops at the first failure."""
+    """Non-flaky only when all n builds succeed; stops at the first failure,
+    whose log is preprocessed with `rules` (the default set when None)."""
     records = engine.run_build_series(
         doc,
         context_dir,
@@ -104,8 +109,9 @@ def detect_flakiness(
         stop_on_failure=True,
         persist_dir=persist_dir,
     )
-    failing = next((r for r in records if not r.succeeded), None)
-    return Detection(failing is not None, failing, records)
+    log = next((r.log for r in records if not r.succeeded), None)
+    failure_text = None if log is None else excerpt_or_tail(log, preprocess_log(log, rules))
+    return Detection(records, failure_text)
 
 
 # --- prompt assembly ---
@@ -241,10 +247,6 @@ class ValidationOutcome:
     records: list[BuildRecord]
 
 
-def _failure_text(record: BuildRecord, rules: RuleSet) -> str:
-    return excerpt_or_tail(record.log, preprocess_log(record.log, rules))
-
-
 def count_similar_failures(
     new_vec: np.ndarray,
     feedback: list[FeedbackEntry],
@@ -276,7 +278,7 @@ def validate_repair(
     if session.verdict != VERDICT_IN_PROGRESS:
         raise ValueError(f"session already terminal: {session.verdict}")
     with _ending(session) as aborted_builds:
-        detection = detect_flakiness(candidate, context_dir, engine, policy, persist_dir)
+        detection = detect_flakiness(candidate, context_dir, engine, policy, rules, persist_dir)
     if session.verdict == VERDICT_ENGINE_ABORTED:
         return ValidationOutcome(VERDICT_ENGINE_ABORTED, aborted_builds)
     if not detection.flaky:
@@ -284,8 +286,7 @@ def validate_repair(
         _end_session(session, VERDICT_REPAIRED)
         return ValidationOutcome("repair", detection.records)
 
-    failure_output = _failure_text(detection.failing_record, rules or RuleSet.default())
-    vector = embed(failure_output, sentence_provider)
+    vector = embed(detection.failure_text, sentence_provider)
     failures = count_similar_failures(
         vector,
         session.feedback,
@@ -294,7 +295,7 @@ def validate_repair(
     if failures >= policy.failure_threshold:
         _end_session(session, VERDICT_UNRESOLVED)
         return ValidationOutcome(VERDICT_UNRESOLVED, detection.records)
-    session.add_feedback(candidate.raw_text, failure_output, vector)
+    session.add_feedback(candidate.raw_text, detection.failure_text, vector)
     return ValidationOutcome("feedback", detection.records)
 
 
@@ -331,12 +332,11 @@ def start_session(
     builds_dir = None if session_dir is None else session_dir / "builds" / "detect"
     session = RepairSession(query=RepairQuery.build(doc.raw_text, ""), session_dir=session_dir)
     with _ending(session):
-        detection = detect_flakiness(doc, context_dir, engine, policy, persist_dir=builds_dir)
+        detection = detect_flakiness(doc, context_dir, engine, policy, rules, builds_dir)
         if not detection.flaky:
             _end_session(session, VERDICT_NON_FLAKY)
             return session
-        dynamic_part = _failure_text(detection.failing_record, rules or RuleSet.default())
-        query = session.query = RepairQuery.build(doc.raw_text, dynamic_part)
+        query = session.query = RepairQuery.build(doc.raw_text, detection.failure_text)
         session.retrieved = retrieve_top_k(query, store, retrieval_k, providers.query_embedder)
         _persist(
             session,
@@ -379,7 +379,7 @@ def repair_flaky_dockerfile(
     session_dir is made.
     """
     if providers.generator is None:
-        raise FlakiDockError("no generation provider configured")
+        raise FlakiDockError("no generation provider configured (set generation_provider)")
     session = start_session(
         doc,
         context_dir,

@@ -20,6 +20,7 @@ from flakidock.build_engine import (
     BuildScript,
     HygienePolicy,
     RealCliDriver,
+    ScriptedOutcome,
     SimulatedDriver,
 )
 from flakidock.dockerfile_model import parse_dockerfile
@@ -195,6 +196,18 @@ class TestScenarioScripts:
         driver = SimulatedDriver.from_file(path)
         doc = parse_dockerfile("FROM a\nRUN fixed thing\n")
         assert driver.build(doc.raw_text, tmp_path, no_cache=True, timeout=60).status == "success"
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: ScriptedOutcome("sucess"), lambda: ScriptedOutcome("success", duration=float("nan")),
+         lambda: BuildScript(None, []), lambda: ScriptedOutcome("failure", log=5),
+         lambda: BuildScript(7, [ScriptedOutcome("success")])],
+        ids=["unknown-status", "nan-duration", "no-outcomes", "log-not-str", "match-not-str"],
+    )
+    def test_script_built_in_code_is_checked_as_a_file_is(self, make):
+        # A script need not come from a file: the types check what they hold.
+        with pytest.raises(ValueError):
+            make()
 
 
 def _journal(directory) -> list[dict]:

@@ -1052,6 +1052,19 @@ class TestGlobalFlags:
         assert "KABLAM happened" in payload["excerpt"]
         assert "substr:error" not in payload["rule_hits"]
 
+    @pytest.mark.parametrize("content", [b"regex:(unclosed\n", b"\xff\n"], ids=["bad-regex", "not-utf8"])
+    @pytest.mark.parametrize("status", ["success", "failure"], ids=["non-flaky", "flaky"])
+    def test_rules_file_that_does_not_parse_fails_before_any_build(self, runner, tmp_path, content, status):
+        rules = tmp_path / "bad.rules"
+        rules.write_bytes(content)
+        scenario = _write_scenario(
+            tmp_path / "s.json", [{"match": None, "outcomes": [{"status": status, "log": "error: x"}]}]
+        )
+        result = runner.invoke(main, ["--rules", str(rules)] + _detect_args(tmp_path, scenario))
+        assert result.exit_code == 1, result.output
+        assert json.loads(result.output)["error"].startswith(f"rules file {rules}: ")
+        assert not (tmp_path / "state" / "builds").exists()
+
     def test_engine_error_exits_one(self, runner, tmp_path):
         project = tmp_path / "p"
         project.mkdir()

@@ -108,7 +108,7 @@ class TestDetect:
         )
         detection = detect_flakiness(base_doc, tmp_path, _engine(driver), ValidationPolicy())
         assert detection.flaky
-        assert detection.failing_record.log == "late boom"
+        assert not detection.records[-1].succeeded and detection.records[-1].log == "late boom"
         assert len(detection.records) == 2
 
     @pytest.mark.parametrize(
