@@ -99,7 +99,7 @@ class BuildDriver(ABC):
         """
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScriptedOutcome:
     status: str
     log: str = ""
@@ -115,16 +115,19 @@ class ScriptedOutcome:
             raise ValueError(f"duration {self.duration} is not a finite number")
         if not isinstance(self.log, str):  # a failed build's log is preprocessed as text
             raise ValueError(f"log is {type(self.log).__name__}, not str")
+        if self.exit_code is not None and type(self.exit_code) is not int:  # every driver journals an int or null
+            raise ValueError(f"exit_code is {type(self.exit_code).__name__}, not int or null")
 
 
-@dataclass
+@dataclass(frozen=True)
 class BuildScript:
-    """Outcome list for documents containing `match` (None = default)."""
+    """Outcomes for documents containing `match` (None = default)."""
 
     match: str | None
-    outcomes: list[ScriptedOutcome]
+    outcomes: tuple[ScriptedOutcome, ...]  # any iterable, held as a tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "outcomes", tuple(self.outcomes))
         if not self.outcomes:  # a build would have no outcome to replay
             raise ValueError("a build script has no outcomes")
         if not isinstance(self.match, (str, type(None))):  # it is looked for in Dockerfile text

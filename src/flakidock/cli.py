@@ -144,8 +144,7 @@ def main(ctx, config_path, state_dir, driver, as_json, rules):
         overrides["driver"] = driver
     if rules is not None:
         overrides["rules"] = Path(rules)
-    config = load_config(config_path, overrides)
-    ctx.obj.update(config=config, providers=config.make_providers(), engine=config.make_engine())
+    ctx.obj["config"] = load_config(config_path, overrides)
 
 
 @main.command()
@@ -162,7 +161,7 @@ def detect(ctx, dockerfile, context_dir):
     path = Path(dockerfile)
     doc = _load_doc(path)
     context = Path(context_dir) if context_dir else path.parent
-    detection = detect_flakiness(doc, context, ctx.obj["engine"], config.validation_policy(), config.ruleset)
+    detection = detect_flakiness(doc, context, config.engine, config.validation, config.ruleset)
     report = {
         "verdict": "flaky" if detection.flaky else "non-flaky",
         "builds": [_build_summary(r) for r in detection.records],
@@ -196,16 +195,12 @@ def repair(ctx, dockerfile, context_dir, store_path, dry_run):
 
     _lock_state(ctx)  # a dry run persists its detection builds too
     config: RunConfig = ctx.obj["config"]
-    if store_path is not None:
-        config.store = store_path
     path = Path(dockerfile)
     doc = _load_doc(path)
     context = Path(context_dir) if context_dir else path.parent
-    providers = ctx.obj["providers"]
-    engine = ctx.obj["engine"]
-    store_file = builtin_store_path() if config.store == "builtin" else config.store
-    store = load_store(store_file, providers.query_embedder)
-    policy = config.validation_policy()
+    providers, policy, engine = config.providers, config.validation, config.engine
+    store_path = store_path if store_path is not None else config.store
+    store = load_store(builtin_store_path() if store_path == "builtin" else store_path, providers.query_embedder)
     if dry_run:  # attempt 1's prompt: a full run opens its session the same way
         session = start_session(
             doc, context, store, providers, policy, engine,
@@ -266,7 +261,6 @@ def repair(ctx, dockerfile, context_dir, store_path, dry_run):
 def cluster(ctx, log_dir):
     """Cluster the failing build logs in LOG_DIR by error similarity."""
     config: RunConfig = ctx.obj["config"]
-    providers = ctx.obj["providers"]
     directory = Path(log_dir)
     if not directory.is_dir():
         raise FlakiDockError(f"no such directory: {directory}")
@@ -277,7 +271,7 @@ def cluster(ctx, log_dir):
     for log_file in files:
         text = _read(log_file, errors="replace")
         excerpt = excerpt_or_tail(text, preprocess_log(text, config.ruleset))
-        vec = embed(excerpt, providers.sentence_embedder)
+        vec = embed(excerpt, config.providers.sentence_embedder)
         state, _ = cluster_add(state, log_file.name, vec, config.cluster_threshold)
     report = {
         "inputs": len(files),
@@ -325,7 +319,7 @@ def monitor(ctx, manifest, rounds):
     history_dir = Path(config.state_dir) / "history"
     history_dir.mkdir(parents=True, exist_ok=True)
     filters = load_exclusion_filters()
-    engine = ctx.obj["engine"]  # one engine: series run one after another
+    engine = config.engine  # one engine: series run one after another
     summary = {}
     for name, context in projects:
         entry = {"builds": 0, "failures": 0, "excluded": 0, "errors": []}
@@ -411,7 +405,7 @@ def dataset_validate(ctx, store_path):
     """Validate every record in a store against the schema."""
     from .demo_store import load_store
 
-    index = load_store(store_path, ctx.obj["providers"].query_embedder)
+    index = load_store(store_path, ctx.obj["config"].providers.query_embedder)
     _emit(
         ctx,
         {"valid": True, "records": len(index)},
@@ -427,7 +421,7 @@ def dataset_stats(ctx, store_path):
     """Per-category record counts and fractions."""
     from .demo_store import category_stats, load_store
 
-    index = load_store(store_path, ctx.obj["providers"].query_embedder)
+    index = load_store(store_path, ctx.obj["config"].providers.query_embedder)
     stats = category_stats(index)
     payload = {
         "records": len(index),
@@ -465,7 +459,7 @@ def dataset_add(ctx, store_path, record_id, dockerfile_path, log_path, category,
 
     _lock_state(ctx)  # adds through one state directory run one at a time
     config: RunConfig = ctx.obj["config"]
-    providers = ctx.obj["providers"]
+    providers = config.providers
     store_file = Path(store_path)
     records_path = store_file / "records.jsonl" if store_file.is_dir() else store_file
     if records_path.exists():

@@ -94,8 +94,9 @@ class RunConfig:
     max_response_tokens: int = HttpChatProvider.max_tokens
 
     def validate(self) -> None:
-        """Reject a bad value with a ConfigError, and parse the rules file into
-        `self.ruleset`, the one rule set every command uses."""
+        """Reject a bad value with a ConfigError, and build the components every
+        command uses: `ruleset`, `validation`, `engine` and `providers`. The
+        rules file and the scenario files are read here, once."""
         for key in ("retrieval_k", "prompt_budget", "max_response_tokens", "embedding_dim",
                     "sentence_dim", "embedding_token_limit"):
             if getattr(self, key) < 1:
@@ -103,92 +104,59 @@ class RunConfig:
         if not 0.0 < self.cluster_threshold < 1.0:
             raise ConfigError("cluster_threshold must be in (0, 1)")
         try:  # the policies and the rules own their checks: building them applies those checks
-            self.hygiene_policy()
-            self.validation_policy()
+            hygiene = HygienePolicy(self.clean_every, self.timeout, self.no_cache)
+            self.validation = ValidationPolicy(
+                self.build_iterations, self.failure_threshold, self.max_total_attempts, self.feedback_similarity
+            )
             self.ruleset = RuleSet.from_file(self.rules) if self.rules is not None else RuleSet.default()
         except (InvalidRule, OSError, UnicodeDecodeError) as exc:  # a decode error is a ValueError too
             raise ConfigError(f"rules file {self.rules}: {exc}") from exc
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        scenario = responses = None
         if self.driver.startswith("simulated:"):
-            _require_file("driver", self.driver)
+            scenario = _require_file("driver", self.driver)
         elif self.driver != "real":
             raise ConfigError(f"driver must be 'real' or 'simulated:<path>', got {self.driver!r}")
         for key in ("embedding_provider", "sentence_provider"):
             if getattr(self, key) not in ("offline", "http"):
                 raise ConfigError(f"{key} must be 'offline' or 'http', got {getattr(self, key)!r}")
         if self.generation_provider.startswith("scripted:"):
-            _require_file("generation_provider", self.generation_provider)
+            responses = _require_file("generation_provider", self.generation_provider)
         elif self.generation_provider not in ("none", "http"):
             raise ConfigError(
                 "generation_provider must be 'none', 'http' or 'scripted:<path>', "
                 f"got {self.generation_provider!r}"
             )
-
-    # -- component wiring --
-
-    def hygiene_policy(self) -> HygienePolicy:
-        return HygienePolicy(self.clean_every, self.timeout, self.no_cache)
-
-    def validation_policy(self) -> ValidationPolicy:
-        return ValidationPolicy(
-            self.build_iterations,
-            self.failure_threshold,
-            self.max_total_attempts,
-            self.feedback_similarity,
-        )
-
-    def make_engine(self) -> BuildEngine:
-        if self.driver.startswith("simulated:"):
-            driver = SimulatedDriver.from_file(self.driver.split(":", 1)[1])
-        else:
-            driver = RealCliDriver(self.build_command, self.clean_commands)
-        return BuildEngine(driver, self.hygiene_policy(), Path(self.state_dir))
-
-    def make_providers(self) -> ProviderSet:
+        try:  # a scenario file's own errors name the file
+            generator = ScriptedTextProvider.from_file(responses) if responses else None
+            driver = (SimulatedDriver.from_file(scenario) if scenario
+                      else RealCliDriver(self.build_command, self.clean_commands))
+        except (OSError, ValueError) as exc:
+            raise ConfigError(str(exc)) from exc
+        if self.generation_provider == "http":
+            generator = HttpChatProvider(self.generation_url, self.generation_model, self.generation_auth_env,
+                                         max_tokens=self.max_response_tokens)
+        query = sentence = HashingEmbeddingProvider()
         if self.embedding_provider == "http":
-            query = HttpEmbeddingProvider(
-                self.embedding_url,
-                self.embedding_model,
-                self.embedding_auth_env,
-                dim=self.embedding_dim,
-                token_limit=self.embedding_token_limit,
-            )
-        else:
-            query = HashingEmbeddingProvider()
+            query = HttpEmbeddingProvider(self.embedding_url, self.embedding_model, self.embedding_auth_env,
+                                          dim=self.embedding_dim, token_limit=self.embedding_token_limit)
         if self.sentence_provider == "http":
-            sentence = HttpEmbeddingProvider(
-                self.sentence_url,
-                self.sentence_model,
-                self.sentence_auth_env,
-                dim=self.sentence_dim,
-                token_limit=None,
-            )
-        else:
-            sentence = HashingEmbeddingProvider()
-        if self.generation_provider.startswith("scripted:"):
-            generator = ScriptedTextProvider.from_file(
-                self.generation_provider.split(":", 1)[1]
-            )
-        elif self.generation_provider == "http":
-            generator = HttpChatProvider(
-                self.generation_url,
-                self.generation_model,
-                self.generation_auth_env,
-                max_tokens=self.max_response_tokens,
-            )
-        else:
-            generator = None
-        return ProviderSet(query, sentence, generator)
+            sentence = HttpEmbeddingProvider(self.sentence_url, self.sentence_model, self.sentence_auth_env,
+                                             dim=self.sentence_dim, token_limit=None)
+        self.providers = ProviderSet(query, sentence, generator)
+        self.engine = BuildEngine(driver, hygiene, Path(self.state_dir))
 
 
 _BOOL_VALUES = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
-def _require_file(key: str, value: str) -> None:
-    """Reject a `kind:<path>` setting whose path is not a regular file."""
-    if not Path(value.partition(":")[2]).is_file():
+def _require_file(key: str, value: str) -> Path:
+    """The path of a `kind:<path>` setting; rejected when it is not a regular file."""
+    path = Path(value.partition(":")[2])
+    if not path.is_file():
         raise ConfigError(f"{key} must name a scenario file, got {value!r}")
+    return path
 
 
 def _coerce(field: Field, raw: str):
@@ -219,9 +187,13 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
     by_name = {f.name: f for f in fields(RunConfig)}
     if path is not None:
         path = Path(path)
-        if not path.exists():
-            raise ConfigError(f"config file does not exist: {path}")
-        for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        try:
+            text = path.read_text(encoding="utf-8")
+        except FileNotFoundError:
+            raise ConfigError(f"no such file: {path}") from None
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read {path}: {exc}") from exc
+        for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue

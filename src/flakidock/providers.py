@@ -243,7 +243,7 @@ class ScriptedTextProvider(TextGenerationProvider):
         if not isinstance(responses, list) or not responses:
             raise ValueError(f"{path}: scenario file has no 'responses' list")
         try:
-            return cls([str(r) for r in responses])
+            return cls(responses)
         except ValueError as exc:
             raise ValueError(f"{path}: malformed scenario file: {exc}") from exc
 

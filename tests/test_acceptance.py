@@ -319,6 +319,7 @@ def test_criterion_10_live_smoke(tmp_path):
         generation_model=os.environ.get("FLAKIDOCK_GENERATION_MODEL", "gpt-4"),
         timeout=float(os.environ.get("FLAKIDOCK_LIVE_TIMEOUT", "600")),
     )
+    config.validate()
     context = tmp_path / "ctx"
     context.mkdir()
     broken = parse_dockerfile(
@@ -326,10 +327,10 @@ def test_criterion_10_live_smoke(tmp_path):
     )
     session_dir = tmp_path / "state" / "sessions" / "smoke"
     session = repair_flaky_dockerfile(
-        broken, context, DemonstrationIndex([]), config.make_providers(),
-        config.validation_policy(), config.make_engine(), session_dir=session_dir,
+        broken, context, DemonstrationIndex([]), config.providers,
+        config.validation, config.engine, session_dir=session_dir,
     )
     assert session.verdict in {"repaired", "unresolved", "non-flaky", "engine-aborted"}
-    assert session.attempts_used <= config.validation_policy().max_total_attempts
+    assert session.attempts_used <= config.validation.max_total_attempts
     assert (session_dir / "verdict.json").exists()
     _report(10, f"live smoke reached terminal verdict {session.verdict!r} with a persisted session")

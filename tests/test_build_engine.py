@@ -6,7 +6,7 @@ import sys
 import tempfile
 import threading
 import time
-from dataclasses import asdict
+from dataclasses import FrozenInstanceError, asdict
 from pathlib import Path
 
 import pytest
@@ -201,13 +201,24 @@ class TestScenarioScripts:
         "make",
         [lambda: ScriptedOutcome("sucess"), lambda: ScriptedOutcome("success", duration=float("nan")),
          lambda: BuildScript(None, []), lambda: ScriptedOutcome("failure", log=5),
-         lambda: BuildScript(7, [ScriptedOutcome("success")])],
-        ids=["unknown-status", "nan-duration", "no-outcomes", "log-not-str", "match-not-str"],
+         lambda: BuildScript(7, [ScriptedOutcome("success")]),
+         lambda: ScriptedOutcome("failure", exit_code="oops"), lambda: ScriptedOutcome("failure", exit_code=True)],
+        ids=["unknown-status", "nan-duration", "no-outcomes", "log-not-str", "match-not-str",
+             "exit-code-not-int", "exit-code-bool"],
     )
     def test_script_built_in_code_is_checked_as_a_file_is(self, make):
         # A script need not come from a file: the types check what they hold.
         with pytest.raises(ValueError):
             make()
+
+    def test_script_cannot_be_changed_after_its_checks(self):
+        outcome = ScriptedOutcome("success")
+        with pytest.raises(FrozenInstanceError):
+            outcome.duration = float("nan")
+        script = BuildScript(None, [outcome])  # a list is held as a tuple
+        assert script.outcomes == (outcome,)
+        with pytest.raises(FrozenInstanceError):
+            script.outcomes = []
 
 
 def _journal(directory) -> list[dict]:

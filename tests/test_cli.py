@@ -18,6 +18,7 @@ from flakidock.cli import main
 from flakidock.config import RunConfig, ValidationPolicy, load_config
 from flakidock.demo_store import builtin_store_path, load_store, save_store
 from flakidock.dockerfile_model import parse_dockerfile
+from flakidock.errors import ConfigError
 from flakidock.providers import HashingEmbeddingProvider, HttpChatProvider, HttpEmbeddingProvider
 
 from loopback import Loopback
@@ -195,6 +196,31 @@ class TestMalformedScenarios:
         result = runner.invoke(main, _detect_args(tmp_path, scenario))
         assert result.exit_code == 1
         assert str(scenario) in json.loads(result.output)["error"]
+
+    @pytest.mark.parametrize("exit_code", ["oops", True])
+    def test_exit_code_that_is_not_an_int_rejected(self, runner, tmp_path, exit_code):
+        scenario = _write_scenario(
+            tmp_path / "s.json",
+            [{"match": None, "outcomes": [{"status": "failure", "log": "error: x", "exit_code": exit_code}]}],
+        )
+        result = runner.invoke(main, _detect_args(tmp_path, scenario))
+        assert result.exit_code == 1, result.output
+        assert json.loads(result.output)["error"] == (
+            f"{scenario}: malformed scenario file: exit_code is {type(exit_code).__name__}, not int or null"
+        )
+        assert not (tmp_path / "state" / "builds").exists()
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [("driver", "simulated", "a build script has no outcomes"),
+         ("generation_provider", "scripted", "response is int, not str")],
+        ids=["driver", "generation_provider"],
+    )
+    def test_load_config_reads_the_scenario_file(self, tmp_path, key, value, message):
+        scenario = _write_scenario(tmp_path / "s.json", [{"match": None, "outcomes": []}], responses=[5])
+        with pytest.raises(ConfigError) as raised:
+            load_config(overrides={key: f"{value}:{scenario}"})
+        assert str(raised.value) == f"{scenario}: malformed scenario file: {message}"
 
     @pytest.mark.parametrize("path", ["", "adir"])
     def test_driver_scenario_must_be_a_file(self, runner, tmp_path, path):
@@ -1079,6 +1105,22 @@ class TestGlobalFlags:
         assert result.exit_code == 1
         assert "daemon gone" in json.loads(result.output)["error"]
 
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+    def test_config_file_that_cannot_be_read(self, runner, tmp_path, kind):
+        config = tmp_path / "flakidock.conf"
+        if kind == "directory":
+            config.mkdir()
+        elif kind == "not-utf8":
+            config.write_bytes(b"retrieval_k = 2 # \xff\n")
+        result = runner.invoke(main, ["--config", str(config)] + _detect_args(tmp_path))
+        assert result.exit_code == 1, result.output
+        error = json.loads(result.output)["error"]
+        if kind == "missing":
+            assert error == f"no such file: {config}"
+        else:
+            assert error.startswith(f"cannot read {config}: ")
+        assert not (tmp_path / "state" / "builds").exists()
+
     def test_unknown_config_key_rejected(self, runner, tmp_path):
         config = tmp_path / "bad.conf"
         config.write_text("tpyo_key = 1\n")
@@ -1202,10 +1244,10 @@ class TestGlobalFlags:
         assert (config.rules, config.state_dir, config.retrieval_k) == (rules, tmp_path / "st", 2)
 
     def test_defaults_are_those_of_the_classes_they_build(self):
-        config = RunConfig()
-        assert config.hygiene_policy() == HygienePolicy()
-        assert config.validation_policy() == ValidationPolicy()
-        built = RunConfig(embedding_provider="http", generation_provider="http").make_providers()
+        config = load_config()
+        assert config.engine.policy == HygienePolicy()
+        assert config.validation == ValidationPolicy()
+        built = load_config(overrides={"embedding_provider": "http", "generation_provider": "http"}).providers
         embedder, generator = HttpEmbeddingProvider("", "", ""), HttpChatProvider("", "", "")
         assert (built.query_embedder.dim, built.query_embedder.token_limit) == (embedder.dim, embedder.token_limit)
         assert built.generator.max_tokens == generator.max_tokens
