@@ -460,6 +460,14 @@ def dataset_add(ctx, store_path, record_id, dockerfile_path, log_path, category,
     _lock_state(ctx)  # adds through one state directory run one at a time
     config: RunConfig = ctx.obj["config"]
     providers = config.providers
+    parsed_category = FlakinessCategory.from_string(category)  # before the store loads
+    if iterations:
+        try:
+            counts = tuple(int(v) for v in iterations.split(","))
+        except ValueError:
+            raise FlakiDockError(f"--iterations must be comma-separated integers, got {iterations!r}") from None
+    else:
+        counts = tuple(config.build_iterations for _ in repair_paths)
     store_file = Path(store_path)
     records_path = store_file / "records.jsonl" if store_file.is_dir() else store_file
     if records_path.exists():
@@ -472,18 +480,11 @@ def dataset_add(ctx, store_path, record_id, dockerfile_path, log_path, category,
     dynamic = excerpt_or_tail(raw_log, preprocess_log(raw_log, config.ruleset))
     if dynamic == EMPTY_OUTPUT:
         raise FlakiDockError(f"{log_path}: no failure text: no rule hit and a blank last 2000 characters")
-    if iterations:
-        try:
-            counts = tuple(int(v) for v in iterations.split(","))
-        except ValueError:
-            raise FlakiDockError(f"--iterations must be comma-separated integers, got {iterations!r}") from None
-    else:
-        counts = tuple(config.build_iterations for _ in repair_paths)
     record = DemonstrationRecord(
         id=record_id,
         static_part=_read(Path(dockerfile_path)),
         dynamic_part=dynamic,
-        category=FlakinessCategory.from_string(category),
+        category=parsed_category,
         repairs=tuple(_read(Path(p)) for p in repair_paths),
         iterations=counts,
     )

@@ -159,12 +159,17 @@ def _require_file(key: str, value: str) -> Path:
     return path
 
 
-def _coerce(field: Field, raw: str):
-    """`raw` as the type of the field's default; a `None` default takes the
-    other member of its `X | None` annotation."""
-    kind = type(field.default)
+def _kind(field: Field) -> type:
+    """The type of the field's default; a `None` default takes the other member of its `X | None` annotation."""
     if field.default is None:
         (kind,) = set(typing.get_args(typing.get_type_hints(RunConfig)[field.name])) - {type(None)}
+        return kind
+    return type(field.default)
+
+
+def _coerce(field: Field, raw: str):
+    """`raw` as the field's type."""
+    kind = _kind(field)
     if issubclass(kind, bool):
         value = _BOOL_VALUES.get(raw.strip().lower())
         if value is None:
@@ -179,6 +184,18 @@ def _coerce(field: Field, raw: str):
     if issubclass(kind, Path):
         return Path(raw)
     return raw
+
+
+def _typed(field: Field, value):
+    """An override as the field's type: a `str` stands for a path, an int for a float; a bool is no int."""
+    kind = _kind(field)
+    if issubclass(kind, Path) and isinstance(value, str):
+        return Path(value)
+    if kind is float and type(value) is int:
+        return float(value)
+    if not isinstance(value, kind) or (type(value) is bool and kind is not bool):
+        raise ConfigError(f"{field.name}: expected {kind.__name__}, got {value!r}")
+    return value
 
 
 def load_config(path=None, overrides: dict | None = None) -> RunConfig:
@@ -209,7 +226,9 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
             except (ValueError, ConfigError) as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from exc
     for key, value in (overrides or {}).items():
+        if key not in by_name:
+            raise ConfigError(f"unknown key {key!r}")
         if value is not None:
-            setattr(config, key, value)
+            setattr(config, key, _typed(by_name[key], value))
     config.validate()
     return config

@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import json
 import logging
+import operator
 import os
 import struct
 import threading
@@ -68,15 +69,15 @@ class FlakinessCategory:
         if self.major is MajorCategory.MISC and self.sub is not None:
             raise ValueError("MISC carries no subcategory")
 
+    def known(self) -> bool:
+        """Whether the shipped vocabulary holds the subcategory, if there is one."""
+        return self.sub is None or self.sub in taxonomy()[self.major.value]
+
     def validate(self) -> None:
         self._check_shape()
-        if self.sub is not None and self.sub not in taxonomy()[self.major.value]:
+        if not self.known():
             # Taxonomies evolve; accept but flag so stats can skip it.
-            log.warning(
-                "unknown subcategory %r for %s (not in shipped vocabulary)",
-                self.sub,
-                self.major.value,
-            )
+            log.warning("unknown subcategory %r for %s (not in shipped vocabulary)", self.sub, self.major.value)
 
     def as_string(self) -> str:
         return f"{self.major.value}/{self.sub}" if self.sub else self.major.value
@@ -90,7 +91,7 @@ class FlakinessCategory:
         return cat
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DemonstrationRecord:
     """One repaired-flakiness example used as a retrieval demonstration."""
 
@@ -106,30 +107,31 @@ class DemonstrationRecord:
 
 
 def validate_record(record: DemonstrationRecord) -> None:
-    rid = record.id
+    _check_fields(record.id, record.static_part, record.dynamic_part, record.repairs, record.iterations)
+    record.category.validate()
+
+
+def _check_fields(rid, static_part, dynamic_part, repairs, iterations) -> None:
+    """Every record check but the category's, in the order its errors are reported."""
     if not rid:
         raise SchemaViolation("<unknown>", "id", "record id is empty")
-    if not record.static_part.strip():
+    if not static_part or static_part.isspace():
         raise SchemaViolation(rid, "static_part", "empty build definition")
-    if not record.dynamic_part.strip():
+    if not dynamic_part or dynamic_part.isspace():
         raise SchemaViolation(rid, "dynamic_part", "empty build output excerpt")
-    if len(record.repairs) < 1:
+    if len(repairs) < 1:
         raise SchemaViolation(rid, "repairs", "at least one repair is required")
-    if len(record.repairs) != len(record.iterations):
-        raise SchemaViolation(
-            rid,
-            "iterations",
-            f"{len(record.iterations)} iteration counts for {len(record.repairs)} repairs",
-        )
+    if len(repairs) != len(iterations):
+        raise SchemaViolation(rid, "iterations", f"{len(iterations)} iteration counts for {len(repairs)} repairs")
     # `_record_line` writes counts with int.__repr__, which writes a bool as 1, not true.
-    if any(type(i) is not int for i in record.iterations):
-        raise SchemaViolation(rid, "iterations", "iteration counts must be integers")
-    if any(i < 1 for i in record.iterations):
+    for count in iterations:
+        if type(count) is not int:
+            raise SchemaViolation(rid, "iterations", "iteration counts must be integers")
+    if min(iterations) < 1:  # there is one count per repair, and at least one repair
         raise SchemaViolation(rid, "iterations", "iteration counts must be >= 1")
-    for pos, repair in enumerate(record.repairs):
+    for pos, repair in enumerate(repairs):
         if not has_instructions(repair):
             raise SchemaViolation(rid, f"repairs[{pos}]", "does not parse: no instructions found")
-    record.category.validate()
 
 
 # The escape json.dumps(..., ensure_ascii=False) applies to a str: quotes,
@@ -152,28 +154,40 @@ def _record_line(record: DemonstrationRecord) -> str:
 # Each record field with the Python type its JSON value must have, as loaded.
 _FIELD_TYPES = {"id": str, "static_part": str, "dynamic_part": str, "category": str,
                 "repairs": list, "iterations": list}
+_field_values = operator.itemgetter(*_FIELD_TYPES)
+_FIELD_KINDS = tuple(_FIELD_TYPES.values())
 
 
-def _record_from_dict(payload) -> DemonstrationRecord:
-    """The record a JSON line holds; each field is taken as its JSON type, unconverted."""
+def _checked_record(payload, categories: dict) -> DemonstrationRecord:
+    """The record a JSON line holds, each field taken as its JSON type,
+    unconverted, and checked as `validate_record` checks a record."""
     if type(payload) is not dict:
         raise SchemaViolation("<unknown>", "json", "record line is not a JSON object")
-    rid = payload.get("id")
-    rid = rid if type(rid) is str and rid else "<unknown>"
-    unknown = payload.keys() - _FIELD_TYPES.keys()
-    if unknown:
-        raise SchemaViolation(rid, min(unknown), "unknown field")
-    for key, kind in _FIELD_TYPES.items():
-        if type(payload.get(key)) is not kind:
-            raise SchemaViolation(rid, key, "missing or mistyped field")
-    if any(type(r) is not str for r in payload["repairs"]):
-        raise SchemaViolation(rid, "repairs", "repairs must be strings")
-    try:
-        category = FlakinessCategory.from_string(payload["category"])
-    except ValueError as exc:
-        raise SchemaViolation(rid, "category", str(exc)) from exc
-    return DemonstrationRecord(payload["id"], payload["static_part"], payload["dynamic_part"],
-                               category, tuple(payload["repairs"]), tuple(payload["iterations"]))
+    if payload.keys() != _FIELD_TYPES.keys() or tuple(map(type, _field_values(payload))) != _FIELD_KINDS:
+        rid = payload.get("id")
+        rid = rid if type(rid) is str and rid else "<unknown>"
+        unknown = payload.keys() - _FIELD_TYPES.keys()
+        if unknown:
+            raise SchemaViolation(rid, min(unknown), "unknown field")
+        for key, kind in _FIELD_TYPES.items():
+            if type(payload.get(key)) is not kind:
+                raise SchemaViolation(rid, key, "missing or mistyped field")
+    rid, static_part, dynamic_part, text, repairs, iterations = _field_values(payload)
+    for repair in repairs:
+        if type(repair) is not str:
+            raise SchemaViolation(rid or "<unknown>", "repairs", "repairs must be strings")
+    parsed = categories.get(text)
+    if parsed is None:
+        try:
+            category = FlakinessCategory.from_string(text)
+        except ValueError as exc:
+            raise SchemaViolation(rid or "<unknown>", "category", str(exc)) from exc
+        parsed = categories[text] = category, category.known()
+    category, known = parsed
+    _check_fields(rid, static_part, dynamic_part, repairs, iterations)
+    if not known:
+        category.validate()  # warns, once per record
+    return DemonstrationRecord(rid, static_part, dynamic_part, category, tuple(repairs), tuple(iterations))
 
 
 class DemonstrationIndex:
@@ -271,41 +285,34 @@ def load_store(path, embedding_provider: EmbeddingProvider | None = None) -> Dem
     if not records_path.exists():
         raise StoreError(f"store not found: {records_path}")
 
-    # One record per `\n`: save_store writes U+0085, U+2028 and U+2029 raw inside
-    # strings, and `str.splitlines` would cut a record at them.
-    with open(records_path, encoding="utf-8") as fh:
-        records_file = _signature(os.fstat(fh.fileno()))
-        try:
-            lines = [line for line in fh.read().split("\n") if line.strip()]
-        except UnicodeDecodeError as exc:
-            raise StoreError(f"{records_path}: not UTF-8: {exc}") from exc
-    if not lines:
-        raise VersionMismatch(f"{records_path}: missing schema version header")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise VersionMismatch(f"{records_path}: unreadable header: {exc}") from exc
-    if not isinstance(header, dict) or header.get("schema") != SCHEMA_NAME:
-        raise VersionMismatch(f"{records_path}: not a {SCHEMA_NAME} file")
-    if header.get("version") != SCHEMA_VERSION:
-        raise VersionMismatch(
-            f"{records_path}: schema version {header.get('version')!r}, "
-            f"supported {SCHEMA_VERSION}"
-        )
-
     records: list[DemonstrationRecord] = []
     seen: set[str] = set()
-    for line in lines[1:]:
+    categories: dict = {}  # each category string read so far: (category, known)
+    with open(records_path, "rb") as fh:
+        records_file = _signature(os.fstat(fh.fileno()))
+        lines = _text_lines(fh, records_path)
+        header = next(lines, None)
+        if header is None:
+            raise VersionMismatch(f"{records_path}: missing schema version header")
         try:
-            payload = json.loads(line)
+            header = json.loads(header)
         except json.JSONDecodeError as exc:
-            raise SchemaViolation("<unknown>", "json", f"unreadable record line: {exc}") from exc
-        record = _record_from_dict(payload)
-        validate_record(record)
-        if record.id in seen:
-            raise SchemaViolation(record.id, "id", "duplicate record id")
-        seen.add(record.id)
-        records.append(record)
+            raise VersionMismatch(f"{records_path}: unreadable header: {exc}") from exc
+        if not isinstance(header, dict) or header.get("schema") != SCHEMA_NAME:
+            raise VersionMismatch(f"{records_path}: not a {SCHEMA_NAME} file")
+        if header.get("version") != SCHEMA_VERSION:
+            raise VersionMismatch(f"{records_path}: schema version {header.get('version')!r}, "
+                                  f"supported {SCHEMA_VERSION}")
+        for line in lines:
+            try:
+                payload = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise SchemaViolation("<unknown>", "json", f"unreadable record line: {exc}") from exc
+            record = _checked_record(payload, categories)
+            if record.id in seen:
+                raise SchemaViolation(record.id, "id", "duplicate record id")
+            seen.add(record.id)
+            records.append(record)
 
     # A bad vector file is reported only after every record has passed.
     if vectors_path.exists():
@@ -322,6 +329,18 @@ def load_store(path, embedding_provider: EmbeddingProvider | None = None) -> Dem
 
     rows = np.stack([embed(rec.combined_text(), embedding_provider) for rec in records])
     return DemonstrationIndex(records, rows)
+
+
+def _text_lines(fh, path: Path):
+    """The non-blank lines of a binary file, each decoded as strict UTF-8 when reached, without
+    its line end. A line ends at `\n` only: save_store writes U+0085, U+2028 and U+2029 raw."""
+    for number, line in enumerate(fh, 1):
+        try:
+            text = line.rstrip(b"\r\n").decode()
+        except UnicodeDecodeError as exc:
+            raise StoreError(f"{path}: not UTF-8: line {number}: {exc}") from exc
+        if text and not text.isspace():
+            yield text
 
 
 _SAVE_BLOCK = 1024  # records joined into one write
@@ -391,9 +410,7 @@ def _read_vectors(path: Path, expected_rows: int) -> tuple[np.ndarray, tuple]:
         raise StoreError(f"{path}: vector payload is not a multiple of dim {dim}")
     rows = np.frombuffer(blob, dtype="<f4", offset=4).reshape(-1, dim)
     if rows.shape[0] != expected_rows:
-        raise StoreError(
-            f"{path}: {rows.shape[0]} vectors for {expected_rows} records"
-        )
+        raise StoreError(f"{path}: {rows.shape[0]} vectors for {expected_rows} records")
     # Retrieval divides by row norms: a zero or non-finite row has no cosine.
     unusable = np.flatnonzero(~rows.any(axis=1) | ~np.isfinite(rows).all(axis=1))
     if unusable.size:

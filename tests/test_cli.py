@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from flakidock import demo_store
 from flakidock.build_engine import HygienePolicy, SimulatedDriver
 from flakidock.cli import main
 from flakidock.config import RunConfig, ValidationPolicy, load_config
@@ -881,6 +882,36 @@ class TestDataset:
         }
         assert not store.exists()
 
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--category", "BOGUS"), ("--category", "MISC/x"), ("--iterations", "2,x")],
+    )
+    def test_add_rejects_its_options_before_the_store_loads(self, runner, tmp_path, monkeypatch, option, value):
+        for name, text in [("Dockerfile", ALPINE_PIP), ("build.log", ALPINE_PIP_LOG), ("fixed", ALPINE_PIP_REPAIRED)]:
+            (tmp_path / name).write_text(text)
+        store = tmp_path / "store" / "records.jsonl"
+
+        def add(*extra):
+            return runner.invoke(main, _base_args(tmp_path) + [
+                "dataset", "add", str(store), "--id", f"a{len(extra)}", "--category", "MISC",
+                "--dockerfile", str(tmp_path / "Dockerfile"), "--log", str(tmp_path / "build.log"),
+                "--repair", str(tmp_path / "fixed"), *extra,
+            ])
+
+        assert add().exit_code == 0
+        if option == "--category":
+            with pytest.raises(ValueError) as expected:
+                demo_store.FlakinessCategory.from_string(value)
+            message = str(expected.value)
+        else:
+            message = f"--iterations must be comma-separated integers, got {value!r}"
+        loads = []
+        monkeypatch.setattr(demo_store, "load_store", lambda *a, real=demo_store.load_store: loads.append(a) or real(*a))
+        result = add(option, value)
+        assert result.exit_code == 1, result.output
+        assert json.loads(result.output) == {"error": message}
+        assert loads == []
+
     @pytest.mark.parametrize("text", ["", " \n\t\n"], ids=["empty", "blank"])
     def test_add_blank_log_names_the_file(self, runner, tmp_path, text):
         for name, body in [("Dockerfile", ALPINE_PIP), ("build.log", text), ("fixed", ALPINE_PIP_REPAIRED)]:
@@ -1251,6 +1282,29 @@ class TestGlobalFlags:
         embedder, generator = HttpEmbeddingProvider("", "", ""), HttpChatProvider("", "", "")
         assert (built.query_embedder.dim, built.query_embedder.token_limit) == (embedder.dim, embedder.token_limit)
         assert built.generator.max_tokens == generator.max_tokens
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [({"retrieval_k": "3"}, "retrieval_k: expected int, got '3'"),
+         ({"timeout": "30"}, "timeout: expected float, got '30'"),
+         ({"feedback_similarity": "0.5"}, "feedback_similarity: expected float, got '0.5'"),
+         ({"retrieval_k": True}, "retrieval_k: expected int, got True"),
+         ({"no_cache": "false"}, "no_cache: expected bool, got 'false'"),
+         ({"no_cache": 0}, "no_cache: expected bool, got 0"),
+         ({"retreival_k": 5}, "unknown key 'retreival_k'")],
+        ids=repr,
+    )
+    def test_override_of_another_type_rejected(self, overrides, message):
+        with pytest.raises(ConfigError) as raised:
+            load_config(overrides=overrides)
+        assert str(raised.value) == message
+
+    def test_overrides_of_the_field_type_kept(self, tmp_path):
+        config = load_config(overrides={"state_dir": str(tmp_path / "st"), "rules": None, "timeout": 30,
+                                        "no_cache": True, "retrieval_k": 5})
+        assert (config.state_dir, config.rules, config.timeout, config.no_cache, config.retrieval_k) == (
+            tmp_path / "st", None, 30.0, True, 5)
+        assert type(config.timeout) is float
 
     def test_repair_without_generator_exits_one(self, runner, tmp_path):
         project = tmp_path / "p"

@@ -572,6 +572,101 @@ class TestLoaderDifferential:
         assert calls == []
 
 
+# Single-record edits, each applied to the record at the drawn position.
+_FIELD_EDITS = [
+    lambda p: p.pop("static_part"), lambda p: p.pop("iterations"), lambda p: p.update(id=7),
+    lambda p: p.update(category=None), lambda p: p.update(repairs="FROM b\n"), lambda p: p.update(extra="x"),
+    lambda p: p.update(id=""), lambda p: p.update(dynamic_part=" \u3000\x85"),
+    lambda p: p["iterations"].__setitem__(0, True), lambda p: p["iterations"].__setitem__(0, 0),
+    lambda p: p["iterations"].__setitem__(0, -3), lambda p: p["iterations"].append(1),
+    lambda p: p["repairs"].__setitem__(0, ""), lambda p: p["repairs"].__setitem__(0, "\u3000\n"),
+    lambda p: p["repairs"].__setitem__(0, "\x85"), lambda p: p["repairs"].__setitem__(0, "\ufeff"),
+    lambda p: p["repairs"].__setitem__(0, 5), lambda p: p.update(category="NOPE/Timeout Issues"),
+    lambda p: p.update(category="MISC/x"), lambda p: p.update(category=" CON / Made Up "),
+]
+
+
+class _UnknownSubcategoryWarnings(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.count = 0
+
+    def emit(self, record):
+        self.count += "unknown subcategory" in record.getMessage()
+
+
+def _outcome_and_warnings(loader, path) -> tuple:
+    handler = _UnknownSubcategoryWarnings()
+    logger = logging.getLogger("flakidock.demo_store")
+    logger.addHandler(handler)
+    try:
+        return _outcome(loader, path, None), handler.count
+    finally:
+        logger.removeHandler(handler)
+
+
+class TestStreamedLoad:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        edits=st.dictionaries(st.integers(0, 29), st.sampled_from(range(len(_FIELD_EDITS))), max_size=2),
+        unknown_sub=st.lists(st.integers(0, 29), max_size=4),
+    )
+    def test_load_matches_reference_loader(self, seed, edits, unknown_sub):
+        payloads = _store_payloads(30, seed)
+        for position in unknown_sub:  # records that share one subcategory outside the vocabulary
+            payloads[position]["category"] = "DEP/Made Up"
+        for position, edit in edits.items():
+            _FIELD_EDITS[edit](payloads[position])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = _write_store(Path(tmp), payloads, _store_vectors(30, seed))
+            assert _outcome_and_warnings(load_store, path) == _outcome_and_warnings(reference_load_store, path)
+
+    def test_records_sharing_an_unknown_subcategory_warn_once_each(self, tmp_path, caplog):
+        payloads = _store_payloads(5, 1)
+        payloads[1]["category"] = payloads[3]["category"] = "DEP/Made Up"
+        path = _write_store(tmp_path, payloads, _store_vectors(5, 1))
+        with caplog.at_level(logging.WARNING, logger="flakidock.demo_store"):
+            load_store(path)
+        assert sum("unknown subcategory" in r.getMessage() for r in caplog.records) == 2
+
+    def test_each_category_string_is_parsed_once(self, tmp_path, monkeypatch):
+        strings = _CATEGORIES + ["CON/Made Up"]
+        payloads = _store_payloads(200, 4)
+        for i, payload in enumerate(payloads):
+            payload["category"] = strings[i % len(strings)]
+        path = _write_store(tmp_path, payloads, _store_vectors(200, 4))
+        calls = []
+        parse = FlakinessCategory.from_string
+        monkeypatch.setattr(FlakinessCategory, "from_string", staticmethod(lambda text: calls.append(text) or parse(text)))
+        assert [r.category.as_string() for r in load_store(path).records] == [p["category"] for p in payloads]
+        assert len(calls) <= len(set(strings)) == 9
+
+    def test_crlf_line_ends_load_the_same_records(self, tmp_path):
+        payloads = _store_payloads(50, 6)
+        lf = _write_store(tmp_path / "lf", payloads, _store_vectors(50, 6))
+        crlf = _write_store(tmp_path / "crlf", payloads, _store_vectors(50, 6))
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        assert load_store(crlf).records == load_store(lf).records
+
+    @pytest.mark.parametrize("bad_record_first", [True, False])
+    def test_first_problem_in_file_order_is_reported(self, tmp_path, bad_record_first):
+        payloads = _store_payloads(10, 2)
+        payloads[3]["iterations"][0] = 0
+        path = _write_store(tmp_path, payloads, None)
+        lines = path.read_bytes().split(b"\n")
+        lines.insert(7 if bad_record_first else 2, b'{"id": "caf\xe9"}')  # latin-1
+        path.write_bytes(b"\n".join(lines))
+        if bad_record_first:
+            with pytest.raises(SchemaViolation) as excinfo:
+                load_store(path)
+            assert (excinfo.value.record_id, excinfo.value.field) == ("rec-00003", "iterations")
+        else:
+            with pytest.raises(StoreError, match=f"^{path}: not UTF-8: line 3: 'utf-8' codec can't decode") as excinfo:
+                load_store(path)
+            assert not isinstance(excinfo.value, SchemaViolation)
+
+
 class TestIndexGrowth:
     def test_duplicate_id_rejected_before_the_provider_call(self, offline_provider):
         index = DemonstrationIndex([])
