@@ -13,11 +13,14 @@ lines, the first 60 and the last 60 stay.
 Segmentation splits a log once into its lines, removes their ANSI escapes,
 and keeps each stage's lines once, in that form: rules match them, and
 the excerpt is built from them, so it holds no escape sequence. Every
-line pays for the split, a "[" test, one lowercase and the include scans.
-The ANSI pass runs only when the log holds an ESC, and the banner regex only
-on lines that contain "[", as every banner does. Timestamps are parsed only
-in a stage with a rule hit: the hit line's own and, on the stage's first
-timed hit, every line's, to bucket the stage by second.
+line pays for the split, a "[" test and one lowercase. The ANSI pass runs
+only when the log holds an ESC, and the banner regex only on lines that
+contain "[", as every banner does. The rules scan the lines of all stages
+at once: each include needle is found with `str.find` in the lowercased
+lines joined by "\n", and a hit line takes its rule names, in rule order,
+from the scans that found it. Timestamps are parsed only in a stage with a
+rule hit: each hit line's once, and another line's only when the walk for
+the excerpt's first or last 60 kept lines reaches it and has not kept it.
 
 An include `regex:` rule scans the lines only when its required literal,
 the lowercased leading literal run of its pattern, is in the lowered text,
@@ -36,11 +39,12 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, replace
 from functools import cache
 from importlib import resources
-from itertools import compress, count, groupby, repeat
-from operator import contains, itemgetter
+from itertools import accumulate, compress, count, groupby, islice, repeat, takewhile
+from operator import add, contains, itemgetter
 
 from .errors import InvalidRule
 
@@ -117,12 +121,6 @@ def _required_literal(rx: re.Pattern) -> str | None:
     return literal.lower() if literal and literal.isascii() else None
 
 
-def _alternation(rules: list[Rule]) -> str:
-    """Regex source that, searched over `line.lower()`, is `pattern.lower() in
-    line.lower()` for every `substr:` rule at once; "" when there is none."""
-    return "|".join(re.escape(r.pattern.lower()) for r in rules if r.kind == "substr")
-
-
 class RuleSet:
     """Ordered error-expression rules; `!`-prefixed rules veto a match."""
 
@@ -131,7 +129,7 @@ class RuleSet:
             raise InvalidRule("rule set contains no include rules")
         self.rules = rules
         includes = [r for r in rules if not r.exclude]
-        vetoes = [r for r in rules if r.exclude]
+        vetoes = [replace(r, exclude=False) for r in rules if r.exclude]
         # (name, needle, regex) per include rule: a `substr:` rule's needle is
         # its pattern lowercased once, here, and its regex is None.
         self._includes = [
@@ -139,13 +137,11 @@ class RuleSet:
             for r in includes
         ]
         self._needles = [needle for _, needle, rx in self._includes if rx is None]
-        # `(?!)` never matches.
-        self._include_literals = re.compile(_alternation(includes) or "(?!)")
         self._include_regexes = [
             (r.compiled, _required_literal(r.compiled)) for r in includes if r.kind == "regex"
         ]
-        self._veto_literals = re.compile(_alternation(vetoes) or "(?!)")
-        self._veto_regexes = [r.compiled for r in vetoes if r.kind == "regex"]
+        # A line is vetoed when the vetoes, as include rules, name it.
+        self._vetoes = RuleSet(vetoes) if vetoes else None
 
     @classmethod
     def from_lines(cls, lines: list[str]) -> "RuleSet":
@@ -172,7 +168,7 @@ class RuleSet:
         """False only when no line of a text hits an include rule, given the
         text lowercased and whether it is ASCII: no include needle is in it,
         and no include regex can scan it (see `_scanned_regexes`)."""
-        return any(needle in lowered for needle in self._needles) or bool(
+        return any(map(lowered.__contains__, self._needles)) or bool(
             self._scanned_regexes(lowered, is_ascii)
         )
 
@@ -186,20 +182,40 @@ class RuleSet:
         ]
 
     def matching_lines(self, lines: list[str]) -> list[tuple[int, list[str]]]:
-        """`(i, self.match_names(lines[i]))` for each line with a name, in order."""
-        # Most lines hit no include rule; they are settled by C-level scans.
-        hits = set(compress(count(), map(self._include_literals.search, map(str.lower, lines))))
-        if self._include_regexes:
-            text = "\n".join(lines)
-            for rx in self._scanned_regexes(text.lower(), text.isascii()):
-                hits.update(compress(count(), map(rx.search, lines)))
-        return [(i, names) for i in sorted(hits) if (names := self.match_names(lines[i]))]
+        """`(i, self.match_names(lines[i]))` for each line with a name, in order.
+
+        No line may hold a "\n". The lines are joined by "\n" and lowercased
+        once, which lowercases each as on its own: a final sigma sees "\n" as
+        it sees a line's end. Each needle is found in that text, resuming at
+        the next line after a hit, so a line takes its names in rule order from
+        the scans that found it. A needle holding "\n" hits no line."""
+        text = "\n".join(lines)
+        is_ascii, length, text = text.isascii(), len(text), text.lower()
+        # `str.lower` lengthens only "İ": when the text kept its length, so did each line.
+        lengths = map(len, lines if len(text) == length else text.split("\n"))
+        starts = [0, *accumulate(map(add, lengths, repeat(1)))]
+        scanned = self._scanned_regexes(text, is_ascii)
+        named: dict[int, list[str]] = {}
+        for name, needle, rx in self._includes:
+            if rx is None:
+                pos = -1 if "\n" in needle else text.find(needle)
+                while pos >= 0:
+                    i = bisect_right(starts, pos) - 1
+                    named.setdefault(i, []).append(name)
+                    pos = text.find(needle, starts[i + 1])
+            elif rx in scanned:
+                for i in compress(count(), map(rx.search, lines)):
+                    named.setdefault(i, []).append(name)
+        # No hit line is vetoed when the vetoes cannot hit the text.
+        vetoes = self._vetoes
+        vetoing = vetoes is not None and vetoes.may_hit(text, is_ascii)
+        return [(i, named[i]) for i in sorted(named) if not (vetoing and vetoes.match_names(lines[i]))]
 
     def match_names(self, line: str) -> list[str]:
         """Names of include rules hit by this line; empty if vetoed."""
-        lowered = line.lower()
-        if self._veto_literals.search(lowered) or any(rx.search(line) for rx in self._veto_regexes):
+        if self._vetoes is not None and self._vetoes.match_names(line):
             return []
+        lowered = line.lower()
         return [
             name
             for name, needle, rx in self._includes
@@ -260,40 +276,48 @@ class PreprocessedLog:
 
 
 def extract_error_context(sections: list[StageSection], rules: RuleSet) -> PreprocessedLog:
-    total_in = sum(len(s.lines) + (s.header is not None) for s in sections)
+    # One scan over every section's lines; the hits are split back by section.
+    log_lines: list[str] = []
+    starts = [0]
+    for section in sections:
+        log_lines += section.lines
+        starts.append(len(log_lines))
+    total_in = len(log_lines) + sum(s.header is not None for s in sections)
     rule_hits: dict[str, int] = {}
-    kept: list[tuple[int, int]] = []  # (section position, line index), in log order
-    for k, section in enumerate(sections):
-        match_idx: list[int] = []
-        for idx, names in rules.matching_lines(section.lines):
-            match_idx.append(idx)
-            for name in names:
-                rule_hits[name] = rule_hits.get(name, 0) + 1
-        if not match_idx:
+    # Per section with a hit, in log order: its position, the lines it keeps
+    # without reading a timestamp, and the seconds of its timed hits.
+    plans: list[tuple[int, set[int], set[int]]] = []
+    end = 0  # where the section of the last hit ends
+    for i, names in rules.matching_lines(log_lines):
+        for name in names:
+            rule_hits[name] = rule_hits.get(name, 0) + 1
+        if i >= end:
+            k = bisect_right(starts, i) - 1
+            start, end, lines, keep, seconds = starts[k], starts[k + 1], sections[k].lines, set(), set()
+            plans.append((k, keep, seconds))
+        mi = i - start
+        keep.add(mi)
+        if sections[k].header is None:  # the preamble keeps its hits only
             continue
-        keep = set(match_idx)
-        if section.header is not None:
+        ts = _timestamp(lines[mi])
+        if ts is not None:
+            seconds.add(int(ts))
+        else:
             # Blank neighbors carry no error context and would not survive a
             # text round trip, so expansion only pulls in non-blank lines.
-            lines = section.lines
-            buckets: dict[int, list[int]] | None = None
-            for mi in match_idx:
-                ts = _timestamp(lines[mi])
-                if ts is not None:
-                    if buckets is None:
-                        buckets = _timestamp_buckets(lines)
-                    # A bucket is added whole the first time, so pop it.
-                    keep.update(buckets.pop(int(ts), ()))
-                else:
-                    lo = max(0, mi - ADJACENCY_RADIUS)
-                    hi = min(len(lines), mi + ADJACENCY_RADIUS + 1)
-                    keep.update(i for i in range(lo, hi) if lines[i].strip())
-        kept.extend(zip(repeat(k), sorted(keep)))
+            lo = max(0, mi - ADJACENCY_RADIUS)
+            hi = min(len(lines), mi + ADJACENCY_RADIUS + 1)
+            keep.update(j for j in range(lo, hi) if lines[j].strip())
 
-    # Over the cap, keep the earliest and latest lines and drop the middle;
-    # past the cap the head and the tail do not overlap.
-    if len(kept) > EXCERPT_LINE_CAP:
-        kept = kept[: EXCERPT_LINE_CAP // 2] + kept[-(EXCERPT_LINE_CAP // 2):]
+    # Over the cap, keep the earliest and latest lines and drop the middle.
+    # The kept lines are walked from the front until one more than half the
+    # cap is found; only then from the back, until half the cap is found or
+    # the walk reaches the front's last line, when every kept line is known.
+    half = EXCERPT_LINE_CAP // 2
+    kept = list(islice(_kept_pairs(sections, plans, False), half + 1))
+    if len(kept) > half:
+        back = list(islice(takewhile(kept[-1].__lt__, _kept_pairs(sections, plans, True)), half))
+        kept = (kept[:half] if len(back) == half else kept) + back[::-1]
     # Kept lines are a subsequence of the input by construction: the pairs
     # rise strictly and each index lies in its section.
     assert all(a < b for a, b in zip(kept, kept[1:]))
@@ -308,19 +332,19 @@ def extract_error_context(sections: list[StageSection], rules: RuleSet) -> Prepr
     return PreprocessedLog(out, total_in, len(kept), rule_hits)
 
 
-def _timestamp_buckets(lines: list[str]) -> dict[int, list[int]]:
-    """Indices of the timed lines, by integer second. A timed line is never blank."""
-    buckets: dict[int, list[int]] = {}
-    # `_timestamp` inlined: a stage's every line passes here.
-    for i, match in enumerate(map(_TIMESTAMP_RE.match, lines)):
-        if match:
-            try:
-                value = float(match[1] or match[2])
-            except ValueError:
-                continue
-            if math.isfinite(value):
-                buckets.setdefault(int(value), []).append(i)
-    return buckets
+def _kept_pairs(sections: list[StageSection], plans: list[tuple[int, set[int], set[int]]], backward: bool):
+    """The kept `(section position, line index)` pairs, in log order or
+    backward: a line is kept when its plan keeps it, or when its timestamp
+    falls in a second of its stage's timed hits. A timestamp is parsed only
+    for a line that the plan does not already keep."""
+    for k, keep, seconds in reversed(plans) if backward else plans:
+        if not seconds:
+            yield from zip(repeat(k), sorted(keep, reverse=backward))
+            continue
+        lines = sections[k].lines
+        for i in range(len(lines) - 1, -1, -1) if backward else range(len(lines)):
+            if i in keep or ((ts := _timestamp(lines[i])) is not None and int(ts) in seconds):
+                yield k, i
 
 
 def preprocess_log(log: str, rules: RuleSet | None = None) -> PreprocessedLog:

@@ -563,6 +563,26 @@ class TestLoaderDifferential:
         save_store(index, tmp_path / "records.jsonl")  # writes the three characters raw
         assert load_store(tmp_path / "records.jsonl").records[0].repairs == record.repairs
 
+    def test_stores_saved_with_other_line_breaks_load_as_the_reference_loads_them(
+        self, tmp_path, offline_provider
+    ):
+        breaks = "\x85\u2028\u2029\r"
+        index = DemonstrationIndex([])
+        for i in range(4):
+            record = _record(f"br{i}", repairs=2)
+            index.add(
+                dataclasses.replace(
+                    record,
+                    dynamic_part=f"error:{breaks[i:]} step {i}\r\n{breaks[:i]}failed",
+                    repairs=(record.repairs[0], f"FROM a\nRUN x {breaks[i]}{breaks} y\r\n"),
+                ),
+                offline_provider,
+            )
+        save_store(index, tmp_path / "records.jsonl")  # writes all but "\r" raw
+        ours = _outcome(load_store, tmp_path / "records.jsonl", None)
+        assert ours == _outcome(reference_load_store, tmp_path / "records.jsonl", None)
+        assert ours[:2] == ("ok", index.records)
+
     def test_loading_builds_no_parse_trees(self, tmp_path, monkeypatch):
         path = _write_store(tmp_path, _store_payloads(50, 3), _store_vectors(50, 3))
         calls = []

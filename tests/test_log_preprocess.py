@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 import re
 import time
 from itertools import compress
@@ -8,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flakidock import log_preprocess
 from flakidock.errors import InvalidRule
 from flakidock.log_preprocess import (
     EXCERPT_LINE_CAP,
     PreprocessedLog,
     RuleSet,
+    _parse_rule,
     _required_literal,
     classify_failure_exclusion,
     extract_error_context,
@@ -27,6 +30,7 @@ from support import (
     preprocess_corpus,
     reference_classify_failure_exclusion,
     reference_match_names,
+    reference_preprocess_log,
     reference_segment_stages,
     reference_strip_ansi,
 )
@@ -472,3 +476,131 @@ class TestScaling:
         small, large = (min(timings) for timings in zip(*runs))
         # 8x the lines: linear code takes about 8x the time, quadratic about 44x.
         assert large / small < 16
+
+
+def _timed_stage(kept: int, step: int = 5) -> list[str]:
+    """A BuildKit stage whose error seconds hold `kept` lines in all: each
+    opens with an error and is followed by a second of progress only."""
+    sizes = [4] * (kept // 4) + ([kept % 4] if kept % 4 else [])
+    lines = [f"#{step} [{step}/9] RUN make"]
+    for n, size in enumerate(sizes):
+        second = 2 * n
+        lines.append(f"#{step} {second}.100 error: unit {n} failed")
+        lines += [f"#{step} {second}.{200 + j:03d} compiling {n}.{j}" for j in range(size - 1)]
+        lines += [f"#{step} {second + 1}.{j}00 linking {n}.{j}" for j in range(3)]
+    return lines
+
+
+def _assert_matches_reference(log: str, rules: RuleSet | None = None) -> PreprocessedLog:
+    rules = rules or RuleSet.default()
+    got, want = preprocess_log(log, rules), reference_preprocess_log(log, rules)
+    assert (tuple(got.lines), got.total_lines_in, got.total_lines_out, got.rule_hits) == (
+        want.lines, want.total_lines_in, want.total_lines_out, want.rule_hits
+    )
+    return got
+
+
+class TestCapWalk:
+    """The excerpt's head and tail are walked from the ends of the log, and a
+    timestamp is read only for a line that the walk reaches."""
+
+    @pytest.mark.parametrize("kept", [60, 61, 119, 120, 121, 122])
+    @pytest.mark.parametrize("timed", [True, False], ids=["timed", "untimed"])
+    def test_kept_counts_around_the_cap(self, kept, timed):
+        lines = _timed_stage(kept) if timed else ["> [1/1] RUN x", *(f"error {i}" for i in range(kept))]
+        got = _assert_matches_reference("\n".join(lines))
+        assert got.total_lines_out == min(kept, EXCERPT_LINE_CAP)
+
+    @pytest.mark.parametrize("first, second", [(70, 65), (60, 61), (61, 60), (59, 62), (121, 3)])
+    def test_head_in_one_timed_stage_and_tail_in_the_next(self, first, second):
+        # Both stages count their seconds from 0: a second is bucketed within its stage.
+        log = "\n".join(_timed_stage(first) + _timed_stage(second, step=6))
+        got = _assert_matches_reference(log)
+        assert got.total_lines_out == min(first + second, EXCERPT_LINE_CAP)
+
+    def test_a_middle_hit_and_its_whole_second_are_dropped(self):
+        lines = _timed_stage(200)
+        middle = lines.index("#5 50.100 error: unit 25 failed")
+        lines[middle + 1] = "#5 50.200 fatal: only in the middle"
+        got = _assert_matches_reference("\n".join(lines))
+        assert got.rule_hits["substr:fatal"] == 1
+        assert not any(line.startswith("#5 50.") for line in got.lines)
+
+    def test_untimed_hits_inside_a_timed_stage(self):
+        lines = _timed_stage(200)
+        for at in (6, 30, 400, len(lines) - 20, len(lines) - 3):
+            lines.insert(at, "E: untimed failure")
+        lines.insert(8, "")
+        _assert_matches_reference("\n".join(lines))
+
+    def test_a_stage_whose_only_timed_line_is_the_hit(self):
+        lone = ["#6 [6/9] RUN test", "a", "b", "#6 3.100 error: lone timed hit", "c", "d"]
+        for log in ("\n".join(lone), "\n".join(_timed_stage(130) + lone), "\n".join(lone + _timed_stage(130))):
+            got = _assert_matches_reference(log)
+            assert "#6 3.100 error: lone timed hit" in got.lines and "b" not in got.lines
+
+    def test_walked_lines_with_unicode_digit_and_overlong_timestamps(self):
+        # Seconds 4 and 98 hold an error and 5 does not; an overlong timing is
+        # no timing, so its error is untimed and its progress line is dropped.
+        lines = _timed_stage(200)
+        overlong = "#5 " + "1" * 330 + ".5 overlong progress"
+        for at, (kept, dropped) in ((3, ("٤", "٥")), (len(lines) - 5, ("٩٨", "٩٩"))):
+            lines[at:at] = [f"#5 {kept}.500 unicode kept", f"#5 {dropped}.5 unicode dropped", overlong]
+        for at in (20, len(lines) - 20):
+            lines.insert(at, "#5 " + "9" * 330 + ".1 error: untimed by overflow")
+        lines.insert(12, "#5 ٦.900 error: unicode hit")
+        got = _assert_matches_reference("\n".join(lines))
+        assert got.lines.count("#5 ٤.500 unicode kept") == got.lines.count("#5 ٩٨.500 unicode kept") == 1
+        assert not {"#5 ٥.5 unicode dropped", "#5 ٩٩.5 unicode dropped", overlong} & set(got.lines)
+
+    def test_a_capped_timed_log_reads_few_timestamps(self, monkeypatch):
+        # A 2,000-line BuildKit stage in the benchmark's shape: 8 lines a
+        # second, one in ten an error, then the summary stage.
+        rng = random.Random(3)
+        t, errors = rng.uniform(0, 3), set(rng.sample(range(2000), 200))
+        lines = ["#1 [internal] load build definition from Dockerfile", "#1 DONE 0.0s", "", "#5 [2/2] RUN make"]
+        for i in range(2000):
+            t += rng.uniform(0.5, 1.5) / 8
+            lines.append(f"#5 {t:.3f} " + (f"error: unit {i} failed" if i in errors else f"compiling unit {i}"))
+        lines += ["------", " > [2/2] RUN make:", "error: unit failed", "------",
+                  'ERROR: failed to solve: process "/bin/sh -c make" did not complete successfully: exit code: 2']
+        log = "\n".join(lines)
+        want = preprocess_log(log)
+        assert want.total_lines_out == EXCERPT_LINE_CAP
+
+        class CountingPattern:
+            calls = 0
+
+            def match(self, line):
+                CountingPattern.calls += 1
+                return pattern.match(line)
+
+        pattern = log_preprocess._TIMESTAMP_RE
+        monkeypatch.setattr(log_preprocess, "_TIMESTAMP_RE", CountingPattern())
+        assert preprocess_log(log) == want
+        # Reading every line of the stage would be over 2,000.
+        assert CountingPattern.calls < 700
+
+
+class TestWholeTextScan:
+    """`matching_lines` finds each needle in the lowercased lines joined by "\\n"."""
+
+    @staticmethod
+    def _assert_as_reference(rules: RuleSet, lines: list[str]) -> None:
+        want = [(i, names) for i, line in enumerate(lines) if (names := reference_match_names(rules, line))]
+        assert rules.matching_lines(lines) == want
+        _assert_matches_reference("\n".join(["> [1/1] RUN x", *lines]), rules)
+
+    def test_a_needle_holding_a_newline_hits_no_line(self):
+        rules = RuleSet([_parse_rule("substr:a\nb"), _parse_rule("substr:error"), _parse_rule("!substr:r\ne")])
+        lines = ["a", "b", "xa", "by error", "error a", "b error", "er", "error"]
+        self._assert_as_reference(rules, lines)
+        assert [i for i, _ in rules.matching_lines(lines)] == [3, 4, 5, 7]
+
+    def test_lines_that_lowercase_longer_map_each_hit_to_its_own_line(self):
+        # "İ" lowercases to two characters, so every later offset moves.
+        rules = RuleSet.from_lines(["substr:error", "substr:i̇x", "substr:failed", "!substr:warning:"])
+        lines = ["İİİ error", "İ", "plain error", "İİ failed İX error",
+                 "", "İİİİİİİİ", "error", "İ warning: error", "xİx"]
+        self._assert_as_reference(rules, lines)
+        assert [i for i, _ in rules.matching_lines(lines)] == [0, 2, 3, 6, 8]
