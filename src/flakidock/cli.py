@@ -18,7 +18,7 @@ import click
 from .build_engine import STATUS_ENGINE_ERROR, STATUS_SUCCESS, BuildRecord
 from .config import RunConfig, load_config
 from .dockerfile_model import diff_docs, parse_dockerfile, render_diff
-from .durable import append_line, replacing
+from .durable import append_line
 from .errors import EngineError, FlakiDockError
 from .log_preprocess import (
     EMPTY_OUTPUT,
@@ -228,6 +228,7 @@ def repair(ctx, dockerfile, context_dir, store_path, dry_run):
             rules=config.ruleset,
             session_dir=session_dir,
             prompt_budget=config.prompt_budget,
+            repaired_path=path.with_name(path.name + ".repaired"),
         )
     summary = {
         "verdict": session.verdict,
@@ -241,10 +242,7 @@ def repair(ctx, dockerfile, context_dir, store_path, dry_run):
         _emit(ctx, summary, "non-flaky; nothing to repair")
         ctx.exit(EXIT_OK)
     if session.verdict == VERDICT_REPAIRED:
-        repaired_path = path.with_name(path.name + ".repaired")
-        with replacing(repaired_path) as fh:
-            fh.write(session.final_dockerfile.encode("utf-8"))
-        summary["repaired_file"] = str(repaired_path)
+        summary["repaired_file"] = str(session.repaired_path)
         diff = render_diff(diff_docs(doc, parse_dockerfile(session.final_dockerfile)))
         _emit(ctx, summary, f"repaired after {session.attempts_used} attempt(s):\n{diff}")
         ctx.exit(EXIT_OK)

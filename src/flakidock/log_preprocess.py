@@ -16,23 +16,21 @@ the excerpt is built from them, so it holds no escape sequence. Every
 line pays for the split, a "[" test and one lowercase. The ANSI pass runs
 only when the log holds an ESC, and the banner regex only on lines that
 contain "[", as every banner does. The rules scan the lines of all stages
-at once: each include needle is found with `str.find` in the lowercased
-lines joined by "\n", and a hit line takes its rule names, in rule order,
-from the scans that found it. Timestamps are parsed only in a stage with a
-rule hit: each hit line's once, and another line's only when the walk for
-the excerpt's first or last 60 kept lines reaches it and has not kept it.
-
-An include `regex:` rule scans the lines only when its required literal,
-the lowercased leading literal run of its pattern, is in the lowered text,
-or when it has no such literal or the text is not ASCII: `re.IGNORECASE`
-folds `ſ`, the Kelvin sign and `İ` onto ASCII letters, and `str.lower` does
-not.
+at once: the lines are joined by "\n" and lowercased once, each include
+needle is found with `str.find` in that text, and a hit line takes its rule
+names, in rule order, from the scans that found it. An include `regex:` rule
+searches the lines only when its required literal, the lowercased leading
+literal run of its pattern, can occur in the text. The `!` vetoes run in
+the same scan over the same lowered text: a veto needle is one more
+`str.find` pass, and a veto regex searches only the hit lines. Timestamps
+are parsed only in a stage with a rule hit: each hit line's once, and
+another line's only when the walk for the excerpt's first or last 60 kept
+lines reaches it and has not kept it.
 
 The shipped exclusion filters are rule sets too: `classify_failure_exclusion`
 names the non-flaky cause (infrastructure, engine backend, project source)
-that a failure's excerpt matches, if any. The filters are tried in order,
-each only when one of its include needles or required literals is in the
-lowered excerpt, as above.
+that a failure's excerpt matches, if any. It lowercases the excerpt once,
+and every filter, in order, runs the same scan over that text.
 """
 
 from __future__ import annotations
@@ -41,7 +39,7 @@ import math
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from functools import cache
+from functools import cache, cached_property
 from importlib import resources
 from itertools import accumulate, compress, count, groupby, islice, repeat, takewhile
 from operator import add, contains, itemgetter
@@ -128,19 +126,15 @@ class RuleSet:
         if not any(not r.exclude for r in rules):
             raise InvalidRule("rule set contains no include rules")
         self.rules = rules
-        includes = [r for r in rules if not r.exclude]
-        vetoes = [replace(r, exclude=False) for r in rules if r.exclude]
-        # (name, needle, regex) per include rule: a `substr:` rule's needle is
-        # its pattern lowercased once, here, and its regex is None.
+        # (name, needle, regex, required literal) per include rule: a `substr:`
+        # rule's needle is its pattern lowercased once, here; it has no regex.
         self._includes = [
-            (r.source, r.pattern.lower() if r.kind == "substr" else None, r.compiled)
-            for r in includes
+            (r.source, r.pattern.lower(), None, None) if r.kind == "substr"
+            else (r.source, None, r.compiled, _required_literal(r.compiled))
+            for r in rules if not r.exclude
         ]
-        self._needles = [needle for _, needle, rx in self._includes if rx is None]
-        self._include_regexes = [
-            (r.compiled, _required_literal(r.compiled)) for r in includes if r.kind == "regex"
-        ]
-        # A line is vetoed when the vetoes, as include rules, name it.
+        # A line is vetoed when the vetoes, as include rules, hit it.
+        vetoes = [replace(r, exclude=False) for r in rules if r.exclude]
         self._vetoes = RuleSet(vetoes) if vetoes else None
 
     @classmethod
@@ -164,63 +158,58 @@ class RuleSet:
         data = resources.files("flakidock").joinpath("data/default.rules")
         return cls.from_lines(data.read_text(encoding="utf-8").splitlines())
 
-    def may_hit(self, lowered: str, is_ascii: bool) -> bool:
-        """False only when no line of a text hits an include rule, given the
-        text lowercased and whether it is ASCII: no include needle is in it,
-        and no include regex can scan it (see `_scanned_regexes`)."""
-        return any(map(lowered.__contains__, self._needles)) or bool(
-            self._scanned_regexes(lowered, is_ascii)
-        )
-
-    def _scanned_regexes(self, lowered: str, is_ascii: bool) -> list[re.Pattern]:
-        """The include regexes that can hit a line of a text: those without a
-        required literal, all of them when the text is not ASCII, and those
-        whose literal is in the lowered text."""
-        return [
-            rx for rx, literal in self._include_regexes
-            if literal is None or not is_ascii or literal in lowered
-        ]
-
     def matching_lines(self, lines: list[str]) -> list[tuple[int, list[str]]]:
-        """`(i, self.match_names(lines[i]))` for each line with a name, in order.
+        """`(i, names)` for each line `lines[i]` that an include rule hits and
+        no veto hits, in order; `names` are the include rules it hits, in rule
+        order. No line may hold a "\n"; a needle holding one hits no line."""
+        return self._matching(_LoweredLines(lines, "\n".join(lines)))
 
-        No line may hold a "\n". The lines are joined by "\n" and lowercased
-        once, which lowercases each as on its own: a final sigma sees "\n" as
-        it sees a line's end. Each needle is found in that text, resuming at
-        the next line after a hit, so a line takes its names in rule order from
-        the scans that found it. A needle holding "\n" hits no line."""
-        text = "\n".join(lines)
-        is_ascii, length, text = text.isascii(), len(text), text.lower()
-        # `str.lower` lengthens only "İ": when the text kept its length, so did each line.
-        lengths = map(len, lines if len(text) == length else text.split("\n"))
-        starts = [0, *accumulate(map(add, lengths, repeat(1)))]
-        scanned = self._scanned_regexes(text, is_ascii)
+    def _matching(self, lowered: "_LoweredLines") -> list[tuple[int, list[str]]]:
+        lines = lowered.lines
+        named = self._hits(lowered, range(len(lines)), lines)
+        hit = sorted(named)
+        if self._vetoes is not None and hit:
+            vetoed = self._vetoes._hits(lowered, hit, [lines[i] for i in hit])
+            hit = [i for i in hit if i not in vetoed]
+        return [(i, named[i]) for i in hit]
+
+    def _hits(self, lowered: "_LoweredLines", indices: "range | list[int]", searched: list[str]) -> dict[int, list[str]]:
+        """Line index -> the include rules it hits, in rule order.
+
+        Each needle is found in the lowered text, resuming at the next line
+        after a hit. A regex searches `searched`, the lines at `indices`, and
+        only when its required literal is in the lowered text, when it has
+        none, or when the text is not ASCII: `re.IGNORECASE` folds `ſ`, the
+        Kelvin sign and `İ` onto ASCII letters, and `str.lower` does not."""
+        text = lowered.text
         named: dict[int, list[str]] = {}
-        for name, needle, rx in self._includes:
+        for name, needle, rx, literal in self._includes:
             if rx is None:
                 pos = -1 if "\n" in needle else text.find(needle)
                 while pos >= 0:
-                    i = bisect_right(starts, pos) - 1
+                    i = bisect_right(lowered.starts, pos) - 1
                     named.setdefault(i, []).append(name)
-                    pos = text.find(needle, starts[i + 1])
-            elif rx in scanned:
-                for i in compress(count(), map(rx.search, lines)):
+                    pos = text.find(needle, lowered.starts[i + 1])
+            elif literal is None or not lowered.is_ascii or literal in text:
+                for i in compress(indices, map(rx.search, searched)):
                     named.setdefault(i, []).append(name)
-        # No hit line is vetoed when the vetoes cannot hit the text.
-        vetoes = self._vetoes
-        vetoing = vetoes is not None and vetoes.may_hit(text, is_ascii)
-        return [(i, named[i]) for i in sorted(named) if not (vetoing and vetoes.match_names(lines[i]))]
+        return named
 
-    def match_names(self, line: str) -> list[str]:
-        """Names of include rules hit by this line; empty if vetoed."""
-        if self._vetoes is not None and self._vetoes.match_names(line):
-            return []
-        lowered = line.lower()
-        return [
-            name
-            for name, needle, rx in self._includes
-            if (needle in lowered if rx is None else rx.search(line))
-        ]
+
+class _LoweredLines:
+    """Lines, and their text joined by "\n" and lowercased once, which lowers
+    each line as on its own: a final sigma sees "\n" as a line's end. Where
+    each line starts in that text is found on the first needle hit."""
+
+    def __init__(self, lines: list[str], text: str):
+        self.lines, self.text, self.is_ascii = lines, text.lower(), text.isascii()
+        self._length = len(text)
+
+    @cached_property
+    def starts(self) -> list[int]:
+        # `str.lower` lengthens only "İ": when the text kept its length, so did each line.
+        lines = self.lines if len(self.text) == self._length else self.text.split("\n")
+        return [0, *accumulate(map(add, map(len, lines), repeat(1)))]
 
 
 @dataclass
@@ -395,13 +384,9 @@ def classify_failure_exclusion(
     backend, or the project source rather than the build definition.
     """
     filters = filters if filters is not None else load_exclusion_filters()
-    # The lowered text splits into the lowered lines: `str.lower` neither
-    # makes nor removes a "\n", and a final sigma sees "\n" as it sees a
-    # line's end. So a filter whose gate fails has no matching line.
-    lowered, is_ascii = preprocessed_text.lower(), preprocessed_text.isascii()
-    lines = preprocessed_text.split("\n")
+    lowered = _LoweredLines(preprocessed_text.split("\n"), preprocessed_text)
     for name in _FILTER_NAMES:
         ruleset = filters.get(name)
-        if ruleset is not None and ruleset.may_hit(lowered, is_ascii) and ruleset.matching_lines(lines):
+        if ruleset is not None and ruleset._matching(lowered):
             return name
     return None

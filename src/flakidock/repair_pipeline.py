@@ -73,6 +73,7 @@ class RepairSession:
     attempts_used: int = 0
     session_dir: Path | None = None
     abort_reason: str | None = None  # the engine's or provider's message, for an aborted session
+    repaired_path: Path | None = None  # where a `repaired` ending writes final_dockerfile
 
     def add_feedback(self, false_repair: str, failure_output: str, vector: np.ndarray) -> None:
         if self.feedback and self.attempts_used <= self.feedback[-1].attempt_index:
@@ -195,8 +196,9 @@ def assemble_prompt(session: RepairSession, budget_tokens: int = 8000) -> str:
     """Build the generation prompt within the provider context budget.
 
     Over budget, the lowest-similarity examples are dropped first, then all
-    build-output texts are cut to their last part in halving steps, which
-    keeps the final error lines. If the bare query still does not fit,
+    build-output texts are cut to their last part in halving steps, from half
+    the query's, which keeps the final error lines. The steps stop at 64
+    tokens: if the prompt does not fit with every output cut to that,
     BudgetExhausted is raised.
     """
     examples = list(session.retrieved)
@@ -206,15 +208,13 @@ def assemble_prompt(session: RepairSession, budget_tokens: int = 8000) -> str:
         prompt = _render_prompt(session, examples, None)
     dynamic_budget = None
     while estimate_tokens(prompt) > budget_tokens:
-        dynamic_budget = (
-            estimate_tokens(session.query.dynamic_part) // 2
-            if dynamic_budget is None
-            else dynamic_budget // 2
-        )
-        if dynamic_budget < _MIN_DYNAMIC_TOKENS:
+        if dynamic_budget == _MIN_DYNAMIC_TOKENS:
             raise BudgetExhausted(
-                f"query alone exceeds the {budget_tokens}-token prompt budget"
+                f"prompt exceeds the {budget_tokens}-token budget with every build output "
+                f"cut to {_MIN_DYNAMIC_TOKENS} tokens"
             )
+        last = estimate_tokens(session.query.dynamic_part) if dynamic_budget is None else dynamic_budget
+        dynamic_budget = max(last // 2, _MIN_DYNAMIC_TOKENS)
         prompt = _render_prompt(session, examples, dynamic_budget)
     return prompt
 
@@ -368,13 +368,16 @@ def repair_flaky_dockerfile(
     rules: RuleSet | None = None,
     session_dir: Path | None = None,
     prompt_budget: int = 8000,
+    repaired_path: Path | None = None,
 ) -> RepairSession:
     """Run detection, retrieval, and the generate-validate-feedback loop.
 
     Always returns a session with a terminal verdict; a provider that fails
     after detection ends it as aborted-provider, keeping the feedback so far.
     Every prompt, response, and build log is persisted under session_dir when
-    given, so a session can be audited or replayed offline. Without a
+    given, so a session can be audited or replayed offline. A `repaired`
+    session writes its final Dockerfile to repaired_path, when given, before
+    verdict.json, so a verdict that says `repaired` has its file. Without a
     generator it raises `FlakiDockError` before any build, and before
     session_dir is made.
     """
@@ -392,6 +395,7 @@ def repair_flaky_dockerfile(
         session_dir=session_dir,
     )
     session_dir = session.session_dir
+    session.repaired_path = repaired_path
 
     with _ending(session):
         while session.verdict == VERDICT_IN_PROGRESS and session.attempts_used < policy.max_total_attempts:
@@ -446,8 +450,12 @@ def _ending(session: RepairSession):
 
 
 def _end_session(session: RepairSession, verdict: str, abort_reason: str | None = None) -> None:
-    """The one place a session ends: set its verdict and write verdict.json."""
+    """The one place a session ends: set its verdict, write a repaired
+    session's final Dockerfile to its repaired_path, then verdict.json."""
     session.verdict, session.abort_reason = verdict, abort_reason
+    if verdict == VERDICT_REPAIRED and session.repaired_path is not None:
+        with replacing(session.repaired_path) as fh:
+            fh.write(session.final_dockerfile.encode("utf-8"))
     _persist_session(session)
 
 

@@ -329,6 +329,26 @@ def test_every_crash_point_leaves_consistent_state(tmp_path, command):
             _rerun_repair(root, args, reference)
 
 
+def test_no_crash_point_leaves_a_repaired_verdict_without_the_repaired_file(tmp_path):
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    proc, calls = crashpoint.run(_repair_world(ref), ref)
+    assert proc.returncode == 0, proc.stderr
+    repaired = (ref / "project" / "Dockerfile.repaired").read_bytes()
+    seen_repaired = False
+    for k in range(1, len(calls) + 1):  # a kill before call k leaves what one after call k - 1 does
+        root = tmp_path / f"after-{k}"
+        root.mkdir()
+        proc, _ = crashpoint.run(_repair_world(root), root, "after", k)
+        assert proc.returncode == crashpoint.KILLED, (k, proc.stderr)
+        verdicts = [json.loads(p.read_bytes())["verdict"] for p in root.glob("state/sessions/*/verdict.json")]
+        if "repaired" in verdicts:
+            seen_repaired = True
+            written = root / "project" / "Dockerfile.repaired"
+            assert written.exists() and written.read_bytes() == repaired, k
+    assert seen_repaired
+
+
 @pytest.mark.xfail(
     raises=StoreError, strict=True,
     reason="ROADMAP item 4: records.jsonl is not yet the store's one commit point, so a kill "

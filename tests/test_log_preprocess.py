@@ -3,7 +3,9 @@ from __future__ import annotations
 import random
 import re
 import time
+from dataclasses import replace
 from itertools import compress
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -89,13 +91,13 @@ class TestSegmentation:
 class TestRules:
     def test_default_rules_load(self):
         rules = RuleSet.default()
-        assert rules.match_names("error: externally-managed-environment")
-        assert rules.match_names("E: Unable to locate package")
-        assert not rules.match_names("Installing collected packages")
+        assert rules.matching_lines(["error: externally-managed-environment"])
+        assert rules.matching_lines(["E: Unable to locate package"])
+        assert not rules.matching_lines(["Installing collected packages"])
 
     def test_exclusion_rule_vetoes(self):
         rules = RuleSet.default()
-        assert not rules.match_names("warning: error while loading preferences")
+        assert not rules.matching_lines(["warning: error while loading preferences"])
 
     def test_invalid_regex_rejected_at_load(self):
         with pytest.raises(InvalidRule):
@@ -107,14 +109,14 @@ class TestRules:
 
     def test_comments_and_blanks_skipped(self):
         rules = RuleSet.from_lines(["# heading", "", "substr:boom"])
-        assert rules.match_names("it went BOOM today")
+        assert rules.matching_lines(["it went BOOM today"])
 
     def test_rule_file_round_trip(self, tmp_path):
         path = tmp_path / "custom.rules"
         path.write_text("substr:kaput\n!substr:ignore-me\n")
         rules = RuleSet.from_file(path)
-        assert rules.match_names("kaput happened")
-        assert not rules.match_names("kaput but ignore-me")
+        assert rules.matching_lines(["kaput happened"])
+        assert not rules.matching_lines(["kaput but ignore-me"])
 
 
 class TestExtraction:
@@ -351,12 +353,13 @@ class TestDifferential:
         st.one_of(
             st.text(max_size=40),
             st.text(alphabet="errofailkelvinstaßẞİıiIK\u212a .()*[]/:E!0123456789-", max_size=30),
-        )
+        ).filter(lambda line: "\n" not in line)  # split on "\n" only, such a text is two lines
     )
     @settings(max_examples=300, deadline=None)
-    def test_match_names_matches_reference(self, line):
+    def test_single_line_matches_reference(self, line):
         for rules in _DIFF_RULESETS.values():
-            assert rules.match_names(line) == reference_match_names(rules, line)
+            names = reference_match_names(rules, line)
+            assert rules.matching_lines([line]) == ([(0, names)] if names else [])
 
 
 def _compiles(pattern: str) -> bool:
@@ -604,3 +607,20 @@ class TestWholeTextScan:
                  "", "İİİİİİİİ", "error", "İ warning: error", "xİx"]
         self._assert_as_reference(rules, lines)
         assert [i for i, _ in rules.matching_lines(lines)] == [0, 2, 3, 6, 8]
+
+    def test_vetoes_run_in_the_same_scan(self):
+        # "^\d" has no required literal; the veto needle "skip" follows "İ",
+        # which lowercases to two characters, so every later offset moves.
+        rules = RuleSet.from_lines(["substr:error", "regex:fail", "!regex:^\\d", "!substr:skip"])
+        lines = ["İ error skip", "İİ error", "1 error", "x fail", "2 fail İ", "İskip failed",
+                 "error", "skİp error", "ok", "3 ok", "İ", "İİ skip", "fail"]
+        self._assert_as_reference(rules, lines)
+        assert [i for i, _ in rules.matching_lines(lines)] == [1, 3, 6, 7, 12]
+        # The veto regex searches the hit lines only, not every line.
+        searched = []
+        veto = re.compile(r"^\d", re.IGNORECASE)
+        spy = SimpleNamespace(pattern=veto.pattern, flags=veto.flags,
+                              search=lambda line: searched.append(line) or veto.search(line))
+        spied = RuleSet([replace(r, compiled=spy) if r.exclude and r.kind == "regex" else r for r in rules.rules])
+        assert spied.matching_lines(lines) == rules.matching_lines(lines)
+        assert searched == [lines[i] for i in (0, 1, 2, 3, 4, 5, 6, 7, 12)]

@@ -30,6 +30,7 @@ from flakidock.repair_pipeline import (
     COT_GUIDANCE,
     EXAMPLE_HEADER,
     FEEDBACK_HEADER,
+    FEEDBACK_OUTPUT_LABEL,
     QUERY_HEADER,
     TASK_DESCRIPTION,
     UNPARSEABLE_FEEDBACK,
@@ -206,6 +207,17 @@ class TestAssemblePrompt:
         )
         with pytest.raises(BudgetExhausted):
             assemble_prompt(session, budget_tokens=200)
+
+    def test_long_feedback_outputs_are_cut_to_the_floor_before_giving_up(self):
+        # Half the short query output is under the 64-token floor, but with
+        # every build output cut to 64 tokens the prompt fits.
+        outputs = [f"error {i}: " + "y" * 10_800 for i in range(3)]
+        session = _session_with(feedback=[(f"FROM a\n# bad {i}\n", out) for i, out in enumerate(outputs)])
+        prompt = assemble_prompt(session, budget_tokens=2000)
+        assert len(prompt) // 4 <= 2000
+        assert prompt.count(FEEDBACK_OUTPUT_LABEL + "\n" + "y" * 256) == 3
+        assert "y" * 257 not in prompt
+        assert session.query.dynamic_part in prompt  # shorter than the floor: kept whole
 
 
 class TestGenerateRepair:
