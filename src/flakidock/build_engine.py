@@ -2,9 +2,11 @@
 
 The real driver shells out to the engine CLI with caching disabled; the
 simulated driver replays scripted outcomes and is the deterministic test
-backbone for every downstream module. The engine enforces the hygiene
-policy: a timeout per build and a full cleanup after every N builds, since
-stale engine state is itself a source of spurious failures.
+backbone for every downstream module. The script types check what they
+hold; `config` reads a scenario file's `builds` into them. The engine
+enforces the hygiene policy: a timeout per build and a full cleanup after
+every N builds, since stale engine state is itself a source of spurious
+failures.
 """
 
 from __future__ import annotations
@@ -111,8 +113,10 @@ class ScriptedOutcome:
             raise ValueError(
                 f"unknown status {self.status!r}, expected one of {', '.join(_SCRIPTED_STATUSES)}"
             )
-        if not math.isfinite(self.duration):  # the build journal is JSON, which has no NaN or infinity
-            raise ValueError(f"duration {self.duration} is not a finite number")
+        duration = self.duration  # the build journal is JSON, which has no NaN or infinity; a bool is no number
+        if type(duration) is bool or not isinstance(duration, (int, float)) or not math.isfinite(duration):
+            raise ValueError(f"duration {duration!r} is not a finite number")
+        object.__setattr__(self, "duration", float(duration))  # an int journals as a float
         if not isinstance(self.log, str):  # a failed build's log is preprocessed as text
             raise ValueError(f"log is {type(self.log).__name__}, not str")
         if self.exit_code is not None and type(self.exit_code) is not int:  # every driver journals an int or null
@@ -146,31 +150,12 @@ class SimulatedDriver(BuildDriver):
     driver_id = "simulated"
 
     def __init__(self, scripts: list[BuildScript]):
+        if not scripts:  # a build would have no script to replay
+            raise ValueError("a simulated driver has no build scripts")
         self.scripts = scripts
         self.cleanups = 0
         self.builds_run = 0
         self._positions: dict[int, int] = {}
-
-    @classmethod
-    def from_file(cls, path) -> "SimulatedDriver":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                payload = json.load(fh)
-            scripts = [
-                BuildScript(entry.get("match"), [
-                    ScriptedOutcome(o["status"], o.get("log", ""), o.get("exit_code"),
-                                    float(o.get("duration", 1.0)))
-                    for o in entry.get("outcomes", [])
-                ])
-                for entry in payload.get("builds", [])
-            ]
-        except ValueError as exc:  # bad JSON, or a check of the script types
-            raise ValueError(f"{path}: malformed scenario file: {exc}") from exc
-        except (KeyError, TypeError, AttributeError) as exc:
-            raise ValueError(f"{path}: malformed scenario file: {exc!r}") from exc
-        if not scripts:
-            raise ValueError(f"{path}: scenario file has no 'builds' scripts")
-        return cls(scripts)
 
     def _select(self, dockerfile_text: str) -> tuple[int, BuildScript]:
         for idx, script in enumerate(self.scripts):

@@ -137,14 +137,7 @@ def main(ctx, config_path, state_dir, driver, as_json, rules):
     """Detect, analyze, and repair flaky container-image build definitions."""
     ctx.ensure_object(dict)
     ctx.obj["json"] = as_json
-    overrides = {}
-    if state_dir is not None:
-        overrides["state_dir"] = Path(state_dir)
-    if driver is not None:
-        overrides["driver"] = driver
-    if rules is not None:
-        overrides["rules"] = Path(rules)
-    ctx.obj["config"] = load_config(config_path, overrides)
+    ctx.obj["config"] = load_config(config_path, {"state_dir": state_dir, "driver": driver, "rules": rules})
 
 
 @main.command()
@@ -438,10 +431,10 @@ def dataset_stats(ctx, store_path):
 @dataset.command("add")
 @click.argument("store_path", type=click.Path())
 @click.option("--id", "record_id", required=True)
-@click.option("--dockerfile", "dockerfile_path", type=click.Path(exists=True), required=True)
-@click.option("--log", "log_path", type=click.Path(exists=True), required=True, help="Raw failing build log (preprocessed on ingest).")
+@click.option("--dockerfile", "dockerfile_path", type=click.Path(), required=True)
+@click.option("--log", "log_path", type=click.Path(), required=True, help="Raw failing build log (preprocessed on ingest).")
 @click.option("--category", required=True, help="e.g. 'DEP/Versioning Issues' or 'MISC'.")
-@click.option("--repair", "repair_paths", type=click.Path(exists=True), multiple=True, required=True)
+@click.option("--repair", "repair_paths", type=click.Path(), multiple=True, required=True)
 @click.option("--iterations", default=None, help="Comma-separated validation build counts, one per repair (default 2 each).")
 @click.pass_context
 @_operational
@@ -458,7 +451,16 @@ def dataset_add(ctx, store_path, record_id, dockerfile_path, log_path, category,
     _lock_state(ctx)  # adds through one state directory run one at a time
     config: RunConfig = ctx.obj["config"]
     providers = config.providers
-    parsed_category = FlakinessCategory.from_string(category)  # before the store loads
+    # The inputs are read and checked before the store loads.
+    parsed_category = FlakinessCategory.from_string(category)
+    static_part = _read(Path(dockerfile_path))
+    raw_log = _read(Path(log_path), errors="replace")
+    repairs = tuple(_read(Path(p)) for p in repair_paths)
+    if not raw_log.strip():
+        raise FlakiDockError(f"{log_path}: empty build log")
+    dynamic = excerpt_or_tail(raw_log, preprocess_log(raw_log, config.ruleset))
+    if dynamic == EMPTY_OUTPUT:
+        raise FlakiDockError(f"{log_path}: no failure text: no rule hit and a blank last 2000 characters")
     if iterations:
         try:
             counts = tuple(int(v) for v in iterations.split(","))
@@ -468,22 +470,13 @@ def dataset_add(ctx, store_path, record_id, dockerfile_path, log_path, category,
         counts = tuple(config.build_iterations for _ in repair_paths)
     store_file = Path(store_path)
     records_path = store_file / "records.jsonl" if store_file.is_dir() else store_file
-    if records_path.exists():
-        index = load_store(store_file, providers.query_embedder)
-    else:
-        index = DemonstrationIndex([])
-    raw_log = _read(Path(log_path), errors="replace")
-    if not raw_log.strip():
-        raise FlakiDockError(f"{log_path}: empty build log")
-    dynamic = excerpt_or_tail(raw_log, preprocess_log(raw_log, config.ruleset))
-    if dynamic == EMPTY_OUTPUT:
-        raise FlakiDockError(f"{log_path}: no failure text: no rule hit and a blank last 2000 characters")
+    index = load_store(store_file, providers.query_embedder) if records_path.exists() else DemonstrationIndex([])
     record = DemonstrationRecord(
         id=record_id,
-        static_part=_read(Path(dockerfile_path)),
+        static_part=static_part,
         dynamic_part=dynamic,
         category=parsed_category,
-        repairs=tuple(_read(Path(p)) for p in repair_paths),
+        repairs=repairs,
         iterations=counts,
     )
     index.add(record, providers.query_embedder)

@@ -7,6 +7,7 @@ that holds the token.
 
 from __future__ import annotations
 
+import json
 import typing
 from dataclasses import Field, dataclass, fields
 from pathlib import Path
@@ -15,8 +16,10 @@ from .build_engine import (
     DEFAULT_BUILD_TEMPLATE,
     DEFAULT_CLEAN_COMMANDS,
     BuildEngine,
+    BuildScript,
     HygienePolicy,
     RealCliDriver,
+    ScriptedOutcome,
     SimulatedDriver,
 )
 from .errors import ConfigError, InvalidRule
@@ -113,30 +116,28 @@ class RunConfig:
             raise ConfigError(f"rules file {self.rules}: {exc}") from exc
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        scenario = responses = None
+        parsed: dict[Path, dict] = {}  # a file that scripts both roles is parsed once
         if self.driver.startswith("simulated:"):
-            scenario = _require_file("driver", self.driver)
-        elif self.driver != "real":
+            driver = _from_scenario(_require_file("driver", self.driver), "builds", _simulated_driver, parsed)
+        elif self.driver == "real":
+            driver = RealCliDriver(self.build_command, self.clean_commands)
+        else:
             raise ConfigError(f"driver must be 'real' or 'simulated:<path>', got {self.driver!r}")
         for key in ("embedding_provider", "sentence_provider"):
             if getattr(self, key) not in ("offline", "http"):
                 raise ConfigError(f"{key} must be 'offline' or 'http', got {getattr(self, key)!r}")
+        generator = None
         if self.generation_provider.startswith("scripted:"):
-            responses = _require_file("generation_provider", self.generation_provider)
-        elif self.generation_provider not in ("none", "http"):
+            path = _require_file("generation_provider", self.generation_provider)
+            generator = _from_scenario(path, "responses", ScriptedTextProvider, parsed)
+        elif self.generation_provider == "http":
+            generator = HttpChatProvider(self.generation_url, self.generation_model, self.generation_auth_env,
+                                         max_tokens=self.max_response_tokens)
+        elif self.generation_provider != "none":
             raise ConfigError(
                 "generation_provider must be 'none', 'http' or 'scripted:<path>', "
                 f"got {self.generation_provider!r}"
             )
-        try:  # a scenario file's own errors name the file
-            generator = ScriptedTextProvider.from_file(responses) if responses else None
-            driver = (SimulatedDriver.from_file(scenario) if scenario
-                      else RealCliDriver(self.build_command, self.clean_commands))
-        except (OSError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
-        if self.generation_provider == "http":
-            generator = HttpChatProvider(self.generation_url, self.generation_model, self.generation_auth_env,
-                                         max_tokens=self.max_response_tokens)
         query = sentence = HashingEmbeddingProvider()
         if self.embedding_provider == "http":
             query = HttpEmbeddingProvider(self.embedding_url, self.embedding_model, self.embedding_auth_env,
@@ -157,6 +158,32 @@ def _require_file(key: str, value: str) -> Path:
     if not path.is_file():
         raise ConfigError(f"{key} must name a scenario file, got {value!r}")
     return path
+
+
+def _from_scenario(path: Path, key: str, build, parsed: dict[Path, dict]):
+    """`build` of the scenario file's `key` list, parsed unless `parsed` holds the file. Every
+    failure, a check of the built types included, is a ConfigError naming the file."""
+    try:
+        if path not in parsed:
+            with open(path, encoding="utf-8") as fh:
+                parsed[path] = json.load(fh)
+        entries = parsed[path].get(key)
+        if not isinstance(entries, list):
+            raise ValueError(f"no {key!r} list")
+        return build(entries)
+    except (OSError, ValueError, TypeError, AttributeError) as exc:  # a decode error is a ValueError
+        raise ConfigError(f"{path}: malformed scenario file: {exc}") from exc
+
+
+def _simulated_driver(builds: list) -> SimulatedDriver:
+    """The driver of a scenario file's `builds` entries, each value passed to its type as it is."""
+    return SimulatedDriver([
+        BuildScript(entry.get("match"), [
+            ScriptedOutcome(o.get("status"), o.get("log", ""), o.get("exit_code"), o.get("duration", 1.0))
+            for o in entry.get("outcomes", [])
+        ])
+        for entry in builds
+    ])
 
 
 def _kind(field: Field) -> type:

@@ -78,7 +78,7 @@ class UnparseableResponse(FlakiDockError):
 
 
 class BudgetExhausted(FlakiDockError):
-    """Even the bare query does not fit the prompt token budget."""
+    """The prompt does not fit its token budget, even with every build output cut to the floor."""
 
 
 # --- configuration ---

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import json
 import os
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -221,7 +220,8 @@ class ScriptedTextProvider(TextGenerationProvider):
     """Canned responses consumed in order; the last one repeats.
 
     Records every prompt it receives, which is how tests assert on the
-    exact prompt contents of a given attempt.
+    exact prompt contents of a given attempt. `config` builds one from a
+    scenario file's `responses`.
     """
 
     def __init__(self, responses: list[str]):
@@ -232,20 +232,6 @@ class ScriptedTextProvider(TextGenerationProvider):
         self.responses = list(responses)
         self.prompts: list[str] = []
         self.provider_id = "scripted"
-
-    @classmethod
-    def from_file(cls, path) -> "ScriptedTextProvider":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                responses = json.load(fh).get("responses")
-        except (ValueError, AttributeError) as exc:
-            raise ValueError(f"{path}: malformed scenario file: {exc!r}") from exc
-        if not isinstance(responses, list) or not responses:
-            raise ValueError(f"{path}: scenario file has no 'responses' list")
-        try:
-            return cls(responses)
-        except ValueError as exc:
-            raise ValueError(f"{path}: malformed scenario file: {exc}") from exc
 
     def generate(self, prompt: str) -> str:
         self.prompts.append(prompt)

@@ -51,6 +51,7 @@ VERDICT_UNRESOLVED = "unresolved"
 VERDICT_NON_FLAKY = "non-flaky"
 VERDICT_ENGINE_ABORTED = "engine-aborted"
 VERDICT_PROVIDER_ABORTED = "aborted-provider"
+VERDICT_BUDGET_ABORTED = "aborted-budget"
 
 UNPARSEABLE_FEEDBACK = "provider returned unparseable repair"
 
@@ -72,7 +73,7 @@ class RepairSession:
     final_dockerfile: str | None = None
     attempts_used: int = 0
     session_dir: Path | None = None
-    abort_reason: str | None = None  # the engine's or provider's message, for an aborted session
+    abort_reason: str | None = None  # the engine's, provider's or budget's message, for an aborted session
     repaired_path: Path | None = None  # where a `repaired` ending writes final_dockerfile
 
     def add_feedback(self, false_repair: str, failure_output: str, vector: np.ndarray) -> None:
@@ -338,21 +339,9 @@ def start_session(
             return session
         query = session.query = RepairQuery.build(doc.raw_text, detection.failure_text)
         session.retrieved = retrieve_top_k(query, store, retrieval_k, providers.query_embedder)
-        _persist(
-            session,
-            "query.json",
-            json.dumps(
-                {
-                    "static_part": query.static_part,
-                    "dynamic_part": query.dynamic_part,
-                    "retrieved": [
-                        {"id": rec.id, "similarity": sim} for rec, sim in session.retrieved
-                    ],
-                },
-                indent=2,
-                sort_keys=True,
-            ),
-        )
+        payload = {"static_part": query.static_part, "dynamic_part": query.dynamic_part,
+                   "retrieved": _retrieved(session)}
+        _persist(session, "query.json", json.dumps(payload, indent=2, sort_keys=True))
     return session
 
 
@@ -373,7 +362,8 @@ def repair_flaky_dockerfile(
     """Run detection, retrieval, and the generate-validate-feedback loop.
 
     Always returns a session with a terminal verdict; a provider that fails
-    after detection ends it as aborted-provider, keeping the feedback so far.
+    after detection ends it as aborted-provider, and a prompt that cannot fit
+    prompt_budget as aborted-budget, keeping the feedback so far.
     Every prompt, response, and build log is persisted under session_dir when
     given, so a session can be audited or replayed offline. A `repaired`
     session writes its final Dockerfile to repaired_path, when given, before
@@ -438,7 +428,8 @@ def repair_flaky_dockerfile(
 @contextmanager
 def _ending(session: RepairSession):
     """End the session `engine-aborted` on an EngineError, whose builds join
-    the yielded list, or `aborted-provider` on a ProviderUnavailable."""
+    the yielded list, `aborted-provider` on a ProviderUnavailable, or
+    `aborted-budget` on a BudgetExhausted."""
     aborted_builds: list[BuildRecord] = []
     try:
         yield aborted_builds
@@ -447,6 +438,8 @@ def _ending(session: RepairSession):
         _end_session(session, VERDICT_ENGINE_ABORTED, str(exc))
     except ProviderUnavailable as exc:
         _end_session(session, VERDICT_PROVIDER_ABORTED, str(exc))
+    except BudgetExhausted as exc:
+        _end_session(session, VERDICT_BUDGET_ABORTED, str(exc))
 
 
 def _end_session(session: RepairSession, verdict: str, abort_reason: str | None = None) -> None:
@@ -465,15 +458,18 @@ def _persist(session: RepairSession, name: str, text: str) -> None:
             fh.write(text.encode("utf-8"))
 
 
+def _retrieved(session: RepairSession) -> list[dict]:
+    """The retrieved examples as query.json and verdict.json list them."""
+    return [{"id": rec.id, "similarity": sim} for rec, sim in session.retrieved]
+
+
 def _persist_session(session: RepairSession) -> None:
     payload = {
         "verdict": session.verdict,
         "abort_reason": session.abort_reason,
         "attempts_used": session.attempts_used,
         "final_dockerfile": session.final_dockerfile,
-        "retrieved": [
-            {"id": rec.id, "similarity": sim} for rec, sim in session.retrieved
-        ],
+        "retrieved": _retrieved(session),
         "feedback": [
             {
                 "attempt_index": entry.attempt_index,

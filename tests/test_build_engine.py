@@ -23,6 +23,7 @@ from flakidock.build_engine import (
     ScriptedOutcome,
     SimulatedDriver,
 )
+from flakidock.config import load_config
 from flakidock.dockerfile_model import parse_dockerfile
 from flakidock.errors import EngineError
 
@@ -193,18 +194,36 @@ class TestScenarioScripts:
         }
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(scenario))
-        driver = SimulatedDriver.from_file(path)
+        driver = load_config(overrides={"driver": f"simulated:{path}"}).engine.driver
         doc = parse_dockerfile("FROM a\nRUN fixed thing\n")
         assert driver.build(doc.raw_text, tmp_path, no_cache=True, timeout=60).status == "success"
+
+    def test_a_file_scripting_both_roles_is_parsed_once(self, tmp_path, monkeypatch):
+        payload = {"builds": [{"match": None, "outcomes": [{"status": "success"}]}], "responses": ["canned"]}
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(payload))
+        real_loads, parses = json.loads, []
+
+        def counting_loads(*args, **kwargs):
+            parses.append(real_loads(*args, **kwargs))
+            return parses[-1]
+
+        monkeypatch.setattr(json, "loads", counting_loads)  # json.load parses through json.loads too
+        config = load_config(overrides={"driver": f"simulated:{path}", "generation_provider": f"scripted:{path}"})
+        assert parses.count(payload) == 1
+        assert config.providers.generator.generate("p") == "canned"
+        assert config.engine.driver.build("FROM a\n", tmp_path, no_cache=True, timeout=60).status == "success"
 
     @pytest.mark.parametrize(
         "make",
         [lambda: ScriptedOutcome("sucess"), lambda: ScriptedOutcome("success", duration=float("nan")),
          lambda: BuildScript(None, []), lambda: ScriptedOutcome("failure", log=5),
          lambda: BuildScript(7, [ScriptedOutcome("success")]),
-         lambda: ScriptedOutcome("failure", exit_code="oops"), lambda: ScriptedOutcome("failure", exit_code=True)],
+         lambda: ScriptedOutcome("failure", exit_code="oops"), lambda: ScriptedOutcome("failure", exit_code=True),
+         lambda: ScriptedOutcome("success", duration="5"), lambda: ScriptedOutcome("success", duration=None),
+         lambda: ScriptedOutcome("success", duration=True), lambda: SimulatedDriver([])],
         ids=["unknown-status", "nan-duration", "no-outcomes", "log-not-str", "match-not-str",
-             "exit-code-not-int", "exit-code-bool"],
+             "exit-code-not-int", "exit-code-bool", "duration-str", "duration-null", "duration-bool", "no-scripts"],
     )
     def test_script_built_in_code_is_checked_as_a_file_is(self, make):
         # A script need not come from a file: the types check what they hold.
@@ -253,12 +272,20 @@ class TestPersistence:
         scenario.write_text(json.dumps({"builds": [
             {"match": None, "outcomes": [{"status": "failure", "log": "boom \ud800 here"}]},
         ]}))
-        engine = _engine(SimulatedDriver.from_file(scenario))
+        engine = _engine(load_config(overrides={"driver": f"simulated:{scenario}"}).engine.driver)
         record = engine.build_once(doc, tmp_path, persist_dir=tmp_path / "builds")
         raw = (tmp_path / "builds" / "builds.jsonl").read_bytes()
         assert raw.isascii() and raw.count(b"\n") == 1
         assert _journal(tmp_path / "builds") == [asdict(record)]
         assert record.log == "boom \ud800 here"
+
+    def test_int_duration_journals_as_a_float(self, doc, tmp_path):
+        scenario = tmp_path / "scenario.json"
+        outcomes = [{"status": "success", "duration": 5}]
+        scenario.write_text(json.dumps({"builds": [{"match": None, "outcomes": outcomes}]}))
+        engine = _engine(load_config(overrides={"driver": f"simulated:{scenario}"}).engine.driver)
+        engine.build_once(doc, tmp_path, persist_dir=tmp_path / "builds")
+        assert '"duration": 5.0,' in (tmp_path / "builds" / "builds.jsonl").read_text()
 
     def test_a_record_after_a_torn_line_starts_its_own_line(self, doc, tmp_path):
         engine = _engine(driver_for([outcome(STATUS_FAILURE, "boom log", exit_code=1)]))

@@ -180,7 +180,7 @@ class TestMalformedScenarios:
         error = json.loads(result.output)["error"]
         assert error.startswith(f"{scenario}: malformed scenario file: ") and "outcomes" in error
 
-    @pytest.mark.parametrize("duration", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf"), "5", True])
     def test_non_finite_duration_rejected(self, runner, tmp_path, duration):
         scenario = _write_scenario(
             tmp_path / "s.json", [{"match": None, "outcomes": [{"status": "failure", "duration": duration}]}]
@@ -385,6 +385,23 @@ class TestRepair:
         (session_dir,) = (tmp_path / "state" / "sessions").iterdir()
         verdict = json.loads((session_dir / "verdict.json").read_text(encoding="utf-8"))
         assert (verdict["verdict"], verdict["abort_reason"]) == ("engine-aborted", "daemon gone")
+
+    def test_prompt_over_budget_aborts_with_a_verdict(self, runner, tmp_path, flaky_setup):
+        dockerfile, scenario = flaky_setup
+        config = tmp_path / "flakidock.conf"
+        config.write_text(f"generation_provider = scripted:{scenario}\nprompt_budget = 100\n")
+        args = _base_args(tmp_path, scenario) + ["--config", str(config), "repair", str(dockerfile)]
+        dry = runner.invoke(main, args + ["--dry-run"])  # a dry run has no session to end
+        assert dry.exit_code == 1, dry.output
+        reason = json.loads(dry.output)["error"]
+        assert reason.startswith("prompt exceeds the 100-token budget")
+        full = runner.invoke(main, args)
+        assert full.exit_code == 1, full.output
+        assert json.loads(full.output)["error"] == f"session aborted: aborted-budget: {reason}"
+        (session_dir,) = (tmp_path / "state" / "sessions").iterdir()
+        verdict = json.loads((session_dir / "verdict.json").read_text(encoding="utf-8"))
+        assert (verdict["verdict"], verdict["abort_reason"], verdict["attempts_used"]) == ("aborted-budget", reason, 0)
+        assert not (session_dir / "prompt-1.txt").exists()
 
     @staticmethod
     def _repair_against_chat_reply(runner, tmp_path, flaky_setup, content):
@@ -911,6 +928,29 @@ class TestDataset:
         assert result.exit_code == 1, result.output
         assert json.loads(result.output) == {"error": message}
         assert loads == []
+
+    @pytest.mark.parametrize("option", ["--dockerfile", "--log", "--repair"])
+    def test_add_missing_input_file_exits_1_and_leaves_the_store(self, runner, tmp_path, monkeypatch, option):
+        for name, text in [("Dockerfile", ALPINE_PIP), ("build.log", ALPINE_PIP_LOG), ("fixed", ALPINE_PIP_REPAIRED)]:
+            (tmp_path / name).write_text(text)
+        store = tmp_path / "store" / "records.jsonl"
+
+        def add(record_id, **missing):
+            inputs = {"--dockerfile": "Dockerfile", "--log": "build.log", "--repair": "fixed", **missing}
+            return runner.invoke(main, _base_args(tmp_path) + [
+                "dataset", "add", str(store), "--id", record_id, "--category", "MISC",
+                *(arg for key, name in inputs.items() for arg in (key, str(tmp_path / name))),
+            ])
+
+        assert add("a").exit_code == 0
+        before = {p.name: p.read_bytes() for p in store.parent.iterdir()}
+        loads = []
+        monkeypatch.setattr(demo_store, "load_store", lambda *a, real=demo_store.load_store: loads.append(a) or real(*a))
+        result = add("b", **{option: "missing"})
+        assert result.exit_code == 1, result.output
+        assert json.loads(result.output) == {"error": f"no such file: {tmp_path / 'missing'}"}
+        assert loads == []
+        assert {p.name: p.read_bytes() for p in store.parent.iterdir()} == before
 
     @pytest.mark.parametrize("text", ["", " \n\t\n"], ids=["empty", "blank"])
     def test_add_blank_log_names_the_file(self, runner, tmp_path, text):

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flakidock.errors import ProviderUnavailable
+from flakidock.config import load_config
+from flakidock.errors import ConfigError, ProviderUnavailable
 from flakidock.providers import (
     HashingEmbeddingProvider,
     HttpChatProvider,
@@ -230,22 +231,24 @@ class TestScriptedProvider:
     def test_from_file(self, tmp_path):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps({"responses": ["canned"]}))
-        provider = ScriptedTextProvider.from_file(path)
+        provider = load_config(overrides={"generation_provider": f"scripted:{path}"}).providers.generator
         assert provider.generate("p") == "canned"
 
     def test_empty_scenario_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            ScriptedTextProvider([])
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps({"responses": []}))
-        with pytest.raises(ValueError):
-            ScriptedTextProvider.from_file(path)
+        with pytest.raises(ConfigError, match="malformed scenario file"):
+            load_config(overrides={"generation_provider": f"scripted:{path}"})
 
     def test_response_without_utf8_form_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="no UTF-8 form"):
             ScriptedTextProvider(["FROM busybox\n", "FROM \ud800\n"])
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps({"responses": ["FROM \ud800\n"]}))  # written as an escape
-        with pytest.raises(ValueError, match="malformed scenario file"):
-            ScriptedTextProvider.from_file(path)
+        with pytest.raises(ConfigError, match="malformed scenario file"):
+            load_config(overrides={"generation_provider": f"scripted:{path}"})
 
 
 class TestTokenHelpers:

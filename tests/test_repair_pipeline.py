@@ -34,6 +34,7 @@ from flakidock.repair_pipeline import (
     QUERY_HEADER,
     TASK_DESCRIPTION,
     UNPARSEABLE_FEEDBACK,
+    VERDICT_BUDGET_ABORTED,
     VERDICT_ENGINE_ABORTED,
     VERDICT_NON_FLAKY,
     VERDICT_PROVIDER_ABORTED,
@@ -846,3 +847,24 @@ def test_every_session_end_writes_verdict_json_once(base_doc, tmp_path, offline_
     assert written.count("verdict.json") == 1
     saved = json.loads((tmp_path / "s" / "verdict.json").read_text())
     assert (saved["verdict"], saved["abort_reason"]) == (verdict, abort_reason)
+
+
+def test_prompt_over_budget_ends_the_session_keeping_its_feedback(base_doc, tmp_path, offline_provider):
+    # Attempt 1's prompt fits; attempt 2's carries the rejected candidate in
+    # full, which no cut of the build outputs brings under the budget.
+    long_candidate = "FROM busybox\n# candidate-a " + "x" * 16000 + "\nRUN a\n"
+    providers = ProviderSet(offline_provider, offline_provider, ScriptedTextProvider([fenced(long_candidate)]))
+    session = repair_flaky_dockerfile(
+        base_doc, tmp_path, load_store(builtin_store_path(), offline_provider), providers, ValidationPolicy(),
+        _engine(driver_with_scripts({None: _FAIL_DETECT, "candidate-a": _FAIL_X})),
+        session_dir=tmp_path / "s", prompt_budget=3000,
+    )
+    assert session.verdict == VERDICT_BUDGET_ABORTED == "aborted-budget"
+    assert session.abort_reason.startswith("prompt exceeds the 3000-token budget")
+    assert [entry.false_repair for entry in session.feedback] == [long_candidate]
+    saved = json.loads((tmp_path / "s" / "verdict.json").read_text())
+    assert (saved["verdict"], saved["abort_reason"], saved["attempts_used"]) == (
+        "aborted-budget", session.abort_reason, 1,
+    )
+    assert [entry["false_repair"] for entry in saved["feedback"]] == [long_candidate]
+    assert not (tmp_path / "s" / "prompt-2.txt").exists()
