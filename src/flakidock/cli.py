@@ -318,7 +318,7 @@ def monitor(ctx, manifest, rounds):
         doc = None
         records: list[BuildRecord] = []
         try:
-            doc = parse_dockerfile((context / "Dockerfile").read_bytes())
+            doc = _load_doc(context / "Dockerfile")
             records = engine.run_build_series(doc, context, rounds)
         except (OSError, FlakiDockError) as exc:
             entry["errors"].append(str(exc))  # record and keep going

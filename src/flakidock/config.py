@@ -176,12 +176,11 @@ def _from_scenario(path: Path, key: str, build, parsed: dict[Path, dict]):
 
 
 def _simulated_driver(builds: list) -> SimulatedDriver:
-    """The driver of a scenario file's `builds` entries, each value passed to its type as it is."""
+    """The driver of a scenario file's `builds` entries, each entry's keys passed to its type as they
+    are, so a key the type does not take is an error; an entry without `match` is the default script."""
     return SimulatedDriver([
-        BuildScript(entry.get("match"), [
-            ScriptedOutcome(o.get("status"), o.get("log", ""), o.get("exit_code"), o.get("duration", 1.0))
-            for o in entry.get("outcomes", [])
-        ])
+        BuildScript(**{"match": None, **entry,
+                       "outcomes": [ScriptedOutcome(**o) for o in entry.get("outcomes", [])]})
         for entry in builds
     ])
 

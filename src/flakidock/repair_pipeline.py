@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .build_engine import BuildEngine, BuildRecord
-from .config import ValidationPolicy  # re-exported: callers import it from here too
+from .config import RunConfig, ValidationPolicy  # ValidationPolicy is re-exported: callers import it from here too
 from .demo_store import (
     DYNAMIC_LABEL,
     STATIC_LABEL,
@@ -193,7 +193,7 @@ def _render_prompt(
     return "\n\n".join(blocks)
 
 
-def assemble_prompt(session: RepairSession, budget_tokens: int = 8000) -> str:
+def assemble_prompt(session: RepairSession, budget_tokens: int = RunConfig.prompt_budget) -> str:
     """Build the generation prompt within the provider context budget.
 
     Over budget, the lowest-similarity examples are dropped first, then all
@@ -310,7 +310,7 @@ def start_session(
     policy: ValidationPolicy,
     engine: BuildEngine,
     *,
-    retrieval_k: int = 3,
+    retrieval_k: int = RunConfig.retrieval_k,
     rules: RuleSet | None = None,
     session_dir: Path | None = None,
 ) -> RepairSession:
@@ -353,10 +353,10 @@ def repair_flaky_dockerfile(
     policy: ValidationPolicy,
     engine: BuildEngine,
     *,
-    retrieval_k: int = 3,
+    retrieval_k: int = RunConfig.retrieval_k,
     rules: RuleSet | None = None,
     session_dir: Path | None = None,
-    prompt_budget: int = 8000,
+    prompt_budget: int = RunConfig.prompt_budget,
     repaired_path: Path | None = None,
 ) -> RepairSession:
     """Run detection, retrieval, and the generate-validate-feedback loop.

@@ -23,8 +23,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import flakidock
+
 KILLED = 137
-SRC = Path(__file__).resolve().parents[1] / "src"
+# The directory the package under test is imported from; the launcher imports it from there too.
+IMPORT_ROOT = Path(flakidock.__file__).resolve().parents[1]
 
 
 class CrashingOs:
@@ -59,7 +62,7 @@ def run(args: list[str], cwd: Path, when: str = "before", k: int = 0) -> tuple[s
     ran through, the names of its durable calls in order (else None)."""
     count_file = Path(cwd) / ".crashpoint-calls"
     count_file.unlink(missing_ok=True)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(IMPORT_ROOT), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, __file__, when, str(k), str(count_file), *args],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=120,

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import fcntl
+import hashlib
 import json
 import logging
 import os
@@ -102,6 +103,15 @@ class TestDetect:
         assert result.exit_code == 0, result.output
         assert json.loads(result.output)["verdict"] == "non-flaky"
 
+    def test_runs_append_to_one_journal_named_by_the_files_sha256(self, runner, tmp_path):
+        # The name is the hash of the file's bytes, so it stays valid across parser changes.
+        args = _detect_args(tmp_path)
+        for _ in range(2):
+            assert runner.invoke(main, args).exit_code == 0
+        (journal,) = (tmp_path / "state" / "builds").glob("*/builds.jsonl")
+        assert journal.parent.name == hashlib.sha256((tmp_path / "p" / "Dockerfile").read_bytes()).hexdigest()
+        assert journal.read_text().count("\n") == 4
+
     def test_flaky_exit_two_with_excerpt(self, runner, tmp_path):
         project = tmp_path / "p"
         project.mkdir()
@@ -189,6 +199,21 @@ class TestMalformedScenarios:
         assert result.exit_code == 1, result.output
         error = json.loads(result.output)["error"]
         assert error.startswith(f"{scenario}: malformed scenario file: ") and "duration" in error
+        assert not (tmp_path / "state" / "builds").exists()
+
+    @pytest.mark.parametrize(
+        "builds, key",
+        [([{"match": None, "outcomes": [{"status": "failure", "log": "error: x", "exit-code": 3}]}], "exit-code"),
+         ([{"macth": "x", "outcomes": [{"status": "success"}]}], "macth")],
+        ids=["outcome-key", "entry-key"],
+    )
+    def test_unknown_key_rejected(self, runner, tmp_path, builds, key):
+        # A typo would otherwise replay as the default: exit_code 1, or the default script.
+        scenario = _write_scenario(tmp_path / "s.json", builds)
+        result = runner.invoke(main, _detect_args(tmp_path, scenario))
+        assert result.exit_code == 1, result.output
+        error = json.loads(result.output)["error"]
+        assert error.startswith(f"{scenario}: malformed scenario file: ") and repr(key) in error
         assert not (tmp_path / "state" / "builds").exists()
 
     def test_scenario_not_json(self, runner, tmp_path):
@@ -802,6 +827,27 @@ class TestMonitor:
         assert report["projects"]["broken"]["errors"]
         assert report["projects"]["good"]["builds"] == 1
 
+    def test_project_dockerfile_errors_read_as_in_detect(self, runner, tmp_path):
+        missing, unreadable, empty = tmp_path / "missing", tmp_path / "unreadable", tmp_path / "empty"
+        missing.mkdir()
+        (unreadable / "Dockerfile").mkdir(parents=True)
+        empty.mkdir()
+        (empty / "Dockerfile").write_text("")
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(f"missing {missing}\nunreadable {unreadable}\nempty {empty}\n")
+        scenario = _write_scenario(
+            tmp_path / "s.json", [{"match": None, "outcomes": [{"status": "success"}]}]
+        )
+        result = runner.invoke(
+            main, _base_args(tmp_path, scenario) + ["monitor", str(manifest), "--rounds", "1"]
+        )
+        assert result.exit_code == 0, result.output
+        projects = json.loads(result.output)["projects"]
+        assert projects["missing"]["errors"] == [f"no such file: {missing / 'Dockerfile'}"]
+        (error,) = projects["unreadable"]["errors"]
+        assert error.startswith(f"cannot read {unreadable / 'Dockerfile'}: ")
+        assert projects["empty"]["errors"] == [f"cannot parse {empty / 'Dockerfile'}: no instructions found"]
+
     def test_builds_before_an_engine_error_are_kept(self, runner, tmp_path):
         manifest = self._manifest(tmp_path, [("proj", "FROM busybox\n")])
         scenario = _write_scenario(
@@ -1012,6 +1058,61 @@ class TestDataset:
 
 
 class TestPreprocessCommand:
+    def _preprocess(self, runner, tmp_path, lines: list[str]) -> dict:
+        log = tmp_path / "build.log"
+        log.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(main, _base_args(tmp_path) + ["preprocess", str(log)])
+        assert result.exit_code == 0, result.output
+        return json.loads(result.output)
+
+    def test_coloured_log_gives_a_fixed_excerpt(self, runner, tmp_path):
+        # The banner and ERROR line are kept without their escapes, the ERROR line
+        # anchors its second, the warning: line is vetoed as an anchor but kept as
+        # a neighbour, and the line of the next second is dropped.
+        got = self._preprocess(runner, tmp_path, [
+            "\x1b[1m#5 [2/2] RUN make\x1b[0m", "#5 0.100 compiling", "#5 0.400 \x1b[31mERROR: boom\x1b[0m",
+            "#5 0.700 warning: deprecated failed flag", "#5 1.200 done",
+        ])
+        want = {
+            "excerpt": "#5 [2/2] RUN make\n#5 0.100 compiling\n#5 0.400 ERROR: boom\n"
+                       "#5 0.700 warning: deprecated failed flag",
+            "total_lines_in": 5,
+            "total_lines_out": 3,
+            "rule_hits": {"substr:error": 1},
+        }
+        assert {k: got[k] for k in want} == want
+
+    def test_capped_excerpt_keeps_the_first_and_last_60_lines(self, runner, tmp_path):
+        # The preamble hit comes first, and each stage header is written once.
+        got = self._preprocess(runner, tmp_path, [
+            "error: preamble hit", "> [1/2] RUN a", *(f"error a{i}" for i in range(70)),
+            "> [2/2] RUN b", *(f"error b{i}" for i in range(70)),
+        ])
+        assert (got["stages"], got["total_lines_in"], got["total_lines_out"]) == (2, 143, 120)
+        lines = got["excerpt"].split("\n")
+        assert lines[:3] == ["error: preamble hit", "> [1/2] RUN a", "error a0"]
+        assert lines[60:63] == ["error a58", "> [2/2] RUN b", "error b10"]
+        assert lines[-1] == "error b69" and len(lines) == 122
+
+    def test_capped_timed_excerpt_ends_its_head_and_starts_its_tail_inside_a_second(self, runner, tmp_path):
+        # Two stages of 7 lines a second, an error opening each second except
+        # every fourth: the head ends inside second 10 of the first stage and
+        # the tail starts inside second 28 of the second.
+        lines = []
+        for stage, label in ((5, "1/2] RUN a"), (6, "2/2] RUN b")):
+            lines.append(f"#{stage} [{label}")
+            for i in range(140):
+                second = (stage - 5) * 20 + i // 7
+                text = f"error: unit {i} failed" if i % 7 == 0 and second % 4 != 3 else f"step {i}"
+                lines.append(f"#{stage} {second}.{100 + (i % 7) * 100:03d} {text}")
+        got = self._preprocess(runner, tmp_path, lines)
+        assert (got["stages"], got["total_lines_in"], got["total_lines_out"]) == (2, 282, 120)
+        assert got["rule_hits"] == {"substr:error": 30, "substr:failed": 30}
+        lines = got["excerpt"].split("\n")
+        assert lines[58:63] == ["#5 10.200 step 71", "#5 10.300 step 72", "#5 10.400 step 73",
+                                "#6 [2/2] RUN b", "#6 28.400 step 59"]
+        assert lines[-1] == "#6 38.700 step 132" and len(lines) == 122
+
     def test_prints_excerpt(self, runner, tmp_path):
         log = tmp_path / "build.log"
         log.write_text(ALPINE_PIP_LOG)

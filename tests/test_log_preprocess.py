@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 import re
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import compress
 from types import SimpleNamespace
 
@@ -17,6 +17,7 @@ from flakidock.log_preprocess import (
     EXCERPT_LINE_CAP,
     PreprocessedLog,
     RuleSet,
+    StageSection,
     _parse_rule,
     _required_literal,
     classify_failure_exclusion,
@@ -79,6 +80,11 @@ class TestSegmentation:
             (None, ["pulling metadata"]), ("> [1/1] RUN x", ["ok"]),
         ]
 
+    def test_a_section_is_its_header_and_its_lines_without_escapes(self):
+        assert [f.name for f in fields(StageSection)] == ["header", "lines"]
+        (section,) = segment_stages("\x1b[1m#5 [2/2] RUN make\x1b[0m\n#5 0.100 \x1b[31mcompiling\x1b[0m\n")
+        assert (section.header, section.lines) == ("#5 [2/2] RUN make", ["#5 0.100 compiling"])
+
     def test_stage_indices_unique_across_restarting_banners(self):
         # A restarted [i/k] numbering still opens a new section, in log order.
         log = "> [1/2] RUN a\nx\n> [2/2] RUN b\n> [1/3] RUN c\ny\n"
@@ -98,6 +104,10 @@ class TestRules:
     def test_exclusion_rule_vetoes(self):
         rules = RuleSet.default()
         assert not rules.matching_lines(["warning: error while loading preferences"])
+
+    def test_a_vetoed_line_and_a_hit_in_one_scan(self):
+        # The shipped `!substr:warning:` veto drops line 0; line 1 is named by the include that hit it.
+        assert RuleSet.default().matching_lines(["warning: error x", "error: y"]) == [(1, ["substr:error"])]
 
     def test_invalid_regex_rejected_at_load(self):
         with pytest.raises(InvalidRule):

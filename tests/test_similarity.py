@@ -19,7 +19,7 @@ from flakidock.demo_store import (
 )
 from flakidock.errors import DimensionMismatch, ZeroVector
 from flakidock import providers
-from flakidock.demo_store import load_store, save_store
+from flakidock.demo_store import builtin_store_path, load_store, save_store
 from flakidock.providers import HashingEmbeddingProvider
 from flakidock.similarity import (
     RepairQuery,
@@ -508,6 +508,15 @@ class TestRetrievalDifferential:
         repair_query = RepairQuery.build("FROM busybox\n", "boom")
         got = retrieve_top_k(repair_query, index, k, provider)
         want = reference_retrieve_top_k(repair_query, index, k, provider)
+        assert [(r.id, s.hex()) for r, s in got] == [(r.id, s.hex()) for r, s in want]
+
+    def test_builtin_store_matches_full_scan(self, offline_provider):
+        # The shipped store holds no vectors.bin: loading recomputes its matrix.
+        index = load_store(builtin_store_path(), offline_provider)
+        assert index.matrix.dtype == np.float32 and index.matrix.shape == (len(index), offline_provider.dim)
+        query = RepairQuery.build("FROM alpine:3.19\nRUN pip install flask\n", "error: externally-managed-environment")
+        got = retrieve_top_k(query, index, 3, offline_provider)
+        want = reference_retrieve_top_k(query, index, 3, offline_provider)
         assert [(r.id, s.hex()) for r, s in got] == [(r.id, s.hex()) for r, s in want]
 
     @pytest.mark.parametrize("dim", [2, 6])

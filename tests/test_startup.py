@@ -22,7 +22,9 @@ import pytest
 
 import flakidock
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+# The directory the package under test is imported from: src/ in a checkout,
+# site-packages for an installed copy. A fresh interpreter imports from it too.
+IMPORT_ROOT = Path(flakidock.__file__).resolve().parents[1]
 
 
 # `code` can call `loaded()`: which of the modules start-up must skip are loaded.
@@ -30,14 +32,19 @@ _PRELUDE = 'import sys\nloaded = lambda: sorted({"numpy", "requests"} & set(sys.
 
 
 def _fresh_python(code: str, cwd: Path) -> dict:
-    """Run `code` in a new interpreter importing from src/; its last stdout line is JSON."""
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    """Run `code` in a new interpreter importing the package under test; its last stdout line is JSON."""
+    env = {**os.environ, "PYTHONPATH": str(IMPORT_ROOT)}
     proc = subprocess.run(
         [sys.executable, "-c", _PRELUDE + textwrap.dedent(code)],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_a_fresh_interpreter_imports_the_package_under_test(tmp_path):
+    seen = _fresh_python("import json, flakidock\nprint(json.dumps(flakidock.__file__))", tmp_path)
+    assert Path(seen).resolve() == Path(flakidock.__file__).resolve()
 
 
 def test_importing_the_package_and_the_cli_skips_numpy(tmp_path):
