@@ -11,14 +11,12 @@ failures.
 
 from __future__ import annotations
 
-import itertools
 import json
 import logging
 import math
 import shlex
 import subprocess
 import tempfile
-import threading
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -275,11 +273,9 @@ class RealCliDriver(BuildDriver):
 class BuildEngine:
     """Sequential build series with hygiene cadence and persistence.
 
-    A series for one document is strictly sequential. A lock keeps two
-    cleanups of one engine from overlapping; it does not wait for builds in
-    flight, so a build running beside a cleanup may lose its engine state.
-    The cleanup cadence counts every series build of the engine, whichever
-    document it built.
+    Builds run one at a time: an engine is not used from a second thread
+    while one builds or cleans. The cleanup cadence counts every series
+    build of the engine, whichever document it built.
 
     Each build appends one JSON line, its log inline, to `builds.jsonl` in
     the build's directory: `persist_dir` when given, else
@@ -292,9 +288,8 @@ class BuildEngine:
     state_dir: Path | None = None
 
     def __post_init__(self):
-        self._cleanup_lock = threading.Lock()
         self.cleanups_performed = 0
-        self._series_builds = itertools.count(1)
+        self._series_builds = 0
 
     def build_once(
         self, doc: DockerfileDoc, context_dir, persist_dir: Path | None = None
@@ -343,7 +338,8 @@ class BuildEngine:
                 exc.records = records + exc.records
                 raise
             records.append(record)
-            if next(self._series_builds) % self.policy.clean_every == 0:
+            self._series_builds += 1
+            if self._series_builds % self.policy.clean_every == 0:
                 try:
                     self.clean_environment()
                 except EngineError as exc:
@@ -354,9 +350,8 @@ class BuildEngine:
 
     def clean_environment(self) -> None:
         """Request a driver-level prune of caches, images, and containers."""
-        with self._cleanup_lock:
-            self.driver.clean()
-            self.cleanups_performed += 1
+        self.driver.clean()
+        self.cleanups_performed += 1
 
     def _persist(
         self, doc: DockerfileDoc, outcome: DriverOutcome, started_at: str, persist_dir: Path | None

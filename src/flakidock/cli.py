@@ -11,6 +11,7 @@ import fcntl
 import functools
 import json
 import os
+import sys
 from pathlib import Path
 
 import click
@@ -125,7 +126,7 @@ def _history_entry(line: str) -> dict | None:
     return entry if isinstance(entry, dict) and "status" in entry else None
 
 
-@click.group()
+@click.group(no_args_is_help=False)  # no command is a usage error, as on every click version
 @click.option("--config", "config_path", type=click.Path(), default=None, help="Config file (key = value lines).")
 @click.option("--state-dir", type=click.Path(), default=None, help="Working state directory.")
 @click.option("--driver", default=None, help="'real' or 'simulated:<scenario.json>'.")
@@ -383,7 +384,7 @@ def preprocess(ctx, logfile):
     _emit(ctx, payload, result.as_text())
 
 
-@main.group()
+@main.group(no_args_is_help=False)
 def dataset():
     """Inspect and extend demonstration stores."""
 
@@ -488,5 +489,27 @@ def dataset_add(ctx, store_path, record_id, dockerfile_path, log_path, category,
     )
 
 
+def _entry_point() -> None:
+    """The console script: `main`, with click's usage errors (a missing
+    argument or command, an unknown option or command, a bad option value)
+    exiting 1 with the error message, as the error object under --json."""
+    args = sys.argv[1:]
+    try:
+        code = main.main(args, standalone_mode=False)
+    except click.UsageError as exc:
+        # Read from the raw arguments: click may stop parsing before --json.
+        if "--json" in args:
+            click.echo(json.dumps({"error": exc.format_message()}))
+        else:
+            click.echo(f"error: {exc.format_message()}", err=True)
+            if exc.ctx is not None:
+                click.echo(exc.ctx.get_usage(), err=True)
+        sys.exit(EXIT_ERROR)
+    except click.Abort:
+        click.echo("Aborted!", err=True)
+        sys.exit(EXIT_ERROR)
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    main()
+    _entry_point()

@@ -17,7 +17,6 @@ import logging
 import operator
 import os
 import struct
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
@@ -193,10 +192,10 @@ def _checked_record(payload, categories: dict) -> DemonstrationRecord:
 class DemonstrationIndex:
     """Loaded store: records in file order plus their embedding matrix.
 
-    Reads are lock-free; inserts serialize through a writer lock. Inserts
-    write into spare rows of a buffer that doubles when full, so an insert
-    costs amortised O(1) row copies; `matrix` and the norms are views of the
-    first len(self) buffer rows.
+    Inserts write into spare rows of a buffer that doubles when full, so an
+    insert costs amortised O(1) row copies; `matrix` and the norms are views
+    of the first len(self) buffer rows. An index is not used from a second
+    thread while one adds to it.
     """
 
     def __init__(self, records: list[DemonstrationRecord], matrix: np.ndarray | None = None):
@@ -208,7 +207,6 @@ class DemonstrationIndex:
             matrix = np.zeros((0, 0), np.float32)
         if len(matrix) != len(records):
             raise StoreError(f"{len(matrix)} embedding rows for {len(records)} records")
-        self._writer_lock = threading.Lock()
         self.records = records
         self.by_id = {r.id: r for r in records}
         self.matrix = self._row_buffer = matrix
@@ -219,38 +217,30 @@ class DemonstrationIndex:
         return len(self.records)
 
     def scan(self) -> tuple[np.ndarray, np.ndarray]:
-        """Matching (embedding matrix, float64 row norms), safe during an add()."""
-        norms = self._norms  # add() publishes the matrix first, then the norms
-        return self.matrix[: len(norms)], norms
+        """The embedding matrix and its float64 row norms."""
+        return self.matrix, self._norms
 
     def add(self, record: DemonstrationRecord, provider: EmbeddingProvider) -> None:
         import numpy as np
 
         validate_record(record)
-        # Both checked again under the lock; here they save a provider call.
         if record.id in self.by_id:
             raise SchemaViolation(record.id, "id", "duplicate record id")
-        if len(self) and provider.dim != self.matrix.shape[1]:
+        n = len(self)
+        if n and provider.dim != self.matrix.shape[1]:
             raise DimensionMismatch(f"store dim {self.matrix.shape[1]} vs record dim {provider.dim}")
         vec = embed(record.combined_text(), provider)
-        with self._writer_lock:
-            if record.id in self.by_id:
-                raise SchemaViolation(record.id, "id", "duplicate record id")
-            n, dim = len(self._norms), vec.size
-            if n and dim != self.matrix.shape[1]:
-                raise DimensionMismatch(f"store dim {self.matrix.shape[1]} vs record dim {dim}")
-            if n == len(self._norm_buffer):  # full, or still the read-only loaded rows
-                rows, norms = np.empty((2 * n or 1, dim), np.float32), np.empty(2 * n or 1)
-                if n:
-                    rows[:n], norms[:n] = self.matrix, self._norms
-                self._row_buffer, self._norm_buffer = rows, norms
-            # Rows past the published views are invisible to readers until published.
-            self._row_buffer[n] = vec
-            self._norm_buffer[n : n + 1] = _row_norms(self._row_buffer[n : n + 1])
-            self.records.append(record)
-            self.by_id[record.id] = record
-            self.matrix = self._row_buffer[: n + 1]
-            self._norms = self._norm_buffer[: n + 1]
+        if n == len(self._norm_buffer):  # full, or still the read-only loaded rows
+            rows, norms = np.empty((2 * n or 1, vec.size), np.float32), np.empty(2 * n or 1)
+            if n:
+                rows[:n], norms[:n] = self.matrix, self._norms
+            self._row_buffer, self._norm_buffer = rows, norms
+        self._row_buffer[n] = vec
+        self._norm_buffer[n : n + 1] = _row_norms(self._row_buffer[n : n + 1])
+        self.records.append(record)
+        self.by_id[record.id] = record
+        self.matrix = self._row_buffer[: n + 1]
+        self._norms = self._norm_buffer[: n + 1]
 
 
 _NORM_BLOCK = 4096  # rows per float64 copy when taking row norms
@@ -359,7 +349,7 @@ def _files_state(records_path: Path, vectors_path: Path, rows: int, dim: int) ->
 
 
 def save_store(index: DemonstrationIndex, path) -> None:
-    """Write the index's published rows and their records (canonical JSON).
+    """Write the index's matrix rows and their records (canonical JSON).
     A save back to the files the index last loaded or wrote, unchanged since
     (device, inode, size, mtime) and of its dim, appends the records added
     since: rows to vectors.bin, then lines to records.jsonl; an exception

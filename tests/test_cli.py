@@ -6,6 +6,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from flakidock import demo_store
+from flakidock import cli, demo_store
 from flakidock.build_engine import HygienePolicy, SimulatedDriver
 from flakidock.cli import main
 from flakidock.config import RunConfig, ValidationPolicy, load_config
@@ -23,6 +24,7 @@ from flakidock.dockerfile_model import parse_dockerfile
 from flakidock.errors import ConfigError
 from flakidock.providers import HashingEmbeddingProvider, HttpChatProvider, HttpEmbeddingProvider
 
+from crashpoint import IMPORT_ROOT
 from loopback import Loopback
 from support import (
     ALPINE_PIP,
@@ -1598,3 +1600,79 @@ class TestErrorBoundary:
         assert "Traceback" not in result.output
         payload = json.loads(result.stdout)
         assert list(payload) == ["error"] and named in payload["error"]
+
+
+def _console(args: list[str], cwd: Path) -> subprocess.CompletedProcess:
+    """The CLI run as its console script runs it, in a fresh interpreter importing the package under test."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(IMPORT_ROOT), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "flakidock.cli", *args],
+                          cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+
+
+# Each of click's usage errors, with a word its message names (click's wording varies by version).
+_USAGE_ERRORS = {
+    "no-command": ([], "command"),
+    "bare-dataset": (["dataset"], "command"),
+    "detect-without-dockerfile": (["detect"], "DOCKERFILE"),
+    "unknown-option": (["--bogus", "detect", "Dockerfile"], "--bogus"),
+    "unknown-command": (["nosuch"], "nosuch"),
+    "monitor-without-rounds": (["monitor", "m.txt"], "--rounds"),
+    "rounds-not-an-int": (["monitor", "m.txt", "--rounds", "abc"], "abc"),
+}
+
+
+class TestUsageErrors:
+    """A usage error click finds exits 1, not click's 2 (which `detect` uses
+    for flaky), with the error object under --json and `error: ` plus the
+    usage line on stderr without it."""
+
+    @pytest.mark.parametrize("case", _USAGE_ERRORS, ids=str)
+    def test_json_usage_error_is_the_error_object(self, tmp_path, case):
+        args, named = _USAGE_ERRORS[case]
+        proc = _console(["--json", *args], tmp_path)
+        assert proc.returncode == 1, proc.stderr
+        payload = json.loads(proc.stdout)
+        assert list(payload) == ["error"] and named in payload["error"]
+        assert "Traceback" not in proc.stderr and "Usage:" not in proc.stderr
+
+    @pytest.mark.parametrize("case", _USAGE_ERRORS, ids=str)
+    def test_usage_error_is_an_error_line_and_the_usage(self, tmp_path, case):
+        args, named = _USAGE_ERRORS[case]
+        proc = _console(args, tmp_path)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout == ""
+        error, usage = proc.stderr.splitlines()[:2]
+        assert error.startswith("error: ") and named in error
+        assert usage.startswith("Usage: ")
+
+    def test_json_after_the_bad_token_still_gives_the_error_object(self, tmp_path):
+        proc = _console(["detect", "--json"], tmp_path)
+        assert proc.returncode == 1, proc.stderr
+        assert "--json" in json.loads(proc.stdout)["error"]
+
+    def test_help_exits_zero(self, tmp_path):
+        proc = _console(["--json", "--help"], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("Usage: ")
+
+    def test_verdict_exit_codes_keep_their_meaning(self, tmp_path, flaky_setup):
+        dockerfile, scenario = flaky_setup
+        passing = _write_scenario(tmp_path / "pass.json", [{"match": None, "outcomes": [{"status": "success"}]}])
+        assert _console(_base_args(tmp_path, passing) + ["detect", str(dockerfile)], tmp_path).returncode == 0
+        assert _console(_base_args(tmp_path, scenario) + ["detect", str(dockerfile)], tmp_path).returncode == 2
+        bad = _write_scenario(
+            tmp_path / "bad.json",
+            builds=[{"match": None, "outcomes": [{"status": "failure", "log": ALPINE_PIP_LOG, "exit_code": 1}]}],
+            responses=[fenced("FROM busybox\nRUN broken\n")],
+        )
+        config = _config_with_generator(tmp_path, bad)
+        proc = _console(_base_args(tmp_path, bad) + ["--config", str(config), "repair", str(dockerfile)], tmp_path)
+        assert proc.returncode == 3, proc.stdout + proc.stderr
+        assert json.loads(proc.stdout)["verdict"] == "unresolved"
+
+    def test_the_console_script_is_the_function_the_module_runs(self):
+        # Text checks: tomllib is not in Python 3.10.
+        pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        (name,) = re.findall(r'^flakidock = "flakidock\.cli:(\w+)"$', pyproject, re.M)
+        assert callable(getattr(cli, name)) and name != "main"
+        assert Path(cli.__file__).read_text().endswith(f'\nif __name__ == "__main__":\n    {name}()\n')

@@ -351,7 +351,7 @@ def test_no_crash_point_leaves_a_repaired_verdict_without_the_repaired_file(tmp_
 
 @pytest.mark.xfail(
     raises=StoreError, strict=True,
-    reason="ROADMAP item 4: records.jsonl is not yet the store's one commit point, so a kill "
+    reason="ROADMAP item 3: records.jsonl is not yet the store's one commit point, so a kill "
            "between the vectors and the records replace leaves new vectors beside old records",
 )
 def test_save_killed_after_the_vectors_replace_leaves_a_loadable_store(tmp_path):
