@@ -8,7 +8,6 @@ on stdout; diagnostics go to stderr either way.
 from __future__ import annotations
 
 import fcntl
-import functools
 import json
 import os
 import sys
@@ -42,33 +41,32 @@ EXIT_FLAKY = 2
 EXIT_UNRESOLVED = 3
 
 
-def _emit(ctx: click.Context, payload: dict, human: str) -> None:
-    if ctx.obj["json"]:
-        click.echo(json.dumps(payload, indent=2, sort_keys=True, default=str))
-    else:
-        click.echo(human)
+class _Cli(click.Group):
+    """The CLI's one boundary, for the console script and in-process callers
+    alike: each command returns `(payload, human text, exit code)`, and
+    `main` renders it, or the error, and exits with the code."""
 
-
-def _fail(ctx: click.Context, message: str) -> None:
-    if ctx.obj["json"]:
-        click.echo(json.dumps({"error": message}))
-    else:
-        click.echo(f"error: {message}", err=True)
-    ctx.exit(EXIT_ERROR)
-
-
-def _operational(callback):
-    """The CLI's one error boundary: an operational error the callback raises
-    exits 1 with the error message, as the `--json` error object under --json."""
-
-    @functools.wraps(callback)
-    def wrapper(*args, **kwargs):
+    def main(self, args=None, prog_name=None, **extra):
+        args = sys.argv[1:] if args is None else list(args)
+        obj: dict = {}
         try:
-            return callback(*args, **kwargs)
-        except (FlakiDockError, OSError, ValueError) as exc:  # ValueError covers decode errors
-            _fail(click.get_current_context(), str(exc))
-
-    return wrapper
+            result = super().main(args, prog_name, standalone_mode=False, obj=obj, **extra)
+        except (click.UsageError, click.Abort, FlakiDockError, OSError, ValueError) as exc:  # ValueError covers decode errors
+            usage = isinstance(exc, click.UsageError)
+            message = exc.format_message() if usage else "aborted" if isinstance(exc, click.Abort) else str(exc)
+            # Click stops parsing at a usage error, maybe before --json: read the raw arguments then.
+            if "--json" in args if usage else obj.get("json", "--json" in args):
+                click.echo(json.dumps({"error": message}))
+            else:
+                click.echo(f"error: {message}", err=True)
+                if usage and exc.ctx is not None:
+                    click.echo(exc.ctx.get_usage(), err=True)
+            sys.exit(EXIT_ERROR)
+        if isinstance(result, int):  # click's own exit, as after --help
+            sys.exit(result)
+        payload, human, code = result
+        click.echo(json.dumps(payload, indent=2, sort_keys=True, default=str) if obj["json"] else human)
+        sys.exit(code)
 
 
 def _lock_state(ctx: click.Context) -> None:
@@ -126,17 +124,15 @@ def _history_entry(line: str) -> dict | None:
     return entry if isinstance(entry, dict) and "status" in entry else None
 
 
-@click.group(no_args_is_help=False)  # no command is a usage error, as on every click version
+@click.group(cls=_Cli, no_args_is_help=False)  # no command is a usage error, as on every click version
 @click.option("--config", "config_path", type=click.Path(), default=None, help="Config file (key = value lines).")
 @click.option("--state-dir", type=click.Path(), default=None, help="Working state directory.")
 @click.option("--driver", default=None, help="'real' or 'simulated:<scenario.json>'.")
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable output.")
 @click.option("--rules", type=click.Path(), default=None, help="Error-expression rules file.")
 @click.pass_context
-@_operational
 def main(ctx, config_path, state_dir, driver, as_json, rules):
     """Detect, analyze, and repair flaky container-image build definitions."""
-    ctx.ensure_object(dict)
     ctx.obj["json"] = as_json
     ctx.obj["config"] = load_config(config_path, {"state_dir": state_dir, "driver": driver, "rules": rules})
 
@@ -145,7 +141,6 @@ def main(ctx, config_path, state_dir, driver, as_json, rules):
 @click.argument("dockerfile", type=click.Path())
 @click.option("--context", "context_dir", type=click.Path(), default=None, help="Build context (defaults to the Dockerfile's directory).")
 @click.pass_context
-@_operational
 def detect(ctx, dockerfile, context_dir):
     """Classify DOCKERFILE as flaky or non-flaky by repeated building."""
     from .repair_pipeline import detect_flakiness
@@ -162,8 +157,8 @@ def detect(ctx, dockerfile, context_dir):
     }
     if detection.flaky:
         report["excerpt"] = detection.failure_text
-    _emit(ctx, report, f"verdict: {report['verdict']} ({len(detection.records)} builds)")
-    ctx.exit(EXIT_FLAKY if detection.flaky else EXIT_OK)
+    human = f"verdict: {report['verdict']} ({len(detection.records)} builds)"
+    return report, human, EXIT_FLAKY if detection.flaky else EXIT_OK
 
 
 @main.command()
@@ -172,7 +167,6 @@ def detect(ctx, dockerfile, context_dir):
 @click.option("--store", "store_path", type=click.Path(), default=None, help="Demonstration store (records.jsonl). Defaults to the configured store.")
 @click.option("--dry-run", is_flag=True, help="Detect, retrieve, and print the prompt without calling the generator.")
 @click.pass_context
-@_operational
 def repair(ctx, dockerfile, context_dir, store_path, dry_run):
     """Run the full repair loop on DOCKERFILE; writes <name>.repaired on success."""
     from .demo_store import builtin_store_path, load_store
@@ -203,12 +197,8 @@ def repair(ctx, dockerfile, context_dir, store_path, dry_run):
         )
         if session.verdict == VERDICT_IN_PROGRESS:
             prompt = assemble_prompt(session, config.prompt_budget)
-            if ctx.obj["json"]:
-                _emit(ctx, {"verdict": "dry-run", "prompt": prompt,
-                            "retrieved": [r.id for r, _ in session.retrieved]}, "")
-            else:
-                click.echo(prompt)
-            ctx.exit(EXIT_OK)
+            retrieved = [r.id for r, _ in session.retrieved]
+            return {"verdict": "dry-run", "prompt": prompt, "retrieved": retrieved}, prompt, EXIT_OK
     else:
         session_id = f"{path.stem}-{doc.content_hash[:12]}"
         session_dir = Path(config.state_dir) / "sessions" / session_id
@@ -233,23 +223,19 @@ def repair(ctx, dockerfile, context_dir, store_path, dry_run):
     }
     if session.verdict == VERDICT_NON_FLAKY:
         summary["note"] = "non-flaky"
-        _emit(ctx, summary, "non-flaky; nothing to repair")
-        ctx.exit(EXIT_OK)
+        return summary, "non-flaky; nothing to repair", EXIT_OK
     if session.verdict == VERDICT_REPAIRED:
         summary["repaired_file"] = str(session.repaired_path)
         diff = render_diff(diff_docs(doc, parse_dockerfile(session.final_dockerfile)))
-        _emit(ctx, summary, f"repaired after {session.attempts_used} attempt(s):\n{diff}")
-        ctx.exit(EXIT_OK)
+        return summary, f"repaired after {session.attempts_used} attempt(s):\n{diff}", EXIT_OK
     if session.verdict == VERDICT_UNRESOLVED:
-        _emit(ctx, summary, f"unable to resolve after {session.attempts_used} attempt(s)")
-        ctx.exit(EXIT_UNRESOLVED)
+        return summary, f"unable to resolve after {session.attempts_used} attempt(s)", EXIT_UNRESOLVED
     raise FlakiDockError(f"session aborted: {session.verdict}: {session.abort_reason}")
 
 
 @main.command()
 @click.argument("log_dir", type=click.Path())
 @click.pass_context
-@_operational
 def cluster(ctx, log_dir):
     """Cluster the failing build logs in LOG_DIR by error similarity."""
     config: RunConfig = ctx.obj["config"]
@@ -272,18 +258,14 @@ def cluster(ctx, log_dir):
         ],
         "reduction": 1.0 - len(state) / len(files),
     }
-    _emit(
-        ctx,
-        report,
-        f"{len(files)} logs -> {len(state)} clusters (reduction {report['reduction']:.2f})",
-    )
+    human = f"{len(files)} logs -> {len(state)} clusters (reduction {report['reduction']:.2f})"
+    return report, human, EXIT_OK
 
 
 @main.command()
 @click.argument("manifest", type=click.Path())
-@click.option("--rounds", type=int, required=True, help="Builds per project in this invocation.")
+@click.option("--rounds", type=click.IntRange(min=0), required=True, help="Builds per project in this invocation.")
 @click.pass_context
-@_operational
 def monitor(ctx, manifest, rounds):
     """Build every project in MANIFEST repeatedly and track failure history.
 
@@ -293,8 +275,6 @@ def monitor(ctx, manifest, rounds):
     config: RunConfig = ctx.obj["config"]
     manifest_path = Path(manifest)
     manifest_text = _read(manifest_path)
-    if rounds < 0:
-        raise FlakiDockError("rounds must be >= 0")
     projects = []
     for lineno, raw in enumerate(manifest_text.splitlines(), 1):
         line = raw.strip()
@@ -362,13 +342,12 @@ def monitor(ctx, manifest, rounds):
         f"excluded={e['excluded']} flaky_candidate={e.get('flaky_candidate', False)}"
         for name, e in summary.items()
     )
-    _emit(ctx, report, human or "no projects")
+    return report, human or "no projects", EXIT_OK
 
 
 @main.command()
 @click.argument("logfile", type=click.Path())
 @click.pass_context
-@_operational
 def preprocess(ctx, logfile):
     """Print the error-focused excerpt of a raw build log (debugging aid)."""
     config: RunConfig = ctx.obj["config"]
@@ -381,7 +360,7 @@ def preprocess(ctx, logfile):
         "rule_hits": result.rule_hits,
         "excerpt": result.as_text(),
     }
-    _emit(ctx, payload, result.as_text())
+    return payload, result.as_text(), EXIT_OK
 
 
 @main.group(no_args_is_help=False)
@@ -392,23 +371,17 @@ def dataset():
 @dataset.command("validate")
 @click.argument("store_path", type=click.Path())
 @click.pass_context
-@_operational
 def dataset_validate(ctx, store_path):
     """Validate every record in a store against the schema."""
     from .demo_store import load_store
 
     index = load_store(store_path, ctx.obj["config"].providers.query_embedder)
-    _emit(
-        ctx,
-        {"valid": True, "records": len(index)},
-        f"ok: {len(index)} valid records",
-    )
+    return {"valid": True, "records": len(index)}, f"ok: {len(index)} valid records", EXIT_OK
 
 
 @dataset.command("stats")
 @click.argument("store_path", type=click.Path())
 @click.pass_context
-@_operational
 def dataset_stats(ctx, store_path):
     """Per-category record counts and fractions."""
     from .demo_store import category_stats, load_store
@@ -426,7 +399,7 @@ def dataset_stats(ctx, store_path):
         f"{major.value}: {share.count} ({share.fraction:.1%})"
         for major, share in stats.items()
     )
-    _emit(ctx, payload, human or "empty store")
+    return payload, human or "empty store", EXIT_OK
 
 
 @dataset.command("add")
@@ -438,7 +411,6 @@ def dataset_stats(ctx, store_path):
 @click.option("--repair", "repair_paths", type=click.Path(), multiple=True, required=True)
 @click.option("--iterations", default=None, help="Comma-separated validation build counts, one per repair (default 2 each).")
 @click.pass_context
-@_operational
 def dataset_add(ctx, store_path, record_id, dockerfile_path, log_path, category, repair_paths, iterations):
     """Append one demonstration record to a store (created if missing)."""
     from .demo_store import (
@@ -482,34 +454,9 @@ def dataset_add(ctx, store_path, record_id, dockerfile_path, log_path, category,
     )
     index.add(record, providers.query_embedder)
     save_store(index, store_file)
-    _emit(
-        ctx,
-        {"added": record_id, "records": len(index)},
-        f"added {record_id!r}; store now holds {len(index)} records",
-    )
-
-
-def _entry_point() -> None:
-    """The console script: `main`, with click's usage errors (a missing
-    argument or command, an unknown option or command, a bad option value)
-    exiting 1 with the error message, as the error object under --json."""
-    args = sys.argv[1:]
-    try:
-        code = main.main(args, standalone_mode=False)
-    except click.UsageError as exc:
-        # Read from the raw arguments: click may stop parsing before --json.
-        if "--json" in args:
-            click.echo(json.dumps({"error": exc.format_message()}))
-        else:
-            click.echo(f"error: {exc.format_message()}", err=True)
-            if exc.ctx is not None:
-                click.echo(exc.ctx.get_usage(), err=True)
-        sys.exit(EXIT_ERROR)
-    except click.Abort:
-        click.echo("Aborted!", err=True)
-        sys.exit(EXIT_ERROR)
-    sys.exit(code)
+    human = f"added {record_id!r}; store now holds {len(index)} records"
+    return {"added": record_id, "records": len(index)}, human, EXIT_OK
 
 
 if __name__ == "__main__":
-    _entry_point()
+    main.main()

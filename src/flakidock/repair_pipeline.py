@@ -266,20 +266,24 @@ def validate_repair(
     engine: BuildEngine,
     sentence_provider: EmbeddingProvider,
     rules: RuleSet | None = None,
-    persist_dir: Path | None = None,
 ) -> ValidationOutcome:
     """Decide repair / feedback / unresolved for one candidate.
 
-    The candidate goes through `detect_flakiness`; a non-flaky one ends the
-    session `repaired`, as its final Dockerfile. Otherwise the failing output
-    is embedded once and compared against the feedback vectors: the T-th
-    similar failure ends the session `unresolved`, else the candidate joins
-    the feedback. An engine failure ends it `engine-aborted`.
+    The candidate goes through `detect_flakiness`, its builds journaled under
+    the session directory's `builds/attempt-<attempts_used>` when the session
+    has one; a non-flaky candidate ends the session `repaired`, as its final
+    Dockerfile. Otherwise the failing output is embedded once and compared
+    against the feedback vectors: the T-th similar failure ends the session
+    `unresolved`, else the candidate joins the feedback. An engine failure
+    ends it `engine-aborted`.
     """
     if session.verdict != VERDICT_IN_PROGRESS:
         raise ValueError(f"session already terminal: {session.verdict}")
+    builds_dir = None
+    if session.session_dir is not None:
+        builds_dir = session.session_dir / "builds" / f"attempt-{session.attempts_used}"
     with _ending(session) as aborted_builds:
-        detection = detect_flakiness(candidate, context_dir, engine, policy, rules, persist_dir)
+        detection = detect_flakiness(candidate, context_dir, engine, policy, rules, builds_dir)
     if session.verdict == VERDICT_ENGINE_ABORTED:
         return ValidationOutcome(VERDICT_ENGINE_ABORTED, aborted_builds)
     if not detection.flaky:
@@ -384,7 +388,6 @@ def repair_flaky_dockerfile(
         rules=rules,
         session_dir=session_dir,
     )
-    session_dir = session.session_dir
     session.repaired_path = repaired_path
 
     with _ending(session):
@@ -407,19 +410,7 @@ def repair_flaky_dockerfile(
                 session.add_feedback(response, UNPARSEABLE_FEEDBACK, vector)
                 continue
 
-            builds_dir = (
-                None if session_dir is None else session_dir / "builds" / f"attempt-{attempt}"
-            )
-            validate_repair(
-                candidate,
-                session,
-                policy,
-                context_dir,
-                engine,
-                providers.sentence_embedder,
-                rules,
-                persist_dir=builds_dir,
-            )
+            validate_repair(candidate, session, policy, context_dir, engine, providers.sentence_embedder, rules)
         if session.verdict == VERDICT_IN_PROGRESS:
             _end_session(session, VERDICT_UNRESOLVED)  # attempt cap reached
     return session

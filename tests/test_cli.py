@@ -1618,6 +1618,7 @@ _USAGE_ERRORS = {
     "unknown-command": (["nosuch"], "nosuch"),
     "monitor-without-rounds": (["monitor", "m.txt"], "--rounds"),
     "rounds-not-an-int": (["monitor", "m.txt", "--rounds", "abc"], "abc"),
+    "rounds-negative": (["monitor", "m.txt", "--rounds", "-1"], "-1"),
 }
 
 
@@ -1674,5 +1675,51 @@ class TestUsageErrors:
         # Text checks: tomllib is not in Python 3.10.
         pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
         (name,) = re.findall(r'^flakidock = "flakidock\.cli:(\w+)"$', pyproject, re.M)
-        assert callable(getattr(cli, name)) and name != "main"
-        assert Path(cli.__file__).read_text().endswith(f'\nif __name__ == "__main__":\n    {name}()\n')
+        assert callable(getattr(cli, name))
+        assert Path(cli.__file__).read_text().endswith(f'\nif __name__ == "__main__":\n    {name}.main()\n')
+
+
+class TestOneContractForEveryRoute:
+    """CliRunner on `main`, an in-process `main.main(args)` and the module run
+    as the console script give the same exit code and the same stdout bytes,
+    apart from the pid and thread id in a temporary file's name."""
+
+    @staticmethod
+    def _routes(args, cwd, capsys):
+        result = CliRunner().invoke(main, args)
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as in_process:
+            main.main(args)
+        proc = _console(args, cwd)
+        stdouts = [result.stdout, capsys.readouterr().out, proc.stdout]
+        return ([result.exit_code, in_process.value.code, proc.returncode],
+                [re.sub(r"\.\d+\.\d+\.tmp", ".tmp", out) for out in stdouts])
+
+    @pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])
+    @pytest.mark.parametrize("case", _USAGE_ERRORS, ids=str)
+    def test_usage_error(self, tmp_path, monkeypatch, capsys, case, as_json):
+        monkeypatch.chdir(tmp_path)
+        args = ["--json"] * as_json + _USAGE_ERRORS[case][0]
+        codes, stdouts = self._routes(args, tmp_path, capsys)
+        assert codes == [1, 1, 1]
+        assert stdouts[0] == stdouts[1] == stdouts[2] and bool(stdouts[0]) == as_json
+
+    @pytest.mark.parametrize(
+        "case",
+        [_builds_is_a_file, _history_is_a_file, _history_file_is_a_directory, _repaired_is_a_directory,
+         _sessions_is_a_file, _records_is_a_directory, _records_not_utf8],
+        ids=lambda case: case.__name__.lstrip("_"),
+    )
+    def test_operational_error(self, tmp_path, flaky_setup, capsys, case):
+        args, named = case(tmp_path, flaky_setup)
+        codes, stdouts = self._routes(args, tmp_path, capsys)
+        assert codes == [1, 1, 1]
+        assert stdouts[0] == stdouts[1] == stdouts[2] and named in json.loads(stdouts[0])["error"]
+
+
+def test_negative_rounds_is_refused_before_the_state_directory_is_made(runner, tmp_path):
+    args = _monitor_args(tmp_path)
+    result = runner.invoke(main, args[:-1] + ["-1"])
+    assert result.exit_code == 1, result.output
+    assert "-1" in json.loads(result.stdout)["error"]
+    assert not (tmp_path / "state").exists()

@@ -48,6 +48,7 @@ from flakidock.repair_pipeline import (
     guess_category,
     parse_candidate,
     repair_flaky_dockerfile,
+    start_session,
     validate_repair,
 )
 from flakidock.similarity import RepairQuery, cosine, embed
@@ -782,6 +783,25 @@ def test_validate_repair_ends_the_session_repaired(tmp_path):
     )
     assert session.verdict == VERDICT_REPAIRED
     assert session.final_dockerfile == candidate.raw_text
+
+
+def test_a_step_by_step_session_journals_each_candidate_under_its_session(base_doc, tmp_path):
+    candidate = parse_dockerfile("FROM busybox\n# candidate\n")
+    driver = driver_with_scripts({
+        "candidate": [outcome(STATUS_SUCCESS)] * 2,
+        None: [outcome(STATUS_FAILURE, ALPINE_PIP_LOG, exit_code=1)],
+    })
+    engine = BuildEngine(driver, HygienePolicy(), state_dir=tmp_path / "state")
+    session_dir = tmp_path / "session"
+    session = start_session(base_doc, tmp_path, DemonstrationIndex([]), _providers(), ValidationPolicy(), engine,
+                            session_dir=session_dir)
+    session.attempts_used = 1  # one reply, as a full run counts it
+    validate_repair(candidate, session, ValidationPolicy(), tmp_path, engine, HashingEmbeddingProvider())
+    assert session.verdict == VERDICT_REPAIRED
+    journal = (session_dir / "builds" / "attempt-1" / "builds.jsonl").read_text().splitlines()
+    assert [json.loads(line)["dockerfile_hash"] for line in journal] == [candidate.content_hash] * 2
+    assert (session_dir / "builds" / "detect" / "builds.jsonl").exists()
+    assert not (tmp_path / "state" / "builds").exists()
 
 
 _CAND_A = "FROM busybox\n# candidate-a\nRUN a\n"
