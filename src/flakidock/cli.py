@@ -124,6 +124,34 @@ def _history_entry(line: str) -> dict | None:
     return entry if isinstance(entry, dict) and "status" in entry else None
 
 
+_HISTORY_TAIL = 64 * 1024  # bytes, about 300 history lines
+_NOT_FAILURES = (STATUS_SUCCESS, STATUS_ENGINE_ERROR)  # an engine error is the engine's fault, not the build's
+
+
+def _counted_so_far(history_file: Path, content_hash: str) -> tuple[int, int]:
+    """(failures, excluded) over the history lines of `content_hash`: the tally
+    of the newest such line in the file's last `_HISTORY_TAIL` bytes, else,
+    with no such line or no well-formed tally on it, a fold of the whole file."""
+    if not history_file.exists():
+        return 0, 0
+    with open(history_file, "rb") as fh:  # its errors name the file
+        start = max(0, fh.seek(0, os.SEEK_END) - _HISTORY_TAIL)
+        fh.seek(start)
+        tail = fh.read().partition(b"\n")[2] if start else fh.read()  # skip the line it opens in
+        for line in reversed(tail.decode("utf-8", errors="replace").splitlines()):
+            entry = _history_entry(line)
+            if entry and entry.get("dockerfile_hash") == content_hash:
+                tally = entry.get("tally")
+                if type(tally) is list and list(map(type, tally)) == [int, int] and 0 <= tally[1] <= tally[0]:
+                    return tally[0], tally[1]
+                break
+        fh.seek(0)
+        lines = fh.read().decode("utf-8", errors="replace").splitlines()
+    failures = [h for h in map(_history_entry, lines)
+                if h and h.get("dockerfile_hash") == content_hash and h["status"] not in _NOT_FAILURES]
+    return len(failures), sum(bool(h.get("exclusion")) for h in failures)
+
+
 @click.group(cls=_Cli, no_args_is_help=False)  # no command is a usage error, as on every click version
 @click.option("--config", "config_path", type=click.Path(), default=None, help="Config file (key = value lines).")
 @click.option("--state-dir", type=click.Path(), default=None, help="Working state directory.")
@@ -275,7 +303,7 @@ def monitor(ctx, manifest, rounds):
     config: RunConfig = ctx.obj["config"]
     manifest_path = Path(manifest)
     manifest_text = _read(manifest_path)
-    projects = []
+    projects: dict[str, Path] = {}
     for lineno, raw in enumerate(manifest_text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -286,14 +314,16 @@ def monitor(ctx, manifest, rounds):
         name = parts[0]
         if name in (".", "..") or "/" in name or "\0" in name:  # names history/<name>.jsonl
             raise FlakiDockError(f"{manifest_path}:{lineno}: project name {name!r} is not one plain path component")
-        projects.append((name, Path(parts[1])))
+        if name in projects:  # its series would share, and overwrite, one report entry
+            raise FlakiDockError(f"{manifest_path}:{lineno}: duplicate project name {name!r}")
+        projects[name] = Path(parts[1])
 
     history_dir = Path(config.state_dir) / "history"
     history_dir.mkdir(parents=True, exist_ok=True)
     filters = load_exclusion_filters()
     engine = config.engine  # one engine: series run one after another
     summary = {}
-    for name, context in projects:
+    for name, context in projects.items():
         entry = {"builds": 0, "failures": 0, "excluded": 0, "errors": []}
         summary[name] = entry
         doc = None
@@ -305,31 +335,28 @@ def monitor(ctx, manifest, rounds):
             entry["errors"].append(str(exc))  # record and keep going
             if isinstance(exc, EngineError):
                 records = exc.records  # every build the engine ran, the failed one last
+        # Flakiness is judged on an unchanged Dockerfile: only the builds of the file
+        # read now count. Each line carries its hash's running count: add to it.
+        history_file = history_dir / f"{name}.jsonl"
+        failures, excluded = _counted_so_far(history_file, doc.content_hash) if doc is not None else (0, 0)
         appended = []
         for record in records:
             exclusion = None
             if not record.succeeded:
                 excerpt = preprocess_log(record.log, config.ruleset).as_text()
                 exclusion = classify_failure_exclusion(excerpt or record.log, filters)
+                if record.status not in _NOT_FAILURES:
+                    failures += 1
+                    excluded += bool(exclusion)
             fields = {"status": record.status, "started_at": record.started_at, "duration": record.duration,
-                      "exclusion": exclusion, "dockerfile_hash": record.dockerfile_hash}
+                      "exclusion": exclusion, "dockerfile_hash": record.dockerfile_hash,
+                      "tally": [failures, excluded]}
             appended.append(json.dumps(fields, sort_keys=True) + "\n")
-        history_file = history_dir / f"{name}.jsonl"
         append_line(history_file, "".join(appended).encode("ascii"))  # one write per project
         entry["builds"] = len(records)
-        # Flakiness is judged on an unchanged Dockerfile: only the builds of
-        # the file read now count. A line without a hash or a status, or one
-        # that is not a JSON object (torn by a crash, say), counts for nothing.
-        history = []
-        if doc is not None and history_file.exists():
-            lines = history_file.read_text(encoding="utf-8", errors="replace").splitlines()
-            history = [h for h in map(_history_entry, lines) if h and h.get("dockerfile_hash") == doc.content_hash]
-        # An engine error is the engine's fault, not the build's; its message is in `errors`.
-        failures = [h for h in history if h["status"] not in (STATUS_SUCCESS, STATUS_ENGINE_ERROR)]
-        excluded = [h for h in failures if h.get("exclusion")]
-        entry["failures"] = len(failures)
-        entry["excluded"] = len(excluded)
-        entry["flaky_candidate"] = len(failures) > len(excluded)
+        entry["failures"] = failures
+        entry["excluded"] = excluded
+        entry["flaky_candidate"] = failures > excluded
     report = {
         "projects": summary,
         "flaky_candidates": sorted(

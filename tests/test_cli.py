@@ -9,11 +9,14 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flakidock import cli, demo_store
 from flakidock.build_engine import HygienePolicy, SimulatedDriver
@@ -21,6 +24,7 @@ from flakidock.cli import main
 from flakidock.config import RunConfig, ValidationPolicy, load_config
 from flakidock.demo_store import builtin_store_path, load_store, save_store
 from flakidock.dockerfile_model import parse_dockerfile
+from flakidock.durable import append_line
 from flakidock.errors import ConfigError
 from flakidock.providers import HashingEmbeddingProvider, HttpChatProvider, HttpEmbeddingProvider
 
@@ -699,7 +703,7 @@ class TestMonitor:
         assert len(lines) == 3
         for line in lines:
             entry = json.loads(line)
-            assert set(entry) == {"status", "started_at", "duration", "exclusion", "dockerfile_hash"}
+            assert set(entry) == {"status", "started_at", "duration", "exclusion", "dockerfile_hash", "tally"}
             assert entry["status"] == "success" and entry["exclusion"] is None
             assert line == json.dumps(entry, sort_keys=True)
 
@@ -866,6 +870,117 @@ class TestMonitor:
         assert (entry["failures"], entry["flaky_candidate"]) == (0, False)
         lines = (tmp_path / "state" / "history" / "proj.jsonl").read_text().splitlines()
         assert [json.loads(line)["status"] for line in lines] == ["success", "engine-error"]
+
+    def test_duplicate_project_name_is_a_manifest_error(self, runner, tmp_path):
+        (tmp_path / "p").mkdir()
+        (tmp_path / "p" / "Dockerfile").write_text("FROM busybox\n")
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(f"a {tmp_path / 'p'}\n# again\na {tmp_path / 'p'}\n")
+        scenario = _write_scenario(
+            tmp_path / "s.json", [{"match": None, "outcomes": [{"status": "failure", "log": "error: x"}]}]
+        )
+        result = runner.invoke(
+            main, _base_args(tmp_path, scenario) + ["monitor", str(manifest), "--rounds", "2"]
+        )
+        assert result.exit_code == 1, result.output
+        assert json.loads(result.output) == {"error": f"{manifest}:3: duplicate project name 'a'"}
+        assert not (tmp_path / "state" / "builds").exists()
+        assert not (tmp_path / "state" / "history").exists()
+
+    def test_an_invocation_parses_a_fixed_number_of_history_lines(self, runner, tmp_path, monkeypatch):
+        manifest = self._manifest(tmp_path, [("proj", "FROM busybox\n# v1\n")])
+        scenario = _write_scenario(
+            tmp_path / "s.json", [{"match": None, "outcomes": [{"status": "failure", "log": "error: x"}]}]
+        )
+        args = _base_args(tmp_path, scenario) + ["monitor", str(manifest), "--rounds", "1"]
+        parsed = []
+        entry_of = cli._history_entry
+        monkeypatch.setattr(cli, "_history_entry", lambda line: parsed.append(line) or entry_of(line))
+
+        def lines_parsed(failures: int) -> int:
+            parsed.clear()
+            result = runner.invoke(main, args)
+            assert result.exit_code == 0, result.output
+            assert json.loads(result.output)["projects"]["proj"]["failures"] == failures
+            return len(parsed)
+
+        counts = [lines_parsed(n) for n in range(1, 51)]
+        assert counts[0] == 0  # no history yet
+        assert counts[4] == counts[49] == 1
+        (tmp_path / "proj" / "Dockerfile").write_text("FROM busybox\n# v2\n")
+        # No line has the new hash: at most the tail's walk and one fold of the whole file.
+        assert lines_parsed(1) <= 2 * 50
+        assert lines_parsed(2) == 1
+
+
+
+_TEXTS = ("FROM busybox\n# v0\n", "FROM busybox\n# v1\n", "FROM busybox\n# v2\n")
+_HASHES = tuple(parse_dockerfile(text).content_hash for text in _TEXTS)
+_OUTCOMES = {
+    "success": {"status": "success"},
+    "failure": {"status": "failure", "log": "error: x", "exit_code": 1},
+    "excluded": {"status": "failure", "log": "write /x: no space left on device", "exit_code": 1},
+    "engine-error": {"status": "engine-error", "log": "daemon gone"},
+}
+_invocations = st.tuples(st.sampled_from(range(len(_TEXTS))), st.lists(st.sampled_from(sorted(_OUTCOMES)), max_size=3))
+_damage = st.one_of(
+    st.tuples(st.just("cut"), st.integers(1, 400)),
+    st.tuples(st.just("untallied"), st.sampled_from(range(len(_TEXTS))),
+              st.sampled_from(["success", "failure", "engine-error"]), st.sampled_from([None, "infrastructure"]),
+              st.sampled_from([None, [1, 2], [True, False], [-1, 0], [0], "1,0"])),
+    st.tuples(st.just("line"), st.sampled_from(["[1]", "not json", '{"status": "failure"}'])),
+)
+
+
+def _fold(history: Path, content_hash: str) -> tuple[int, int]:
+    """README's rule: the failures among the JSON-object lines with a status
+    and the Dockerfile's hash (an engine error is none), and the excluded ones among them."""
+    failures = excluded = 0
+    for line in history.read_text(encoding="utf-8", errors="replace").splitlines() if history.exists() else ():
+        try:
+            entry = json.loads(line)
+        except ValueError:
+            continue
+        if isinstance(entry, dict) and "status" in entry and entry.get("dockerfile_hash") == content_hash \
+                and entry["status"] not in ("success", "engine-error"):
+            failures += 1
+            excluded += bool(entry.get("exclusion"))
+    return failures, excluded
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.none() | _damage, _invocations), min_size=1, max_size=8))
+def test_the_reported_counts_equal_a_fold_of_the_history(steps):
+    """Each step damages the history, or not, then runs `monitor` once."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "proj").mkdir()
+        (root / "manifest.txt").write_text(f"proj {root / 'proj'}\n")
+        history = root / "state" / "history" / "proj.jsonl"
+        for damage, (text, outcomes) in steps:
+            if damage is None or not history.exists():
+                pass
+            elif damage[0] == "cut":
+                with open(history, "r+b") as fh:
+                    fh.truncate(max(0, fh.seek(0, os.SEEK_END) - damage[1]))
+            elif damage[0] == "untallied":  # a line an older version wrote, or one with a malformed tally
+                _, old_text, status, exclusion, tally = damage
+                line = {"status": status, "started_at": "2024-01-01T00:00:00+00:00", "duration": 1.0,
+                        "exclusion": exclusion, "dockerfile_hash": _HASHES[old_text]}
+                if tally is not None:
+                    line["tally"] = tally
+                append_line(history, (json.dumps(line, sort_keys=True) + "\n").encode())
+            else:
+                append_line(history, (damage[1] + "\n").encode())
+            (root / "proj" / "Dockerfile").write_text(_TEXTS[text])
+            scenario = _write_scenario(
+                root / "s.json", [{"match": None, "outcomes": [_OUTCOMES[o] for o in outcomes or ["success"]]}])
+            result = CliRunner().invoke(main, _base_args(root, scenario) + [
+                "monitor", str(root / "manifest.txt"), "--rounds", str(len(outcomes))])
+            assert result.exit_code == 0, result.output
+            entry = json.loads(result.output)["projects"]["proj"]
+            assert (entry["failures"], entry["excluded"]) == _fold(history, _HASHES[text])
+            assert entry["flaky_candidate"] == (entry["failures"] > entry["excluded"])
 
 
 class TestDataset:
@@ -1681,8 +1796,7 @@ class TestUsageErrors:
 
 class TestOneContractForEveryRoute:
     """CliRunner on `main`, an in-process `main.main(args)` and the module run
-    as the console script give the same exit code and the same stdout bytes,
-    apart from the pid and thread id in a temporary file's name."""
+    as the console script give the same exit code and the same stdout bytes."""
 
     @staticmethod
     def _routes(args, cwd, capsys):
@@ -1693,7 +1807,7 @@ class TestOneContractForEveryRoute:
         proc = _console(args, cwd)
         stdouts = [result.stdout, capsys.readouterr().out, proc.stdout]
         return ([result.exit_code, in_process.value.code, proc.returncode],
-                [re.sub(r"\.\d+\.\d+\.tmp", ".tmp", out) for out in stdouts])
+                stdouts)
 
     @pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])
     @pytest.mark.parametrize("case", _USAGE_ERRORS, ids=str)

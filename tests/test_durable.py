@@ -27,6 +27,7 @@ import crashpoint
 from flakidock import durable
 from flakidock.cli import main
 from flakidock.demo_store import DemonstrationIndex, builtin_store_path, load_store, save_store
+from flakidock.dockerfile_model import parse_dockerfile
 from flakidock.errors import SchemaViolation, StoreError
 from flakidock.providers import HashingEmbeddingProvider
 from flakidock.similarity import embed
@@ -123,6 +124,15 @@ class TestReplacing:
                 raise error()
         assert path.read_bytes() == b"old"
         assert [p.name for p in tmp_path.iterdir()] == ["f.json"]
+
+    def test_a_failed_replace_names_the_target_and_leaves_no_temporary(self, tmp_path):
+        path = tmp_path / "Dockerfile.repaired"
+        path.mkdir()
+        with pytest.raises(OSError) as failed:
+            with durable.replacing(path) as fh:
+                fh.write(b"new")
+        assert str(path) in str(failed.value) and ".tmp" not in str(failed.value)
+        assert [p.name for p in tmp_path.iterdir()] == ["Dockerfile.repaired"]
 
 
 _OS_WRITES = ("write", "replace", "rename", "O_APPEND", "O_WRONLY", "O_RDWR", "O_TRUNC")
@@ -221,6 +231,19 @@ def _monitor_world(root: Path, rounds: int = 2) -> list[str]:
             "monitor", str(root / "manifest.txt"), "--rounds", str(rounds)]
 
 
+def _monitor_world_with_untallied_history(root: Path) -> list[str]:
+    """The monitor world, after an older version that wrote no `tally` ran it."""
+    args = _monitor_world(root)
+    (root / "state" / "history").mkdir(parents=True)
+    for name, statuses in (("bad", ["failure", "success", "failure"]), ("good", ["success"])):
+        content_hash = parse_dockerfile((root / name / "Dockerfile").read_bytes()).content_hash
+        lines = [{"status": status, "started_at": "2024-01-01T00:00:00+00:00", "duration": 1.0, "exclusion": None,
+                  "dockerfile_hash": content_hash} for status in statuses]
+        text = "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines)
+        (root / "state" / "history" / f"{name}.jsonl").write_text(text)
+    return args
+
+
 def _repair_world(root: Path) -> list[str]:
     (root / "project").mkdir()
     (root / "project" / "Dockerfile").write_text(ALPINE_PIP)
@@ -293,7 +316,8 @@ def _rerun_repair(root: Path, args: list[str], reference: dict[str, bytes]) -> N
         assert written["/".join(parts)] == data, parts
 
 
-WORLDS = {"detect": _detect_world, "monitor": _monitor_world, "repair": _repair_world}
+WORLDS = {"detect": _detect_world, "monitor": _monitor_world, "monitor-untallied": _monitor_world_with_untallied_history,
+          "repair": _repair_world}
 
 
 @pytest.mark.parametrize("command", sorted(WORLDS))
@@ -323,7 +347,7 @@ def test_every_crash_point_leaves_consistent_state(tmp_path, command):
         assert _lock_is_free(root / "state")
         if command == "detect":
             _rerun_detect(root, args, journals)
-        elif command == "monitor":
+        elif command.startswith("monitor"):
             _rerun_monitor(root, args, journals)
         else:
             _rerun_repair(root, args, reference)
