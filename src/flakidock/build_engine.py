@@ -11,10 +11,13 @@ failures.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import math
+import os
 import shlex
+import signal
 import subprocess
 import tempfile
 import time
@@ -83,9 +86,7 @@ class BuildDriver(ABC):
     driver_id: str
 
     @abstractmethod
-    def build(
-        self, dockerfile_text: str, context_dir: Path, *, no_cache: bool, timeout: float
-    ) -> DriverOutcome:
+    def build(self, dockerfile_text: str, context_dir: Path, *, no_cache: bool, timeout: float) -> DriverOutcome:
         """Run one build; never raises for ordinary build failures.
 
         Raises EngineError for a failure of the engine itself.
@@ -164,9 +165,7 @@ class SimulatedDriver(BuildDriver):
                 return idx, script
         raise EngineError("no build script matches the document and no default exists")
 
-    def build(
-        self, dockerfile_text: str, context_dir: Path, *, no_cache: bool, timeout: float
-    ) -> DriverOutcome:
+    def build(self, dockerfile_text: str, context_dir: Path, *, no_cache: bool, timeout: float) -> DriverOutcome:
         idx, script = self._select(dockerfile_text)
         pos = self._positions.get(idx, 0)
         outcome = script.outcomes[min(pos, len(script.outcomes) - 1)]
@@ -187,6 +186,22 @@ class SimulatedDriver(BuildDriver):
         self.cleanups += 1
 
 
+def _run(command: str, timeout: float) -> tuple[int, str]:
+    """`command`'s exit code and merged output, decoded as UTF-8 with bad bytes
+    replaced. It runs in a session of its own, whose whole process group is
+    killed on a timeout (TimeoutExpired) or any other exception, Ctrl-C included."""
+    with subprocess.Popen(shlex.split(command), stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+                          text=True, errors="replace", start_new_session=True) as proc:
+        try:
+            output = proc.communicate(timeout=timeout)[0]
+        except BaseException:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)  # before the reap: the leader's pid names the group until then
+            proc.wait()
+            raise
+    return proc.returncode, output
+
+
 class RealCliDriver(BuildDriver):
     """Shells out to the container engine CLI with a configurable template.
 
@@ -197,30 +212,22 @@ class RealCliDriver(BuildDriver):
 
     driver_id = "real"
 
-    def __init__(
-        self,
-        build_template: str = DEFAULT_BUILD_TEMPLATE,
-        clean_commands: tuple[str, ...] = DEFAULT_CLEAN_COMMANDS,
-    ):
+    def __init__(self, build_template: str = DEFAULT_BUILD_TEMPLATE,
+                 clean_commands: tuple[str, ...] = DEFAULT_CLEAN_COMMANDS):
         self.build_template = build_template
         self.clean_commands = clean_commands
 
-    def build(
-        self, dockerfile_text: str, context_dir: Path, *, no_cache: bool, timeout: float
-    ) -> DriverOutcome:
+    def build(self, dockerfile_text: str, context_dir: Path, *, no_cache: bool, timeout: float) -> DriverOutcome:
         context_dir = Path(context_dir)
         # In the temporary directory, not the context: the engine would upload
         # the file with the context, and a context may be read-only.
         temp_dir, context = Path(tempfile.gettempdir()).resolve(), context_dir.resolve()
         if temp_dir.is_relative_to(context):
-            raise EngineError(
-                f"temporary directory {temp_dir} is inside the build context {context}: "
-                "set TMPDIR to a directory outside it"
-            )
+            raise EngineError(f"temporary directory {temp_dir} is inside the build context {context}: "
+                              "set TMPDIR to a directory outside it")
         start = time.monotonic()
-        with tempfile.NamedTemporaryFile(
-            "w", prefix="flakidock-", suffix=".Dockerfile", delete=False, encoding="utf-8"
-        ) as tmp:
+        with tempfile.NamedTemporaryFile("w", prefix="flakidock-", suffix=".Dockerfile", delete=False,
+                                         encoding="utf-8") as tmp:
             tmp.write(dockerfile_text)
             dockerfile_path = Path(tmp.name)
         command = self.build_template.format(
@@ -229,23 +236,12 @@ class RealCliDriver(BuildDriver):
             context=shlex.quote(str(context_dir)),
         )
         try:
-            proc = subprocess.run(
-                shlex.split(command),
-                stdout=subprocess.PIPE,
-                stderr=subprocess.STDOUT,
-                timeout=timeout,
-                text=True,
-                errors="replace",
-            )
-            duration = time.monotonic() - start
-            status = STATUS_SUCCESS if proc.returncode == 0 else STATUS_FAILURE
-            return DriverOutcome(status, proc.stdout or "", proc.returncode, duration)
-        except subprocess.TimeoutExpired as exc:
-            duration = max(time.monotonic() - start, timeout)
-            partial = exc.stdout or b""
-            if isinstance(partial, bytes):
-                partial = partial.decode("utf-8", errors="replace")
-            return DriverOutcome(STATUS_TIMEOUT, partial, None, duration)
+            code, output = _run(command, timeout)
+            status = STATUS_SUCCESS if code == 0 else STATUS_FAILURE
+            return DriverOutcome(status, output, code, time.monotonic() - start)
+        except subprocess.TimeoutExpired as exc:  # it holds the output so far as bytes
+            partial = (exc.output or b"").decode("utf-8", errors="replace")
+            return DriverOutcome(STATUS_TIMEOUT, partial, None, max(time.monotonic() - start, timeout))
         except OSError as exc:
             raise EngineError(f"cannot invoke build command: {exc}") from exc
         finally:
@@ -254,19 +250,11 @@ class RealCliDriver(BuildDriver):
     def clean(self) -> None:
         for command in self.clean_commands:
             try:
-                proc = subprocess.run(
-                    shlex.split(command),
-                    stdout=subprocess.PIPE,
-                    stderr=subprocess.STDOUT,
-                    timeout=600,
-                    text=True,
-                )
+                code, _ = _run(command, 600)
             except (OSError, subprocess.TimeoutExpired) as exc:
                 raise EngineError(f"cleanup command failed: {command}: {exc}") from exc
-            if proc.returncode != 0:
-                raise EngineError(
-                    f"cleanup command exited {proc.returncode}: {command}"
-                )
+            if code != 0:
+                raise EngineError(f"cleanup command exited {code}: {command}")
 
 
 @dataclass
@@ -280,7 +268,8 @@ class BuildEngine:
     Each build appends one JSON line, its log inline, to `builds.jsonl` in
     the build's directory: `persist_dir` when given, else
     `<state_dir>/builds/<dockerfile hash>`. A record's number is its line
-    number; a line torn by a crash keeps its number and holds no record.
+    number; a line torn by a crash keeps its number and holds no record:
+    `durable.read_lines` reads the journal by that rule.
     """
 
     driver: BuildDriver

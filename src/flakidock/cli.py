@@ -18,7 +18,7 @@ import click
 from .build_engine import STATUS_ENGINE_ERROR, STATUS_SUCCESS, BuildRecord
 from .config import RunConfig, load_config
 from .dockerfile_model import diff_docs, parse_dockerfile, render_diff
-from .durable import append_line
+from .durable import append_line, newest_line, read_lines
 from .errors import EngineError, FlakiDockError
 from .log_preprocess import (
     EMPTY_OUTPUT,
@@ -115,13 +115,9 @@ def _load_doc(path: Path):
         raise FlakiDockError(f"cannot parse {path}: {exc}") from exc
 
 
-def _history_entry(line: str) -> dict | None:
-    """A `monitor` history line, or None for one that is not a JSON object with a status."""
-    try:
-        entry = json.loads(line)
-    except ValueError:
-        return None
-    return entry if isinstance(entry, dict) and "status" in entry else None
+def _history_entry(entry: dict) -> bool:
+    """Whether a journal object is a `monitor` history line: one with a status."""
+    return "status" in entry
 
 
 _HISTORY_TAIL = 64 * 1024  # bytes, about 300 history lines
@@ -129,26 +125,19 @@ _NOT_FAILURES = (STATUS_SUCCESS, STATUS_ENGINE_ERROR)  # an engine error is the 
 
 
 def _counted_so_far(history_file: Path, content_hash: str) -> tuple[int, int]:
-    """(failures, excluded) over the history lines of `content_hash`: the tally
-    of the newest such line in the file's last `_HISTORY_TAIL` bytes, else,
-    with no such line or no well-formed tally on it, a fold of the whole file."""
-    if not history_file.exists():
+    """(failures, excluded) over the history lines of `content_hash`: the tally of
+    the newest such line in the last `_HISTORY_TAIL` bytes; with none, (0, 0) if
+    that tail is the whole file; else, or with no well-formed tally, a whole-file fold."""
+    def ours(entry):
+        return _history_entry(entry) and entry.get("dockerfile_hash") == content_hash
+
+    entry, whole = newest_line(history_file, ours, _HISTORY_TAIL)
+    tally = entry and entry.get("tally")
+    if type(tally) is list and list(map(type, tally)) == [int, int] and 0 <= tally[1] <= tally[0]:
+        return tally[0], tally[1]
+    if entry is None and whole:
         return 0, 0
-    with open(history_file, "rb") as fh:  # its errors name the file
-        start = max(0, fh.seek(0, os.SEEK_END) - _HISTORY_TAIL)
-        fh.seek(start)
-        tail = fh.read().partition(b"\n")[2] if start else fh.read()  # skip the line it opens in
-        for line in reversed(tail.decode("utf-8", errors="replace").splitlines()):
-            entry = _history_entry(line)
-            if entry and entry.get("dockerfile_hash") == content_hash:
-                tally = entry.get("tally")
-                if type(tally) is list and list(map(type, tally)) == [int, int] and 0 <= tally[1] <= tally[0]:
-                    return tally[0], tally[1]
-                break
-        fh.seek(0)
-        lines = fh.read().decode("utf-8", errors="replace").splitlines()
-    failures = [h for h in map(_history_entry, lines)
-                if h and h.get("dockerfile_hash") == content_hash and h["status"] not in _NOT_FAILURES]
+    failures = [h for h in read_lines(history_file) if h is not None and ours(h) and h["status"] not in _NOT_FAILURES]
     return len(failures), sum(bool(h.get("exclusion")) for h in failures)
 
 

@@ -1,5 +1,5 @@
-"""The package's three ways to write a file. None fsyncs: each survives the
-process dying, not the host losing power.
+"""The package's three ways to write a file, and its two ways to read a journal
+back. No write fsyncs: each survives the process dying, not the host losing power.
 
 `append_line` grows a journal (`builds.jsonl`, `history/<name>.jsonl`, a
 store's `records.jsonl`) by one `O_APPEND` write, so writers sharing it never
@@ -7,10 +7,16 @@ split each other's lines, and a line torn by a crash stays a line of its own.
 `appending` grows a binary file (a store's `vectors.bin`) by one write that an
 exception undoes. Every other file is written whole through `replacing`, so a
 reader finds the old file or the new one.
+
+`read_lines` reads a journal back; `newest_line` finds its newest accepted line
+in a fixed tail. Both split on `\\n` only, as `append_line` writes: an unended
+last fragment is a line, kept one by the next append. A torn line, or one with
+no JSON object, reads as None; a missing file is an empty journal.
 """
 
 import contextlib
 import fcntl
+import json
 import os
 import threading
 from pathlib import Path
@@ -70,3 +76,38 @@ def replacing(path):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def read_lines(path) -> list[dict | None]:
+    """Each line's JSON object, or None, in line order."""
+    try:
+        return [_object(line) for line in _split(Path(path).read_bytes())]  # its errors name the file
+    except FileNotFoundError:
+        return []
+
+
+def newest_line(path, accept, tail_bytes: int) -> tuple[dict | None, bool]:
+    """The newest object among the whole lines of the last `tail_bytes` that
+    `accept` takes, or None; and whether that tail was the whole file. Lines
+    are tried newest first, so `accept` sees none older than its match."""
+    try:
+        with open(path, "rb") as fh:
+            start = max(0, fh.seek(0, os.SEEK_END) - tail_bytes)
+            fh.seek(max(0, start - 1))  # the byte before the tail tells whether its first line is whole
+            tail = fh.read().partition(b"\n")[2] if start else fh.read()
+    except FileNotFoundError:
+        return None, True
+    found = (entry for entry in map(_object, reversed(_split(tail))) if entry is not None and accept(entry))
+    return next(found, None), not start
+
+
+def _split(data: bytes) -> list[bytes]:
+    return data.removesuffix(b"\n").split(b"\n") if data else []  # no line after a final newline
+
+
+def _object(line: bytes) -> dict | None:
+    try:
+        entry = json.loads(line.decode("utf-8", errors="replace"))
+    except (ValueError, RecursionError):  # a line nested past the parser's depth holds no object either
+        return None
+    return entry if isinstance(entry, dict) else None

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import json
+import logging
+import os
 import shlex
+import signal
 import sys
 import tempfile
 import threading
@@ -25,6 +28,7 @@ from flakidock.build_engine import (
 )
 from flakidock.config import load_config
 from flakidock.dockerfile_model import parse_dockerfile
+from flakidock.durable import read_lines
 from flakidock.errors import EngineError
 
 from support import ALPINE_PIP, ALPINE_PIP_LOG, driver_for, driver_with_scripts, outcome
@@ -240,9 +244,9 @@ class TestScenarioScripts:
             script.outcomes = []
 
 
-def _journal(directory) -> list[dict]:
+def _journal(directory) -> list[dict | None]:
     """The records of `directory`'s build journal, in line order."""
-    return [json.loads(line) for line in (directory / "builds.jsonl").read_text().split("\n")[:-1]]
+    return read_lines(directory / "builds.jsonl")
 
 
 class TestPersistence:
@@ -290,17 +294,13 @@ class TestPersistence:
     def test_a_record_after_a_torn_line_starts_its_own_line(self, doc, tmp_path):
         engine = _engine(driver_for([outcome(STATUS_FAILURE, "boom log", exit_code=1)]))
         target = tmp_path / "builds"
-        engine.run_build_series(doc, tmp_path, 2, persist_dir=target)
+        records = engine.run_build_series(doc, tmp_path, 2, persist_dir=target)
         journal = target / "builds.jsonl"
         journal.write_bytes(journal.read_bytes()[:-5])  # the second line torn, as by a crash mid-write
         record = engine.build_once(doc, tmp_path, persist_dir=target)
-        lines = journal.read_text().split("\n")
         # Build 3's number is its line number: the fragment keeps line 2.
-        assert len(lines) == 4 and lines[-1] == ""
-        assert json.loads(lines[0])["log"] == "boom log"
-        with pytest.raises(ValueError):
-            json.loads(lines[1])
-        assert json.loads(lines[2]) == asdict(record)
+        assert read_lines(journal) == [asdict(records[0]), None, asdict(record)]
+        assert journal.read_bytes().endswith(b"}\n")
 
     def test_engines_sharing_a_directory_get_distinct_numbers(self, doc, tmp_path):
         target = tmp_path / "builds"
@@ -440,3 +440,48 @@ class TestRealCliDriver:
         driver = RealCliDriver(str(context / "no-such-engine") + " build -f {dockerfile} {context}")
         with pytest.raises(EngineError, match="cannot invoke build command"):
             driver.build("FROM busybox\n", context, no_cache=True, timeout=60)
+
+    def test_a_timeout_kills_the_build_commands_children(self, context, tmp_path):
+        pid_file = tmp_path / "child.pid"
+        code = ("import os, sys, time\n"
+                "if os.fork() == 0:\n"
+                "    open(sys.argv[1] + '.part', 'w').write(str(os.getpid()))\n"
+                "    os.rename(sys.argv[1] + '.part', sys.argv[1])\n"
+                "time.sleep(20)\n")
+        driver = RealCliDriver(_python(code, shlex.quote(str(pid_file))))
+        try:
+            outcome = driver.build("FROM busybox\n", context, no_cache=True, timeout=1.0)
+            assert outcome.status == STATUS_TIMEOUT
+            pid = int(pid_file.read_text())
+            deadline = time.monotonic() + 5
+            while _running(pid) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not _running(pid), "the build command's child outlived its timeout"
+        finally:  # leave no survivor behind, whatever the outcome
+            if pid_file.exists() and _running(pid := int(pid_file.read_text())):
+                os.kill(pid, signal.SIGKILL)
+
+    @pytest.mark.parametrize("exit_code", [0, 1])
+    def test_cleanup_output_that_is_not_utf8_ends_no_series(self, context, doc, caplog, exit_code):
+        prune = _python(f"import sys; sys.stdout.buffer.write(b'\\xff'); sys.exit({exit_code})")
+        engine = _engine(RealCliDriver(_python("print('ok')"), (prune,)), clean_every=1)
+        with caplog.at_level(logging.WARNING, logger="flakidock.build_engine"):
+            records = engine.run_build_series(doc, context, 2)
+        assert [record.status for record in records] == [STATUS_SUCCESS] * 2
+        assert engine.cleanups_performed == (2 if exit_code == 0 else 0)
+        assert ("cleanup failed (continuing the series): cleanup command exited 1" in caplog.text) == bool(exit_code)
+
+
+def _running(pid: int) -> bool:
+    """Whether `pid` is a live process. On Linux a killed process that its new
+    parent has not reaped yet lingers as a zombie: it does not count."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    if not Path("/proc/self/stat").exists():
+        return True
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False

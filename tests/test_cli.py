@@ -908,9 +908,21 @@ class TestMonitor:
         assert counts[0] == 0  # no history yet
         assert counts[4] == counts[49] == 1
         (tmp_path / "proj" / "Dockerfile").write_text("FROM busybox\n# v2\n")
-        # No line has the new hash: at most the tail's walk and one fold of the whole file.
-        assert lines_parsed(1) <= 2 * 50
+        # No line has the new hash, and the tail holds the whole file: its walk alone.
+        assert lines_parsed(1) <= 50
         assert lines_parsed(2) == 1
+
+    def test_a_history_line_nested_too_deep_to_parse_counts_for_nothing(self, runner, tmp_path):
+        manifest = self._manifest(tmp_path, [("proj", "FROM busybox\n")])
+        history = tmp_path / "state" / "history" / "proj.jsonl"
+        history.parent.mkdir(parents=True)
+        history.write_bytes(b"[" * 100_000 + b"\n")  # longer than the tail: the whole file is folded
+        scenario = _write_scenario(
+            tmp_path / "s.json", [{"match": None, "outcomes": [{"status": "failure", "log": "error: x"}]}]
+        )
+        result = runner.invoke(main, _base_args(tmp_path, scenario) + ["monitor", str(manifest), "--rounds", "1"])
+        assert result.exit_code == 0, result.exc_info
+        assert json.loads(result.output)["projects"]["proj"]["failures"] == 1
 
 
 

@@ -15,13 +15,17 @@ import ast
 import dataclasses
 import errno
 import fcntl
+import itertools
 import json
 import os
+import tempfile
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import crashpoint
 from flakidock import durable
@@ -135,6 +139,95 @@ class TestReplacing:
         assert [p.name for p in tmp_path.iterdir()] == ["Dockerfile.repaired"]
 
 
+def _parsed(line: bytes) -> dict | None:
+    """What a journal line holds by the README's rule: its JSON object, or None."""
+    try:
+        value = json.loads(line.decode("utf-8", errors="replace"))
+    except ValueError:
+        return None
+    return value if isinstance(value, dict) else None
+
+
+def _object_line(key: int, pad: str, ascii_only: bool) -> tuple[bytes, dict]:
+    value = {"k": key, "pad": pad}
+    return json.dumps(value, ensure_ascii=ascii_only).encode("utf-8"), value
+
+
+# (line bytes, what it holds). Raw U+0085, U+2028 and U+2029 inside an object,
+# and a raw \r outside one, end no line: only \n does.
+_whole_lines = st.builds(_object_line, st.integers(0, 3),
+                         st.text(st.sampled_from('ab{}"\\ \r\x85\u2028\u2029\u00e9'), max_size=200), st.booleans())
+_torn_lines = _whole_lines.flatmap(lambda line: st.integers(0, len(line[0]) - 1).map(lambda n: (line[0][:n], None)))
+_other_lines = st.one_of(
+    st.sampled_from([b"[1]", b"3", b'"s"', b"null", b"not json", b"", b"\r", b"1\r2", "\u2028".encode(), b"\xff{"]),
+    st.binary(max_size=20).filter(lambda data: b"\n" not in data),
+).map(lambda line: (line, _parsed(line)))
+_journals = st.tuples(st.lists(st.one_of(_whole_lines, _torn_lines, _other_lines), max_size=8), st.booleans())
+
+
+def _journal_bytes(lines: list[tuple[bytes, dict | None]], terminated: bool):
+    """The file the lines make, ending in a newline or not, and its lines: an
+    empty unterminated last line is no line at all."""
+    data = b"\n".join(line for line, _ in lines) + (b"\n" if terminated and lines else b"")
+    if lines and not terminated and lines[-1][0] == b"":
+        lines = lines[:-1]
+    return data, lines
+
+
+class TestReaders:
+    @settings(max_examples=100, deadline=None)
+    @given(_journals)
+    def test_read_lines_numbers_the_lines_of_a_newline_split(self, journal):
+        data, lines = _journal_bytes(*journal)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "j.jsonl"
+            path.write_bytes(data)
+            assert durable.read_lines(path) == [value for _, value in lines]
+
+    @settings(max_examples=60, deadline=None)
+    @given(_journals, st.integers(0, 3))
+    def test_newest_line_is_the_newest_accepted_whole_line_of_the_tail(self, journal, key):
+        data, lines = _journal_bytes(*journal)
+        offsets = list(itertools.accumulate((len(line) + 1 for line, _ in lines), initial=0))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "j.jsonl"
+            path.write_bytes(data)
+            for tail_bytes in range(1, len(data) + 2):
+                start = max(0, len(data) - tail_bytes)
+                objects = [value for (_, value), offset in zip(lines, offsets)
+                           if offset >= start and value is not None][::-1]  # newest first
+                match = next((i for i, value in enumerate(objects) if value["k"] == key), None)
+                seen = []
+                found = durable.newest_line(path, lambda entry: seen.append(entry) or entry["k"] == key, tail_bytes)
+                assert found == (None if match is None else objects[match], start == 0)
+                assert seen == (objects if match is None else objects[:match + 1])
+
+    def test_a_tail_that_opens_at_a_line_start_holds_that_line(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        path.write_bytes(b'{"k": 1}\n{"k": 2}\n')
+        assert durable.newest_line(path, lambda entry: entry["k"] == 2, 9) == ({"k": 2}, False)
+        assert durable.newest_line(path, lambda entry: entry["k"] == 1, 9) == (None, False)
+        assert durable.newest_line(path, lambda entry: entry["k"] == 1, 18) == ({"k": 1}, True)
+
+    def test_a_line_nested_too_deep_to_parse_holds_no_object(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        path.write_bytes(b'{"k": 1}\n' + b"[" * 100_000 + b"\n")
+        assert durable.read_lines(path) == [{"k": 1}, None]
+        assert durable.newest_line(path, bool, 200_000) == ({"k": 1}, True)
+
+    def test_a_missing_file_is_an_empty_journal(self, tmp_path):
+        assert durable.read_lines(tmp_path / "none.jsonl") == []
+        assert durable.newest_line(tmp_path / "none.jsonl", lambda entry: True, 10) == (None, True)
+
+    @pytest.mark.parametrize("read", [durable.read_lines, lambda path: durable.newest_line(path, bool, 10)],
+                             ids=["read_lines", "newest_line"])
+    def test_a_directory_is_an_error_that_names_it(self, tmp_path, read):
+        (tmp_path / "dir").mkdir()
+        with pytest.raises(IsADirectoryError) as failed:
+            read(tmp_path / "dir")
+        assert str(tmp_path / "dir") in str(failed.value)
+
+
 _OS_WRITES = ("write", "replace", "rename", "O_APPEND", "O_WRONLY", "O_RDWR", "O_TRUNC")
 
 
@@ -190,11 +283,12 @@ def test_only_durable_writes_files():
     assert found == {"build_engine": [("build", "NamedTemporaryFile")], "cli": [("_lock_state", "os.O_RDWR")]}
 
 
-def test_durable_exposes_three_names():
+def test_durable_exposes_five_names():
     tree = ast.parse((PACKAGE / "durable.py").read_text(encoding="utf-8"))
     names = [node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
     assigned = [t.id for node in tree.body if isinstance(node, ast.Assign) for t in node.targets]
-    assert [n for n in names + assigned if not n.startswith("_")] == ["append_line", "appending", "replacing"]
+    public = [n for n in names + assigned if not n.startswith("_")]
+    assert public == ["append_line", "appending", "replacing", "read_lines", "newest_line"]
 
 
 # --- crash points ---

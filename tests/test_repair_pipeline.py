@@ -17,7 +17,7 @@ from flakidock.build_engine import (
 from flakidock.demo_store import DemonstrationIndex, builtin_store_path, load_store
 from flakidock import repair_pipeline
 from flakidock.dockerfile_model import parse_dockerfile
-from flakidock.durable import replacing
+from flakidock.durable import read_lines, replacing
 from flakidock.errors import BudgetExhausted, FlakiDockError, ProviderUnavailable, UnparseableResponse
 from flakidock.log_preprocess import preprocess_log
 from flakidock.providers import (
@@ -518,7 +518,7 @@ class TestFullPipeline:
         def journal(name):
             directory = session_dir / "builds" / name
             assert [p.name for p in directory.iterdir()] == ["builds.jsonl"]
-            return [json.loads(line) for line in (directory / "builds.jsonl").read_text().splitlines()]
+            return read_lines(directory / "builds.jsonl")
 
         detect_records = journal("detect")
         assert [r["status"] for r in detect_records] == ["failure"]
@@ -798,8 +798,8 @@ def test_a_step_by_step_session_journals_each_candidate_under_its_session(base_d
     session.attempts_used = 1  # one reply, as a full run counts it
     validate_repair(candidate, session, ValidationPolicy(), tmp_path, engine, HashingEmbeddingProvider())
     assert session.verdict == VERDICT_REPAIRED
-    journal = (session_dir / "builds" / "attempt-1" / "builds.jsonl").read_text().splitlines()
-    assert [json.loads(line)["dockerfile_hash"] for line in journal] == [candidate.content_hash] * 2
+    journal = read_lines(session_dir / "builds" / "attempt-1" / "builds.jsonl")
+    assert [record["dockerfile_hash"] for record in journal] == [candidate.content_hash] * 2
     assert (session_dir / "builds" / "detect" / "builds.jsonl").exists()
     assert not (tmp_path / "state" / "builds").exists()
 
