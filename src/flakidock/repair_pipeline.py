@@ -269,21 +269,17 @@ def validate_repair(
 ) -> ValidationOutcome:
     """Decide repair / feedback / unresolved for one candidate.
 
-    The candidate goes through `detect_flakiness`, its builds journaled under
-    the session directory's `builds/attempt-<attempts_used>` when the session
-    has one; a non-flaky candidate ends the session `repaired`, as its final
-    Dockerfile. Otherwise the failing output is embedded once and compared
-    against the feedback vectors: the T-th similar failure ends the session
-    `unresolved`, else the candidate joins the feedback. An engine failure
-    ends it `engine-aborted`.
+    The candidate goes through `detect_flakiness`, its builds appended to the
+    session directory's `builds.jsonl` when the session has one; a non-flaky
+    candidate ends the session `repaired`, as its final Dockerfile. Otherwise
+    the failing output is embedded once and compared against the feedback
+    vectors: the T-th similar failure ends the session `unresolved`, else the
+    candidate joins the feedback. An engine failure ends it `engine-aborted`.
     """
     if session.verdict != VERDICT_IN_PROGRESS:
         raise ValueError(f"session already terminal: {session.verdict}")
-    builds_dir = None
-    if session.session_dir is not None:
-        builds_dir = session.session_dir / "builds" / f"attempt-{session.attempts_used}"
     with _ending(session) as aborted_builds:
-        detection = detect_flakiness(candidate, context_dir, engine, policy, rules, builds_dir)
+        detection = detect_flakiness(candidate, context_dir, engine, policy, rules, session.session_dir)
     if session.verdict == VERDICT_ENGINE_ABORTED:
         return ValidationOutcome(VERDICT_ENGINE_ABORTED, aborted_builds)
     if not detection.flaky:
@@ -320,13 +316,14 @@ def start_session(
 ) -> RepairSession:
     """Open a session: detect flakiness, build the query, retrieve examples.
 
-    A non-flaky document, an engine failure or a provider failure in
-    retrieval gives a terminal session, with verdict.json written under
-    session_dir when given. Otherwise the session is in progress, its query
-    and retrieved examples are set and query.json is written;
-    `assemble_prompt` of it is the first attempt's prompt. A store of
-    another dim than the query embedder raises DimensionMismatch before any
-    build or file.
+    Detection's builds start `<session_dir>/builds.jsonl`, which each later
+    `validate_repair` of the session extends. A non-flaky document, an engine
+    failure or a provider failure in retrieval gives a terminal session, with
+    verdict.json written under session_dir when given. Otherwise the session
+    is in progress, its query and retrieved examples are set and query.json
+    is written; `assemble_prompt` of it is the first attempt's prompt. A
+    store of another dim than the query embedder raises DimensionMismatch
+    before any build or file.
     """
     dim = providers.query_embedder.dim
     if len(store) and store.matrix.shape[1] != dim:
@@ -334,10 +331,9 @@ def start_session(
     if session_dir is not None:
         session_dir = Path(session_dir)
         session_dir.mkdir(parents=True, exist_ok=True)
-    builds_dir = None if session_dir is None else session_dir / "builds" / "detect"
     session = RepairSession(query=RepairQuery.build(doc.raw_text, ""), session_dir=session_dir)
     with _ending(session):
-        detection = detect_flakiness(doc, context_dir, engine, policy, rules, builds_dir)
+        detection = detect_flakiness(doc, context_dir, engine, policy, rules, session_dir)
         if not detection.flaky:
             _end_session(session, VERDICT_NON_FLAKY)
             return session
@@ -368,12 +364,13 @@ def repair_flaky_dockerfile(
     Always returns a session with a terminal verdict; a provider that fails
     after detection ends it as aborted-provider, and a prompt that cannot fit
     prompt_budget as aborted-budget, keeping the feedback so far.
-    Every prompt, response, and build log is persisted under session_dir when
-    given, so a session can be audited or replayed offline. A `repaired`
-    session writes its final Dockerfile to repaired_path, when given, before
-    verdict.json, so a verdict that says `repaired` has its file. Without a
-    generator it raises `FlakiDockError` before any build, and before
-    session_dir is made.
+    Every prompt and response is persisted under session_dir when given, and
+    every build, detection's and each candidate's, is a line of
+    `<session_dir>/builds.jsonl` in build order, so a session can be audited
+    or replayed offline. A `repaired` session writes its final Dockerfile to
+    repaired_path, when given, before verdict.json, so a verdict that says
+    `repaired` has its file. Without a generator it raises `FlakiDockError`
+    before any build, and before session_dir is made.
     """
     if providers.generator is None:
         raise FlakiDockError("no generation provider configured (set generation_provider)")
@@ -459,6 +456,7 @@ def _persist_session(session: RepairSession) -> None:
         "verdict": session.verdict,
         "abort_reason": session.abort_reason,
         "attempts_used": session.attempts_used,
+        "category_guess": guess_category(session).value,
         "final_dockerfile": session.final_dockerfile,
         "retrieved": _retrieved(session),
         "feedback": [

@@ -246,6 +246,22 @@ def fenced(dockerfile_text: str) -> str:
     return f"Here is the corrected file:\n```dockerfile\n{dockerfile_text}```\n"
 
 
+def split_series(journal: list[dict]) -> list[list[dict]]:
+    """A session's `builds.jsonl` records cut into its build series.
+
+    A series stops at its first record that is not a success, and a series of
+    n successes ends the session, so each series but the last ends at its
+    first non-success record and the last one runs to the journal's end.
+    """
+    series, current = [], []
+    for record in journal:
+        current.append(record)
+        if record["status"] != "success":
+            series.append(current)
+            current = []
+    return series + [current] if current else series
+
+
 # --- reference implementations for differential tests ---
 
 

@@ -308,6 +308,21 @@ class TestRepair:
         repaired = dockerfile.with_name("Dockerfile.repaired")
         assert repaired.read_text() == ALPINE_PIP_REPAIRED
 
+    def test_the_verdict_records_the_printed_category_guess(self, runner, tmp_path, flaky_setup):
+        dockerfile, scenario = flaky_setup
+        result = runner.invoke(
+            main,
+            _base_args(tmp_path, scenario) + [
+                "--config", str(_config_with_generator(tmp_path, scenario)),
+                "repair", str(dockerfile),
+            ],
+        )
+        assert result.exit_code == 0, result.output
+        summary = json.loads(result.output)
+        assert len(summary["retrieved"]) == 3
+        verdict = json.loads((Path(summary["session_dir"]) / "verdict.json").read_text())
+        assert verdict["category_guess"] == summary["category_guess"]
+
     def test_triple_identical_failure_exit_three(self, runner, tmp_path):
         project = tmp_path / "project"
         project.mkdir()

@@ -36,6 +36,7 @@ from flakidock.repair_pipeline import (
     UNPARSEABLE_FEEDBACK,
     VERDICT_BUDGET_ABORTED,
     VERDICT_ENGINE_ABORTED,
+    VERDICT_IN_PROGRESS,
     VERDICT_NON_FLAKY,
     VERDICT_PROVIDER_ABORTED,
     VERDICT_REPAIRED,
@@ -63,6 +64,7 @@ from support import (
     driver_with_scripts,
     fenced,
     outcome,
+    split_series,
     template_outputs,
 )
 
@@ -512,25 +514,23 @@ class TestFullPipeline:
             base_doc, tmp_path, DemonstrationIndex([]), _providers(generator),
             ValidationPolicy(), _engine(driver), session_dir=session_dir,
         )
-        assert (session_dir / "query.json").exists()
-        assert (session_dir / "prompt-1.txt").exists()
-        assert (session_dir / "response-1.txt").exists()
-        def journal(name):
-            directory = session_dir / "builds" / name
-            assert [p.name for p in directory.iterdir()] == ["builds.jsonl"]
-            return read_lines(directory / "builds.jsonl")
-
-        detect_records = journal("detect")
-        assert [r["status"] for r in detect_records] == ["failure"]
-        assert detect_records[0]["log"] == ALPINE_PIP_LOG
+        assert sorted(p.name for p in session_dir.iterdir()) == [
+            "builds.jsonl", "prompt-1.txt", "query.json", "response-1.txt", "verdict.json",
+        ]
+        # Detection's one failure, then attempt 1's builds, in one journal.
+        detect_record, *payloads = read_lines(session_dir / "builds.jsonl")
+        assert detect_record["status"] == "failure"
+        assert detect_record["log"] == ALPINE_PIP_LOG
+        assert detect_record["dockerfile_hash"] == base_doc.content_hash
         verdict = json.loads((session_dir / "verdict.json").read_text())
         assert verdict["verdict"] == VERDICT_REPAIRED
         assert verdict["attempts_used"] == 1
         # Verdict soundness: the persisted records of the final attempt show
         # n consecutive successes.
-        payloads = journal("attempt-1")
         assert len(payloads) == ValidationPolicy().build_iterations
         assert all(p["status"] == "success" for p in payloads)
+        candidate_hash = parse_dockerfile(ALPINE_PIP_REPAIRED).content_hash
+        assert [p["dockerfile_hash"] for p in payloads] == [candidate_hash] * len(payloads)
 
     def test_pipeline_is_replay_deterministic(self, base_doc, tmp_path):
         def run(where):
@@ -668,7 +668,7 @@ class TestProviderAbort:
         assert session.abort_reason.startswith("unusable generator response: ")
         assert session.attempts_used == verdict["attempts_used"] == 0
         written = sorted(path.name for path in (tmp_path / "s").iterdir())
-        assert written == ["builds", "prompt-1.txt", "query.json", "verdict.json"]
+        assert written == ["builds.jsonl", "prompt-1.txt", "query.json", "verdict.json"]
         # Without a session directory the session ends the same way.
         unsaved, _ = self._run(base_doc, tmp_path, _providers(OwnGenerator(reply)), session_dir=None)
         assert (unsaved.abort_reason, unsaved.attempts_used) == (session.abort_reason, 0)
@@ -798,9 +798,9 @@ def test_a_step_by_step_session_journals_each_candidate_under_its_session(base_d
     session.attempts_used = 1  # one reply, as a full run counts it
     validate_repair(candidate, session, ValidationPolicy(), tmp_path, engine, HashingEmbeddingProvider())
     assert session.verdict == VERDICT_REPAIRED
-    journal = read_lines(session_dir / "builds" / "attempt-1" / "builds.jsonl")
+    detect_record, *journal = read_lines(session_dir / "builds.jsonl")
+    assert (detect_record["dockerfile_hash"], detect_record["status"]) == (base_doc.content_hash, "failure")
     assert [record["dockerfile_hash"] for record in journal] == [candidate.content_hash] * 2
-    assert (session_dir / "builds" / "detect" / "builds.jsonl").exists()
     assert not (tmp_path / "state" / "builds").exists()
 
 
@@ -888,3 +888,86 @@ def test_prompt_over_budget_ends_the_session_keeping_its_feedback(base_doc, tmp_
     )
     assert [entry["false_repair"] for entry in saved["feedback"]] == [long_candidate]
     assert not (tmp_path / "s" / "prompt-2.txt").exists()
+
+
+_SPLIT_ENDS = {
+    # case: (build scripts, replies in attempt order, attempt cap, verdict,
+    #        the validations' outcome kinds)
+    "non-flaky": ({None: [outcome(STATUS_SUCCESS)] * 2}, [], 10, VERDICT_NON_FLAKY, []),
+    "repaired-after-feedback": (
+        {None: _FAIL_DETECT, "candidate-a": [outcome(STATUS_SUCCESS)] + _FAIL_X,
+         "venv": [outcome(STATUS_SUCCESS)] * 2},
+        [fenced(_CAND_A), fenced(ALPINE_PIP_REPAIRED)], 10, VERDICT_REPAIRED, ["feedback", "repair"],
+    ),
+    "unresolved-by-T": (
+        {None: _FAIL_DETECT, "candidate-a": _FAIL_X}, [fenced(_CAND_A)] * 3, 10, VERDICT_UNRESOLVED,
+        ["feedback", "feedback", VERDICT_UNRESOLVED],
+    ),
+    # The cap is the caller's to apply: `repair_flaky_dockerfile` ends this
+    # session `unresolved` without another build.
+    "unresolved-by-attempt-cap": (
+        {None: _FAIL_DETECT, "candidate-a": _FAIL_X, "candidate-b": _FAIL_Y},
+        [fenced(_CAND_A), fenced(_CAND_B)] * 3, 4, VERDICT_IN_PROGRESS, ["feedback"] * 4,
+    ),
+    "unparseable-between-candidates": (
+        {None: _FAIL_DETECT, "candidate-a": _FAIL_X, "venv": [outcome(STATUS_SUCCESS)] * 2},
+        [fenced(_CAND_A), "no fence here, sorry", fenced(ALPINE_PIP_REPAIRED)], 10, VERDICT_REPAIRED,
+        ["feedback", "repair"],
+    ),
+    "engine-aborted-in-validation": (
+        {None: _FAIL_DETECT, "candidate-a": [outcome(STATUS_SUCCESS), outcome("engine-error", "disk full")]},
+        [fenced(_CAND_A)], 10, VERDICT_ENGINE_ABORTED, [VERDICT_ENGINE_ABORTED],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_SPLIT_ENDS))
+def test_splitting_the_session_journal_gives_back_each_series(base_doc, tmp_path, monkeypatch, case):
+    scripts, replies, cap, verdict, kinds = _SPLIT_ENDS[case]
+    policy, sentence = ValidationPolicy(max_total_attempts=cap), HashingEmbeddingProvider()
+    engine = BuildEngine(driver_with_scripts(scripts), HygienePolicy(), state_dir=tmp_path / "state")
+    detections = []
+
+    def recording_detect(*args):
+        detections.append(detect_flakiness(*args))
+        return detections[-1]
+
+    with monkeypatch.context() as patched:
+        patched.setattr(repair_pipeline, "detect_flakiness", recording_detect)
+        session = start_session(base_doc, tmp_path, DemonstrationIndex([]), _providers(), policy, engine,
+                                session_dir=tmp_path / "s")
+    series, outcomes = [detections[0].records], []
+    for reply in replies:  # the full loop's steps, one reply per attempt
+        if session.verdict != VERDICT_IN_PROGRESS or session.attempts_used == cap:
+            break
+        session.attempts_used += 1
+        try:
+            candidate = parse_candidate(reply)
+        except UnparseableResponse:
+            session.add_feedback(reply, UNPARSEABLE_FEEDBACK, embed(UNPARSEABLE_FEEDBACK, sentence))
+            continue
+        result = validate_repair(candidate, session, policy, tmp_path, engine, sentence)
+        outcomes.append(result.kind)
+        series.append(result.records)
+    assert (session.verdict, outcomes) == (verdict, kinds)
+    journal = read_lines(tmp_path / "s" / "builds.jsonl")
+    assert split_series(journal) == [[dataclasses.asdict(record) for record in records] for records in series]
+    assert not (tmp_path / "state").exists()
+
+
+def test_a_session_directory_holds_no_directory(base_doc, tmp_path):
+    driver = driver_with_scripts({None: _FAIL_DETECT, "candidate-a": _FAIL_X, "venv": [outcome(STATUS_SUCCESS)] * 2})
+    generator = ScriptedTextProvider([fenced(_CAND_A), "no fence here, sorry", fenced(ALPINE_PIP_REPAIRED)])
+    session_dir = tmp_path / "s"
+    session = repair_flaky_dockerfile(
+        base_doc, tmp_path, DemonstrationIndex([]), _providers(generator), ValidationPolicy(), _engine(driver),
+        session_dir=session_dir,
+    )
+    assert (session.verdict, session.attempts_used) == (VERDICT_REPAIRED, 3)
+    assert sorted(path.name for path in session_dir.iterdir()) == [
+        "builds.jsonl", "prompt-1.txt", "prompt-2.txt", "prompt-3.txt", "query.json",
+        "response-1.txt", "response-2.txt", "response-3.txt", "verdict.json",
+    ]
+    assert not any(path.is_dir() for path in session_dir.iterdir())
+    statuses = [record["status"] for record in read_lines(session_dir / "builds.jsonl")]
+    assert statuses == ["failure", "failure", "success", "success"]
