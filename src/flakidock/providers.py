@@ -107,20 +107,18 @@ class HashingEmbeddingProvider(EmbeddingProvider):
             points = np.frombuffer(lowered.encode("utf-32-le"), dtype="<u4")
             symbol_ids, table = _trigram_table()
             ids = symbol_ids.take(points, mode="clip")
-            outside = ids == _OUTSIDE
-            outside = outside[:-2] | outside[1:-1] | outside[2:]
-            if (1 << _TABLE_BITS) % dim:  # the table's 15 bits do not give h mod dim
-                outside[:] = True
-            hashed = np.flatnonzero(outside)
-            parts = []
-            if hashed.size < len(outside):  # some grams are in the table
-                index = (ids[:-2] * _OUTSIDE + ids[1:-1]) * _OUTSIDE + ids[2:]
-                entries = table[index[~outside] if hashed.size else index]
-                # uint16 throughout: a code is below 2 * dim <= 2**16.
-                parts.append((entries & (dim - 1)) + (entries >> _TABLE_BITS) * dim)
-            if hashed.size:  # one blake2b per occurrence of a gram outside the table
-                parts.append(_bucket_codes([lowered[i : i + 3] for i in hashed.tolist()], dim))
-            codes = np.concatenate(parts)
+            index = (ids[:-2] * _OUTSIDE + ids[1:-1]) * _OUTSIDE + ids[2:]
+            spare = (1 << _TABLE_BITS) % dim  # nonzero: the table's 15 bits do not give h mod dim
+            if not spare and ids.max() < _OUTSIDE:  # every gram is in the table
+                entries, hashed = table[index], []
+            else:
+                outside = ids >= (0 if spare else _OUTSIDE)  # with a spare, no gram reads the table
+                outside = outside[:-2] | outside[1:-1] | outside[2:]
+                entries, hashed = table[index[~outside]], np.flatnonzero(outside).tolist()
+            # uint16 throughout: a code is below 2 * dim <= 2**16.
+            codes = (entries & (dim - 1)) + (entries >> _TABLE_BITS) * dim
+            if hashed:  # one blake2b per occurrence of a gram outside the table
+                codes = np.concatenate([codes, _bucket_codes([lowered[i : i + 3] for i in hashed], dim)])
         counts = np.bincount(codes, minlength=2 * dim)
         # Each bucket sums +-1 terms, so the counts give the exact sum.
         acc = (counts[dim:] - counts[:dim]).astype(np.float64)

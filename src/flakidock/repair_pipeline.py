@@ -52,6 +52,8 @@ VERDICT_NON_FLAKY = "non-flaky"
 VERDICT_ENGINE_ABORTED = "engine-aborted"
 VERDICT_PROVIDER_ABORTED = "aborted-provider"
 VERDICT_BUDGET_ABORTED = "aborted-budget"
+_TERMINAL_VERDICTS = (VERDICT_REPAIRED, VERDICT_UNRESOLVED, VERDICT_NON_FLAKY, VERDICT_ENGINE_ABORTED,
+                      VERDICT_PROVIDER_ABORTED, VERDICT_BUDGET_ABORTED)
 
 UNPARSEABLE_FEEDBACK = "provider returned unparseable repair"
 
@@ -284,7 +286,7 @@ def validate_repair(
         return ValidationOutcome(VERDICT_ENGINE_ABORTED, aborted_builds)
     if not detection.flaky:
         session.final_dockerfile = candidate.raw_text
-        _end_session(session, VERDICT_REPAIRED)
+        end_session(session, VERDICT_REPAIRED)
         return ValidationOutcome("repair", detection.records)
 
     vector = embed(detection.failure_text, sentence_provider)
@@ -294,7 +296,7 @@ def validate_repair(
         policy.feedback_similarity_threshold,
     )
     if failures >= policy.failure_threshold:
-        _end_session(session, VERDICT_UNRESOLVED)
+        end_session(session, VERDICT_UNRESOLVED)
         return ValidationOutcome(VERDICT_UNRESOLVED, detection.records)
     session.add_feedback(candidate.raw_text, detection.failure_text, vector)
     return ValidationOutcome("feedback", detection.records)
@@ -335,7 +337,7 @@ def start_session(
     with _ending(session):
         detection = detect_flakiness(doc, context_dir, engine, policy, rules, session_dir)
         if not detection.flaky:
-            _end_session(session, VERDICT_NON_FLAKY)
+            end_session(session, VERDICT_NON_FLAKY)
             return session
         query = session.query = RepairQuery.build(doc.raw_text, detection.failure_text)
         session.retrieved = retrieve_top_k(query, store, retrieval_k, providers.query_embedder)
@@ -409,7 +411,7 @@ def repair_flaky_dockerfile(
 
             validate_repair(candidate, session, policy, context_dir, engine, providers.sentence_embedder, rules)
         if session.verdict == VERDICT_IN_PROGRESS:
-            _end_session(session, VERDICT_UNRESOLVED)  # attempt cap reached
+            end_session(session, VERDICT_UNRESOLVED)  # attempt cap reached
     return session
 
 
@@ -423,16 +425,19 @@ def _ending(session: RepairSession):
         yield aborted_builds
     except EngineError as exc:
         aborted_builds.extend(exc.records)
-        _end_session(session, VERDICT_ENGINE_ABORTED, str(exc))
+        end_session(session, VERDICT_ENGINE_ABORTED, str(exc))
     except ProviderUnavailable as exc:
-        _end_session(session, VERDICT_PROVIDER_ABORTED, str(exc))
+        end_session(session, VERDICT_PROVIDER_ABORTED, str(exc))
     except BudgetExhausted as exc:
-        _end_session(session, VERDICT_BUDGET_ABORTED, str(exc))
+        end_session(session, VERDICT_BUDGET_ABORTED, str(exc))
 
 
-def _end_session(session: RepairSession, verdict: str, abort_reason: str | None = None) -> None:
+def end_session(session: RepairSession, verdict: str, abort_reason: str | None = None) -> None:
     """The one place a session ends: set its verdict, write a repaired
-    session's final Dockerfile to its repaired_path, then verdict.json."""
+    session's final Dockerfile to its repaired_path, then verdict.json.
+    Raises ValueError unless the session is in progress and the verdict terminal."""
+    if session.verdict != VERDICT_IN_PROGRESS or verdict not in _TERMINAL_VERDICTS:
+        raise ValueError(f"cannot end a session that is {session.verdict} as {verdict!r}")
     session.verdict, session.abort_reason = verdict, abort_reason
     if verdict == VERDICT_REPAIRED and session.repaired_path is not None:
         with replacing(session.repaired_path) as fh:

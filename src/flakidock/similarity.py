@@ -12,6 +12,7 @@ compute with vectors, so importing this module is cheap.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -38,9 +39,10 @@ def embed(text: str, provider: EmbeddingProvider) -> np.ndarray:
         raise ValueError("cannot embed empty text")
     if provider.token_limit is not None and estimate_tokens(text) > provider.token_limit:
         text = text[: provider.token_limit * 4]  # the build definition leads a combined text
-    raw = provider.embed_values(text)
-    with np.errstate(over="ignore"):  # a value past the float32 range becomes inf, rejected below
-        values = np.asarray(raw, dtype=np.float32)
+    values = provider.embed_values(text)
+    if type(values) is not np.ndarray or values.dtype != np.float32:
+        with np.errstate(over="ignore"):  # a value past the float32 range becomes inf, rejected below
+            values = np.asarray(values, dtype=np.float32)
     if values.shape != (provider.dim,):
         raise DimensionMismatch(
             f"provider {provider.provider_id} returned {values.size} values, declared dim {provider.dim}"
@@ -57,7 +59,7 @@ def _unit(vec: np.ndarray) -> np.ndarray:
     import numpy as np
 
     values = vec.astype(np.float64)
-    norm = np.linalg.norm(values)
+    norm = math.sqrt(values @ values)  # np.linalg.norm's own computation for a 1-D float vector
     if norm == 0.0:
         raise ZeroVector("cosine similarity is undefined for the zero vector")
     return values / norm
@@ -91,12 +93,40 @@ class RepairQuery:
 
 @dataclass
 class Cluster:
-    """Build outputs and the float64 sum of their unit vectors: for a unit vector u,
-    the mean cosine similarity to the members is u . member_sum / len(member_ids)."""
+    """Build outputs and the float64 sum of their unit vectors, a row view in a ClusterState:
+    for a unit vector u, the mean cosine similarity to the members is u . member_sum / len(member_ids)."""
 
     id: int
     member_ids: list[str]
     member_sum: np.ndarray = field(repr=False)
+
+
+class ClusterState(list):
+    """The clusters in creation order, plus what scores them in one product:
+    their member sums as rows of one float64 buffer that doubles when full,
+    their member counts and the next cluster id. Copies in a list's sums."""
+
+    def __init__(self, clusters=()):
+        super().__init__()
+        self._sums, self._counts, self.next_id = (), (), 0  # no rows yet
+        for cluster in clusters:
+            self._append(cluster)
+
+    def _append(self, cluster: Cluster) -> None:
+        import numpy as np
+
+        if not cluster.member_ids:
+            raise ValueError(f"cluster {cluster.id} has no members")
+        n = len(self)
+        if n == len(self._counts):  # full: rows past n are spare
+            self._sums = np.resize(self._sums, (2 * n or 1, cluster.member_sum.size))
+            self._counts = np.resize(self._counts, 2 * n or 1)
+            for c, row in zip(self, self._sums):
+                c.member_sum = row
+        self._sums[n], self._counts[n] = cluster.member_sum, len(cluster.member_ids)
+        cluster.member_sum = self._sums[n]
+        self.append(cluster)
+        self.next_id = max(self.next_id, cluster.id + 1)
 
 
 def cluster_add(
@@ -104,27 +134,33 @@ def cluster_add(
     output_id: str,
     vec: np.ndarray,
     threshold: float,
-) -> tuple[list[Cluster], int]:
+) -> tuple[ClusterState, int]:
     """Assign one build output to the cluster state; returns (state, cluster id).
 
     The candidate joins the cluster whose members are on average most similar
-    to it, provided that mean similarity reaches the threshold; otherwise a
-    new singleton cluster is created. Each cluster costs one dot product.
+    to it, the first created of equal means, provided that mean reaches the
+    threshold; otherwise a new singleton cluster is created. One product scores
+    every cluster. Pass back the returned state; a plain list is converted once.
     """
+    import numpy as np
+
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
     u = _unit(vec)
     if state and state[0].member_sum.size != u.size:
         raise DimensionMismatch(f"dims differ: {u.size} vs {state[0].member_sum.size}")
-    means = [float(u @ c.member_sum) / len(c.member_ids) for c in state]
-    if means and max(means) >= threshold:
-        best = state[means.index(max(means))]  # the first of equal means, in state order
-        best.member_ids.append(output_id)
-        best.member_sum += u
-        return state, best.id
-    new_id = max((c.id for c in state), default=-1) + 1
-    state.append(Cluster(new_id, [output_id], u))
-    return state, new_id
+    state = state if isinstance(state, ClusterState) else ClusterState(state)
+    if n := len(state):
+        # einsum scores identical rows alike wherever they sit: argmax picks the oldest tie.
+        means = np.einsum("ij,j->i", state._sums[:n], u) / state._counts[:n]
+        best = int(means.argmax())
+        if means[best] >= threshold:
+            state[best].member_ids.append(output_id)
+            state._sums[best] += u
+            state._counts[best] += 1
+            return state, state[best].id
+    state._append(Cluster(state.next_id, [output_id], u))
+    return state, state[-1].id
 
 
 def retrieve_top_k(

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flakidock import providers
 from flakidock.config import load_config
 from flakidock.errors import ConfigError, ProviderUnavailable
 from flakidock.providers import (
@@ -105,6 +106,38 @@ class TestTrigramTable:
     def test_mixed_text_matches_reference(self, dim, text):
         provider = HashingEmbeddingProvider(dim)
         assert _bits(provider.embed_values(text)) == reference_hash_embedding(text, dim).tobytes()
+
+
+_TABLE_TEXT = "error: pip install failed\n\texit code: 1 (see /tmp/log-42.txt)"
+
+
+class TestTableGather:
+    """Text of table characters alone is gathered from the table with no hashing;
+    any other text hashes the grams the table cannot give, bit for bit the same."""
+
+    @pytest.mark.parametrize(
+        "dim, text, hashed",
+        [
+            (256, _TABLE_TEXT, []),
+            (64, _TABLE_TEXT.upper(), []),  # lowercasing brings it into the table
+            (256, _TABLE_TEXT.replace("pip", "p\u00e9p"), [" p\u00e9", "p\u00e9p", "\u00e9p "]),
+            (256, "\r" + _TABLE_TEXT, ["\rer"]),
+            (100, _TABLE_TEXT, [_TABLE_TEXT[i : i + 3] for i in range(len(_TABLE_TEXT) - 2)]),
+        ],
+        ids=["all-table", "all-table-uppercase", "one-non-ascii", "leading-cr", "dim-100"],
+    )
+    def test_matches_reference_hashing_only_grams_outside_the_table(self, monkeypatch, dim, text, hashed):
+        seen = []
+
+        def spy(grams, dim):
+            seen.extend(grams)
+            return bucket_codes(grams, dim)
+
+        bucket_codes = providers._bucket_codes
+        monkeypatch.setattr(providers, "_bucket_codes", spy)
+        got = HashingEmbeddingProvider(dim).embed_values(text)
+        assert _bits(got) == reference_hash_embedding(text, dim).tobytes()
+        assert seen == hashed
 
 
 class TestHttpProviderDeclarations:

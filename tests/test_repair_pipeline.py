@@ -46,6 +46,7 @@ from flakidock.repair_pipeline import (
     ValidationPolicy,
     assemble_prompt,
     detect_flakiness,
+    end_session,
     guess_category,
     parse_candidate,
     repair_flaky_dockerfile,
@@ -953,6 +954,44 @@ def test_splitting_the_session_journal_gives_back_each_series(base_doc, tmp_path
     journal = read_lines(tmp_path / "s" / "builds.jsonl")
     assert split_series(journal) == [[dataclasses.asdict(record) for record in records] for records in series]
     assert not (tmp_path / "state").exists()
+
+
+def test_a_step_by_step_session_stopped_at_the_cap_ends_unresolved_as_a_full_run_does(base_doc, tmp_path):
+    scripts = {None: _FAIL_DETECT, "candidate-a": _FAIL_X, "candidate-b": _FAIL_Y}
+    replies, policy = [fenced(_CAND_A), fenced(_CAND_B)] * 2, ValidationPolicy(max_total_attempts=4)
+    full = repair_flaky_dockerfile(
+        base_doc, tmp_path, DemonstrationIndex([]), _providers(ScriptedTextProvider(replies)), policy,
+        _engine(driver_with_scripts(scripts)), session_dir=tmp_path / "full",
+    )
+    assert (full.verdict, full.attempts_used) == (VERDICT_UNRESOLVED, 4)
+    engine = _engine(driver_with_scripts(scripts))
+    session = start_session(base_doc, tmp_path, DemonstrationIndex([]), _providers(), policy, engine,
+                            session_dir=tmp_path / "steps")
+    for reply in replies:
+        session.attempts_used += 1
+        validate_repair(parse_candidate(reply), session, policy, tmp_path, engine, HashingEmbeddingProvider())
+    assert (session.verdict, session.attempts_used) == (VERDICT_IN_PROGRESS, policy.max_total_attempts)
+    assert not (tmp_path / "steps" / "verdict.json").exists()
+    end_session(session, VERDICT_UNRESOLVED)
+    saved = json.loads((tmp_path / "steps" / "verdict.json").read_text())
+    assert (saved["verdict"], saved["attempts_used"], len(saved["feedback"])) == (VERDICT_UNRESOLVED, 4, 4)
+    assert saved == json.loads((tmp_path / "full" / "verdict.json").read_text())
+
+
+@pytest.mark.parametrize("verdict", [VERDICT_IN_PROGRESS, "done"])
+def test_end_session_refuses_a_verdict_that_is_not_terminal(verdict):
+    session = RepairSession(query=RepairQuery.build("FROM busybox\n", ""))
+    with pytest.raises(ValueError, match="as"):
+        end_session(session, verdict)
+    assert session.verdict == VERDICT_IN_PROGRESS
+
+
+def test_end_session_refuses_a_session_that_already_ended(tmp_path):
+    session = RepairSession(query=RepairQuery.build("FROM busybox\n", ""), session_dir=tmp_path)
+    end_session(session, VERDICT_UNRESOLVED)
+    with pytest.raises(ValueError, match="unresolved"):
+        end_session(session, VERDICT_REPAIRED)
+    assert json.loads((tmp_path / "verdict.json").read_text())["verdict"] == VERDICT_UNRESOLVED
 
 
 def test_a_session_directory_holds_no_directory(base_doc, tmp_path):

@@ -20,8 +20,11 @@ from flakidock import providers
 from flakidock.demo_store import builtin_store_path, load_store, save_store
 from flakidock.providers import HashingEmbeddingProvider
 from flakidock.similarity import (
+    Cluster,
+    ClusterState,
     RepairQuery,
     _candidates,
+    _unit,
     cluster_add,
     cosine,
     embed,
@@ -188,6 +191,99 @@ class TestClusterAdd:
         vec = embed("x", offline_provider)
         with pytest.raises(ValueError):
             cluster_add([], "a", vec, 1.5)
+
+
+def _unit_rows(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
+    rows = rng.standard_normal((count, dim))
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+def _hand_built(sums: np.ndarray, counts: list[int], ids: list[int]) -> list[Cluster]:
+    """A plain list of clusters, as a caller builds them without cluster_add."""
+    return [Cluster(cid, [f"m{cid}-{k}" for k in range(n)], row.copy()) for cid, n, row in zip(ids, counts, sums)]
+
+
+class TestClusterState:
+    @given(
+        st.lists(st.floats(-1e6, 1e6, width=32), min_size=1, max_size=300),
+        st.sampled_from([np.float32, np.float64]),
+    )
+    @settings(max_examples=300)
+    def test_unit_matches_linalg_norm_bit_for_bit(self, values, dtype):
+        vec = np.array(values, dtype=dtype)
+        if not vec.any():
+            return
+        wide = vec.astype(np.float64)
+        assert _unit(vec).tobytes() == (wide / np.linalg.norm(wide)).tobytes()
+
+    def test_plain_list_converts_then_assigns_like_the_reference(self, offline_provider):
+        vecs = [embed(t, offline_provider) for t in template_outputs(120, seed=3)]
+        steps = reference_clustering([[float(x) for x in v] for v in vecs], 0.8)
+        # Hand-build the clusters the reference gives the first 40 outputs,
+        # under ids that are neither dense nor in order.
+        members: dict[int, list[int]] = {}
+        for i, (cid, _) in enumerate(steps[:40]):
+            members.setdefault(cid, []).append(i)
+        own_id = {cid: 1000 - 7 * cid for cid in members}
+        state = [
+            Cluster(own_id[cid], [f"out-{i}" for i in rows], sum(_unit(vecs[i]) for i in rows))
+            for cid, rows in members.items()
+        ]
+        next_id = max(own_id.values()) + 1
+        for i, (ref_id, _) in enumerate(steps[40:], start=40):
+            if ref_id not in own_id:
+                own_id[ref_id], next_id = next_id, next_id + 1
+            state, cid = cluster_add(state, f"out-{i}", vecs[i], 0.8)
+            assert isinstance(state, ClusterState)
+            assert cid == own_id[ref_id]
+        assert [c.member_ids for c in state] == [
+            [f"out-{i}" for i in range(120) if steps[i][0] == ref_id] for ref_id in own_id
+        ]
+
+    def test_a_hand_built_cluster_without_members_is_refused(self):
+        # Its mean would divide by zero members.
+        state = [Cluster(0, ["a"], np.ones(4)), Cluster(1, [], np.zeros(4))]
+        with pytest.raises(ValueError, match="cluster 1 has no members"):
+            cluster_add(state, "x", _vec(1, 1, 1, 1), 0.8)
+
+    @pytest.mark.parametrize("dim", [3, 67, 256])
+    def test_of_identical_clusters_the_first_always_wins(self, dim):
+        # einsum scores identical rows identically wherever they sit; a BLAS
+        # matrix-vector product does not always, which would hand ties to
+        # the later cluster.
+        rng = np.random.default_rng(dim)
+        for count in (2, 9, 40, 130):
+            for _ in range(6):
+                first, second = sorted(rng.choice(count, 2, replace=False).tolist())
+                members = rng.integers(1, 5)
+                sums = _unit_rows(rng, count, dim) * members
+                sums[second] = sums[first]
+                state = ClusterState(_hand_built(sums, [members] * count, list(range(count))))
+                assert state[first].member_sum.base is state[second].member_sum.base  # rows of one buffer
+                u = _vec(*(sums[first] + 1e-3 * rng.standard_normal(dim)))
+                state, cid = cluster_add(state, "new", u, 0.5)
+                assert cid == first, (count, first, second)
+                assert state[first].member_ids[-1] == "new"
+
+    def test_one_add_costs_about_the_same_against_100x_the_clusters(self):
+        rng = np.random.default_rng(11)
+
+        def best_of_three(count: int) -> float:
+            # Random 64-dim directions: no two clusters come near the threshold.
+            sums = _unit_rows(rng, count, 64)
+            state, _ = cluster_add(_hand_built(sums, [1] * count, list(range(count))), "first", sums[0], 0.8)
+            queries = [_vec(*row) for row in sums[:50]]  # each joins its own cluster
+            timings = []
+            for attempt in range(3):
+                start = time.perf_counter()
+                for k, q in enumerate(queries):
+                    state, _ = cluster_add(state, f"q{attempt}-{k}", q, 0.8)
+                timings.append(time.perf_counter() - start)
+            assert len(state) == count
+            return min(timings)
+
+        # A per-cluster interpreter step makes it about 50x; one product, a few.
+        assert best_of_three(2_000) / best_of_three(20) < 25
 
 
 def _store_of(texts: list[str], provider) -> DemonstrationIndex:
