@@ -12,7 +12,6 @@ failures.
 from __future__ import annotations
 
 import contextlib
-import json
 import logging
 import math
 import os
@@ -27,7 +26,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .dockerfile_model import DockerfileDoc
-from .durable import append_line
+from .durable import append_objects
 from .errors import EngineError
 
 log = logging.getLogger(__name__)
@@ -186,6 +185,14 @@ class SimulatedDriver(BuildDriver):
         self.cleanups += 1
 
 
+def _split_command(command: str) -> list[str]:
+    """The command's arguments, split as a shell would; ValueError for an open quote or no command."""
+    args = shlex.split(command)
+    if not args:
+        raise ValueError("no command")
+    return args
+
+
 def _run(command: str, timeout: float) -> tuple[int, str]:
     """`command`'s exit code and merged output, decoded as UTF-8 with bad bytes
     replaced. It runs in a session of its own, whose whole process group is
@@ -212,10 +219,26 @@ class RealCliDriver(BuildDriver):
 
     driver_id = "real"
 
-    def __init__(self, build_template: str = DEFAULT_BUILD_TEMPLATE,
+    def __init__(self, build_command: str = DEFAULT_BUILD_TEMPLATE,
                  clean_commands: tuple[str, ...] = DEFAULT_CLEAN_COMMANDS):
-        self.build_template = build_template
+        """Raises ValueError for a command that would fail every build or cleanup."""
+        self.build_command = build_command
         self.clean_commands = clean_commands
+        try:  # with an empty no_cache, which an index into the field fails on
+            _split_command(self._command(Path("Dockerfile"), Path("."), no_cache=False))
+        except (LookupError, AttributeError, ValueError) as exc:  # another field, a lone brace, an open quote
+            raise ValueError(f"build_command {build_command!r}: {type(exc).__name__}: {exc} (its fields are "
+                             "{no_cache}, {dockerfile} and {context}; {{ and }} stand for a brace)") from None
+        for command in clean_commands:
+            try:
+                _split_command(command)
+            except ValueError as exc:
+                raise ValueError(f"clean_commands entry {command!r}: {exc}") from None
+
+    def _command(self, dockerfile: Path, context_dir: Path, no_cache: bool) -> str:
+        return self.build_command.format(no_cache="--no-cache" if no_cache else "",
+                                         dockerfile=shlex.quote(str(dockerfile)),
+                                         context=shlex.quote(str(context_dir)))
 
     def build(self, dockerfile_text: str, context_dir: Path, *, no_cache: bool, timeout: float) -> DriverOutcome:
         context_dir = Path(context_dir)
@@ -230,13 +253,8 @@ class RealCliDriver(BuildDriver):
                                          encoding="utf-8") as tmp:
             tmp.write(dockerfile_text)
             dockerfile_path = Path(tmp.name)
-        command = self.build_template.format(
-            no_cache="--no-cache" if no_cache else "",
-            dockerfile=shlex.quote(str(dockerfile_path)),
-            context=shlex.quote(str(context_dir)),
-        )
-        try:
-            code, output = _run(command, timeout)
+        try:  # formatted inside the try that removes the file it names
+            code, output = _run(self._command(dockerfile_path, context_dir, no_cache), timeout)
             status = STATUS_SUCCESS if code == 0 else STATUS_FAILURE
             return DriverOutcome(status, output, code, time.monotonic() - start)
         except subprocess.TimeoutExpired as exc:  # it holds the output so far as bytes
@@ -355,13 +373,9 @@ class BuildEngine:
             started_at=started_at,
             driver_id=self.driver.driver_id,
         )
-        base = persist_dir
-        if base is None and self.state_dir is not None:
-            base = Path(self.state_dir) / "builds" / record.dockerfile_hash
-        if base is None:
-            return record
-        base.mkdir(parents=True, exist_ok=True)
-        # ASCII JSON: a lone surrogate in a log becomes an escape.
-        line = json.dumps(vars(record), sort_keys=True) + "\n"
-        append_line(base / "builds.jsonl", line.encode("ascii"))
+        if persist_dir is None and self.state_dir is not None:
+            persist_dir = Path(self.state_dir) / "builds" / record.dockerfile_hash
+        if persist_dir is not None:
+            persist_dir.mkdir(parents=True, exist_ok=True)
+            append_objects(persist_dir / "builds.jsonl", [vars(record)])
         return record

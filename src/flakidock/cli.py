@@ -18,7 +18,7 @@ import click
 from .build_engine import STATUS_ENGINE_ERROR, STATUS_SUCCESS, BuildRecord
 from .config import RunConfig, load_config
 from .dockerfile_model import diff_docs, parse_dockerfile, render_diff
-from .durable import append_line, newest_line, read_lines
+from .durable import append_objects, newest_line, read_input, read_lines
 from .errors import EngineError, FlakiDockError
 from .log_preprocess import (
     EMPTY_OUTPUT,
@@ -97,18 +97,8 @@ def _build_summary(record: BuildRecord) -> dict:
     }
 
 
-def _read(path: Path, errors: str | None = "strict"):
-    """The file's UTF-8 text, decoded with `errors`, or its bytes when `errors` is None."""
-    try:
-        return path.read_bytes() if errors is None else path.read_text(encoding="utf-8", errors=errors)
-    except FileNotFoundError:
-        raise FlakiDockError(f"no such file: {path}") from None
-    except (OSError, UnicodeDecodeError) as exc:
-        raise FlakiDockError(f"cannot read {path}: {exc}") from exc
-
-
 def _load_doc(path: Path):
-    data = _read(path, errors=None)
+    data = read_input(path, errors=None)
     try:
         return parse_dockerfile(data)
     except FlakiDockError as exc:
@@ -264,7 +254,7 @@ def cluster(ctx, log_dir):
         raise FlakiDockError(f"no log files in {directory}")
     state = []
     for log_file in files:
-        text = _read(log_file, errors="replace")
+        text = read_input(log_file, errors="replace")
         excerpt = excerpt_or_tail(text, preprocess_log(text, config.ruleset))
         vec = embed(excerpt, config.providers.sentence_embedder)
         state, _ = cluster_add(state, log_file.name, vec, config.cluster_threshold)
@@ -291,7 +281,7 @@ def monitor(ctx, manifest, rounds):
     _lock_state(ctx)
     config: RunConfig = ctx.obj["config"]
     manifest_path = Path(manifest)
-    manifest_text = _read(manifest_path)
+    manifest_text = read_input(manifest_path)
     projects: dict[str, Path] = {}
     for lineno, raw in enumerate(manifest_text.splitlines(), 1):
         line = raw.strip()
@@ -337,11 +327,10 @@ def monitor(ctx, manifest, rounds):
                 if record.status not in _NOT_FAILURES:
                     failures += 1
                     excluded += bool(exclusion)
-            fields = {"status": record.status, "started_at": record.started_at, "duration": record.duration,
-                      "exclusion": exclusion, "dockerfile_hash": record.dockerfile_hash,
-                      "tally": [failures, excluded]}
-            appended.append(json.dumps(fields, sort_keys=True) + "\n")
-        append_line(history_file, "".join(appended).encode("ascii"))  # one write per project
+            appended.append({"status": record.status, "started_at": record.started_at,
+                             "duration": record.duration, "exclusion": exclusion,
+                             "dockerfile_hash": record.dockerfile_hash, "tally": [failures, excluded]})
+        append_objects(history_file, appended)  # one write per project
         entry["builds"] = len(records)
         entry["failures"] = failures
         entry["excluded"] = excluded
@@ -367,7 +356,7 @@ def monitor(ctx, manifest, rounds):
 def preprocess(ctx, logfile):
     """Print the error-focused excerpt of a raw build log (debugging aid)."""
     config: RunConfig = ctx.obj["config"]
-    sections = segment_stages(_read(Path(logfile), errors="replace"))
+    sections = segment_stages(read_input(Path(logfile), errors="replace"))
     result = extract_error_context(sections, config.ruleset)
     payload = {
         "stages": sum(s.header is not None for s in sections),
@@ -435,6 +424,7 @@ def dataset_add(ctx, store_path, record_id, dockerfile_path, log_path, category,
         FlakinessCategory,
         load_store,
         save_store,
+        store_files,
     )
 
     _lock_state(ctx)  # adds through one state directory run one at a time
@@ -442,9 +432,9 @@ def dataset_add(ctx, store_path, record_id, dockerfile_path, log_path, category,
     providers = config.providers
     # The inputs are read and checked before the store loads.
     parsed_category = FlakinessCategory.from_string(category)
-    static_part = _read(Path(dockerfile_path))
-    raw_log = _read(Path(log_path), errors="replace")
-    repairs = tuple(_read(Path(p)) for p in repair_paths)
+    static_part = read_input(Path(dockerfile_path))
+    raw_log = read_input(Path(log_path), errors="replace")
+    repairs = tuple(read_input(Path(p)) for p in repair_paths)
     if not raw_log.strip():
         raise FlakiDockError(f"{log_path}: empty build log")
     dynamic = excerpt_or_tail(raw_log, preprocess_log(raw_log, config.ruleset))
@@ -457,9 +447,7 @@ def dataset_add(ctx, store_path, record_id, dockerfile_path, log_path, category,
             raise FlakiDockError(f"--iterations must be comma-separated integers, got {iterations!r}") from None
     else:
         counts = tuple(config.build_iterations for _ in repair_paths)
-    store_file = Path(store_path)
-    records_path = store_file / "records.jsonl" if store_file.is_dir() else store_file
-    index = load_store(store_file, providers.query_embedder) if records_path.exists() else DemonstrationIndex([])
+    index = load_store(store_path, providers.query_embedder) if store_files(store_path)[0].exists() else DemonstrationIndex([])
     record = DemonstrationRecord(
         id=record_id,
         static_part=static_part,
@@ -469,7 +457,7 @@ def dataset_add(ctx, store_path, record_id, dockerfile_path, log_path, category,
         iterations=counts,
     )
     index.add(record, providers.query_embedder)
-    save_store(index, store_file)
+    save_store(index, store_path)
     human = f"added {record_id!r}; store now holds {len(index)} records"
     return {"added": record_id, "records": len(index)}, human, EXIT_OK
 

@@ -22,7 +22,8 @@ from .build_engine import (
     ScriptedOutcome,
     SimulatedDriver,
 )
-from .errors import ConfigError, InvalidRule
+from .durable import read_input
+from .errors import ConfigError, FlakiDockError, InvalidRule
 from .log_preprocess import RuleSet
 from .providers import (
     HashingEmbeddingProvider,
@@ -120,7 +121,10 @@ class RunConfig:
         if self.driver.startswith("simulated:"):
             driver = _from_scenario(_require_file("driver", self.driver), "builds", _simulated_driver, parsed)
         elif self.driver == "real":
-            driver = RealCliDriver(self.build_command, self.clean_commands)
+            try:  # the driver checks that each command splits into a command line
+                driver = RealCliDriver(self.build_command, self.clean_commands)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
         else:
             raise ConfigError(f"driver must be 'real' or 'simulated:<path>', got {self.driver!r}")
         for key in ("embedding_provider", "sentence_provider"):
@@ -231,11 +235,9 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
     if path is not None:
         path = Path(path)
         try:
-            text = path.read_text(encoding="utf-8")
-        except FileNotFoundError:
-            raise ConfigError(f"no such file: {path}") from None
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"cannot read {path}: {exc}") from exc
+            text = read_input(path)
+        except FlakiDockError as exc:  # the input-file rule's message, as a configuration error
+            raise ConfigError(str(exc)) from exc.__cause__
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.strip()
             if not line or line.startswith("#"):

@@ -258,7 +258,7 @@ def _row_norms(matrix: np.ndarray) -> np.ndarray:
     return norms
 
 
-def _resolve_paths(path) -> tuple[Path, Path]:
+def store_files(path) -> tuple[Path, Path]:
     path = Path(path)
     if path.is_dir():
         return path / "records.jsonl", path / "vectors.bin"
@@ -271,7 +271,7 @@ def load_store(path, embedding_provider: EmbeddingProvider | None = None) -> Dem
     Missing vectors are recomputed through the given provider (flagged with
     a warning); without a provider that situation is an error.
     """
-    records_path, vectors_path = _resolve_paths(path)
+    records_path, vectors_path = store_files(path)
     if not records_path.exists():
         raise StoreError(f"store not found: {records_path}")
 
@@ -359,7 +359,7 @@ def save_store(index: DemonstrationIndex, path) -> None:
     either kind leaves a store that does not load (N vectors for M records)."""
     import numpy as np
 
-    records_path, vectors_path = _resolve_paths(path)
+    records_path, vectors_path = store_files(path)
     matrix, _ = index.scan()
     rows, dim = matrix.shape
     records = index.records[:rows]
@@ -429,8 +429,3 @@ def category_stats(index: DemonstrationIndex) -> dict[MajorCategory, CategorySha
         major: CategoryShare(count, count / total)
         for major, count in sorted(counts.items(), key=lambda kv: kv[0].value)
     }
-
-
-# Section labels of a Dockerfile and its build output in the repair prompt.
-STATIC_LABEL = "--- DOCKERFILE ---"
-DYNAMIC_LABEL = "--- BUILD OUTPUT ---"

@@ -1,9 +1,10 @@
-"""The package's three ways to write a file, and its two ways to read a journal
-back. No write fsyncs: each survives the process dying, not the host losing power.
+"""Every way the package writes a file or reads a journal back, and its rule for
+input files. No write fsyncs: each survives the process dying, not the host losing power.
 
 `append_line` grows a journal (`builds.jsonl`, `history/<name>.jsonl`, a
 store's `records.jsonl`) by one `O_APPEND` write, so writers sharing it never
 split each other's lines, and a line torn by a crash stays a line of its own.
+`append_objects` is the one writer of build and history lines, as sorted-key ASCII JSON.
 `appending` grows a binary file (a store's `vectors.bin`) by one write that an
 exception undoes. Every other file is written whole through `replacing`, so a
 reader finds the old file or the new one.
@@ -20,6 +21,8 @@ import json
 import os
 import threading
 from pathlib import Path
+
+from .errors import FlakiDockError
 
 
 def append_line(path, data: bytes) -> None:
@@ -39,6 +42,11 @@ def append_line(path, data: bytes) -> None:
         os.close(fd)
     if written != len(data):
         raise OSError(f"short write to {path}: {written} of {len(data)} bytes")
+
+
+def append_objects(path, objects) -> None:
+    """Append each object as a line of JSON, in one write; a lone surrogate becomes an escape."""
+    append_line(path, "".join(json.dumps(o, sort_keys=True) + "\n" for o in objects).encode("ascii"))
 
 
 @contextlib.contextmanager
@@ -99,6 +107,16 @@ def newest_line(path, accept, tail_bytes: int) -> tuple[dict | None, bool]:
         return None, True
     found = (entry for entry in map(_object, reversed(_split(tail))) if entry is not None and accept(entry))
     return next(found, None), not start
+
+
+def read_input(path, errors: str | None = "strict"):
+    """The file's UTF-8 text, decoded with `errors`, or its bytes when `errors` is None."""
+    try:
+        return path.read_bytes() if errors is None else path.read_text(encoding="utf-8", errors=errors)
+    except FileNotFoundError:
+        raise FlakiDockError(f"no such file: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FlakiDockError(f"cannot read {path}: {exc}") from exc
 
 
 def _split(data: bytes) -> list[bytes]:

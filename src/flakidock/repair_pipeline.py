@@ -20,13 +20,7 @@ from typing import TYPE_CHECKING
 
 from .build_engine import BuildEngine, BuildRecord
 from .config import RunConfig, ValidationPolicy  # ValidationPolicy is re-exported: callers import it from here too
-from .demo_store import (
-    DYNAMIC_LABEL,
-    STATIC_LABEL,
-    DemonstrationIndex,
-    DemonstrationRecord,
-    MajorCategory,
-)
+from .demo_store import DemonstrationIndex, DemonstrationRecord, MajorCategory
 from .dockerfile_model import DockerfileDoc, parse_dockerfile
 from .durable import replacing
 from .errors import (
@@ -138,6 +132,8 @@ Reason step by step before writing the file:
 
 EXAMPLE_HEADER = "### Example {idx} (similarity {sim:.2f})"
 QUERY_HEADER = "### Flaky Dockerfile (repair this one)"
+STATIC_LABEL = "--- DOCKERFILE ---"  # an example's or the query's Dockerfile, then its build output
+DYNAMIC_LABEL = "--- BUILD OUTPUT ---"
 FEEDBACK_HEADER = "### Failed attempt {idx} (false demonstration - do not repeat it)"
 REPAIR_LABEL = "--- REPAIR ---"
 REJECTED_LABEL = "--- REJECTED DOCKERFILE ---"

@@ -471,6 +471,31 @@ class TestRealCliDriver:
         assert engine.cleanups_performed == (2 if exit_code == 0 else 0)
         assert ("cleanup failed (continuing the series): cleanup command exited 1" in caplog.text) == bool(exit_code)
 
+    def test_doubled_braces_reach_the_command_as_one(self, context):
+        driver = RealCliDriver(_python("import sys; print(sys.argv[1])", "{{x}}"))
+        assert driver.build("FROM busybox\n", context, no_cache=True, timeout=60).log == "{x}\n"
+
+
+@pytest.mark.parametrize("template, error", [
+    ("docker build {dockerfle} {context}", "KeyError: 'dockerfle'"),
+    ("sh -c 'echo ${HOME}' {dockerfile}", "KeyError: 'HOME'"),
+    ("docker build -f {dockerfile} {context", "ValueError: "),
+    ("docker build -f '{dockerfile} {context}", "No closing quotation"),
+    ("docker build {no_cache[0]} {context}", "IndexError: "),  # no_cache may be empty
+    (" ", "no command"),
+])
+def test_a_build_command_that_makes_no_command_line_is_refused(template, error):
+    with pytest.raises(ValueError) as refused:
+        RealCliDriver(template)
+    assert str(refused.value).startswith(f"build_command {template!r}: ") and error in str(refused.value)
+
+
+@pytest.mark.parametrize("command, error", [("echo 'x", "No closing quotation"), ("", "no command")])
+def test_a_cleanup_command_that_makes_no_command_line_is_refused(command, error):
+    with pytest.raises(ValueError) as refused:
+        RealCliDriver(clean_commands=("true", command))
+    assert str(refused.value) == f"clean_commands entry {command!r}: {error}"
+
 
 def _running(pid: int) -> bool:
     """Whether `pid` is a live process. On Linux a killed process that its new

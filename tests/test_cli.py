@@ -7,6 +7,7 @@ import json
 import logging
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -511,6 +512,22 @@ class TestRepair:
         assert (sessions[0] / "prompt-1.txt").exists()
         assert (sessions[0] / "verdict.json").exists()
 
+    def test_the_session_journals_every_build_in_one_file(self, runner, tmp_path, flaky_setup):
+        dockerfile, scenario = flaky_setup
+        result = runner.invoke(
+            main,
+            _base_args(tmp_path, scenario) + [
+                "--config", str(_config_with_generator(tmp_path, scenario)),
+                "repair", str(dockerfile),
+            ],
+        )
+        assert result.exit_code == 0, result.output
+        session = Path(json.loads(result.output)["session_dir"])
+        lines = (session / "builds.jsonl").read_text().splitlines()
+        # detection's failing build, then the candidate's two passing builds
+        assert [json.loads(line)["status"] for line in lines] == ["failure", "success", "success"]
+        assert not (session / "builds").exists()
+
     @pytest.mark.parametrize("dry_run", [False, True])
     def test_store_of_another_dim_fails_before_any_build(self, runner, tmp_path, flaky_setup, monkeypatch, dry_run):
         dockerfile, scenario = flaky_setup
@@ -571,6 +588,22 @@ class TestCluster:
         assert report["reduction"] >= 0.85
         members = [m for c in report["clusters"] for m in c["members"]]
         assert len(members) == 100
+
+    def test_copies_of_one_log_cluster_apart_from_another_failure(self, runner, tmp_path):
+        logs = tmp_path / "logs"
+        logs.mkdir()
+        for i in (1, 2, 3):
+            (logs / f"alpine-{i}.log").write_text(ALPINE_PIP_LOG)
+        (logs / "npm.log").write_text(
+            "#5 [3/4] RUN npm ci\n#5 12.3 npm ERR! code ETIMEDOUT\n"
+            "#5 12.3 npm ERR! network request to https://registry.npmjs.org/left-pad failed, reason: connect ETIMEDOUT\n"
+            'ERROR: process "/bin/sh -c npm ci" did not complete successfully: exit code: 1\n'
+        )
+        result = runner.invoke(main, _base_args(tmp_path) + ["cluster", str(logs)])
+        assert result.exit_code == 0, result.output
+        assert [c["members"] for c in json.loads(result.output)["clusters"]] == [
+            ["alpine-1.log", "alpine-2.log", "alpine-3.log"], ["npm.log"]
+        ]
 
     def test_missing_directory_exit_one(self, runner, tmp_path):
         result = runner.invoke(main, _base_args(tmp_path) + ["cluster", str(tmp_path / "nope")])
@@ -1436,6 +1469,43 @@ class TestGlobalFlags:
         else:
             assert error.startswith(f"cannot read {config}: ")
         assert not (tmp_path / "state" / "builds").exists()
+
+    @pytest.fixture
+    def empty_tmpdir(self, tmp_path, monkeypatch):
+        """TMPDIR at an empty directory, which must stay empty: a build input left there leaked."""
+        temp = tmp_path / "tmp"
+        temp.mkdir()
+        monkeypatch.setenv("TMPDIR", str(temp))
+        monkeypatch.setattr(tempfile, "tempdir", None)  # read TMPDIR again
+        yield
+        assert list(temp.iterdir()) == []
+
+    @pytest.mark.parametrize("template", ["docker build {dockerfle} {context}", "sh -c 'echo ${HOME}' {dockerfile}"])
+    def test_build_command_with_another_field_fails_before_any_build(self, runner, tmp_path, empty_tmpdir, template):
+        config = tmp_path / "flakidock.conf"
+        config.write_text(f"build_command = {template}\n")
+        project = tmp_path / "p"
+        project.mkdir()
+        (project / "Dockerfile").write_text(ALPINE_PIP)
+        result = runner.invoke(main, ["--config", str(config), "--state-dir", str(tmp_path / "state"), "--json",
+                                      "detect", str(project / "Dockerfile")])
+        assert result.exit_code == 1, result.output
+        assert json.loads(result.output)["error"].startswith(f"build_command {template!r}: KeyError: ")
+        assert not (tmp_path / "state").exists()
+
+    def test_cleanup_command_with_an_open_quote_fails_before_any_build(self, runner, tmp_path, empty_tmpdir):
+        config = tmp_path / "flakidock.conf"
+        config.write_text(f"build_command = {shlex.quote(sys.executable)} -c pass {{dockerfile}} {{context}}\n"
+                          "clean_commands = echo 'x\n")
+        project = tmp_path / "p"
+        project.mkdir()
+        (project / "Dockerfile").write_text(ALPINE_PIP)
+        (tmp_path / "manifest.txt").write_text(f"p {project}\n")
+        result = runner.invoke(main, ["--config", str(config), "--state-dir", str(tmp_path / "state"), "--json",
+                                      "monitor", str(tmp_path / "manifest.txt"), "--rounds", "4"])
+        assert result.exit_code == 1, result.output
+        assert json.loads(result.output) == {"error": "clean_commands entry \"echo 'x\": No closing quotation"}
+        assert not (tmp_path / "state").exists()
 
     def test_unknown_config_key_rejected(self, runner, tmp_path):
         config = tmp_path / "bad.conf"

@@ -71,6 +71,51 @@ class TestAppendLine:
             durable.append_line(tmp_path / "j.jsonl", b"abcdef\n")
 
 
+# Strings a journal line must carry: lone surrogates, line and paragraph
+# separators, a raw \r and \n, quotes, backslashes and non-ASCII. A high
+# surrogate just before a low one is no lone surrogate: JSON reads the two
+# escapes back as the one character they encode.
+_texts = st.text(st.sampled_from("a{}\"\\ \r\n\x00\x85\u2028\u2029\u00e9\ud800\udfff") | st.characters(),
+                 max_size=12).filter(lambda text: "\ud800\udfff" not in text)
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | _texts,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_texts, inner, max_size=3),
+    max_leaves=12,
+)
+_json_objects = st.dictionaries(_texts, _json_values, max_size=4)
+
+
+class TestAppendObjects:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(_json_objects, max_size=3), max_size=3),
+           st.sampled_from([(b"", []), (b'{"torn": ', [None]), (b'{"k": 1}\n', [{"k": 1}])]))
+    def test_read_lines_gives_back_the_objects_appended(self, batches, before):
+        data, lines = before
+        objects = [o for batch in batches for o in batch]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "j.jsonl"
+            if data:
+                path.write_bytes(data)
+            for batch in batches:
+                durable.append_objects(path, batch)
+            if not data and not objects:
+                assert not path.exists()
+                return
+            assert durable.read_lines(path) == lines + objects
+            written = "".join(json.dumps(o, sort_keys=True) + "\n" for o in objects).encode("ascii")
+            assert path.read_bytes().endswith(written)
+
+    def test_one_call_is_one_write(self, tmp_path, monkeypatch):
+        writes = []
+        monkeypatch.setattr(durable, "append_line", lambda path, data: writes.append(data))
+        durable.append_objects(tmp_path / "j.jsonl", [{"b": 2, "a": "\ud800"}, {"c": []}])
+        assert writes == [b'{"a": "\\ud800", "b": 2}\n{"c": []}\n']
+
+    def test_an_empty_list_makes_no_file(self, tmp_path):
+        durable.append_objects(tmp_path / "j.jsonl", [])
+        assert not (tmp_path / "j.jsonl").exists()
+
+
 class TestAppending:
     def test_appends_and_keeps_what_the_block_leaves(self, tmp_path):
         path = tmp_path / "v.bin"
@@ -283,12 +328,26 @@ def test_only_durable_writes_files():
     assert found == {"build_engine": [("build", "NamedTemporaryFile")], "cli": [("_lock_state", "os.O_RDWR")]}
 
 
-def test_durable_exposes_five_names():
+def test_only_demo_store_appends_lines_itself():
+    # A store's lines are its canonical UTF-8 JSON; every other journal line is
+    # written by `append_objects`.
+    callers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem != "durable":
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call) and "append_line" in (getattr(node.func, "id", None),
+                                                                    getattr(node.func, "attr", None)):
+                    callers.add(path.stem)
+    assert callers == {"demo_store"}
+
+
+def test_durable_exposes_seven_names():
     tree = ast.parse((PACKAGE / "durable.py").read_text(encoding="utf-8"))
     names = [node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
     assigned = [t.id for node in tree.body if isinstance(node, ast.Assign) for t in node.targets]
     public = [n for n in names + assigned if not n.startswith("_")]
-    assert public == ["append_line", "appending", "replacing", "read_lines", "newest_line"]
+    assert public == ["append_line", "append_objects", "appending", "replacing", "read_lines", "newest_line",
+                      "read_input"]
 
 
 # --- crash points ---
