@@ -11,6 +11,7 @@ import json
 import typing
 from dataclasses import Field, dataclass, fields
 from pathlib import Path
+from urllib.parse import urlsplit
 
 from .build_engine import (
     DEFAULT_BUILD_TEMPLATE,
@@ -23,7 +24,7 @@ from .build_engine import (
     SimulatedDriver,
 )
 from .durable import read_input
-from .errors import ConfigError, FlakiDockError, InvalidRule
+from .errors import ConfigError, FlakiDockError
 from .log_preprocess import RuleSet
 from .providers import (
     HashingEmbeddingProvider,
@@ -113,7 +114,7 @@ class RunConfig:
                 self.build_iterations, self.failure_threshold, self.max_total_attempts, self.feedback_similarity
             )
             self.ruleset = RuleSet.from_file(self.rules) if self.rules is not None else RuleSet.default()
-        except (InvalidRule, OSError, UnicodeDecodeError) as exc:  # a decode error is a ValueError too
+        except FlakiDockError as exc:  # an InvalidRule, or the input-file rule's error
             raise ConfigError(f"rules file {self.rules}: {exc}") from exc
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -130,6 +131,13 @@ class RunConfig:
         for key in ("embedding_provider", "sentence_provider"):
             if getattr(self, key) not in ("offline", "http"):
                 raise ConfigError(f"{key} must be 'offline' or 'http', got {getattr(self, key)!r}")
+        for role in ("embedding", "sentence", "generation"):
+            if getattr(self, f"{role}_provider") == "http":
+                url = getattr(self, f"{role}_url")
+                if not _is_http_url(url):
+                    raise ConfigError(f"{role}_url must be an http or https URL with a host, got {url!r}")
+                if not getattr(self, f"{role}_model"):
+                    raise ConfigError(f"{role}_model must not be empty")
         generator = None
         if self.generation_provider.startswith("scripted:"):
             path = _require_file("generation_provider", self.generation_provider)
@@ -156,6 +164,15 @@ class RunConfig:
 _BOOL_VALUES = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
+def _is_http_url(url: str) -> bool:
+    try:
+        parts = urlsplit(url)
+        parts.port  # raises for a port that is not a number below 65536
+    except ValueError:  # that, or an unclosed IPv6 bracket
+        return False
+    return parts.scheme in ("http", "https") and bool(parts.hostname)
+
+
 def _require_file(key: str, value: str) -> Path:
     """The path of a `kind:<path>` setting; rejected when it is not a regular file."""
     path = Path(value.partition(":")[2])
@@ -169,13 +186,12 @@ def _from_scenario(path: Path, key: str, build, parsed: dict[Path, dict]):
     failure, a check of the built types included, is a ConfigError naming the file."""
     try:
         if path not in parsed:
-            with open(path, encoding="utf-8") as fh:
-                parsed[path] = json.load(fh)
+            parsed[path] = json.loads(read_input(path))
         entries = parsed[path].get(key)
         if not isinstance(entries, list):
             raise ValueError(f"no {key!r} list")
         return build(entries)
-    except (OSError, ValueError, TypeError, AttributeError) as exc:  # a decode error is a ValueError
+    except (FlakiDockError, ValueError, TypeError, AttributeError) as exc:
         raise ConfigError(f"{path}: malformed scenario file: {exc}") from exc
 
 

@@ -21,17 +21,14 @@ from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import TYPE_CHECKING
 
+from . import _numpy as np
 # `parse_dockerfile` stays importable from here: bench/tracing.py wraps it by this name.
 from .dockerfile_model import has_instructions, parse_dockerfile  # noqa: F401
 from .durable import append_line, appending, replacing
 from .errors import DimensionMismatch, SchemaViolation, StoreError, VersionMismatch
 from .providers import EmbeddingProvider
 from .similarity import combine_static_dynamic, embed
-
-if TYPE_CHECKING:
-    import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -201,8 +198,6 @@ class DemonstrationIndex:
     def __init__(self, records: list[DemonstrationRecord], matrix: np.ndarray | None = None):
         """`matrix` holds the records' float32 embeddings as its rows, in order;
         it may be left out only for an empty index."""
-        import numpy as np
-
         if matrix is None:
             matrix = np.zeros((0, 0), np.float32)
         if len(matrix) != len(records):
@@ -221,8 +216,6 @@ class DemonstrationIndex:
         return self.matrix, self._norms
 
     def add(self, record: DemonstrationRecord, provider: EmbeddingProvider) -> None:
-        import numpy as np
-
         validate_record(record)
         if record.id in self.by_id:
             raise SchemaViolation(record.id, "id", "duplicate record id")
@@ -249,8 +242,6 @@ _NORM_BLOCK = 4096  # rows per float64 copy when taking row norms
 def _row_norms(matrix: np.ndarray) -> np.ndarray:
     """float64 Euclidean norm of each row, converting a block of rows at a time
     so that no float64 copy of the whole matrix is made."""
-    import numpy as np
-
     norms = np.empty(len(matrix))
     for start in range(0, len(matrix), _NORM_BLOCK):
         block = matrix[start : start + _NORM_BLOCK].astype(np.float64)
@@ -315,8 +306,6 @@ def load_store(path, embedding_provider: EmbeddingProvider | None = None) -> Dem
     if embedding_provider is None:
         raise StoreError(f"{vectors_path} is missing and no embedding provider was supplied")
     log.warning("vectors missing for %s; recomputing %d embeddings", records_path, len(records))
-    import numpy as np
-
     rows = np.stack([embed(rec.combined_text(), embedding_provider) for rec in records])
     return DemonstrationIndex(records, rows)
 
@@ -357,8 +346,6 @@ def save_store(index: DemonstrationIndex, path) -> None:
     whole, then over their targets, vectors first; an exception before the
     first replace leaves the old store. A kill between the two writes of
     either kind leaves a store that does not load (N vectors for M records)."""
-    import numpy as np
-
     records_path, vectors_path = store_files(path)
     matrix, _ = index.scan()
     rows, dim = matrix.shape
@@ -388,8 +375,6 @@ def save_store(index: DemonstrationIndex, path) -> None:
 def _read_vectors(path: Path, expected_rows: int) -> tuple[np.ndarray, tuple]:
     """The stored float32 rows, read-only and without a copy of the file's bytes,
     and the file's signature as it was before the read."""
-    import numpy as np
-
     with open(path, "rb") as fh:
         signature = _signature(os.fstat(fh.fileno()))
         blob = fh.read()

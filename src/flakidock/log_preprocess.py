@@ -43,7 +43,9 @@ from functools import cache, cached_property
 from importlib import resources
 from itertools import accumulate, compress, count, groupby, islice, repeat, takewhile
 from operator import add, contains, itemgetter
+from pathlib import Path
 
+from .durable import read_input
 from .errors import InvalidRule
 
 # `#7 [3/5] RUN ...`, `> [5/5] RUN ...:`, `=> CACHED [build-env 4/4] ...`
@@ -149,8 +151,7 @@ class RuleSet:
 
     @classmethod
     def from_file(cls, path) -> "RuleSet":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_lines(fh.read().splitlines())
+        return cls.from_lines(read_input(Path(path)).splitlines())
 
     @classmethod
     @cache

@@ -3,9 +3,8 @@
 Two embedding roles exist: a sentence-similarity provider (failure matching
 and clustering) and a query-embedding provider (demonstration retrieval).
 Both share one interface. The deterministic offline provider backs every
-test; the HTTP providers talk to OpenAI-compatible endpoints. numpy is
-imported by the functions that build vectors, so that commands which never
-embed start without it.
+test; the HTTP providers talk to OpenAI-compatible endpoints. numpy comes
+through `_numpy`, which loads it at its first use.
 """
 
 from __future__ import annotations
@@ -16,12 +15,9 @@ import os
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from importlib import resources
-from typing import TYPE_CHECKING
 
+from . import _numpy as np
 from .errors import ProviderUnavailable
-
-if TYPE_CHECKING:
-    import numpy as np
 
 OFFLINE_DIM = 256
 _NGRAM = 3
@@ -48,8 +44,6 @@ _TABLE_BITS = 15  # low digest bits per table entry: h mod dim for every dim div
 
 def _bucket_codes(grams: list[str], dim: int) -> np.ndarray:
     """Each gram's blake2b-64 (of its UTF-8 bytes) mod dim, plus dim when its top bit is set."""
-    import numpy as np
-
     digests = b"".join([hashlib.blake2b(g.encode("utf-8"), digest_size=8).digest() for g in grams])
     h = np.frombuffer(digests, dtype=">u8").astype(np.uint64)
     return (h % np.uint64(dim) + (h >> np.uint64(63)) * np.uint64(dim)).astype(np.intp)
@@ -65,8 +59,6 @@ def _trigram_table() -> tuple[np.ndarray, np.ndarray]:
     15. Read once per process, at the first embedding; both arrays are shared
     and read-only.
     """
-    import numpy as np
-
     ids = np.full(129, _OUTSIDE, dtype=np.int32)
     ids[[ord(ch) for ch in _TABLE_ALPHABET]] = np.arange(_OUTSIDE)
     ids.flags.writeable = False
@@ -96,8 +88,6 @@ class HashingEmbeddingProvider(EmbeddingProvider):
         self.token_limit = None
 
     def embed_values(self, text: str) -> np.ndarray:
-        import numpy as np
-
         dim = self.dim
         lowered = text.lower()
         if len(lowered) < _NGRAM:
@@ -181,8 +171,6 @@ class HttpEmbeddingProvider(_HttpProvider, EmbeddingProvider):
         return self._post("embeddings", {"input": text}, self._vector)
 
     def _vector(self, reply) -> np.ndarray:
-        import numpy as np
-
         values = np.asarray(reply["data"][0]["embedding"])
         if values.dtype.kind not in "iuf" or values.shape != (self.dim,):
             raise ValueError(f"embedding is not {self.dim} numbers")

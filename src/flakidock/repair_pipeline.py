@@ -16,8 +16,8 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
 
+from . import _numpy as np
 from .build_engine import BuildEngine, BuildRecord
 from .config import RunConfig, ValidationPolicy  # ValidationPolicy is re-exported: callers import it from here too
 from .demo_store import DemonstrationIndex, DemonstrationRecord, MajorCategory
@@ -35,9 +35,6 @@ from .providers import (  # ProviderSet is re-exported: callers import it from h
     truncate_to_tokens,
 )
 from .similarity import RepairQuery, cosine, embed, retrieve_top_k
-
-if TYPE_CHECKING:
-    import numpy as np
 
 VERDICT_IN_PROGRESS = "in-progress"
 VERDICT_REPAIRED = "repaired"

@@ -6,21 +6,18 @@ that mean clears the threshold, otherwise it starts a new cluster.
 Retrieval is exact: a float32 pass over the whole index bounds each
 record's score, and only the few records that can place are scored in
 float64. At the store sizes this tool works with (<= 10k records)
-approximate indexes buy nothing. numpy is imported by the functions that
-compute with vectors, so importing this module is cheap.
+approximate indexes buy nothing. numpy comes through `_numpy`, so importing
+this module is cheap.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
+from . import _numpy as np
 from .errors import DimensionMismatch, ZeroVector
 from .providers import EmbeddingProvider, estimate_tokens
-
-if TYPE_CHECKING:
-    import numpy as np
 
 STATIC_DELIMITER = "=== DOCKERFILE ==="
 DYNAMIC_DELIMITER = "=== BUILD OUTPUT ==="
@@ -33,8 +30,6 @@ def embed(text: str, provider: EmbeddingProvider) -> np.ndarray:
     DimensionMismatch for a vector of another size, and ZeroVector for all
     zeros or for a value that is not finite as a float32.
     """
-    import numpy as np
-
     if not text:
         raise ValueError("cannot embed empty text")
     if provider.token_limit is not None and estimate_tokens(text) > provider.token_limit:
@@ -56,8 +51,6 @@ def embed(text: str, provider: EmbeddingProvider) -> np.ndarray:
 
 
 def _unit(vec: np.ndarray) -> np.ndarray:
-    import numpy as np
-
     values = vec.astype(np.float64)
     norm = math.sqrt(values @ values)  # np.linalg.norm's own computation for a 1-D float vector
     if norm == 0.0:
@@ -113,8 +106,6 @@ class ClusterState(list):
             self._append(cluster)
 
     def _append(self, cluster: Cluster) -> None:
-        import numpy as np
-
         if not cluster.member_ids:
             raise ValueError(f"cluster {cluster.id} has no members")
         n = len(self)
@@ -142,8 +133,6 @@ def cluster_add(
     threshold; otherwise a new singleton cluster is created. One product scores
     every cluster. Pass back the returned state; a plain list is converted once.
     """
-    import numpy as np
-
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
     u = _unit(vec)
@@ -174,8 +163,6 @@ def retrieve_top_k(
     similarity order with ties broken by ascending record id. An empty store
     yields an empty list.
     """
-    import numpy as np
-
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if len(store) == 0:
@@ -213,8 +200,6 @@ def _candidates(matrix: np.ndarray, q: np.ndarray, scale: np.ndarray, k: int) ->
     tied across k-th place included. A product past the float32 range has
     no bound: then every row is a candidate.
     """
-    import numpy as np
-
     n, dim = matrix.shape
     if k >= n:
         return None

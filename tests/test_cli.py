@@ -1470,6 +1470,35 @@ class TestGlobalFlags:
             assert error.startswith(f"cannot read {config}: ")
         assert not (tmp_path / "state" / "builds").exists()
 
+    # A scenario setting that names no regular file is refused before the file is read.
+    @pytest.mark.parametrize("role, kind", [("rules", "missing"), ("rules", "directory"), ("rules", "not-utf8"),
+                                            ("driver", "not-utf8"), ("generation_provider", "not-utf8")])
+    def test_rules_and_scenario_files_follow_the_input_file_rule(self, runner, tmp_path, role, kind):
+        path = tmp_path / "input"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-utf8":
+            path.write_bytes(b'{"builds": [], "responses": ["\xff"]}')
+        args = _detect_args(tmp_path)
+        if role == "rules":
+            args[:0] = ["--rules", str(path)]
+            prefix = f"rules file {path}: "
+        elif role == "driver":
+            args[args.index("--driver") + 1] = f"simulated:{path}"
+            prefix = f"{path}: malformed scenario file: "
+        else:
+            (tmp_path / "flakidock.conf").write_text(f"generation_provider = scripted:{path}\n")
+            args[:0] = ["--config", str(tmp_path / "flakidock.conf")]
+            prefix = f"{path}: malformed scenario file: "
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1, result.output
+        error = json.loads(result.output)["error"]
+        if kind == "missing":
+            assert error == f"{prefix}no such file: {path}"
+        else:
+            assert error.startswith(f"{prefix}cannot read {path}: ")
+        assert not (tmp_path / "state" / "builds").exists()
+
     @pytest.fixture
     def empty_tmpdir(self, tmp_path, monkeypatch):
         """TMPDIR at an empty directory, which must stay empty: a build input left there leaked."""
@@ -1633,7 +1662,9 @@ class TestGlobalFlags:
         config = load_config()
         assert config.engine.policy == HygienePolicy()
         assert config.validation == ValidationPolicy()
-        built = load_config(overrides={"embedding_provider": "http", "generation_provider": "http"}).providers
+        built = load_config(overrides={"embedding_provider": "http", "embedding_url": "http://localhost:1",
+                                       "generation_provider": "http", "generation_url": "http://localhost:2",
+                                       "generation_model": "g"}).providers
         embedder, generator = HttpEmbeddingProvider("", "", ""), HttpChatProvider("", "", "")
         assert (built.query_embedder.dim, built.query_embedder.token_limit) == (embedder.dim, embedder.token_limit)
         assert built.generator.max_tokens == generator.max_tokens
@@ -1660,6 +1691,30 @@ class TestGlobalFlags:
         assert (config.state_dir, config.rules, config.timeout, config.no_cache, config.retrieval_k) == (
             tmp_path / "st", None, 30.0, True, 5)
         assert type(config.timeout) is float
+
+    @pytest.mark.parametrize(
+        "settings, key",
+        [({"generation_provider": "http"}, "generation_url"),
+         ({"generation_provider": "http", "generation_url": "http://localhost:1/v1"}, "generation_model"),
+         ({"sentence_provider": "http", "sentence_url": "localhost:1"}, "sentence_url"),
+         ({"embedding_provider": "http", "embedding_url": "ftp://localhost/"}, "embedding_url"),
+         ({"embedding_provider": "http", "embedding_url": "https://:1", "embedding_model": "e"}, "embedding_url"),
+         ({"embedding_provider": "http", "embedding_url": "http://[::1", "embedding_model": "e"}, "embedding_url"),
+         ({"generation_provider": "http", "generation_url": "http://localhost:port/v1"}, "generation_url"),
+         ({"sentence_provider": "http", "sentence_url": "http://localhost:1", "sentence_model": ""},
+          "sentence_model")],
+        ids=repr,
+    )
+    def test_http_provider_without_a_url_or_model_fails_before_any_build(self, runner, tmp_path, flaky_setup,
+                                                                         settings, key):
+        dockerfile, scenario = flaky_setup
+        config = tmp_path / "flakidock.conf"
+        config.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+        result = runner.invoke(main, _base_args(tmp_path, scenario) + ["--config", str(config), "repair",
+                                                                       str(dockerfile)])
+        assert result.exit_code == 1, result.output
+        assert json.loads(result.output)["error"].startswith(f"{key} ")
+        assert not (tmp_path / "state").exists()
 
     def test_repair_without_generator_exits_one(self, runner, tmp_path):
         project = tmp_path / "p"

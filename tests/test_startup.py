@@ -11,6 +11,7 @@ loaded already.
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -151,3 +152,49 @@ def test_every_exported_name_resolves():
         assert getattr(flakidock, name) is not None
     with pytest.raises(AttributeError):
         flakidock.no_such_name
+
+
+def _numpy_uses(tree: ast.AST) -> list[str]:
+    """The numpy imports in `tree`, statements and `import_module` calls, and its uses of TYPE_CHECKING."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+            found += [alias.name for alias in node.names if alias.name == "TYPE_CHECKING"]
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) in (
+            "import_module", "__import__"
+        ) and node.args and isinstance(node.args[0], ast.Constant):
+            modules = [node.args[0].value]
+        else:
+            if "TYPE_CHECKING" in (getattr(node, "id", None), getattr(node, "attr", None)):
+                found.append("TYPE_CHECKING")
+            continue
+        found += [module for module in modules if module.split(".")[0] == "numpy"]
+    return found
+
+
+def test_only_the_numpy_module_imports_numpy():
+    # Every other module reaches numpy through `from . import _numpy as np`.
+    found = {}
+    for path in sorted((IMPORT_ROOT / "flakidock").glob("*.py")):
+        if uses := _numpy_uses(ast.parse(path.read_text(encoding="utf-8"))):
+            found[path.stem] = uses
+    assert found == {"_numpy": ["numpy"]}
+
+
+def test_probing_the_numpy_module_for_dunder_names_skips_numpy(tmp_path):
+    seen = _fresh_python(
+        """
+        import json
+        from flakidock import _numpy
+        probes = [hasattr(_numpy, "__path__"), hasattr(_numpy, "__wrapped__")]
+        before = loaded()
+        dtype = str(_numpy.float32(1).dtype)
+        print(json.dumps({"probes": probes, "before": before, "after": loaded(), "dtype": dtype,
+                          "cached": "float32" in vars(_numpy)}))
+        """,
+        tmp_path,
+    )
+    assert seen == {"probes": [False, False], "before": [], "after": ["numpy"], "dtype": "float32", "cached": True}
