@@ -195,10 +195,11 @@ def _split_command(command: str) -> list[str]:
 
 def _run(command: str, timeout: float) -> tuple[int, str]:
     """`command`'s exit code and merged output, decoded as UTF-8 with bad bytes
-    replaced. It runs in a session of its own, whose whole process group is
-    killed on a timeout (TimeoutExpired) or any other exception, Ctrl-C included."""
+    replaced; read as bytes, it keeps its "\\r" and "\\r\\n" line ends. It runs in a
+    session of its own, whose whole process group is killed on a timeout
+    (TimeoutExpired) or any other exception, Ctrl-C included."""
     with subprocess.Popen(shlex.split(command), stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-                          text=True, errors="replace", start_new_session=True) as proc:
+                          start_new_session=True) as proc:
         try:
             output = proc.communicate(timeout=timeout)[0]
         except BaseException:
@@ -206,7 +207,7 @@ def _run(command: str, timeout: float) -> tuple[int, str]:
                 os.killpg(proc.pid, signal.SIGKILL)  # before the reap: the leader's pid names the group until then
             proc.wait()
             raise
-    return proc.returncode, output
+    return proc.returncode, output.decode("utf-8", errors="replace")
 
 
 class RealCliDriver(BuildDriver):

@@ -1,31 +1,24 @@
 """Reduce raw build logs to error-focused excerpts.
 
-A log is first segmented into `(header, lines)` sections, one per executed
-instruction, by recognizing stage banner lines. Within each stage, lines
-matching the configured error expressions are kept together with their
-temporal neighbors: lines sharing the same integer second offset when the
-engine prints per-line timings, otherwise a +/-2 line window. Lines before
-the first banner form the preamble, the section whose header is None, and
-are kept only when they match a rule themselves. The result is one list of
-lines: each kept stage's header, then that stage's kept lines. Over 120 kept
-lines, the first 60 and the last 60 stay.
+A log is split once into its lines, without ANSI escapes. Each stage, one
+per executed instruction, is the `(lo, hi)` index bounds of its body in that
+one list, and its banner line, the stage's header, stays in place at
+`lo - 1`; lines before the first banner form the preamble, a stage with no
+header. Within a stage, lines matching the configured error expressions are
+kept together with their temporal neighbors: lines sharing the same integer
+second offset when the engine prints per-line timings, otherwise a +/-2 line
+window. The preamble keeps only its lines that match a rule themselves, and
+a banner is never a hit. The result is each kept stage's header, then that
+stage's kept lines. Over 120 kept lines, the first 60 and the last 60 stay.
 
-Segmentation splits a log once into its lines, removes their ANSI escapes,
-and keeps each stage's lines once, in that form: rules match them, and
-the excerpt is built from them, so it holds no escape sequence. Every
-line pays for the split, a "[" test and one lowercase. The ANSI pass runs
-only when the log holds an ESC, and the banner regex only on lines that
-contain "[", as every banner does. The rules scan the lines of all stages
-at once: the lines are joined by "\n" and lowercased once, each include
-needle is found with `str.find` in that text, and a hit line takes its rule
-names, in rule order, from the scans that found it. An include `regex:` rule
-searches the lines only when its required literal, the lowercased leading
-literal run of its pattern, can occur in the text. The `!` vetoes run in
-the same scan over the same lowered text: a veto needle is one more
-`str.find` pass, and a veto regex searches only the hit lines. Timestamps
-are parsed only in a stage with a rule hit: each hit line's once, and
-another line's only when the walk for the excerpt's first or last 60 kept
-lines reaches it and has not kept it.
+The rules scan all lines at once, in one pass over the rules: the lines are
+joined by "\n" and lowercased once, and each needle, include or `!` veto, is
+found with `str.find` in that text. A `regex:` rule searches only when its
+required literal, the lowercased leading literal run of its pattern, can
+occur in the text; a veto regex searches the hit lines only. A stage whose
+hits are all untimed keeps them and their windows without a walk. In a stage
+with a timed hit, the walk for the excerpt's first or last 60 kept lines
+reads the timestamp of a line it reaches and has not kept, never twice.
 
 The shipped exclusion filters are rule sets too: `classify_failure_exclusion`
 names the non-flaky cause (infrastructure, engine backend, project source)
@@ -37,12 +30,12 @@ from __future__ import annotations
 
 import math
 import re
-from bisect import bisect_right
-from dataclasses import dataclass, replace
-from functools import cache, cached_property
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
+from functools import cache
 from importlib import resources
-from itertools import accumulate, compress, count, groupby, islice, repeat, takewhile
-from operator import add, contains, itemgetter
+from itertools import accumulate, compress, count, islice, repeat
+from operator import add, attrgetter, contains, lt
 from pathlib import Path
 
 from .durable import read_input
@@ -128,16 +121,14 @@ class RuleSet:
         if not any(not r.exclude for r in rules):
             raise InvalidRule("rule set contains no include rules")
         self.rules = rules
-        # (name, needle, regex, required literal) per include rule: a `substr:`
-        # rule's needle is its pattern lowercased once, here; it has no regex.
-        self._includes = [
-            (r.source, r.pattern.lower(), None, None) if r.kind == "substr"
-            else (r.source, None, r.compiled, _required_literal(r.compiled))
-            for r in rules if not r.exclude
+        # (name, needle, regex, required literal, veto) per rule, includes first. A
+        # needle is a `substr:` pattern lowercased once; one holding "\n" hits no line.
+        self._scan = [
+            (r.source, r.pattern.lower(), None, None, r.exclude) if r.kind == "substr"
+            else (r.source, None, r.compiled, _required_literal(r.compiled), r.exclude)
+            for r in sorted(rules, key=attrgetter("exclude"))
+            if r.kind == "regex" or "\n" not in r.pattern
         ]
-        # A line is vetoed when the vetoes, as include rules, hit it.
-        vetoes = [replace(r, exclude=False) for r in rules if r.exclude]
-        self._vetoes = RuleSet(vetoes) if vetoes else None
 
     @classmethod
     def from_lines(cls, lines: list[str]) -> "RuleSet":
@@ -166,35 +157,35 @@ class RuleSet:
         return self._matching(_LoweredLines(lines, "\n".join(lines)))
 
     def _matching(self, lowered: "_LoweredLines") -> list[tuple[int, list[str]]]:
-        lines = lowered.lines
-        named = self._hits(lowered, range(len(lines)), lines)
-        hit = sorted(named)
-        if self._vetoes is not None and hit:
-            vetoed = self._vetoes._hits(lowered, hit, [lines[i] for i in hit])
-            hit = [i for i in hit if i not in vetoed]
-        return [(i, named[i]) for i in hit]
-
-    def _hits(self, lowered: "_LoweredLines", indices: "range | list[int]", searched: list[str]) -> dict[int, list[str]]:
-        """Line index -> the include rules it hits, in rule order.
-
-        Each needle is found in the lowered text, resuming at the next line
-        after a hit. A regex searches `searched`, the lines at `indices`, and
-        only when its required literal is in the lowered text, when it has
-        none, or when the text is not ASCII: `re.IGNORECASE` folds `ſ`, the
-        Kelvin sign and `İ` onto ASCII letters, and `str.lower` does not."""
-        text = lowered.text
+        """Each needle is found in the lowered text, resuming at the next line
+        after a hit. A regex searches when its required literal is in the text,
+        when it has none, or when the text is not ASCII: `re.IGNORECASE` folds
+        `ſ`, the Kelvin sign and `İ` onto ASCII letters; `str.lower` does not."""
+        lines, text, starts = lowered.lines, lowered.text, lowered.starts
         named: dict[int, list[str]] = {}
-        for name, needle, rx, literal in self._includes:
+        vetoed: set[int] = set()
+        hit = None  # the hit lines, known when the first veto runs
+        for name, needle, rx, literal, veto in self._scan:
+            if veto and hit is None and not (hit := sorted(named)):
+                break
             if rx is None:
-                pos = -1 if "\n" in needle else text.find(needle)
+                pos = text.find(needle)
+                if pos >= 0 and starts is None:
+                    starts = lowered.find_starts()
                 while pos >= 0:
-                    i = bisect_right(lowered.starts, pos) - 1
-                    named.setdefault(i, []).append(name)
-                    pos = text.find(needle, lowered.starts[i + 1])
+                    i = bisect_right(starts, pos) - 1
+                    if veto:
+                        vetoed.add(i)
+                    else:
+                        named.setdefault(i, []).append(name)
+                    pos = text.find(needle, starts[i + 1])
             elif literal is None or not lowered.is_ascii or literal in text:
-                for i in compress(indices, map(rx.search, searched)):
-                    named.setdefault(i, []).append(name)
-        return named
+                if veto:
+                    vetoed.update(compress(hit, map(rx.search, [lines[i] for i in hit])))
+                else:
+                    for i in compress(count(), map(rx.search, lines)):
+                        named.setdefault(i, []).append(name)
+        return [(i, named[i]) for i in (sorted(named) if hit is None else hit) if i not in vetoed]
 
 
 class _LoweredLines:
@@ -204,13 +195,13 @@ class _LoweredLines:
 
     def __init__(self, lines: list[str], text: str):
         self.lines, self.text, self.is_ascii = lines, text.lower(), text.isascii()
-        self._length = len(text)
+        self._length, self.starts = len(text), None
 
-    @cached_property
-    def starts(self) -> list[int]:
+    def find_starts(self) -> list[int]:
         # `str.lower` lengthens only "İ": when the text kept its length, so did each line.
         lines = self.lines if len(self.text) == self._length else self.text.split("\n")
-        return [0, *accumulate(map(add, map(len, lines), repeat(1)))]
+        self.starts = [0, *accumulate(map(add, map(len, lines), repeat(1)))]
+        return self.starts
 
 
 @dataclass
@@ -219,39 +210,34 @@ class StageSection:
     lines: list[str]  # the stage's lines, without ANSI escapes
 
 
-def _timestamp(line: str) -> float | None:
-    """The line's per-line timing in seconds, or None when it has none."""
-    match = _TIMESTAMP_RE.match(line)
-    if not match:
-        return None
-    try:
-        value = float(match[1] or match[2])
-    except ValueError:
-        return None
-    return value if math.isfinite(value) else None  # over ~308 digits it is inf: untimed
+def _second(timing: re.Match) -> int | None:
+    """The whole second of a `_TIMESTAMP_RE` match: `float` reads every `\\d`.
+    Over ~308 digits it is inf, and the line untimed."""
+    value = float(timing[1] or timing[2])
+    return int(value) if math.isfinite(value) else None
 
 
-def segment_stages(log: str) -> list[StageSection]:
-    """Split a raw log into per-instruction sections, in execution order.
-
-    Every banner opens a section, also when a multi-stage build restarts the
-    [i/k] numbering. Lines before the first banner form the preamble, the
-    section whose header is None; it is present when it has lines or when the
-    log has no banner. Each line is de-escaped once, here; `splitlines` also
-    breaks at "\\r", so no line keeps carriage-return overdraw.
-    """
+def _segment(log: str) -> tuple[list[str], list[tuple[int, int]]]:
+    """The log's lines, de-escaped, and its stages' body bounds, the preamble's
+    first. `splitlines` also breaks at "\\r": no line keeps carriage-return overdraw."""
     lines = log.splitlines()
     if "\x1b" in log:
         lines = list(map(_ANSI_RE.sub, repeat(""), lines))
     # Every banner holds a "[", which most lines lack: only those lines meet the regex.
     bracketed = compress(count(), map(contains, lines, repeat("[")))
     banners = [i for i in bracketed if _BANNER_RE.match(lines[i])]
-    ends = [*banners[1:], len(lines)]
-    sections = [StageSection(lines[b], lines[b + 1 : e]) for b, e in zip(banners, ends)]
-    preamble = lines[: banners[0]] if banners else lines
-    if preamble or not sections:
-        sections.insert(0, StageSection(None, preamble))
-    return sections
+    return lines, list(zip([0, *map((1).__add__, banners)], [*banners, len(lines)]))
+
+
+def segment_stages(log: str) -> list[StageSection]:
+    """Split a raw log into per-instruction sections, in execution order.
+
+    Every banner opens a section, also when a multi-stage build restarts the
+    [i/k] numbering. The preamble, the section whose header is None, is
+    present when it has lines or when the log has no banner."""
+    lines, stages = _segment(log)
+    sections = [StageSection(lines[lo - 1] if lo else None, lines[lo:hi]) for lo, hi in stages]
+    return sections if sections[0].lines or len(sections) == 1 else sections[1:]
 
 
 @dataclass(frozen=True)
@@ -266,80 +252,94 @@ class PreprocessedLog:
 
 
 def extract_error_context(sections: list[StageSection], rules: RuleSet) -> PreprocessedLog:
-    # One scan over every section's lines; the hits are split back by section.
-    log_lines: list[str] = []
-    starts = [0]
+    """The excerpt of `sections`: their headers and lines, laid out in one list."""
+    lines: list[str] = []
+    stages: list[tuple[int, int]] = []
     for section in sections:
-        log_lines += section.lines
-        starts.append(len(log_lines))
-    total_in = len(log_lines) + sum(s.header is not None for s in sections)
+        lines += [] if section.header is None else [section.header]
+        stages.append((len(lines), len(lines) + len(section.lines)))
+        lines += section.lines
+    return _extract(lines, stages, rules)
+
+
+def _extract(lines: list[str], stages: list[tuple[int, int]], rules: RuleSet) -> PreprocessedLog:
+    """The excerpt of `lines`, whose stages' bodies have the `(lo, hi)` bounds
+    `stages`, in order. A line in no body is the banner of the stage after it;
+    a stage that starts at 0 or where the one before it ends has none, and
+    keeps its hits only, like the preamble."""
+    ends = [hi for _, hi in stages]
+    timestamp = _TIMESTAMP_RE.match
     rule_hits: dict[str, int] = {}
-    # Per section with a hit, in log order: its position, the lines it keeps
-    # without reading a timestamp, and the seconds of its timed hits.
-    plans: list[tuple[int, set[int], set[int]]] = []
-    end = 0  # where the section of the last hit ends
-    for i, names in rules.matching_lines(log_lines):
+    # Per stage with a hit, in log order: its header, its bounds, the lines
+    # it keeps without reading a timestamp, and the seconds of its timed hits.
+    plans: list[tuple[str | None, int, int, set[int], set[int]]] = []
+    end = 0  # where the body of the last hit's stage ends
+    for i, names in rules.matching_lines(lines):
+        if i >= end:
+            k = bisect_right(ends, i)
+            lo, end = stages[k]
+            if i < lo:  # a banner is never a hit; the next hit looks its stage up again
+                end = lo
+                continue
+            header = lines[lo - 1] if lo > (ends[k - 1] if k else 0) else None
+            keep, seconds = set(), set()
+            plans.append((header, lo, end, keep, seconds))
         for name in names:
             rule_hits[name] = rule_hits.get(name, 0) + 1
-        if i >= end:
-            k = bisect_right(starts, i) - 1
-            start, end, lines, keep, seconds = starts[k], starts[k + 1], sections[k].lines, set(), set()
-            plans.append((k, keep, seconds))
-        mi = i - start
-        keep.add(mi)
-        if sections[k].header is None:  # the preamble keeps its hits only
+        keep.add(i)
+        if header is None:
             continue
-        ts = _timestamp(lines[mi])
-        if ts is not None:
-            seconds.add(int(ts))
+        timing = timestamp(lines[i])
+        if timing and (second := _second(timing)) is not None:
+            seconds.add(second)
         else:
             # Blank neighbors carry no error context and would not survive a
             # text round trip, so expansion only pulls in non-blank lines.
-            lo = max(0, mi - ADJACENCY_RADIUS)
-            hi = min(len(lines), mi + ADJACENCY_RADIUS + 1)
-            keep.update(j for j in range(lo, hi) if lines[j].strip())
+            for j in range(max(lo, i - ADJACENCY_RADIUS), min(end, i + ADJACENCY_RADIUS + 1)):
+                if lines[j].strip():
+                    keep.add(j)
 
-    # Over the cap, keep the earliest and latest lines and drop the middle.
-    # The kept lines are walked from the front until one more than half the
-    # cap is found; only then from the back, until half the cap is found or
-    # the walk reaches the front's last line, when every kept line is known.
+    # Over the cap, the earliest and latest lines stay. The front walk stops one
+    # past half the cap; only then does the back walk run, to half the cap or
+    # to the front's last line, when every kept line is known.
     half = EXCERPT_LINE_CAP // 2
-    kept = list(islice(_kept_pairs(sections, plans, False), half + 1))
+    kept = list(islice(_kept(lines, plans, timestamp), half + 1))
     if len(kept) > half:
-        back = list(islice(takewhile(kept[-1].__lt__, _kept_pairs(sections, plans, True)), half))
+        back = list(islice(_kept(lines, plans, timestamp, kept[-1]), half))
         kept = (kept[:half] if len(back) == half else kept) + back[::-1]
-    # Kept lines are a subsequence of the input by construction: the pairs
-    # rise strictly and each index lies in its section.
-    assert all(a < b for a, b in zip(kept, kept[1:]))
-    assert all(0 <= i < len(sections[k].lines) for k, i in kept)
-    # A stage's header precedes its first kept line. The lines are ANSI-free,
-    # so a coloured and a plain copy of one log give the same lines.
-    out: list[str] = []
-    for k, pairs in groupby(kept, itemgetter(0)):
-        if sections[k].header is not None:
-            out.append(sections[k].header)
-        out.extend(sections[k].lines[i] for _, i in pairs)
-    return PreprocessedLog(out, total_in, len(kept), rule_hits)
+    # By construction, the kept lines rise strictly, and each lies in its plan's body.
+    assert all(map(lt, kept, kept[1:]))
+    out, j = [], 0  # the excerpt, and the first of the next plan's kept lines
+    for header, lo, hi, _, _ in plans:
+        n = bisect_left(kept, hi, j)
+        if n > j:
+            assert kept[j] >= lo
+            if header is not None:
+                out.append(header)
+            out += [lines[i] for i in kept[j:n]]
+            j = n
+    assert j == len(kept)
+    return PreprocessedLog(out, len(lines), len(kept), rule_hits)
 
 
-def _kept_pairs(sections: list[StageSection], plans: list[tuple[int, set[int], set[int]]], backward: bool):
-    """The kept `(section position, line index)` pairs, in log order or
-    backward: a line is kept when its plan keeps it, or when its timestamp
-    falls in a second of its stage's timed hits. A timestamp is parsed only
-    for a line that the plan does not already keep."""
-    for k, keep, seconds in reversed(plans) if backward else plans:
+def _kept(lines: list[str], plans: list, timestamp, above: int | None = None):
+    """The kept lines' indices, in log order or, given `above`, backward down
+    to the line after `above`: the lines each plan keeps, and in a stage with
+    timed hits, the lines whose timestamp falls in one of their seconds."""
+    for _, lo, hi, keep, seconds in plans if above is None else reversed(plans):
+        if above is not None and (lo := max(lo, above + 1)) >= hi:
+            return
         if not seconds:
-            yield from zip(repeat(k), sorted(keep, reverse=backward))
+            yield from sorted(keep) if above is None else sorted(filter(lo.__le__, keep), reverse=True)
             continue
-        lines = sections[k].lines
-        for i in range(len(lines) - 1, -1, -1) if backward else range(len(lines)):
-            if i in keep or ((ts := _timestamp(lines[i])) is not None and int(ts) in seconds):
-                yield k, i
+        for i in range(lo, hi) if above is None else range(hi - 1, lo - 1, -1):
+            if i in keep or ((timing := timestamp(lines[i])) and _second(timing) in seconds):
+                yield i
 
 
 def preprocess_log(log: str, rules: RuleSet | None = None) -> PreprocessedLog:
     """Segment and extract in one step with the default rules."""
-    return extract_error_context(segment_stages(log), rules or RuleSet.default())
+    return _extract(*_segment(log), rules or RuleSet.default())
 
 
 EMPTY_OUTPUT = "(empty build output)"

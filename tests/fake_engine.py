@@ -6,7 +6,8 @@
 `build` plays the next entry of `CONTEXT/schedule.json`, a JSON list whose
 last entry repeats, and counts its builds in `CONTEXT/builds.count`:
 
-- `{"log": TEXT, "exit_code": N}` prints TEXT (UTF-8) and exits with N;
+- `{"log": TEXT, "exit_code": N}` prints TEXT (UTF-8) as it is, "\\r" progress
+  frames and "\\r\\n" line ends included, and exits with N;
 - `{"hang": PID_FILE}` forks a child that writes its pid to PID_FILE and
   sleeps, then sleeps itself: both outlive any build timeout a test sets.
 

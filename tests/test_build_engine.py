@@ -427,6 +427,12 @@ class TestRealCliDriver:
         outcome = RealCliDriver(_python(code)).build("FROM busybox\n", context, no_cache=True, timeout=60)
         assert (outcome.status, outcome.exit_code, outcome.log) == (STATUS_FAILURE, 3, "out\nerr\n")
 
+    def test_output_keeps_its_carriage_returns_and_is_read_as_utf8(self, context):
+        # Progress frames end in "\r", as an engine redraws a line; bad bytes are replaced.
+        code = "import sys; sys.stdout.buffer.write(b'#1 10%\\r#1 50%\\r#1 DONE\\r\\n\\xc3\\xa9 \\xff\\n')"
+        outcome = RealCliDriver(_python(code)).build("FROM busybox\n", context, no_cache=True, timeout=60)
+        assert outcome.log == "#1 10%\r#1 50%\r#1 DONE\r\n\u00e9 \ufffd\n"
+
     def test_timeout_keeps_partial_output_and_removes_the_file(self, context):
         code = "import sys, time; print(sys.argv[1], flush=True); time.sleep(30)"
         driver = RealCliDriver(_python(code, "{dockerfile}"))

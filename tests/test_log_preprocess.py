@@ -4,6 +4,7 @@ import random
 import re
 import time
 from dataclasses import fields, replace
+from importlib import import_module
 from itertools import compress
 from types import SimpleNamespace
 
@@ -36,6 +37,7 @@ from support import (
     reference_preprocess_log,
     reference_segment_stages,
     reference_strip_ansi,
+    template_raw_logs,
 )
 
 
@@ -84,6 +86,15 @@ class TestSegmentation:
         assert [f.name for f in fields(StageSection)] == ["header", "lines"]
         (section,) = segment_stages("\x1b[1m#5 [2/2] RUN make\x1b[0m\n#5 0.100 \x1b[31mcompiling\x1b[0m\n")
         assert (section.header, section.lines) == ("#5 [2/2] RUN make", ["#5 0.100 compiling"])
+
+    def test_carriage_returns_give_the_excerpt_of_plain_line_ends(self):
+        # The real driver journals the engine's "\r" progress frames and "\r\n"
+        # ends; `splitlines` breaks at them, as at the "\n" that replace them.
+        for log in template_raw_logs(10):
+            framed = log.replace("\n", "\n#9 0.100 10%\r#9 0.200 50%\r#9 0.300 error: x\r\n", 1)
+            framed = framed.replace("\n", "\r\n").replace("\r\r\n", "\r\n")
+            plain = framed.replace("\r\n", "\n").replace("\r", "\n")
+            assert "\r" in framed and preprocess_log(framed) == preprocess_log(plain)
 
     def test_stage_indices_unique_across_restarting_banners(self):
         # A restarted [i/k] numbering still opens a new section, in log order.
@@ -566,6 +577,11 @@ class TestCapWalk:
         assert got.lines.count("#5 ٤.500 unicode kept") == got.lines.count("#5 ٩٨.500 unicode kept") == 1
         assert not {"#5 ٥.5 unicode dropped", "#5 ٩٩.5 unicode dropped", overlong} & set(got.lines)
 
+    def test_float_reads_every_digit_a_timestamp_may_hold(self):
+        # The timestamp pattern's `\d` takes any Unicode decimal digit.
+        digits = "".join(re.findall(r"\d", "".join(map(chr, range(0x110000)))))
+        assert len(digits) > 600 and float(digits) == float("inf")
+
     def test_a_capped_timed_log_reads_few_timestamps(self, monkeypatch):
         # A 2,000-line BuildKit stage in the benchmark's shape: 8 lines a
         # second, one in ten an error, then the summary stage.
@@ -593,6 +609,27 @@ class TestCapWalk:
         assert preprocess_log(log) == want
         # Reading every line of the stage would be over 2,000.
         assert CountingPattern.calls < 700
+
+    def test_a_timed_log_reads_each_timestamp_once_when_the_call_runs(self, monkeypatch):
+        # 89 kept lines: the back walk runs down to the front walk's last kept
+        # line, a timed line that no hit keeps, and stops short of it.
+        log = "\n".join(_timed_stage(59) + _timed_stage(30, step=6))
+        want = preprocess_log(log)
+        pattern, read = log_preprocess._TIMESTAMP_RE, []
+        spy = SimpleNamespace(match=lambda line: read.append(line) or pattern.match(line))
+        monkeypatch.setattr(log_preprocess, "_TIMESTAMP_RE", spy)
+        assert preprocess_log(log) == want
+        # A pattern bound at import would read none through the spy.
+        assert read and len(read) == len(set(read)) and set(read) <= set(log.splitlines())
+
+    def test_preprocess_log_builds_no_stage_section(self, monkeypatch):
+        want = preprocess_log(ALPINE_PIP_LOG)
+
+        def refuse(*args):
+            raise AssertionError("a StageSection was built")
+
+        monkeypatch.setattr(log_preprocess, "StageSection", refuse)
+        assert preprocess_log(ALPINE_PIP_LOG) == want
 
 
 class TestWholeTextScan:
@@ -634,3 +671,43 @@ class TestWholeTextScan:
         spied = RuleSet([replace(r, compiled=spy) if r.exclude and r.kind == "regex" else r for r in rules.rules])
         assert spied.matching_lines(lines) == rules.matching_lines(lines)
         assert searched == [lines[i] for i in (0, 1, 2, 3, 4, 5, 6, 7, 12)]
+
+
+class TestRoutes:
+    """`preprocess_log` and the `preprocess` command's route, `segment_stages`
+    then `extract_error_context`, which lays the sections out as one list."""
+
+    # Defined beside the reference tests, which import this module: drawn on first use.
+    @given(st.deferred(lambda: import_module("test_preprocess_reference")._PIPELINE_LINES))
+    @settings(max_examples=300, deadline=None)
+    def test_both_routes_give_one_excerpt(self, log):
+        for rules in _DIFF_RULESETS.values():
+            want, got = preprocess_log(log, rules), extract_error_context(segment_stages(log), rules)
+            assert (got.lines, got.total_lines_in, got.total_lines_out) == (
+                want.lines, want.total_lines_in, want.total_lines_out)
+            assert list(got.rule_hits.items()) == list(want.rule_hits.items())
+
+    @pytest.mark.parametrize(
+        "sections, lines, total_in, total_out, rule_hits",
+        [
+            # A header-less section after a stage keeps its hits only, as the
+            # preamble does; an empty stage keeps nothing; a header that matches
+            # a rule is not a hit.
+            ([StageSection("> [1/2] RUN a", ["x", "error: one", "y", "", "z"]),
+              StageSection(None, ["ctx", "error: two", "ctx2"]),
+              StageSection("> [2/2] RUN error-prone", []),
+              StageSection("#5 [3/3] RUN failed step", ["#5 0.1 fine", "#5 0.5 E: broken", "#5 1.0 later"])],
+             ["> [1/2] RUN a", "x", "error: one", "y", "error: two",
+              "#5 [3/3] RUN failed step", "#5 0.1 fine", "#5 0.5 E: broken"],
+             14, 6, {"substr:error": 2, "substr:E:": 1}),
+            ([StageSection(None, ["error: a", "b"]), StageSection(None, ["c", "fatal: d"])],
+             ["error: a", "fatal: d"], 4, 2, {"substr:error": 1, "substr:fatal": 1}),
+            ([StageSection("> [1/1] RUN make error", [])], [], 1, 0, {}),
+            ([], [], 0, 0, {}),
+        ],
+        ids=["headerless-after-a-stage", "two-headerless", "matching-header-only", "no-section"],
+    )
+    def test_hand_built_sections(self, sections, lines, total_in, total_out, rule_hits):
+        got = extract_error_context(sections, RuleSet.default())
+        assert (got.lines, got.total_lines_in, got.total_lines_out) == (lines, total_in, total_out)
+        assert list(got.rule_hits.items()) == list(rule_hits.items())

@@ -134,6 +134,23 @@ def test_detect_through_the_real_driver_matches_a_simulated_run(tmp_path):
     assert counter.read_text().splitlines() == ["prune"] * 2
 
 
+def test_a_journaled_log_keeps_the_carriage_returns_the_engine_printed(tmp_path):
+    config, _ = _config(tmp_path, clean_every=2)
+    # BuildKit redraws a progress line by ending each frame in "\r".
+    frames = {"log": "#5 [2/2] RUN fetch\n#5 0.1 10%\r#5 0.4 50%\r#5 0.9 error: fetch failed\r\n", "exit_code": 1}
+    schedule = [_success(), frames]
+    dockerfile = _project(tmp_path / "projects", "progress", schedule) / "Dockerfile"
+    real_code, real = _real(tmp_path, config, ["detect", str(dockerfile)])
+    sim_code, sim = _simulated(tmp_path, config, [{"match": None, "outcomes": [_outcome(e) for e in schedule]}],
+                               ["detect", str(dockerfile)])
+    assert real_code == sim_code == 2, real
+    assert _untimed(real) == _untimed(sim)
+    (journal,) = (tmp_path / "real" / "builds").glob("*/builds.jsonl")
+    simulated = tmp_path / "simulated" / "builds" / journal.parent.name / "builds.jsonl"
+    logs = [line["log"] for line in _lines(journal)]
+    assert logs == [line["log"] for line in _lines(simulated)] == [SUCCESS_LOG, frames["log"]]
+
+
 def test_monitor_through_the_real_driver_matches_a_simulated_run(tmp_path):
     rounds, clean_every = 5, 3
     pid_file = tmp_path / "hung.pid"
