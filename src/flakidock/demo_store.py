@@ -3,6 +3,8 @@
 A store is a JSONL file with a version header line followed by one record
 per line, plus a sibling `vectors.bin` holding the record embeddings
 (`<uint32 dim>` header, then row-major float32 values in record order).
+A load reads those values straight into the index's row buffer, with as many
+spare rows for inserts; load and insert need no other whole-matrix memory.
 Serialization is canonical (sorted keys, fixed separators) so that
 save(load(path)) round-trips byte-identically. A save back to the files an
 index last loaded or wrote, unchanged since, appends only the records added
@@ -189,23 +191,25 @@ def _checked_record(payload, categories: dict) -> DemonstrationRecord:
 class DemonstrationIndex:
     """Loaded store: records in file order plus their embedding matrix.
 
-    Inserts write into spare rows of a buffer that doubles when full, so an
-    insert costs amortised O(1) row copies; `matrix` and the norms are views
-    of the first len(self) buffer rows. An index is not used from a second
-    thread while one adds to it.
+    Rows past len(self) in the row buffer are spare: an insert writes the next
+    one, and a full buffer doubles, so an insert costs amortised O(1) row
+    copies. `scan` and `matrix` give read-only views of the first len(self)
+    rows and their float64 norms. An index is not used from a second thread
+    while one adds to it.
     """
 
-    def __init__(self, records: list[DemonstrationRecord], matrix: np.ndarray | None = None):
-        """`matrix` holds the records' float32 embeddings as its rows, in order;
-        it may be left out only for an empty index."""
-        if matrix is None:
-            matrix = np.zeros((0, 0), np.float32)
-        if len(matrix) != len(records):
-            raise StoreError(f"{len(matrix)} embedding rows for {len(records)} records")
+    def __init__(self, records: list[DemonstrationRecord], rows: np.ndarray | None = None, count: int | None = None):
+        """The first `count` rows of the float32 buffer `rows`, all of them by default, are the
+        records' embeddings in order, and later rows are spare; `rows` may be left out only for an empty index."""
+        rows = np.zeros((0, 0), np.float32) if rows is None else rows
+        count = len(rows) if count is None else count
+        if count != len(records):
+            raise StoreError(f"{count} embedding rows for {len(records)} records")
         self.records = records
         self.by_id = {r.id: r for r in records}
-        self.matrix = self._row_buffer = matrix
-        self._norms = self._norm_buffer = _row_norms(matrix)
+        self._row_buffer, self._norm_buffer = rows, np.empty(len(rows))
+        _row_norms(rows[:count], self._norm_buffer[:count])
+        self._rows = count  # rows published to `scan`: an add's row counts once its record is in
         self._saved = None  # (records file, vectors file, rows, dim) last loaded or written
 
     def __len__(self) -> int:
@@ -213,7 +217,12 @@ class DemonstrationIndex:
 
     def scan(self) -> tuple[np.ndarray, np.ndarray]:
         """The embedding matrix and its float64 row norms."""
-        return self.matrix, self._norms
+        n = self._rows
+        matrix, norms = self._row_buffer[:n], self._norm_buffer[:n]
+        matrix.flags.writeable = norms.flags.writeable = False
+        return matrix, norms
+
+    matrix = property(lambda self: self.scan()[0])
 
     def add(self, record: DemonstrationRecord, provider: EmbeddingProvider) -> None:
         validate_record(record)
@@ -223,30 +232,29 @@ class DemonstrationIndex:
         if n and provider.dim != self.matrix.shape[1]:
             raise DimensionMismatch(f"store dim {self.matrix.shape[1]} vs record dim {provider.dim}")
         vec = embed(record.combined_text(), provider)
-        if n == len(self._norm_buffer):  # full, or still the read-only loaded rows
+        if n == len(self._row_buffer):  # no spare row
             rows, norms = np.empty((2 * n or 1, vec.size), np.float32), np.empty(2 * n or 1)
             if n:
-                rows[:n], norms[:n] = self.matrix, self._norms
+                rows[:n], norms[:n] = self.scan()
             self._row_buffer, self._norm_buffer = rows, norms
         self._row_buffer[n] = vec
-        self._norm_buffer[n : n + 1] = _row_norms(self._row_buffer[n : n + 1])
+        _row_norms(self._row_buffer[n : n + 1], self._norm_buffer[n : n + 1])
         self.records.append(record)
         self.by_id[record.id] = record
-        self.matrix = self._row_buffer[: n + 1]
-        self._norms = self._norm_buffer[: n + 1]
+        self._rows = n + 1
 
 
-_NORM_BLOCK = 4096  # rows per float64 copy when taking row norms
+_NORM_BLOCK = 256  # rows squared at a time in float64 when taking row norms
 
 
-def _row_norms(matrix: np.ndarray) -> np.ndarray:
-    """float64 Euclidean norm of each row, converting a block of rows at a time
-    so that no float64 copy of the whole matrix is made."""
-    norms = np.empty(len(matrix))
-    for start in range(0, len(matrix), _NORM_BLOCK):
-        block = matrix[start : start + _NORM_BLOCK].astype(np.float64)
-        norms[start : start + _NORM_BLOCK] = np.linalg.norm(block, axis=1)
-    return norms
+def _row_norms(rows: np.ndarray, out: np.ndarray) -> None:
+    """Write each row's float64 Euclidean norm to `out`, bit for bit as np.linalg.norm
+    of the float64 rows gives it, squaring a block of rows at a time into one buffer."""
+    squares = np.empty((min(len(rows), _NORM_BLOCK), rows.shape[1]))
+    for start in range(0, len(rows), _NORM_BLOCK):
+        block = np.square(rows[start : start + _NORM_BLOCK], out=squares[: len(rows) - start], dtype=np.float64)
+        np.add.reduce(block, axis=1, out=out[start : start + _NORM_BLOCK])
+    np.sqrt(out, out=out)
 
 
 def store_files(path) -> tuple[Path, Path]:
@@ -297,10 +305,7 @@ def load_store(path, embedding_provider: EmbeddingProvider | None = None) -> Dem
 
     # A bad vector file is reported only after every record has passed.
     if vectors_path.exists():
-        rows, vectors_file = _read_vectors(vectors_path, len(records))
-        index = DemonstrationIndex(records, rows)
-        index._saved = (records_file, vectors_file, len(records), rows.shape[1])
-        return index
+        return _read_vectors(vectors_path, records, records_file)
     if not records:
         return DemonstrationIndex(records)
     if embedding_provider is None:
@@ -372,25 +377,30 @@ def save_store(index: DemonstrationIndex, path) -> None:
     index._saved = _files_state(records_path, vectors_path, rows, dim)
 
 
-def _read_vectors(path: Path, expected_rows: int) -> tuple[np.ndarray, tuple]:
-    """The stored float32 rows, read-only and without a copy of the file's bytes,
-    and the file's signature as it was before the read."""
+def _read_vectors(path: Path, records: list, records_file: tuple) -> DemonstrationIndex:
+    """The index of `records` over the stored float32 rows, each read once, bit for bit, straight
+    into the row buffer, with as many spare rows after them; its norms take one block of float64
+    squares more. A row is usable iff its float64 norm is finite and positive: retrieval divides by it."""
     with open(path, "rb") as fh:
-        signature = _signature(os.fstat(fh.fileno()))
-        blob = fh.read()
-    if len(blob) < 4:
-        raise StoreError(f"{path}: truncated vector file")
-    (dim,) = struct.unpack("<I", blob[:4])
-    if dim == 0 or (len(blob) - 4) % (4 * dim):
-        raise StoreError(f"{path}: vector payload is not a multiple of dim {dim}")
-    rows = np.frombuffer(blob, dtype="<f4", offset=4).reshape(-1, dim)
-    if rows.shape[0] != expected_rows:
-        raise StoreError(f"{path}: {rows.shape[0]} vectors for {expected_rows} records")
-    # Retrieval divides by row norms: a zero or non-finite row has no cosine.
-    unusable = np.flatnonzero(~rows.any(axis=1) | ~np.isfinite(rows).all(axis=1))
+        signature = _signature(os.fstat(fh.fileno()))  # as it was before the read
+        head, payload = fh.read(4), signature[2] - 4
+        if len(head) < 4:
+            raise StoreError(f"{path}: truncated vector file")
+        (dim,) = struct.unpack("<I", head)
+        if dim == 0 or payload % (4 * dim):
+            raise StoreError(f"{path}: vector payload is not a multiple of dim {dim}")
+        if payload // (4 * dim) != len(records):
+            raise StoreError(f"{path}: {payload // (4 * dim)} vectors for {len(records)} records")
+        rows = np.empty((2 * len(records), dim), "<f4")  # spare rows as `add`'s doubling leaves them
+        if fh.readinto(rows[: len(records)]) != payload:
+            raise StoreError(f"{path}: truncated vector file")
+    index = DemonstrationIndex(records, rows, len(records))
+    norms = index.scan()[1]
+    unusable = np.flatnonzero(~np.isfinite(norms) | (norms == 0))
     if unusable.size:
         raise StoreError(f"{path}: vector {unusable[0]} is zero or not finite")
-    return rows, signature
+    index._saved = (records_file, signature, len(records), dim)
+    return index
 
 
 def builtin_store_path() -> Path:

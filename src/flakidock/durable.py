@@ -110,9 +110,9 @@ def newest_line(path, accept, tail_bytes: int) -> tuple[dict | None, bool]:
 
 
 def read_input(path, errors: str | None = "strict"):
-    """The file's UTF-8 text, decoded with `errors`, or its bytes when `errors` is None."""
+    """The file's UTF-8 text, decoded with `errors` and every `\\r` kept, or its bytes when `errors` is None."""
     try:
-        return path.read_bytes() if errors is None else path.read_text(encoding="utf-8", errors=errors)
+        return path.read_bytes() if errors is None else path.read_bytes().decode("utf-8", errors)
     except FileNotFoundError:
         raise FlakiDockError(f"no such file: {path}") from None
     except (OSError, UnicodeDecodeError) as exc:

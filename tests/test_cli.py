@@ -27,6 +27,7 @@ from flakidock.demo_store import builtin_store_path, load_store, save_store
 from flakidock.dockerfile_model import parse_dockerfile
 from flakidock.durable import append_line
 from flakidock.errors import ConfigError
+from flakidock.log_preprocess import excerpt_or_tail, preprocess_log
 from flakidock.providers import HashingEmbeddingProvider, HttpChatProvider, HttpEmbeddingProvider
 
 from crashpoint import IMPORT_ROOT
@@ -1789,6 +1790,65 @@ class TestDatasetEdgeCases:
             )
         assert result.exit_code == 0, result.output
         assert sum("unknown subcategory" in r.getMessage() for r in caplog.records) == 1
+
+
+def _crlf_copy(path: Path) -> Path:
+    copy = path.with_name(f"crlf-{path.name}")
+    copy.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    return copy
+
+
+class TestCarriageReturnInputs:
+    """Text inputs are read with every `\\r` kept, as the real driver journals a log."""
+
+    def test_dataset_add_stores_the_tail_of_a_carriage_return_framed_log_and_crlf_files(self, runner, tmp_path):
+        log_text = "#5 [2/3] RUN fetch\r\n#5 0.1 fetched 10%\r#5 0.2 fetched 60%\r#5 0.3 fetched 100%\r\n#5 DONE\r\n"
+        files = {"Dockerfile": ALPINE_PIP.replace("\n", "\r\n"), "build.log": log_text,
+                 "fixed": ALPINE_PIP_REPAIRED.replace("\n", "\r\n")}
+        for name, text in files.items():
+            (tmp_path / name).write_bytes(text.encode())
+        assert preprocess_log(log_text).rule_hits == {}  # the stored text is the log's tail
+        store = tmp_path / "records.jsonl"
+        result = runner.invoke(main, _base_args(tmp_path) + [
+            "dataset", "add", str(store), "--id", "cr", "--category", "MISC", "--dockerfile",
+            str(tmp_path / "Dockerfile"), "--log", str(tmp_path / "build.log"), "--repair", str(tmp_path / "fixed"),
+        ])
+        assert result.exit_code == 0, result.output
+        (record,) = load_store(store).records
+        assert record.dynamic_part == excerpt_or_tail(log_text, preprocess_log(log_text)) == log_text
+        assert (record.static_part, record.repairs) == (files["Dockerfile"], (files["fixed"],))
+
+    def test_crlf_config_and_scenario_files_load_as_their_lf_copies(self, tmp_path):
+        config = tmp_path / "flakidock.conf"
+        config.write_text("retrieval_k = 5\ncluster_threshold = 0.7\n")
+        scenario = tmp_path / "s.json"
+        scenario.write_text(json.dumps({"builds": [{"match": None, "outcomes": [{"status": "success"}]}],
+                                        "responses": ["FROM x\n"]}, indent=1))
+        crlf, lf = (load_config(overrides={"driver": f"simulated:{path}", "generation_provider": f"scripted:{path}"})
+                    for path in (_crlf_copy(scenario), scenario))
+        assert crlf.engine.driver.scripts == lf.engine.driver.scripts
+        assert crlf.providers.generator.responses == lf.providers.generator.responses == ["FROM x\n"]
+        loaded = load_config(_crlf_copy(config))
+        assert (loaded.retrieval_k, loaded.cluster_threshold) == (5, 0.7)
+
+    def test_crlf_rules_file_and_manifest_read_as_their_lf_copies(self, runner, tmp_path):
+        rules = tmp_path / "custom.rules"
+        rules.write_text("substr:KABLAM\n")
+        log = tmp_path / "build.log"
+        log.write_text("> [1/1] RUN x\nerror: ignored by custom rules\nKABLAM happened\n")
+        outputs = [runner.invoke(main, _base_args(tmp_path) + ["--rules", str(path), "preprocess", str(log)]).output
+                   for path in (rules, _crlf_copy(rules))]
+        assert outputs[0] == outputs[1] and "KABLAM happened" in json.loads(outputs[1])["excerpt"]
+        (tmp_path / "shaky").mkdir()
+        (tmp_path / "shaky" / "Dockerfile").write_text("FROM busybox\n")
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(f"# projects\nshaky {tmp_path / 'shaky'}\n")
+        scenario = _write_scenario(tmp_path / "s.json", [
+            {"match": None, "outcomes": [{"status": "failure", "log": ERROR_TYPE_LOGS["X"], "exit_code": 1}]}])
+        result = runner.invoke(main, _base_args(tmp_path, scenario) + ["monitor", str(_crlf_copy(manifest)),
+                                                                       "--rounds", "1"])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["flaky_candidates"] == ["shaky"]
 
 
 def _repair_args(tmp_path: Path, flaky_setup) -> list[str]:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import logging
 import random
@@ -8,8 +9,10 @@ import string
 import struct
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -38,6 +41,7 @@ from support import (
     ALPINE_PIP,
     ALPINE_PIP_LOG,
     ALPINE_PIP_REPAIRED,
+    _reference_read_vectors,
     reference_load_store,
     reference_save_store,
 )
@@ -723,10 +727,11 @@ class TestIndexGrowth:
             index.add(_record(f"g-{i}"), offline_provider)
         save_store(index, tmp_path / "records.jsonl")
         index = load_store(tmp_path / "records.jsonl")
-        index.add(_record("g-3"), offline_provider)  # outgrows the loaded, read-only rows
+        loaded = index.matrix
+        index.add(_record("g-3"), offline_provider)  # writes the first spare row of the loaded buffer
         before = index.matrix
         index.add(_record("g-4"), offline_provider)
-        assert np.shares_memory(before, index.matrix)  # no copy of the earlier rows
+        assert np.shares_memory(loaded, before) and np.shares_memory(before, index.matrix)  # no copy of the earlier rows
         assert before.shape[0] == 4 and index.matrix.shape[0] == 5
 
     def test_matrix_and_norms_track_records(self, offline_provider):
@@ -759,6 +764,84 @@ class TestIndexGrowth:
             DemonstrationIndex(records, np.ones((rows, 4), np.float32))
         with pytest.raises(StoreError, match="0 embedding rows for 3 records"):
             DemonstrationIndex(records)
+
+
+def _scan_is_read_only(index: DemonstrationIndex) -> bool:
+    matrix, norms = index.scan()
+    return not (matrix.flags.writeable or norms.flags.writeable or index.matrix.flags.writeable)
+
+
+class TestRowBuffer:
+    def test_matrix_and_norms_are_read_only_in_every_state(self, tmp_path, offline_provider):
+        index = DemonstrationIndex([])
+        states = [_scan_is_read_only(index)]
+        for i in range(3):
+            index.add(_record(f"ro-{i}"), offline_provider)
+            states.append(_scan_is_read_only(index))
+        save_store(index, tmp_path / "records.jsonl")
+        loaded = load_store(tmp_path / "records.jsonl")
+        states.append(_scan_is_read_only(loaded))
+        loaded.add(_record("ro-3"), offline_provider)
+        states.append(_scan_is_read_only(loaded))
+        (tmp_path / "vectors.bin").unlink()
+        states.append(_scan_is_read_only(load_store(tmp_path / "records.jsonl", offline_provider)))
+        built = DemonstrationIndex([_record("ro-0")], np.ones((1, 4), np.float32))
+        states.append(_scan_is_read_only(built))
+        assert states == [True] * 8
+        with pytest.raises(ValueError):
+            loaded.matrix[0] = 0  # a written row would keep a stale norm
+
+    @settings(max_examples=120, deadline=None)
+    @given(block=st.sampled_from([1, 2, 7, 64]), dim=st.sampled_from([1, 3, 256, 257]), data=st.data())
+    def test_the_norm_pass_matches_the_whole_matrix(self, block, dim, data):
+        rows = data.draw(st.sampled_from(sorted({0, 1, block - 1, block, block + 1, 3 * block})))
+        scale = data.draw(st.sampled_from([1.0, 1e-30, 1e-42, 1e30, 1e38]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        with np.errstate(over="ignore"):
+            matrix = (rng.normal(size=(rows, dim)) * scale).astype(np.float32)
+        bad_value = data.draw(st.sampled_from([None, 0.0, np.nan, np.inf, -np.inf])) if rows else None
+        if bad_value is not None:
+            first = block * data.draw(st.integers(0, (rows - 1) // block))
+            row = data.draw(st.sampled_from([first, min(first + block, rows) - 1]))
+            matrix[row, slice(None) if bad_value == 0 else data.draw(st.integers(0, dim - 1))] = bad_value
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(demo_store, "_NORM_BLOCK", block):
+            norms = np.empty(rows)
+            demo_store._row_norms(matrix, norms)
+            assert norms.tobytes() == np.linalg.norm(matrix.astype(np.float64), axis=1).tobytes()
+            vectors = Path(tmp) / "vectors.bin"
+            vectors.write_bytes(struct.pack("<I", dim) + matrix.astype("<f4").tobytes())
+            try:
+                expected = _reference_read_vectors(vectors, rows).tobytes()
+            except StoreError as exc:
+                expected = str(exc)
+            try:
+                index = demo_store._read_vectors(vectors, [_record(f"b-{i}") for i in range(rows)], None)
+                assert index.scan()[1].tobytes() == norms.tobytes()
+                got = index.matrix.tobytes()
+            except StoreError as exc:
+                got = str(exc)
+        assert got == expected
+
+
+class TestLoadMemory:
+    def test_load_and_the_first_add_make_no_whole_matrix_temporaries(self, tmp_path, offline_provider):
+        rows = np.random.default_rng(5).normal(size=(4000, 256)).astype(np.float32)
+        save_store(DemonstrationIndex([_record(f"mem-{i}") for i in range(4000)], rows), tmp_path / "records.jsonl")
+        embed("warm the embedder's tables", offline_provider)
+        new = _record("mem-new")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            index = load_store(tmp_path / "records.jsonl")
+            kept, load_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            index.add(new, offline_provider)
+            add_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert load_peak - kept < 2_000_000  # 16 MB when the file and masks of it were whole-matrix copies
+        assert add_peak - kept < 500_000  # 8 MB when the first insert copied every loaded row
+        assert index.matrix[:4000].tobytes() == rows.tobytes()
 
 
 class TestLoadScaling:

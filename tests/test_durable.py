@@ -350,6 +350,15 @@ def test_durable_exposes_seven_names():
                       "read_input"]
 
 
+def test_read_input_keeps_every_carriage_return(tmp_path):
+    path = tmp_path / "input.txt"
+    path.write_bytes(b"a\rb\r\nc\xff")
+    assert durable.read_input(path, errors="replace") == "a\rb\r\nc\ufffd"
+    assert durable.read_input(path, errors=None) == b"a\rb\r\nc\xff"
+    path.write_bytes(b"a\rb\r\nc")
+    assert durable.read_input(path) == "a\rb\r\nc"
+
+
 # --- crash points ---
 
 
