@@ -182,8 +182,8 @@ def _require_file(key: str, value: str) -> Path:
 
 
 def _from_scenario(path: Path, key: str, build, parsed: dict[Path, dict]):
-    """`build` of the scenario file's `key` list, parsed unless `parsed` holds the file. Every
-    failure, a check of the built types included, is a ConfigError naming the file."""
+    """`build` of the scenario file's `key` list, parsed unless `parsed` holds the file. Every failure,
+    JSON nested past the parser's depth and a check of the built types included, is a ConfigError naming the file."""
     try:
         if path not in parsed:
             parsed[path] = json.loads(read_input(path))
@@ -191,7 +191,7 @@ def _from_scenario(path: Path, key: str, build, parsed: dict[Path, dict]):
         if not isinstance(entries, list):
             raise ValueError(f"no {key!r} list")
         return build(entries)
-    except (FlakiDockError, ValueError, TypeError, AttributeError) as exc:
+    except (FlakiDockError, ValueError, TypeError, AttributeError, RecursionError) as exc:
         raise ConfigError(f"{path}: malformed scenario file: {exc}") from exc
 
 

@@ -153,24 +153,28 @@ def _record_line(record: DemonstrationRecord) -> str:
 _FIELD_TYPES = {"id": str, "static_part": str, "dynamic_part": str, "category": str,
                 "repairs": list, "iterations": list}
 _field_values = operator.itemgetter(*_FIELD_TYPES)
-_FIELD_KINDS = tuple(_FIELD_TYPES.values())
+_scan = json.JSONDecoder().raw_decode  # the C scan json.loads makes, without its wrappers
 
 
 def _checked_record(payload, categories: dict) -> DemonstrationRecord:
     """The record a JSON line holds, each field taken as its JSON type,
     unconverted, and checked as `validate_record` checks a record."""
-    if type(payload) is not dict:
-        raise SchemaViolation("<unknown>", "json", "record line is not a JSON object")
-    if payload.keys() != _FIELD_TYPES.keys() or tuple(map(type, _field_values(payload))) != _FIELD_KINDS:
+    try:  # a payload that is not an object, or lacks a field, fails here
+        rid, static_part, dynamic_part, text, repairs, iterations = values = _field_values(payload)
+    except (KeyError, TypeError):
+        values = None
+    if values is None or len(payload) != len(_FIELD_TYPES) or not (
+            type(rid) is type(static_part) is type(dynamic_part) is type(text) is str
+            and type(repairs) is type(iterations) is list):  # then name the first bad field
+        if type(payload) is not dict:
+            raise SchemaViolation("<unknown>", "json", "record line is not a JSON object")
         rid = payload.get("id")
         rid = rid if type(rid) is str and rid else "<unknown>"
         unknown = payload.keys() - _FIELD_TYPES.keys()
         if unknown:
             raise SchemaViolation(rid, min(unknown), "unknown field")
-        for key, kind in _FIELD_TYPES.items():
-            if type(payload.get(key)) is not kind:
-                raise SchemaViolation(rid, key, "missing or mistyped field")
-    rid, static_part, dynamic_part, text, repairs, iterations = _field_values(payload)
+        key = next(key for key, kind in _FIELD_TYPES.items() if type(payload.get(key)) is not kind)
+        raise SchemaViolation(rid, key, "missing or mistyped field")
     for repair in repairs:
         if type(repair) is not str:
             raise SchemaViolation(rid or "<unknown>", "repairs", "repairs must be strings")
@@ -267,8 +271,14 @@ def store_files(path) -> tuple[Path, Path]:
 def load_store(path, embedding_provider: EmbeddingProvider | None = None) -> DemonstrationIndex:
     """Load and validate a demonstration store.
 
-    Missing vectors are recomputed through the given provider (flagged with
-    a warning); without a provider that situation is an error.
+    `records.jsonl` is read in one pass, split on `\\n` only (save_store writes
+    U+0085, U+2028 and U+2029 raw); each line is decoded as strict UTF-8 and,
+    unless blank, parsed and checked before the next, so the first bad line in
+    file order is reported. A record line is parsed by one scan of json's C
+    scanner; only a line the scan rejects or does not end at goes to `json.loads`,
+    whose rules and messages decide it. Missing vectors are recomputed through
+    the given provider (flagged with a warning); without a provider that
+    situation is an error.
     """
     records_path, vectors_path = store_files(path)
     if not records_path.exists():
@@ -277,31 +287,43 @@ def load_store(path, embedding_provider: EmbeddingProvider | None = None) -> Dem
     records: list[DemonstrationRecord] = []
     seen: set[str] = set()
     categories: dict = {}  # each category string read so far: (category, known)
+    header = None
     with open(records_path, "rb") as fh:
         records_file = _signature(os.fstat(fh.fileno()))
-        lines = _text_lines(fh, records_path)
-        header = next(lines, None)
-        if header is None:
-            raise VersionMismatch(f"{records_path}: missing schema version header")
-        try:
-            header = json.loads(header)
-        except json.JSONDecodeError as exc:
-            raise VersionMismatch(f"{records_path}: unreadable header: {exc}") from exc
-        if not isinstance(header, dict) or header.get("schema") != SCHEMA_NAME:
-            raise VersionMismatch(f"{records_path}: not a {SCHEMA_NAME} file")
-        if header.get("version") != SCHEMA_VERSION:
-            raise VersionMismatch(f"{records_path}: schema version {header.get('version')!r}, "
-                                  f"supported {SCHEMA_VERSION}")
-        for line in lines:
+        for number, line in enumerate(fh, 1):
             try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as exc:
+                line = line.rstrip(b"\r\n").decode()
+            except UnicodeDecodeError as exc:
+                raise StoreError(f"{records_path}: not UTF-8: line {number}: {exc}") from exc
+            if not line or line.isspace():
+                continue
+            if header is None:
+                try:
+                    header = json.loads(line)
+                except (ValueError, RecursionError) as exc:
+                    raise VersionMismatch(f"{records_path}: unreadable header: {exc}") from exc
+                if not isinstance(header, dict) or header.get("schema") != SCHEMA_NAME:
+                    raise VersionMismatch(f"{records_path}: not a {SCHEMA_NAME} file")
+                if header.get("version") != SCHEMA_VERSION:
+                    raise VersionMismatch(f"{records_path}: schema version {header.get('version')!r}, "
+                                          f"supported {SCHEMA_VERSION}")
+                continue
+            try:
+                try:
+                    payload, end = _scan(line)
+                except json.JSONDecodeError:
+                    end = None
+                if end != len(line):
+                    payload = json.loads(line)
+            except (ValueError, RecursionError) as exc:
                 raise SchemaViolation("<unknown>", "json", f"unreadable record line: {exc}") from exc
             record = _checked_record(payload, categories)
             if record.id in seen:
                 raise SchemaViolation(record.id, "id", "duplicate record id")
             seen.add(record.id)
             records.append(record)
+    if header is None:
+        raise VersionMismatch(f"{records_path}: missing schema version header")
 
     # A bad vector file is reported only after every record has passed.
     if vectors_path.exists():
@@ -311,20 +333,10 @@ def load_store(path, embedding_provider: EmbeddingProvider | None = None) -> Dem
     if embedding_provider is None:
         raise StoreError(f"{vectors_path} is missing and no embedding provider was supplied")
     log.warning("vectors missing for %s; recomputing %d embeddings", records_path, len(records))
-    rows = np.stack([embed(rec.combined_text(), embedding_provider) for rec in records])
-    return DemonstrationIndex(records, rows)
-
-
-def _text_lines(fh, path: Path):
-    """The non-blank lines of a binary file, each decoded as strict UTF-8 when reached, without
-    its line end. A line ends at `\n` only: save_store writes U+0085, U+2028 and U+2029 raw."""
-    for number, line in enumerate(fh, 1):
-        try:
-            text = line.rstrip(b"\r\n").decode()
-        except UnicodeDecodeError as exc:
-            raise StoreError(f"{path}: not UTF-8: line {number}: {exc}") from exc
-        if text and not text.isspace():
-            yield text
+    rows = np.empty((2 * len(records), embedding_provider.dim), "<f4")  # spare rows as `_read_vectors` leaves them
+    for row, record in enumerate(records):
+        rows[row] = embed(record.combined_text(), embedding_provider)
+    return DemonstrationIndex(records, rows, len(records))
 
 
 _SAVE_BLOCK = 1024  # records joined into one write

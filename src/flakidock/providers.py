@@ -138,7 +138,8 @@ class _HttpProvider:
         """POST `body` and the model to `path`; return `pick` of the JSON reply.
 
         Raises ProviderUnavailable on any failure: connection, HTTP status, a
-        body that is not JSON, or a reply that `pick` rejects.
+        body that is not JSON or is nested past the parser's depth, or a reply
+        that `pick` rejects.
         """
         import requests
 
@@ -149,7 +150,7 @@ class _HttpProvider:
                                  headers=headers, timeout=self.timeout)
             resp.raise_for_status()
             reply = resp.json()  # a non-JSON body raises a RequestException (requests >= 2.27)
-        except requests.RequestException as exc:
+        except (requests.RequestException, RecursionError) as exc:
             raise ProviderUnavailable(f"{self._failed}: {exc}") from exc
         try:
             return pick(reply)

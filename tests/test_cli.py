@@ -482,6 +482,21 @@ class TestRepair:
         session_dir = self._repair_against_chat_reply(runner, tmp_path, flaky_setup, fenced("FROM \ud800\n"))
         assert not (session_dir / "response-1.txt").exists()
 
+    def test_reply_nested_past_the_parsers_depth_aborts_with_a_verdict(self, runner, tmp_path, flaky_setup):
+        dockerfile, scenario = flaky_setup
+        with Loopback(body=_NESTED_TOO_DEEP.encode()) as server:
+            config = tmp_path / "flakidock.conf"
+            config.write_text(f"generation_provider = http\ngeneration_url = {server.url}/v1\ngeneration_model = m\n")
+            result = runner.invoke(
+                main, _base_args(tmp_path, scenario) + ["--config", str(config), "repair", str(dockerfile)]
+            )
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.exc_info
+        (error,) = json.loads(result.output).values()
+        assert error.startswith(f"session aborted: aborted-provider: generation request failed: {_DEPTH_MESSAGE}")
+        (session_dir,) = (tmp_path / "state" / "sessions").iterdir()
+        verdict = json.loads((session_dir / "verdict.json").read_text(encoding="utf-8"))
+        assert verdict["verdict"] == "aborted-provider" and verdict["attempts_used"] == 0
+
     def test_scripted_response_without_utf8_form_fails_before_any_build(self, runner, tmp_path, flaky_setup):
         dockerfile, scenario = flaky_setup
         payload = json.loads(scenario.read_text())
@@ -1909,6 +1924,29 @@ def _records_not_utf8(tmp_path, _):
     return _base_args(tmp_path) + ["dataset", "validate", str(store)], f"{store}: not UTF-8"
 
 
+_NESTED_TOO_DEEP = "[" * 100_000 + "]" * 100_000  # past the json parser's depth: a RecursionError
+_DEPTH_MESSAGE = "maximum recursion depth exceeded"
+
+
+def _header_nested_too_deep(tmp_path, _):
+    store = tmp_path / "records.jsonl"
+    store.write_text(_NESTED_TOO_DEEP + "\n")
+    return _base_args(tmp_path) + ["dataset", "validate", str(store)], f"{store}: unreadable header: {_DEPTH_MESSAGE}"
+
+
+def _record_nested_too_deep(tmp_path, _):
+    store = tmp_path / "records.jsonl"
+    store.write_text(json.dumps({"schema": "flakidock-demo-store", "version": 1}) + "\n" + _NESTED_TOO_DEEP + "\n")
+    message = f"record '<unknown>', field 'json': unreadable record line: {_DEPTH_MESSAGE}"
+    return _base_args(tmp_path) + ["dataset", "validate", str(store)], message
+
+
+def _scenario_nested_too_deep(tmp_path, _):
+    scenario = tmp_path / "deep.json"
+    scenario.write_text(_NESTED_TOO_DEEP)
+    return _detect_args(tmp_path, scenario), f"{scenario}: malformed scenario file: {_DEPTH_MESSAGE}"
+
+
 class TestErrorBoundary:
     """An operational error in any command exits 1 with exactly one `--json`
     error object on stdout and no traceback."""
@@ -1927,6 +1965,18 @@ class TestErrorBoundary:
         assert "Traceback" not in result.output
         payload = json.loads(result.stdout)
         assert list(payload) == ["error"] and named in payload["error"]
+
+    @pytest.mark.parametrize(
+        "case", [_header_nested_too_deep, _record_nested_too_deep, _scenario_nested_too_deep],
+        ids=lambda case: case.__name__.lstrip("_"),
+    )
+    def test_json_nested_past_the_parsers_depth_is_the_files_error(self, runner, tmp_path, flaky_setup, case):
+        args, prefix = case(tmp_path, flaky_setup)
+        result = runner.invoke(main, args)
+        assert isinstance(result.exception, SystemExit), result.exc_info  # not an uncaught RecursionError
+        assert result.exit_code == 1, result.output
+        payload = json.loads(result.stdout)
+        assert list(payload) == ["error"] and payload["error"].startswith(prefix)
 
 
 def _console(args: list[str], cwd: Path) -> subprocess.CompletedProcess:

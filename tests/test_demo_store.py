@@ -587,6 +587,52 @@ class TestLoaderDifferential:
         assert ours == _outcome(reference_load_store, tmp_path / "records.jsonl", None)
         assert ours[:2] == ("ok", index.records)
 
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            "  {}", "\t{}", "{}  ", "{}\t", " \t{}\t ", "\ufeff{}", "{}{}", "{} {}", "{}[1]", "{}\u3000",
+            "\x0c{}", "[1, 2]", '"text"', "5", "-0.5e3", "null",
+        ],
+        ids=repr,
+    )
+    def test_lines_the_scan_hands_on_load_as_the_reference_loads_them(self, tmp_path, shape):
+        payloads = _store_payloads(5, 9)
+        path = _write_store(tmp_path, payloads, _store_vectors(5, 9))
+        lines = path.read_text(encoding="utf-8").split("\n")
+        lines[3] = shape.replace("{}", lines[3])  # the third record, in the shape
+        path.write_text("\n".join(lines), encoding="utf-8")
+        assert _outcome(load_store, path, None) == _outcome(reference_load_store, path, None)
+
+    def test_a_well_formed_store_is_parsed_through_json_loads_only_for_its_header(self, tmp_path, monkeypatch):
+        path = _write_store(tmp_path, _store_payloads(50, 3), _store_vectors(50, 3))
+        texts = []
+        loads = json.loads
+        monkeypatch.setattr(json, "loads", lambda text, **kw: texts.append(text) or loads(text, **kw))
+        assert len(load_store(path)) == 50
+        assert texts == [path.read_text(encoding="utf-8").split("\n")[0]]
+
+    @pytest.mark.parametrize(
+        "line, error, message",
+        [(0, VersionMismatch, "unreadable header"), (2, SchemaViolation, "unreadable record line")],
+        ids=["header", "record"],
+    )
+    @pytest.mark.parametrize("lead", ["", " "], ids=["bare", "after-a-space"])
+    @pytest.mark.parametrize(
+        "text, cause",
+        [("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),  # a RecursionError
+         ("[" + "9" * 5000 + "]", "Exceeds the limit")],  # a ValueError that is no JSONDecodeError
+        ids=["nested-too-deep", "integer-past-the-digit-limit"],
+    )
+    def test_a_line_past_the_parsers_limits_is_the_files_error(
+        self, tmp_path, line, error, message, lead, text, cause
+    ):
+        path = _write_store(tmp_path, _store_payloads(3, 1), _store_vectors(3, 1))
+        lines = path.read_text(encoding="utf-8").split("\n")
+        lines[line] = lead + text
+        path.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(error, match=f"{message}: {cause}"):
+            load_store(path)
+
     def test_loading_builds_no_parse_trees(self, tmp_path, monkeypatch):
         path = _write_store(tmp_path, _store_payloads(50, 3), _store_vectors(50, 3))
         calls = []
@@ -733,6 +779,18 @@ class TestIndexGrowth:
         index.add(_record("g-4"), offline_provider)
         assert np.shares_memory(loaded, before) and np.shares_memory(before, index.matrix)  # no copy of the earlier rows
         assert before.shape[0] == 4 and index.matrix.shape[0] == 5
+
+    def test_a_load_that_recomputes_the_vectors_leaves_spare_rows(self, tmp_path, offline_provider):
+        index = DemonstrationIndex([])
+        for i in range(3):
+            index.add(_record(f"r-{i}"), offline_provider)
+        save_store(index, tmp_path / "records.jsonl")
+        (tmp_path / "vectors.bin").unlink()
+        loaded = load_store(tmp_path / "records.jsonl", offline_provider)
+        before = loaded.matrix
+        loaded.add(_record("r-3"), offline_provider)  # writes a spare row: no copy of the recomputed ones
+        assert np.shares_memory(before, loaded.matrix)
+        assert loaded.matrix[:3].tobytes() == index.matrix.tobytes() and loaded.matrix.dtype == np.float32
 
     def test_matrix_and_norms_track_records(self, offline_provider):
         index = DemonstrationIndex([])
@@ -902,6 +960,16 @@ class TestSaveDifferential:
             ours = _saved_bytes(save_store, index, Path(tmp) / "ours")
             theirs = _saved_bytes(reference_save_store, index, Path(tmp) / "reference")
         assert ours == theirs
+
+    @settings(max_examples=150, deadline=None)
+    @given(_any_records())
+    def test_saved_records_load_as_the_reference_loads_them(self, records):
+        # Every escape the writer makes, and every raw character it leaves, goes through the scan.
+        matrix = np.repeat(np.arange(1, len(records) + 1, dtype=np.float32)[:, None], 4, axis=1)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "records.jsonl"
+            save_store(DemonstrationIndex(records, matrix), path)
+            assert _outcome(load_store, path, None) == _outcome(reference_load_store, path, None)
 
     def test_seeded_store_matches_reference_writer(self, tmp_path):
         index = load_store(_write_store(tmp_path / "src", _store_payloads(2_000, 23), _store_vectors(2_000, 23)))

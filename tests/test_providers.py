@@ -166,6 +166,7 @@ class TestHttpProviderDeclarations:
 
 _EMBEDDING = {"data": [{"embedding": [0.5, 1, -2, 1e39]}]}
 _CHAT = {"choices": [{"message": {"role": "assistant", "content": "FROM busybox"}}]}
+_DEEP = b"[" * 100_000 + b"]" * 100_000
 
 
 def _call(kind: str, url: str):
@@ -235,12 +236,15 @@ class TestHttpLoopback:
             ("chat", 200, {"choices": [{"message": {"content": None}}]}, "unexpected chat response shape"),
             # A lone surrogate is a legal JSON escape with no UTF-8 form.
             ("chat", 200, {"choices": [{"message": {"content": "FROM \ud800"}}]}, "unexpected chat response shape"),
+            # JSON nested past the parser's depth: json raises RecursionError, which requests passes on.
+            ("embedding", 200, _DEEP, "embedding request failed: maximum recursion depth exceeded"),
+            ("chat", 200, _DEEP, "generation request failed: maximum recursion depth exceeded"),
         ],
         ids=[
             "embed-429", "embed-500", "embed-not-json", "embed-no-data", "embed-empty-data",
             "embed-null", "embed-strings", "embed-null-value", "embed-wrong-length", "embed-matrix",
             "chat-429", "chat-500", "chat-not-json", "chat-no-message", "chat-null-content",
-            "chat-lone-surrogate",
+            "chat-lone-surrogate", "embed-nested-too-deep", "chat-nested-too-deep",
         ],
     )
     def test_bad_reply_is_provider_unavailable(self, kind, status, body, message):
