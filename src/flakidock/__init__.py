@@ -22,7 +22,7 @@ _EXPORTS = {
     **dict.fromkeys(("ValidationPolicy",), "config"),
     **dict.fromkeys(("DemonstrationRecord", "FlakinessCategory", "load_store", "save_store"), "demo_store"),
     **dict.fromkeys(("DockerfileDoc", "diff_docs", "parse_dockerfile"), "dockerfile_model"),
-    **dict.fromkeys(("PreprocessedLog", "RuleSet", "preprocess_log", "segment_stages"), "log_preprocess"),
+    **dict.fromkeys(("PreprocessedLog", "RuleSet", "preprocess_log"), "log_preprocess"),
     **dict.fromkeys(("ProviderSet",), "providers"),
     **dict.fromkeys(("RepairSession", "detect_flakiness", "repair_flaky_dockerfile"), "repair_pipeline"),
     **dict.fromkeys(("RepairQuery", "cluster_add", "cosine", "embed", "retrieve_top_k"), "similarity"),

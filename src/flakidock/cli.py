@@ -24,10 +24,8 @@ from .log_preprocess import (
     EMPTY_OUTPUT,
     classify_failure_exclusion,
     excerpt_or_tail,
-    extract_error_context,
     load_exclusion_filters,
     preprocess_log,
-    segment_stages,
 )
 from .similarity import cluster_add, embed
 
@@ -356,10 +354,9 @@ def monitor(ctx, manifest, rounds):
 def preprocess(ctx, logfile):
     """Print the error-focused excerpt of a raw build log (debugging aid)."""
     config: RunConfig = ctx.obj["config"]
-    sections = segment_stages(read_input(Path(logfile), errors="replace"))
-    result = extract_error_context(sections, config.ruleset)
+    result = preprocess_log(read_input(Path(logfile), errors="replace"), config.ruleset)
     payload = {
-        "stages": sum(s.header is not None for s in sections),
+        "stages": result.stages,
         "total_lines_in": result.total_lines_in,
         "total_lines_out": result.total_lines_out,
         "rule_hits": result.rule_hits,

@@ -1,15 +1,16 @@
 """Reduce raw build logs to error-focused excerpts.
 
-A log is split once into its lines, without ANSI escapes. Each stage, one
-per executed instruction, is the `(lo, hi)` index bounds of its body in that
-one list, and its banner line, the stage's header, stays in place at
-`lo - 1`; lines before the first banner form the preamble, a stage with no
-header. Within a stage, lines matching the configured error expressions are
-kept together with their temporal neighbors: lines sharing the same integer
-second offset when the engine prints per-line timings, otherwise a +/-2 line
-window. The preamble keeps only its lines that match a rule themselves, and
-a banner is never a hit. The result is each kept stage's header, then that
-stage's kept lines. Over 120 kept lines, the first 60 and the last 60 stay.
+A log is split once into its lines, without ANSI escapes, and the indices
+of its banner lines, one per executed instruction, are noted in order.
+Stage k >= 1 is the lines after banner k - 1, its header, up to the next
+banner or the end of the log; stage 0, the preamble, is the lines before
+the first banner and has no header. Within a stage, lines matching the
+configured error expressions are kept together with their temporal
+neighbors: lines sharing the same integer second offset when the engine
+prints per-line timings, otherwise a +/-2 line window. The preamble keeps
+only its lines that match a rule themselves, and a banner is never a hit.
+The result is each kept stage's header, then that stage's kept lines. Over
+120 kept lines, the first 60 and the last 60 stay.
 
 The rules scan all lines at once, in one pass over the rules: the lines are
 joined by "\n" and lowercased once, and each needle, include or `!` veto, is
@@ -204,12 +205,6 @@ class _LoweredLines:
         return self.starts
 
 
-@dataclass
-class StageSection:
-    header: str | None  # the banner line, without ANSI escapes; None for the preamble
-    lines: list[str]  # the stage's lines, without ANSI escapes
-
-
 def _second(timing: re.Match) -> int | None:
     """The whole second of a `_TIMESTAMP_RE` match: `float` reads every `\\d`.
     Over ~308 digits it is inf, and the line untimed."""
@@ -217,27 +212,15 @@ def _second(timing: re.Match) -> int | None:
     return int(value) if math.isfinite(value) else None
 
 
-def _segment(log: str) -> tuple[list[str], list[tuple[int, int]]]:
-    """The log's lines, de-escaped, and its stages' body bounds, the preamble's
-    first. `splitlines` also breaks at "\\r": no line keeps carriage-return overdraw."""
+def _segment(log: str) -> tuple[list[str], list[int]]:
+    """The log's lines, de-escaped, and the ascending indices of its banners.
+    `splitlines` also breaks at "\\r": no line keeps carriage-return overdraw."""
     lines = log.splitlines()
     if "\x1b" in log:
         lines = list(map(_ANSI_RE.sub, repeat(""), lines))
     # Every banner holds a "[", which most lines lack: only those lines meet the regex.
     bracketed = compress(count(), map(contains, lines, repeat("[")))
-    banners = [i for i in bracketed if _BANNER_RE.match(lines[i])]
-    return lines, list(zip([0, *map((1).__add__, banners)], [*banners, len(lines)]))
-
-
-def segment_stages(log: str) -> list[StageSection]:
-    """Split a raw log into per-instruction sections, in execution order.
-
-    Every banner opens a section, also when a multi-stage build restarts the
-    [i/k] numbering. The preamble, the section whose header is None, is
-    present when it has lines or when the log has no banner."""
-    lines, stages = _segment(log)
-    sections = [StageSection(lines[lo - 1] if lo else None, lines[lo:hi]) for lo, hi in stages]
-    return sections if sections[0].lines or len(sections) == 1 else sections[1:]
+    return lines, [i for i in bracketed if _BANNER_RE.match(lines[i])]
 
 
 @dataclass(frozen=True)
@@ -246,28 +229,15 @@ class PreprocessedLog:
     total_lines_in: int
     total_lines_out: int
     rule_hits: dict[str, int]
+    stages: int  # the log's banners, restarted [i/k] numbering included
 
     def as_text(self) -> str:
         return "\n".join(self.lines)
 
 
-def extract_error_context(sections: list[StageSection], rules: RuleSet) -> PreprocessedLog:
-    """The excerpt of `sections`: their headers and lines, laid out in one list."""
-    lines: list[str] = []
-    stages: list[tuple[int, int]] = []
-    for section in sections:
-        lines += [] if section.header is None else [section.header]
-        stages.append((len(lines), len(lines) + len(section.lines)))
-        lines += section.lines
-    return _extract(lines, stages, rules)
-
-
-def _extract(lines: list[str], stages: list[tuple[int, int]], rules: RuleSet) -> PreprocessedLog:
-    """The excerpt of `lines`, whose stages' bodies have the `(lo, hi)` bounds
-    `stages`, in order. A line in no body is the banner of the stage after it;
-    a stage that starts at 0 or where the one before it ends has none, and
-    keeps its hits only, like the preamble."""
-    ends = [hi for _, hi in stages]
+def _extract(lines: list[str], banners: list[int], rules: RuleSet) -> PreprocessedLog:
+    """The excerpt of `lines`, whose banners stand at the ascending indices
+    `banners`. A hit's stage k is how many banners stand at or before it."""
     timestamp = _TIMESTAMP_RE.match
     rule_hits: dict[str, int] = {}
     # Per stage with a hit, in log order: its header, its bounds, the lines
@@ -275,13 +245,13 @@ def _extract(lines: list[str], stages: list[tuple[int, int]], rules: RuleSet) ->
     plans: list[tuple[str | None, int, int, set[int], set[int]]] = []
     end = 0  # where the body of the last hit's stage ends
     for i, names in rules.matching_lines(lines):
-        if i >= end:
-            k = bisect_right(ends, i)
-            lo, end = stages[k]
-            if i < lo:  # a banner is never a hit; the next hit looks its stage up again
-                end = lo
+        if i >= end:  # past the last hit's stage body, as every later banner is
+            k = bisect_right(banners, i)
+            lo = banners[k - 1] + 1 if k else 0
+            if lo > i:  # the hit is banner k - 1, and a banner is never a hit
                 continue
-            header = lines[lo - 1] if lo > (ends[k - 1] if k else 0) else None
+            end = banners[k] if k < len(banners) else len(lines)
+            header = lines[lo - 1] if k else None
             keep, seconds = set(), set()
             plans.append((header, lo, end, keep, seconds))
         for name in names:
@@ -319,7 +289,7 @@ def _extract(lines: list[str], stages: list[tuple[int, int]], rules: RuleSet) ->
             out += [lines[i] for i in kept[j:n]]
             j = n
     assert j == len(kept)
-    return PreprocessedLog(out, len(lines), len(kept), rule_hits)
+    return PreprocessedLog(out, len(lines), len(kept), rule_hits, len(banners))
 
 
 def _kept(lines: list[str], plans: list, timestamp, above: int | None = None):

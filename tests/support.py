@@ -652,7 +652,8 @@ def _reference_read_vectors(path: Path, expected_rows: int) -> np.ndarray:
 def reference_load_store(path, embedding_provider=None) -> demo_store.DemonstrationIndex:
     """`load_store` as it was when every repair was parsed into a document and
     records were read before their vectors. Records are split on "\n" only,
-    the store's record rule: `save_store` writes U+0085, U+2028 and U+2029 raw."""
+    the store's record rule: `save_store` writes U+0085, U+2028 and U+2029 raw,
+    and `newline=""` keeps each raw "\r", which JSON reads as whitespace."""
     path = Path(path)
     if path.is_dir():
         records_path, vectors_path = path / "records.jsonl", path / "vectors.bin"
@@ -661,7 +662,7 @@ def reference_load_store(path, embedding_provider=None) -> demo_store.Demonstrat
     if not records_path.exists():
         raise StoreError(f"store not found: {records_path}")
 
-    with open(records_path, encoding="utf-8") as fh:
+    with open(records_path, encoding="utf-8", newline="") as fh:
         lines = [line for line in fh.read().split("\n") if line.strip()]
     if not lines:
         raise VersionMismatch(f"{records_path}: missing schema version header")

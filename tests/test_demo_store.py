@@ -603,6 +603,17 @@ class TestLoaderDifferential:
         path.write_text("\n".join(lines), encoding="utf-8")
         assert _outcome(load_store, path, None) == _outcome(reference_load_store, path, None)
 
+    def test_raw_carriage_returns_in_record_lines_load_as_the_reference_loads_them(self, tmp_path):
+        # "\r" is JSON whitespace, and a record line ends at "\n" only.
+        path = _write_store(tmp_path, _store_payloads(5, 9), _store_vectors(5, 9))
+        lines = path.read_bytes().split(b"\n")
+        lines[2] = lines[2].replace(b'", "', b'",\r"', 1)  # between two JSON tokens
+        lines[3] += b"\r"  # a record line ended by "\r\n"
+        path.write_bytes(b"\n".join(lines))
+        ours = _outcome(load_store, path, None)
+        assert ours == _outcome(reference_load_store, path, None)
+        assert ours[0] == "ok" and len(ours[1]) == 5
+
     def test_a_well_formed_store_is_parsed_through_json_loads_only_for_its_header(self, tmp_path, monkeypatch):
         path = _write_store(tmp_path, _store_payloads(50, 3), _store_vectors(50, 3))
         texts = []

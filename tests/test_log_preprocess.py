@@ -3,8 +3,7 @@ from __future__ import annotations
 import random
 import re
 import time
-from dataclasses import fields, replace
-from importlib import import_module
+from dataclasses import replace
 from itertools import compress
 from types import SimpleNamespace
 
@@ -18,13 +17,11 @@ from flakidock.log_preprocess import (
     EXCERPT_LINE_CAP,
     PreprocessedLog,
     RuleSet,
-    StageSection,
     _parse_rule,
     _required_literal,
+    _segment,
     classify_failure_exclusion,
-    extract_error_context,
     preprocess_log,
-    segment_stages,
 )
 from flakidock.providers import HashingEmbeddingProvider
 from flakidock.similarity import embed
@@ -41,35 +38,44 @@ from support import (
 )
 
 
+def _sections(log: str) -> list[tuple]:
+    """`_segment(log)` as one `(header, lines)` per stage, in log order. The
+    preamble, whose header is None, is left out when it is empty and the log
+    has a banner, as `reference_segment_stages` leaves it out."""
+    lines, banners = _segment(log)
+    bounds = zip([-1, *banners], [*banners, len(lines)])
+    sections = [(lines[lo] if lo >= 0 else None, lines[lo + 1 : hi]) for lo, hi in bounds]
+    return sections if sections[0][1] or len(sections) == 1 else sections[1:]
+
+
 class TestSegmentation:
     def test_recognizes_classic_banner(self):
-        sections = segment_stages(ALPINE_PIP_LOG)
-        headers = [s.header for s in sections if s.header]
+        headers = [header for header, _ in _sections(ALPINE_PIP_LOG) if header]
         assert any("[5/5]" in h for h in headers)
 
     def test_empty_log_single_preamble(self):
-        sections = segment_stages("")
-        assert [(s.header, s.lines) for s in sections] == [(None, [])]
+        assert _segment("") == ([], [])
+        assert _sections("") == [(None, [])]
+        assert preprocess_log("").stages == 0
 
     def test_two_banner_fixture(self):
         log = "\n".join(
             ["> [1/2] RUN step one", "a", "b", "c", "> [2/2] RUN step two", "d", "e", "f"]
         )
-        sections = segment_stages(log)
-        assert len(sections) == 2
-        assert all(len(s.lines) == 3 for s in sections)
-        assert [s.header for s in sections] == ["> [1/2] RUN step one", "> [2/2] RUN step two"]
+        assert _segment(log) == (log.split("\n"), [0, 4])
+        assert _sections(log) == [
+            ("> [1/2] RUN step one", ["a", "b", "c"]), ("> [2/2] RUN step two", ["d", "e", "f"]),
+        ]
+        assert preprocess_log(log).stages == 2
 
     def test_named_stage_banner(self):
-        sections = segment_stages("> [build-env 4/4] RUN go build:\nboom\n")
-        assert sections[0].header.startswith("> [build-env 4/4]")
+        assert _segment("> [build-env 4/4] RUN go build:\nboom\n")[1] == [0]
 
     def test_buildkit_hash_banner_and_timestamps(self):
         log = "#5 [2/4] RUN apt-get update\n#5 0.412 Reading package lists...\n#5 1.900 Done\n"
-        sections = segment_stages(log)
-        assert len(sections) == 1
-        assert sections[0].header == "#5 [2/4] RUN apt-get update"
-        assert sections[0].lines == ["#5 0.412 Reading package lists...", "#5 1.900 Done"]
+        assert _sections(log) == [
+            ("#5 [2/4] RUN apt-get update", ["#5 0.412 Reading package lists...", "#5 1.900 Done"]),
+        ]
         # The timings put the error in second 1 with "Done", and the line of
         # second 0 two lines above it is dropped.
         assert preprocess_log(log + "#5 1.950 ERROR: fetch failed\n").lines == [
@@ -77,15 +83,13 @@ class TestSegmentation:
         ]
 
     def test_preamble_kept_when_nonempty(self):
-        sections = segment_stages("pulling metadata\n> [1/1] RUN x\nok\n")
-        assert [(s.header, s.lines) for s in sections] == [
-            (None, ["pulling metadata"]), ("> [1/1] RUN x", ["ok"]),
-        ]
+        log = "pulling metadata\n> [1/1] RUN x\nok\n"
+        assert _segment(log) == (["pulling metadata", "> [1/1] RUN x", "ok"], [1])
+        assert _sections(log) == [(None, ["pulling metadata"]), ("> [1/1] RUN x", ["ok"])]
 
-    def test_a_section_is_its_header_and_its_lines_without_escapes(self):
-        assert [f.name for f in fields(StageSection)] == ["header", "lines"]
-        (section,) = segment_stages("\x1b[1m#5 [2/2] RUN make\x1b[0m\n#5 0.100 \x1b[31mcompiling\x1b[0m\n")
-        assert (section.header, section.lines) == ("#5 [2/2] RUN make", ["#5 0.100 compiling"])
+    def test_stage_header_and_lines_hold_no_escapes(self):
+        log = "\x1b[1m#5 [2/2] RUN make\x1b[0m\n#5 0.100 \x1b[31mcompiling\x1b[0m\n"
+        assert _segment(log) == (["#5 [2/2] RUN make", "#5 0.100 compiling"], [0])
 
     def test_carriage_returns_give_the_excerpt_of_plain_line_ends(self):
         # The real driver journals the engine's "\r" progress frames and "\r\n"
@@ -99,10 +103,10 @@ class TestSegmentation:
     def test_stage_indices_unique_across_restarting_banners(self):
         # A restarted [i/k] numbering still opens a new section, in log order.
         log = "> [1/2] RUN a\nx\n> [2/2] RUN b\n> [1/3] RUN c\ny\n"
-        sections = segment_stages(log)
-        assert [(s.header, s.lines) for s in sections] == [
+        assert _sections(log) == [
             ("> [1/2] RUN a", ["x"]), ("> [2/2] RUN b", []), ("> [1/3] RUN c", ["y"]),
         ]
+        assert preprocess_log(log).stages == 3
 
 
 class TestRules:
@@ -164,8 +168,7 @@ class TestExtraction:
         for i in range(150):
             lines.append(f"#4 {20 + i}.500 compiling unit {i}")
         lines.append("#4 12.900 ERROR failed to link module core")
-        sections = segment_stages("\n".join(lines))
-        result = extract_error_context(sections, RuleSet.default())
+        result = preprocess_log("\n".join(lines), RuleSet.default())
         assert result.lines == [
             "#4 [1/1] RUN make release",
             "#4 12.001 make: entering directory '/src'",
@@ -177,6 +180,29 @@ class TestExtraction:
         log = "> [1/1] RUN x\na\nb\nBOOM error happened\nc\nd\ne\n"
         result = preprocess_log(log)
         assert result.lines == ["> [1/1] RUN x", "a", "b", "BOOM error happened", "c", "d"]
+
+    @pytest.mark.parametrize(
+        "log, lines, total_out, rule_hits, stages",
+        [
+            # An empty stage keeps nothing, and a banner that matches a rule is no hit.
+            ("> [1/3] RUN a\nx\nerror: one\ny\n\nz\n> [2/3] RUN error-prone\n#5 [3/3] RUN failed step\n"
+             "#5 0.1 fine\n#5 0.5 E: broken\n#5 1.0 later",
+             ["> [1/3] RUN a", "x", "error: one", "y", "#5 [3/3] RUN failed step", "#5 0.1 fine", "#5 0.5 E: broken"],
+             5, {"substr:error": 1, "substr:E:": 1}, 3),
+            ("> [1/1] RUN make error", [], 0, {}, 1),
+            ("", [], 0, {}, 0),
+            # A banner on the last line, and banners on consecutive lines.
+            ("error: early\nctx\n> [1/1] RUN error late", ["error: early"], 1, {"substr:error": 1}, 1),
+            ("> [1/3] RUN a\n> [2/3] RUN b\n> [3/3] RUN c\nerror: x\nafter",
+             ["> [3/3] RUN c", "error: x", "after"], 2, {"substr:error": 1}, 3),
+        ],
+        ids=["empty-stage-and-matching-banner", "matching-banner-only", "empty-log", "banner-last",
+             "consecutive-banners"],
+    )
+    def test_banners_are_never_hits(self, log, lines, total_out, rule_hits, stages):
+        got = _assert_matches_reference(log)
+        assert (got.lines, got.total_lines_out, got.stages) == (lines, total_out, stages)
+        assert list(got.rule_hits.items()) == list(rule_hits.items())
 
     def test_preamble_lines_kept_only_on_direct_match(self):
         log = "context line\nerror: preamble exploded\nanother context line\n"
@@ -267,8 +293,8 @@ class TestProperties:
         log = "\n".join(lines)
         base = RuleSet.from_lines(["substr:error"])
         extended = RuleSet.from_lines(["substr:error", "substr:fetching"])
-        out_base = extract_error_context(segment_stages(log), base).total_lines_out
-        out_ext = extract_error_context(segment_stages(log), extended).total_lines_out
+        out_base = preprocess_log(log, base).total_lines_out
+        out_ext = preprocess_log(log, extended).total_lines_out
         assert out_ext >= out_base
 
     def test_result_shape(self):
@@ -305,17 +331,12 @@ _DIFF_RULESETS = {
 }
 
 
-def _sections(log: str) -> list[tuple]:
-    """`segment_stages(log)` as `(header, lines)`."""
-    return [(s.header, s.lines) for s in segment_stages(log)]
-
-
 def _reference_sections(log: str) -> list[tuple]:
     """`reference_segment_stages(log)` de-escaped, in the shape of `_sections`;
     `TestPipelineReference` checks the timestamps it pairs with each line.
 
-    The reference numbers its stages and flags its preamble; the program's
-    sections carry neither, so both must follow from list position and header:
+    The reference numbers its stages and flags its preamble; `_sections`
+    carries neither, so both must follow from list position and header:
     stage indices run 0, 1, ... in list order, and the preamble is the section
     whose header is None."""
     reference = reference_segment_stages(log)
@@ -344,23 +365,29 @@ _SEGMENT_PIECES = st.sampled_from(
 class TestDifferential:
     """The linear-time extraction against a transcription of the first version."""
 
+    @staticmethod
+    def _assert_segments_as_reference(log: str) -> None:
+        want = _reference_sections(log)
+        assert _sections(log) == want
+        assert preprocess_log(log).stages == sum(header is not None for header, _ in want)
+
     def test_segmentation_matches_reference_on_seeded_corpus(self):
         for log in preprocess_corpus():
-            assert _sections(log) == _reference_sections(log)
+            self._assert_segments_as_reference(log)
 
     @given(st.lists(_SEGMENT_PIECES, max_size=30).map("".join))
     @settings(max_examples=300, deadline=None)
     def test_segmentation_matches_reference(self, log):
-        assert _sections(log) == _reference_sections(log)
+        self._assert_segments_as_reference(log)
 
     def test_corpus_has_every_shape(self):
         logs = preprocess_corpus()
         results = [preprocess_log(log) for log in logs]
-        sections = [segment_stages(log) for log in logs]
+        sections = [_sections(log) for log in logs]
         assert any(r.total_lines_out == EXCERPT_LINE_CAP for r in results)
-        assert any(len(s) == 1 and s[0].header is None and r.lines for s, r in zip(sections, results))
-        assert any(s.header and s.header.startswith("#") for secs in sections for s in secs)
-        assert any(s.header and "CACHED" in s.header for secs in sections for s in secs)
+        assert any(len(s) == 1 and s[0][0] is None and r.lines for s, r in zip(sections, results))
+        assert any(header and header.startswith("#") for secs in sections for header, _ in secs)
+        assert any(header and "CACHED" in header for secs in sections for header, _ in secs)
         reference = [reference_segment_stages(log) for log in logs]
         assert any(ts is not None for secs in reference for *_, lines in secs for ts, _ in lines)
         assert any("\x1b[" in log for log in logs)
@@ -622,15 +649,6 @@ class TestCapWalk:
         # A pattern bound at import would read none through the spy.
         assert read and len(read) == len(set(read)) and set(read) <= set(log.splitlines())
 
-    def test_preprocess_log_builds_no_stage_section(self, monkeypatch):
-        want = preprocess_log(ALPINE_PIP_LOG)
-
-        def refuse(*args):
-            raise AssertionError("a StageSection was built")
-
-        monkeypatch.setattr(log_preprocess, "StageSection", refuse)
-        assert preprocess_log(ALPINE_PIP_LOG) == want
-
 
 class TestWholeTextScan:
     """`matching_lines` finds each needle in the lowercased lines joined by "\\n"."""
@@ -671,43 +689,3 @@ class TestWholeTextScan:
         spied = RuleSet([replace(r, compiled=spy) if r.exclude and r.kind == "regex" else r for r in rules.rules])
         assert spied.matching_lines(lines) == rules.matching_lines(lines)
         assert searched == [lines[i] for i in (0, 1, 2, 3, 4, 5, 6, 7, 12)]
-
-
-class TestRoutes:
-    """`preprocess_log` and the `preprocess` command's route, `segment_stages`
-    then `extract_error_context`, which lays the sections out as one list."""
-
-    # Defined beside the reference tests, which import this module: drawn on first use.
-    @given(st.deferred(lambda: import_module("test_preprocess_reference")._PIPELINE_LINES))
-    @settings(max_examples=300, deadline=None)
-    def test_both_routes_give_one_excerpt(self, log):
-        for rules in _DIFF_RULESETS.values():
-            want, got = preprocess_log(log, rules), extract_error_context(segment_stages(log), rules)
-            assert (got.lines, got.total_lines_in, got.total_lines_out) == (
-                want.lines, want.total_lines_in, want.total_lines_out)
-            assert list(got.rule_hits.items()) == list(want.rule_hits.items())
-
-    @pytest.mark.parametrize(
-        "sections, lines, total_in, total_out, rule_hits",
-        [
-            # A header-less section after a stage keeps its hits only, as the
-            # preamble does; an empty stage keeps nothing; a header that matches
-            # a rule is not a hit.
-            ([StageSection("> [1/2] RUN a", ["x", "error: one", "y", "", "z"]),
-              StageSection(None, ["ctx", "error: two", "ctx2"]),
-              StageSection("> [2/2] RUN error-prone", []),
-              StageSection("#5 [3/3] RUN failed step", ["#5 0.1 fine", "#5 0.5 E: broken", "#5 1.0 later"])],
-             ["> [1/2] RUN a", "x", "error: one", "y", "error: two",
-              "#5 [3/3] RUN failed step", "#5 0.1 fine", "#5 0.5 E: broken"],
-             14, 6, {"substr:error": 2, "substr:E:": 1}),
-            ([StageSection(None, ["error: a", "b"]), StageSection(None, ["c", "fatal: d"])],
-             ["error: a", "fatal: d"], 4, 2, {"substr:error": 1, "substr:fatal": 1}),
-            ([StageSection("> [1/1] RUN make error", [])], [], 1, 0, {}),
-            ([], [], 0, 0, {}),
-        ],
-        ids=["headerless-after-a-stage", "two-headerless", "matching-header-only", "no-section"],
-    )
-    def test_hand_built_sections(self, sections, lines, total_in, total_out, rule_hits):
-        got = extract_error_context(sections, RuleSet.default())
-        assert (got.lines, got.total_lines_in, got.total_lines_out) == (lines, total_in, total_out)
-        assert list(got.rule_hits.items()) == list(rule_hits.items())
