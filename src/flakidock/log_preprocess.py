@@ -218,9 +218,9 @@ def _segment(log: str) -> tuple[list[str], list[int]]:
     lines = log.splitlines()
     if "\x1b" in log:
         lines = list(map(_ANSI_RE.sub, repeat(""), lines))
-    # Every banner holds a "[", which most lines lack: only those lines meet the regex.
+    # Every banner holds a "[" and a "/", which most lines lack: only those lines meet the regex.
     bracketed = compress(count(), map(contains, lines, repeat("[")))
-    return lines, [i for i in bracketed if _BANNER_RE.match(lines[i])]
+    return lines, [i for i in bracketed if "/" in lines[i] and _BANNER_RE.match(lines[i])]
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import math
 import os
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -40,6 +41,11 @@ class EmbeddingProvider(ABC):
 _TABLE_ALPHABET = "\t\n" + "".join(chr(c) for c in range(0x20, 0x7F) if not "A" <= chr(c) <= "Z")
 _OUTSIDE = len(_TABLE_ALPHABET)  # the symbol id of every other character
 _TABLE_BITS = 15  # low digest bits per table entry: h mod dim for every dim dividing 2**15
+# The symbol id of each byte, and of each code point below 256.
+_SYMBOL_IDS = bytes(
+    _TABLE_ALPHABET.index(chr(b)) if chr(b) in _TABLE_ALPHABET else _OUTSIDE for b in range(256)
+)
+_OUTSIDE_ID = bytes([_OUTSIDE])
 
 
 def _bucket_codes(grams: list[str], dim: int) -> np.ndarray:
@@ -50,20 +56,23 @@ def _bucket_codes(grams: list[str], dim: int) -> np.ndarray:
 
 
 @functools.cache
-def _trigram_table() -> tuple[np.ndarray, np.ndarray]:
-    """The symbol id of each code point below 128, at index 128 that of all
-    others, and the shipped `data/trigram_codes.bin`.
+def _trigram_table(dim: int) -> np.ndarray:
+    """The bucket code for `dim`, a divisor of 2**15, of each gram of symbol
+    ids (a, b, c), at index (a*71 + b)*71 + c: `(e & (dim-1)) + (e >> 15)*dim`.
 
-    The file holds, for the gram of symbol ids (a, b, c) at (a*71 + b)*71 + c,
-    a uint16: the low 15 bits of the gram's blake2b-64 and its top bit as bit
-    15. Read once per process, at the first embedding; both arrays are shared
-    and read-only.
+    Entry e of the shipped `data/trigram_codes.bin` is a uint16: the low 15
+    bits of the gram's blake2b-64 and its top bit as bit 15. The codes are
+    derived from it in place, once per dim, at the first embedding; the
+    array is shared and read-only. A code is below 2 * dim <= 2**16.
     """
-    ids = np.full(129, _OUTSIDE, dtype=np.int32)
-    ids[[ord(ch) for ch in _TABLE_ALPHABET]] = np.arange(_OUTSIDE)
-    ids.flags.writeable = False
     data = resources.files("flakidock").joinpath("data/trigram_codes.bin").read_bytes()
-    return ids, np.frombuffer(data, dtype="<u2")
+    codes = np.frombuffer(data, dtype="<u2").astype(np.uint16)
+    top = codes >> _TABLE_BITS
+    codes &= dim - 1
+    top *= dim
+    codes += top
+    codes.flags.writeable = False
+    return codes
 
 
 class HashingEmbeddingProvider(EmbeddingProvider):
@@ -74,15 +83,19 @@ class HashingEmbeddingProvider(EmbeddingProvider):
     the same text yields the same vector, on any host, which makes downstream
     behavior fully replayable without a network.
 
-    Grams of the 71 table characters (tab, newline, printable ASCII without
-    A-Z) read their code from the shipped `data/trigram_codes.bin` when dim
-    divides 2**15. Every other gram, one with a non-ASCII character, `\\r` or
-    another control, or any gram when dim does not divide 2**15, costs one
-    blake2b of its string per occurrence. The provider holds no state, and
-    the vectors equal hashing every gram string in turn, bit for bit.
+    When dim divides 2**15, grams of the 71 table characters (tab, newline,
+    printable ASCII without A-Z) read their code from `_trigram_table(dim)`.
+    ASCII text takes its symbol ids with one `bytes.translate`, other text
+    with a gather over its UTF-32 code points. Every other gram, one with a
+    non-ASCII character, `\\r` or another control, or any gram when dim does
+    not divide 2**15, costs one blake2b of its string per occurrence. The
+    provider holds no state, and the vectors equal hashing every gram string
+    in turn, bit for bit.
     """
 
     def __init__(self, dim: int = OFFLINE_DIM):
+        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+            raise ValueError(f"dim must be an int >= 1, got {dim!r}")
         self.dim = dim
         self.provider_id = f"offline-hash-{dim}"
         self.token_limit = None
@@ -90,34 +103,40 @@ class HashingEmbeddingProvider(EmbeddingProvider):
     def embed_values(self, text: str) -> np.ndarray:
         dim = self.dim
         lowered = text.lower()
-        if len(lowered) < _NGRAM:
-            codes = _bucket_codes([lowered], dim)
+        if len(lowered) < _NGRAM or (1 << _TABLE_BITS) % dim:  # too short, or no table for this dim
+            codes = _bucket_codes([lowered[i : i + 3] for i in range(len(lowered) - 2)] or [lowered], dim)
         else:
-            # UTF-32 raises UnicodeEncodeError on a lone surrogate, as UTF-8 does.
-            points = np.frombuffer(lowered.encode("utf-32-le"), dtype="<u4")
-            symbol_ids, table = _trigram_table()
-            ids = symbol_ids.take(points, mode="clip")
-            index = (ids[:-2] * _OUTSIDE + ids[1:-1]) * _OUTSIDE + ids[2:]
-            spare = (1 << _TABLE_BITS) % dim  # nonzero: the table's 15 bits do not give h mod dim
-            if not spare and ids.max() < _OUTSIDE:  # every gram is in the table
-                entries, hashed = table[index], []
+            if lowered.isascii():
+                symbols = lowered.encode().translate(_SYMBOL_IDS)
+                hashed = _OUTSIDE_ID in symbols
+                ids = np.frombuffer(symbols, dtype=np.uint8)
+            else:  # a non-ASCII character is outside the table
+                # UTF-32 raises UnicodeEncodeError on a lone surrogate, as UTF-8 does.
+                points = np.frombuffer(lowered.encode("utf-32-le"), dtype="<u4")
+                ids = np.frombuffer(_SYMBOL_IDS, dtype=np.uint8).take(points, mode="clip")
+                hashed = True
+            ids = ids.astype(np.int32)  # a uint8 gram index would overflow
+            index = ids[:-2] * _OUTSIDE
+            index += ids[1:-1]
+            index *= _OUTSIDE
+            index += ids[2:]
+            table = _trigram_table(dim)
+            if not hashed:  # every gram is in the table
+                codes = table.take(index)
             else:
-                outside = ids >= (0 if spare else _OUTSIDE)  # with a spare, no gram reads the table
+                outside = ids == _OUTSIDE
                 outside = outside[:-2] | outside[1:-1] | outside[2:]
-                entries, hashed = table[index[~outside]], np.flatnonzero(outside).tolist()
-            # uint16 throughout: a code is below 2 * dim <= 2**16.
-            codes = (entries & (dim - 1)) + (entries >> _TABLE_BITS) * dim
-            if hashed:  # one blake2b per occurrence of a gram outside the table
-                codes = np.concatenate([codes, _bucket_codes([lowered[i : i + 3] for i in hashed], dim)])
+                grams = [lowered[i : i + 3] for i in np.flatnonzero(outside).tolist()]
+                # one blake2b per occurrence of a gram outside the table
+                codes = np.concatenate([table.take(index[~outside]), _bucket_codes(grams, dim)])
         counts = np.bincount(codes, minlength=2 * dim)
-        # Each bucket sums +-1 terms, so the counts give the exact sum.
-        acc = (counts[dim:] - counts[:dim]).astype(np.float64)
-        norm = float(np.linalg.norm(acc))
-        if norm > 0.0:
-            acc /= norm
+        # Each bucket sums +-1 terms: the integer sums, and the sum of their
+        # squares, are exact, so the vector is as if summed in float64.
+        acc = counts[dim:] - counts[:dim]
+        norm = math.sqrt(acc @ acc)
         # Quantize to the on-disk float32 grid so in-memory and persisted
         # vectors rank identically.
-        vec = acc.astype(np.float32)
+        vec = (acc / norm if norm else acc).astype(np.float32)
         vec.flags.writeable = False
         return vec
 

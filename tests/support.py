@@ -653,7 +653,9 @@ def reference_load_store(path, embedding_provider=None) -> demo_store.Demonstrat
     """`load_store` as it was when every repair was parsed into a document and
     records were read before their vectors. Records are split on "\n" only,
     the store's record rule: `save_store` writes U+0085, U+2028 and U+2029 raw,
-    and `newline=""` keeps each raw "\r", which JSON reads as whitespace."""
+    and a raw "\r" is JSON whitespace. Each line is decoded as strict UTF-8,
+    without the "\r" that ends it, when it is reached, so of a bad record and a
+    line that is not UTF-8 the one first in the file is reported."""
     path = Path(path)
     if path.is_dir():
         records_path, vectors_path = path / "records.jsonl", path / "vectors.bin"
@@ -662,12 +664,21 @@ def reference_load_store(path, embedding_provider=None) -> demo_store.Demonstrat
     if not records_path.exists():
         raise StoreError(f"store not found: {records_path}")
 
-    with open(records_path, encoding="utf-8", newline="") as fh:
-        lines = [line for line in fh.read().split("\n") if line.strip()]
-    if not lines:
+    def decoded_lines():
+        for number, raw in enumerate(records_path.read_bytes().split(b"\n"), 1):
+            try:
+                line = raw.rstrip(b"\r").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise StoreError(f"{records_path}: not UTF-8: line {number}: {exc}") from exc
+            if line.strip():
+                yield line
+
+    lines = decoded_lines()
+    first = next(lines, None)
+    if first is None:
         raise VersionMismatch(f"{records_path}: missing schema version header")
     try:
-        header = json.loads(lines[0])
+        header = json.loads(first)
     except json.JSONDecodeError as exc:
         raise VersionMismatch(f"{records_path}: unreadable header: {exc}") from exc
     if not isinstance(header, dict) or header.get("schema") != demo_store.SCHEMA_NAME:
@@ -680,7 +691,7 @@ def reference_load_store(path, embedding_provider=None) -> demo_store.Demonstrat
 
     records = []
     seen: set[str] = set()
-    for line in lines[1:]:
+    for line in lines:
         try:
             payload = json.loads(line)
         except json.JSONDecodeError as exc:

@@ -543,6 +543,30 @@ class TestLoaderDifferential:
         if vectors is None:  # and without a provider to recompute them
             assert _outcome(load_store, path, None) == _outcome(reference_load_store, path, None)
 
+    # Lines given new bytes, and the line whose error is reported: the header,
+    # a record, a truncated sequence before a "\r\n" end, a blank line, and a
+    # bad byte after a bad record, which is reported first.
+    @pytest.mark.parametrize(
+        "edits, reported",
+        [
+            ({1: b'{"schema": "flakidock-demo-store", "version": 1}\xff'}, "not UTF-8: line 1:"),
+            ({3: b"\xff"}, "not UTF-8: line 3:"),
+            ({3: b'{"id": "x\xe2\x82\r'}, "not UTF-8: line 3:"),
+            ({3: b" \xa0 "}, "not UTF-8: line 3:"),
+            ({2: b'{"id": 1}', 50: b"\xff"}, "record '<unknown>', field 'id'"),
+        ],
+        ids=["header", "record", "truncated-before-cr", "blank", "after-a-bad-record"],
+    )
+    def test_a_store_that_is_not_utf8_fails_as_the_reference(self, edits, reported, tmp_path):
+        path = _write_store(tmp_path, _store_payloads(60, 3), _store_vectors(60, 3))
+        lines = path.read_bytes().split(b"\n")
+        for number, line in edits.items():
+            lines[number - 1] = line
+        path.write_bytes(b"\n".join(lines))
+        ours = _outcome(load_store, path, None)
+        assert ours == _outcome(reference_load_store, path, None)
+        assert ours[0] == "error" and reported in ours[2]
+
     def test_first_bad_record_wins(self, tmp_path):
         payloads = _store_payloads(200, 11)
         vectors = _make_case("empty repair", payloads, _store_vectors(200, 11))

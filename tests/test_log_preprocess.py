@@ -380,6 +380,25 @@ class TestDifferential:
     def test_segmentation_matches_reference(self, log):
         self._assert_segments_as_reference(log)
 
+    # Lines holding "[", with and without "/": only a banner holds both and matches.
+    @pytest.mark.parametrize(
+        "line, banner",
+        [
+            ("#1 [internal] load build definition from Dockerfile", False),
+            ("#2 [internal] load metadata for docker.io/library/alpine:3.19", False),
+            ("=> CACHED [build-env 4/4] COPY . .", True),
+            ("\x1b[36m#5 [2/4] RUN make\x1b[0m", True),
+            ("[a/b]", False),
+            ("[1/2", False),
+            ("[1/2]", True),
+            ("[ERROR] Failed to execute goal", False),
+        ],
+    )
+    def test_bracketed_lines_segment_as_the_reference(self, line, banner):
+        log = f"pulling\n{line}\nerror: boom\n"
+        assert _segment(log)[1] == ([1] if banner else [])
+        self._assert_segments_as_reference(log)
+
     def test_corpus_has_every_shape(self):
         logs = preprocess_corpus()
         results = [preprocess_log(log) for log in logs]

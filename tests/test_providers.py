@@ -56,6 +56,21 @@ def _bits(values) -> bytes:
     return np.asarray(values, dtype=np.float32).tobytes()
 
 
+def _assert_matches_reference(text: str, dim: int) -> None:
+    assert _bits(HashingEmbeddingProvider(dim).embed_values(text)) == reference_hash_embedding(text, dim).tobytes()
+
+
+# Text the byte map reads: DEL and VT are ASCII but outside the table, the
+# Kelvin sign lowers to ASCII "k", and U+0130 lowers to two code points.
+_EDGE_TEXTS = [
+    "", "a", "ab", "\x7f", "a\x0b", "\x7f\x0bx", "pip\x7finstall", "exit\x0bcode: 1\x7f",
+    "\u212a", "\u212aelvin", "ERROR: \u212a", "\u0130", "a\u0130", "\u0130stanbul", "x\u0130\u212a",
+]
+# 1 and 2 are the smallest table dims, 100 has no table, and 32768's top
+# code, 32767 + 32768 = 65535, fills the uint16.
+_EDGE_DIMS = [1, 2, 100, 256, 32768]
+
+
 class TestHashingDifferential:
     """The code-point-array embedder against one blake2b per 3-gram string."""
 
@@ -86,6 +101,26 @@ class TestHashingDifferential:
         with pytest.raises(UnicodeEncodeError):
             HashingEmbeddingProvider().embed_values(text)
 
+    @pytest.mark.parametrize("dim", _EDGE_DIMS)
+    @pytest.mark.parametrize("text", _EDGE_TEXTS)
+    def test_edge_text_matches_reference(self, dim, text):
+        _assert_matches_reference(text, dim)
+
+    @pytest.mark.parametrize("dim", _EDGE_DIMS)
+    @given(text=st.text(alphabet="ab -/:\t\n\x7f\x0bK\u212a\u0130", max_size=40))
+    @settings(max_examples=100, deadline=None)
+    def test_edge_alphabet_matches_reference(self, dim, text):
+        _assert_matches_reference(text, dim)
+
+    @pytest.mark.parametrize("dim", _EDGE_DIMS)
+    def test_long_ascii_text_matches_reference(self, dim):
+        rng = random.Random(dim)
+        in_table = "abcdefghijklmnopqrstuvwxyz0123456789 -/:.\t\n"
+        for alphabet in [[chr(c) for c in range(128)], in_table]:
+            text = "".join(rng.choices(alphabet, k=20_000))
+            assert len(text) == 20_000 and text.isascii()
+            _assert_matches_reference(text, dim)
+
 
 # Table characters beside characters outside the shipped 3-gram table: "\r",
 # ESC, an uppercase letter, a non-ASCII letter, one that lowercases to two
@@ -107,6 +142,20 @@ class TestTrigramTable:
         provider = HashingEmbeddingProvider(dim)
         assert _bits(provider.embed_values(text)) == reference_hash_embedding(text, dim).tobytes()
 
+    @pytest.mark.parametrize("dim", [1, 2, 256, 32768])
+    def test_the_table_of_a_dim_holds_its_bucket_codes(self, dim):
+        entries = np.frombuffer(reference_trigram_table(), dtype="<u2").astype(np.int64)
+        table = providers._trigram_table(dim)
+        assert table.dtype == np.uint16 and not table.flags.writeable
+        assert np.array_equal(table, entries % dim + (entries >> 15) * dim)
+        assert table.max() == 2 * dim - 1
+
+    def test_one_table_per_dim_dividing_two_to_the_fifteen(self):
+        providers._trigram_table.cache_clear()
+        for dim in (100, 256, 64, 256, 3):
+            HashingEmbeddingProvider(dim).embed_values(_TABLE_TEXT)
+        assert providers._trigram_table.cache_info().currsize == 2
+
 
 _TABLE_TEXT = "error: pip install failed\n\texit code: 1 (see /tmp/log-42.txt)"
 
@@ -123,8 +172,13 @@ class TestTableGather:
             (256, _TABLE_TEXT.replace("pip", "p\u00e9p"), [" p\u00e9", "p\u00e9p", "\u00e9p "]),
             (256, "\r" + _TABLE_TEXT, ["\rer"]),
             (100, _TABLE_TEXT, [_TABLE_TEXT[i : i + 3] for i in range(len(_TABLE_TEXT) - 2)]),
+            (256, "\x7f" + _TABLE_TEXT, ["\x7fer"]),
+            (256, _TABLE_TEXT.replace(": 1", ":\x0b1"), ["e:\x0b", ":\x0b1", "\x0b1 "]),
+            (256, "\u212a" + _TABLE_TEXT, []),  # the Kelvin sign lowers into the table
+            (256, "\u0130" + _TABLE_TEXT, ["i\u0307e", "\u0307er"]),
         ],
-        ids=["all-table", "all-table-uppercase", "one-non-ascii", "leading-cr", "dim-100"],
+        ids=["all-table", "all-table-uppercase", "one-non-ascii", "leading-cr", "dim-100",
+             "ascii-del", "ascii-vt", "kelvin", "dotted-capital-i"],
     )
     def test_matches_reference_hashing_only_grams_outside_the_table(self, monkeypatch, dim, text, hashed):
         seen = []
@@ -138,6 +192,19 @@ class TestTableGather:
         got = HashingEmbeddingProvider(dim).embed_values(text)
         assert _bits(got) == reference_hash_embedding(text, dim).tobytes()
         assert seen == hashed
+
+
+class TestDimCheck:
+    @pytest.mark.parametrize("dim", [0, -4, 2.5, True, False, "256", None, np.int64(256)])
+    def test_anything_but_an_int_of_at_least_one_is_refused(self, dim):
+        with pytest.raises(ValueError, match="dim must be an int >= 1"):
+            HashingEmbeddingProvider(dim)
+
+    @pytest.mark.parametrize("dim", [1, 3, 256])
+    def test_an_int_of_at_least_one_is_taken(self, dim):
+        provider = HashingEmbeddingProvider(dim)
+        assert (provider.dim, provider.provider_id) == (dim, f"offline-hash-{dim}")
+        assert provider.embed_values("pip install").shape == (dim,)
 
 
 class TestHttpProviderDeclarations:
