@@ -154,22 +154,27 @@ class _HttpProvider:
         self.provider_id = f"http:{self.model}"
 
     def _post(self, path: str, body: dict, pick):
-        """POST `body` and the model to `path`; return `pick` of the JSON reply.
+        """POST `body` and the model to `path` as JSON; return `pick` of the JSON reply.
 
-        Raises ProviderUnavailable on any failure: connection, HTTP status, a
-        body that is not JSON or is nested past the parser's depth, or a reply
-        that `pick` rejects.
+        urllib sends it: HTTPS trusts the system store, proxies come from
+        `*_proxy`, and a 307 or 308 redirect fails. Raises ProviderUnavailable
+        on any failure: a request that cannot be sent (a token with no latin-1
+        form), connection, timeout, HTTP status, a reply cut short, a body that
+        is not JSON or is nested past the parser's depth, or a reply that
+        `pick` rejects.
         """
-        import requests
+        import http.client
+        import json
+        import urllib.request
 
         token = os.environ.get(self.auth_env, "")
-        headers = {"Authorization": f"Bearer {token}"} if token else {}
+        headers = {"Content-Type": "application/json", **({"Authorization": f"Bearer {token}"} if token else {})}
+        data = json.dumps({"model": self.model, **body}).encode()
         try:
-            resp = requests.post(f"{self.base_url}/{path}", json={"model": self.model, **body},
-                                 headers=headers, timeout=self.timeout)
-            resp.raise_for_status()
-            reply = resp.json()  # a non-JSON body raises a RequestException (requests >= 2.27)
-        except (requests.RequestException, RecursionError) as exc:
+            request = urllib.request.Request(f"{self.base_url}/{path}", data, headers)
+            with urllib.request.urlopen(request, timeout=self.timeout) as resp:
+                reply = json.loads(resp.read())
+        except (OSError, http.client.HTTPException, ValueError, RecursionError) as exc:
             raise ProviderUnavailable(f"{self._failed}: {exc}") from exc
         try:
             return pick(reply)

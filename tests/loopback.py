@@ -10,12 +10,15 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 class Loopback:
     """Records each POST and answers every one with `status` and `body`.
 
+    With `cut_short`, each reply's Content-Length counts one byte more than
+    the body it sends before the connection closes: a reply cut short.
     Binds port 0, so the system picks a free port; `url` is its base URL.
     Use it as a context manager: the server runs in one thread until exit.
     """
 
-    def __init__(self, status: int = 200, body: bytes | dict = b"{}"):
+    def __init__(self, status: int = 200, body: bytes | dict = b"{}", cut_short: bool = False):
         self.status = status
+        self.cut_short = cut_short
         self.body = json.dumps(body).encode() if isinstance(body, dict) else body
         self.requests: list[tuple[str, dict, dict]] = []  # (path, headers, JSON body)
         loopback = self
@@ -25,7 +28,7 @@ class Loopback:
                 data = self.rfile.read(int(self.headers["Content-Length"]))
                 loopback.requests.append((self.path, dict(self.headers), json.loads(data)))
                 self.send_response(loopback.status)
-                self.send_header("Content-Length", str(len(loopback.body)))
+                self.send_header("Content-Length", str(len(loopback.body) + loopback.cut_short))
                 self.end_headers()
                 self.wfile.write(loopback.body)
 

@@ -482,6 +482,26 @@ class TestRepair:
         session_dir = self._repair_against_chat_reply(runner, tmp_path, flaky_setup, fenced("FROM \ud800\n"))
         assert not (session_dir / "response-1.txt").exists()
 
+    def test_token_that_cannot_be_sent_aborts_with_a_verdict(self, runner, tmp_path, flaky_setup, monkeypatch):
+        # A header value is sent as latin-1, which has no form for the euro sign.
+        monkeypatch.setenv("FLAKIDOCK_GENERATION_TOKEN", "s3cret€")
+        dockerfile, scenario = flaky_setup
+        with Loopback(body={"choices": [{"message": {"content": fenced(ALPINE_PIP_REPAIRED)}}]}) as server:
+            config = tmp_path / "flakidock.conf"
+            config.write_text(f"generation_provider = http\ngeneration_url = {server.url}/v1\ngeneration_model = m\n")
+            result = runner.invoke(
+                main, _base_args(tmp_path, scenario) + ["--config", str(config), "repair", str(dockerfile)]
+            )
+        assert server.requests == []
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.exc_info
+        (error,) = json.loads(result.output).values()
+        assert error.startswith("session aborted: aborted-provider: generation request failed: 'latin-1' codec")
+        (session_dir,) = (tmp_path / "state" / "sessions").iterdir()
+        verdict = json.loads((session_dir / "verdict.json").read_text(encoding="utf-8"))
+        assert verdict["verdict"] == "aborted-provider" and verdict["attempts_used"] == 0
+        assert verdict["abort_reason"].startswith("generation request failed")
+        assert (session_dir / "prompt-1.txt").exists()
+
     def test_reply_nested_past_the_parsers_depth_aborts_with_a_verdict(self, runner, tmp_path, flaky_setup):
         dockerfile, scenario = flaky_setup
         with Loopback(body=_NESTED_TOO_DEEP.encode()) as server:

@@ -234,6 +234,10 @@ class TestHttpProviderDeclarations:
 _EMBEDDING = {"data": [{"embedding": [0.5, 1, -2, 1e39]}]}
 _CHAT = {"choices": [{"message": {"role": "assistant", "content": "FROM busybox"}}]}
 _DEEP = b"[" * 100_000 + b"]" * 100_000
+# Each HTTP provider with a good reply and the prefix of its request-failure message.
+_EACH_KIND = pytest.mark.parametrize("kind, body, message", [
+    ("embedding", _EMBEDDING, "embedding request failed"), ("chat", _CHAT, "generation request failed"),
+], ids=["embedding", "chat"])
 
 
 def _call(kind: str, url: str):
@@ -319,6 +323,23 @@ class TestHttpLoopback:
             with pytest.raises(ProviderUnavailable, match=message):
                 _call(kind, server.url)
         assert len(server.requests) == 1
+
+    @_EACH_KIND
+    def test_a_reply_cut_short_is_provider_unavailable(self, kind, body, message):
+        # The body ends before its Content-Length: http.client raises IncompleteRead, no OSError.
+        with Loopback(body=body, cut_short=True) as server:
+            with pytest.raises(ProviderUnavailable, match=message):
+                _call(kind, server.url)
+        assert len(server.requests) == 1
+
+    @_EACH_KIND
+    def test_a_token_that_cannot_be_sent_is_provider_unavailable(self, kind, body, message, monkeypatch):
+        # A header value is sent as latin-1, which has no form for the euro sign.
+        monkeypatch.setenv("FLAKIDOCK_TEST_TOKEN", "s3cret€")
+        with Loopback(body=body) as server:
+            with pytest.raises(ProviderUnavailable, match=f"{message}: 'latin-1' codec can't encode"):
+                _call(kind, server.url)
+        assert server.requests == []
 
 
 class TestScriptedProvider:

@@ -1,7 +1,8 @@
-"""`detect` and `monitor` end to end through the real driver.
+"""`detect`, `monitor` and `repair` end to end through the real driver.
 
 Each run is `python -m flakidock.cli --driver real` in a fresh interpreter,
-with `tests/fake_engine.py` as the engine CLI and no `docker` on PATH. A run
+with `tests/fake_engine.py` as the engine CLI and no `docker` on PATH; a
+`repair` run's generator is a `tests/loopback.py` server. A run
 must leave the journals of a simulated run of the same schedule, once the
 timing fields (and a build record's driver id) are dropped, run the
 documented cleanup cadence, and leave no process of a timed-out build behind.
@@ -17,12 +18,14 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 from flakidock.cli import main
 
 from crashpoint import IMPORT_ROOT
-from support import template_raw_logs
+from loopback import Loopback
+from support import fenced, template_raw_logs
 
 FAKE_ENGINE = Path(__file__).with_name("fake_engine.py")
 TIMEOUT = 3.0  # seconds per build: far past a fake build's start-up
@@ -115,6 +118,14 @@ def _gone(pid: int) -> bool:
         return False
 
 
+def _gone_soon(pid: int) -> bool:
+    """Whether no process has `pid` within 5 s: its reaper may not have run yet."""
+    deadline = time.monotonic() + 5.0
+    while not _gone(pid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return _gone(pid)
+
+
 def test_detect_through_the_real_driver_matches_a_simulated_run(tmp_path):
     config, counter = _config(tmp_path, clean_every=2)
     for name, schedule, code in [("steady", [_success()], 0), ("flaky", [_success(), _failure(0)], 2)]:
@@ -182,7 +193,52 @@ def test_monitor_through_the_real_driver_matches_a_simulated_run(tmp_path):
     builds = rounds * len(schedules)
     assert len(counter.read_text().splitlines()) == real["cleanups_performed"] == builds // clean_every
     pid = int(pid_file.read_text())
-    deadline = time.monotonic() + 5.0  # its reaper may not have run yet
-    while not _gone(pid) and time.monotonic() < deadline:
-        time.sleep(0.05)
-    assert _gone(pid), f"the timed-out build's child {pid} is still running"
+    assert _gone_soon(pid), f"the timed-out build's child {pid} is still running"
+
+
+@pytest.mark.parametrize("schedule, status, verdict, code", [
+    ([_failure(0), _success()], 200, "repaired", 0),
+    # The hanging build's child writes its pid to hung.pid in the CLI's working directory.
+    ([_failure(0), {"hang": "hung.pid"}, _success()], 200, "repaired", 0),
+    ([_failure(0)], 200, "unresolved", 3),
+    ([_failure(0)], 500, "aborted-provider", 1),
+], ids=["repaired", "repaired-after-a-timeout", "unresolved", "aborted-provider"])
+def test_repair_through_the_real_driver_matches_a_simulated_run(tmp_path, schedule, status, verdict, code):
+    config, counter = _config(tmp_path, clean_every=2)
+    fixed = "FROM busybox\nRUN echo fixed\n"
+    reply = {"choices": [{"message": {"role": "assistant", "content": fenced(fixed)}}]}
+    context = _project(tmp_path / "projects", "repair", schedule)
+    dockerfile, repaired = context / "Dockerfile", context / "Dockerfile.repaired"
+    with Loopback(status, reply) as server:
+        with open(config, "a") as fh:
+            fh.write(f"generation_provider = http\ngeneration_url = {server.url}/v1\ngeneration_model = m\n")
+        real_code, real = _real(tmp_path, config, ["repair", str(dockerfile)])
+        assert (repaired.read_text() if repaired.exists() else None) == (fixed if verdict == "repaired" else None)
+        repaired.unlink(missing_ok=True)  # the simulated run writes it again
+        sim_code, sim = _simulated(tmp_path, config, [{"match": None, "outcomes": [_outcome(e) for e in schedule]}],
+                                   ["repair", str(dockerfile)])
+    assert real_code == sim_code == code, real
+    assert _untimed(real, ("session_dir",)) == _untimed(sim, ("session_dir",))
+    (session,) = (tmp_path / "real" / "sessions").iterdir()
+    simulated = tmp_path / "simulated" / "sessions" / session.name
+    files = sorted(path.name for path in session.iterdir())
+    assert files == sorted(path.name for path in simulated.iterdir())
+    for name in files:
+        if name == "builds.jsonl":
+            dropped = ("started_at", "duration", "driver_id")
+            assert _untimed(_lines(session / name), dropped) == _untimed(_lines(simulated / name), dropped)
+        else:
+            assert (session / name).read_text(encoding="utf-8") == (simulated / name).read_text(encoding="utf-8")
+    ending = json.loads((session / "verdict.json").read_text(encoding="utf-8"))
+    assert ending["verdict"] == verdict
+    if verdict == "aborted-provider":
+        assert ending["abort_reason"].startswith("generation request failed: HTTP Error 500")
+    prompts = sum(name.startswith("prompt-") for name in files)
+    assert [path for path, _, _ in server.requests] == ["/v1/chat/completions"] * 2 * prompts  # once per run
+    builds = len((context / "builds.count").read_text().splitlines())
+    assert {line["driver_id"] for line in _lines(session / "builds.jsonl")} == {"real"}
+    assert len(_lines(session / "builds.jsonl")) == builds
+    assert (counter.read_text().splitlines() if counter.exists() else []) == ["prune"] * (builds // 2)
+    if any("hang" in entry for entry in schedule):
+        pid = int((tmp_path / "hung.pid").read_text())
+        assert _gone_soon(pid), f"the timed-out build's child {pid} is still running"

@@ -1,12 +1,12 @@
-"""Commands that compute no vectors start without numpy, and none loads requests.
+"""Commands that compute no vectors start without numpy, and none loads the HTTP client.
 
 `monitor` runs once per round of builds, each run a fresh interpreter, and
 importing numpy used to be most of the CLI's start-up. numpy is imported by
 the code that computes vectors, so `import flakidock`, `import flakidock.cli`,
-`preprocess`, `monitor` and `detect` must leave it unloaded. requests is
-imported by the HTTP providers on their first request, so none of these loads
-it either. The checks run in a fresh interpreter: this test session has numpy
-loaded already.
+`preprocess`, `monitor` and `detect` must leave it unloaded. The HTTP
+providers import `urllib.request` on their first request, so none of these
+loads it either, and no HTTP call loads `requests`. The checks run in a fresh
+interpreter: this test session has numpy loaded already.
 """
 
 from __future__ import annotations
@@ -23,13 +23,15 @@ import pytest
 
 import flakidock
 
+from loopback import Loopback
+
 # The directory the package under test is imported from: src/ in a checkout,
 # site-packages for an installed copy. A fresh interpreter imports from it too.
 IMPORT_ROOT = Path(flakidock.__file__).resolve().parents[1]
 
 
 # `code` can call `loaded()`: which of the modules start-up must skip are loaded.
-_PRELUDE = 'import sys\nloaded = lambda: sorted({"numpy", "requests"} & set(sys.modules))\n'
+_PRELUDE = 'import sys\nloaded = lambda: sorted({"numpy", "urllib.request"} & set(sys.modules))\n'
 
 
 def _fresh_python(code: str, cwd: Path) -> dict:
@@ -113,6 +115,27 @@ def test_detect_skips_numpy(tmp_path):
         tmp_path,
     )
     assert seen == {"code": 0, "verdict": "non-flaky", "loaded": []}
+
+
+def test_http_calls_load_urllib_and_never_requests(tmp_path):
+    embedding = {"data": [{"embedding": [0.5, 2]}]}
+    chat = {"choices": [{"message": {"role": "assistant", "content": "FROM busybox"}}]}
+    with Loopback(body=embedding) as embedder, Loopback(body=chat) as generator:
+        seen = _fresh_python(
+            f"""
+            import json, sys
+            from flakidock.providers import HttpChatProvider, HttpEmbeddingProvider
+            before = loaded()
+            vector = HttpEmbeddingProvider("{embedder.url}", "m", "NO_TOKEN", dim=2).embed_values("text")
+            content = HttpChatProvider("{generator.url}", "m", "NO_TOKEN").generate("prompt")
+            print(json.dumps({{"before": before, "after": loaded(), "requests": "requests" in sys.modules,
+                              "replies": [vector.tolist(), content]}}))
+            """,
+            tmp_path,
+        )
+    assert [path for path, _, _ in embedder.requests + generator.requests] == ["/embeddings", "/chat/completions"]
+    assert seen == {"before": [], "after": ["numpy", "urllib.request"], "requests": False,
+                    "replies": [[0.5, 2.0], "FROM busybox"]}
 
 
 def test_reexports_resolve_lazily(tmp_path):
