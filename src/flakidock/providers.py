@@ -156,25 +156,25 @@ class _HttpProvider:
     def _post(self, path: str, body: dict, pick):
         """POST `body` and the model to `path` as JSON; return `pick` of the JSON reply.
 
-        urllib sends it: HTTPS trusts the system store, proxies come from
-        `*_proxy`, and a 307 or 308 redirect fails. Raises ProviderUnavailable
-        on any failure: a request that cannot be sent (a token with no latin-1
-        form), connection, timeout, HTTP status, a reply cut short, a body that
-        is not JSON or is nested past the parser's depth, or a reply that
-        `pick` rejects.
+        Sent by urllib: a 301, 302 or 303 is followed as a GET without the
+        token, a 307 or 308 fails. Raises ProviderUnavailable on any failure:
+        an unsendable request (a token outside latin-1), connection, timeout,
+        HTTP status, a short reply, bad or too-deep JSON, or a reply `pick` rejects.
         """
         import http.client
         import json
         import urllib.request
 
-        token = os.environ.get(self.auth_env, "")
-        headers = {"Content-Type": "application/json", **({"Authorization": f"Bearer {token}"} if token else {})}
         data = json.dumps({"model": self.model, **body}).encode()
         try:
-            request = urllib.request.Request(f"{self.base_url}/{path}", data, headers)
+            request = urllib.request.Request(f"{self.base_url}/{path}", data, {"Content-Type": "application/json"})
+            if token := os.environ.get(self.auth_env, ""):
+                request.add_unredirected_header("Authorization", f"Bearer {token}")
             with urllib.request.urlopen(request, timeout=self.timeout) as resp:
                 reply = json.loads(resp.read())
         except (OSError, http.client.HTTPException, ValueError, RecursionError) as exc:
+            if isinstance(exc, urllib.error.HTTPError):
+                exc.close()  # an HTTP error status is also an open reply
             raise ProviderUnavailable(f"{self._failed}: {exc}") from exc
         try:
             return pick(reply)

@@ -8,29 +8,37 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 
 class Loopback:
-    """Records each POST and answers every one with `status` and `body`.
+    """Records each POST or GET and answers every one with `status` and `body`.
 
     With `cut_short`, each reply's Content-Length counts one byte more than
-    the body it sends before the connection closes: a reply cut short.
+    the body it sends before the connection closes: a reply cut short. With
+    `location`, each reply names it in a Location header: a redirect.
     Binds port 0, so the system picks a free port; `url` is its base URL.
     Use it as a context manager: the server runs in one thread until exit.
     """
 
-    def __init__(self, status: int = 200, body: bytes | dict = b"{}", cut_short: bool = False):
+    def __init__(
+        self, status: int = 200, body: bytes | dict = b"{}", cut_short: bool = False, location: str | None = None
+    ):
         self.status = status
         self.cut_short = cut_short
+        self.location = location
         self.body = json.dumps(body).encode() if isinstance(body, dict) else body
-        self.requests: list[tuple[str, dict, dict]] = []  # (path, headers, JSON body)
+        self.requests: list[tuple[str, dict, dict | None]] = []  # (path, headers, JSON body, None for a GET)
         loopback = self
 
         class Handler(BaseHTTPRequestHandler):
             def do_POST(self):
-                data = self.rfile.read(int(self.headers["Content-Length"]))
-                loopback.requests.append((self.path, dict(self.headers), json.loads(data)))
+                data = self.rfile.read(int(self.headers.get("Content-Length", 0)))
+                loopback.requests.append((self.path, dict(self.headers), json.loads(data) if data else None))
                 self.send_response(loopback.status)
+                if loopback.location:
+                    self.send_header("Location", loopback.location)
                 self.send_header("Content-Length", str(len(loopback.body) + loopback.cut_short))
                 self.end_headers()
                 self.wfile.write(loopback.body)
+
+            do_GET = do_POST
 
             def log_message(self, *args):
                 pass

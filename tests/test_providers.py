@@ -307,7 +307,7 @@ class TestHttpLoopback:
             ("chat", 200, {"choices": [{"message": {"content": None}}]}, "unexpected chat response shape"),
             # A lone surrogate is a legal JSON escape with no UTF-8 form.
             ("chat", 200, {"choices": [{"message": {"content": "FROM \ud800"}}]}, "unexpected chat response shape"),
-            # JSON nested past the parser's depth: json raises RecursionError, which requests passes on.
+            # JSON nested past the parser's depth: json raises RecursionError, not a ValueError.
             ("embedding", 200, _DEEP, "embedding request failed: maximum recursion depth exceeded"),
             ("chat", 200, _DEEP, "generation request failed: maximum recursion depth exceeded"),
         ],
@@ -331,6 +331,32 @@ class TestHttpLoopback:
             with pytest.raises(ProviderUnavailable, match=message):
                 _call(kind, server.url)
         assert len(server.requests) == 1
+
+    @_EACH_KIND
+    def test_an_error_status_closes_its_reply(self, kind, body, message):
+        with Loopback(500, body) as server:
+            with pytest.raises(ProviderUnavailable, match=f"{message}: HTTP Error 500") as caught:
+                _call(kind, server.url)
+        assert caught.value.__cause__.fp.isclosed()
+
+    @pytest.mark.parametrize("status", [301, 302, 303])
+    def test_a_redirect_is_followed_as_a_get_without_the_token(self, status, monkeypatch):
+        monkeypatch.setenv("FLAKIDOCK_TEST_TOKEN", "s3cret")
+        with Loopback(body=_CHAT) as target, Loopback(status, location=f"{target.url}/moved") as server:
+            assert _call("chat", server.url) == "FROM busybox"
+        ((_, first, _),) = server.requests
+        ((path, headers, body),) = target.requests
+        assert first["Authorization"] == "Bearer s3cret"
+        assert (path, body) == ("/moved", None)
+        assert "Authorization" not in headers
+
+    @pytest.mark.parametrize("status", [307, 308])
+    def test_a_redirect_that_keeps_the_post_is_provider_unavailable(self, status, monkeypatch):
+        monkeypatch.setenv("FLAKIDOCK_TEST_TOKEN", "s3cret")
+        with Loopback(body=_CHAT) as target, Loopback(status, location=target.url) as server:
+            with pytest.raises(ProviderUnavailable, match=f"generation request failed: HTTP Error {status}"):
+                _call("chat", server.url)
+        assert len(server.requests) == 1 and target.requests == []
 
     @_EACH_KIND
     def test_a_token_that_cannot_be_sent_is_provider_unavailable(self, kind, body, message, monkeypatch):
