@@ -12,6 +12,7 @@ failures.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import logging
 import math
 import os
@@ -28,6 +29,7 @@ from pathlib import Path
 from .dockerfile_model import DockerfileDoc
 from .durable import append_objects
 from .errors import EngineError
+from .log_preprocess import LOG_TAIL_CHARS
 
 log = logging.getLogger(__name__)
 
@@ -284,8 +286,8 @@ class BuildEngine:
     while one builds or cleans. The cleanup cadence counts every series
     build of the engine, whichever document it built.
 
-    Each build appends one JSON line, its log inline, to `builds.jsonl` in
-    the build's directory: `persist_dir` when given, else
+    Each build appends one JSON line, `_journal_line` of its record, to
+    `builds.jsonl` in the build's directory: `persist_dir` when given, else
     `<state_dir>/builds/<dockerfile hash>`. A record's number is its line
     number; a line torn by a crash keeps its number and holds no record:
     `durable.read_lines` reads the journal by that rule.
@@ -298,6 +300,7 @@ class BuildEngine:
     def __post_init__(self):
         self.cleanups_performed = 0
         self._series_builds = 0
+        self._builds_root = None if self.state_dir is None else f"{self.state_dir}/builds"
 
     def build_once(
         self, doc: DockerfileDoc, context_dir, persist_dir: Path | None = None
@@ -364,7 +367,8 @@ class BuildEngine:
     def _persist(
         self, doc: DockerfileDoc, outcome: DriverOutcome, started_at: str, persist_dir: Path | None
     ) -> BuildRecord:
-        """The build's record, appended to the build directory's journal."""
+        """The build's record; its journal line is appended to the build
+        directory's journal, which the directory's first build makes."""
         record = BuildRecord(
             dockerfile_hash=doc.content_hash,
             log=outcome.log,
@@ -374,9 +378,24 @@ class BuildEngine:
             started_at=started_at,
             driver_id=self.driver.driver_id,
         )
-        if persist_dir is None and self.state_dir is not None:
-            persist_dir = Path(self.state_dir) / "builds" / record.dockerfile_hash
+        if persist_dir is None and self._builds_root is not None:
+            persist_dir = f"{self._builds_root}/{record.dockerfile_hash}"
         if persist_dir is not None:
-            persist_dir.mkdir(parents=True, exist_ok=True)
-            append_objects(persist_dir / "builds.jsonl", [vars(record)])
+            journal, lines = f"{persist_dir}/builds.jsonl", [_journal_line(record)]
+            try:
+                append_objects(journal, lines)
+            except FileNotFoundError:  # no directory yet
+                os.makedirs(persist_dir, exist_ok=True)
+                append_objects(journal, lines)
         return record
+
+
+def _journal_line(record: BuildRecord) -> dict:
+    """A build's journal line: its record's fields, where a success keeps only its
+    log's last LOG_TAIL_CHARS characters, with the whole log's UTF-8 size and
+    sha256 as `log_bytes` and `log_sha256`; any other build keeps its whole log."""
+    if not record.succeeded:
+        return vars(record)
+    data = record.log.encode("utf-8", "surrogatepass")  # a lone surrogate has no strict UTF-8 form
+    return dict(vars(record), log=record.log[-LOG_TAIL_CHARS:], log_bytes=len(data),
+                log_sha256=hashlib.sha256(data).hexdigest())

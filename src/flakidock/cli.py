@@ -22,6 +22,7 @@ from .durable import append_objects, newest_line, read_input, read_lines
 from .errors import EngineError, FlakiDockError
 from .log_preprocess import (
     EMPTY_OUTPUT,
+    LOG_TAIL_CHARS,
     classify_failure_exclusion,
     excerpt_or_tail,
     load_exclusion_filters,
@@ -436,7 +437,7 @@ def dataset_add(ctx, store_path, record_id, dockerfile_path, log_path, category,
         raise FlakiDockError(f"{log_path}: empty build log")
     dynamic = excerpt_or_tail(raw_log, preprocess_log(raw_log, config.ruleset))
     if dynamic == EMPTY_OUTPUT:
-        raise FlakiDockError(f"{log_path}: no failure text: no rule hit and a blank last 2000 characters")
+        raise FlakiDockError(f"{log_path}: no failure text: no rule hit and a blank last {LOG_TAIL_CHARS} characters")
     if iterations:
         try:
             counts = tuple(int(v) for v in iterations.split(","))

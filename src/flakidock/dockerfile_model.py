@@ -12,6 +12,7 @@ import hashlib
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import count
 
 from .errors import EmptyDocument, MalformedEncoding
 
@@ -109,38 +110,65 @@ def diff_docs(before: DockerfileDoc, after: DockerfileDoc) -> list[LineEdit]:
 
     Minimality means the number of keep edits equals the length of a longest
     common subsequence of the two line lists, so no smaller add/remove set
-    exists. Applying the result to `before` reproduces `after` byte-exactly.
+    exists. Between two keeps, removals come first. Applying the result to
+    `before` reproduces `after` byte-exactly.
     """
-    a = _LINE_RE.findall(before.raw_text)
-    b = _LINE_RE.findall(after.raw_text)
+    a, b = _LINE_RE.findall(before.raw_text), _LINE_RE.findall(after.raw_text)
+    in_a, in_b = set(a), set(b)
+    xs = [x for x, line in enumerate(a) if line in in_b]  # a line the other lacks is never kept
+    ys = [y for y, line in enumerate(b) if line in in_a]
+    edits, i, j = [], 0, 0
+    for p, q in _common([a[x] for x in xs], [b[y] for y in ys], 0, 0):
+        x, y = xs[p], ys[q]
+        if i < x or j < y:
+            edits += [LineEdit("remove", line) for line in a[i:x]] + [LineEdit("add", line) for line in b[j:y]]
+        edits.append(LineEdit("keep", a[x]))
+        i, j = x + 1, y + 1
+    return edits + [LineEdit("remove", line) for line in a[i:]] + [LineEdit("add", line) for line in b[j:]]
+
+
+def _common(a: list, b: list, x0: int, y0: int) -> list[tuple[int, int]]:
+    """The index pairs, offset by (x0, y0), of a longest common subsequence of
+    `a` and `b`, by Myers' "An O(ND) Difference Algorithm and Its Variations"
+    (1986): past the common prefix and suffix, the middle point of a shortest
+    edit path splits the rest in two. O((N+M)·D) time, O(N+M) space."""
+    n, m, p, s = len(a), len(b), 0, 0
+    while p < n and p < m and a[p] == b[p]:
+        p += 1
+    while s < n - p and s < m - p and a[n - 1 - s] == b[m - 1 - s]:
+        s += 1
+    pairs = [(x0 + k, y0 + k) for k in range(p)]
+    if p + s < n and p + s < m:
+        a, b = a[p:n - s], b[p:m - s]
+        x, y = _middle(a, b)
+        pairs += _common(a[:x], b[:y], x0 + p, y0 + p) + _common(a[x:], b[y:], x0 + p + x, y0 + p + y)
+    return pairs + [(x0 + n - s + k, y0 + m - s + k) for k in range(s)]
+
+
+def _middle(a: list, b: list) -> tuple[int, int]:
+    """A point on a shortest edit path from (0, 0) to (len(a), len(b)), where
+    d-move searches from both ends first meet; the first and the last items
+    of `a` and `b` differ."""
     n, m = len(a), len(b)
-
-    # dp[i][j] = LCS length of a[i:], b[j:]
-    dp = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(n - 1, -1, -1):
-        row, nxt = dp[i], dp[i + 1]
-        for j in range(m - 1, -1, -1):
-            if a[i] == b[j]:
-                row[j] = nxt[j + 1] + 1
-            else:
-                row[j] = nxt[j] if nxt[j] >= row[j + 1] else row[j + 1]
-
-    edits: list[LineEdit] = []
-    i = j = 0
-    while i < n and j < m:
-        if a[i] == b[j]:
-            edits.append(LineEdit("keep", a[i]))
-            i += 1
-            j += 1
-        elif dp[i + 1][j] >= dp[i][j + 1]:
-            edits.append(LineEdit("remove", a[i]))
-            i += 1
-        else:
-            edits.append(LineEdit("add", b[j]))
-            j += 1
-    edits.extend(LineEdit("remove", line) for line in a[i:])
-    edits.extend(LineEdit("add", line) for line in b[j:])
-    return edits
+    ahead, back = [[-1] * (2 * (n + m) + 3) for _ in range(2)]  # diagonal x - y -> furthest x (-1: none)
+    ahead[1] = back[1] = 0  # both searches start at (0, 0), `back` in the reversed grid
+    # An odd D is found by the forward search meeting the reverse one, an even D the other way.
+    searches = (ahead, back, a, b, (n - m) % 2), (back, ahead, a[::-1], b[::-1], 1 - (n - m) % 2)
+    for d in count():
+        for v, other, p, q, meets in searches:
+            for k in range(-d, d + 1, 2):
+                x, right = v[k + 1], v[k - 1]  # a move down from k + 1, or right from k - 1
+                if 0 <= right < n and (right >= x or x - k > m):
+                    x = right + 1
+                elif x - k > m:
+                    x = -1
+                y = x - k
+                while 0 <= x < n and y < m and p[x] == q[y]:
+                    x, y = x + 1, y + 1
+                v[k] = x
+                if meets and x + other[n - m - k] >= n:  # the paths overlap on this diagonal
+                    k = k if v is ahead else n - m - k
+                    return ahead[k], ahead[k] - k
 
 
 def render_diff(edits: list[LineEdit]) -> str:

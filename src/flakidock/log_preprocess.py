@@ -313,12 +313,13 @@ def preprocess_log(log: str, rules: RuleSet | None = None) -> PreprocessedLog:
 
 
 EMPTY_OUTPUT = "(empty build output)"
+LOG_TAIL_CHARS = 2000  # the most of a log shown without an excerpt, and of a success log journaled
 
 
 def excerpt_or_tail(log: str, preprocessed: PreprocessedLog) -> str:
-    """The excerpt text of `log`, else its last 2000 characters, else, when
-    those are blank, EMPTY_OUTPUT: a failure always has text."""
-    text = preprocessed.as_text() or log[-2000:]
+    """The excerpt text of `log`, else its last LOG_TAIL_CHARS characters, else,
+    when those are blank, EMPTY_OUTPUT: a failure always has text."""
+    text = preprocessed.as_text() or log[-LOG_TAIL_CHARS:]
     return text if text.strip() else EMPTY_OUTPUT
 
 

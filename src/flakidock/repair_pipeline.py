@@ -139,52 +139,22 @@ FEEDBACK_OUTPUT_LABEL = "--- ITS BUILD OUTPUT ---"
 _MIN_DYNAMIC_TOKENS = 64
 
 
-def _render_prompt(
-    session: RepairSession,
-    examples: list[tuple[DemonstrationRecord, float]],
-    dynamic_budget: int | None,
-) -> str:
-    def clip(text: str) -> str:
-        if dynamic_budget is None:
-            return text
-        return truncate_to_tokens(text, dynamic_budget)
+def _render_prompt(session: RepairSession, examples: list[tuple[DemonstrationRecord, float]],
+                   dynamic_budget: int | None) -> str:
+    def block(header: str, static_label: str, static: str, dynamic_label: str, dynamic: str, *rest: str) -> str:
+        clipped = dynamic if dynamic_budget is None else truncate_to_tokens(dynamic, dynamic_budget)
+        return "\n".join([header, static_label, static, dynamic_label, clipped, *rest])
 
     blocks = [TASK_DESCRIPTION, COT_GUIDANCE]
     for idx, (record, sim) in enumerate(examples, start=1):
-        parts = [
-            EXAMPLE_HEADER.format(idx=idx, sim=sim),
-            STATIC_LABEL,
-            record.static_part,
-            DYNAMIC_LABEL,
-            clip(record.dynamic_part),
-        ]
-        for pos, repair in enumerate(record.repairs):
-            parts.append(REPAIR_LABEL if pos == 0 else f"--- REPAIR (alternative {pos + 1}) ---")
-            parts.append(repair)
-        blocks.append("\n".join(parts))
-    blocks.append(
-        "\n".join(
-            [
-                QUERY_HEADER,
-                STATIC_LABEL,
-                session.query.static_part,
-                DYNAMIC_LABEL,
-                clip(session.query.dynamic_part),
-            ]
-        )
-    )
-    for idx, entry in enumerate(session.feedback, start=1):
-        blocks.append(
-            "\n".join(
-                [
-                    FEEDBACK_HEADER.format(idx=idx),
-                    REJECTED_LABEL,
-                    entry.false_repair,
-                    FEEDBACK_OUTPUT_LABEL,
-                    clip(entry.failure_output),
-                ]
-            )
-        )
+        repairs = [line for pos, repair in enumerate(record.repairs)
+                   for line in (REPAIR_LABEL if pos == 0 else f"--- REPAIR (alternative {pos + 1}) ---", repair)]
+        blocks.append(block(EXAMPLE_HEADER.format(idx=idx, sim=sim), STATIC_LABEL, record.static_part,
+                            DYNAMIC_LABEL, record.dynamic_part, *repairs))
+    blocks.append(block(QUERY_HEADER, STATIC_LABEL, session.query.static_part,
+                        DYNAMIC_LABEL, session.query.dynamic_part))
+    blocks += [block(FEEDBACK_HEADER.format(idx=idx), REJECTED_LABEL, entry.false_repair,
+                     FEEDBACK_OUTPUT_LABEL, entry.failure_output) for idx, entry in enumerate(session.feedback, start=1)]
     return "\n\n".join(blocks)
 
 

@@ -747,3 +747,17 @@ def reference_save_store(index: demo_store.DemonstrationIndex, path) -> None:
             fh.write(np.ascontiguousarray(index.matrix, dtype="<f4"))
     elif vectors_path.exists():
         vectors_path.unlink()
+
+
+def reference_journal_line(record) -> dict:
+    """The `builds.jsonl` line of a build record, by the README rule: every field
+    of the record, where a success keeps the last 2,000 characters of its log and
+    adds the whole log's byte count and sha256 (UTF-8, a lone surrogate encoded
+    as its three bytes); a build of any other status keeps its whole log."""
+    line = {name: getattr(record, name) for name in (
+        "dockerfile_hash", "log", "status", "exit_code", "duration", "started_at", "driver_id")}
+    if record.status != "success":
+        return line
+    data = record.log.encode("utf-8", "surrogatepass")
+    cut = max(0, len(record.log) - 2000)
+    return {**line, "log": record.log[cut:], "log_bytes": len(data), "log_sha256": hashlib.sha256(data).hexdigest()}

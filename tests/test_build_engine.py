@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import os
@@ -14,7 +15,9 @@ from pathlib import Path
 
 import pytest
 
+from flakidock import build_engine
 from flakidock.build_engine import (
+    STATUS_ENGINE_ERROR,
     STATUS_FAILURE,
     STATUS_SUCCESS,
     STATUS_TIMEOUT,
@@ -31,7 +34,7 @@ from flakidock.dockerfile_model import parse_dockerfile
 from flakidock.durable import read_lines
 from flakidock.errors import EngineError
 
-from support import ALPINE_PIP, ALPINE_PIP_LOG, driver_for, driver_with_scripts, outcome
+from support import ALPINE_PIP, ALPINE_PIP_LOG, driver_for, driver_with_scripts, outcome, reference_journal_line
 
 
 @pytest.fixture
@@ -306,16 +309,17 @@ class TestPersistence:
         target = tmp_path / "builds"
         builds, workers = 40, 4  # more threads than a small CI host has cores
         pad = "x" * 65_536  # one write per line: a split write would interleave
+        # Failures, whose lines keep their whole log: a success's line would keep a short tail.
         engines = [
-            _engine(driver_for([outcome(STATUS_SUCCESS, f"w{w}-b{i}{pad}") for i in range(builds)]))
+            _engine(driver_for([outcome(STATUS_FAILURE, f"w{w}-b{i}{pad}", exit_code=1) for i in range(builds)]))
             for w in range(workers)
         ]
-        errors = []
+        errors, records = [], []
 
         def work(engine):
             try:
                 for _ in range(builds):
-                    engine.build_once(doc, tmp_path, persist_dir=target)
+                    records.append(engine.build_once(doc, tmp_path, persist_dir=target))
             except Exception as exc:  # surfaced by the assertion below
                 errors.append(exc)
 
@@ -336,6 +340,64 @@ class TestPersistence:
         assert sorted(line["log"] for line in lines) == sorted(
             f"w{w}-b{i}{pad}" for w in range(workers) for i in range(builds)
         )
+        by_log = {record.log: record for record in records}
+        assert lines == [reference_journal_line(by_log[line["log"]]) for line in lines]
+
+    @pytest.mark.parametrize("count", [200, 20_000])
+    def test_a_success_line_keeps_a_tail_of_fixed_length(self, doc, tmp_path, count):
+        log = "".join(f"#{i} {i / 10:.1f} step {i} done\n" for i in range(count))
+        record = _engine(driver_for([outcome(STATUS_SUCCESS, log)])).build_once(doc, tmp_path, persist_dir=tmp_path)
+        assert record.log == log  # the caller still gets the whole log
+        (line,) = _journal(tmp_path)
+        assert line == reference_journal_line(record)
+        assert line["log"] == log[-2000:] and len(line["log"]) == 2000
+        # The line's size is the tail's, plus the fields: not the log's (270 KB at 20,000 lines).
+        assert (tmp_path / "builds.jsonl").stat().st_size < 2 * 2000 + 1000
+
+    @pytest.mark.parametrize("log", [
+        "", "done\n", "Ünïcødé ✓ 日本\r\n" * 300, "é" * 2500 + "boom \ud800 here\n", "boom \udfff\n" + "é" * 2500,
+    ], ids=["empty", "ascii", "non-ascii", "surrogate-in-the-tail", "surrogate-cut-off"])
+    def test_a_success_line_gives_the_whole_logs_size_and_digest(self, doc, tmp_path, log):
+        record = _engine(driver_for([outcome(STATUS_SUCCESS, log)])).build_once(doc, tmp_path, persist_dir=tmp_path)
+        (line,) = _journal(tmp_path)
+        data = log.encode("utf-8", "surrogatepass")
+        assert (line["log_bytes"], line["log_sha256"]) == (len(data), hashlib.sha256(data).hexdigest())
+        assert line == reference_journal_line(record)
+        # The tail is cut exactly when it holds fewer bytes than the whole log.
+        assert (len(line["log"].encode("utf-8", "surrogatepass")) < line["log_bytes"]) == (len(log) > 2000)
+
+    @pytest.mark.parametrize("status", [STATUS_FAILURE, STATUS_TIMEOUT, STATUS_ENGINE_ERROR])
+    def test_a_line_of_any_other_status_keeps_the_whole_log(self, doc, tmp_path, status):
+        log = "".join(f"#{i} step {i} Ünïcødé\r\n" for i in range(2_000))
+        engine = _engine(driver_for([outcome(status, log)]))
+        try:
+            record = engine.build_once(doc, tmp_path, persist_dir=tmp_path)
+        except EngineError as exc:
+            (record,) = exc.records
+        assert record.status == status
+        assert _journal(tmp_path) == [asdict(record)] == [reference_journal_line(record)]
+        assert record.log == log
+
+    def test_a_fresh_state_directorys_first_build_makes_its_build_directory(self, doc, tmp_path, monkeypatch):
+        made = []
+
+        class CountingOs:
+            """`os` for build_engine: notes each directory the engine makes."""
+
+            def __getattr__(self, name):
+                return getattr(os, name)
+
+            def makedirs(self, path, **kwargs):
+                made.append(str(path))
+                os.makedirs(path, **kwargs)
+
+        monkeypatch.setattr(build_engine, "os", CountingOs())
+        state = tmp_path / "fresh" / "state"
+        engine = _engine(driver_for([outcome(STATUS_SUCCESS, "ok")]), state_dir=state)
+        records = [engine.build_once(doc, tmp_path) for _ in range(3)]
+        build_dir = state / "builds" / doc.content_hash
+        assert _journal(build_dir) == [reference_journal_line(record) for record in records]
+        assert made == [str(build_dir)]  # once, by the first build; the next two append straight away
 
     def test_persist_time_per_record_flat_in_directory_size(self, doc, tmp_path):
         record = _engine(driver_for([outcome(STATUS_SUCCESS, "ok")])).build_once(doc, tmp_path)

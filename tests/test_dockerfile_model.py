@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -298,3 +300,55 @@ def _exhaustive_lcs(a: list[str], b: list[str]) -> int:
                 best = max(best, size)
                 break
     return best
+
+
+def _table_lcs(a: list[str], b: list[str]) -> int:
+    """The length of a longest common subsequence, by the (n+1)×(m+1) table."""
+    row = [0] * (len(b) + 1)
+    for x in a:
+        diagonal = 0
+        for j, y in enumerate(b, 1):
+            diagonal, row[j] = row[j], diagonal + 1 if x == y else max(row[j], row[j - 1])
+    return row[-1]
+
+
+_LINES = st.lists(st.sampled_from(["FROM a\n", "RUN x\n", "RUN y\n", "COPY . /\n", "\n", "RUN z"]), max_size=60)
+
+
+@given(_LINES, _LINES)
+@settings(max_examples=300, deadline=None)
+def test_long_scripts_are_minimal_and_remove_before_they_add(lines_a, lines_b):
+    before = parse_dockerfile("FROM a\n" + "".join(lines_a) + "RUN end\n")
+    after = parse_dockerfile("FROM b\n" + "".join(lines_b))
+    edits = diff_docs(before, after)
+    a = before.raw_text.splitlines(keepends=True)
+    b = after.raw_text.splitlines(keepends=True)
+    assert sum(e.op == "keep" for e in edits) == _table_lcs(a, b)
+    assert "".join(e.text for e in edits if e.op != "remove") == after.raw_text
+    assert "".join(e.text for e in edits if e.op != "add") == before.raw_text
+    hunks = "".join(e.op[0] for e in edits).split("k")  # the removals and additions between two keeps
+    assert all(hunk == "r" * hunk.count("r") + "a" * hunk.count("a") for hunk in hunks)
+
+
+def test_a_long_file_with_few_changes_diffs_in_linear_time_and_space():
+    lines = [f"RUN step-{i} --flag {i % 7}\n" for i in range(2_000)]
+    changed = list(lines)
+    for k in range(10):
+        changed[100 + 190 * k] = f"RUN changed-{k}\n"
+    before, after = parse_dockerfile("".join(lines)), parse_dockerfile("".join(changed))
+    timings = []
+    for _ in range(5):
+        start = time.perf_counter()
+        edits = diff_docs(before, after)
+        timings.append(time.perf_counter() - start)
+    assert [e.op for e in edits].count("keep") == 1_990
+    assert [e.text for e in edits if e.op == "add"] == [f"RUN changed-{k}\n" for k in range(10)]
+    # A table of (n+1)×(m+1) entries took about half a second here, and 32 MB.
+    assert min(timings) < 0.005, timings
+    tracemalloc.start()
+    try:
+        diff_docs(before, after)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 1024 * 1024, peak

@@ -65,6 +65,7 @@ from support import (
     driver_with_scripts,
     fenced,
     outcome,
+    reference_journal_line,
     split_series,
     template_outputs,
 )
@@ -952,7 +953,7 @@ def test_splitting_the_session_journal_gives_back_each_series(base_doc, tmp_path
         series.append(result.records)
     assert (session.verdict, outcomes) == (verdict, kinds)
     journal = read_lines(tmp_path / "s" / "builds.jsonl")
-    assert split_series(journal) == [[dataclasses.asdict(record) for record in records] for records in series]
+    assert split_series(journal) == [[reference_journal_line(record) for record in records] for records in series]
     assert not (tmp_path / "state").exists()
 
 
